@@ -109,7 +109,7 @@ Replay Run(const apps::App& app, const Artifact& artifact,
   // ending near invocation 5 on each replica, the burst-phase dispatches
   // fail until the quarantine trips, and the first probe past the window
   // re-enlists.
-  service.SetFaultInjector(blaze::MakeBurstFaultInjector({4, 3}));
+  service.SetFaultInjector(blaze::MakeBurstFaultInjector({{4, 3}}));
 
   Rng rng(2018);
   blaze::Dataset broadcast;

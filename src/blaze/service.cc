@@ -1,7 +1,6 @@
 #include "blaze/service.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <future>
 #include <limits>
@@ -10,7 +9,6 @@
 #include "resilience/fault.h"
 #include "support/error.h"
 #include "support/logging.h"
-#include "support/strings.h"
 #include "support/thread_pool.h"
 
 namespace s2fa::blaze {
@@ -770,73 +768,7 @@ std::vector<RequestOutcome> BlazeService::Drain() {
   return outcomes;
 }
 
-// ------------------------------------------------------------ CLI plumbing
-
-std::optional<FaultBurst> ParseFaultBurst(const std::string& text) {
-  const std::size_t colon = text.find(':');
-  if (colon == std::string::npos) return std::nullopt;
-  const auto parse = [](std::string_view digits,
-                        std::size_t& out) {
-    const char* end = digits.data() + digits.size();
-    auto [ptr, ec] = std::from_chars(digits.data(), end, out);
-    return ec == std::errc() && ptr == end && !digits.empty();
-  };
-  FaultBurst burst;
-  if (!parse(std::string_view(text).substr(0, colon), burst.start) ||
-      !parse(std::string_view(text).substr(colon + 1), burst.length)) {
-    return std::nullopt;
-  }
-  return burst;
-}
-
-AccelFaultInjector MakeBurstFaultInjector(FaultBurst burst) {
-  if (burst.length == 0) return nullptr;
-  return [burst](const std::string&, std::size_t invocation, int) {
-    return invocation >= burst.start &&
-           invocation < burst.start + burst.length;
-  };
-}
-
-std::vector<FaultBurst> ParseFaultBursts(const std::string& text) {
-  std::vector<FaultBurst> bursts;
-  std::size_t begin = 0;
-  const std::string trimmed(Trim(text));
-  if (trimmed.empty()) return bursts;
-  while (begin <= trimmed.size()) {
-    std::size_t comma = trimmed.find(',', begin);
-    if (comma == std::string::npos) comma = trimmed.size();
-    const std::string piece = trimmed.substr(begin, comma - begin);
-    const std::string window(Trim(piece));
-    auto burst = ParseFaultBurst(window);
-    if (!burst) {
-      throw MalformedInput("fault burst '" + window +
-                           "' is not START:LEN");
-    }
-    if (burst->length == 0) {
-      throw MalformedInput("fault burst '" + window +
-                           "' has zero length");
-    }
-    bursts.push_back(*burst);
-    begin = comma + 1;
-  }
-  std::sort(bursts.begin(), bursts.end(),
-            [](const FaultBurst& a, const FaultBurst& b) {
-              if (a.start != b.start) return a.start < b.start;
-              return a.length < b.length;
-            });
-  for (std::size_t i = 1; i < bursts.size(); ++i) {
-    const FaultBurst& prev = bursts[i - 1];
-    const FaultBurst& cur = bursts[i];
-    if (cur.start < prev.start + prev.length) {
-      throw MalformedInput(
-          "fault bursts overlap: [" + std::to_string(prev.start) + ":" +
-          std::to_string(prev.length) + ") and [" +
-          std::to_string(cur.start) + ":" + std::to_string(cur.length) +
-          "); merge or separate the windows");
-    }
-  }
-  return bursts;
-}
+// ------------------------------------------------------------ fault bursts
 
 AccelFaultInjector MakeBurstFaultInjector(std::vector<FaultBurst> bursts) {
   bursts.erase(std::remove_if(bursts.begin(), bursts.end(),

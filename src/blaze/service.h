@@ -300,24 +300,18 @@ class BlazeService {
   std::vector<std::pair<double, std::size_t>> probe_timers_pending_;
 };
 
-// ------------------------------------------------------------ CLI plumbing
+// ------------------------------------------------------------ fault bursts
 
 // An injected fault burst: every accelerator attempt whose per-replica
-// invocation counter falls in [start, start + length) fails. Parsed from
-// the "START:LEN" syntax of --fault-burst / S2FA_FAULT_BURST.
+// invocation counter falls in [start, start + length) fails. Written as
+// `burst START:LEN` in the chaos grammar (blaze/chaos.h).
 struct FaultBurst {
   std::size_t start = 0;
   std::size_t length = 0;
 };
-std::optional<FaultBurst> ParseFaultBurst(const std::string& text);
-AccelFaultInjector MakeBurstFaultInjector(FaultBurst burst);
 
-// Comma-separated list of "START:LEN" windows. Rejects — fail-fast, with
-// MalformedInput — malformed windows, zero-length windows, and duplicate
-// or overlapping windows (silently merging them would hide a schedule
-// typo and change the injected fault count). Returns windows sorted by
-// start. An empty/whitespace-only string parses to an empty list.
-std::vector<FaultBurst> ParseFaultBursts(const std::string& text);
+// Fails an attempt inside any of `bursts` (zero-length windows are
+// dropped); nullptr when none remain.
 AccelFaultInjector MakeBurstFaultInjector(std::vector<FaultBurst> bursts);
 
 }  // namespace s2fa::blaze

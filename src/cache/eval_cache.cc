@@ -4,7 +4,6 @@
 
 #include "obs/obs.h"
 #include "support/error.h"
-#include "support/logging.h"
 
 namespace s2fa::cache {
 
@@ -40,17 +39,6 @@ std::optional<EvalCacheOptions> ParseCacheSpec(const std::string& spec) {
   const unsigned long long value = std::strtoull(spec.c_str(), &end, 10);
   if (end == spec.c_str() || *end != '\0' || value == 0) return std::nullopt;
   options.capacity = static_cast<std::size_t>(value);
-  return options;
-}
-
-std::optional<EvalCacheOptions> ReadEnvCacheOptions() {
-  const char* raw = std::getenv("S2FA_EVAL_CACHE");
-  if (raw == nullptr || raw[0] == '\0') return std::nullopt;
-  auto options = ParseCacheSpec(raw);
-  if (!options) {
-    S2FA_LOG_WARN("ignoring malformed S2FA_EVAL_CACHE='" << raw
-                  << "' (expected on|off|N)");
-  }
   return options;
 }
 

@@ -68,9 +68,6 @@ struct EvalCacheStats {
 // nullopt on anything else.
 std::optional<EvalCacheOptions> ParseCacheSpec(const std::string& spec);
 
-// Reads S2FA_EVAL_CACHE; malformed values warn and return nullopt.
-std::optional<EvalCacheOptions> ReadEnvCacheOptions();
-
 class EvalCache {
  public:
   explicit EvalCache(EvalCacheOptions options = {});

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/obs.h"
 #include "resilience/fault.h"
@@ -23,37 +22,6 @@ void ResilienceStats::Merge(const ResilienceStats& other) {
   breaker_trips += other.breaker_trips;
   short_circuits += other.short_circuits;
   backoff_minutes += other.backoff_minutes;
-}
-
-EnvKnobs ReadEnvKnobs() {
-  EnvKnobs knobs;
-  auto number = [](const char* name) -> std::optional<double> {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || raw[0] == '\0') return std::nullopt;
-    char* end = nullptr;
-    double value = std::strtod(raw, &end);
-    if (end == raw || *end != '\0' || !std::isfinite(value)) {
-      S2FA_LOG_WARN("ignoring malformed " << name << "='" << raw << "'");
-      return std::nullopt;
-    }
-    return value;
-  };
-  if (auto v = number("S2FA_EVAL_TIMEOUT")) {
-    if (*v > 0) knobs.eval_timeout_minutes = *v;
-    else S2FA_LOG_WARN("ignoring non-positive S2FA_EVAL_TIMEOUT");
-  }
-  if (auto v = number("S2FA_EVAL_RETRIES")) {
-    if (*v >= 0) knobs.eval_retries = static_cast<int>(*v);
-    else S2FA_LOG_WARN("ignoring negative S2FA_EVAL_RETRIES");
-  }
-  if (auto v = number("S2FA_FAULT_RATE")) {
-    if (*v >= 0 && *v <= 1.0) knobs.fault_rate = *v;
-    else S2FA_LOG_WARN("ignoring out-of-range S2FA_FAULT_RATE");
-  }
-  if (const char* raw = std::getenv("S2FA_RESUME_JOURNAL")) {
-    if (raw[0] != '\0') knobs.resume_journal = std::string(raw);
-  }
-  return knobs;
 }
 
 ResilientEvaluator::ResilientEvaluator(AttemptEvalFn inner,

@@ -26,7 +26,6 @@
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "resilience/failure.h"
@@ -72,21 +71,6 @@ struct ResilienceStats {
 
   void Merge(const ResilienceStats& other);
 };
-
-// Knobs readable from the environment (CLI flags win over these):
-//   S2FA_EVAL_TIMEOUT      — per-point deadline in simulated minutes
-//   S2FA_EVAL_RETRIES      — max retries per point
-//   S2FA_RESUME_JOURNAL    — evaluation journal path (checkpoint/resume)
-//   S2FA_FAULT_RATE        — total injected failure rate, split evenly
-//                            across crash/timeout/garbage
-// Malformed values log a warning and are ignored.
-struct EnvKnobs {
-  std::optional<double> eval_timeout_minutes;
-  std::optional<int> eval_retries;
-  std::optional<std::string> resume_journal;
-  std::optional<double> fault_rate;
-};
-EnvKnobs ReadEnvKnobs();
 
 class ResilientEvaluator {
  public:

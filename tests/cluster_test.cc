@@ -181,6 +181,25 @@ TEST(ChaosPlanTest, RejectsMalformedSchedules) {
   EXPECT_NO_THROW(ParseChaosPlan("burst 0:4 @ 0; burst 0:4 @ 1"));
 }
 
+// The fault-burst windows that `serve --fault-burst` passes through the
+// chaos grammar: windows that touch are not an overlap, and the injected
+// faults do not depend on the order the windows are written in.
+TEST(ChaosPlanTest, BurstWindowsMayTouchAndOrderDoesNotMatter) {
+  ChaosPlan adjacent;
+  ASSERT_NO_THROW(adjacent = ParseChaosPlan("burst 2:3; burst 5:2"));
+  EXPECT_EQ(adjacent.bursts.size(), 2u);
+  AccelFaultInjector forward = MakeShardBurstInjector(adjacent, 0);
+  AccelFaultInjector reversed =
+      MakeShardBurstInjector(ParseChaosPlan("burst 5:2; burst 2:3"), 0);
+  ASSERT_NE(forward, nullptr);
+  ASSERT_NE(reversed, nullptr);
+  for (std::size_t invocation = 0; invocation < 10; ++invocation) {
+    const bool in_window = invocation >= 2 && invocation < 7;
+    EXPECT_EQ(forward("r0", invocation, 0), in_window) << invocation;
+    EXPECT_EQ(reversed("r0", invocation, 0), in_window) << invocation;
+  }
+}
+
 // Runs `fn` and returns the MalformedInput message it throws (statements
 // are whitespace-stripped before parsing, so messages quote the stripped
 // form). A schedule typo must name the exact statement and reason — these

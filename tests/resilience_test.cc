@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -578,40 +577,6 @@ TEST(JournalTest, AppendAfterTornTailStaysRecoverable) {
 TEST(JournalTest, OpenThrowsOnUnwritablePath) {
   EvalJournal journal;
   EXPECT_THROW(journal.Open("/nonexistent-dir/journal.jsonl"), Error);
-}
-
-// ------------------------------------------------------------ env knobs
-
-TEST(EnvKnobsTest, ReadsAndValidates) {
-  setenv("S2FA_EVAL_TIMEOUT", "45.5", 1);
-  setenv("S2FA_EVAL_RETRIES", "3", 1);
-  setenv("S2FA_RESUME_JOURNAL", "/tmp/j.jsonl", 1);
-  setenv("S2FA_FAULT_RATE", "0.25", 1);
-  EnvKnobs knobs = ReadEnvKnobs();
-  ASSERT_TRUE(knobs.eval_timeout_minutes.has_value());
-  EXPECT_DOUBLE_EQ(*knobs.eval_timeout_minutes, 45.5);
-  ASSERT_TRUE(knobs.eval_retries.has_value());
-  EXPECT_EQ(*knobs.eval_retries, 3);
-  ASSERT_TRUE(knobs.resume_journal.has_value());
-  EXPECT_EQ(*knobs.resume_journal, "/tmp/j.jsonl");
-  ASSERT_TRUE(knobs.fault_rate.has_value());
-  EXPECT_DOUBLE_EQ(*knobs.fault_rate, 0.25);
-
-  setenv("S2FA_EVAL_TIMEOUT", "garbage", 1);
-  setenv("S2FA_EVAL_RETRIES", "-2", 1);
-  setenv("S2FA_FAULT_RATE", "1.5", 1);
-  EnvKnobs bad = ReadEnvKnobs();
-  EXPECT_FALSE(bad.eval_timeout_minutes.has_value());
-  EXPECT_FALSE(bad.eval_retries.has_value());
-  EXPECT_FALSE(bad.fault_rate.has_value());
-
-  unsetenv("S2FA_EVAL_TIMEOUT");
-  unsetenv("S2FA_EVAL_RETRIES");
-  unsetenv("S2FA_RESUME_JOURNAL");
-  unsetenv("S2FA_FAULT_RATE");
-  EnvKnobs none = ReadEnvKnobs();
-  EXPECT_FALSE(none.eval_timeout_minutes.has_value());
-  EXPECT_FALSE(none.resume_journal.has_value());
 }
 
 TEST(RetryBudgetTest, BucketStartsFullAndDrainsToDenial) {

@@ -1,101 +1,25 @@
 // s2fa — command-line driver for the framework.
 //
-//   s2fa list
-//       The bundled evaluation kernels.
-//   s2fa compile <app>
-//       Bytecode-to-C only: print the generated HLS C, the interface, the
-//       generated Scala glue, and the design-space inventory.
-//   s2fa explore <app> [--minutes N] [--cores N] [--seed N]
-//                      [--vanilla] [--no-seeds] [--no-partition]
-//                      [--techniques LIST]
-//                      [--eval-timeout M] [--eval-retries N]
-//                      [--resume-journal FILE] [--fault-rate P]
-//                      [--eval-cache on|off|N]
-//       Run the DSE and report partitions, the trace, and the best design.
-//       --techniques picks the search-arm roster by name (comma-separated:
-//       "bandit" is the default four, plus greedy/de/pso/sa/bottleneck —
-//       e.g. --techniques bandit,bottleneck adds the bottleneck-guided
-//       arm). --eval-timeout/--eval-retries tune the fault-tolerant
-//       evaluation layer, --resume-journal checkpoints every evaluation
-//       (and resumes a killed run without re-paying them), --fault-rate
-//       injects deterministic evaluator failures to exercise that
-//       machinery, and --eval-cache controls the shared memoizing
-//       evaluation cache (on by default; N bounds it to an N-entry LRU).
-//       All of these apply to --vanilla runs too.
-//   s2fa run <app> [--records N] [--seed N] [--accel-fault-rate P]
-//       Build the accelerator (short DSE), execute a workload through the
-//       Blaze runtime, cross-check against the JVM baseline, and report
-//       the speedup. --accel-fault-rate injects accelerator faults; failed
-//       batches retry once and then degrade to the host path.
-//   s2fa serve <app> [--replicas N] [--requests N] [--records N] [--seed N]
-//                    [--serve-queue N] [--hedge-quantile Q]
-//                    [--quarantine-window N] [--fault-burst START:LEN[,..]]
-//                    [--exec-threads N] [--shards N]
-//                    [--tenants NAME:WEIGHT[:QUOTA],..] [--chaos-plan PLAN]
-//       Build the accelerator, register N replicas behind the BlazeService
-//       serving layer, and replay a request stream against the simulated
-//       clock: bounded admission queue, per-replica health tracking with
-//       quarantine + probe re-enlistment, and hedged dispatch.
-//       --fault-burst fails every accelerator attempt whose per-replica
-//       invocation counter falls in [START, START+LEN); outputs are
-//       cross-checked against the native reference.
-//       --shards N serves through BlazeCluster instead: replicas spread
-//       round-robin over N fault domains, with micro-batching, failover,
-//       and weighted-fair tenancy. --tenants declares tenants (relative
-//       weight, optional queued quota) and assigns requests round-robin;
-//       --chaos-plan runs a scripted fault schedule (see blaze/chaos.h
-//       for the grammar); --routing health|depth picks the shard-selection
-//       policy (depth scores true outstanding backlog, so it routes around
-//       shards that owe invisible host work). Cluster runs print a
-//       per-tenant fairness table — sheds split by reason, completions by
-//       serving path — and keep the per-request reference cross-check.
-//       --stream replays the workload through the streaming serving mode
-//       (StreamSession): rate-programmed continuous arrivals
-//       (--arrival-rate, a multiple of modeled capacity), SLO-bound
-//       micro-batching (--slo, microseconds), per-tenant retry budgets
-//       (--retry-budget REFILL_PER_SEC:BURST), and the brownout segment of
-//       the overload ladder (--brownout ONSET_US:SHED_US[:MAX_FRACTION]).
-//       Streaming runs print the overload-ladder ledger (shed reasons,
-//       close triggers, CoDel engagements, watermark) and exit non-zero on
-//       lost records, watermark regression, or reference mismatches.
-//   s2fa report <metrics.json>
-//       Render a metrics summary (written by --metrics-out) as tables.
-//   s2fa profile <app> [--minutes N] [--seed N] [--records N] [--top N]
-//                      [--profile-out FILE]
-//       Run the pipeline (compile, a short single-core DSE slice, a Blaze
-//       workload) with the tracer on and print the hot-path table: per-span
-//       call counts, total/self time, and ns/op + ns/record rates. The self
-//       times are disjoint, so their sum is bounded by the wall time.
-//       --profile-out dumps the raw spans as a Chrome trace-event file
-//       (load in chrome://tracing or Perfetto).
-//   s2fa perf-diff <old.json> <new.json> [--threshold P]
-//       Compare two perf ledgers (written by bench_micro_components /
-//       bench_serving) and classify each benchmark improved/flat/regressed
-//       at the given threshold (fraction, default 0.10). Exits 1 when any
-//       benchmark regressed by at least the threshold — the CI perf gate.
-//
-// Global flags: --trace-out FILE --metrics-out FILE (enable the obs layer
-// and dump the span trace / aggregated summary), --log-level LEVEL.
-// Environment: S2FA_EVAL_TIMEOUT, S2FA_EVAL_RETRIES, S2FA_RESUME_JOURNAL,
-// S2FA_FAULT_RATE, S2FA_EVAL_CACHE and S2FA_TECHNIQUES mirror the
-// evaluation-stack flags;
-// S2FA_SERVE_QUEUE, S2FA_HEDGE_QUANTILE, S2FA_QUARANTINE_WINDOW,
-// S2FA_FAULT_BURST, S2FA_SHARDS, S2FA_TENANTS, S2FA_CHAOS_PLAN,
-// S2FA_ROUTING, S2FA_STREAM, S2FA_ARRIVAL_RATE, S2FA_SLO,
-// S2FA_RETRY_BUDGET and S2FA_BROWNOUT mirror the serving knobs;
-// S2FA_PROFILE_OUT and S2FA_PERF_THRESHOLD mirror the profiler knobs
-// (flags win).
+// Every flag is one row of the knob table below: its environment mirror,
+// the commands that take it, its parser and range check, its default and
+// its help line. One resolver applies the table (environment first, a flag
+// wins; a malformed value, an unknown flag or a missing value exits 2), and
+// the usage text printed by a bare `s2fa` is rendered from it.
+#include <algorithm>
 #include <charconv>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "apps/app.h"
@@ -122,102 +46,318 @@ using namespace s2fa;
 
 namespace {
 
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> flags;
+// ------------------------------------------------------------ value parsers
 
-  bool Has(const std::string& flag) const { return flags.count(flag) != 0; }
-  double Num(const std::string& flag, double fallback) const {
-    auto it = flags.find(flag);
-    return it == flags.end() ? fallback : std::stod(it->second);
-  }
-  std::string Str(const std::string& flag) const {
-    auto it = flags.find(flag);
-    return it == flags.end() ? std::string() : it->second;
-  }
+// Strict number parser: the whole text must be the number. Integers take
+// no sign and no fraction and reject overflow; doubles must be finite.
+template <typename T>
+std::optional<T> Parse(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  const bool ok = ec == std::errc() && ptr == end && !text.empty() &&
+                  std::isfinite(static_cast<double>(value));
+  return ok ? std::optional<T>(value) : std::nullopt;
+}
+constexpr auto ParseUint = Parse<std::uint64_t>;
+constexpr auto ParseReal = Parse<double>;
+
+struct TenantSpec {
+  std::string name;
+  double weight = 1.0;
+  std::size_t quota = 0;
 };
 
-Args Parse(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      std::string name = arg.substr(2);
-      // Either --name=value, a bare boolean flag, or --name value.
-      std::size_t eq = name.find('=');
-      if (eq != std::string::npos) {
-        args.flags[name.substr(0, eq)] = name.substr(eq + 1);
-      } else if (name == "vanilla" || name == "no-seeds" ||
-                 name == "no-partition" || name == "stream") {
-        args.flags[name] = "1";
-      } else if (i + 1 < argc) {
-        args.flags[name] = argv[++i];
-      }
-    } else {
-      args.positional.push_back(arg);
+// NAME:WEIGHT[:QUOTA], comma-separated; rejects duplicates and weight <= 0.
+std::optional<std::vector<TenantSpec>> ParseTenants(const std::string& text) {
+  std::vector<TenantSpec> tenants;
+  for (const std::string& entry : Split(text, ',')) {
+    const std::vector<std::string> parts = Split(Trim(entry), ':');
+    if (parts.size() < 2 || parts.size() > 3 || parts[0].empty()) {
+      return std::nullopt;
     }
+    auto weight = ParseReal(parts[1]);
+    auto quota = parts.size() == 3 ? ParseUint(parts[2]) : std::uint64_t{0};
+    if (!weight || *weight <= 0 || !quota) return std::nullopt;
+    for (const TenantSpec& existing : tenants) {
+      if (existing.name == parts[0]) return std::nullopt;
+    }
+    tenants.push_back({parts[0], *weight, static_cast<std::size_t>(*quota)});
   }
-  return args;
+  return tenants;
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: s2fa <list|compile|explore|run|serve|report|profile|"
-               "perf-diff> [arg] [flags]\n"
-               "  explore flags: --minutes N --cores N --seed N --vanilla "
-               "--no-seeds --no-partition\n"
-               "                 --eval-timeout MIN --eval-retries N "
-               "--resume-journal FILE --fault-rate P\n"
-               "                 --eval-cache on|off|N "
-               "--scheduler adaptive|fcfs\n"
-               "  run flags:     --records N --seed N --minutes N "
-               "--accel-fault-rate P\n"
-               "  serve flags:   --replicas N --requests N --records N "
-               "--seed N --minutes N\n"
-               "                 --serve-queue N --hedge-quantile Q "
-               "--quarantine-window N\n"
-               "                 --fault-burst START:LEN[,..] "
-               "--exec-threads N\n"
-               "                 --shards N --tenants NAME:WEIGHT[:QUOTA],.. "
-               "--chaos-plan PLAN\n"
-               "                 --routing health|depth --stream "
-               "--arrival-rate R --slo US\n"
-               "                 --retry-budget REFILL:BURST "
-               "--brownout ONSET:SHED[:FRAC]\n"
-               "  report:        s2fa report <metrics.json>\n"
-               "  profile flags: --minutes N --seed N --records N --top N "
-               "--profile-out FILE\n"
-               "  perf-diff:     s2fa perf-diff <old.json> <new.json> "
-               "--threshold P\n"
-               "  global flags:  --trace-out FILE --metrics-out FILE "
-               "--log-level off|error|warn|info|debug\n"
-               "  env:           S2FA_EVAL_TIMEOUT S2FA_EVAL_RETRIES "
-               "S2FA_RESUME_JOURNAL S2FA_FAULT_RATE S2FA_EVAL_CACHE\n"
-               "                 S2FA_SCHEDULER S2FA_SERVE_QUEUE "
-               "S2FA_HEDGE_QUANTILE S2FA_QUARANTINE_WINDOW\n"
-               "                 S2FA_FAULT_BURST S2FA_SHARDS S2FA_TENANTS "
-               "S2FA_CHAOS_PLAN\n"
-               "                 S2FA_ROUTING S2FA_STREAM S2FA_ARRIVAL_RATE "
-               "S2FA_SLO S2FA_RETRY_BUDGET S2FA_BROWNOUT\n"
-               "                 S2FA_PROFILE_OUT S2FA_PERF_THRESHOLD\n");
-  return 2;
+// REFILL_PER_SEC:BURST with refill >= 0 and burst >= 1.
+std::optional<resilience::RetryBudgetOptions> ParseRetryBudget(
+    const std::string& text) {
+  const std::vector<std::string> parts = Split(text, ':');
+  if (parts.size() != 2) return std::nullopt;
+  auto refill = ParseReal(parts[0]);
+  auto burst = ParseReal(parts[1]);
+  if (!refill || *refill < 0 || !burst || *burst < 1) return std::nullopt;
+  return resilience::RetryBudgetOptions{*refill, *burst};
 }
 
-// Fails fast when an export path can't be written, instead of silently
-// losing the trace/metrics at exit after a long run. The append-mode probe
-// leaves an existing file untouched.
-bool CheckWritable(const char* what, const std::string& path) {
-  if (path.empty()) return true;
-  std::ofstream probe(path, std::ios::app);
-  if (!probe) {
-    std::fprintf(stderr, "error: %s path '%s' is not writable\n", what,
-                 path.c_str());
-    return false;
+// ONSET_US:SHED_US[:MAX_FRACTION] with 0 < onset < shed and fraction in
+// (0, 1] (default 0.5), as {onset, shed, fraction}.
+std::optional<std::vector<double>> ParseBrownout(const std::string& text) {
+  std::vector<double> values;
+  for (const std::string& part : Split(text, ':')) {
+    auto value = ParseReal(part);
+    if (!value) return std::nullopt;
+    values.push_back(*value);
   }
-  return true;
+  if (values.size() == 2) values.push_back(0.5);
+  const bool ok = values.size() == 3 && values[0] > 0 &&
+                  values[1] > values[0] && values[2] > 0 && values[2] <= 1.0;
+  return ok ? std::optional(values) : std::nullopt;
 }
 
-int CmdReport(const std::string& path) {
+// --fault-burst START:LEN[,START:LEN...] read as the chaos statements
+// `burst START:LEN; ...`, so the chaos grammar's zero-length and overlap
+// checks apply. Windows come back sorted by start.
+blaze::ChaosPlan FaultBurstPlan(const std::string& text) {
+  if (text.find_first_not_of("0123456789:, \t") != std::string::npos) {
+    throw MalformedInput("fault bursts are START:LEN windows only");
+  }
+  if (Trim(text).empty()) return {};
+  std::string statements;
+  for (const std::string& window : Split(text, ',')) {
+    statements += "burst " + window + ";";
+  }
+  blaze::ChaosPlan plan = blaze::ParseChaosPlan(statements);
+  std::sort(plan.bursts.begin(), plan.bursts.end(),
+            [](const blaze::ChaosBurst& a, const blaze::ChaosBurst& b) {
+              return a.window.start < b.window.start;
+            });
+  return plan;
+}
+
+// A technique roster is valid independent of the design space it is built
+// for, so a one-factor space checks the names.
+void CheckTechniques(const std::string& text) {
+  tuner::DesignSpace space;
+  space.factors.push_back(
+      {"L0.tile", tuner::FactorKind::kLoopTile, 0, "", {1}});
+  tuner::MakeTechniques(&space, 0, tuner::ParseTechniqueList(text));
+}
+
+// ------------------------------------------------------------ knob table
+
+// Returns "" when `text` is acceptable, else what the knob expects.
+using Check = std::function<std::string(const std::string& text)>;
+
+constexpr double kIntMax = INT_MAX;
+constexpr double kNoMax = HUGE_VAL;
+
+std::string Num(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.15g", value);
+  return buf;
+}
+
+// A number in [lo, hi] (lo itself excluded when `open`). Integers parse
+// with ParseUint, so a sign, a fraction or an overflow is rejected.
+Check Number(bool integer, double lo, double hi, bool open = false) {
+  return [=](const std::string& text) -> std::string {
+    std::optional<double> value = ParseReal(text);
+    if (integer && !ParseUint(text)) value.reset();
+    if (value && (open ? *value > lo : *value >= lo) && *value <= hi) {
+      return "";
+    }
+    const std::string what = integer ? "an integer " : "a number ";
+    if (hi == kNoMax) return what + (open ? "> " : ">= ") + Num(lo);
+    return what + "in [" + Num(lo) + ", " + Num(hi) + "]";
+  };
+}
+Check Int(double lo, double hi = kNoMax) { return Number(true, lo, hi); }
+Check Real(double lo, double hi = kNoMax) { return Number(false, lo, hi); }
+Check Positive() { return Number(false, 0, kNoMax, true); }
+
+// A library parser that rejects bad input with an empty result or an
+// s2fa::Error, whose message then says why.
+template <typename Fn>
+Check Parses(Fn parse, std::string expects) {
+  return [parse, expects](const std::string& text) -> std::string {
+    try {
+      if constexpr (std::is_constructible_v<bool, decltype(parse(text))>) {
+        if (!parse(text)) return expects;
+      } else {
+        parse(text);
+      }
+      return "";
+    } catch (const Error& e) {
+      return expects + " (" + e.what() + ")";
+    }
+  };
+}
+
+// An output path, probed up front so a long run cannot lose its artifact
+// at exit. The append-mode probe leaves an existing file untouched; an
+// empty path means "off".
+std::string Writable(const std::string& path) {
+  if (path.empty() || std::ofstream(path, std::ios::app)) return "";
+  return "a writable path";
+}
+
+// The commands, as bits of a knob's command set.
+enum Cmd : unsigned {
+  kList = 1, kCompile = 2, kExplore = 4, kRun = 8, kServe = 16, kReport = 32,
+  kProfile = 64, kPerfDiff = 128, kAnyCmd = 255
+};
+
+struct Knob {
+  const char* flag;     // without the leading "--"
+  const char* metavar;  // nullptr: a switch that takes no value
+  const char* env;      // environment mirror, or nullptr
+  unsigned commands;    // Cmd bits
+  std::string def;      // value when neither env nor flag sets it ("" = unset)
+  Check check;          // validates a value set by env or flag
+  const char* help;
+};
+
+const std::vector<Knob>& KnobTable() {
+  const resilience::ResilienceOptions eval{};
+  const blaze::ServiceOptions service{};
+  static const std::vector<Knob> table = {
+      {"trace-out", "FILE", nullptr, kAnyCmd, "", Writable,
+       "write the span trace as JSONL (enables the obs layer)"},
+      {"metrics-out", "FILE", nullptr, kAnyCmd, "", Writable,
+       "write the aggregated metrics summary (enables the obs layer)"},
+      {"log-level", "LEVEL", nullptr, kAnyCmd, "",
+       Parses(ParseLogLevel, "0-4 or off|error|warn|info|debug"),
+       "logger level"},
+      {"minutes", "N", nullptr, kExplore, "240", Real(0),
+       "simulated DSE budget in minutes"},
+      {"minutes", "N", nullptr, kRun | kServe, "120", Real(0),
+       "simulated DSE budget of the accelerator build"},
+      {"minutes", "N", nullptr, kProfile, "30", Real(0),
+       "simulated DSE budget of the profiled build"},
+      {"cores", "N", nullptr, kExplore, "8", Int(1, kIntMax),
+       "simulated cores the partitions share"},
+      {"seed", "N", nullptr, kExplore, "2018", Int(0), "DSE seed"},
+      {"seed", "N", nullptr, kRun | kServe | kProfile, "1", Int(0),
+       "workload and DSE seed"},
+      {"vanilla", nullptr, nullptr, kExplore, "", nullptr,
+       "run the vanilla OpenTuner baseline instead of the S2FA DSE"},
+      {"no-seeds", nullptr, nullptr, kExplore, "", nullptr,
+       "drop the rule-based seed designs"},
+      {"no-partition", nullptr, nullptr, kExplore, "", nullptr,
+       "explore the design space as one partition"},
+      {"eval-timeout", "MIN", "S2FA_EVAL_TIMEOUT", kExplore,
+       Num(eval.deadline_minutes), Positive(),
+       "per-point deadline in simulated minutes"},
+      {"eval-retries", "N", "S2FA_EVAL_RETRIES", kExplore,
+       std::to_string(eval.max_retries), Int(0, kIntMax),
+       "retries per point before it degrades to infeasible"},
+      {"resume-journal", "FILE", "S2FA_RESUME_JOURNAL", kExplore, "",
+       Writable, "journal every evaluation; a rerun resumes from it"},
+      {"fault-rate", "P", "S2FA_FAULT_RATE", kExplore, "0", Real(0, 1),
+       "injected evaluator failure rate (crash/timeout/garbage)"},
+      {"eval-cache", "on|off|N", "S2FA_EVAL_CACHE", kExplore, "on",
+       Parses(cache::ParseCacheSpec, "on|off|N with N >= 1"),
+       "memoizing evaluation cache; N bounds it to an N-entry LRU"},
+      {"scheduler", "adaptive|fcfs", "S2FA_SCHEDULER", kExplore,
+       dse::SchedulerKindName(dse::ExplorerOptions{}.scheduler),
+       Parses(dse::ParseSchedulerKind, "adaptive|fcfs"),
+       "partition scheduler"},
+      {"techniques", "LIST", "S2FA_TECHNIQUES", kExplore, "bandit",
+       Parses(CheckTechniques, "a technique roster"),
+       "comma-separated arms: bandit|greedy|de|pso|sa|bottleneck"},
+      {"records", "N", nullptr, kRun | kProfile, "2048", Int(1),
+       "input records"},
+      {"accel-fault-rate", "P", nullptr, kRun, "0", Real(0, 1),
+       "injected accelerator fault rate (retry once, then host)"},
+      {"replicas", "N", nullptr, kServe, "2", Int(1, kIntMax),
+       "accelerator replicas"},
+      {"requests", "N", nullptr, kServe, "32", Int(1, kIntMax),
+       "requests (records in --stream mode) replayed"},
+      {"records", "N", nullptr, kServe, "256", Int(1),
+       "input records per request"},
+      {"serve-queue", "N", "S2FA_SERVE_QUEUE", kServe,
+       std::to_string(service.queue_capacity), Int(1),
+       "admission queue capacity"},
+      {"hedge-quantile", "Q", "S2FA_HEDGE_QUANTILE", kServe,
+       Num(service.hedge_quantile), Real(0, 1),
+       "hedge to the host past this latency quantile (0 = off)"},
+      {"quarantine-window", "N", "S2FA_QUARANTINE_WINDOW", kServe,
+       std::to_string(service.health_window), Int(2),
+       "per-replica health sample window"},
+      {"fault-burst", "START:LEN[,..]", "S2FA_FAULT_BURST", kServe, "",
+       Parses(FaultBurstPlan, "non-overlapping START:LEN windows"),
+       "fail per-replica invocations in [START, START+LEN)"},
+      {"exec-threads", "N", nullptr, kServe,
+       std::to_string(service.exec_threads), Int(1, kIntMax),
+       "functional execution threads (outcomes do not depend on it)"},
+      {"shards", "N", "S2FA_SHARDS", kServe, "", Int(1),
+       "serve through BlazeCluster over N fault domains"},
+      {"tenants", "NAME:WEIGHT[:QUOTA],..", "S2FA_TENANTS", kServe, "",
+       Parses(ParseTenants, "unique NAME:WEIGHT[:QUOTA] with WEIGHT > 0"),
+       "weighted-fair tenants, assigned requests round-robin"},
+      {"chaos-plan", "PLAN", "S2FA_CHAOS_PLAN", kServe, "",
+       Parses(blaze::ParseChaosPlan, "a chaos plan"),
+       "scripted fault schedule (grammar in blaze/chaos.h)"},
+      {"routing", "health|depth", "S2FA_ROUTING", kServe,
+       blaze::RoutingName(blaze::ClusterOptions{}.routing),
+       Parses(blaze::ParseRouting, "health|depth"), "shard-selection policy"},
+      {"stream", nullptr, "S2FA_STREAM", kServe, "", nullptr,
+       "stream records through StreamSession (env: any value but 0)"},
+      {"arrival-rate", "R", "S2FA_ARRIVAL_RATE", kServe, "1", Positive(),
+       "stream arrival rate as a multiple of modeled capacity"},
+      {"slo", "US", "S2FA_SLO", kServe, "", Positive(),
+       "per-record SLO in simulated us (unset: 30x request cost)"},
+      {"retry-budget", "REFILL:BURST", "S2FA_RETRY_BUDGET", kServe, "",
+       Parses(ParseRetryBudget, "REFILL:BURST, REFILL >= 0, BURST >= 1"),
+       "per-tenant retry token bucket"},
+      {"brownout", "ONSET:SHED[:FRAC]", "S2FA_BROWNOUT", kServe, "",
+       Parses(ParseBrownout, "ONSET:SHED[:FRAC], 0<ONSET<SHED, 0<FRAC<=1"),
+       "overload-ladder thresholds in us (unset: derived)"},
+      {"top", "N", nullptr, kProfile, "20", Int(0),
+       "rows in the hot-path table (0 = all)"},
+      {"profile-out", "FILE", "S2FA_PROFILE_OUT", kProfile, "", Writable,
+       "dump the spans as a Chrome trace-event file"},
+      {"threshold", "P", "S2FA_PERF_THRESHOLD", kPerfDiff,
+       Num(obs::kDefaultPerfThreshold), Real(0),
+       "regression threshold as a fraction (0.1 = 10%)"},
+  };
+  return table;
+}
+
+// The row for `flag` under `cmds`; a name has the same arity everywhere.
+const Knob* FindKnob(const std::string& flag, unsigned cmds) {
+  for (const Knob& knob : KnobTable()) {
+    if (flag == knob.flag && (knob.commands & cmds) != 0) return &knob;
+  }
+  return nullptr;
+}
+
+struct Command;
+
+// The knob values one command runs with: flag text, else environment text,
+// else the row default. Empty values are unset; every value set by a flag
+// or the environment has passed its row's check.
+struct Knobs {
+  const Command* cmd = nullptr;
+  std::vector<std::string> positional;  // [0] is the command name
+  std::map<std::string, std::string> values;
+
+  bool Has(const std::string& flag) const { return values.count(flag) != 0; }
+  const std::string& Str(const std::string& flag) const {
+    static const std::string kUnset;
+    auto it = values.find(flag);
+    return it == values.end() ? kUnset : it->second;
+  }
+  double Real(const std::string& f) const { return ParseReal(Str(f)).value(); }
+  std::uint64_t Uint(const std::string& f) const {
+    return ParseUint(Str(f)).value();
+  }
+  int Int(const std::string& f) const { return static_cast<int>(Uint(f)); }
+};
+
+// ------------------------------------------------------------ commands
+
+int CmdReport(const Knobs& knobs) {
+  const std::string& path = knobs.positional[1];
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
@@ -230,7 +370,7 @@ int CmdReport(const std::string& path) {
   return 0;
 }
 
-int CmdList() {
+int CmdList(const Knobs&) {
   TextTable table({"App", "Type", "Pattern", "Batch", "Loops", "Space"});
   for (apps::App& app : apps::AllApps()) {
     kir::Kernel k = b2c::CompileKernel(*app.pool, app.spec);
@@ -245,7 +385,8 @@ int CmdList() {
   return 0;
 }
 
-int CmdCompile(const apps::App& app) {
+int CmdCompile(const Knobs& knobs) {
+  apps::App app = apps::FindApp(knobs.positional[1]);
   const jvm::Method& method =
       app.pool->Get(app.spec.klass).GetMethod(app.spec.method);
   std::printf("=== kernel bytecode (%s.%s) ===\n%s\n",
@@ -270,47 +411,29 @@ int CmdCompile(const apps::App& app) {
   return 0;
 }
 
-int CmdExplore(const apps::App& app, const Args& args) {
+int CmdExplore(const Knobs& knobs) {
+  apps::App app = apps::FindApp(knobs.positional[1]);
   kir::Kernel k = b2c::CompileKernel(*app.pool, app.spec);
   tuner::DesignSpace space = tuner::BuildDesignSpace(k);
   tuner::EvalFn eval = MakeHlsEvaluator(k);
-  const double minutes = args.Num("minutes", 240);
-  const int cores = static_cast<int>(args.Num("cores", 8));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.Num("seed", 2018));
+  const std::uint64_t seed = knobs.Uint("seed");
 
   // Evaluation-stack knobs (resilience, journal, faults, cache) apply to
-  // the vanilla baseline and the S2FA pipeline alike: environment first,
-  // explicit flags win.
+  // the vanilla baseline and the S2FA pipeline alike.
   dse::ExplorerOptions options;
-  options.time_limit_minutes = minutes;
-  options.num_cores = cores;
+  options.time_limit_minutes = knobs.Real("minutes");
+  options.num_cores = knobs.Int("cores");
   options.seed = seed;
-  options.enable_seeds = !args.Has("no-seeds");
-  options.enable_partitioning = !args.Has("no-partition");
-
-  const resilience::EnvKnobs env = resilience::ReadEnvKnobs();
-  if (env.eval_timeout_minutes) {
-    options.resilience.deadline_minutes = *env.eval_timeout_minutes;
-  }
-  if (env.eval_retries) options.resilience.max_retries = *env.eval_retries;
-  if (env.resume_journal) options.journal_path = *env.resume_journal;
-  double fault_rate = env.fault_rate.value_or(0.0);
-  if (args.Has("eval-timeout")) {
-    options.resilience.deadline_minutes = args.Num("eval-timeout", 60);
-  }
-  if (args.Has("eval-retries")) {
-    options.resilience.max_retries =
-        static_cast<int>(args.Num("eval-retries", 2));
-  }
-  if (args.Has("resume-journal")) {
-    options.journal_path = args.Str("resume-journal");
-  }
-  if (args.Has("fault-rate")) fault_rate = args.Num("fault-rate", 0);
-  if (fault_rate < 0 || fault_rate > 1) {
-    std::fprintf(stderr, "error: --fault-rate must be in [0, 1]\n");
-    return 2;
-  }
+  options.enable_seeds = !knobs.Has("no-seeds");
+  options.enable_partitioning = !knobs.Has("no-partition");
+  options.resilience.deadline_minutes = knobs.Real("eval-timeout");
+  options.resilience.max_retries = knobs.Int("eval-retries");
+  options.journal_path = knobs.Str("resume-journal");
+  options.cache = cache::ParseCacheSpec(knobs.Str("eval-cache")).value();
+  options.scheduler =
+      dse::ParseSchedulerKind(knobs.Str("scheduler")).value();
+  options.techniques = tuner::ParseTechniqueList(knobs.Str("techniques"));
+  const double fault_rate = knobs.Real("fault-rate");
   if (fault_rate > 0) {
     // Split the requested failure probability evenly across the taxonomy
     // so every failure mode gets exercised.
@@ -319,65 +442,10 @@ int CmdExplore(const apps::App& app, const Args& args) {
     options.faults.garbage_rate = fault_rate / 3;
     options.faults.seed = seed ^ 0xFA17ULL;
   }
-  // Partition scheduler: S2FA_SCHEDULER env, --scheduler flag wins.
-  if (const char* env_sched = std::getenv("S2FA_SCHEDULER")) {
-    auto parsed = dse::ParseSchedulerKind(env_sched);
-    if (!parsed) {
-      std::fprintf(stderr,
-                   "error: S2FA_SCHEDULER expects adaptive|fcfs, got '%s'\n",
-                   env_sched);
-      return 2;
-    }
-    options.scheduler = *parsed;
-  }
-  if (args.Has("scheduler")) {
-    auto parsed = dse::ParseSchedulerKind(args.Str("scheduler"));
-    if (!parsed) {
-      std::fprintf(stderr,
-                   "error: --scheduler expects adaptive|fcfs, got '%s'\n",
-                   args.Str("scheduler").c_str());
-      return 2;
-    }
-    options.scheduler = *parsed;
-  }
-  // Technique roster: S2FA_TECHNIQUES env, --techniques flag wins. The
-  // roster is validated up front (against this app's design space) so a
-  // typo dies with the list of valid names instead of deep in the DSE.
-  std::string technique_spec;
-  if (const char* env_techniques = std::getenv("S2FA_TECHNIQUES")) {
-    technique_spec = env_techniques;
-  }
-  if (args.Has("techniques")) technique_spec = args.Str("techniques");
-  if (!technique_spec.empty()) {
-    options.techniques = tuner::ParseTechniqueList(technique_spec);
-    try {
-      tuner::MakeTechniques(&space, seed, options.techniques);
-    } catch (const InvalidArgument& e) {
-      std::fprintf(stderr, "error: --techniques: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (auto env_cache = cache::ReadEnvCacheOptions()) options.cache = *env_cache;
-  if (args.Has("eval-cache")) {
-    auto parsed = cache::ParseCacheSpec(args.Str("eval-cache"));
-    if (!parsed) {
-      std::fprintf(stderr,
-                   "error: --eval-cache expects on|off|N, got '%s'\n",
-                   args.Str("eval-cache").c_str());
-      return 2;
-    }
-    options.cache = *parsed;
-  }
-  // Fail fast before the (simulated) hours of exploration, exactly like
-  // the --trace-out/--metrics-out probes.
-  if (!CheckWritable("--resume-journal", options.journal_path)) return 2;
 
-  dse::DseResult result;
-  if (args.Has("vanilla")) {
-    result = dse::RunVanillaOpenTuner(space, eval, options);
-  } else {
-    result = dse::RunS2faDse(space, k, eval, options);
-  }
+  const dse::DseResult result =
+      knobs.Has("vanilla") ? dse::RunVanillaOpenTuner(space, eval, options)
+                           : dse::RunS2faDse(space, k, eval, options);
 
   const resilience::ResilienceStats& rs = result.resilience;
   if (rs.retries > 0 || rs.exhausted > 0 || rs.short_circuits > 0) {
@@ -403,7 +471,7 @@ int CmdExplore(const apps::App& app, const Args& args) {
                 cs.minutes_saved);
   }
 
-  if (!args.Has("vanilla")) {
+  if (!knobs.Has("vanilla")) {
     std::printf("scheduler: %s\n",
                 dse::SchedulerKindName(result.scheduler));
     if (result.scheduler == dse::SchedulerKind::kAdaptive &&
@@ -446,27 +514,70 @@ int CmdExplore(const apps::App& app, const Args& args) {
   return 0;
 }
 
-int CmdRun(apps::App& app, const Args& args) {
-  const std::size_t records =
-      static_cast<std::size_t>(args.Num("records", 2048));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.Num("seed", 1));
+// Fuzzy reference comparison shared by `run` and every `serve` path:
+// relative tolerance 1e-4 with a floor of 1.
+std::size_t CountMismatches(const blaze::Dataset& want,
+                            const blaze::Dataset& got) {
+  auto number = [](const jvm::Value& v) {
+    return v.is_float()    ? v.AsFloat()
+           : v.is_double() ? v.AsDouble()
+                           : static_cast<double>(v.AsInt());
+  };
+  std::size_t mismatches = 0;
+  for (std::size_t c = 0; c < want.num_columns(); ++c) {
+    const blaze::Column& w = want.column(c);
+    const blaze::Column& g = got.ColumnByField(w.field);
+    for (std::size_t n = 0; n < w.data.size(); ++n) {
+      const double wv = number(w.data[n]);
+      if (std::fabs(number(g.data[n]) - wv) >
+          1e-4 * std::max(1.0, std::fabs(wv))) {
+        ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
 
+// The app's broadcast dataset for `seed`; nullptr when it takes none.
+std::unique_ptr<blaze::Dataset> MakeBroadcast(const apps::App& app,
+                                              std::uint64_t seed) {
+  if (!app.make_broadcast) return nullptr;
+  Rng rng(seed ^ 0xBCA57ULL);
+  return std::make_unique<blaze::Dataset>(app.make_broadcast(rng));
+}
+
+// Builds the accelerator behind a `--minutes` DSE and reports it.
+Artifact BuildReported(apps::App& app, const Knobs& knobs) {
   FrameworkOptions options;
-  options.dse.time_limit_minutes = args.Num("minutes", 120);
-  options.dse.seed = seed;
+  options.dse.time_limit_minutes = knobs.Real("minutes");
+  options.dse.seed = knobs.Uint("seed");
   Artifact artifact = BuildAccelerator(*app.pool, app.spec, options);
   std::printf("built %s: %.0f cycles @ %.0f MHz (%zu points explored)\n",
               app.name.c_str(), artifact.best_hls.cycles,
               artifact.best_hls.freq_mhz, artifact.exploration.evaluations);
+  return artifact;
+}
+
+// Modeled accelerator time of one `records`-record request on `id`.
+double RequestUs(blaze::BlazeRuntime& runtime, const std::string& id,
+                 std::size_t records) {
+  const blaze::ExecutionStats per = runtime.PerInvocationCost(id);
+  const auto batch =
+      static_cast<std::size_t>(runtime.manager().Get(id).plan.batch);
+  return static_cast<double>(
+             std::max<std::size_t>(1, (records + batch - 1) / batch)) *
+         per.total_us;
+}
+
+int CmdRun(const Knobs& knobs) {
+  apps::App app = apps::FindApp(knobs.positional[1]);
+  const std::size_t records = knobs.Uint("records");
+  const std::uint64_t seed = knobs.Uint("seed");
+  Artifact artifact = BuildReported(app, knobs);
 
   blaze::BlazeRuntime runtime;
   RegisterWithBlaze(runtime, app.name, artifact);
-  const double accel_fault_rate = args.Num("accel-fault-rate", 0);
-  if (accel_fault_rate < 0 || accel_fault_rate > 1) {
-    std::fprintf(stderr, "error: --accel-fault-rate must be in [0, 1]\n");
-    return 2;
-  }
+  const double accel_fault_rate = knobs.Real("accel-fault-rate");
   if (accel_fault_rate > 0) {
     runtime.SetFaultInjector(
         blaze::MakeRandomFaultInjector(accel_fault_rate, seed ^ 0xB1A2ULL));
@@ -474,13 +585,8 @@ int CmdRun(apps::App& app, const Args& args) {
 
   Rng rng(seed);
   blaze::Dataset input = app.make_input(records, rng);
-  blaze::Dataset broadcast;
-  const blaze::Dataset* bc = nullptr;
-  if (app.make_broadcast) {
-    Rng brng(seed ^ 0xBCA57ULL);
-    broadcast = app.make_broadcast(brng);
-    bc = &broadcast;
-  }
+  const auto broadcast = MakeBroadcast(app, seed);
+  const blaze::Dataset* bc = broadcast.get();
 
   blaze::ExecutionStats stats;
   blaze::Dataset out =
@@ -488,25 +594,7 @@ int CmdRun(apps::App& app, const Args& args) {
           ? runtime.Reduce(app.name, input, bc, &stats)
           : runtime.Map(app.name, input, bc, &stats);
   apps::JvmRunResult jvm = apps::RunOnJvm(app, input, bc);
-
-  // Functional cross-check against the JVM path.
-  std::size_t mismatches = 0;
-  for (std::size_t c = 0; c < out.num_columns(); ++c) {
-    const blaze::Column& got = out.column(c);
-    const blaze::Column& want = jvm.output.ColumnByField(got.field);
-    for (std::size_t n = 0; n < got.data.size(); ++n) {
-      double g = got.data[n].is_float() ? got.data[n].AsFloat()
-                 : got.data[n].is_double()
-                     ? got.data[n].AsDouble()
-                     : static_cast<double>(got.data[n].AsInt());
-      double w = want.data[n].is_float() ? want.data[n].AsFloat()
-                 : want.data[n].is_double()
-                     ? want.data[n].AsDouble()
-                     : static_cast<double>(want.data[n].AsInt());
-      double tol = 1e-4 * std::max(1.0, std::fabs(w));
-      if (std::fabs(g - w) > tol) ++mismatches;
-    }
-  }
+  const std::size_t mismatches = CountMismatches(jvm.output, out);
 
   std::printf("records: %zu  invocations: %zu  mismatches vs JVM: %zu\n",
               records, stats.invocations, mismatches);
@@ -523,307 +611,6 @@ int CmdRun(apps::App& app, const Args& args) {
   return mismatches == 0 ? 0 : 1;
 }
 
-// Strict numeric parsers for the serving knobs: the whole string must be
-// the number (no trailing junk), so a typo'd knob fails fast instead of
-// silently truncating.
-std::optional<std::size_t> ParseSizeStrict(const std::string& text) {
-  std::size_t value = 0;
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || text.empty()) return std::nullopt;
-  return value;
-}
-
-std::optional<double> ParseDoubleStrict(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return std::nullopt;
-  return value;
-}
-
-// Serving knobs resolved environment-first (flags win), each validated
-// fail-fast in the same style as the evaluation-stack knobs. Returns
-// false after printing the offending knob.
-struct TenantSpec {
-  std::string name;
-  double weight = 1.0;
-  std::size_t quota = 0;
-};
-
-struct ServeKnobs {
-  blaze::ServiceOptions options;
-  std::vector<blaze::FaultBurst> bursts;
-  std::size_t shards = 0;  // 0 = single-service mode
-  std::vector<TenantSpec> tenants;
-  blaze::ChaosPlan chaos;
-  bool has_chaos = false;
-  blaze::Routing routing = blaze::Routing::kHealth;
-
-  // Streaming mode (--stream): open-ended arrivals through StreamSession
-  // instead of the pre-staged replay.
-  bool stream = false;
-  double arrival_rate = 1.0;  // multiple of modeled cluster capacity
-  double slo_us = 0;          // 0 = derived (30x the per-request cost)
-  bool has_retry_budget = false;
-  resilience::RetryBudgetOptions retry_budget;
-  bool has_brownout = false;
-  double brownout_onset_us = 0;
-  double brownout_shed_us = 0;
-  double brownout_fraction = 0.5;
-};
-
-// NAME:WEIGHT[:QUOTA], comma-separated; rejects duplicates and weight <= 0.
-bool ParseTenantSpecs(const std::string& text,
-                      std::vector<TenantSpec>& tenants) {
-  std::stringstream stream(text);
-  std::string piece;
-  while (std::getline(stream, piece, ',')) {
-    const std::string entry(Trim(piece));
-    if (entry.empty()) return false;
-    const std::size_t first = entry.find(':');
-    if (first == std::string::npos) return false;
-    TenantSpec spec;
-    spec.name = entry.substr(0, first);
-    if (spec.name.empty()) return false;
-    const std::size_t second = entry.find(':', first + 1);
-    const std::string weight_text =
-        entry.substr(first + 1, second == std::string::npos
-                                    ? std::string::npos
-                                    : second - first - 1);
-    auto weight = ParseDoubleStrict(weight_text);
-    if (!weight || *weight <= 0) return false;
-    spec.weight = *weight;
-    if (second != std::string::npos) {
-      auto quota = ParseSizeStrict(entry.substr(second + 1));
-      if (!quota) return false;
-      spec.quota = *quota;
-    }
-    for (const TenantSpec& existing : tenants) {
-      if (existing.name == spec.name) return false;
-    }
-    tenants.push_back(std::move(spec));
-  }
-  return !tenants.empty();
-}
-
-bool ResolveServeKnobs(const Args& args, ServeKnobs& knobs) {
-  auto resolve = [&](const char* env_name, const char* flag,
-                     std::string& out) {
-    if (const char* env = std::getenv(env_name)) out = env;
-    if (args.Has(flag)) out = args.Str(flag);
-    return !out.empty();
-  };
-  std::string text;
-  if (resolve("S2FA_SERVE_QUEUE", "serve-queue", text)) {
-    auto queue = ParseSizeStrict(text);
-    if (!queue || *queue == 0) {
-      std::fprintf(stderr,
-                   "error: --serve-queue/S2FA_SERVE_QUEUE expects an "
-                   "integer >= 1, got '%s'\n",
-                   text.c_str());
-      return false;
-    }
-    knobs.options.queue_capacity = *queue;
-  }
-  text.clear();
-  if (resolve("S2FA_HEDGE_QUANTILE", "hedge-quantile", text)) {
-    auto quantile = ParseDoubleStrict(text);
-    if (!quantile || *quantile < 0 || *quantile > 1) {
-      std::fprintf(stderr,
-                   "error: --hedge-quantile/S2FA_HEDGE_QUANTILE expects a "
-                   "value in [0, 1] (0 disables hedging), got '%s'\n",
-                   text.c_str());
-      return false;
-    }
-    knobs.options.hedge_quantile = *quantile;
-  }
-  text.clear();
-  if (resolve("S2FA_QUARANTINE_WINDOW", "quarantine-window", text)) {
-    auto window = ParseSizeStrict(text);
-    if (!window || *window < 2) {
-      std::fprintf(stderr,
-                   "error: --quarantine-window/S2FA_QUARANTINE_WINDOW "
-                   "expects an integer >= 2, got '%s'\n",
-                   text.c_str());
-      return false;
-    }
-    knobs.options.health_window = *window;
-  }
-  text.clear();
-  if (resolve("S2FA_FAULT_BURST", "fault-burst", text)) {
-    try {
-      knobs.bursts = blaze::ParseFaultBursts(text);
-    } catch (const MalformedInput& e) {
-      std::fprintf(stderr,
-                   "error: --fault-burst/S2FA_FAULT_BURST expects "
-                   "non-overlapping START:LEN windows (e.g. 4:3,10:2): %s\n",
-                   e.what());
-      return false;
-    }
-  }
-  text.clear();
-  if (resolve("S2FA_SHARDS", "shards", text)) {
-    auto shards = ParseSizeStrict(text);
-    if (!shards || *shards == 0) {
-      std::fprintf(stderr,
-                   "error: --shards/S2FA_SHARDS expects an integer >= 1, "
-                   "got '%s'\n",
-                   text.c_str());
-      return false;
-    }
-    knobs.shards = *shards;
-  }
-  text.clear();
-  if (resolve("S2FA_TENANTS", "tenants", text)) {
-    if (!ParseTenantSpecs(text, knobs.tenants)) {
-      std::fprintf(stderr,
-                   "error: --tenants/S2FA_TENANTS expects unique "
-                   "NAME:WEIGHT[:QUOTA] entries with weight > 0, got '%s'\n",
-                   text.c_str());
-      return false;
-    }
-  }
-  text.clear();
-  if (resolve("S2FA_CHAOS_PLAN", "chaos-plan", text)) {
-    try {
-      knobs.chaos = blaze::ParseChaosPlan(text);
-      knobs.has_chaos = true;
-    } catch (const MalformedInput& e) {
-      std::fprintf(stderr, "error: --chaos-plan/S2FA_CHAOS_PLAN: %s\n",
-                   e.what());
-      return false;
-    }
-  }
-  text.clear();
-  if (resolve("S2FA_ROUTING", "routing", text)) {
-    try {
-      knobs.routing = blaze::ParseRouting(text);
-    } catch (const MalformedInput& e) {
-      std::fprintf(stderr, "error: --routing/S2FA_ROUTING: %s\n", e.what());
-      return false;
-    }
-  }
-  {
-    std::string stream_text;
-    if (const char* env = std::getenv("S2FA_STREAM")) stream_text = env;
-    if (args.Has("stream")) stream_text = "1";
-    knobs.stream = !stream_text.empty() && stream_text != "0";
-  }
-  text.clear();
-  if (resolve("S2FA_ARRIVAL_RATE", "arrival-rate", text)) {
-    auto rate = ParseDoubleStrict(text);
-    if (!rate || !(*rate > 0) || !std::isfinite(*rate)) {
-      std::fprintf(stderr,
-                   "error: --arrival-rate/S2FA_ARRIVAL_RATE expects a "
-                   "finite multiple of capacity > 0, got '%s'\n",
-                   text.c_str());
-      return false;
-    }
-    knobs.arrival_rate = *rate;
-  }
-  text.clear();
-  if (resolve("S2FA_SLO", "slo", text)) {
-    auto slo = ParseDoubleStrict(text);
-    if (!slo || !(*slo > 0) || !std::isfinite(*slo)) {
-      std::fprintf(stderr,
-                   "error: --slo/S2FA_SLO expects a deadline in "
-                   "microseconds > 0, got '%s'\n",
-                   text.c_str());
-      return false;
-    }
-    knobs.slo_us = *slo;
-  }
-  text.clear();
-  if (resolve("S2FA_RETRY_BUDGET", "retry-budget", text)) {
-    const std::size_t colon = text.find(':');
-    auto refill = ParseDoubleStrict(text.substr(0, colon));
-    std::optional<double> burst;
-    if (colon != std::string::npos) {
-      burst = ParseDoubleStrict(text.substr(colon + 1));
-    }
-    if (!refill || *refill < 0 || !burst || *burst < 1) {
-      std::fprintf(stderr,
-                   "error: --retry-budget/S2FA_RETRY_BUDGET expects "
-                   "REFILL_PER_SEC:BURST with refill >= 0 and burst >= 1, "
-                   "got '%s'\n",
-                   text.c_str());
-      return false;
-    }
-    knobs.retry_budget.refill_per_sec = *refill;
-    knobs.retry_budget.burst = *burst;
-    knobs.has_retry_budget = true;
-  }
-  text.clear();
-  if (resolve("S2FA_BROWNOUT", "brownout", text)) {
-    const std::size_t first = text.find(':');
-    const std::size_t second =
-        first == std::string::npos ? std::string::npos
-                                   : text.find(':', first + 1);
-    auto onset = ParseDoubleStrict(text.substr(0, first));
-    std::optional<double> shed;
-    if (first != std::string::npos) {
-      shed = ParseDoubleStrict(text.substr(
-          first + 1, second == std::string::npos ? std::string::npos
-                                                 : second - first - 1));
-    }
-    std::optional<double> fraction = 0.5;
-    if (second != std::string::npos) {
-      fraction = ParseDoubleStrict(text.substr(second + 1));
-    }
-    if (!onset || !(*onset > 0) || !shed || !(*shed > *onset) || !fraction ||
-        !(*fraction > 0) || *fraction > 1.0) {
-      std::fprintf(stderr,
-                   "error: --brownout/S2FA_BROWNOUT expects "
-                   "ONSET_US:SHED_US[:MAX_FRACTION] with 0 < onset < shed "
-                   "and fraction in (0, 1], got '%s'\n",
-                   text.c_str());
-      return false;
-    }
-    knobs.brownout_onset_us = *onset;
-    knobs.brownout_shed_us = *shed;
-    knobs.brownout_fraction = *fraction;
-    knobs.has_brownout = true;
-  }
-  if ((knobs.has_chaos || !knobs.tenants.empty() || knobs.stream) &&
-      knobs.shards == 0) {
-    // Chaos schedules, tenancy, and streaming are cluster features;
-    // default to one fault domain rather than silently ignoring them.
-    knobs.shards = 1;
-  }
-  const int exec_threads = static_cast<int>(args.Num("exec-threads", 1));
-  if (exec_threads < 1) {
-    std::fprintf(stderr, "error: --exec-threads must be >= 1\n");
-    return false;
-  }
-  knobs.options.exec_threads = exec_threads;
-  return true;
-}
-
-// Fuzzy reference comparison shared by the replay and streaming paths.
-std::size_t CountMismatches(const blaze::Dataset& want,
-                            const blaze::Dataset& got) {
-  std::size_t mismatches = 0;
-  for (std::size_t c = 0; c < want.num_columns(); ++c) {
-    const blaze::Column& w = want.column(c);
-    const blaze::Column& g = got.ColumnByField(w.field);
-    for (std::size_t n = 0; n < w.data.size(); ++n) {
-      double wv = w.data[n].is_float() ? w.data[n].AsFloat()
-                  : w.data[n].is_double()
-                      ? w.data[n].AsDouble()
-                      : static_cast<double>(w.data[n].AsInt());
-      double gv = g.data[n].is_float() ? g.data[n].AsFloat()
-                  : g.data[n].is_double()
-                      ? g.data[n].AsDouble()
-                      : static_cast<double>(g.data[n].AsInt());
-      if (std::fabs(gv - wv) > 1e-4 * std::max(1.0, std::fabs(wv))) {
-        ++mismatches;
-      }
-    }
-  }
-  return mismatches;
-}
-
 // Streaming serve (--stream): records arrive continuously per a
 // rate-programmed schedule and flow through StreamSession's SLO-bound
 // micro-batching and overload ladder on top of the cluster. The ladder
@@ -831,63 +618,50 @@ std::size_t CountMismatches(const blaze::Dataset& want,
 // the same flags behave sensibly across kernels. Exit 0 only when every
 // record reached exactly one terminal state, the external watermark never
 // regressed, and every committed output matches the native reference.
-int RunStreamServe(apps::App& app, const ServeKnobs& knobs,
-                   blaze::BlazeCluster& cluster, blaze::BlazeRuntime& runtime,
-                   const std::vector<std::string>& ids, int requests,
-                   std::size_t records, std::uint64_t seed,
-                   const blaze::Dataset* bc) {
-  const blaze::ExecutionStats per = runtime.PerInvocationCost(ids.front());
-  const auto batch = static_cast<std::size_t>(
-      runtime.manager().Get(ids.front()).plan.batch);
-  const double record_us =
-      static_cast<double>(
-          std::max<std::size_t>(1, (records + batch - 1) / batch)) *
-      per.total_us;
+int RunStreamServe(apps::App& app, const Knobs& knobs,
+                   blaze::BlazeCluster& cluster, std::size_t shards,
+                   const std::vector<std::string>& tenant_names,
+                   double record_us, const blaze::Dataset* bc) {
+  const int requests = knobs.Int("requests");
+  const std::size_t records = knobs.Uint("records");
+  const double arrival_rate = knobs.Real("arrival-rate");
 
   blaze::StreamOptions sopts;
-  sopts.slo_us = knobs.slo_us > 0 ? knobs.slo_us : 30.0 * record_us;
+  sopts.slo_us = knobs.Has("slo") ? knobs.Real("slo") : 30.0 * record_us;
   sopts.batch_age_us = record_us;
   sopts.deadline_headroom_us = std::min(2.0 * record_us, sopts.slo_us / 4);
   sopts.codel_target_us = 2.0 * record_us;
   sopts.codel_interval_us = 4.0 * record_us;
-  if (knobs.has_brownout) {
-    sopts.brownout_onset_us = knobs.brownout_onset_us;
-    sopts.shed_onset_us = knobs.brownout_shed_us;
-    sopts.brownout_max_fraction = knobs.brownout_fraction;
-  } else {
-    sopts.brownout_onset_us = 3.0 * record_us;
-    sopts.shed_onset_us = 8.0 * record_us;
+  sopts.brownout_onset_us = 3.0 * record_us;
+  sopts.shed_onset_us = 8.0 * record_us;
+  if (auto brownout = ParseBrownout(knobs.Str("brownout"))) {
+    sopts.brownout_onset_us = (*brownout)[0];
+    sopts.shed_onset_us = (*brownout)[1];
+    sopts.brownout_max_fraction = (*brownout)[2];
   }
-  if (knobs.has_retry_budget) sopts.retry_budget = knobs.retry_budget;
+  sopts.retry_budget = ParseRetryBudget(knobs.Str("retry-budget"))
+                           .value_or(sopts.retry_budget);
 
   // One arrival phase per declared tenant, all spanning the same window;
   // the aggregate rate is `arrival_rate` times the modeled capacity of
   // `shards` lanes.
-  std::vector<std::string> tenant_names;
-  for (const TenantSpec& spec : knobs.tenants) {
-    tenant_names.push_back(spec.name);
-  }
-  if (tenant_names.empty()) tenant_names.push_back("default");
-  const double duration_us =
-      static_cast<double>(requests) * record_us /
-      (static_cast<double>(knobs.shards) * knobs.arrival_rate);
+  const double duration_us = static_cast<double>(requests) * record_us /
+                             (static_cast<double>(shards) * arrival_rate);
   blaze::ArrivalSchedule schedule;
+  const auto total = static_cast<std::size_t>(requests);
   for (std::size_t t = 0; t < tenant_names.size(); ++t) {
     blaze::ArrivalPhase phase;
     phase.tenant = tenant_names[t];
     phase.start_us = 0;
     phase.duration_us = duration_us;
-    phase.count = static_cast<std::size_t>(requests) / tenant_names.size() +
-                  (t < static_cast<std::size_t>(requests) %
-                           tenant_names.size()
-                       ? 1
-                       : 0);
+    phase.count = total / tenant_names.size() +
+                  (t < total % tenant_names.size() ? 1 : 0);
     if (phase.count > 0) schedule.phases.push_back(std::move(phase));
   }
 
   // Inputs pre-generated by ordinal so the reference cross-check sees the
   // same data the generator hands the session.
-  Rng rng(seed);
+  Rng rng(knobs.Uint("seed"));
   std::vector<blaze::Dataset> inputs;
   std::vector<blaze::Dataset> expected;
   inputs.reserve(static_cast<std::size_t>(requests));
@@ -915,18 +689,15 @@ int RunStreamServe(apps::App& app, const ServeKnobs& knobs,
   const blaze::StreamStats& s = session.stats();
   const std::size_t lost = s.arrivals - s.committed - s.committed_host -
                            s.shed_total();
-  bool watermark_monotone = true;
-  for (std::size_t i = 1; i < s.watermark_trace.size(); ++i) {
-    if (s.watermark_trace[i].second < s.watermark_trace[i - 1].second) {
-      watermark_monotone = false;
-    }
-  }
+  const bool watermark_monotone = std::is_sorted(
+      s.watermark_trace.begin(), s.watermark_trace.end(),
+      [](const auto& a, const auto& b) { return a.second < b.second; });
 
   std::printf("stream serving %d records x %zu input records on %zu "
               "shard%s (%.2fx capacity, slo %.0f us, %s routing)\n",
-              requests, records, knobs.shards, knobs.shards == 1 ? "" : "s",
-              knobs.arrival_rate, sopts.slo_us,
-              blaze::RoutingName(knobs.routing));
+              requests, records, shards, shards == 1 ? "" : "s",
+              arrival_rate, sopts.slo_us,
+              blaze::RoutingName(blaze::ParseRouting(knobs.Str("routing"))));
   std::printf("arrivals:  %zu; committed %zu cluster + %zu host; shed %zu "
               "(%zu unmeetable, %zu brownout, %zu retry-budget, %zu "
               "queue-full); %zu lost\n",
@@ -964,50 +735,48 @@ int RunStreamServe(apps::App& app, const ServeKnobs& knobs,
 }
 
 // Serves the request stream through BlazeCluster: replicas spread
-// round-robin over `knobs.shards` fault domains, requests assigned to the
-// declared tenants round-robin, optional scripted chaos. Prints the
-// cluster ledger plus a per-tenant fairness table; exit 0 only when
-// nothing was lost and every served output matches the native reference.
-int ServeThroughCluster(apps::App& app, ServeKnobs& knobs,
+// round-robin over --shards fault domains (one by default), requests
+// assigned to the declared tenants round-robin, optional scripted chaos
+// plus the --fault-burst windows on every shard. Prints the cluster ledger
+// plus a per-tenant fairness table; exit 0 only when nothing was lost and
+// every served output matches the native reference.
+int ServeThroughCluster(apps::App& app, const Knobs& knobs,
+                        const blaze::ServiceOptions& service,
+                        const blaze::ChaosPlan& bursts,
                         blaze::BlazeRuntime& runtime,
-                        const std::vector<std::string>& ids, int requests,
-                        std::size_t records, std::uint64_t seed) {
+                        const std::vector<std::string>& ids) {
+  const int requests = knobs.Int("requests");
+  const std::size_t records = knobs.Uint("records");
+  const std::uint64_t seed = knobs.Uint("seed");
+  const std::size_t shards = knobs.Has("shards") ? knobs.Uint("shards") : 1;
   blaze::ClusterOptions coptions;
-  coptions.shard_options = knobs.options;
-  coptions.exec_threads = knobs.options.exec_threads;
-  coptions.seed = knobs.options.seed;
-  coptions.queue_capacity = knobs.options.queue_capacity;
-  coptions.routing = knobs.routing;
+  coptions.shard_options = service;
+  coptions.exec_threads = service.exec_threads;
+  coptions.seed = service.seed;
+  coptions.queue_capacity = service.queue_capacity;
+  coptions.routing = blaze::ParseRouting(knobs.Str("routing"));
   blaze::BlazeCluster cluster(runtime, coptions);
-  for (std::size_t s = 0; s < knobs.shards; ++s) cluster.AddShard();
+  for (std::size_t s = 0; s < shards; ++s) cluster.AddShard();
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    cluster.AddReplica(i % knobs.shards, app.name, ids[i]);
+    cluster.AddReplica(i % shards, app.name, ids[i]);
   }
   std::vector<std::string> tenant_names;
-  for (const TenantSpec& spec : knobs.tenants) {
+  for (const TenantSpec& spec :
+       ParseTenants(knobs.Str("tenants")).value_or(std::vector<TenantSpec>{})) {
     cluster.AddTenant(spec.name, spec.weight, spec.quota);
     tenant_names.push_back(spec.name);
   }
   if (tenant_names.empty()) tenant_names.push_back("default");
 
   Rng rng(seed);
-  blaze::Dataset broadcast;
-  const blaze::Dataset* bc = nullptr;
-  if (app.make_broadcast) {
-    Rng brng(seed ^ 0xBCA57ULL);
-    broadcast = app.make_broadcast(brng);
-    bc = &broadcast;
-  }
-  // --fault-burst windows become unscoped chaos bursts (every shard).
-  for (const blaze::FaultBurst& burst : knobs.bursts) {
-    blaze::ChaosBurst chaos_burst;
-    chaos_burst.window = burst;
-    knobs.chaos.bursts.push_back(chaos_burst);
-    knobs.has_chaos = true;
-  }
-  if (knobs.has_chaos) {
+  const auto broadcast = MakeBroadcast(app, seed);
+  const blaze::Dataset* bc = broadcast.get();
+  blaze::ChaosPlan chaos = blaze::ParseChaosPlan(knobs.Str("chaos-plan"));
+  chaos.bursts.insert(chaos.bursts.end(), bursts.bursts.begin(),
+                      bursts.bursts.end());
+  if (knobs.Has("chaos-plan") || !bursts.bursts.empty()) {
     try {
-      cluster.SetChaosPlan(knobs.chaos);
+      cluster.SetChaosPlan(chaos);
     } catch (const Error& e) {
       std::fprintf(stderr, "error: --chaos-plan/S2FA_CHAOS_PLAN: %s\n",
                    e.what());
@@ -1025,21 +794,14 @@ int ServeThroughCluster(apps::App& app, ServeKnobs& knobs,
         });
   }
 
-  if (knobs.stream) {
-    return RunStreamServe(app, knobs, cluster, runtime, ids, requests,
-                          records, seed, bc);
+  const double request_us = RequestUs(runtime, ids.front(), records);
+  if (knobs.Has("stream")) {
+    return RunStreamServe(app, knobs, cluster, shards, tenant_names,
+                          request_us, bc);
   }
 
   // Open-loop arrivals near the full cluster's service rate.
-  const blaze::ExecutionStats per = runtime.PerInvocationCost(ids.front());
-  const auto batch = static_cast<std::size_t>(
-      runtime.manager().Get(ids.front()).plan.batch);
-  const double request_us =
-      static_cast<double>(std::max<std::size_t>(
-          1, (records + batch - 1) / batch)) *
-      per.total_us;
-  const double spacing_us =
-      0.8 * request_us / static_cast<double>(ids.size());
+  const double spacing_us = 0.8 * request_us / static_cast<double>(ids.size());
   std::vector<blaze::ClusterRequest> stream;
   std::vector<blaze::Dataset> expected;
   double arrival = 0;
@@ -1074,7 +836,7 @@ int ServeThroughCluster(apps::App& app, ServeKnobs& knobs,
   std::printf("cluster serving %d requests x %zu records on %zu shard%s "
               "(%zu replicas, queue %zu, batch <= %zu, %d exec threads, "
               "%s routing)\n",
-              requests, records, knobs.shards, knobs.shards == 1 ? "" : "s",
+              requests, records, shards, shards == 1 ? "" : "s",
               ids.size(), coptions.queue_capacity,
               coptions.batch_max_requests, coptions.exec_threads,
               blaze::RoutingName(coptions.routing));
@@ -1130,28 +892,20 @@ int ServeThroughCluster(apps::App& app, ServeKnobs& knobs,
   return (lost == 0 && mismatches == 0) ? 0 : 1;
 }
 
-int CmdServe(apps::App& app, const Args& args) {
-  ServeKnobs knobs;
-  if (!ResolveServeKnobs(args, knobs)) return 2;
-  const int replicas = static_cast<int>(args.Num("replicas", 2));
-  const int requests = static_cast<int>(args.Num("requests", 32));
-  const std::size_t records =
-      static_cast<std::size_t>(args.Num("records", 256));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.Num("seed", 1));
-  if (replicas < 1 || requests < 1 || records < 1) {
-    std::fprintf(stderr,
-                 "error: --replicas, --requests and --records must be >= 1\n");
-    return 2;
-  }
-  knobs.options.seed = seed;
-
-  FrameworkOptions options;
-  options.dse.time_limit_minutes = args.Num("minutes", 120);
-  options.dse.seed = seed;
-  Artifact artifact = BuildAccelerator(*app.pool, app.spec, options);
-  std::printf("built %s: %.0f cycles @ %.0f MHz (%zu points explored)\n",
-              app.name.c_str(), artifact.best_hls.cycles,
-              artifact.best_hls.freq_mhz, artifact.exploration.evaluations);
+int CmdServe(const Knobs& knobs) {
+  apps::App app = apps::FindApp(knobs.positional[1]);
+  const int replicas = knobs.Int("replicas");
+  const int requests = knobs.Int("requests");
+  const std::size_t records = knobs.Uint("records");
+  const std::uint64_t seed = knobs.Uint("seed");
+  blaze::ServiceOptions options;
+  options.queue_capacity = knobs.Uint("serve-queue");
+  options.hedge_quantile = knobs.Real("hedge-quantile");
+  options.health_window = knobs.Uint("quarantine-window");
+  options.exec_threads = knobs.Int("exec-threads");
+  options.seed = seed;
+  const blaze::ChaosPlan bursts = FaultBurstPlan(knobs.Str("fault-burst"));
+  Artifact artifact = BuildReported(app, knobs);
 
   blaze::BlazeRuntime runtime;
   std::vector<std::string> ids;
@@ -1159,39 +913,31 @@ int CmdServe(apps::App& app, const Args& args) {
     ids.push_back(app.name + "#" + std::to_string(i));
     RegisterWithBlaze(runtime, ids.back(), artifact);
   }
-  if (knobs.shards > 0) {
-    return ServeThroughCluster(app, knobs, runtime, ids, requests, records,
-                               seed);
+  // Chaos schedules, tenancy, and streaming are cluster features: without
+  // --shards they run on one fault domain rather than being ignored.
+  if (knobs.Has("shards") || knobs.Has("chaos-plan") ||
+      knobs.Has("tenants") || knobs.Has("stream")) {
+    return ServeThroughCluster(app, knobs, options, bursts, runtime, ids);
   }
-  blaze::BlazeService service(runtime, knobs.options);
+  blaze::BlazeService service(runtime, options);
   for (const std::string& id : ids) service.AddReplica(app.name, id);
-  if (!knobs.bursts.empty()) {
-    service.SetFaultInjector(blaze::MakeBurstFaultInjector(knobs.bursts));
-    for (const blaze::FaultBurst& burst : knobs.bursts) {
+  if (!bursts.bursts.empty()) {
+    service.SetFaultInjector(blaze::MakeShardBurstInjector(bursts, 0));
+    for (const blaze::ChaosBurst& burst : bursts.bursts) {
       std::printf("fault burst: per-replica invocations [%zu, %zu) fail\n",
-                  burst.start, burst.start + burst.length);
+                  burst.window.start,
+                  burst.window.start + burst.window.length);
     }
   }
 
   Rng rng(seed);
-  blaze::Dataset broadcast;
-  const blaze::Dataset* bc = nullptr;
-  if (app.make_broadcast) {
-    Rng brng(seed ^ 0xBCA57ULL);
-    broadcast = app.make_broadcast(brng);
-    bc = &broadcast;
-  }
+  const auto broadcast = MakeBroadcast(app, seed);
+  const blaze::Dataset* bc = broadcast.get();
 
   // Open-loop arrivals near the group's service rate, with deterministic
   // jitter: enough pressure to queue without drowning the admission gate.
-  const blaze::ExecutionStats per = runtime.PerInvocationCost(ids.front());
-  const auto batch = static_cast<std::size_t>(
-      runtime.manager().Get(ids.front()).plan.batch);
-  const double request_us =
-      static_cast<double>(std::max<std::size_t>(
-          1, (records + batch - 1) / batch)) *
-      per.total_us;
-  const double spacing_us = 0.8 * request_us / replicas;
+  const double spacing_us =
+      0.8 * RequestUs(runtime, ids.front(), records) / replicas;
   std::vector<blaze::ServiceRequest> stream;
   std::vector<blaze::Dataset> expected;
   double arrival = 0;
@@ -1209,7 +955,7 @@ int CmdServe(apps::App& app, const Args& args) {
       service.Run(std::move(stream));
 
   // Functional cross-check of every completed request against the native
-  // reference (same tolerance as `run`).
+  // reference.
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const blaze::RequestOutcome& o = outcomes[i];
@@ -1217,23 +963,7 @@ int CmdServe(apps::App& app, const Args& args) {
         o.outcome == blaze::ServeOutcome::kShedExpired) {
       continue;
     }
-    for (std::size_t c = 0; c < expected[i].num_columns(); ++c) {
-      const blaze::Column& want = expected[i].column(c);
-      const blaze::Column& got = o.output.ColumnByField(want.field);
-      for (std::size_t n = 0; n < want.data.size(); ++n) {
-        double w = want.data[n].is_float() ? want.data[n].AsFloat()
-                   : want.data[n].is_double()
-                       ? want.data[n].AsDouble()
-                       : static_cast<double>(want.data[n].AsInt());
-        double g = got.data[n].is_float() ? got.data[n].AsFloat()
-                   : got.data[n].is_double()
-                       ? got.data[n].AsDouble()
-                       : static_cast<double>(got.data[n].AsInt());
-        if (std::fabs(g - w) > 1e-4 * std::max(1.0, std::fabs(w))) {
-          ++mismatches;
-        }
-      }
-    }
+    mismatches += CountMismatches(expected[i], o.output);
   }
 
   const blaze::ServiceStats& s = service.stats();
@@ -1241,8 +971,8 @@ int CmdServe(apps::App& app, const Args& args) {
   std::printf("serving %d requests x %zu records on %d replica%s "
               "(queue %zu, hedge q=%.2f, window %zu, %d exec threads)\n",
               requests, records, replicas, replicas == 1 ? "" : "s",
-              knobs.options.queue_capacity, knobs.options.hedge_quantile,
-              knobs.options.health_window, knobs.options.exec_threads);
+              options.queue_capacity, options.hedge_quantile,
+              options.health_window, options.exec_threads);
   std::printf("admitted:  %zu/%zu (%zu rejected at the gate, %zu shed "
               "expired), max queue depth %zu\n",
               s.admitted, s.submitted, s.rejected_full, s.shed_expired,
@@ -1277,16 +1007,12 @@ int CmdServe(apps::App& app, const Args& args) {
   return (lost == 0 && mismatches == 0) ? 0 : 1;
 }
 
-int CmdProfile(apps::App& app, const Args& args) {
-  // Chrome-trace destination: S2FA_PROFILE_OUT env, --profile-out wins.
-  std::string profile_out;
-  if (const char* env = std::getenv("S2FA_PROFILE_OUT")) profile_out = env;
-  if (args.Has("profile-out")) profile_out = args.Str("profile-out");
-  if (!CheckWritable("--profile-out", profile_out)) return 2;
-  const std::size_t records =
-      static_cast<std::size_t>(args.Num("records", 2048));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.Num("seed", 1));
-  const std::size_t top = static_cast<std::size_t>(args.Num("top", 20));
+int CmdProfile(const Knobs& knobs) {
+  apps::App app = apps::FindApp(knobs.positional[1]);
+  const std::string& profile_out = knobs.Str("profile-out");
+  const std::size_t records = knobs.Uint("records");
+  const std::uint64_t seed = knobs.Uint("seed");
+  const std::size_t top = knobs.Uint("top");
 
   // Single-core DSE keeps the whole run on one thread, so the hot-path
   // self times are disjoint and their sum is bounded by the wall clock.
@@ -1297,7 +1023,7 @@ int CmdProfile(apps::App& app, const Args& args) {
   {
     S2FA_SPAN("cli.profile");
     FrameworkOptions options;
-    options.dse.time_limit_minutes = args.Num("minutes", 30);
+    options.dse.time_limit_minutes = knobs.Real("minutes");
     options.dse.num_cores = 1;
     options.dse.seed = seed;
     Artifact artifact = BuildAccelerator(*app.pool, app.spec, options);
@@ -1306,17 +1032,11 @@ int CmdProfile(apps::App& app, const Args& args) {
     RegisterWithBlaze(runtime, app.name, artifact);
     Rng rng(seed);
     blaze::Dataset input = app.make_input(records, rng);
-    blaze::Dataset broadcast;
-    const blaze::Dataset* bc = nullptr;
-    if (app.make_broadcast) {
-      Rng brng(seed ^ 0xBCA57ULL);
-      broadcast = app.make_broadcast(brng);
-      bc = &broadcast;
-    }
+    const auto broadcast = MakeBroadcast(app, seed);
     if (app.spec.pattern == kir::ParallelPattern::kReduce) {
-      runtime.Reduce(app.name, input, bc);
+      runtime.Reduce(app.name, input, broadcast.get());
     } else {
-      runtime.Map(app.name, input, bc);
+      runtime.Map(app.name, input, broadcast.get());
     }
   }
   const double wall_us = static_cast<double>(MonotonicMicros() - t0);
@@ -1348,34 +1068,13 @@ int CmdProfile(apps::App& app, const Args& args) {
   return 0;
 }
 
-int CmdPerfDiff(const Args& args) {
-  if (args.positional.size() < 3) {
-    std::fprintf(
-        stderr,
-        "usage: s2fa perf-diff <old.json> <new.json> [--threshold P]\n");
-    return 2;
-  }
-  // Regression threshold (fraction): S2FA_PERF_THRESHOLD env, flag wins.
-  double threshold = obs::kDefaultPerfThreshold;
-  std::string text;
-  if (const char* env = std::getenv("S2FA_PERF_THRESHOLD")) text = env;
-  if (args.Has("threshold")) text = args.Str("threshold");
-  if (!text.empty()) {
-    auto parsed = ParseDoubleStrict(text);
-    if (!parsed || *parsed < 0) {
-      std::fprintf(stderr,
-                   "error: --threshold/S2FA_PERF_THRESHOLD expects a "
-                   "fraction >= 0 (0.1 = 10%%), got '%s'\n",
-                   text.c_str());
-      return 2;
-    }
-    threshold = *parsed;
-  }
-  obs::PerfLedger prev = obs::LoadLedgerFile(args.positional[1]);
-  obs::PerfLedger next = obs::LoadLedgerFile(args.positional[2]);
-  std::printf("comparing %s (rev %s) -> %s (rev %s)\n",
-              args.positional[1].c_str(), prev.git_rev.c_str(),
-              args.positional[2].c_str(), next.git_rev.c_str());
+int CmdPerfDiff(const Knobs& knobs) {
+  const double threshold = knobs.Real("threshold");
+  const std::vector<std::string>& args = knobs.positional;
+  obs::PerfLedger prev = obs::LoadLedgerFile(args[1]);
+  obs::PerfLedger next = obs::LoadLedgerFile(args[2]);
+  std::printf("comparing %s (rev %s) -> %s (rev %s)\n", args[1].c_str(),
+              prev.git_rev.c_str(), args[2].c_str(), next.git_rev.c_str());
   obs::LedgerDiff diff = obs::ComparePerfLedgers(prev, next, threshold);
   std::printf("%s", obs::RenderLedgerDiffTable(diff).c_str());
   if (diff.HasRegression()) {
@@ -1386,51 +1085,151 @@ int CmdPerfDiff(const Args& args) {
   return 0;
 }
 
+struct Command {
+  const char* name;
+  Cmd bit;
+  int (*run)(const Knobs& knobs);
+  std::size_t operands;  // positional arguments after the command name
+  const char* args;
+  const char* help;
+};
+
+const Command kCommands[] = {
+    {"list", kList, CmdList, 0, "", "the bundled evaluation kernels"},
+    {"compile", kCompile, CmdCompile, 1, "<app>",
+     "bytecode-to-C only: HLS C, interface, Scala glue, design space"},
+    {"explore", kExplore, CmdExplore, 1, "<app>",
+     "run the DSE; report partitions, the trace and the best design"},
+    {"run", kRun, CmdRun, 1, "<app>",
+     "build, run a workload through Blaze, cross-check against the JVM"},
+    {"serve", kServe, CmdServe, 1, "<app>",
+     "replay requests through BlazeService, or BlazeCluster with --shards"},
+    {"report", kReport, CmdReport, 1, "<metrics.json>",
+     "render a --metrics-out summary as tables"},
+    {"profile", kProfile, CmdProfile, 1, "<app>",
+     "hot-path table of a traced compile + DSE slice + workload"},
+    {"perf-diff", kPerfDiff, CmdPerfDiff, 2, "<old.json> <new.json>",
+     "classify perf-ledger entries; exit 1 on a regression"},
+};
+
+void PrintUsage() {
+  std::fprintf(stderr, "usage: s2fa <command> [args] [flags]\n\n");
+  for (const Command& cmd : kCommands) {
+    std::fprintf(stderr, "  %-34s %s\n",
+                 (std::string(cmd.name) + " " + cmd.args).c_str(), cmd.help);
+  }
+  std::fprintf(stderr, "\nFlags, their environment mirror and [default]. "
+               "The environment is read first\nand a flag wins; a malformed "
+               "value, an unknown flag or a missing value exits 2.\n");
+  // The global flags, then a section per command that has flags of its own.
+  auto section = [](const char* title, unsigned cmds) {
+    std::string rows;
+    for (const Knob& knob : KnobTable()) {
+      if ((knob.commands & cmds) == 0 ||
+          (knob.commands == kAnyCmd) != (cmds == kAnyCmd)) {
+        continue;
+      }
+      std::string name = std::string("--") + knob.flag;
+      if (knob.metavar != nullptr) name += std::string(" ") + knob.metavar;
+      std::string help = knob.help;
+      if (!knob.def.empty()) help += " [" + knob.def + "]";
+      char line[512];
+      std::snprintf(line, sizeof line, "  %-34s %-23s %s\n", name.c_str(),
+                    knob.env != nullptr ? knob.env : "-", help.c_str());
+      rows += line;
+    }
+    if (rows.empty()) return;
+    std::fprintf(stderr, "\n%s flags:\n%s", title, rows.c_str());
+  };
+  section("global", kAnyCmd);
+  for (const Command& cmd : kCommands) section(cmd.name, cmd.bit);
+}
+
+std::nullopt_t Fail(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  return std::nullopt;
+}
+
+// Resolves argv and the environment against the knob table. Returns
+// nullopt after printing the usage or naming the offending flag/env.
+std::optional<Knobs> Resolve(int argc, char** argv) {
+  Knobs knobs;
+  std::map<std::string, std::string> given;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      knobs.positional.push_back(arg);
+      continue;
+    }
+    // --name=value, a bare switch, or --name value.
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(2, eq - 2);
+    const Knob* knob = FindKnob(name, kAnyCmd);
+    const bool takes_value = knob != nullptr && knob->metavar != nullptr;
+    if (eq != std::string::npos && knob != nullptr && !takes_value) {
+      return Fail("--" + name + " takes no value");
+    }
+    if (eq == std::string::npos && takes_value && i + 1 == argc) {
+      return Fail("--" + name + " expects a value");
+    }
+    given[name] = eq != std::string::npos ? arg.substr(eq + 1)
+                  : takes_value           ? argv[++i]
+                                          : "1";
+  }
+  for (const Command& cmd : kCommands) {
+    if (!knobs.positional.empty() && knobs.positional[0] == cmd.name &&
+        knobs.positional.size() > cmd.operands) {
+      knobs.cmd = &cmd;
+    }
+  }
+  if (knobs.cmd == nullptr) {
+    PrintUsage();
+    return std::nullopt;
+  }
+  for (const auto& [name, value] : given) {
+    if (FindKnob(name, knobs.cmd->bit) == nullptr) {
+      return Fail("unknown flag --" + name + " for 's2fa " +
+                  knobs.cmd->name + "'");
+    }
+  }
+  for (const Knob& knob : KnobTable()) {
+    if ((knob.commands & knobs.cmd->bit) == 0) continue;
+    std::string source = std::string("--") + knob.flag;
+    std::optional<std::string> text;
+    if (auto it = given.find(knob.flag); it != given.end()) {
+      text = it->second;
+    } else if (const char* env =
+                   knob.env != nullptr ? std::getenv(knob.env) : nullptr;
+               env != nullptr && env[0] != '\0') {
+      text = env;
+      source = knob.env;
+    }
+    if (!text) {
+      text = knob.def;
+    } else if (knob.metavar == nullptr) {
+      text = *text == "0" ? "" : "1";
+    } else if (std::string expects = knob.check(*text); !expects.empty()) {
+      return Fail(source + " expects " + expects + ", got '" + *text + "'");
+    }
+    if (!text->empty()) knobs.values[knob.flag] = *text;
+  }
+  return knobs;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args = Parse(argc, argv);
-  if (args.positional.empty()) return Usage();
-  const std::string& cmd = args.positional[0];
-
-  if (args.Has("log-level")) {
-    auto level = ParseLogLevel(args.Str("log-level"));
-    if (!level) {
-      std::fprintf(stderr,
-                   "error: bad --log-level '%s' (expected 0-4 or "
-                   "off/error/warn/info/debug)\n",
-                   args.Str("log-level").c_str());
-      return 2;
-    }
-    Logger::SetLevel(*level);
+  const std::optional<Knobs> knobs = Resolve(argc, argv);
+  if (!knobs) return 2;
+  if (knobs->Has("log-level")) {
+    Logger::SetLevel(ParseLogLevel(knobs->Str("log-level")).value());
   }
-  const std::string trace_out = args.Str("trace-out");
-  const std::string metrics_out = args.Str("metrics-out");
-  if (!CheckWritable("--trace-out", trace_out) ||
-      !CheckWritable("--metrics-out", metrics_out)) {
-    return 2;
-  }
+  const std::string& trace_out = knobs->Str("trace-out");
+  const std::string& metrics_out = knobs->Str("metrics-out");
   if (!trace_out.empty() || !metrics_out.empty()) obs::SetEnabled(true);
 
   try {
-    int rc;
-    if (cmd == "list") {
-      rc = CmdList();
-    } else if (args.positional.size() < 2) {
-      return Usage();
-    } else if (cmd == "report") {
-      return CmdReport(args.positional[1]);
-    } else if (cmd == "perf-diff") {
-      return CmdPerfDiff(args);
-    } else {
-      apps::App app = apps::FindApp(args.positional[1]);
-      if (cmd == "compile") rc = CmdCompile(app);
-      else if (cmd == "explore") rc = CmdExplore(app, args);
-      else if (cmd == "run") rc = CmdRun(app, args);
-      else if (cmd == "serve") rc = CmdServe(app, args);
-      else if (cmd == "profile") rc = CmdProfile(app, args);
-      else return Usage();
-    }
+    const int rc = knobs->cmd->run(*knobs);
     if (!trace_out.empty()) {
       obs::WriteTraceFile(trace_out, obs::Tracer::Global().Events());
       std::fprintf(stderr, "trace written to %s\n", trace_out.c_str());
