@@ -82,10 +82,11 @@ void BM_InterpreterPerRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterPerRecord);
 
-void BM_KirEvalPerRecord(benchmark::State& state) {
+void BM_KirEvalBatch(benchmark::State& state) {
   // The accelerator-side half of a Blaze invocation: evaluate the kernel
   // IR over one already-serialized batch (what RunBatch does per attempt,
-  // minus the packing measured by BM_SerializationRoundTrip).
+  // minus the packing measured by BM_SerializationRoundTrip). One op is
+  // one batch; items/s counts its records.
   Fixture& f = Svm();
   blaze::SerializationPlan plan = blaze::MakeSerializationPlan(f.kernel);
   const std::size_t records = static_cast<std::size_t>(plan.batch);
@@ -106,7 +107,7 @@ void BM_KirEvalPerRecord(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(records));
 }
-BENCHMARK(BM_KirEvalPerRecord);
+BENCHMARK(BM_KirEvalBatch);
 
 void BM_SerializationRoundTrip(benchmark::State& state) {
   // Pack one batch into kernel buffers and unpack the results — the JVM

@@ -55,7 +55,7 @@ if(NOT rev STREQUAL "perf-smoke")
 endif()
 foreach(bm
     BM_InterpreterPerRecord     # bytecode interpreter
-    BM_KirEvalPerRecord         # kernel-IR evaluation
+    BM_KirEvalBatch             # kernel-IR evaluation (one batch)
     BM_MerlinTransform          # Merlin transform
     BM_HlsEstimateSmallKernel   # HLS estimator
     BM_SerializationRoundTrip   # (de)serialization
@@ -107,7 +107,7 @@ endif()
 file(READ "${COMMITTED}" committed_content)
 foreach(bm
     BM_InterpreterPerRecord
-    BM_KirEvalPerRecord
+    BM_KirEvalBatch
     BM_MerlinTransform
     BM_HlsEstimateSmallKernel
     BM_SerializationRoundTrip

@@ -52,6 +52,7 @@ void AcceleratorManager::Register(const std::string& id,
                "accelerator " << id << " already registered");
   S2FA_REQUIRE(accelerator.hls.feasible,
                "cannot register an infeasible design for " << id);
+  accelerator.program = kir::CompileLaneProgram(accelerator.design);
   accelerators_.emplace(id, std::move(accelerator));
 }
 
@@ -180,7 +181,7 @@ Dataset BlazeRuntime::Map(const std::string& accel_id, const Dataset& input,
   S2FA_REQUIRE(plan.batch > 0, "bad serialization plan");
 
   Dataset out = MakeOutputShell(plan, input.num_records());
-  kir::Evaluator evaluator(accel.design);
+  kir::Evaluator evaluator(accel.program);
   ExecutionStats total;
   const ExecutionStats per_invocation = InvocationCost(accel);
 
@@ -214,7 +215,7 @@ Dataset BlazeRuntime::Reduce(const std::string& accel_id,
   S2FA_REQUIRE(accel.design.pattern == kir::ParallelPattern::kReduce,
                accel_id << " is not a reduce accelerator");
 
-  kir::Evaluator evaluator(accel.design);
+  kir::Evaluator evaluator(accel.program);
   ExecutionStats total;
   const ExecutionStats per_invocation = InvocationCost(accel);
   const std::size_t batch = static_cast<std::size_t>(plan.batch);

@@ -12,6 +12,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "blaze/serialization.h"
@@ -44,6 +45,10 @@ struct RegisteredAccelerator {
   kir::Kernel design;        // Merlin-transformed kernel (best config)
   hls::HlsResult hls;        // its synthesis result
   SerializationPlan plan;    // interface layout
+  // `design` compiled for the lane executor. AcceleratorManager::Register
+  // fills it once; every Map/Reduce call and exec thread then shares it
+  // read-only, each with its own Evaluator scratch.
+  std::shared_ptr<const kir::LaneProgram> program;
 };
 
 struct ExecutionStats {

@@ -8,25 +8,68 @@
 //
 // Two implementations share that contract:
 //
-//  - Evaluator (the hot path): a resolution pass at construction compiles
-//    the kernel into flat vectors of resolved nodes — every scalar, local,
-//    and loop variable gets a dense integer slot, every buffer a dense
-//    buffer index, literals are pre-materialized, and binary ops are
-//    pre-classified by numeric domain — so evaluation never touches a
-//    string-keyed map. This is what the DSE loop and the Blaze runtime run
-//    thousands of times per exploration.
+//  - Evaluator (the hot path): a lane-parallel executor. A kernel is
+//    compiled once into a LaneProgram (CompileLaneProgram), an immutable
+//    tree of typed nodes whose operands are int32/int64/float/double
+//    columns, so evaluation never touches a string-keyed map or a
+//    per-node Value variant. One program may be shared read-only by any
+//    number of Evaluators on any number of threads; an Evaluator owns
+//    only its scratch columns. Blaze compiles each design once, when it
+//    is registered (AcceleratorManager::Register), and every Map/Reduce
+//    call and exec thread borrows that program.
+//
+//    Lanes are the iterations of the template task loop
+//    (Kernel::task_loop_id); when Merlin has tiled that loop, lanes are
+//    the flattened tile x point nest (lane l runs t = l / T, p = l % T).
+//    The task-loop body runs one statement at a time across a chunk of up
+//    to kLaneChunk lanes. Everything else -- the broadcast-copy prologue,
+//    accumulator declarations, the `out[0] = acc` flush -- runs as
+//    width-1 code in the same executor, and inner loops, whose trip
+//    counts are constants, run uniformly across lanes.
+//
+//    A kernel takes the lane path only when a static check proves its
+//    task iterations independent:
+//      1. every scalar the body assigns is either private to the
+//         iteration (definitely assigned before every read in the same
+//         iteration, and not referenced outside the task loop) or an
+//         accumulator updated only as `acc = acc op X` with `acc`
+//         occurring nowhere else in the body; X is computed across lanes
+//         and then folded into `acc` in lane order over the active lanes,
+//         so floating-point reductions stay bit-identical;
+//      2. every local buffer the body writes is fully overwritten (a loop
+//         nest covering it exactly once, like b2c's zero-fill) before any
+//         other access in each iteration; it is privatized per lane and
+//         the copy of the last lane that wrote it is written back;
+//      3. every interface buffer the body writes is not read in the body,
+//         and its write index is `lane * per_task + u` with `u` built from
+//         literals and inner-loop counters and provably in [0, per_task).
+//    Any other kernel runs its task loop at width 1 through the same code.
+//
+//    `if` conditions that vary across lanes become masks and a varying
+//    kSelect evaluates each arm under its own sub-mask; masked-off lanes
+//    never load, store, bounds-check or divide. Each node charges one step
+//    per active lane, so last_steps() equals ReferenceEvaluator's. When a
+//    lane faults (bad index, integer division by zero, unbound variable,
+//    step budget), the chunk is replayed one lane at a time, so the error
+//    raised is the one the sequential walk raises first, with the same
+//    type and message.
 //
 //  - ReferenceEvaluator: the original map-keyed tree walker, retained as
 //    executable reference semantics. The differential fuzz harness runs
-//    every random kernel through both and requires bit-identical buffers,
-//    so the fast path can never silently diverge.
+//    every random kernel through both and requires bit-identical buffers
+//    and equal step counts, so the fast path can never silently diverge.
 //
-// Both count one step per IR node visited (same runaway budget), and both
-// keep the map-keyed Run signature, so they are drop-in interchangeable.
+// Both keep the map-keyed Run signature, so they are drop-in
+// interchangeable. The lane executor assumes a well-typed kernel: a
+// scalar name has one storage class (int32/int64/float/double) wherever it
+// occurs and both arms of a select agree; CompileLaneProgram throws
+// MalformedInput otherwise. Buffer elements are read as their declared
+// element class.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,12 +85,26 @@ using jvm::Value;
 // and locals are zero-initialized by Run if absent.
 using BufferMap = std::map<std::string, std::vector<Value>>;
 
-// Slot-resolved evaluator: name lookups are compiled away at construction.
-// Not thread-safe; each thread should own its own instance (construction
-// cost amortizes over the batches of a run).
+// Lanes per chunk on the lane path: a fixed width, not a tuning knob. It
+// bounds the per-Evaluator scratch (a column holds at most this many
+// values; a task loop with fewer lanes gets columns that size).
+inline constexpr int kLaneChunk = 256;
+
+// A kernel compiled for the lane-parallel executor (defined in eval.cc).
+// Immutable once built; safe to share across threads.
+class LaneProgram;
+
+// Compiles `kernel` (validating it first). The program owns everything it
+// needs; `kernel` may be destroyed afterwards.
+std::shared_ptr<const LaneProgram> CompileLaneProgram(const Kernel& kernel);
+
+// Lane-parallel evaluator. Not thread-safe: each thread owns its own
+// instance, while instances may share one compiled program.
 class Evaluator {
  public:
   explicit Evaluator(const Kernel& kernel);
+  explicit Evaluator(std::shared_ptr<const LaneProgram> program);
+  ~Evaluator();
 
   // Runs the kernel. `scalars` provides values for every declared scalar
   // parameter. `buffers` provides inputs and receives outputs. Missing
@@ -58,76 +115,17 @@ class Evaluator {
   // Instruction-ish step count of the last Run (sanity/runaway guard).
   std::uint64_t last_steps() const { return steps_; }
 
+  // Lanes the task loop runs per chunk: min(kLaneChunk, task count) when
+  // the kernel passed the independence check, 1 when its task loop runs
+  // at width 1.
+  int lane_width() const;
+
  private:
-  // Numeric domain of a binary op, pre-classified at resolution time so
-  // evaluation switches on a dense enum instead of re-deriving it from
-  // Type objects per node.
-  enum class BinForm : std::uint8_t {
-    kCmpInt,    // comparison, integral operands (exact int64 compare)
-    kCmpFloat,  // comparison, floating operands (double compare)
-    kLogical,   // kLAnd / kLOr
-    kFloat32,   // float arithmetic (computed in float)
-    kFloat64,   // double arithmetic
-    kInt32,     // int-family arithmetic (computed in int64, narrowed)
-    kInt64,     // long arithmetic
-  };
+  struct Scratch;  // per-instance columns (eval.cc)
 
-  // One resolved expression node; operands are indices into rexprs_.
-  struct RExpr {
-    ExprKind kind = ExprKind::kIntLit;
-    BinForm form = BinForm::kInt32;
-    BinaryOp bop = BinaryOp::kAdd;
-    UnaryOp uop = UnaryOp::kNeg;
-    Intrinsic fn = Intrinsic::kExp;
-    TypeKind type = TypeKind::kInt;  // node result type
-    TypeKind opnd = TypeKind::kInt;  // first operand's type (unary/binary)
-    std::int32_t slot = -1;          // var slot (kVar) / buffer id (kArrayRef)
-    std::int32_t a = -1;
-    std::int32_t b = -1;
-    std::int32_t c = -1;
-    Value lit;  // pre-materialized literal (kIntLit / kFloatLit)
-  };
-
-  // One resolved statement node; children are indices into rstmts_.
-  struct RStmt {
-    StmtKind kind = StmtKind::kBlock;
-    std::int32_t a = -1;          // rhs / init / cond expression
-    std::int32_t index = -1;      // assign-to-array index expression
-    std::int32_t slot = -1;       // var slot or buffer id of the target
-    bool lhs_is_var = true;       // kAssign: variable vs array element
-    TypeKind store = TypeKind::kInt;  // narrow-to type for assign/decl
-    Value dflt;                   // decl default (no initializer)
-    std::int64_t trip = 0;        // kFor trip count
-    std::int32_t body = -1;       // for body / if then
-    std::int32_t els = -1;        // if else
-    std::vector<std::int32_t> stmts;  // kBlock children
-  };
-
-  std::int32_t VarSlot(const std::string& name);
-  std::int32_t CompileExpr(const ExprPtr& expr);
-  std::int32_t CompileStmt(const Stmt& stmt);
-  Value EvalExpr(std::int32_t idx);
-  void ExecStmt(std::int32_t idx);
-
-  const Kernel& kernel_;
-
-  // Resolved program (built once at construction).
-  std::vector<RExpr> rexprs_;
-  std::vector<RStmt> rstmts_;
-  std::int32_t root_ = -1;
-  std::vector<std::string> var_names_;     // slot -> name (diagnostics)
-  std::map<std::string, std::int32_t> var_slots_;
-  std::vector<std::int32_t> scalar_slots_;  // kernel_.scalars[i] -> slot
-  std::vector<std::int32_t> buffer_ids_;    // kernel_.buffers[i] -> id
-  std::map<std::string, std::int32_t> buffer_id_by_name_;
-
-  // Flat runtime environment (reset per Run).
-  std::vector<Value> slots_;
-  std::vector<std::uint8_t> bound_;
-  std::vector<std::vector<Value>*> bufs_;
-
+  std::shared_ptr<const LaneProgram> program_;
+  std::unique_ptr<Scratch> scratch_;
   std::uint64_t steps_ = 0;
-  std::uint64_t max_steps_ = 2'000'000'000ULL;
 };
 
 // The legacy map-keyed tree walker (reference semantics; see file comment).

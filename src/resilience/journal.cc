@@ -277,7 +277,10 @@ std::optional<tuner::EvalOutcome> EvalJournal::Find(
 void EvalJournal::Record(const std::string& key,
                          const tuner::EvalOutcome& outcome) {
   std::lock_guard<std::mutex> lock(mutex_);
-  entries_[key] = outcome;
+  // Threads that miss on one key at the same time each evaluate it. Only
+  // the first outcome is kept and written, so the file holds one line per
+  // key and a resume loads exactly the entries this run knew.
+  if (!entries_.emplace(key, outcome).second) return;
   if (out_.is_open()) {
     // One write() of the full line (newline included) per record: the
     // stream never holds a half-rendered entry in its buffer, so a crash

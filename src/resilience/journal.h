@@ -45,6 +45,8 @@ class EvalJournal {
   bool open() const { return out_.is_open(); }
 
   std::optional<tuner::EvalOutcome> Find(const std::string& key) const;
+  // Keeps and appends the first outcome recorded for `key`; later ones
+  // for the same key are dropped.
   void Record(const std::string& key, const tuner::EvalOutcome& outcome);
 
   std::size_t entries() const;   // keys known (loaded + recorded)

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
+
+#include "apps/app.h"
 #include "b2c/compiler.h"
 #include "blaze/runtime.h"
 #include "blaze/serialization.h"
 #include "jvm/assembler.h"
+#include "merlin/transform.h"
 #include "s2fa/framework.h"
 #include "support/rng.h"
 
@@ -537,6 +542,131 @@ TEST(RuntimeTest, PerInvocationCostMatchesStatsBreakdown) {
   EXPECT_EQ(stats.invocations, 2u);
   EXPECT_DOUBLE_EQ(stats.total_us, 2 * per.total_us);
   EXPECT_THROW(runtime.PerInvocationCost("ghost"), InvalidArgument);
+}
+
+
+// ------------------------------------------------------- lane evaluator
+
+// A random legal Merlin design: tiling (including the task loop),
+// parallel and pipeline factors, interface widths.
+merlin::DesignConfig RandomDesign(const kir::Kernel& kernel, Rng& rng) {
+  merlin::DesignConfig cfg;
+  for (const kir::Stmt* loop : kernel.Loops()) {
+    merlin::LoopConfig lc;
+    std::vector<std::int64_t> tiles{1};
+    for (std::int64_t t = 2; t < loop->trip_count(); ++t) {
+      if (loop->trip_count() % t == 0) tiles.push_back(t);
+    }
+    lc.tile = tiles[rng.NextIndex(tiles.size())];
+    lc.parallel = rng.NextInt(1, lc.tile > 1 ? lc.tile : loop->trip_count());
+    lc.pipeline = static_cast<merlin::PipelineMode>(rng.NextInt(0, 2));
+    cfg.loops[loop->loop_id()] = lc;
+  }
+  return cfg;
+}
+
+// Bit-exact buffer-map comparison: same buffers, same Value kinds, same
+// payload bits (NaN payloads included).
+void ExpectBitIdentical(const kir::BufferMap& got, const kir::BufferMap& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [name, data] : want) {
+    auto it = got.find(name);
+    ASSERT_NE(it, got.end()) << name;
+    ASSERT_EQ(it->second.size(), data.size()) << name;
+    for (std::size_t e = 0; e < data.size(); ++e) {
+      const Value& a = it->second[e];
+      const Value& b = data[e];
+      ASSERT_EQ(a.is_int(), b.is_int()) << name << "[" << e << "]";
+      ASSERT_EQ(a.is_long(), b.is_long()) << name << "[" << e << "]";
+      ASSERT_EQ(a.is_float(), b.is_float()) << name << "[" << e << "]";
+      std::uint64_t x = 0;
+      std::uint64_t y = 0;
+      if (a.is_int()) {
+        x = static_cast<std::uint32_t>(a.AsInt());
+        y = static_cast<std::uint32_t>(b.AsInt());
+      } else if (a.is_long()) {
+        x = static_cast<std::uint64_t>(a.AsLong());
+        y = static_cast<std::uint64_t>(b.AsLong());
+      } else if (a.is_float()) {
+        const float fa = a.AsFloat();
+        const float fb = b.AsFloat();
+        std::memcpy(&x, &fa, sizeof(fa));
+        std::memcpy(&y, &fb, sizeof(fb));
+      } else {
+        const double da = a.AsDouble();
+        const double db = b.AsDouble();
+        std::memcpy(&x, &da, sizeof(da));
+        std::memcpy(&y, &db, sizeof(db));
+      }
+      ASSERT_EQ(x, y) << name << "[" << e << "]";
+    }
+  }
+}
+
+TEST(LaneEvaluatorTest, AppsMatchReferenceOnFullAndPartialBatches) {
+  // The reference walker is slow, so batches shrink to just over one lane
+  // chunk (S-W's tasks are 16k cells each, so it keeps a handful); the
+  // second chunk is then a partial one.
+  const std::set<std::string> lane_apps = {"PR",  "KMeans", "KNN", "LR",
+                                           "SVM", "LLS",    "AES"};
+  for (apps::App app : apps::AllApps()) {
+    SCOPED_TRACE(app.name);
+    app.spec.batch = app.name == "S-W" ? 4 : kir::kLaneChunk + 4;
+    const kir::Kernel generated = b2c::CompileKernel(*app.pool, app.spec);
+    std::vector<kir::Kernel> kernels{generated};
+    Rng crng(0x1A4E5ULL ^ std::hash<std::string>{}(app.name));
+    for (int d = 0; d < 4; ++d) {
+      kernels.push_back(
+          merlin::ApplyDesign(generated, RandomDesign(generated, crng)).kernel);
+    }
+    if (lane_apps.count(app.name) != 0) {
+      EXPECT_EQ(kir::Evaluator(generated).lane_width(), kir::kLaneChunk);
+    }
+
+    const SerializationPlan plan = MakeSerializationPlan(generated);
+    const auto batch = static_cast<std::size_t>(plan.batch);
+    Rng rng(23);
+    const Dataset input = app.make_input(batch, rng);
+    Dataset broadcast;
+    if (app.make_broadcast) {
+      Rng brng(29);
+      broadcast = app.make_broadcast(brng);
+    }
+    for (std::size_t rows : {batch, std::size_t{3}}) {
+      SCOPED_TRACE("rows=" + std::to_string(rows));
+      kir::BufferMap inputs;
+      SerializeBatch(plan, input, 0, rows, inputs,
+                     app.make_broadcast ? &broadcast : nullptr);
+      const std::map<std::string, Value> scalars = {
+          {"N", Value::OfInt(static_cast<std::int32_t>(rows))}};
+      for (std::size_t k = 0; k < kernels.size(); ++k) {
+        SCOPED_TRACE("kernel " + std::to_string(k));
+        kir::BufferMap fast_bufs = inputs;
+        kir::BufferMap ref_bufs = inputs;
+        kir::Evaluator fast(kernels[k]);
+        kir::ReferenceEvaluator ref(kernels[k]);
+        fast.Run(scalars, fast_bufs);
+        ref.Run(scalars, ref_bufs);
+        EXPECT_EQ(fast.last_steps(), ref.last_steps());
+        ExpectBitIdentical(fast_bufs, ref_bufs);
+      }
+    }
+  }
+}
+
+TEST(LaneEvaluatorTest, RegisteredDesignIsCompiledOnceAndShared) {
+  jvm::ClassPool pool = MakePool();
+  Artifact artifact =
+      BuildWithConfig(pool, MakeSpec(8), merlin::DesignConfig{});
+  BlazeRuntime runtime;
+  RegisterWithBlaze(runtime, "doubler", artifact);
+  const RegisteredAccelerator& accel = runtime.manager().Get("doubler");
+  ASSERT_NE(accel.program, nullptr);
+  const long uses = accel.program.use_count();
+  runtime.Map("doubler", DoublerInput(21));
+  // Map borrowed the registered program instead of compiling its own.
+  EXPECT_EQ(accel.program.use_count(), uses);
+  EXPECT_EQ(kir::Evaluator(accel.program).lane_width(), 8);  // the batch
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "b2c/compiler.h"
@@ -886,6 +887,31 @@ TEST(ClusterTest, OutcomesBitIdenticalAcrossExecThreads) {
     }
   }
   ASSERT_FALSE(reference.empty());
+}
+
+TEST(ClusterTest, ConcurrentMapsShareOneCompiledDesign) {
+  // Eight exec threads on one registered design: they share its compiled
+  // lane program read-only, each with its own evaluator scratch. (The TSan
+  // build of this suite instruments the evaluator and runtime TUs.)
+  Fixture fx(1);
+  constexpr int kThreads = 8;
+  std::vector<Dataset> outs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&fx, &outs, t] {
+      outs[static_cast<std::size_t>(t)] =
+          fx.runtime.Map("r0", DoublerInput(37, 1000 * t));
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    const Column& y = outs[static_cast<std::size_t>(t)].ColumnByField("y");
+    ASSERT_EQ(y.data.size(), 37u);
+    for (int i = 0; i < 37; ++i) {
+      EXPECT_DOUBLE_EQ(y.data[static_cast<std::size_t>(i)].AsDouble(),
+                       2.0 * (1000 * t + i));
+    }
+  }
 }
 
 TEST(ClusterTest, RepeatRunsAreReproducible) {

@@ -40,19 +40,30 @@ using jvm::Value;
 constexpr int kNumArrays = 2;   // float-array fields of the input tuple
 constexpr int kArrayLen = 8;    // per-task elements of each array field
 
-// Local variable slots of the generated `call(FuzzIn in)` method:
-//   0 = in (ref), 1..kNumArrays = array refs, 3 = scalar field,
-//   4 = accumulator, 5 = loop index, 6 = scratch temp.
-constexpr int kScalarSlot = 3;
-constexpr int kAccSlot = 4;
-constexpr int kLoopSlot = 5;
-constexpr int kTempSlot = 6;
+// Local variable slots of the generated `call` method, after `shift`
+// leading slots (a reduce kernel's incoming accumulator):
+//   +0 = in (ref), +1..kNumArrays = array refs, +3 = scalar field,
+//   +4 = accumulator, +5 = loop index, +6 = scratch temp.
+struct Slots {
+  int shift = 0;
+  int in() const { return shift; }
+  int array(int k) const { return shift + 1 + k; }
+  int scalar() const { return shift + 3; }
+  int acc() const { return shift + 4; }
+  int loop() const { return shift + 5; }
+  int temp() const { return shift + 6; }
+  int max_locals() const { return shift + 7; }
+};
+
+// The generated kernel's RDD pattern: a map, or a reduce folding the same
+// per-record value into a float or double accumulator.
+enum class FuzzShape { kMap, kReduceFloat, kReduceDouble };
 
 // Emits bytecode that leaves one float on the operand stack.
 class ExprGen {
  public:
-  ExprGen(Assembler& a, Rng& rng, bool allow_acc)
-      : a_(a), rng_(rng), allow_acc_(allow_acc) {}
+  ExprGen(Assembler& a, Rng& rng, bool allow_acc, Slots slots)
+      : a_(a), rng_(rng), allow_acc_(allow_acc), slots_(slots) {}
 
   void Emit(int depth) {
     const int max_choice = depth <= 0 ? 3 : 9;
@@ -61,18 +72,19 @@ class ExprGen {
         a_.FConst(static_cast<float>(rng_.NextDouble(-2.0, 2.0)));
         break;
       case 1:
-        a_.Load(Type::Float(), kScalarSlot);
+        a_.Load(Type::Float(), slots_.scalar());
         break;
       case 2: {
-        int arr = 1 + static_cast<int>(rng_.NextIndex(kNumArrays));
+        int arr =
+            slots_.array(static_cast<int>(rng_.NextIndex(kNumArrays)));
         a_.Load(Type::Array(Type::Float()), arr);
-        a_.Load(Type::Int(), kLoopSlot);
+        a_.Load(Type::Int(), slots_.loop());
         a_.ALoadElem(Type::Float());
         break;
       }
       case 3:
         if (allow_acc_) {
-          a_.Load(Type::Float(), kAccSlot);
+          a_.Load(Type::Float(), slots_.acc());
         } else {
           a_.FConst(0.75f);
         }
@@ -126,51 +138,53 @@ class ExprGen {
   Assembler& a_;
   Rng& rng_;
   bool allow_acc_;
+  Slots slots_;
 };
 
 // Emits one random statement updating the accumulator (inside the loop).
-void EmitLoopStatement(Assembler& a, Rng& rng) {
+void EmitLoopStatement(Assembler& a, Rng& rng, Slots slots) {
+  const int acc = slots.acc();
   switch (rng.NextInt(0, 2)) {
     case 0: {
       // acc = acc + <expr>
-      a.Load(Type::Float(), kAccSlot);
-      ExprGen(a, rng, /*allow_acc=*/false).Emit(2);
-      a.FAdd().Store(Type::Float(), kAccSlot);
+      a.Load(Type::Float(), acc);
+      ExprGen(a, rng, /*allow_acc=*/false, slots).Emit(2);
+      a.FAdd().Store(Type::Float(), acc);
       break;
     }
     case 1: {
       // t = <expr>; acc = acc + t * t   (private temp)
-      ExprGen(a, rng, false).Emit(2);
-      a.Store(Type::Float(), kTempSlot);
-      a.Load(Type::Float(), kAccSlot);
-      a.Load(Type::Float(), kTempSlot).Load(Type::Float(), kTempSlot).FMul();
-      a.FAdd().Store(Type::Float(), kAccSlot);
+      ExprGen(a, rng, false, slots).Emit(2);
+      a.Store(Type::Float(), slots.temp());
+      a.Load(Type::Float(), acc);
+      a.Load(Type::Float(), slots.temp()).Load(Type::Float(), slots.temp()).FMul();
+      a.FAdd().Store(Type::Float(), acc);
       break;
     }
     default: {
       // if (<e1> < <e2>) acc = acc + <e3>  [else acc = acc - <e4>]
       auto skip = a.NewLabel();
-      ExprGen(a, rng, false).Emit(1);
-      ExprGen(a, rng, false).Emit(1);
+      ExprGen(a, rng, false, slots).Emit(1);
+      ExprGen(a, rng, false, slots).Emit(1);
       a.Cmp(Type::Float());
       const bool has_else = rng.NextBool();
       if (!has_else) {
         a.If(Cond::kGe, skip);
-        a.Load(Type::Float(), kAccSlot);
-        ExprGen(a, rng, false).Emit(1);
-        a.FAdd().Store(Type::Float(), kAccSlot);
+        a.Load(Type::Float(), acc);
+        ExprGen(a, rng, false, slots).Emit(1);
+        a.FAdd().Store(Type::Float(), acc);
         a.Bind(skip);
       } else {
         auto done = a.NewLabel();
         a.If(Cond::kGe, skip);
-        a.Load(Type::Float(), kAccSlot);
-        ExprGen(a, rng, false).Emit(1);
-        a.FAdd().Store(Type::Float(), kAccSlot);
+        a.Load(Type::Float(), acc);
+        ExprGen(a, rng, false, slots).Emit(1);
+        a.FAdd().Store(Type::Float(), acc);
         a.Goto(done);
         a.Bind(skip);
-        a.Load(Type::Float(), kAccSlot);
-        ExprGen(a, rng, false).Emit(1);
-        a.FSub().Store(Type::Float(), kAccSlot);
+        a.Load(Type::Float(), acc);
+        ExprGen(a, rng, false, slots).Emit(1);
+        a.FSub().Store(Type::Float(), acc);
         a.Bind(done);
       }
       break;
@@ -183,7 +197,12 @@ struct FuzzCase {
   b2c::KernelSpec spec;
 };
 
-FuzzCase GenerateKernel(std::uint64_t seed) {
+FuzzCase GenerateKernel(std::uint64_t seed, FuzzShape shape = FuzzShape::kMap,
+                        std::int64_t batch = 16) {
+  const bool reduce = shape != FuzzShape::kMap;
+  const Type result =
+      shape == FuzzShape::kReduceDouble ? Type::Double() : Type::Float();
+  const Slots slots{shape == FuzzShape::kMap ? 0 : result.is_wide() ? 2 : 1};
   Rng rng(seed);
   FuzzCase fc;
   fc.pool = std::make_shared<jvm::ClassPool>();
@@ -207,31 +226,44 @@ FuzzCase GenerateKernel(std::uint64_t seed) {
   {
     Assembler a;
     const Type fa = Type::Array(Type::Float());
-    a.Load(Type::Class("FuzzIn"), 0).GetField("FuzzIn", "_1").Store(fa, 1);
-    a.Load(Type::Class("FuzzIn"), 0).GetField("FuzzIn", "_2").Store(fa, 2);
-    a.Load(Type::Class("FuzzIn"), 0).GetField("FuzzIn", "_3")
-        .Store(Type::Float(), kScalarSlot);
-    a.FConst(0.0f).Store(Type::Float(), kAccSlot);
+    const Type in_type = Type::Class("FuzzIn");
+    a.Load(in_type, slots.in()).GetField("FuzzIn", "_1")
+        .Store(fa, slots.array(0));
+    a.Load(in_type, slots.in()).GetField("FuzzIn", "_2")
+        .Store(fa, slots.array(1));
+    a.Load(in_type, slots.in()).GetField("FuzzIn", "_3")
+        .Store(Type::Float(), slots.scalar());
+    a.FConst(0.0f).Store(Type::Float(), slots.acc());
     // One or two canonical counted loops, 1-3 statements each.
     const int loops = static_cast<int>(rng.NextInt(1, 2));
     for (int l = 0; l < loops; ++l) {
-      a.IConst(0).Store(Type::Int(), kLoopSlot);
+      a.IConst(0).Store(Type::Int(), slots.loop());
       auto head = a.NewLabel();
       auto exit = a.NewLabel();
       a.Bind(head);
-      a.Load(Type::Int(), kLoopSlot).IConst(kArrayLen)
+      a.Load(Type::Int(), slots.loop()).IConst(kArrayLen)
           .IfICmp(Cond::kGe, exit);
       const int stmts = static_cast<int>(rng.NextInt(1, 3));
-      for (int s = 0; s < stmts; ++s) EmitLoopStatement(a, rng);
-      a.IInc(kLoopSlot, 1);
+      for (int s = 0; s < stmts; ++s) EmitLoopStatement(a, rng, slots);
+      a.IInc(slots.loop(), 1);
       a.Goto(head);
       a.Bind(exit);
     }
-    a.Load(Type::Float(), kAccSlot).Ret(Type::Float());
     MethodSignature sig;
-    sig.params = {Type::Class("FuzzIn")};
-    sig.ret = Type::Float();
-    k.AddMethod(jvm::MakeMethod("call", sig, true, 7, a.Finish()));
+    sig.params = {in_type};
+    sig.ret = result;
+    if (reduce) {
+      // return acc_in + (R) value
+      a.Load(result, 0).Load(Type::Float(), slots.acc());
+      if (result.is_wide()) a.Convert(Type::Float(), result);
+      a.Bin(result, jvm::BinOp::kAdd);
+      sig.params = {result, in_type};
+    } else {
+      a.Load(Type::Float(), slots.acc());
+    }
+    a.Ret(result);
+    k.AddMethod(
+        jvm::MakeMethod("call", sig, true, slots.max_locals(), a.Finish()));
   }
 
   fc.spec.kernel_name = "fuzz_kernel";
@@ -240,9 +272,11 @@ FuzzCase GenerateKernel(std::uint64_t seed) {
   fc.spec.input.fields = {{"_1", Type::Float(), kArrayLen, true},
                           {"_2", Type::Float(), kArrayLen, true},
                           {"_3", Type::Float(), 1, false}};
-  fc.spec.output.type = Type::Float();
-  fc.spec.output.fields = {{"ret", Type::Float(), 1, false}};
-  fc.spec.batch = 16;
+  fc.spec.pattern =
+      reduce ? kir::ParallelPattern::kReduce : kir::ParallelPattern::kMap;
+  fc.spec.output.type = result;
+  fc.spec.output.fields = {{"ret", result, 1, false}};
+  fc.spec.batch = batch;
   return fc;
 }
 
@@ -263,9 +297,11 @@ merlin::DesignConfig RandomLegalConfig(const kir::Kernel& kernel, Rng& rng) {
   }
   for (const auto& buf : kernel.buffers) {
     if (buf.kind == kir::BufferKind::kLocal) continue;
-    const std::int64_t widths[] = {32, 64, 128, 256, 512};
-    cfg.buffer_bits[buf.name] =
-        static_cast<int>(widths[rng.NextIndex(5)]);
+    std::vector<int> widths;
+    for (int w : {32, 64, 128, 256, 512}) {
+      if (w >= buf.element.bit_width()) widths.push_back(w);
+    }
+    cfg.buffer_bits[buf.name] = widths[rng.NextIndex(widths.size())];
   }
   return cfg;
 }
@@ -295,7 +331,7 @@ std::uint64_t ValueBits(const Value& v) {
   return b;
 }
 
-// Requires the slot-resolved and reference evaluators to produce
+// Requires the lane and reference evaluators to produce
 // bit-identical buffer maps (every buffer, every element, including NaN
 // bit patterns) and to charge the same step count on `kernel`.
 void ExpectEvaluatorsBitIdentical(const kir::Kernel& kernel,
@@ -318,6 +354,93 @@ void ExpectEvaluatorsBitIdentical(const kir::Kernel& kernel,
           << "buffer " << name << " element " << e;
       ASSERT_EQ(ValueBits(fast_data[e]), ValueBits(it->second[e]))
           << "buffer " << name << " element " << e;
+    }
+  }
+}
+
+// Per-record inputs of a fuzz kernel: the two array fields (kArrayLen
+// elements per record) and the scalar field.
+struct Inputs {
+  std::vector<float> a1;
+  std::vector<float> a2;
+  std::vector<float> scalar;
+};
+
+Inputs RandomInputs(std::size_t records, Rng& rng) {
+  Inputs in;
+  in.a1.resize(records * kArrayLen);
+  in.a2.resize(records * kArrayLen);
+  in.scalar.resize(records);
+  for (auto& v : in.a1) v = static_cast<float>(rng.NextDouble(-3, 3));
+  for (auto& v : in.a2) v = static_cast<float>(rng.NextDouble(-3, 3));
+  for (auto& v : in.scalar) v = static_cast<float>(rng.NextDouble(-3, 3));
+  return in;
+}
+
+// The kernel's input buffers for the first `rows` records, zero-padded to
+// the full batch like Blaze's serializer pads a short final batch.
+kir::BufferMap ToBuffers(const Inputs& in, std::size_t rows) {
+  kir::BufferMap buffers;
+  for (std::size_t e = 0; e < in.a1.size(); ++e) {
+    const bool live = e < rows * kArrayLen;
+    buffers["in_1"].push_back(Value::OfFloat(live ? in.a1[e] : 0.0f));
+    buffers["in_2"].push_back(Value::OfFloat(live ? in.a2[e] : 0.0f));
+  }
+  for (std::size_t r = 0; r < in.scalar.size(); ++r) {
+    buffers["in_3"].push_back(Value::OfFloat(r < rows ? in.scalar[r] : 0.0f));
+  }
+  return buffers;
+}
+
+// Record `r` as a FuzzIn object on the interpreter heap.
+Value MakeRecord(jvm::Heap& heap, const Inputs& in, std::size_t r) {
+  jvm::Ref v1 = heap.NewArray(Type::Array(Type::Float()), kArrayLen);
+  jvm::Ref v2 = heap.NewArray(Type::Array(Type::Float()), kArrayLen);
+  for (std::size_t e = 0; e < kArrayLen; ++e) {
+    heap.Get(v1).slots[e] = Value::OfFloat(in.a1[r * kArrayLen + e]);
+    heap.Get(v2).slots[e] = Value::OfFloat(in.a2[r * kArrayLen + e]);
+  }
+  jvm::Ref obj = heap.NewInstance(Type::Class("FuzzIn"), 3);
+  heap.Get(obj).slots[0] = Value::OfRef(v1);
+  heap.Get(obj).slots[1] = Value::OfRef(v2);
+  heap.Get(obj).slots[2] = Value::OfFloat(in.scalar[r]);
+  return Value::OfRef(obj);
+}
+
+// A random legal config that also tiles the task loop.
+merlin::DesignConfig TaskTiledConfig(const kir::Kernel& kernel, Rng& rng) {
+  merlin::DesignConfig cfg = RandomLegalConfig(kernel, rng);
+  const std::int64_t trip =
+      kir::FindLoop(kernel.body, kernel.task_loop_id)->trip_count();
+  std::vector<std::int64_t> tiles;
+  for (std::int64_t t = 2; t < trip; ++t) {
+    if (trip % t == 0) tiles.push_back(t);
+  }
+  merlin::LoopConfig& lc = cfg.loops[kernel.task_loop_id];
+  lc.tile = tiles[rng.NextIndex(tiles.size())];
+  lc.parallel = rng.NextInt(1, lc.tile);
+  return cfg;
+}
+
+// The lane path against the reference evaluator: `kernel`, a random
+// transform and a task-loop-tiled transform of it, each on the full batch
+// and on a partial batch of random N in [1, batch).
+void ExpectLanesMatchReference(const kir::Kernel& kernel, const Inputs& in,
+                               Rng& rng) {
+  const std::vector<kir::Kernel> kernels = {
+      kernel,
+      merlin::ApplyDesign(kernel, RandomLegalConfig(kernel, rng)).kernel,
+      merlin::ApplyDesign(kernel, TaskTiledConfig(kernel, rng)).kernel};
+  const auto batch = static_cast<std::int64_t>(in.scalar.size());
+  for (std::int64_t rows : {batch, rng.NextInt(1, batch - 1)}) {
+    SCOPED_TRACE("N=" + std::to_string(rows));
+    const kir::BufferMap inputs =
+        ToBuffers(in, static_cast<std::size_t>(rows));
+    const std::map<std::string, Value> scalars = {
+        {"N", Value::OfInt(static_cast<std::int32_t>(rows))}};
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+      SCOPED_TRACE("kernel " + std::to_string(k));
+      ExpectEvaluatorsBitIdentical(kernels[k], scalars, inputs);
     }
   }
 }
@@ -397,20 +520,45 @@ void RunDifferential(std::uint64_t seed) {
     }
   }
 
-  // 4. Slot-resolved vs reference evaluator must agree bit-for-bit on
-  //    every buffer (and on step counts) — on the compiled kernel and on
-  //    a random transform of it.
-  kir::BufferMap inputs;
-  for (float v : a1) inputs["in_1"].push_back(Value::OfFloat(v));
-  for (float v : a2) inputs["in_2"].push_back(Value::OfFloat(v));
-  for (float v : s) inputs["in_3"].push_back(Value::OfFloat(v));
-  const std::map<std::string, Value> scalars = {
-      {"N", Value::OfInt(static_cast<std::int32_t>(batch))}};
-  ExpectEvaluatorsBitIdentical(kernel, scalars, inputs);
+  // 4. Lane and reference evaluators must agree bit-for-bit on every
+  //    buffer (and on step counts) -- on the compiled kernel, a random
+  //    transform of it and a transform tiling the task loop, for the full
+  //    batch and for a partial one.
   Rng trng(seed ^ 0x51D3ULL);
-  merlin::DesignConfig cfg = RandomLegalConfig(kernel, trng);
-  ExpectEvaluatorsBitIdentical(merlin::ApplyDesign(kernel, cfg).kernel,
-                               scalars, inputs);
+  ExpectLanesMatchReference(kernel, {a1, a2, s}, trng);
+}
+
+// Lane-path differential on a batch spanning two lane chunks, for the map
+// kernel and the reduce variants (float and double accumulators, whose
+// per-lane values are folded in lane order).
+void RunLaneDifferential(std::uint64_t seed, FuzzShape shape) {
+  SCOPED_TRACE("seed=" + std::to_string(seed) + " shape=" +
+               std::to_string(static_cast<int>(shape)));
+  FuzzCase fc = GenerateKernel(seed, shape, kir::kLaneChunk + 44);
+  jvm::VerifyOrThrow(*fc.pool, fc.pool->Get("FuzzKernel").GetMethod("call"));
+  kir::Kernel kernel = b2c::CompileKernel(*fc.pool, fc.spec);
+  ASSERT_EQ(kir::Evaluator(kernel).lane_width(), kir::kLaneChunk);
+  Rng drng(seed ^ 0x1A7EULL);
+  Inputs in = RandomInputs(static_cast<std::size_t>(fc.spec.batch), drng);
+  if (shape != FuzzShape::kMap) {
+    // The reduce kernel folds records in order, exactly like the JVM.
+    jvm::Heap heap;
+    jvm::Interpreter interp(*fc.pool, heap);
+    const bool wide = shape == FuzzShape::kReduceDouble;
+    Value acc = wide ? Value::OfDouble(0.0) : Value::OfFloat(0.0f);
+    for (std::size_t r = 0; r < in.scalar.size(); ++r) {
+      acc = interp.Invoke("FuzzKernel", "call",
+                          {acc, MakeRecord(heap, in, r)})
+                .ret;
+    }
+    kir::BufferMap buffers = ToBuffers(in, in.scalar.size());
+    kir::Evaluator(kernel).Run(
+        {{"N", Value::OfInt(static_cast<std::int32_t>(in.scalar.size()))}},
+        buffers);
+    ASSERT_EQ(ValueBits(buffers["out_1"][0]), ValueBits(acc));
+  }
+  Rng trng(seed ^ 0x7117ULL);
+  ExpectLanesMatchReference(kernel, in, trng);
 }
 
 class DifferentialFuzz : public ::testing::TestWithParam<int> {};
@@ -424,6 +572,22 @@ TEST_P(DifferentialFuzz, InterpreterCompilerAndMerlinAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialFuzz, ::testing::Range(0, 12));
+
+class LaneDifferentialFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(LaneDifferentialFuzz, LanePathMatchesReference) {
+  for (int k = 0; k < 2; ++k) {
+    const auto seed =
+        static_cast<std::uint64_t>(GetParam()) * 1000 + 700 +
+        static_cast<std::uint64_t>(k);
+    RunLaneDifferential(seed, FuzzShape::kMap);
+    RunLaneDifferential(seed, FuzzShape::kReduceFloat);
+    RunLaneDifferential(seed, FuzzShape::kReduceDouble);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LaneDifferentialFuzz,
+                         ::testing::Range(0, 12));
 
 TEST(FuzzGeneratorTest, ProducesVerifiableKernels) {
   for (std::uint64_t seed = 500; seed < 540; ++seed) {

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <typeinfo>
 
 #include "kir/analysis.h"
 #include "kir/arena.h"
@@ -389,6 +391,240 @@ TEST(EvalTest, SlotAndReferenceWalkersCountSameSteps) {
   ref.Run({{"N", Value::OfInt(16)}}, b2);
   EXPECT_GT(fast.last_steps(), 0u);
   EXPECT_EQ(fast.last_steps(), ref.last_steps());
+}
+
+// ------------------------------------------------------- lane executor
+
+Buffer Interface(std::string name, Type element, std::int64_t tasks,
+                 BufferKind kind) {
+  Buffer b;
+  b.name = std::move(name);
+  b.element = element;
+  b.length = tasks;
+  b.kind = kind;
+  b.per_task = 1;
+  return b;
+}
+
+// A map kernel over `tasks` tasks whose task-loop body is `body`.
+Kernel TaskKernel(std::vector<Buffer> buffers, std::int64_t tasks,
+                  std::vector<StmtPtr> body) {
+  Kernel k;
+  k.name = "lanes";
+  k.scalars.push_back({"N", Type::Int()});
+  k.buffers = std::move(buffers);
+  auto loop = Stmt::For(0, "i", tasks, Stmt::Block(std::move(body)));
+  loop->set_inserted_by_template(true);
+  k.body = Stmt::Block({loop});
+  k.task_loop_id = 0;
+  return k;
+}
+
+// Runs both evaluators from the same inputs; requires identical buffers
+// (kinds and bits) and step counts. Returns the lane width taken.
+int ExpectLaneParity(const Kernel& k, const BufferMap& inputs,
+                     std::int32_t n) {
+  BufferMap fast_bufs = inputs;
+  BufferMap ref_bufs = inputs;
+  Evaluator fast(k);
+  ReferenceEvaluator ref(k);
+  fast.Run({{"N", Value::OfInt(n)}}, fast_bufs);
+  ref.Run({{"N", Value::OfInt(n)}}, ref_bufs);
+  EXPECT_EQ(fast.last_steps(), ref.last_steps());
+  EXPECT_EQ(fast_bufs, ref_bufs);
+  return fast.lane_width();
+}
+
+// The exception type and message `run` throws ("none" when it returns).
+std::pair<std::string, std::string> Thrown(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const std::exception& e) {
+    return {typeid(e).name(), e.what()};
+  }
+  return {"none", ""};
+}
+
+BufferMap FloatInputs(std::int64_t tasks) {
+  BufferMap b;
+  for (std::int64_t t = 0; t < tasks; ++t) {
+    b["in"].push_back(Value::OfFloat(0.25f * static_cast<float>(t) - 3.0f));
+  }
+  return b;
+}
+
+TEST(LaneEvalTest, CrossTaskReadModifyWriteFallsBackToWidthOne) {
+  // out[0] = out[0] + in[i]: every task reads what the previous one wrote.
+  const auto i = Expr::Var("i", Type::Int());
+  const auto out0 = Expr::ArrayRef("out", Type::Float(), Expr::IntLit(0));
+  Kernel k = TaskKernel(
+      {Interface("in", Type::Float(), 300, BufferKind::kInput),
+       Interface("out", Type::Float(), 1, BufferKind::kOutput)},
+      300,
+      {Stmt::Assign(out0, Expr::Binary(BinaryOp::kAdd, out0,
+                                       Expr::ArrayRef("in", Type::Float(),
+                                                      i)))});
+  EXPECT_EQ(ExpectLaneParity(k, FloatInputs(300), 300), 1);
+}
+
+TEST(LaneEvalTest, ReadBeforeAssignmentFallsBackToWidthOne) {
+  // if (i > 0) out[i] = t;  float t = in[i] * 2;
+  // Task i reads the t left behind by task i - 1 (flat-map scoping).
+  const auto i = Expr::Var("i", Type::Int());
+  const auto t = Expr::Var("t", Type::Float());
+  auto read_t = Stmt::If(Expr::Binary(BinaryOp::kGt, i, Expr::IntLit(0)),
+                         Stmt::Assign(Expr::ArrayRef("out", Type::Float(), i),
+                                      t),
+                         nullptr);
+  auto decl_t = Stmt::Decl(
+      "t", Type::Float(),
+      Expr::Binary(BinaryOp::kMul, Expr::ArrayRef("in", Type::Float(), i),
+                   Expr::FloatLit(2.0f)));
+  const std::vector<Buffer> buffers = {
+      Interface("in", Type::Float(), 300, BufferKind::kInput),
+      Interface("out", Type::Float(), 300, BufferKind::kOutput)};
+  EXPECT_EQ(ExpectLaneParity(TaskKernel(buffers, 300, {read_t, decl_t}),
+                             FloatInputs(300), 300),
+            1);
+  // Declared before the read, the same statements are independent.
+  EXPECT_EQ(ExpectLaneParity(TaskKernel(buffers, 300, {decl_t, read_t}),
+                             FloatInputs(300), 300),
+            kLaneChunk);
+}
+
+TEST(LaneEvalTest, CallerSizedLocalRunsLaneByLane) {
+  // tmp is declared with 4 elements and zero-filled per task, so it is
+  // privatized; a caller handing in a longer tmp makes out[i] read an
+  // element past the declared length that no task overwrites.
+  const auto i = Expr::Var("i", Type::Int());
+  const auto z = Expr::Var("z", Type::Int());
+  Buffer tmp;
+  tmp.name = "tmp";
+  tmp.element = Type::Float();
+  tmp.length = 4;
+  tmp.kind = BufferKind::kLocal;
+  auto at = [](std::int64_t e) {
+    return Expr::ArrayRef("tmp", Type::Float(), Expr::IntLit(e));
+  };
+  Kernel k = TaskKernel(
+      {Interface("in", Type::Float(), 300, BufferKind::kInput),
+       Interface("out", Type::Float(), 300, BufferKind::kOutput), tmp},
+      300,
+      {Stmt::For(1, "z", 4,
+                 Stmt::Block({Stmt::Assign(
+                     Expr::ArrayRef("tmp", Type::Float(), z),
+                     Expr::FloatLit(0.0f))})),
+       Stmt::Assign(at(1), Expr::ArrayRef("in", Type::Float(), i)),
+       Stmt::Assign(Expr::ArrayRef("out", Type::Float(), i),
+                    Expr::Binary(BinaryOp::kAdd, at(1), at(5)))});
+  BufferMap inputs = FloatInputs(300);
+  for (int e = 0; e < 8; ++e) {
+    inputs["tmp"].push_back(Value::OfFloat(10.0f + static_cast<float>(e)));
+  }
+  EXPECT_EQ(ExpectLaneParity(k, inputs, 300), kLaneChunk);
+}
+
+// q = 100 / d[i];  out[i] = in[idx[i]] + q  over 300 tasks, lane path.
+Kernel DivideThenGather() {
+  const auto i = Expr::Var("i", Type::Int());
+  const auto q = Expr::Var("q", Type::Int());
+  return TaskKernel(
+      {Interface("in", Type::Int(), 300, BufferKind::kInput),
+       Interface("d", Type::Int(), 300, BufferKind::kInput),
+       Interface("idx", Type::Int(), 300, BufferKind::kInput),
+       Interface("out", Type::Int(), 300, BufferKind::kOutput)},
+      300,
+      {Stmt::Decl("q", Type::Int(),
+                  Expr::Binary(BinaryOp::kDiv, Expr::IntLit(100),
+                               Expr::ArrayRef("d", Type::Int(), i))),
+       Stmt::Assign(
+           Expr::ArrayRef("out", Type::Int(), i),
+           Expr::Binary(BinaryOp::kAdd,
+                        Expr::ArrayRef("in", Type::Int(),
+                                       Expr::ArrayRef("idx", Type::Int(), i)),
+                        q))});
+}
+
+BufferMap DivideThenGatherInputs() {
+  BufferMap b;
+  for (int t = 0; t < 300; ++t) {
+    b["in"].push_back(Value::OfInt(t * 3));
+    b["d"].push_back(Value::OfInt(t % 7 + 1));
+    b["idx"].push_back(Value::OfInt(299 - t));
+  }
+  return b;
+}
+
+TEST(LaneEvalTest, ErrorsMatchTheSequentialWalk) {
+  const Kernel k = DivideThenGather();
+  ASSERT_EQ(Evaluator(k).lane_width(), kLaneChunk);
+  const auto run_both = [&](const BufferMap& inputs) {
+    BufferMap fast_bufs = inputs;
+    BufferMap ref_bufs = inputs;
+    const auto fast = Thrown([&] {
+      Evaluator(k).Run({{"N", Value::OfInt(300)}}, fast_bufs);
+    });
+    const auto ref = Thrown([&] {
+      ReferenceEvaluator(k).Run({{"N", Value::OfInt(300)}}, ref_bufs);
+    });
+    EXPECT_EQ(fast, ref);
+    return fast;
+  };
+
+  // An out-of-bounds gather in one lane mid-chunk.
+  BufferMap oob = DivideThenGatherInputs();
+  oob["idx"][137] = Value::OfInt(1000);
+  auto [type, message] = run_both(oob);
+  EXPECT_EQ(type, typeid(InvalidArgument).name());
+  EXPECT_NE(message.find("index 1000 out of bounds for buffer in"),
+            std::string::npos);
+
+  // An integer division by zero in an active lane.
+  BufferMap div = DivideThenGatherInputs();
+  div["d"][61] = Value::OfInt(0);
+  std::tie(type, message) = run_both(div);
+  EXPECT_EQ(type, typeid(InvalidArgument).name());
+  EXPECT_NE(message.find("division by zero"), std::string::npos);
+
+  // Both: the lane pass meets task 150's division first, but task 40's
+  // bad gather comes first in task order, so that is the error.
+  BufferMap both = DivideThenGatherInputs();
+  both["d"][150] = Value::OfInt(0);
+  both["idx"][40] = Value::OfInt(-5);
+  std::tie(type, message) = run_both(both);
+  EXPECT_NE(message.find("index -5 out of bounds"), std::string::npos);
+}
+
+TEST(LaneEvalTest, GuardedDivisionNeverRunsOnPaddedLanes) {
+  // Reduce template: if (i < N) acc = acc + 100 / d[i]; out[0] = acc.
+  // Padded tasks carry d = 0 and must never divide.
+  const auto i = Expr::Var("i", Type::Int());
+  const auto acc = Expr::Var("acc", Type::Int());
+  Kernel k;
+  k.name = "guarded";
+  k.pattern = ParallelPattern::kReduce;
+  k.scalars.push_back({"N", Type::Int()});
+  k.buffers = {Interface("d", Type::Int(), 300, BufferKind::kInput),
+               Interface("out", Type::Int(), 1, BufferKind::kOutput)};
+  auto update = Stmt::Assign(
+      acc, Expr::Binary(BinaryOp::kAdd, acc,
+                        Expr::Binary(BinaryOp::kDiv, Expr::IntLit(100),
+                                     Expr::ArrayRef("d", Type::Int(), i))));
+  auto loop = Stmt::For(
+      0, "i", 300,
+      Stmt::Block({Stmt::If(
+          Expr::Binary(BinaryOp::kLt, i, Expr::Var("N", Type::Int())),
+          Stmt::Block({update}), nullptr)}));
+  k.body = Stmt::Block(
+      {Stmt::Decl("acc", Type::Int(), Expr::IntLit(0)), loop,
+       Stmt::Assign(Expr::ArrayRef("out", Type::Int(), Expr::IntLit(0)),
+                    acc)});
+  k.task_loop_id = 0;
+  BufferMap inputs;
+  for (int t = 0; t < 300; ++t) {
+    inputs["d"].push_back(Value::OfInt(t < 270 ? t % 9 + 1 : 0));
+  }
+  EXPECT_EQ(ExpectLaneParity(k, inputs, 270), kLaneChunk);
 }
 
 // --------------------------------------------------------------- arena

@@ -540,6 +540,27 @@ TEST(JournalTest, PersistsAndResumes) {
   std::remove(path.c_str());
 }
 
+TEST(JournalTest, RepeatedKeyIsWrittenOnce) {
+  // Two evaluations that missed on the same key concurrently both record
+  // it; the journal keeps one line, so resumed() matches entries().
+  const std::string path =
+      testing::TempDir() + "s2fa_journal_repeat_test." +
+      std::to_string(::getpid()) + ".jsonl";
+  std::remove(path.c_str());
+  {
+    EvalJournal journal;
+    journal.Open(path);
+    journal.Record("p0|a", GoodOutcome(1.0, 2.0));
+    journal.Record("p0|a", GoodOutcome(1.0, 2.0));
+    EXPECT_EQ(journal.entries(), 1u);
+  }
+  EvalJournal resumed;
+  resumed.Open(path);
+  EXPECT_EQ(resumed.resumed(), 1u);
+  EXPECT_EQ(resumed.entries(), 1u);
+  std::remove(path.c_str());
+}
+
 TEST(JournalTest, AppendAfterTornTailStaysRecoverable) {
   const std::string path =
       testing::TempDir() + "s2fa_journal_torn_tail_test." +
