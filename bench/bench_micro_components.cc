@@ -69,7 +69,9 @@ void BM_BytecodeCompile(benchmark::State& state) {
 }
 BENCHMARK(BM_BytecodeCompile);
 
-void BM_InterpreterPerRecord(benchmark::State& state) {
+void BM_InterpreterBatch(benchmark::State& state) {
+  // The JVM side of the same kernel: one op interprets 64 records; items/s
+  // counts them.
   Fixture& f = Svm();
   Rng rng(1);
   blaze::Dataset input = f.app.make_input(64, rng);
@@ -80,7 +82,7 @@ void BM_InterpreterPerRecord(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_InterpreterPerRecord);
+BENCHMARK(BM_InterpreterBatch);
 
 void BM_KirEvalBatch(benchmark::State& state) {
   // The accelerator-side half of a Blaze invocation: evaluate the kernel
@@ -238,6 +240,26 @@ void BM_BlazeMapBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_BlazeMapBatch);
+
+void BM_BlazeMapPartialBatch(benchmark::State& state) {
+  // A short final batch: 8 live rows in one 1024-task invocation, the
+  // shape stream serving closes on its record count. The runtime pads the
+  // batch and bounds the kernel by its live rows.
+  Fixture& f = Svm();
+  Artifact artifact =
+      BuildWithConfig(*f.app.pool, f.app.spec, merlin::DesignConfig{});
+  blaze::BlazeRuntime runtime;
+  RegisterWithBlaze(runtime, "svm", artifact);
+  Rng rng(13);
+  blaze::Dataset input = f.app.make_input(8, rng);
+  Rng brng(14);
+  blaze::Dataset broadcast = f.app.make_broadcast(brng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(runtime.Map("svm", input, &broadcast));
+  }
+  state.SetItemsProcessed(state.iterations() * 8);
+}
+BENCHMARK(BM_BlazeMapPartialBatch);
 
 // Console reporting plus ledger capture: every finished (non-aggregate,
 // non-errored) run contributes its real-time ns/op to the perf ledger.

@@ -54,8 +54,9 @@ if(NOT rev STREQUAL "perf-smoke")
   message(FATAL_ERROR "perf_smoke: S2FA_GIT_REV not stamped (got '${rev}')")
 endif()
 foreach(bm
-    BM_InterpreterPerRecord     # bytecode interpreter
+    BM_InterpreterBatch         # bytecode interpreter (64 records)
     BM_KirEvalBatch             # kernel-IR evaluation (one batch)
+    BM_BlazeMapPartialBatch     # Blaze map of a short, padded batch
     BM_MerlinTransform          # Merlin transform
     BM_HlsEstimateSmallKernel   # HLS estimator
     BM_SerializationRoundTrip   # (de)serialization
@@ -106,8 +107,9 @@ if(NOT EXISTS "${COMMITTED}")
 endif()
 file(READ "${COMMITTED}" committed_content)
 foreach(bm
-    BM_InterpreterPerRecord
+    BM_InterpreterBatch
     BM_KirEvalBatch
+    BM_BlazeMapPartialBatch
     BM_MerlinTransform
     BM_HlsEstimateSmallKernel
     BM_SerializationRoundTrip

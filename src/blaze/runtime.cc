@@ -23,6 +23,23 @@ double InterfaceBytes(const RegisteredAccelerator& accel) {
   return bytes;
 }
 
+// Adds one invocation's partial into the running total of a reduce
+// output element. Floating partials sum in double (narrowed once at the
+// end); integral ones wrap in their own width, like Java's `+`.
+jvm::Value AddPartial(const jvm::Value& sum, const jvm::Value& partial) {
+  if (sum.is_long()) {
+    return jvm::Value::OfLong(static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(sum.AsLong()) +
+        static_cast<std::uint64_t>(partial.AsLong())));
+  }
+  if (sum.is_int()) {
+    return jvm::Value::OfInt(static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(sum.AsInt()) +
+        static_cast<std::uint32_t>(partial.AsInt())));
+  }
+  return jvm::Value::OfDouble(sum.AsDouble() + partial.AsDouble());
+}
+
 std::uint64_t SplitMix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -111,9 +128,11 @@ void BlazeRuntime::RunBatch(const std::string& accel_id,
     buffers.clear();
     SerializeBatch(plan, input, first, count, buffers, broadcast);
     total.serialize_us += per_invocation.serialize_us;
+    // The zero-padded tasks past `count` are only host work: the modeled
+    // invocation (InvocationCost) still charges the full batch.
     evaluator.Run(
         {{"N", jvm::Value::OfInt(static_cast<std::int32_t>(count))}},
-        buffers);
+        buffers, static_cast<std::int64_t>(count));
   };
   for (int attempt = 0; attempt < 2; ++attempt) {
     if (attempt == 1) {
@@ -221,7 +240,9 @@ Dataset BlazeRuntime::Reduce(const std::string& accel_id,
   const std::size_t batch = static_cast<std::size_t>(plan.batch);
 
   Dataset result = MakeOutputShell(plan, 1);
-  std::vector<double> partials;  // additive accumulators, one per column elem
+  // Additive accumulators, one per column element; float partials are
+  // carried as doubles.
+  std::vector<jvm::Value> partials;
   bool first_invocation = true;
 
   for (std::size_t first = 0; first < input.num_records(); first += batch) {
@@ -236,17 +257,13 @@ Dataset BlazeRuntime::Reduce(const std::string& accel_id,
       const auto& buf = buffers.at(entry.buffer);
       for (std::size_t e = 0;
            e < static_cast<std::size_t>(entry.per_task); ++e, ++cursor) {
-        double value = buf[e].is_double()
-                           ? buf[e].AsDouble()
-                           : buf[e].is_float()
-                                 ? buf[e].AsFloat()
-                                 : buf[e].is_long()
-                                       ? static_cast<double>(buf[e].AsLong())
-                                       : buf[e].AsInt();
+        const jvm::Value value = buf[e].is_float()
+                                     ? jvm::Value::OfDouble(buf[e].AsFloat())
+                                     : buf[e];
         if (first_invocation) {
           partials.push_back(value);
         } else {
-          partials[cursor] += value;
+          partials[cursor] = AddPartial(partials[cursor], value);
         }
       }
     }
@@ -260,21 +277,11 @@ Dataset BlazeRuntime::Reduce(const std::string& accel_id,
     Column& col = result.MutableColumnByField(entry.source_field);
     for (std::size_t e = 0;
          e < static_cast<std::size_t>(entry.per_task); ++e, ++cursor) {
-      double v = cursor < partials.size() ? partials[cursor] : 0.0;
-      switch (entry.element.kind()) {
-        case jvm::TypeKind::kDouble:
-          col.data[e] = jvm::Value::OfDouble(v);
-          break;
-        case jvm::TypeKind::kFloat:
-          col.data[e] = jvm::Value::OfFloat(static_cast<float>(v));
-          break;
-        case jvm::TypeKind::kLong:
-          col.data[e] = jvm::Value::OfLong(static_cast<std::int64_t>(v));
-          break;
-        default:
-          col.data[e] = jvm::Value::OfInt(static_cast<std::int32_t>(v));
-          break;
-      }
+      if (cursor >= partials.size()) continue;  // no input: stays zero
+      const jvm::Value& v = partials[cursor];
+      col.data[e] = entry.element.kind() == jvm::TypeKind::kFloat
+                        ? jvm::Value::OfFloat(static_cast<float>(v.AsDouble()))
+                        : v;
     }
   }
   total.total_us = total.serialize_us + total.transfer_us +

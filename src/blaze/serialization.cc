@@ -125,7 +125,9 @@ void SerializeBatch(const SerializationPlan& plan, const Dataset& dataset,
     const std::size_t stride = static_cast<std::size_t>(entry.per_task);
     const std::size_t total = static_cast<std::size_t>(plan.batch) * stride;
     const std::size_t used = count * stride;
-    buf.resize(total);
+    // Short final batches are zero-padded to the full batch size: one pass
+    // writes the default everywhere, then the live prefix is copied over.
+    buf.assign(total, jvm::DefaultValue(entry.element));
     const jvm::Value* src = col.data.data() + first_record * stride;
     if (SameElementKind(col.element, entry.element)) {
       // Zero-copy fast path: the record range is one contiguous slice of
@@ -139,9 +141,6 @@ void SerializeBatch(const SerializationPlan& plan, const Dataset& dataset,
         buf[e] = CoerceToElement(entry.element, src[e]);
       }
     }
-    // Short final batches are zero-padded to the full batch size.
-    std::fill(buf.begin() + static_cast<std::ptrdiff_t>(used), buf.end(),
-              jvm::DefaultValue(entry.element));
   }
 }
 

@@ -431,6 +431,10 @@ struct LaneLoop {
   std::vector<std::int32_t> vars;  // lane loop counters, outer first
   std::int64_t outer_trip = 0;
   std::int64_t inner_trip = 1;     // point-loop trip when tiled
+  bool accumulates = false;        // the body updates an accumulator
+  // The scalar N of a `task < N` guard around every accumulator update,
+  // or -1: padded lanes may then be skipped only when N is the live count.
+  std::int32_t guard = -1;
 };
 
 template <typename T>
@@ -676,6 +680,8 @@ class Compiler {
                       std::vector<const Stmt*>* nest,
                       const Stmt** assign) const;
   bool ReadsOk(const ExprPtr& e, const Assigned& da, const Plan& plan) const;
+  bool IsTaskIndex(const Expr& e, const Plan& plan) const;
+  std::string PaddingGuard(const Plan& plan) const;
   bool InterfaceIndexOk(const Expr& index, const std::string& buffer,
                         const Plan& plan) const;
   bool Check(const Stmt& s, Assigned& da, Plan& plan) const;
@@ -1032,6 +1038,73 @@ bool Compiler::Check(const Stmt& s, Assigned& da, Plan& plan) const {
       return true;
   }
   return false;
+}
+
+// The task index a lane runs: the task counter, or `t * T + p` over the
+// tiled nest -- the same lane number rule 3 pins as the task's slot.
+bool Compiler::IsTaskIndex(const Expr& e, const Plan& plan) const {
+  Affine a;
+  if (!ToAffine(e, &a) || a.constant != 0 ||
+      a.coef.size() != plan.nest.size()) {
+    return false;
+  }
+  std::int64_t stride = 1;
+  for (auto l = plan.nest.rbegin(); l != plan.nest.rend(); ++l) {
+    auto it = a.coef.find((*l)->loop_var());
+    if (it == a.coef.end() || it->second != stride) return false;
+    stride *= (*l)->trip_count();
+  }
+  return true;
+}
+
+// The reduce template's padding guard: the integral kernel scalar N, never
+// assigned, when every accumulator update sits in the then-branch of an
+// `if (task < N)`; "" otherwise.
+std::string Compiler::PaddingGuard(const Plan& plan) const {
+  Facts all;
+  std::vector<std::string> loops;
+  Gather(*k_.body, 0, loops, all);
+  auto guard_of = [&](const Expr& cond) -> std::string {
+    if (cond.kind() != ExprKind::kBinary ||
+        cond.binary_op() != BinaryOp::kLt) {
+      return "";
+    }
+    const Expr& n = *cond.operands()[1];
+    if (n.kind() != ExprKind::kVar || !n.type().is_integral() ||
+        all.assigns.count(n.name()) != 0 ||
+        !IsTaskIndex(*cond.operands()[0], plan)) {
+      return "";
+    }
+    const bool scalar = std::any_of(
+        k_.scalars.begin(), k_.scalars.end(),
+        [&](const ScalarParam& p) { return p.name == n.name(); });
+    return scalar ? n.name() : "";
+  };
+  std::set<std::string> guards;  // per update: its guard, "" when none
+  std::function<void(const Stmt&, const std::string&)> walk =
+      [&](const Stmt& s, const std::string& guard) {
+        switch (s.kind()) {
+          case StmtKind::kAssign:
+            if (plan.accumulators.count(&s) != 0) guards.insert(guard);
+            break;
+          case StmtKind::kDecl:
+            break;
+          case StmtKind::kIf: {
+            const std::string inner = guard_of(*s.cond());
+            walk(*s.then_stmt(), inner.empty() ? guard : inner);
+            if (s.else_stmt()) walk(*s.else_stmt(), guard);
+            break;
+          }
+          case StmtKind::kFor:
+            walk(*s.body(), guard);
+            break;
+          case StmtKind::kBlock:
+            for (const auto& st : s.stmts()) walk(*st, guard);
+            break;
+        }
+      };
+  walk(*plan.body, "");
+  return guards.size() == 1 ? *guards.begin() : "";
 }
 
 bool Compiler::PlanLanes(const Stmt& task, bool flatten, Plan* plan) const {
@@ -1459,6 +1532,9 @@ std::shared_ptr<LaneProgram> Compiler::Compile() {
     p_->lanes.outer_trip = plan_.nest.front()->trip_count();
     p_->lanes.inner_trip =
         plan_.nest.size() > 1 ? plan_.nest.back()->trip_count() : 1;
+    p_->lanes.accumulates = !plan_.updates.empty();
+    const std::string guard = PaddingGuard(plan_);
+    if (!guard.empty()) p_->lanes.guard = var_ids_.at(guard);
     // A chunk never needs more columns than the loop has lanes.
     p_->width = static_cast<int>(std::clamp<std::int64_t>(
         p_->lanes.outer_trip * p_->lanes.inner_trip, 1, kLaneChunk));
@@ -1544,7 +1620,7 @@ struct Evaluator::Scratch {
   explicit Scratch(const LaneProgram& program);
 
   void Run(const std::map<std::string, Value>& scalars, BufferMap& buffers,
-           std::uint64_t& steps);
+           std::int64_t live_tasks, std::uint64_t& steps);
 
   // --- storage
   template <typename T>
@@ -1666,6 +1742,7 @@ struct Evaluator::Scratch {
   std::vector<std::uint16_t> masks;   // active-lane lists, per mask slot
   std::vector<std::uint8_t> pending;  // per accumulator: lanes with an X
   std::vector<std::vector<Value>*> bufs;
+  std::int64_t live_lanes = 0;  // lanes the task loop runs this Run
   std::uint64_t* steps = nullptr;
 };
 
@@ -2266,10 +2343,9 @@ void Evaluator::Scratch::LaneLoop(const SNode& s, const Lanes& ln) {
     // Per tile: the tile loop's body block and the point loop.
     Charge(ln, 2 * static_cast<std::uint64_t>(loop.outer_trip));
   }
-  const std::int64_t total = loop.outer_trip * loop.inner_trip;
   const std::int64_t chunk = copy_mode ? 1 : static_cast<std::int64_t>(width);
-  for (std::int64_t base = 0; base < total; base += chunk) {
-    RunChunk(s, base, static_cast<int>(std::min(chunk, total - base)));
+  for (std::int64_t base = 0; base < live_lanes; base += chunk) {
+    RunChunk(s, base, static_cast<int>(std::min(chunk, live_lanes - base)));
   }
   // Leave the counters where the sequential walk leaves them.
   auto set = [&](std::int32_t var, std::int64_t v) {
@@ -2380,7 +2456,8 @@ void Evaluator::Scratch::WriteBackPrivates() {
 }
 
 void Evaluator::Scratch::Run(const std::map<std::string, Value>& scalars,
-                             BufferMap& buffers, std::uint64_t& step_count) {
+                             BufferMap& buffers, std::int64_t live_tasks,
+                             std::uint64_t& step_count) {
   steps = &step_count;
   *steps = 0;
   std::fill(bound.begin(), bound.end(), 0);
@@ -2427,6 +2504,15 @@ void Evaluator::Scratch::Run(const std::map<std::string, Value>& scalars,
   p_f32.resize(totals[2]);
   p_f64.resize(totals[3]);
 
+  // Lane l runs task l, so skipping padding keeps the first live_tasks
+  // lanes -- when nothing a padded task does is observable (eval.h).
+  const lane::LaneLoop& loop = prog.lanes;
+  live_lanes = loop.outer_trip * loop.inner_trip;
+  if (prog.width > 1 && live_tasks < live_lanes &&
+      (!loop.accumulates ||
+       (loop.guard >= 0 && ToInt64(VarValue(loop.guard)) == live_tasks))) {
+    live_lanes = live_tasks;
+  }
   Exec(prog.root, Lanes{});
 }
 
@@ -2446,8 +2532,9 @@ Evaluator::Evaluator(std::shared_ptr<const LaneProgram> program)
 Evaluator::~Evaluator() = default;
 
 void Evaluator::Run(const std::map<std::string, Value>& scalars,
-                    BufferMap& buffers) {
-  scratch_->Run(scalars, buffers, steps_);
+                    BufferMap& buffers, std::int64_t live_tasks) {
+  S2FA_REQUIRE(live_tasks >= 0, "live task count must be >= 0");
+  scratch_->Run(scalars, buffers, live_tasks, steps_);
 }
 
 int Evaluator::lane_width() const { return program_->width; }

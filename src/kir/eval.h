@@ -54,6 +54,19 @@
 //    raised is the one the sequential walk raises first, with the same
 //    type and message.
 //
+//    Run may be given the batch's live task count. Blaze zero-pads a short
+//    final batch, and on the lane path (lane_width() > 1) the tasks at or
+//    past that count are unobservable padding: their interface writes land
+//    in their own padded slots and their privates are per lane. Lane l runs
+//    task l (the task counter, or t * T + p of the tiled nest -- rule 3
+//    pins that as its slot), so only the first live_tasks lanes run. A
+//    kernel with accumulators skips padding only when every update sits
+//    under the template's `task < N` guard and N equals the live count.
+//    Skipped tasks leave their output slots at the zero default, a
+//    privatized local is written back from the last live lane,
+//    last_steps() counts live lanes only, and a padded task that would
+//    fault is never evaluated. Width-1 programs always run the full batch.
+//
 //  - ReferenceEvaluator: the original map-keyed tree walker, retained as
 //    executable reference semantics. The differential fuzz harness runs
 //    every random kernel through both and requires bit-identical buffers
@@ -68,6 +81,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -84,6 +98,10 @@ using jvm::Value;
 // buffer's declared length times the task count where applicable; outputs
 // and locals are zero-initialized by Run if absent.
 using BufferMap = std::map<std::string, std::vector<Value>>;
+
+// Run's default live task count: the whole batch.
+inline constexpr std::int64_t kAllTasks =
+    std::numeric_limits<std::int64_t>::max();
 
 // Lanes per chunk on the lane path: a fixed width, not a tuning knob. It
 // bounds the per-Evaluator scratch (a column holds at most this many
@@ -110,7 +128,10 @@ class Evaluator {
   // parameter. `buffers` provides inputs and receives outputs. Missing
   // output/local entries are created zero-filled with the declared length;
   // off-chip buffers may be larger than declared (task-batched).
-  void Run(const std::map<std::string, Value>& scalars, BufferMap& buffers);
+  // `live_tasks` (>= 0) bounds the tasks a lane-path run evaluates; see
+  // the file comment for when padding is skipped.
+  void Run(const std::map<std::string, Value>& scalars, BufferMap& buffers,
+           std::int64_t live_tasks = kAllTasks);
 
   // Instruction-ish step count of the last Run (sanity/runaway guard).
   std::uint64_t last_steps() const { return steps_; }

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 
 #include "apps/app.h"
 #include "b2c/compiler.h"
 #include "blaze/runtime.h"
 #include "blaze/serialization.h"
+#include "hls/estimator.h"
 #include "jvm/assembler.h"
+#include "jvm/interpreter.h"
 #include "merlin/transform.h"
 #include "s2fa/framework.h"
 #include "support/rng.h"
@@ -544,12 +548,69 @@ TEST(RuntimeTest, PerInvocationCostMatchesStatsBreakdown) {
   EXPECT_THROW(runtime.PerInvocationCost("ghost"), InvalidArgument);
 }
 
+// call(acc, x) = acc + x over `type` (int or long), a batch-4 reduce.
+Artifact SumReducer(jvm::ClassPool& pool, const Type& type) {
+  const int width = type.is_wide() ? 2 : 1;
+  Assembler a;
+  a.Load(type, 0).Load(type, width).Bin(type, jvm::BinOp::kAdd).Ret(type);
+  MethodSignature sig;
+  sig.params = {type, type};
+  sig.ret = type;
+  pool.Define("Sum").AddMethod(
+      jvm::MakeMethod("call", sig, true, 2 * width, a.Finish()));
+  b2c::KernelSpec spec;
+  spec.kernel_name = "sum";
+  spec.klass = "Sum";
+  spec.pattern = kir::ParallelPattern::kReduce;
+  spec.input.type = type;
+  spec.input.fields = {{"x", type, 1, false}};
+  spec.output.type = type;
+  spec.output.fields = {{"ret", type, 1, false}};
+  spec.batch = 4;
+  return BuildWithConfig(pool, spec, merlin::DesignConfig{});
+}
+
+TEST(RuntimeTest, IntegralReduceWrapsAcrossInvocationsLikeJava) {
+  // Ten records over three invocations. The int total passes INT32_MAX;
+  // the long one passes 2^53 (where a double sum drops low bits) and
+  // wraps past INT64_MAX.
+  for (const Type& type : {Type::Int(), Type::Long()}) {
+    SCOPED_TRACE(type.ToString());
+    jvm::ClassPool pool;
+    BlazeRuntime runtime;
+    RegisterWithBlaze(runtime, "sum", SumReducer(pool, type));
+    Column x;
+    x.field = "x";
+    x.element = type;
+    for (std::int64_t r = 0; r < 10; ++r) {
+      x.data.push_back(type.is_wide()
+                           ? Value::OfLong((std::int64_t{1} << 60) + 7 * r + 1)
+                           : Value::OfInt(600'000'000 + static_cast<int>(r)));
+    }
+    Dataset input;
+    input.AddColumn(x);
+
+    jvm::Heap heap;
+    jvm::Interpreter interp(pool, heap);
+    Value want = type.is_wide() ? Value::OfLong(0) : Value::OfInt(0);
+    for (const Value& v : x.data) {
+      want = interp.Invoke("Sum", "call", {want, v}).ret;
+    }
+    ExecutionStats stats;
+    const Dataset got = runtime.Reduce("sum", input, nullptr, &stats);
+    EXPECT_EQ(stats.invocations, 3u);
+    EXPECT_EQ(got.ColumnByField("ret").data.at(0), want);
+  }
+}
+
 
 // ------------------------------------------------------- lane evaluator
 
 // A random legal Merlin design: tiling (including the task loop),
 // parallel and pipeline factors, interface widths.
-merlin::DesignConfig RandomDesign(const kir::Kernel& kernel, Rng& rng) {
+merlin::DesignConfig RandomDesign(
+    const kir::Kernel& kernel, Rng& rng,
+    std::int64_t max_parallel = std::numeric_limits<std::int64_t>::max()) {
   merlin::DesignConfig cfg;
   for (const kir::Stmt* loop : kernel.Loops()) {
     merlin::LoopConfig lc;
@@ -558,7 +619,8 @@ merlin::DesignConfig RandomDesign(const kir::Kernel& kernel, Rng& rng) {
       if (loop->trip_count() % t == 0) tiles.push_back(t);
     }
     lc.tile = tiles[rng.NextIndex(tiles.size())];
-    lc.parallel = rng.NextInt(1, lc.tile > 1 ? lc.tile : loop->trip_count());
+    lc.parallel = rng.NextInt(
+        1, std::min(max_parallel, lc.tile > 1 ? lc.tile : loop->trip_count()));
     lc.pipeline = static_cast<merlin::PipelineMode>(rng.NextInt(0, 2));
     cfg.loops[loop->loop_id()] = lc;
   }
@@ -649,6 +711,87 @@ TEST(LaneEvaluatorTest, AppsMatchReferenceOnFullAndPartialBatches) {
         ref.Run(scalars, ref_bufs);
         EXPECT_EQ(fast.last_steps(), ref.last_steps());
         ExpectBitIdentical(fast_bufs, ref_bufs);
+      }
+    }
+  }
+}
+
+double AsNumber(const Value& v) {
+  if (v.is_int()) return v.AsInt();
+  if (v.is_long()) return static_cast<double>(v.AsLong());
+  if (v.is_float()) return v.AsFloat();
+  return v.AsDouble();
+}
+
+// `got` equals the native reference within the tolerance float sums in
+// another order need.
+void ExpectMatchesReference(const Dataset& got, const Dataset& want) {
+  ASSERT_EQ(got.num_records(), want.num_records());
+  for (std::size_t c = 0; c < want.num_columns(); ++c) {
+    const Column& w = want.column(c);
+    const Column& g = got.ColumnByField(w.field);
+    ASSERT_EQ(g.data.size(), w.data.size()) << w.field;
+    for (std::size_t e = 0; e < w.data.size(); ++e) {
+      const double expect = AsNumber(w.data[e]);
+      EXPECT_NEAR(AsNumber(g.data[e]), expect,
+                  1e-4 * std::max(1.0, std::fabs(expect)))
+          << w.field << "[" << e << "]";
+    }
+  }
+}
+
+TEST(LaneEvaluatorTest, PartialBatchesThroughTheRuntimeMatchReference) {
+  // Every served app (all but S-W) at its real batch size, on the compiled
+  // design and four random feasible ones -- the first tiling the task
+  // loop -- with 1, 3 and batch - 1 live rows: the runtime bounds the
+  // lane executor by those rows, and the answers must not move.
+  for (apps::App app : apps::AllApps()) {
+    if (app.name == "S-W") continue;
+    SCOPED_TRACE(app.name);
+    const kir::Kernel generated = b2c::CompileKernel(*app.pool, app.spec);
+    const SerializationPlan plan = MakeSerializationPlan(generated);
+    BlazeRuntime runtime;
+    RegisterWithBlaze(runtime, "d0",
+                      BuildWithConfig(*app.pool, app.spec,
+                                      merlin::DesignConfig{}));
+    Rng crng(0x9AD5ULL ^ std::hash<std::string>{}(app.name));
+    int designs = 1;
+    for (int attempt = 0; attempt < 64 && designs < 5; ++attempt) {
+      merlin::DesignConfig cfg = RandomDesign(generated, crng, 8);
+      if (designs == 1) {
+        // Tile the task loop into 64-task tiles.
+        cfg.loops[generated.task_loop_id] = {64, 1,
+                                             merlin::PipelineMode::kOff};
+      }
+      RegisteredAccelerator accel;
+      accel.design = merlin::ApplyDesign(generated, cfg).kernel;
+      accel.hls = hls::EstimateHls(accel.design);
+      if (!accel.hls.feasible) continue;
+      accel.plan = plan;
+      runtime.manager().Register("d" + std::to_string(designs++),
+                                 std::move(accel));
+    }
+    ASSERT_EQ(designs, 5);
+
+    Dataset broadcast;
+    if (app.make_broadcast) {
+      Rng brng(31);
+      broadcast = app.make_broadcast(brng);
+    }
+    const Dataset* bc = app.make_broadcast ? &broadcast : nullptr;
+    const bool reduce = app.spec.pattern == kir::ParallelPattern::kReduce;
+    const auto batch = static_cast<std::size_t>(plan.batch);
+    for (std::size_t rows : {std::size_t{1}, std::size_t{3}, batch - 1}) {
+      SCOPED_TRACE("rows=" + std::to_string(rows));
+      Rng rng(37 + rows);
+      const Dataset input = app.make_input(rows, rng);
+      const Dataset want = app.reference(input, bc);
+      for (int d = 0; d < designs; ++d) {
+        SCOPED_TRACE("design " + std::to_string(d));
+        const std::string id = "d" + std::to_string(d);
+        ExpectMatchesReference(reduce ? runtime.Reduce(id, input, bc)
+                                      : runtime.Map(id, input, bc),
+                               want);
       }
     }
   }

@@ -358,6 +358,47 @@ void ExpectEvaluatorsBitIdentical(const kir::Kernel& kernel,
   }
 }
 
+// The live-task bound against the unbounded reference walk on the same
+// zero-padded input. On the lane path, live output slots and accumulator
+// outputs must be bit-identical and padded output slots must hold the
+// zero default; a width-1 kernel still runs, and matches, the full batch.
+void ExpectLiveBoundMatchesReference(
+    const kir::Kernel& kernel, const std::map<std::string, Value>& scalars,
+    const kir::BufferMap& inputs, std::int64_t rows) {
+  kir::BufferMap fast_bufs = inputs;
+  kir::BufferMap ref_bufs = inputs;
+  kir::Evaluator fast(kernel);
+  fast.Run(scalars, fast_bufs, rows);
+  kir::ReferenceEvaluator ref(kernel);
+  ref.Run(scalars, ref_bufs);
+  const bool lanes = fast.lane_width() > 1;
+  // Every lane-path kernel here skips its padding: b2c's map bodies have no
+  // accumulator and its reduce template guards them with `i < N`.
+  if (lanes) {
+    ASSERT_LT(fast.last_steps(), ref.last_steps());
+  } else {
+    ASSERT_EQ(fast.last_steps(), ref.last_steps());
+  }
+  for (const kir::Buffer& buf : kernel.buffers) {
+    if (lanes && buf.kind != kir::BufferKind::kOutput) continue;
+    SCOPED_TRACE("buffer " + buf.name);
+    const std::vector<Value>& got = fast_bufs.at(buf.name);
+    const std::vector<Value>& want = ref_bufs.at(buf.name);
+    ASSERT_EQ(got.size(), want.size());
+    // A reduce output holds the accumulators: compared whole.
+    const std::size_t live =
+        !lanes || kernel.pattern == kir::ParallelPattern::kReduce
+            ? got.size()
+            : static_cast<std::size_t>(rows * buf.per_task);
+    const Value zero = jvm::DefaultValue(buf.element);
+    for (std::size_t e = 0; e < got.size(); ++e) {
+      const Value& expect = e < live ? want[e] : zero;
+      ASSERT_EQ(ValueKind(got[e]), ValueKind(expect)) << "element " << e;
+      ASSERT_EQ(ValueBits(got[e]), ValueBits(expect)) << "element " << e;
+    }
+  }
+}
+
 // Per-record inputs of a fuzz kernel: the two array fields (kArrayLen
 // elements per record) and the scalar field.
 struct Inputs {
@@ -424,7 +465,8 @@ merlin::DesignConfig TaskTiledConfig(const kir::Kernel& kernel, Rng& rng) {
 
 // The lane path against the reference evaluator: `kernel`, a random
 // transform and a task-loop-tiled transform of it, each on the full batch
-// and on a partial batch of random N in [1, batch).
+// and on a partial batch of random N in [1, batch), the partial one also
+// with N as the live-task bound.
 void ExpectLanesMatchReference(const kir::Kernel& kernel, const Inputs& in,
                                Rng& rng) {
   const std::vector<kir::Kernel> kernels = {
@@ -441,6 +483,9 @@ void ExpectLanesMatchReference(const kir::Kernel& kernel, const Inputs& in,
     for (std::size_t k = 0; k < kernels.size(); ++k) {
       SCOPED_TRACE("kernel " + std::to_string(k));
       ExpectEvaluatorsBitIdentical(kernels[k], scalars, inputs);
+      if (rows < batch) {
+        ExpectLiveBoundMatchesReference(kernels[k], scalars, inputs, rows);
+      }
     }
   }
 }

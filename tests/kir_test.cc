@@ -627,6 +627,167 @@ TEST(LaneEvalTest, GuardedDivisionNeverRunsOnPaddedLanes) {
   EXPECT_EQ(ExpectLaneParity(k, inputs, 270), kLaneChunk);
 }
 
+// out[i] = 100 / d[i] over 300 tasks, on the lane path.
+StmtPtr DivideInto(const ExprPtr& task) {
+  return Stmt::Assign(
+      Expr::ArrayRef("out", Type::Int(), task),
+      Expr::Binary(BinaryOp::kDiv, Expr::IntLit(100),
+                   Expr::ArrayRef("d", Type::Int(), task)));
+}
+
+std::vector<Buffer> DivideBuffers() {
+  return {Interface("d", Type::Int(), 300, BufferKind::kInput),
+          Interface("out", Type::Int(), 300, BufferKind::kOutput)};
+}
+
+// d for the first `rows` tasks, zero-padded like a short Blaze batch.
+BufferMap PaddedDivisors(int rows) {
+  BufferMap b;
+  for (int t = 0; t < 300; ++t) {
+    b["d"].push_back(Value::OfInt(t < rows ? t % 9 + 1 : 0));
+  }
+  return b;
+}
+
+// Live slots hold 100 / d, padded slots the zero default.
+void ExpectDividedRows(const BufferMap& b, int rows) {
+  ASSERT_EQ(b.at("out").size(), 300u);
+  for (int t = 0; t < 300; ++t) {
+    EXPECT_EQ(b.at("out")[static_cast<std::size_t>(t)],
+              Value::OfInt(t < rows ? 100 / (t % 9 + 1) : 0))
+        << "task " << t;
+  }
+}
+
+TEST(LaneEvalTest, LiveTaskBoundSkipsPaddedTasks) {
+  const Kernel k =
+      TaskKernel(DivideBuffers(), 300, {DivideInto(Expr::Var("i", Type::Int()))});
+  ASSERT_EQ(Evaluator(k).lane_width(), kLaneChunk);
+  const std::map<std::string, Value> scalars = {{"N", Value::OfInt(3)}};
+
+  // Three live rows: the padded divisors are never evaluated.
+  BufferMap partial = PaddedDivisors(3);
+  Evaluator fast(k);
+  fast.Run(scalars, partial, 3);
+  ExpectDividedRows(partial, 3);
+  EXPECT_LT(fast.last_steps(), 300u);  // live lanes only
+
+  // A full batch containing a zero still throws, bounded or not.
+  BufferMap zero = PaddedDivisors(300);
+  zero["d"][200] = Value::OfInt(0);
+  EXPECT_THROW(Evaluator(k).Run(scalars, zero), InvalidArgument);
+  EXPECT_THROW(Evaluator(k).Run(scalars, zero, 300), InvalidArgument);
+  // A negative bound is rejected.
+  EXPECT_THROW(Evaluator(k).Run(scalars, partial, -1), InvalidArgument);
+
+  // A width-1 program runs the whole padded batch: out[0] += 100 / d[i]
+  // reads what the previous task wrote.
+  const auto i = Expr::Var("i", Type::Int());
+  const auto out0 = Expr::ArrayRef("out", Type::Int(), Expr::IntLit(0));
+  const Kernel serial = TaskKernel(
+      DivideBuffers(), 300,
+      {Stmt::Assign(out0,
+                    Expr::Binary(BinaryOp::kAdd, out0,
+                                 Expr::Binary(BinaryOp::kDiv,
+                                              Expr::IntLit(100),
+                                              Expr::ArrayRef("d", Type::Int(),
+                                                             i))))});
+  ASSERT_EQ(Evaluator(serial).lane_width(), 1);
+  BufferMap padded = PaddedDivisors(3);
+  EXPECT_THROW(Evaluator(serial).Run(scalars, padded, 3), InvalidArgument);
+}
+
+TEST(LaneEvalTest, LiveTaskBoundMapsToTheTiledNest) {
+  // The task loop tiled 25 x 12, body rewritten to task i_t * 12 + i_p:
+  // task t is lane t, so 30 live tasks are two full tiles and half a third.
+  const auto task = Expr::Binary(
+      BinaryOp::kAdd,
+      Expr::Binary(BinaryOp::kMul, Expr::Var("i_t", Type::Int()),
+                   Expr::IntLit(12)),
+      Expr::Var("i_p", Type::Int()));
+  Kernel k;
+  k.name = "tiled";
+  k.scalars.push_back({"N", Type::Int()});
+  k.buffers = DivideBuffers();
+  auto point = Stmt::For(1, "i_p", 12, Stmt::Block({DivideInto(task)}));
+  auto tile = Stmt::For(0, "i_t", 25, Stmt::Block({point}));
+  tile->set_inserted_by_template(true);
+  k.body = Stmt::Block({tile});
+  k.task_loop_id = 0;
+  ASSERT_EQ(Evaluator(k).lane_width(), kLaneChunk);
+  for (int rows : {1, 30, 299}) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    BufferMap b = PaddedDivisors(rows);
+    Evaluator(k).Run({{"N", Value::OfInt(rows)}}, b, rows);
+    ExpectDividedRows(b, rows);
+  }
+}
+
+TEST(LaneEvalTest, AccumulatorsSkipPaddingOnlyUnderTheLiveGuard) {
+  // acc = acc + 100 / d[i], unguarded or under `if (task < N)`; out[0] =
+  // acc.
+  const auto i = Expr::Var("i", Type::Int());
+  const auto acc = Expr::Var("acc", Type::Int());
+  auto reduce = [&](const ExprPtr& task) {
+    Kernel k;
+    k.name = "reduce";
+    k.pattern = ParallelPattern::kReduce;
+    k.scalars.push_back({"N", Type::Int()});
+    k.buffers = {Interface("d", Type::Int(), 300, BufferKind::kInput),
+                 Interface("out", Type::Int(), 1, BufferKind::kOutput)};
+    StmtPtr update = Stmt::Assign(
+        acc, Expr::Binary(BinaryOp::kAdd, acc,
+                          Expr::Binary(BinaryOp::kDiv, Expr::IntLit(100),
+                                       Expr::ArrayRef("d", Type::Int(), i))));
+    if (task) {
+      update = Stmt::If(
+          Expr::Binary(BinaryOp::kLt, task, Expr::Var("N", Type::Int())),
+          Stmt::Block({update}), nullptr);
+    }
+    auto loop = Stmt::For(0, "i", 300, Stmt::Block({update}));
+    loop->set_inserted_by_template(true);
+    k.body = Stmt::Block(
+        {Stmt::Decl("acc", Type::Int(), Expr::IntLit(0)), loop,
+         Stmt::Assign(Expr::ArrayRef("out", Type::Int(), Expr::IntLit(0)),
+                      acc)});
+    k.task_loop_id = 0;
+    return k;
+  };
+  const BufferMap inputs = PaddedDivisors(270);
+  const std::map<std::string, Value> n270 = {{"N", Value::OfInt(270)}};
+  const Kernel guarded = reduce(i);
+  ASSERT_EQ(Evaluator(guarded).lane_width(), kLaneChunk);
+  BufferMap want = inputs;
+  ReferenceEvaluator ref(guarded);
+  ref.Run(n270, want);
+
+  // N == live: the padded lanes are skipped, the sum is unchanged.
+  BufferMap got = inputs;
+  Evaluator bounded(guarded);
+  bounded.Run(n270, got, 270);
+  EXPECT_EQ(got, want);
+  EXPECT_LT(bounded.last_steps(), ref.last_steps());
+  // N != live: every lane runs, as without a bound.
+  Evaluator mismatched(guarded);
+  got = inputs;
+  mismatched.Run(n270, got, 100);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(mismatched.last_steps(), ref.last_steps());
+
+  // Unguarded, every task divides: the padded zeros throw despite the bound.
+  const Kernel unguarded = reduce(nullptr);
+  ASSERT_EQ(Evaluator(unguarded).lane_width(), kLaneChunk);
+  got = inputs;
+  EXPECT_THROW(Evaluator(unguarded).Run(n270, got, 270), InvalidArgument);
+  // `i - 1 < N` is not the task bound: task 270 still divides by its
+  // padded zero.
+  const Kernel shifted =
+      reduce(Expr::Binary(BinaryOp::kSub, i, Expr::IntLit(1)));
+  ASSERT_EQ(Evaluator(shifted).lane_width(), kLaneChunk);
+  got = inputs;
+  EXPECT_THROW(Evaluator(shifted).Run(n270, got, 270), InvalidArgument);
+}
+
 // --------------------------------------------------------------- arena
 
 TEST(ArenaTest, FreedNodesAreReused) {
