@@ -80,6 +80,35 @@ double CarriedPathLatency(const ExprPtr& expr,
   return path + NodeLatency(e);
 }
 
+// Calls `fn` on every buffer read or write under `stmt`, nested loops
+// included.
+void VisitBufferAccesses(const Stmt& stmt,
+                         const std::function<void(const Expr&)>& fn) {
+  const std::function<void(const Expr&)> on_node = [&fn](const Expr& e) {
+    if (e.kind() == ExprKind::kArrayRef) fn(e);
+  };
+  switch (stmt.kind()) {
+    case StmtKind::kAssign:
+      kir::VisitExpr(stmt.lhs(), on_node);
+      kir::VisitExpr(stmt.rhs(), on_node);
+      break;
+    case StmtKind::kDecl:
+      if (stmt.init()) kir::VisitExpr(stmt.init(), on_node);
+      break;
+    case StmtKind::kIf:
+      kir::VisitExpr(stmt.cond(), on_node);
+      VisitBufferAccesses(*stmt.then_stmt(), fn);
+      if (stmt.else_stmt()) VisitBufferAccesses(*stmt.else_stmt(), fn);
+      break;
+    case StmtKind::kFor:
+      VisitBufferAccesses(*stmt.body(), fn);
+      break;
+    case StmtKind::kBlock:
+      for (const auto& st : stmt.stmts()) VisitBufferAccesses(*st, fn);
+      break;
+  }
+}
+
 class Estimator {
  public:
   Estimator(const kir::Kernel& kernel, const EstimatorOptions& options)
@@ -255,16 +284,13 @@ void Estimator::PrecomputePartitions() {
   for (const Stmt* loop : k_.Loops()) {
     const std::int64_t u = UnrollOf(*loop);
     if (u <= 1) continue;
-    kir::OpCounts counts = kir::CountTotalOps(*loop->body());
-    auto bump = [&](const std::string& name) {
-      const Buffer* buf = k_.FindBuffer(name);
+    VisitBufferAccesses(*loop->body(), [&](const Expr& access) {
+      const Buffer* buf = k_.FindBuffer(access.name());
       if (buf != nullptr && buf->kind == BufferKind::kLocal) {
-        partition_[name] = std::max(partition_[name],
-                                    std::min<std::int64_t>(u, buf->length));
+        std::int64_t& part = partition_[access.name()];
+        part = std::max(part, std::min<std::int64_t>(u, buf->length));
       }
-    };
-    for (const auto& [name, n] : counts.buffer_reads) bump(name);
-    for (const auto& [name, n] : counts.buffer_writes) bump(name);
+    });
   }
 }
 
@@ -337,16 +363,20 @@ double Estimator::LoopLatency(const Stmt& loop, double repl, double scale) {
       StmtLatency(*loop.body(), repl * static_cast<double>(u),
                   scale * iters);
 
-  kir::LoopRecurrence rec = kir::AnalyzeRecurrence(loop);
-  if (rec.carried) {
-    bool buffer_carried = false;
+  // The recurrence is read only by the wavefront check of a wide unroll and
+  // by the II of a pipelined loop without a tree reduction; other loops
+  // skip the analysis.
+  const bool pipelined =
+      pipe != merlin::PipelineMode::kOff && !has_live_subloop;
+  kir::LoopRecurrence rec;
+  if (u > 16 || (pipelined && !tree)) rec = kir::AnalyzeRecurrence(loop);
+  if (u > 16) {
     for (const auto& carrier : rec.carriers) {
-      if (k_.FindBuffer(carrier) != nullptr) buffer_carried = true;
+      if (k_.FindBuffer(carrier) != nullptr) unrolled_wavefront_ = true;
     }
-    if (buffer_carried && u > 16) unrolled_wavefront_ = true;
   }
 
-  if (pipe != merlin::PipelineMode::kOff && !has_live_subloop) {
+  if (pipelined) {
     // Pipelined: II from the carried recurrence and from memory ports.
     double ii_rec = 1;
     if (rec.carried && !tree) {

@@ -243,51 +243,12 @@ void CollectPrivateNames(const Stmt& stmt, std::set<std::string>& names) {
   }
 }
 
-void CollectVarReads(const ExprPtr& expr, std::set<std::string>& vars) {
-  VisitExpr(expr, [&vars](const Expr& node) {
-    if (node.kind() == ExprKind::kVar) vars.insert(node.name());
-  });
-}
-
-struct AccessRecord {
-  const Stmt* assign = nullptr;
-  std::set<std::string> reads_vars;        // scalar variables read
-  std::map<std::string, std::vector<std::string>> buffer_read_indices;
-  std::string written_var;                 // non-empty for scalar writes
-  std::string written_buffer;              // non-empty for buffer writes
-  std::string written_index;               // textual form of the index
-};
-
-void CollectAssigns(const Stmt& stmt, std::vector<AccessRecord>& out) {
+// Collects every assignment under `stmt` in program order.
+void CollectAssigns(const Stmt& stmt, std::vector<const Stmt*>& out) {
   switch (stmt.kind()) {
-    case StmtKind::kAssign: {
-      AccessRecord rec;
-      rec.assign = &stmt;
-      CollectVarReads(stmt.rhs(), rec.reads_vars);
-      VisitExpr(stmt.rhs(), [&rec](const Expr& node) {
-        if (node.kind() == ExprKind::kArrayRef) {
-          rec.buffer_read_indices[node.name()].push_back(
-              node.operands()[0]->ToString());
-        }
-      });
-      if (stmt.lhs()->kind() == ExprKind::kVar) {
-        rec.written_var = stmt.lhs()->name();
-      } else {
-        rec.written_buffer = stmt.lhs()->name();
-        rec.written_index = stmt.lhs()->operands()[0]->ToString();
-        CollectVarReads(stmt.lhs()->operands()[0], rec.reads_vars);
-        // Reads that feed the LHS index do not form a value recurrence, but
-        // buffer reads inside the index expression do count as reads.
-        VisitExpr(stmt.lhs()->operands()[0], [&rec](const Expr& node) {
-          if (node.kind() == ExprKind::kArrayRef) {
-            rec.buffer_read_indices[node.name()].push_back(
-                node.operands()[0]->ToString());
-          }
-        });
-      }
-      out.push_back(std::move(rec));
+    case StmtKind::kAssign:
+      out.push_back(&stmt);
       break;
-    }
     case StmtKind::kIf:
       CollectAssigns(*stmt.then_stmt(), out);
       if (stmt.else_stmt()) CollectAssigns(*stmt.else_stmt(), out);
@@ -301,6 +262,20 @@ void CollectAssigns(const Stmt& stmt, std::vector<AccessRecord>& out) {
     default:
       break;
   }
+}
+
+// The expressions an assignment reads: its RHS and, for a buffer write,
+// the LHS index (which may itself read scalars and buffers).
+void VisitAssignReads(const Stmt& assign,
+                      const std::function<void(const Expr&)>& fn) {
+  VisitExpr(assign.rhs(), fn);
+  if (assign.lhs()->kind() == ExprKind::kArrayRef) {
+    VisitExpr(assign.lhs()->operands()[0], fn);
+  }
+}
+
+bool Contains(const std::vector<std::string>& names, const std::string& name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
 }
 
 }  // namespace
@@ -367,62 +342,73 @@ LoopRecurrence AnalyzeRecurrence(const Stmt& loop) {
   S2FA_REQUIRE(loop.kind() == StmtKind::kFor, "recurrence needs a loop");
   LoopRecurrence result;
 
-  std::set<std::string> private_names;
-  private_names.insert(loop.loop_var());
-  CollectPrivateNames(*loop.body(), private_names);
-
-  std::vector<AccessRecord> assigns;
+  std::vector<const Stmt*> assigns;
   CollectAssigns(*loop.body(), assigns);
 
   // Scalar accumulators: a non-private scalar that is both written and read
-  // across the body.
+  // across the body. Carriers are listed by the first assignment reading
+  // them, alphabetically within one assignment.
+  std::set<std::string> private_names;
+  private_names.insert(loop.loop_var());
+  CollectPrivateNames(*loop.body(), private_names);
   std::set<std::string> written_scalars;
-  for (const auto& rec : assigns) {
-    if (!rec.written_var.empty() && private_names.count(rec.written_var) == 0) {
-      written_scalars.insert(rec.written_var);
+  for (const Stmt* assign : assigns) {
+    const Expr& lhs = *assign->lhs();
+    if (lhs.kind() == ExprKind::kVar && private_names.count(lhs.name()) == 0) {
+      written_scalars.insert(lhs.name());
     }
   }
-  for (const auto& rec : assigns) {
-    for (const auto& v : rec.reads_vars) {
-      if (written_scalars.count(v) != 0) {
-        result.carried = true;
-        if (std::find(result.carriers.begin(), result.carriers.end(), v) ==
-            result.carriers.end()) {
-          result.carriers.push_back(v);
+  if (!written_scalars.empty()) {
+    for (const Stmt* assign : assigns) {
+      std::set<std::string> reads;
+      VisitAssignReads(*assign, [&](const Expr& node) {
+        if (node.kind() == ExprKind::kVar &&
+            written_scalars.count(node.name()) != 0) {
+          reads.insert(node.name());
         }
+      });
+      for (const auto& v : reads) {
+        if (!Contains(result.carriers, v)) result.carriers.push_back(v);
       }
     }
-  }
-  if (result.carried) {
-    for (const auto& rec : assigns) {
-      if (!rec.written_var.empty() &&
-          std::find(result.carriers.begin(), result.carriers.end(),
-                    rec.written_var) != result.carriers.end()) {
-        result.cycle_exprs.push_back(rec.assign->rhs());
+    for (const Stmt* assign : assigns) {
+      if (assign->lhs()->kind() == ExprKind::kVar &&
+          Contains(result.carriers, assign->lhs()->name())) {
+        result.cycle_exprs.push_back(assign->rhs());
       }
     }
   }
 
-  // Buffer wavefronts: buffer written at one index and read at a different
-  // index expression within the same body.
-  for (const auto& rec : assigns) {
-    if (rec.written_buffer.empty()) continue;
-    for (const auto& other : assigns) {
-      auto it = other.buffer_read_indices.find(rec.written_buffer);
-      if (it == other.buffer_read_indices.end()) continue;
-      for (const auto& read_index : it->second) {
-        if (read_index != rec.written_index) {
-          result.carried = true;
-          if (std::find(result.carriers.begin(), result.carriers.end(),
-                        rec.written_buffer) == result.carriers.end()) {
-            result.carriers.push_back(rec.written_buffer);
-            result.cycle_exprs.push_back(rec.assign->rhs());
-          }
-        }
+  // Buffer wavefronts: a buffer written at one index expression and read
+  // (anywhere an assignment reads) at a textually different one. Indices
+  // are printed only for buffers that are both written and read.
+  std::vector<const Expr*> buffer_reads;
+  for (const Stmt* assign : assigns) {
+    VisitAssignReads(*assign, [&](const Expr& node) {
+      if (node.kind() == ExprKind::kArrayRef) buffer_reads.push_back(&node);
+    });
+  }
+  for (const Stmt* assign : assigns) {
+    const Expr& lhs = *assign->lhs();
+    if (lhs.kind() != ExprKind::kArrayRef ||
+        Contains(result.carriers, lhs.name())) {
+      continue;
+    }
+    const ExprPtr& written_index = lhs.operands()[0];
+    std::string written_text;
+    for (const Expr* read : buffer_reads) {
+      const ExprPtr& read_index = read->operands()[0];
+      if (read->name() != lhs.name() || read_index == written_index) continue;
+      if (written_text.empty()) written_text = written_index->ToString();
+      if (read_index->ToString() != written_text) {
+        result.carriers.push_back(lhs.name());
+        result.cycle_exprs.push_back(assign->rhs());
+        break;
       }
     }
   }
 
+  result.carried = !result.carriers.empty();
   return result;
 }
 

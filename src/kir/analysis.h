@@ -98,8 +98,17 @@ bool IsAssociativeReduction(const Stmt& loop, const std::string& carrier);
 //   - a scalar assigned in the body and also read, unless declared inside
 //     the body (loop-private temporaries) — the accumulator pattern;
 //   - a buffer written at one index expression and read at a syntactically
-//     different index that also depends on an enclosing loop variable —
-//     the stencil/wavefront pattern (e.g. Smith-Waterman).
+//     different one — the stencil/wavefront pattern (e.g. Smith-Waterman).
+//     Only assignments count: their right-hand sides and the index of a
+//     buffer store are reads, declaration initializers and if conditions
+//     are not. Indices are compared as printed text, so `i + 1` and `1 + i`
+//     differ, and a differing index counts whether or not it depends on a
+//     loop variable.
+// Scalar carriers come first, in the order of the first assignment reading
+// them (alphabetically within one assignment), then buffers in the order
+// of their first carried store; `cycle_exprs` holds the right-hand sides of
+// every store to a scalar carrier in body order, then of each buffer
+// carrier's first carried store.
 LoopRecurrence AnalyzeRecurrence(const Stmt& loop);
 
 // ----------------------------------------------------- expression depth

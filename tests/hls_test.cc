@@ -1,10 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "apps/app.h"
+#include "b2c/compiler.h"
 #include "hls/estimator.h"
 #include "kir/analysis.h"
 #include "merlin/transform.h"
+#include "support/rng.h"
+#include "tuner/space.h"
 
 namespace s2fa::hls {
 namespace {
@@ -80,6 +89,59 @@ kir::Kernel WavefrontKernel() {
       {loop,
        Stmt::Assign(Expr::ArrayRef("out", Type::Int(), Expr::IntLit(0)),
                     Expr::ArrayRef("h", Type::Int(), Expr::IntLit(256)))});
+  k.task_loop_id = 0;
+  return k;
+}
+
+// Nested kernel: out[i] = sum_j in[8*i + j], an 8x8 nest whose outer loop
+// holds a live inner loop unless the inner one is fully unrolled.
+kir::Kernel NestedKernel() {
+  kir::Kernel k;
+  k.name = "nested";
+  k.buffers.push_back({"in", Type::Float(), 64, BufferKind::kInput, ""});
+  k.buffers.push_back({"out", Type::Float(), 8, BufferKind::kOutput, ""});
+  auto i = Expr::Var("i", Type::Int());
+  auto j = Expr::Var("j", Type::Int());
+  auto acc = Expr::Var("acc", Type::Float());
+  auto inner = Stmt::For(
+      1, "j", 8,
+      Stmt::Block({Stmt::Assign(
+          acc,
+          Expr::Binary(BinaryOp::kAdd, acc,
+                       Expr::ArrayRef(
+                           "in", Type::Float(),
+                           Expr::Binary(BinaryOp::kAdd,
+                                        Expr::Binary(BinaryOp::kMul, i,
+                                                     Expr::IntLit(8)),
+                                        j))))}));
+  auto outer = Stmt::For(
+      0, "i", 8,
+      Stmt::Block({Stmt::Decl("acc", Type::Float(), Expr::FloatLit(0.0f)),
+                   inner,
+                   Stmt::Assign(Expr::ArrayRef("out", Type::Float(), i),
+                                acc)}));
+  k.body = Stmt::Block({outer});
+  return k;
+}
+
+// out[i] = 3 * in[i] (or in[i] * 3) over longs: a strength-reduced
+// constant multiply.
+kir::Kernel ConstMulKernel(bool literal_first) {
+  kir::Kernel k;
+  k.name = literal_first ? "cmul_lit_first" : "cmul_lit_second";
+  k.buffers.push_back({"in", Type::Long(), 256, BufferKind::kInput, ""});
+  k.buffers.push_back({"out", Type::Long(), 256, BufferKind::kOutput, ""});
+  auto i = Expr::Var("i", Type::Int());
+  auto x = Expr::ArrayRef("in", Type::Long(), i);
+  auto c = Expr::IntLit(3);  // 32-bit literal against a 64-bit operand
+  auto product =
+      literal_first ? Expr::Binary(BinaryOp::kMul, c, x)
+                    : Expr::Binary(BinaryOp::kMul, x, c);
+  auto loop = Stmt::For(
+      0, "i", 256,
+      Stmt::Block({Stmt::Assign(Expr::ArrayRef("out", Type::Long(), i),
+                                product)}));
+  k.body = Stmt::Block({loop});
   k.task_loop_id = 0;
   return k;
 }
@@ -297,27 +359,8 @@ TEST(HlsTest, AttributesFrequencyWall) {
 // from the variable operand regardless of operand order: `c * x` and
 // `x * c` are the same hardware.
 TEST(HlsTest, ConstMultiplyCostIsOperandOrderInvariant) {
-  auto make = [](bool literal_first) {
-    kir::Kernel k;
-    k.name = literal_first ? "cmul_lit_first" : "cmul_lit_second";
-    k.buffers.push_back({"in", Type::Long(), 256, BufferKind::kInput, ""});
-    k.buffers.push_back({"out", Type::Long(), 256, BufferKind::kOutput, ""});
-    auto i = Expr::Var("i", Type::Int());
-    auto x = Expr::ArrayRef("in", Type::Long(), i);
-    auto c = Expr::IntLit(3);  // 32-bit literal against a 64-bit operand
-    auto product =
-        literal_first ? Expr::Binary(BinaryOp::kMul, c, x)
-                      : Expr::Binary(BinaryOp::kMul, x, c);
-    auto loop = Stmt::For(
-        0, "i", 256,
-        Stmt::Block({Stmt::Assign(Expr::ArrayRef("out", Type::Long(), i),
-                                  product)}));
-    k.body = Stmt::Block({loop});
-    k.task_loop_id = 0;
-    return k;
-  };
-  HlsResult lit_first = EstimateHls(make(true));
-  HlsResult lit_second = EstimateHls(make(false));
+  HlsResult lit_first = EstimateHls(ConstMulKernel(true));
+  HlsResult lit_second = EstimateHls(ConstMulKernel(false));
   EXPECT_EQ(lit_first.util.lut, lit_second.util.lut);
   EXPECT_EQ(lit_first.util.ff, lit_second.util.ff);
   EXPECT_EQ(lit_first.util.dsp, lit_second.util.dsp);
@@ -335,35 +378,48 @@ TEST(HlsTest, WavefrontUnrollTanksFrequency) {
   EXPECT_LE(r_harsh.freq_mhz, 120.0);  // the S-W story (paper Table 2)
 }
 
+TEST(HlsTest, UnpipelinedWavefrontUnrollTanksFrequency) {
+  // The wavefront penalty follows the unroll, not the pipeline pragma: a
+  // sequential loop unrolled 64 wide ripples through the chain as well.
+  DesignConfig cfg;
+  cfg.loops[0] = {1, 64, PipelineMode::kOff};
+  kir::Kernel t = Transformed(WavefrontKernel(), cfg);
+  EstimatorOptions no_penalty;
+  no_penalty.wavefront_slowdown = 0;
+  HlsResult r = EstimateHls(t);
+  HlsResult r_free = EstimateHls(t, no_penalty);
+  EXPECT_LT(r.freq_mhz, r_free.freq_mhz);
+  EXPECT_LE(r.freq_mhz, 120.0);
+}
+
+TEST(HlsTest, TreeReductionKeepsMemoryIIAndBottleneck) {
+  // A tree-reduced accumulation pipelines at its memory II: u 32-bit reads
+  // per initiation through a 32-bit port give II u off the AXI side, and
+  // the add chain does not bind, whether or not the unroll is wide enough
+  // (u > 16) for the estimator to analyse the recurrence.
+  for (int u : {8, 32}) {
+    DesignConfig cfg;
+    cfg.loops[0] = {1, u, PipelineMode::kOn};
+    cfg.buffer_bits["in"] = 32;
+    kir::Kernel t = Transformed(ReduceKernel(), cfg);
+    ASSERT_TRUE(merlin::HasTreeReduction(*kir::FindLoop(t.body, 0)));
+    HlsResult r = EstimateHls(t);
+    ASSERT_TRUE(r.feasible) << u;
+    EXPECT_EQ(r.bottleneck.kind, BottleneckKind::kAxiBandwidth)
+        << u << ": " << BottleneckKindName(r.bottleneck.kind);
+    EXPECT_EQ(r.bottleneck.quantity, u) << u;
+    EXPECT_EQ(r.bottleneck.margin, u - 1) << u;
+    // 1024 / u initiations at II u dominate the cycle count.
+    const double stalls = u * (1024.0 / u - 1);
+    EXPECT_GE(r.cycles, stalls) << u;
+    EXPECT_LT(r.cycles, stalls + 100) << u;
+  }
+}
+
 TEST(HlsTest, PipelineIgnoredWithLiveSubloops) {
   // Outer loop containing a non-unrolled inner loop: pipelining the outer
   // is ineffective and the estimator notes it.
-  kir::Kernel k;
-  k.name = "nested";
-  k.buffers.push_back({"in", Type::Float(), 64, BufferKind::kInput, ""});
-  k.buffers.push_back({"out", Type::Float(), 8, BufferKind::kOutput, ""});
-  auto i = Expr::Var("i", Type::Int());
-  auto j = Expr::Var("j", Type::Int());
-  auto acc = Expr::Var("acc", Type::Float());
-  auto inner = Stmt::For(
-      1, "j", 8,
-      Stmt::Block({Stmt::Assign(
-          acc,
-          Expr::Binary(BinaryOp::kAdd, acc,
-                       Expr::ArrayRef(
-                           "in", Type::Float(),
-                           Expr::Binary(BinaryOp::kAdd,
-                                        Expr::Binary(BinaryOp::kMul, i,
-                                                     Expr::IntLit(8)),
-                                        j))))}));
-  auto outer = Stmt::For(
-      0, "i", 8,
-      Stmt::Block({Stmt::Decl("acc", Type::Float(), Expr::FloatLit(0.0f)),
-                   inner,
-                   Stmt::Assign(Expr::ArrayRef("out", Type::Float(), i),
-                                acc)}));
-  k.body = Stmt::Block({outer});
-
+  kir::Kernel k = NestedKernel();
   DesignConfig cfg;
   cfg.loops[0] = {1, 1, PipelineMode::kOn};
   HlsResult r = EstimateHls(Transformed(k, cfg));
@@ -438,6 +494,120 @@ TEST_P(UnrollSweep, MonotoneCycles) {
 
 INSTANTIATE_TEST_SUITE_P(Factors, UnrollSweep,
                          ::testing::Values(1, 2, 4, 8, 16, 32));
+
+
+// ------------------------------------------------------ golden estimates
+//
+// Every HlsResult field of a fixed design set, pinned bit for bit: each
+// kernel's untransformed baseline plus 16 seeded random legal designs
+// (ones merlin::ValidateConfig accepts) of every evaluation app and of
+// every hand-built kernel above. An estimator change that is meant to be
+// pure speed must leave hls_golden.inc untouched; the table was printed by
+// the disabled test below, run as
+//
+//   hls_test --gtest_also_run_disabled_tests
+//            --gtest_filter=HlsGoldenTest.DISABLED_PrintTable
+//
+// and keeping its output from the BEGIN line to the END line.
+
+constexpr int kGoldenDesignsPerKernel = 16;
+constexpr std::uint64_t kGoldenSeed = 2018;
+
+const char* const kGoldenTable[] = {
+#include "hls_golden.inc"
+};
+
+struct GoldenBase {
+  std::string name;
+  kir::Kernel kernel;
+};
+
+std::vector<GoldenBase> GoldenBases() {
+  std::vector<GoldenBase> bases;
+  for (const apps::App& app : apps::AllApps()) {
+    bases.push_back({app.name, b2c::CompileKernel(*app.pool, app.spec)});
+  }
+  kir::Kernel strict = ReduceKernel();
+  kir::FindLoop(strict.body, 0)->set_is_reduction(false);
+  bases.push_back({"stream", StreamKernel()});
+  bases.push_back({"reduce", ReduceKernel()});
+  bases.push_back({"reduce_strict", std::move(strict)});
+  bases.push_back({"wave", WavefrontKernel()});
+  bases.push_back({"nested", NestedKernel()});
+  bases.push_back({"cmul_lit_first", ConstMulKernel(true)});
+  bases.push_back({"cmul_lit_second", ConstMulKernel(false)});
+  return bases;
+}
+
+// Exact hex-float text: equal strings mean bit-identical doubles.
+std::string Hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+std::string GoldenLine(const std::string& design, const HlsResult& r) {
+  const Utilization& u = r.util;
+  std::string line = design + " | cycles=" + Hex(r.cycles) +
+                     " freq=" + Hex(r.freq_mhz) + " exec_us=" +
+                     Hex(r.exec_us) + " util=" + Hex(u.bram) + "," +
+                     Hex(u.dsp) + "," + Hex(u.ff) + "," + Hex(u.lut) + "," +
+                     Hex(u.bram_frac) + "," + Hex(u.dsp_frac) + "," +
+                     Hex(u.ff_frac) + "," + Hex(u.lut_frac) +
+                     " feasible=" + (r.feasible ? "1" : "0") + " reason=[" +
+                     r.infeasible_reason + "] bottleneck=" +
+                     BottleneckKindName(r.bottleneck.kind) + "," +
+                     Hex(r.bottleneck.quantity) + "," +
+                     Hex(r.bottleneck.margin) +
+                     " minutes=" + Hex(r.eval_minutes) + " notes=";
+  for (const auto& note : r.notes) line += "[" + note + "]";
+  return line;
+}
+
+// Golden lines of the whole design set, in a fixed order. Fails the
+// calling test when a kernel yields fewer than the pinned number of legal
+// designs.
+std::vector<std::string> GoldenLines() {
+  std::vector<std::string> lines;
+  for (const GoldenBase& base : GoldenBases()) {
+    lines.push_back(
+        GoldenLine(base.name + " baseline", EstimateHls(base.kernel)));
+    const tuner::DesignSpace space = tuner::BuildDesignSpace(base.kernel);
+    Rng rng(kGoldenSeed);
+    int found = 0;
+    for (int draw = 0; found < kGoldenDesignsPerKernel && draw < 10000;
+         ++draw) {
+      const DesignConfig cfg = space.ToConfig(space.RandomPoint(rng));
+      if (!merlin::ValidateConfig(base.kernel, cfg).empty()) continue;
+      lines.push_back(GoldenLine(base.name + " " + cfg.ToString(),
+                                 EstimateHls(Transformed(base.kernel, cfg))));
+      ++found;
+    }
+    EXPECT_EQ(found, kGoldenDesignsPerKernel) << base.name;
+  }
+  return lines;
+}
+
+TEST(HlsGoldenTest, EveryFieldMatchesTheTable) {
+  const std::vector<std::string> lines = GoldenLines();
+  ASSERT_EQ(lines.size(), std::size(kGoldenTable));
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i], kGoldenTable[i]) << "row " << i;
+  }
+}
+
+TEST(HlsGoldenTest, DISABLED_PrintTable) {
+  std::printf("// BEGIN golden HlsResult lines (see hls_test.cc)\n");
+  for (const std::string& line : GoldenLines()) {
+    std::string escaped;
+    for (char c : line) {
+      if (c == '"' || c == '\\') escaped += '\\';
+      escaped += c;
+    }
+    std::printf("\"%s\",\n", escaped.c_str());
+  }
+  std::printf("// END golden HlsResult lines\n");
+}
 
 }  // namespace
 }  // namespace s2fa::hls

@@ -915,6 +915,97 @@ TEST(AnalysisTest, WavefrontRecurrenceDetected) {
   EXPECT_EQ(rec.carriers[0], "h");
 }
 
+TEST(AnalysisTest, ReadAtTheWrittenIndexIsNotCarried) {
+  // h[i] = h[i] + 1: each iteration touches only its own element. The two
+  // index nodes are distinct objects that print alike.
+  auto i = Expr::Var("i", Type::Int());
+  auto loop = Stmt::For(
+      0, "i", 16,
+      Stmt::Block({Stmt::Assign(
+          Expr::ArrayRef("h", Type::Int(), Expr::Var("i", Type::Int())),
+          Expr::Binary(BinaryOp::kAdd, Expr::ArrayRef("h", Type::Int(), i),
+                       Expr::IntLit(1)))}));
+  LoopRecurrence rec = AnalyzeRecurrence(*loop);
+  EXPECT_FALSE(rec.carried);
+  EXPECT_TRUE(rec.carriers.empty());
+  EXPECT_TRUE(rec.cycle_exprs.empty());
+}
+
+TEST(AnalysisTest, ReadInsideAnotherLhsIndexIsCarried) {
+  // h[i+1] = x[i]; out[h[i]] = 1. The only read of h feeds the index of
+  // another store, and it still counts as a read at a different index.
+  auto i = Expr::Var("i", Type::Int());
+  auto write_rhs = Expr::ArrayRef("x", Type::Int(), i);
+  auto loop = Stmt::For(
+      0, "i", 16,
+      Stmt::Block(
+          {Stmt::Assign(
+               Expr::ArrayRef("h", Type::Int(),
+                              Expr::Binary(BinaryOp::kAdd, i,
+                                           Expr::IntLit(1))),
+               write_rhs),
+           Stmt::Assign(
+               Expr::ArrayRef("out", Type::Int(),
+                              Expr::ArrayRef("h", Type::Int(), i)),
+               Expr::IntLit(1))}));
+  LoopRecurrence rec = AnalyzeRecurrence(*loop);
+  EXPECT_TRUE(rec.carried);
+  EXPECT_EQ(rec.carriers, std::vector<std::string>{"h"});
+  ASSERT_EQ(rec.cycle_exprs.size(), 1u);
+  EXPECT_EQ(rec.cycle_exprs[0], write_rhs);
+}
+
+TEST(AnalysisTest, CarrierAndCycleOrderIsExact) {
+  // a[i+1] = a[i] + 1; s = s + b[i]; b[i+2] = b[i] * 2.
+  // Scalar carriers come first, then buffers in the order of their writes;
+  // cycle_exprs follow the carriers they belong to.
+  auto i = Expr::Var("i", Type::Int());
+  auto s = Expr::Var("s", Type::Int());
+  auto shifted = [&](std::int64_t by) {
+    return Expr::Binary(BinaryOp::kAdd, i, Expr::IntLit(by));
+  };
+  auto a_rhs = Expr::Binary(BinaryOp::kAdd, Expr::ArrayRef("a", Type::Int(), i),
+                            Expr::IntLit(1));
+  auto s_rhs =
+      Expr::Binary(BinaryOp::kAdd, s, Expr::ArrayRef("b", Type::Int(), i));
+  auto b_rhs = Expr::Binary(BinaryOp::kMul, Expr::ArrayRef("b", Type::Int(), i),
+                            Expr::IntLit(2));
+  auto loop = Stmt::For(
+      0, "i", 16,
+      Stmt::Block(
+          {Stmt::Assign(Expr::ArrayRef("a", Type::Int(), shifted(1)), a_rhs),
+           Stmt::Assign(s, s_rhs),
+           Stmt::Assign(Expr::ArrayRef("b", Type::Int(), shifted(2)),
+                        b_rhs)}));
+  LoopRecurrence rec = AnalyzeRecurrence(*loop);
+  EXPECT_TRUE(rec.carried);
+  EXPECT_EQ(rec.carriers, (std::vector<std::string>{"s", "a", "b"}));
+  ASSERT_EQ(rec.cycle_exprs.size(), 3u);
+  EXPECT_EQ(rec.cycle_exprs[0], s_rhs);
+  EXPECT_EQ(rec.cycle_exprs[1], a_rhs);
+  EXPECT_EQ(rec.cycle_exprs[2], b_rhs);
+}
+
+TEST(AnalysisTest, IndexComparisonIsSyntactic) {
+  // h[i+1] = h[1+i] + 1 touches one element per iteration, but indices are
+  // compared as printed text, not as affine forms, so `1 + i` differs from
+  // `i + 1` and the loop counts as carried.
+  auto i = Expr::Var("i", Type::Int());
+  auto loop = Stmt::For(
+      0, "i", 16,
+      Stmt::Block({Stmt::Assign(
+          Expr::ArrayRef("h", Type::Int(),
+                         Expr::Binary(BinaryOp::kAdd, i, Expr::IntLit(1))),
+          Expr::Binary(
+              BinaryOp::kAdd,
+              Expr::ArrayRef("h", Type::Int(),
+                             Expr::Binary(BinaryOp::kAdd, Expr::IntLit(1), i)),
+              Expr::IntLit(1)))}));
+  LoopRecurrence rec = AnalyzeRecurrence(*loop);
+  EXPECT_TRUE(rec.carried);
+  EXPECT_EQ(rec.carriers, std::vector<std::string>{"h"});
+}
+
 TEST(AnalysisTest, IndependentElementwiseLoopNotCarried) {
   Kernel k = MakeScaleKernel();
   LoopRecurrence rec = AnalyzeRecurrence(*FindLoop(k.body, 0));
