@@ -1,8 +1,9 @@
 # Stream-smoke gate (ctest `stream_smoke`): runs the streaming-serving
 # replay (bench_stream) in quick mode — the sub-capacity SLO, chaos
 # zero-lost, ladder-vs-FIFO goodput, and determinism gates all still fire,
-# at ~1/50th the record count — validates the stream entries it merges into
-# the serving perf ledger, and exercises the `s2fa perf-diff` regression
+# at ~1/50th the record count — pins the determinism phase's canonical
+# outcome hash, validates the stream entries it merges into the serving
+# perf ledger, and exercises the `s2fa perf-diff` regression
 # gate against the checked-in stream snapshots. As in cluster_smoke.cmake,
 # the golden-vs-fresh comparison uses an enormous threshold so only schema
 # breakage — never timing noise — can fail the smoke test; the regression
@@ -40,6 +41,16 @@ if(NOT bench_rc EQUAL 0)
 endif()
 if(NOT EXISTS "${LEDGER}")
   message(FATAL_ERROR "stream_smoke: no ledger written to ${LEDGER}")
+endif()
+
+# The determinism phase's canonical outcome hash is pinned: equal across
+# exec threads is not enough, the replay itself must not drift.
+set(STREAM_CANON_HASH "e1e3bee189947075")
+string(REGEX MATCH "canonical hash ([0-9a-f]+)" hash_line "${bench_out}")
+if(NOT CMAKE_MATCH_1 STREQUAL STREAM_CANON_HASH)
+  message(FATAL_ERROR
+          "stream_smoke: quick replay canonical hash '${CMAKE_MATCH_1}', "
+          "pinned ${STREAM_CANON_HASH}:\n${bench_out}")
 endif()
 
 # --- 2. Schema + coverage: version marker, env stamping, and a ns/op entry

@@ -90,6 +90,11 @@ Dataset ConcatDatasets(const std::vector<const Dataset*>& inputs) {
 
 Dataset SliceRecords(const Dataset& data, std::size_t begin,
                      std::size_t count) {
+  S2FA_REQUIRE(begin <= data.num_records() &&
+                   count <= data.num_records() - begin,
+               "slice [" << begin << ", " << begin << " + " << count
+                         << ") is past the dataset's "
+                         << data.num_records() << " records");
   Dataset out;
   for (std::size_t c = 0; c < data.num_columns(); ++c) {
     const Column& column = data.column(c);

@@ -52,7 +52,8 @@ class Dataset {
 // bug worth failing loudly on).
 Dataset ConcatDatasets(const std::vector<const Dataset*>& inputs);
 
-// Slices `count` records starting at `begin` out of a batch result.
+// Slices `count` records starting at `begin` out of a batch result. The
+// range must lie inside `data`; a zero-count slice keeps the schema.
 Dataset SliceRecords(const Dataset& data, std::size_t begin,
                      std::size_t count);
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <span>
 
 #include "obs/obs.h"
 #include "support/error.h"
@@ -234,53 +235,73 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
   ValidateArrivalSchedule(schedule);
   S2FA_SPAN("blaze.stream.run");
 
-  // ---- materialize the schedule: seq = global arrival order
+  // ---- dense tenant ids: one per distinct tenant name, by phase.
+  std::vector<const std::string*> tenant_names;
+  std::vector<std::uint32_t> phase_tenant;
+  for (const ArrivalPhase& phase : schedule.phases) {
+    std::uint32_t id = 0;
+    while (id < tenant_names.size() && *tenant_names[id] != phase.tenant) ++id;
+    if (id == tenant_names.size()) tenant_names.push_back(&phase.tenant);
+    phase_tenant.push_back(id);
+  }
+
+  // ---- materialize the schedule: seq = global arrival order. Each
+  // phase's slot times are non-decreasing, so merging the phases by
+  // (time, phase index) yields exactly a stable sort by time. The outcome
+  // table is the record table: the session writes each record's fate into
+  // it in place.
   struct Rec {
-    std::string tenant;
-    double arrival_us = 0;
-    StreamRecord content;      // filled at first arrival
-    std::size_t retries = 0;
+    Dataset input;  // filled at first arrival, released when it leaves
+    std::size_t rows = 0;
+    std::uint32_t tenant = 0;
+    std::uint32_t key = 0;
     bool arrived = false;
     bool terminal = false;
-    StreamOutcome outcome = StreamOutcome::kShedQueueFull;
-    double terminal_us = 0;
-    Dataset output;
   };
-  std::vector<Rec> recs;
+  std::size_t total = 0;
+  for (const ArrivalPhase& phase : schedule.phases) total += phase.count;
+  std::vector<StreamRecordOutcome> outs(total);
+  std::vector<Rec> recs(total);
   {
-    struct Slot {
-      double at_us;
-      std::size_t phase;
-      std::size_t index;
-    };
-    std::vector<Slot> slots;
-    for (std::size_t p = 0; p < schedule.phases.size(); ++p) {
+    auto slot_us = [&schedule](std::size_t p, std::size_t i) {
       const ArrivalPhase& phase = schedule.phases[p];
-      for (std::size_t i = 0; i < phase.count; ++i) {
-        const double at =
-            phase.start_us + phase.duration_us * static_cast<double>(i) /
-                                 static_cast<double>(phase.count);
-        slots.push_back({at, p, i});
+      return phase.start_us + phase.duration_us * static_cast<double>(i) /
+                                  static_cast<double>(phase.count);
+    };
+    const std::size_t phases = schedule.phases.size();
+    std::vector<std::size_t> next(phases, 0);  // next slot index per phase
+    std::vector<double> next_us(phases);       // ... and its time
+    for (std::size_t p = 0; p < phases; ++p) next_us[p] = slot_us(p, 0);
+    for (std::size_t seq = 0; seq < total; ++seq) {
+      std::size_t best = phases;
+      for (std::size_t p = 0; p < phases; ++p) {
+        if (next[p] < schedule.phases[p].count &&
+            (best == phases || next_us[p] < next_us[best])) {
+          best = p;
+        }
       }
-    }
-    std::stable_sort(slots.begin(), slots.end(),
-                     [](const Slot& a, const Slot& b) {
-                       return a.at_us < b.at_us;
-                     });
-    recs.resize(slots.size());
-    for (std::size_t seq = 0; seq < slots.size(); ++seq) {
-      recs[seq].tenant = schedule.phases[slots[seq].phase].tenant;
-      recs[seq].arrival_us = slots[seq].at_us;
+      outs[seq].seq = seq;
+      outs[seq].arrival_us = next_us[best];
+      recs[seq].tenant = phase_tenant[best];
+      if (++next[best] < schedule.phases[best].count) {
+        next_us[best] = slot_us(best, next[best]);
+      }
     }
   }
 
-  // ---- session event loop
+  // ---- session event loop. First arrivals come from a cursor over the
+  // schedule (already in seq order); the heap holds only timers and retry
+  // re-arrivals. Their push order starts at recs.size(), so the
+  // (time, kind, order) tie-break matches a heap that held every arrival.
   enum EventKind { kArrival = 0, kTimer = 1 };
+  enum class CloseTrigger { kCount, kAge, kDeadline };
   struct Event {
     double time_us;
     int kind;
-    std::size_t order;  // push order: the deterministic tie-break
-    std::size_t payload;
+    std::size_t order;       // push order: the deterministic tie-break
+    std::size_t payload;     // arrival: seq; timer: key id
+    std::size_t generation;  // timer: the batch it closes
+    CloseTrigger trigger;    // timer: why it closes
   };
   auto later = [](const Event& a, const Event& b) {
     if (a.time_us != b.time_us) return a.time_us > b.time_us;
@@ -289,29 +310,39 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
   };
   std::priority_queue<Event, std::vector<Event>, decltype(later)> events(
       later);
-  std::size_t event_order = 0;
-  auto push_event = [&](double at, int kind, std::size_t payload) {
-    events.push({at, kind, event_order++, payload});
+  std::size_t event_order = recs.size();
+  auto push_event = [&](double at, int kind, std::size_t payload,
+                        std::size_t generation = 0,
+                        CloseTrigger trigger = CloseTrigger::kAge) {
+    events.push({at, kind, event_order++, payload, generation, trigger});
   };
-  for (std::size_t seq = 0; seq < recs.size(); ++seq) {
-    push_event(recs[seq].arrival_us, kArrival, seq);
-  }
 
-  enum class CloseTrigger { kCount, kAge, kDeadline };
-  using Key = std::pair<std::string, const Dataset*>;
-  struct Batch {
-    std::vector<std::size_t> members;  // rec indices, arrival order
-    std::size_t records = 0;
+  // ---- dense key ids: (kernel, broadcast) interned at first arrival,
+  // each holding that key's open batch.
+  struct Key {
+    std::string kernel;
+    const Dataset* broadcast = nullptr;
+    bool reduce = false;
+    bool has_open = false;
     std::size_t generation = 0;
-    double earliest_close_us = kInf;  // earliest timer pushed so far
+    std::vector<std::size_t> members;  // open batch, arrival order
+    std::size_t records = 0;
+    double earliest_close_us = kInf;   // earliest timer pushed so far
   };
-  std::map<Key, Batch> open;
-  struct Timer {
+  std::vector<Key> keys;
+  auto intern_key = [&](std::string& kernel, const Dataset* broadcast) {
+    for (std::uint32_t id = 0; id < keys.size(); ++id) {
+      if (keys[id].broadcast == broadcast && keys[id].kernel == kernel) {
+        return id;
+      }
+    }
     Key key;
-    std::size_t generation;
-    CloseTrigger trigger;
+    key.reduce = cluster_.IsReduceKernel(kernel);
+    key.kernel = std::move(kernel);
+    key.broadcast = broadcast;
+    keys.push_back(std::move(key));
+    return static_cast<std::uint32_t>(keys.size() - 1);
   };
-  std::vector<Timer> timers;
   std::size_t generation_counter = 0;
 
   // ---- capacity model: modeled accelerator backlog over live lanes.
@@ -337,10 +368,7 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
       if (codel_above_since < 0) codel_above_since = t;
       const bool now_engaged =
           t - codel_above_since >= options_.codel_interval_us;
-      if (now_engaged && !codel_engaged) {
-        ++stats_.codel_engagements;
-        S2FA_COUNT("blaze.stream.codel_engagements", 1);
-      }
+      if (now_engaged && !codel_engaged) ++stats_.codel_engagements;
       codel_engaged = now_engaged;
     } else {
       codel_above_since = -1;
@@ -360,111 +388,118 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
                                    ? options_.fifo_bound_us
                                    : options_.shed_onset_us;
 
-  // Batches submitted to the cluster, in submission order.
+  // Batches submitted to the cluster, in submission order: each owns the
+  // range [begin, end) of pending_members.
   struct PendingBatch {
-    std::vector<std::size_t> members;
+    std::size_t begin = 0;
+    std::size_t end = 0;
     double close_us = 0;
   };
   std::vector<PendingBatch> pending;
+  std::vector<std::size_t> pending_members;
   std::vector<ClusterRequest> requests;
 
+  // A record leaving the session (terminal) no longer needs its input.
   auto terminal = [&](std::size_t seq, StreamOutcome outcome, double t) {
     Rec& rec = recs[seq];
     S2FA_CHECK(!rec.terminal, "record " << seq << " terminated twice");
     rec.terminal = true;
-    rec.outcome = outcome;
-    rec.terminal_us = t;
+    rec.input = Dataset();
+    outs[seq].outcome = outcome;
+    outs[seq].terminal_us = t;
   };
 
-  auto slice_outputs = [&](const std::vector<std::size_t>& members,
+  // One batch input built from (and releasing) its members' inputs.
+  auto take_inputs = [&](std::span<const std::size_t> members) {
+    if (members.size() == 1) return std::move(recs[members.front()].input);
+    std::vector<const Dataset*> inputs;
+    inputs.reserve(members.size());
+    for (std::size_t seq : members) inputs.push_back(&recs[seq].input);
+    Dataset input = ConcatDatasets(inputs);
+    for (std::size_t seq : members) recs[seq].input = Dataset();
+    return input;
+  };
+
+  auto slice_outputs = [&](std::span<const std::size_t> members,
                            const Dataset& output, bool reduce) {
     if (reduce) {
       S2FA_CHECK(members.size() == 1, "reduce batches never coalesce");
-      recs[members.front()].output = output;
+      outs[members.front()].output = output;
       return;
     }
+    std::size_t rows = 0;
+    for (std::size_t seq : members) rows += recs[seq].rows;
+    S2FA_CHECK(output.num_records() == rows,
+               "map batch returned " << output.num_records()
+                                     << " rows for " << rows << " inputs");
     std::size_t row = 0;
     for (std::size_t seq : members) {
-      const std::size_t count = recs[seq].content.input.num_records();
-      recs[seq].output = SliceRecords(output, row, count);
-      row += count;
+      outs[seq].output = SliceRecords(output, row, recs[seq].rows);
+      row += recs[seq].rows;
     }
   };
 
   // Executes a batch on the host path (brownout level 3): functionally
   // real through the runtime, completing after the host-path charge. Host
   // work does not occupy modeled accelerator lanes.
-  auto host_route = [&](const Key& key, Batch& batch, double t) {
-    std::vector<const Dataset*> inputs;
-    inputs.reserve(batch.members.size());
-    for (std::size_t seq : batch.members) {
-      inputs.push_back(&recs[seq].content.input);
-    }
-    const Dataset input = ConcatDatasets(inputs);
-    const bool reduce = cluster_.IsReduceKernel(key.first);
-    const std::string& accel = cluster_.ExecAccelFor(key.first);
+  auto host_route = [&](const Key& key, double t) {
+    const Dataset input = take_inputs(key.members);
+    const std::string& accel = cluster_.ExecAccelFor(key.kernel);
     const Dataset out =
-        reduce ? cluster_.runtime().Reduce(accel, input, key.second)
-               : cluster_.runtime().Map(accel, input, key.second);
+        key.reduce ? cluster_.runtime().Reduce(accel, input, key.broadcast)
+                   : cluster_.runtime().Map(accel, input, key.broadcast);
     const double done = std::max(host_finish_us, t) +
-                        cluster_.HostUsFor(key.first, batch.records);
+                        cluster_.HostUsFor(key.kernel, key.records);
     host_finish_us = done;
-    slice_outputs(batch.members, out, reduce);
-    for (std::size_t seq : batch.members) {
+    slice_outputs(key.members, out, key.reduce);
+    for (std::size_t seq : key.members) {
       terminal(seq, StreamOutcome::kCommittedHost, done);
     }
     ++stats_.batches_host;
-    S2FA_COUNT("blaze.stream.batches_host", 1);
   };
 
-  auto dispatch_to_cluster = [&](const Key& key, Batch& batch, double t) {
-    const double cost =
-        cluster_.AccelUsFor(key.first, batch.records) /
-        static_cast<double>(lanes_at(t));
+  auto dispatch_to_cluster = [&](const Key& key, double t) {
+    const double cost = cluster_.AccelUsFor(key.kernel, key.records) /
+                        static_cast<double>(lanes_at(t));
     accel_finish_us = std::max(accel_finish_us, t) + cost;
-    std::vector<const Dataset*> inputs;
-    inputs.reserve(batch.members.size());
-    for (std::size_t seq : batch.members) {
-      inputs.push_back(&recs[seq].content.input);
-    }
     ClusterRequest request;
-    request.kernel = key.first;
-    request.input = ConcatDatasets(inputs);
-    request.broadcast = key.second;
+    request.kernel = key.kernel;
+    request.input = take_inputs(key.members);
+    request.broadcast = key.broadcast;
     request.arrival_us = t;
     request.tenant = options_.cluster_tenant;
     requests.push_back(std::move(request));
-    pending.push_back({batch.members, t});
+    const std::size_t begin = pending_members.size();
+    pending_members.insert(pending_members.end(), key.members.begin(),
+                           key.members.end());
+    pending.push_back({begin, pending_members.size(), t});
     ++stats_.batches_dispatched;
-    S2FA_COUNT("blaze.stream.batches_dispatched", 1);
   };
 
   // Full-shed (ladder level 4): each member either retries on a granted
   // token or lands in a terminal shed state.
-  auto full_shed = [&](Batch& batch, double t) {
-    for (std::size_t seq : batch.members) {
-      Rec& rec = recs[seq];
-      if (rec.retries >= options_.max_retries) {
+  auto full_shed = [&](const Key& key, double t) {
+    for (std::size_t seq : key.members) {
+      StreamRecordOutcome& out = outs[seq];
+      if (out.retries >= options_.max_retries) {
         terminal(seq, StreamOutcome::kShedBrownout, t);
-      } else if (budget_.TryAcquire(rec.tenant, t)) {
-        ++rec.retries;
+      } else if (budget_.TryAcquire(*tenant_names[recs[seq].tenant], t)) {
+        ++out.retries;
         ++stats_.retries_granted;
-        S2FA_COUNT("blaze.stream.retries_granted", 1);
         push_event(t + options_.retry_backoff_us, kArrival, seq);
       } else {
         ++stats_.retries_denied;
-        S2FA_COUNT("blaze.stream.retries_denied", 1);
         terminal(seq, StreamOutcome::kShedRetryBudget, t);
       }
     }
     ++stats_.batches_shed;
-    S2FA_COUNT("blaze.stream.batches_shed", 1);
   };
 
-  auto close_batch = [&](const Key& key, Batch batch, double t,
-                         CloseTrigger trigger) {
+  // Closes the key's open batch. Its member list is kept until the key
+  // opens its next batch.
+  auto close_batch = [&](Key& key, double t, CloseTrigger trigger) {
+    key.has_open = false;
     ++stats_.batches_closed;
-    S2FA_COUNT("blaze.stream.batches_closed", 1);
     switch (trigger) {
       case CloseTrigger::kCount: ++stats_.close_count; break;
       case CloseTrigger::kAge: ++stats_.close_age; break;
@@ -474,12 +509,12 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
 
     if (options_.policy == OverloadPolicy::kFifoShed) {
       // The strawman never sheds at close (it tail-dropped at arrival).
-      dispatch_to_cluster(key, batch, t);
+      dispatch_to_cluster(key, t);
       return;
     }
 
     if (delay >= options_.shed_onset_us) {
-      full_shed(batch, t);
+      full_shed(key, t);
       return;
     }
 
@@ -487,24 +522,21 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
     // members whose SLO deadline can no longer be met — the modeled
     // completion t + delay + cost is already past arrival + slo.
     if (codel_engaged) {
-      const double cost = cluster_.AccelUsFor(key.first, batch.records) /
+      const double cost = cluster_.AccelUsFor(key.kernel, key.records) /
                           static_cast<double>(lanes_at(t));
-      std::vector<std::size_t> kept;
-      for (std::size_t seq : batch.members) {
-        Rec& rec = recs[seq];
-        if (rec.arrival_us + options_.slo_us < t + delay + cost) {
+      std::size_t kept = 0;
+      for (std::size_t seq : key.members) {
+        if (outs[seq].arrival_us + options_.slo_us < t + delay + cost) {
           terminal(seq, StreamOutcome::kShedUnmeetable, t);
         } else {
-          kept.push_back(seq);
+          key.members[kept++] = seq;
         }
       }
-      if (kept.size() != batch.members.size()) {
-        batch.records = 0;
-        for (std::size_t seq : kept) {
-          batch.records += recs[seq].content.input.num_records();
-        }
-        batch.members = std::move(kept);
-        if (batch.members.empty()) return;
+      if (kept != key.members.size()) {
+        key.members.resize(kept);
+        key.records = 0;
+        for (std::size_t seq : key.members) key.records += recs[seq].rows;
+        if (key.members.empty()) return;
       }
     }
 
@@ -525,53 +557,49 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
       if (brownout_credit >= 1.0) {
         const double host_done =
             std::max(host_finish_us, t) +
-            cluster_.HostUsFor(key.first, batch.records);
+            cluster_.HostUsFor(key.kernel, key.records);
         double oldest_deadline = kInf;
-        for (std::size_t seq : batch.members) {
+        for (std::size_t seq : key.members) {
           oldest_deadline = std::min(
-              oldest_deadline, recs[seq].arrival_us + options_.slo_us);
+              oldest_deadline, outs[seq].arrival_us + options_.slo_us);
         }
         if (host_done <= oldest_deadline) {
           brownout_credit -= 1.0;
-          host_route(key, batch, t);
+          host_route(key, t);
           return;
         }
       }
     }
 
-    dispatch_to_cluster(key, batch, t);
+    dispatch_to_cluster(key, t);
   };
 
-  // Closes via timer index; stale generations are no-ops.
-  auto fire_timer = [&](std::size_t index, double t) {
-    const Timer timer = timers[index];
-    auto it = open.find(timer.key);
-    if (it == open.end() || it->second.generation != timer.generation) {
-      return;
-    }
-    Batch batch = std::move(it->second);
-    open.erase(it);
-    close_batch(timer.key, std::move(batch), t, timer.trigger);
+  // Closes via timer; stale generations are no-ops.
+  auto fire_timer = [&](const Event& timer) {
+    Key& key = keys[timer.payload];
+    if (!key.has_open || key.generation != timer.generation) return;
+    close_batch(key, timer.time_us, timer.trigger);
   };
 
-  auto arm_timer = [&](const Key& key, Batch& batch, double at,
-                       CloseTrigger trigger, double now) {
+  auto arm_timer = [&](std::uint32_t id, double at, CloseTrigger trigger,
+                       double now) {
+    Key& key = keys[id];
     const double effective = std::max(now, at);
-    if (effective >= batch.earliest_close_us) return;
-    batch.earliest_close_us = effective;
-    timers.push_back({key, batch.generation, trigger});
-    push_event(effective, kTimer, timers.size() - 1);
+    if (effective >= key.earliest_close_us) return;
+    key.earliest_close_us = effective;
+    push_event(effective, kTimer, id, key.generation, trigger);
   };
 
   auto on_arrival = [&](std::size_t seq, double t) {
     Rec& rec = recs[seq];
     if (!rec.arrived) {
       rec.arrived = true;
-      rec.content = generator(seq);
-      S2FA_REQUIRE(rec.content.input.num_records() > 0,
-                   "stream record " << seq << " has no records");
+      StreamRecord content = generator(seq);
+      rec.rows = content.input.num_records();
+      S2FA_REQUIRE(rec.rows > 0, "stream record " << seq << " has no records");
+      rec.input = std::move(content.input);
+      rec.key = intern_key(content.kernel, content.broadcast);
       ++stats_.arrivals;
-      S2FA_COUNT("blaze.stream.arrivals", 1);
     }
     const double delay = observe_delay(t);
     if (options_.policy == OverloadPolicy::kFifoShed &&
@@ -580,39 +608,49 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
       terminal(seq, StreamOutcome::kShedQueueFull, t);
       return;
     }
-    const Key key{rec.content.kernel, rec.content.broadcast};
-    const std::size_t cap = cluster_.IsReduceKernel(rec.content.kernel)
-                                ? 1
-                                : options_.batch_max_records;
-    Batch& batch = open[key];
-    if (batch.members.empty()) {
-      batch.generation = ++generation_counter;
-      batch.earliest_close_us = kInf;
-      arm_timer(key, batch, t + options_.batch_age_us, CloseTrigger::kAge,
-                t);
+    Key& key = keys[rec.key];
+    if (!key.has_open) {
+      key.has_open = true;
+      key.generation = ++generation_counter;
+      key.members.clear();
+      key.records = 0;
+      key.earliest_close_us = kInf;
+      arm_timer(rec.key, t + options_.batch_age_us, CloseTrigger::kAge, t);
     }
-    batch.members.push_back(seq);
-    batch.records += rec.content.input.num_records();
-    arm_timer(key, batch,
-              rec.arrival_us + options_.slo_us - options_.deadline_headroom_us,
+    key.members.push_back(seq);
+    key.records += rec.rows;
+    arm_timer(rec.key,
+              outs[seq].arrival_us + options_.slo_us -
+                  options_.deadline_headroom_us,
               CloseTrigger::kDeadline, t);
-    if (batch.members.size() >= cap) {
-      Batch closing = std::move(batch);
-      open.erase(key);
-      close_batch(key, std::move(closing), t, CloseTrigger::kCount);
+    const std::size_t cap = key.reduce ? 1 : options_.batch_max_records;
+    if (key.members.size() >= cap) {
+      close_batch(key, t, CloseTrigger::kCount);
     }
   };
 
-  while (!events.empty()) {
+  std::size_t cursor = 0;
+  while (cursor < recs.size() || !events.empty()) {
+    if (cursor < recs.size()) {
+      const Event first{outs[cursor].arrival_us, kArrival, cursor, cursor,
+                        0, CloseTrigger::kAge};
+      if (events.empty() || later(events.top(), first)) {
+        on_arrival(cursor, first.time_us);
+        ++cursor;
+        continue;
+      }
+    }
     const Event event = events.top();
     events.pop();
     if (event.kind == kArrival) {
       on_arrival(event.payload, event.time_us);
     } else {
-      fire_timer(event.payload, event.time_us);
+      fire_timer(event);
     }
   }
-  S2FA_CHECK(open.empty(), "open batches survived the event loop");
+  for (const Key& key : keys) {
+    S2FA_CHECK(!key.has_open, "open batches survived the event loop");
+  }
 
   // ---- one drain: the cluster serves every surviving batch to
   // completion on the shared simulated clock (chaos and all).
@@ -620,13 +658,15 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
     cluster_.Submit(std::move(request));
   }
   requests.clear();
-  const std::vector<ClusterRequestOutcome> outs = cluster_.Drain();
-  S2FA_CHECK(outs.size() == pending.size(),
-             "cluster drain returned " << outs.size() << " outcomes for "
+  const std::vector<ClusterRequestOutcome> drained = cluster_.Drain();
+  S2FA_CHECK(drained.size() == pending.size(),
+             "cluster drain returned " << drained.size() << " outcomes for "
                                        << pending.size() << " batches");
   for (std::size_t b = 0; b < pending.size(); ++b) {
-    const ClusterRequestOutcome& out = outs[b];
-    const std::vector<std::size_t>& members = pending[b].members;
+    const ClusterRequestOutcome& out = drained[b];
+    const std::span<const std::size_t> members(
+        pending_members.data() + pending[b].begin,
+        pending[b].end - pending[b].begin);
     if (out.outcome == ClusterServe::kRejectedFull ||
         out.outcome == ClusterServe::kTenantThrottled) {
       // The session is supposed to own admission; a cluster-side shed
@@ -639,9 +679,8 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
       }
       continue;
     }
-    const bool reduce = cluster_.IsReduceKernel(recs[members.front()]
-                                                    .content.kernel);
-    slice_outputs(members, out.output, reduce);
+    const Key& key = keys[recs[members.front()].key];
+    slice_outputs(members, out.output, key.reduce);
     for (std::size_t seq : members) {
       terminal(seq, StreamOutcome::kCommitted, out.complete_us);
     }
@@ -651,29 +690,21 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
   // A record's visible commit waits for every earlier record to reach a
   // terminal state (commit or accounted shed), so the watermark never
   // regresses and nothing is lost or double-counted.
-  std::vector<StreamRecordOutcome> outcomes;
-  outcomes.reserve(recs.size());
-  stats_.watermark_trace.reserve(recs.size());
+  std::vector<StreamTenantStats> tenants(tenant_names.size());
+  stats_.watermark_trace.reserve(outs.size());
   double watermark = 0;
-  for (std::size_t seq = 0; seq < recs.size(); ++seq) {
-    Rec& rec = recs[seq];
-    S2FA_CHECK(rec.terminal, "record " << seq << " never terminated");
-    watermark = std::max(watermark, rec.terminal_us);
+  for (std::size_t seq = 0; seq < outs.size(); ++seq) {
+    StreamRecordOutcome& out = outs[seq];
+    S2FA_CHECK(recs[seq].terminal, "record " << seq << " never terminated");
+    watermark = std::max(watermark, out.terminal_us);
     stats_.watermark_trace.emplace_back(seq, watermark);
-
-    StreamRecordOutcome out;
-    out.seq = seq;
-    out.tenant = rec.tenant;
-    out.outcome = rec.outcome;
-    out.retries = rec.retries;
-    out.arrival_us = rec.arrival_us;
-    out.terminal_us = rec.terminal_us;
+    out.tenant = *tenant_names[recs[seq].tenant];
     out.external_commit_us = watermark;
 
-    StreamTenantStats& ts = stats_.tenants[rec.tenant];
+    StreamTenantStats& ts = tenants[recs[seq].tenant];
     ++ts.arrivals;
-    ts.retries += rec.retries;
-    switch (rec.outcome) {
+    ts.retries += out.retries;
+    switch (out.outcome) {
       case StreamOutcome::kCommitted:
         ++stats_.committed;
         ++ts.committed;
@@ -699,23 +730,36 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
         ++ts.shed_queue_full;
         break;
     }
-    if (!IsStreamShed(rec.outcome)) {
-      out.latency_us = watermark - rec.arrival_us;
+    if (!IsStreamShed(out.outcome)) {
+      out.latency_us = watermark - out.arrival_us;
       stats_.latencies_us.push_back(out.latency_us);
       S2FA_OBSERVE("blaze.stream.latency_us", out.latency_us);
-      out.output = std::move(rec.output);
-    } else {
-      S2FA_COUNT("blaze.stream.shed", 1);
     }
-    outcomes.push_back(std::move(out));
+  }
+  for (std::size_t id = 0; id < tenants.size(); ++id) {
+    stats_.tenants[*tenant_names[id]] = tenants[id];
   }
   stats_.watermark_us = watermark;
   S2FA_GAUGE_MAX("blaze.stream.watermark_us", watermark);
   S2FA_CHECK(stats_.committed + stats_.committed_host +
                      stats_.shed_total() ==
-                 recs.size(),
+                 outs.size(),
              "stream accounting mismatch");
-  return outcomes;
+
+  // Registry counters, published once from the run's totals.
+  auto publish = [](const char* name [[maybe_unused]], std::size_t value) {
+    if (value > 0) S2FA_COUNT(name, static_cast<std::int64_t>(value));
+  };
+  publish("blaze.stream.arrivals", stats_.arrivals);
+  publish("blaze.stream.batches_closed", stats_.batches_closed);
+  publish("blaze.stream.batches_dispatched", stats_.batches_dispatched);
+  publish("blaze.stream.batches_host", stats_.batches_host);
+  publish("blaze.stream.batches_shed", stats_.batches_shed);
+  publish("blaze.stream.retries_granted", stats_.retries_granted);
+  publish("blaze.stream.retries_denied", stats_.retries_denied);
+  publish("blaze.stream.codel_engagements", stats_.codel_engagements);
+  publish("blaze.stream.shed", stats_.shed_total());
+  return outs;
 }
 
 }  // namespace s2fa::blaze

@@ -53,10 +53,11 @@
 // newest arrival whenever modeled delay exceeds `fifo_bound_us` — the
 // strawman the ladder must beat on goodput at 2x load (bench_stream).
 //
-// Determinism: the session is a sequential event loop (heap ordered by
-// (time, kind, seq)); it submits surviving batches and performs ONE
-// cluster Drain — the cluster is bit-identical across exec_threads, and
-// everything else here is sequential, so stream outcomes are too.
+// Determinism: the session is a sequential event loop (events taken in
+// (time, kind, push order), first arrivals ordered by seq); it submits
+// surviving batches and performs ONE cluster Drain — the cluster is
+// bit-identical across exec_threads, and everything else here is
+// sequential, so stream outcomes are too.
 #pragma once
 
 #include <cstddef>

@@ -78,6 +78,55 @@ TEST(DatasetTest, TotalBytesSumsColumnWidths) {
   EXPECT_DOUBLE_EQ(d.TotalBytes(), 40.0 + 10.0);
 }
 
+// Five records: x holds pairs (per_record 2), y one int each.
+Dataset FiveRecordPairs() {
+  Dataset d;
+  Column x;
+  x.field = "x";
+  x.element = Type::Int();
+  x.per_record = 2;
+  for (int i = 0; i < 10; ++i) x.data.push_back(Value::OfInt(i));
+  d.AddColumn(x);
+  Column y;
+  y.field = "y";
+  y.element = Type::Int();
+  for (int i = 0; i < 5; ++i) y.data.push_back(Value::OfInt(100 + i));
+  d.AddColumn(y);
+  return d;
+}
+
+TEST(DatasetTest, SliceRecordsCutsWholeRecordsOfWideColumns) {
+  const Dataset slice = SliceRecords(FiveRecordPairs(), 1, 3);
+  ASSERT_EQ(slice.num_records(), 3u);
+  const Column& x = slice.ColumnByField("x");
+  EXPECT_EQ(x.per_record, 2);
+  ASSERT_EQ(x.data.size(), 6u);
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(x.data[i].AsInt(), 2 + i);
+  const Column& y = slice.ColumnByField("y");
+  ASSERT_EQ(y.data.size(), 3u);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(y.data[i].AsInt(), 101 + i);
+}
+
+TEST(DatasetTest, ZeroCountSliceKeepsTheSchema) {
+  for (std::size_t begin : {0u, 2u, 5u}) {
+    const Dataset slice = SliceRecords(FiveRecordPairs(), begin, 0);
+    EXPECT_EQ(slice.num_records(), 0u);
+    ASSERT_EQ(slice.num_columns(), 2u);
+    EXPECT_EQ(slice.column(0).field, "x");
+    EXPECT_EQ(slice.column(0).per_record, 2);
+    EXPECT_EQ(slice.column(1).field, "y");
+  }
+}
+
+TEST(DatasetTest, SliceRecordsRejectsARangePastTheEnd) {
+  const Dataset d = FiveRecordPairs();
+  EXPECT_THROW(SliceRecords(d, 4, 2), InvalidArgument);
+  EXPECT_THROW(SliceRecords(d, 6, 0), InvalidArgument);
+  EXPECT_THROW(SliceRecords(d, 1, static_cast<std::size_t>(-1)),
+               InvalidArgument);
+  EXPECT_EQ(SliceRecords(d, 4, 1).num_records(), 1u);
+}
+
 // ------------------------------------------------- serialization plan
 
 // Simple map kernel for plan tests: double in, double out.

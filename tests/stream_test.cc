@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -515,6 +517,248 @@ TEST(StreamTest, ReduceRecordsNeverBatchAcrossEachOther) {
                      expect)
         << "seq " << out.seq;
   }
+}
+
+
+// -------------------------------------------------------------- golden
+
+// Every outcome and every StreamStats field, bit-exact: doubles in
+// hexfloat, the tenants map in key order. A change to how the session
+// stores records or orders events must leave this rendering unchanged.
+std::string RenderGolden(const std::vector<StreamRecordOutcome>& outs,
+                         const StreamStats& s) {
+  std::ostringstream os;
+  os << std::hexfloat;
+  os << "arrivals " << s.arrivals << " committed " << s.committed
+     << " committed_host " << s.committed_host << " shed_unmeetable "
+     << s.shed_unmeetable << " shed_brownout " << s.shed_brownout
+     << " shed_retry_budget " << s.shed_retry_budget << " shed_queue_full "
+     << s.shed_queue_full << " retries_granted " << s.retries_granted
+     << " retries_denied " << s.retries_denied << '\n';
+  os << "batches_closed " << s.batches_closed << " batches_dispatched "
+     << s.batches_dispatched << " batches_host " << s.batches_host
+     << " batches_shed " << s.batches_shed << " close_count "
+     << s.close_count << " close_age " << s.close_age << " close_deadline "
+     << s.close_deadline << " codel_engagements " << s.codel_engagements
+     << '\n';
+  os << "max_queue_delay_us " << s.max_queue_delay_us << " watermark_us "
+     << s.watermark_us << '\n';
+  for (const auto& [name, t] : s.tenants) {
+    os << "tenant " << name << ' ' << t.arrivals << ' ' << t.committed << ' '
+       << t.committed_host << ' ' << t.shed_unmeetable << ' '
+       << t.shed_brownout << ' ' << t.shed_retry_budget << ' '
+       << t.shed_queue_full << ' ' << t.retries << '\n';
+  }
+  os << "latencies";
+  for (double l : s.latencies_us) os << ' ' << l;
+  os << "\nwatermark";
+  for (const auto& [seq, at] : s.watermark_trace) os << ' ' << seq << ':' << at;
+  os << '\n' << Canon(outs);
+  return os.str();
+}
+
+// Record `ordinal` carries 1-3 rows (ordinal % 3 + 1) valued ordinal*4 + i,
+// so batch slicing is exercised off the one-row fast case.
+StreamRecord GenRows(std::size_t ordinal) {
+  StreamRecord record;
+  record.kernel = "doubler";
+  record.input = DoublerInput(static_cast<int>(ordinal % 3 + 1),
+                              static_cast<int>(ordinal * 4));
+  return record;
+}
+
+// A tight ladder: each rung engages within a few dozen records.
+StreamOptions TightLadder(const Harness& hx) {
+  StreamOptions options = hx.Opts();
+  options.codel_target_us = hx.inv_us / 2;
+  options.codel_interval_us = hx.inv_us / 2;
+  options.brownout_onset_us = hx.inv_us;
+  options.shed_onset_us = 2 * hx.inv_us;
+  return options;
+}
+
+struct GoldenRun {
+  std::string text;
+  StreamStats stats;
+};
+
+GoldenRun RunGolden(BlazeCluster& cluster, const StreamOptions& options,
+                    const ArrivalSchedule& schedule,
+                    const StreamGenerator& generator) {
+  StreamSession session(cluster, options);
+  auto outs = session.Run(schedule, generator);
+  return {RenderGolden(outs, session.stats()), session.stats()};
+}
+
+// Two tenants with identical phases, so every arrival ties across the two
+// phases, over two kernels (two open batches at once) at 8x load.
+GoldenRun GoldenTiedTenants() {
+  Harness hx(2);
+  const Artifact artifact =
+      BuildWithConfig(MakePool(), MakeSpec(8), merlin::DesignConfig{});
+  BlazeCluster cluster = hx.MakeCluster();
+  for (int i = 0; i < 2; ++i) {
+    RegisterWithBlaze(hx.runtime, "t" + std::to_string(i), artifact);
+    cluster.AddReplica(static_cast<std::size_t>(i), "twin",
+                       "t" + std::to_string(i));
+  }
+  ArrivalSchedule schedule = hx.At(4.0, 40, "gold");
+  schedule.phases.push_back(schedule.phases.front());
+  schedule.phases.back().tenant = "bronze";
+  StreamOptions options = TightLadder(hx);
+  options.codel_interval_us = hx.inv_us / 4;
+  options.brownout_onset_us = hx.inv_us / 2;
+  options.shed_onset_us = hx.inv_us;
+  return RunGolden(cluster, options, schedule, [](std::size_t n) {
+    StreamRecord record = Gen(n);
+    if (n % 2 == 1) record.kernel = "twin";
+    return record;
+  });
+}
+
+// A second phase whose start is exactly one of the first phase's slot
+// times, with multi-row records.
+GoldenRun GoldenPhaseOnSlot() {
+  Harness hx(2);
+  BlazeCluster cluster = hx.MakeCluster();
+  ArrivalSchedule schedule = hx.At(1.5, 40, "early");
+  const ArrivalPhase& first = schedule.phases.front();
+  const double slot = first.start_us + first.duration_us * 13.0 /
+                                           static_cast<double>(first.count);
+  schedule.phases.push_back({"late", slot, first.duration_us / 2, 20});
+  return RunGolden(cluster, TightLadder(hx), schedule, GenRows);
+}
+
+// Integer-microsecond arrivals with age and retry back-off on the same
+// grid, so re-arrivals land on the instants of first arrivals and of age
+// timers.
+GoldenRun GoldenRetryOnTimer() {
+  Harness hx(1);
+  BlazeCluster cluster = hx.MakeCluster();
+  const double step = std::max(1.0, std::floor(hx.inv_us / 16));
+  StreamOptions options = TightLadder(hx);
+  options.batch_age_us = 4 * step;
+  options.retry_backoff_us = 5 * step;
+  options.max_retries = 2;
+  options.retry_budget.burst = 64;
+  ArrivalSchedule schedule;
+  schedule.phases.push_back({"default", 0, 64 * step, 64});
+  return RunGolden(cluster, options, schedule, Gen);
+}
+
+GoldenRun GoldenFifo() {
+  Harness hx(2);
+  BlazeCluster cluster = hx.MakeCluster();
+  StreamOptions options = TightLadder(hx);
+  options.policy = OverloadPolicy::kFifoShed;
+  return RunGolden(cluster, options, hx.At(2.5, 64), GenRows);
+}
+
+GoldenRun GoldenReduce() {
+  BlazeRuntime runtime;
+  const Artifact artifact =
+      BuildWithConfig(MakeSumSqPool(), SumSqSpec(8), merlin::DesignConfig{});
+  RegisterWithBlaze(runtime, "s0", artifact);
+  ClusterOptions coptions;
+  coptions.queue_capacity = 1 << 20;
+  BlazeCluster cluster(runtime, coptions);
+  cluster.AddShard();
+  cluster.AddReplica(0, "sumsq", "s0");
+  const double inv_us = runtime.PerInvocationCost("s0").total_us;
+  StreamOptions options;
+  options.batch_age_us = 4 * inv_us;
+  options.slo_us = 400 * inv_us;
+  options.deadline_headroom_us = inv_us;
+  options.codel_target_us = 40 * inv_us;
+  options.codel_interval_us = 40 * inv_us;
+  options.brownout_onset_us = 80 * inv_us;
+  options.shed_onset_us = 160 * inv_us;
+  ArrivalSchedule schedule;
+  schedule.phases.push_back({"default", 0, inv_us * 12, 12});
+  return RunGolden(cluster, options, schedule, [](std::size_t n) {
+    StreamRecord record;
+    record.kernel = "sumsq";
+    record.input = DoublerInput(static_cast<int>(n % 4 + 1),
+                                static_cast<int>(n));
+    return record;
+  });
+}
+
+GoldenRun GoldenChaosKill() {
+  Harness hx(4);
+  BlazeCluster cluster = hx.MakeCluster();
+  const double horizon = 64.0 * hx.inv_us / 8.0 / 4.0 / 1.5;
+  std::ostringstream plan;
+  plan << "kill 1 @ " << horizon / 4 << "; restart 1 @ " << horizon * 3 / 4
+       << "; spike 2.5 @ " << horizon / 3 << " + " << horizon / 3;
+  cluster.SetChaosPlan(ParseChaosPlan(plan.str()));
+  return RunGolden(cluster, TightLadder(hx), hx.At(1.5, 64), Gen);
+}
+
+GoldenRun GoldenBrownoutHost() {
+  Harness hx(2);
+  BlazeCluster cluster = hx.MakeCluster();
+  StreamOptions options = hx.Opts();
+  options.brownout_onset_us = hx.inv_us / 8;
+  options.shed_onset_us = 1.5 * hx.inv_us;
+  options.slo_us = 100 * hx.inv_us;
+  return RunGolden(cluster, options, hx.At(2.0, 64), GenRows);
+}
+
+GoldenRun GoldenCodelShed() {
+  Harness hx(1);
+  BlazeCluster cluster = hx.MakeCluster();
+  StreamOptions options = hx.Opts();
+  options.slo_us = 3 * hx.inv_us;
+  options.deadline_headroom_us = hx.inv_us / 4;
+  options.codel_target_us = hx.inv_us / 2;
+  options.codel_interval_us = hx.inv_us / 2;
+  options.brownout_onset_us = 20 * hx.inv_us;
+  options.shed_onset_us = 40 * hx.inv_us;
+  return RunGolden(cluster, options, hx.At(3.0, 64), Gen);
+}
+
+struct GoldenScenario {
+  const char* name;
+  GoldenRun (*run)();
+};
+
+const GoldenScenario kGoldenScenarios[] = {
+    {"tied_tenants", GoldenTiedTenants},
+    {"phase_on_slot", GoldenPhaseOnSlot},
+    {"retry_on_timer", GoldenRetryOnTimer},
+    {"fifo", GoldenFifo},
+    {"reduce", GoldenReduce},
+    {"chaos_kill", GoldenChaosKill},
+    {"brownout_host", GoldenBrownoutHost},
+    {"codel_shed", GoldenCodelShed},
+};
+
+struct GoldenCase {
+  const char* name;
+  const char* text;
+};
+#include "stream_golden.inc"
+
+TEST(StreamGoldenTest, EveryScenarioMatchesTheGoldenTable) {
+  ASSERT_EQ(std::size(kStreamGolden), std::size(kGoldenScenarios));
+  std::map<std::string, StreamStats> stats;
+  for (std::size_t i = 0; i < std::size(kGoldenScenarios); ++i) {
+    const GoldenScenario& scenario = kGoldenScenarios[i];
+    ASSERT_STREQ(kStreamGolden[i].name, scenario.name);
+    GoldenRun run = scenario.run();
+    EXPECT_EQ(run.text, kStreamGolden[i].text) << scenario.name;
+    stats[scenario.name] = std::move(run.stats);
+  }
+  // Each scenario still reaches the path it is named for.
+  EXPECT_GT(stats["tied_tenants"].retries_granted, 0u);
+  EXPECT_GT(stats["phase_on_slot"].close_age, 0u);
+  EXPECT_GT(stats["retry_on_timer"].retries_granted, 0u);
+  EXPECT_GT(stats["fifo"].shed_queue_full, 0u);
+  EXPECT_EQ(stats["reduce"].close_count, 12u);
+  EXPECT_GT(stats["chaos_kill"].committed, 0u);
+  EXPECT_GT(stats["brownout_host"].batches_host, 0u);
+  EXPECT_GT(stats["codel_shed"].shed_unmeetable, 0u);
 }
 
 }  // namespace
