@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 
 #include "support/error.h"
@@ -15,26 +16,9 @@ namespace {
 using tuner::Factor;
 using tuner::FactorKind;
 
-double Variance(const std::vector<const TrainingSample*>& samples) {
-  if (samples.size() < 2) return 0.0;
-  double mean = 0;
-  for (const auto* s : samples) mean += s->log_cost;
-  mean /= static_cast<double>(samples.size());
-  double var = 0;
-  for (const auto* s : samples) {
-    var += (s->log_cost - mean) * (s->log_cost - mean);
-  }
-  return var / static_cast<double>(samples.size());
-}
-
-// A growing tree leaf: the sub-space (value-index masks per factor), its
-// samples, and its description.
-struct Leaf {
-  // Allowed value indices (into the *original* factor value lists).
-  std::vector<std::vector<std::size_t>> allowed;
-  std::vector<const TrainingSample*> samples;
-  std::string description = "full space";
-};
+// Position-table entry (value index -> position in a leaf's allowed list)
+// of a value the leaf excludes.
+constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
 
 struct SplitChoice {
   bool valid = false;
@@ -43,41 +27,107 @@ struct SplitChoice {
   double gain = 0;
 };
 
+// A growing tree leaf: the sub-space (value-index masks per factor), its
+// samples (in draw order), its description, and its best split once scored.
+// Only the two children of a split need scoring; every other leaf keeps its
+// cached choice.
+struct Leaf {
+  // Allowed value indices (into the *original* factor value lists).
+  std::vector<std::vector<std::size_t>> allowed;
+  std::vector<const TrainingSample*> samples;
+  std::string description = "full space";
+  std::optional<SplitChoice> best;
+};
+
+// Buffers shared by every BestSplit call of one tree, so scoring a cut
+// allocates nothing.
+struct SplitScratch {
+  std::vector<double> cost;        // the leaf's log costs, in sample order
+  std::vector<std::size_t> table;  // value index -> position (or kAbsent)
+  std::vector<std::size_t> pos;    // each sample's position in allowed
+  std::vector<std::size_t> count;  // samples per position
+};
+
+void FillPositions(const Factor& factor,
+                   const std::vector<std::size_t>& allowed,
+                   std::vector<std::size_t>& table) {
+  table.assign(factor.values.size(), kAbsent);
+  for (std::size_t p = 0; p < allowed.size(); ++p) table[allowed[p]] = p;
+}
+
+double Variance(const std::vector<double>& cost) {
+  if (cost.size() < 2) return 0.0;
+  double mean = 0;
+  for (double c : cost) mean += c;
+  mean /= static_cast<double>(cost.size());
+  double var = 0;
+  for (double c : cost) var += (c - mean) * (c - mean);
+  return var / static_cast<double>(cost.size());
+}
+
+// Variances of the samples left of `cut` and of the rest. Each side takes a
+// mean pass and a squared-deviation pass in sample order, so both results
+// are bit-identical to Variance() over that side's filtered samples (adding
+// +0.0 for the other side's samples changes no partial sum).
+void SideVariances(const SplitScratch& s, std::size_t cut,
+                   std::size_t n_left, std::size_t n_right,
+                   double& var_left, double& var_right) {
+  const std::size_t n = s.cost.size();
+  double sum_left = 0, sum_right = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool left = s.pos[i] < cut;
+    sum_left += left ? s.cost[i] : 0.0;
+    sum_right += left ? 0.0 : s.cost[i];
+  }
+  const double mean_left = sum_left / static_cast<double>(n_left);
+  const double mean_right = sum_right / static_cast<double>(n_right);
+  double sq_left = 0, sq_right = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool left = s.pos[i] < cut;
+    const double d = s.cost[i] - (left ? mean_left : mean_right);
+    sq_left += left ? d * d : 0.0;
+    sq_right += left ? 0.0 : d * d;
+  }
+  var_left = n_left < 2 ? 0.0 : sq_left / static_cast<double>(n_left);
+  var_right = n_right < 2 ? 0.0 : sq_right / static_cast<double>(n_right);
+}
+
 // Best variance-impurity split of `leaf` over the candidate factors
 // (Eq. 1 of the paper).
 SplitChoice BestSplit(const DesignSpace& space, const Leaf& leaf,
                       const std::vector<std::size_t>& candidates,
-                      int min_samples) {
+                      int min_samples, SplitScratch& s) {
   SplitChoice best;
-  const double total_var = Variance(leaf.samples);
-  const double n = static_cast<double>(leaf.samples.size());
-  if (leaf.samples.size() < 2 * static_cast<std::size_t>(min_samples)) {
-    return best;
-  }
+  const std::size_t n = leaf.samples.size();
+  const auto min = static_cast<std::size_t>(min_samples);
+  if (n < 2 * min) return best;
+  s.cost.resize(n);
+  for (std::size_t i = 0; i < n; ++i) s.cost[i] = leaf.samples[i]->log_cost;
+  const double total_var = Variance(s.cost);
+  const double nd = static_cast<double>(n);
+  s.pos.resize(n);
   for (std::size_t f : candidates) {
     const auto& allowed = leaf.allowed[f];
     if (allowed.size() < 2) continue;
+    FillPositions(space.factors[f], allowed, s.table);
+    s.count.assign(allowed.size(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t p = s.table[leaf.samples[i]->point[f]];
+      S2FA_CHECK(p != kAbsent, "sample escaped its leaf");
+      s.pos[i] = p;
+      ++s.count[p];
+    }
     // Cut between allowed[cut-1] and allowed[cut].
+    std::size_t n_left = 0;
     for (std::size_t cut = 1; cut < allowed.size(); ++cut) {
-      std::vector<const TrainingSample*> left, right;
-      for (const auto* s : leaf.samples) {
-        // Position of the sample's value index within the allowed list.
-        std::size_t value_index = s->point[f];
-        auto it = std::find(allowed.begin(), allowed.end(), value_index);
-        S2FA_CHECK(it != allowed.end(), "sample escaped its leaf");
-        if (static_cast<std::size_t>(it - allowed.begin()) < cut) {
-          left.push_back(s);
-        } else {
-          right.push_back(s);
-        }
-      }
-      if (left.size() < static_cast<std::size_t>(min_samples) ||
-          right.size() < static_cast<std::size_t>(min_samples)) {
-        continue;
-      }
+      n_left += s.count[cut - 1];
+      const std::size_t n_right = n - n_left;
+      if (n_left < min || n_right < min) continue;
+      double var_left = 0, var_right = 0;
+      SideVariances(s, cut, n_left, n_right, var_left, var_right);
       double gain = total_var -
-                    (static_cast<double>(left.size()) / n) * Variance(left) -
-                    (static_cast<double>(right.size()) / n) * Variance(right);
+                    (static_cast<double>(n_left) / nd) * var_left -
+                    (static_cast<double>(n_right) / nd) * var_right;
       if (gain > best.gain + 1e-12) {
         best.valid = true;
         best.factor = f;
@@ -188,14 +238,19 @@ std::vector<Partition> BuildPartitions(
   }
 
   std::vector<Leaf> leaves{std::move(root)};
+  SplitScratch scratch;
   // Best-first growth until the target leaf count (or no useful split).
   while (static_cast<int>(leaves.size()) < options.target_partitions) {
     double best_gain = 0;
     std::size_t best_leaf = 0;
     SplitChoice best_choice;
     for (std::size_t l = 0; l < leaves.size(); ++l) {
-      SplitChoice choice = BestSplit(space, leaves[l], candidates,
-                                     options.min_samples_per_leaf);
+      Leaf& leaf = leaves[l];
+      if (!leaf.best) {
+        leaf.best = BestSplit(space, leaf, candidates,
+                              options.min_samples_per_leaf, scratch);
+      }
+      const SplitChoice& choice = *leaf.best;
       if (choice.valid && choice.gain > best_gain) {
         best_gain = choice.gain;
         best_leaf = l;
@@ -231,40 +286,28 @@ std::vector<Partition> BuildPartitions(
       // Re-partition samples permissively (a forced split may be lopsided).
     }
 
-    Leaf& leaf = leaves[best_leaf];
-    Leaf left = leaf;
-    Leaf right = leaf;
-    const auto& allowed = leaf.allowed[best_choice.factor];
-    left.allowed[best_choice.factor] =
-        std::vector<std::size_t>(allowed.begin(),
-                                 allowed.begin() +
-                                     static_cast<std::ptrdiff_t>(
-                                         best_choice.cut));
-    right.allowed[best_choice.factor] =
-        std::vector<std::size_t>(allowed.begin() +
-                                     static_cast<std::ptrdiff_t>(
-                                         best_choice.cut),
-                                 allowed.end());
-    left.samples.clear();
-    right.samples.clear();
+    const Leaf& leaf = leaves[best_leaf];
+    const std::size_t factor = best_choice.factor;
+    const std::size_t cut = best_choice.cut;
+    const auto& allowed = leaf.allowed[factor];
+    const auto middle = allowed.begin() + static_cast<std::ptrdiff_t>(cut);
+    Leaf left, right;
+    left.allowed = leaf.allowed;
+    right.allowed = leaf.allowed;
+    left.allowed[factor].assign(allowed.begin(), middle);
+    right.allowed[factor].assign(middle, allowed.end());
+    FillPositions(space.factors[factor], allowed, scratch.table);
     for (const auto* s : leaf.samples) {
-      std::size_t value_index = s->point[best_choice.factor];
-      auto it = std::find(allowed.begin(), allowed.end(), value_index);
-      if (static_cast<std::size_t>(it - allowed.begin()) < best_choice.cut) {
-        left.samples.push_back(s);
-      } else {
-        right.samples.push_back(s);
-      }
+      (scratch.table[s->point[factor]] < cut ? left : right)
+          .samples.push_back(s);
     }
     std::string base = leaf.description == "full space"
                            ? ""
                            : leaf.description + " && ";
     left.description =
-        base + RuleText(space, best_choice.factor, allowed, best_choice.cut,
-                        /*left=*/true);
+        base + RuleText(space, factor, allowed, cut, /*left=*/true);
     right.description =
-        base + RuleText(space, best_choice.factor, allowed, best_choice.cut,
-                        /*left=*/false);
+        base + RuleText(space, factor, allowed, cut, /*left=*/false);
     leaves[best_leaf] = std::move(left);
     leaves.push_back(std::move(right));
   }

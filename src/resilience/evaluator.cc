@@ -138,11 +138,18 @@ tuner::EvalOutcome ResilientEvaluator::Evaluate(
     probe = half_open_;
   }
 
-  const std::string key = config.ToString();
+  // The config's key seeds the backoff jitter and names the exhausted
+  // config in the debug log; most evaluations succeed first time and never
+  // render it.
+  std::string key;
+  auto rendered_key = [&]() -> const std::string& {
+    if (key.empty()) key = config.ToString();
+    return key;
+  };
   double charged = 0;
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
-      const double delay = BackoffMinutes(key, attempt);
+      const double delay = BackoffMinutes(rendered_key(), attempt);
       charged += delay;
       S2FA_COUNT("resilience.retries", 1);
       S2FA_OBSERVE("resilience.backoff_minutes", delay);
@@ -200,9 +207,9 @@ tuner::EvalOutcome ResilientEvaluator::Evaluate(
     }
   }
   S2FA_COUNT("resilience.exhausted", 1);
-  S2FA_LOG_DEBUG("[" << scope_ << "] retries exhausted for " << key
-                     << "; degrading to infeasible after " << charged
-                     << " simulated minutes");
+  S2FA_LOG_DEBUG("[" << scope_ << "] retries exhausted for "
+                     << rendered_key() << "; degrading to infeasible after "
+                     << charged << " simulated minutes");
   tuner::EvalOutcome degraded;
   degraded.feasible = false;
   degraded.cost = tuner::kInfeasibleCost;

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "kir/printer.h"
+#include "obs/obs.h"
 #include "support/error.h"
 #include "support/logging.h"
 
@@ -17,39 +18,41 @@ tuner::EvalFn MakeHlsEvaluator(const kir::Kernel& kernel,
   return [copy, options, frequency](
              const merlin::DesignConfig& config) -> tuner::EvalOutcome {
     tuner::EvalOutcome outcome;
-    try {
-      merlin::TransformResult transformed = merlin::ApplyDesign(copy, config);
-      hls::HlsResult hls_result = hls::EstimateHls(transformed.kernel,
-                                                   options);
-      if (!hls_result.Plausible()) {
-        // The tool returned, but its numbers can't be trusted. Surface the
-        // outcome as garbage (NaN objective) so the resilience layer
-        // classifies it as kGarbageResult and retries instead of letting a
-        // corrupt result steer the search.
-        outcome.feasible = true;
-        outcome.cost = std::numeric_limits<double>::quiet_NaN();
-        outcome.eval_minutes = std::max(1.0, hls_result.eval_minutes);
-        return outcome;
-      }
-      outcome.feasible = hls_result.feasible;
-      // Objective: execution time, with a small area term that breaks ties
-      // between equal-performance designs toward the cheaper one (the
-      // Merlin flow's preference; also keeps synthesis times down).
-      const double exec_us =
-          frequency == FrequencyModel::kEstimated
-              ? hls_result.exec_us
-              : hls_result.cycles / options.device.target_mhz;
-      outcome.cost = exec_us * (1.0 + 0.05 * hls_result.util.MaxFraction());
-      outcome.eval_minutes = hls_result.eval_minutes;
-      // Attribution rides along for the landscape-aware arms; the garbage
-      // and illegal-config paths above keep the default kNone.
-      outcome.bottleneck = hls_result.bottleneck;
-    } catch (const InvalidArgument&) {
-      // Illegal factor combination: the HLS job fails fast.
+    if (!merlin::ValidateConfig(copy, config).empty()) {
+      // Illegal factor combination: the HLS job fails fast. Rejected here,
+      // before ApplyDesign would throw, since most uniform draws are
+      // illegal and unwinding costs more than the check.
+      S2FA_COUNT("merlin.rejected_configs", 1);
       outcome.feasible = false;
       outcome.cost = tuner::kInfeasibleCost;
       outcome.eval_minutes = 3.0;
+      return outcome;
     }
+    merlin::TransformResult transformed = merlin::ApplyDesign(copy, config);
+    hls::HlsResult hls_result = hls::EstimateHls(transformed.kernel, options);
+    if (!hls_result.Plausible()) {
+      // The tool returned, but its numbers can't be trusted. Surface the
+      // outcome as garbage (NaN objective) so the resilience layer
+      // classifies it as kGarbageResult and retries instead of letting a
+      // corrupt result steer the search.
+      outcome.feasible = true;
+      outcome.cost = std::numeric_limits<double>::quiet_NaN();
+      outcome.eval_minutes = std::max(1.0, hls_result.eval_minutes);
+      return outcome;
+    }
+    outcome.feasible = hls_result.feasible;
+    // Objective: execution time, with a small area term that breaks ties
+    // between equal-performance designs toward the cheaper one (the
+    // Merlin flow's preference; also keeps synthesis times down).
+    const double exec_us =
+        frequency == FrequencyModel::kEstimated
+            ? hls_result.exec_us
+            : hls_result.cycles / options.device.target_mhz;
+    outcome.cost = exec_us * (1.0 + 0.05 * hls_result.util.MaxFraction());
+    outcome.eval_minutes = hls_result.eval_minutes;
+    // Attribution rides along for the landscape-aware arms; the garbage
+    // and illegal-config paths above keep the default kNone.
+    outcome.bottleneck = hls_result.bottleneck;
     return outcome;
   };
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -7,9 +8,11 @@
 #include <string>
 #include <vector>
 
+#include "apps/app.h"
 #include "dse/explorer.h"
 #include "hls/estimator.h"
 #include "merlin/transform.h"
+#include "s2fa/framework.h"
 
 namespace s2fa::dse {
 namespace {
@@ -165,6 +168,116 @@ TEST(PartitionTest, FlatCostsStillYieldCoreCoverage) {
   EXPECT_EQ(partitions.size(), 8u);
   Rng check(77);
   EXPECT_TRUE(PartitionsDisjointAndCovering(space, partitions, 300, check));
+}
+
+// ------------------------------------------------------- golden partitions
+//
+// The trained tree of every evaluation app, pinned description for
+// description: 320 seeded uniform samples per app, scored by the framework's
+// HLS evaluator with the explorer's log-cost mapping, then BuildPartitions
+// with the default options. A final synthetic case interleaves gain splits
+// and forced median splits, so a leaf that was just split must be re-scored
+// before it is split again. A partitioner change that is meant to be pure
+// speed must leave partition_golden.inc untouched; the table was printed by
+// the disabled test below, run as
+//
+//   dse_test --gtest_also_run_disabled_tests
+//            --gtest_filter=PartitionGoldenTest.DISABLED_PrintTable
+//
+// and keeping its output from the BEGIN line to the END line.
+
+constexpr int kGoldenTrainingSamples = 320;
+constexpr std::uint64_t kGoldenTrainingSeed = 2018;
+
+const char* const kPartitionGoldenTable[] = {
+#include "partition_golden.inc"
+};
+
+void AppendPartitionLines(const std::string& name,
+                          const std::vector<Partition>& partitions,
+                          std::vector<std::string>& lines) {
+  lines.push_back(name + " partitions=" + std::to_string(partitions.size()));
+  for (std::size_t i = 0; i < partitions.size(); ++i) {
+    lines.push_back(name + " p" + std::to_string(i) + ": " +
+                    partitions[i].description);
+  }
+}
+
+// Factors A, B, C in {0, 1} and D in {1, 2, 4, 8}, a balanced grid of
+// samples, cost 8*C + (A xor B). C carries all the gain at the root; inside
+// each C half no single cut gains, so A is split at its median, after which
+// B gains again in both A halves. Ties and zero gains are exact in binary.
+std::vector<Partition> InterleavedSplits() {
+  DesignSpace space;
+  for (const char* name : {"A", "B", "C"}) {
+    space.factors.push_back(
+        {name, FactorKind::kLoopPipeline, -1, "", {0, 1}});
+  }
+  space.factors.push_back(
+      {"D", FactorKind::kLoopParallel, -1, "", {1, 2, 4, 8}});
+  std::vector<TrainingSample> samples;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (std::size_t a = 0; a < 2; ++a) {
+      for (std::size_t b = 0; b < 2; ++b) {
+        for (std::size_t c = 0; c < 2; ++c) {
+          for (std::size_t d = 0; d < 4; ++d) {
+            samples.push_back({{a, b, c, d},
+                               8.0 * static_cast<double>(c) +
+                                   (a != b ? 1.0 : 0.0)});
+          }
+        }
+      }
+    }
+  }
+  PartitionOptions options;
+  options.target_partitions = 10;
+  return BuildPartitions(space, {0, 1, 2, 3}, samples, options);
+}
+
+std::vector<std::string> PartitionGoldenLines() {
+  std::vector<std::string> lines;
+  for (const apps::App& app : apps::AllApps()) {
+    kir::Kernel kernel = b2c::CompileKernel(*app.pool, app.spec);
+    DesignSpace space = tuner::BuildDesignSpace(kernel);
+    tuner::EvalFn eval = MakeHlsEvaluator(kernel);
+    const PartitionOptions options;
+    auto log_cost = [&](const Point& p) {
+      EvalOutcome out = eval(space.ToConfig(p));
+      return out.feasible ? std::log(std::max(1e-9, out.cost))
+                          : options.infeasible_log_cost;
+    };
+    Rng rng(kGoldenTrainingSeed);
+    auto samples =
+        DrawTrainingSamples(space, kGoldenTrainingSamples, log_cost, rng);
+    AppendPartitionLines(
+        app.name,
+        BuildPartitions(space, RuleCandidateFactors(space, kernel), samples,
+                        options),
+        lines);
+  }
+  AppendPartitionLines("interleaved", InterleavedSplits(), lines);
+  return lines;
+}
+
+TEST(PartitionGoldenTest, EveryDescriptionMatchesTheTable) {
+  const std::vector<std::string> lines = PartitionGoldenLines();
+  ASSERT_EQ(lines.size(), std::size(kPartitionGoldenTable));
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i], kPartitionGoldenTable[i]) << "row " << i;
+  }
+}
+
+TEST(PartitionGoldenTest, DISABLED_PrintTable) {
+  std::printf("// BEGIN golden partition lines (see dse_test.cc)\n");
+  for (const std::string& line : PartitionGoldenLines()) {
+    std::string escaped;
+    for (char c : line) {
+      if (c == '"' || c == '\\') escaped += '\\';
+      escaped += c;
+    }
+    std::printf("\"%s\",\n", escaped.c_str());
+  }
+  std::printf("// END golden partition lines\n");
 }
 
 // ----------------------------------------------------------------- seeds

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "apps/app.h"
+#include "merlin/transform.h"
+#include "obs/obs.h"
 #include "s2fa/framework.h"
 
 namespace s2fa {
@@ -49,15 +56,84 @@ TEST(FrameworkTest, BestDesignNotWorseThanConservative) {
   EXPECT_LE(tuned.best_hls.exec_us, conservative.best_hls.exec_us);
 }
 
+// One illegal SVM config per merlin::ValidateConfig rule (SVM: L0 and L1
+// trip 32, L2 trip 1024, on-chip broadcast buffer bc3), each tagged with a
+// fragment of the violation it must raise.
+struct IllegalCase {
+  const char* rule;
+  merlin::DesignConfig config;
+};
+
+std::vector<IllegalCase> IllegalSvmConfigs() {
+  std::vector<IllegalCase> cases;
+  auto loop = [](int id, merlin::LoopConfig cfg) {
+    merlin::DesignConfig config;
+    config.loops[id] = cfg;
+    return config;
+  };
+  auto bits = [](const char* buffer, int width) {
+    merlin::DesignConfig config;
+    config.buffer_bits[buffer] = width;
+    return config;
+  };
+  cases.push_back({"no loop with id", loop(99, {1, 1, {}})});
+  cases.push_back({"must divide the trip count", loop(2, {3, 1, {}})});
+  cases.push_back({"outside [1, 32]", loop(1, {1, 64, {}})});
+  cases.push_back({"exceeds the point-loop trip", loop(2, {4, 8, {}})});
+  cases.push_back({"must be a power of two", bits("in_1", 48)});
+  cases.push_back({"is on-chip", bits("bc3", 64)});
+  return cases;
+}
+
+// Every rule's rejection returns the same pinned outcome, bumps
+// merlin.rejected_configs once, and ApplyDesign still throws on it.
 TEST(FrameworkTest, EvaluatorTreatsIllegalConfigsAsInfeasible) {
   apps::App app = apps::FindApp("SVM");
   kir::Kernel kernel = b2c::CompileKernel(*app.pool, app.spec);
   tuner::EvalFn eval = MakeHlsEvaluator(kernel);
-  merlin::DesignConfig illegal;
-  illegal.loops[0] = {1, 9999, merlin::PipelineMode::kOff};  // par > trip
-  tuner::EvalOutcome outcome = eval(illegal);
-  EXPECT_FALSE(outcome.feasible);
-  EXPECT_GT(outcome.eval_minutes, 0.0);
+  obs::SetEnabled(true);
+  const bool counting = obs::Enabled();
+  obs::Registry::Global().Reset();
+  auto rejected = [] {
+    auto counters = obs::Registry::Global().Snapshot().counters;
+    auto it = counters.find("merlin.rejected_configs");
+    return it == counters.end() ? std::int64_t{0} : it->second;
+  };
+
+  std::int64_t expected_rejections = 0;
+  for (const IllegalCase& c : IllegalSvmConfigs()) {
+    SCOPED_TRACE(c.rule);
+    const std::vector<std::string> violations =
+        merlin::ValidateConfig(kernel, c.config);
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_NE(violations[0].find(c.rule), std::string::npos)
+        << violations[0];
+    EXPECT_THROW(merlin::ApplyDesign(kernel, c.config), InvalidArgument);
+    ++expected_rejections;  // the ApplyDesign call above
+
+    const tuner::EvalOutcome outcome = eval(c.config);
+    ++expected_rejections;
+    EXPECT_FALSE(outcome.feasible);
+    EXPECT_EQ(outcome.cost, std::numeric_limits<double>::infinity());
+    EXPECT_EQ(outcome.eval_minutes, 0x1.8p+1);
+    EXPECT_EQ(outcome.bottleneck.kind, hls::BottleneckKind::kNone);
+    EXPECT_EQ(outcome.bottleneck.quantity, 0.0);
+    EXPECT_EQ(outcome.bottleneck.margin, 0.0);
+    if (counting) {
+      EXPECT_EQ(rejected(), expected_rejections);
+    }
+  }
+
+  // A legal config is estimated, not rejected.
+  merlin::DesignConfig legal;
+  legal.loops[2] = {4, 2, merlin::PipelineMode::kOn};
+  EXPECT_TRUE(merlin::ValidateConfig(kernel, legal).empty());
+  EXPECT_TRUE(eval(legal).feasible);
+  if (counting) {
+    EXPECT_EQ(rejected(), expected_rejections);
+  }
+  obs::Registry::Global().Reset();
+  obs::SetEnabled(false);
 }
 
 TEST(FrameworkTest, EvaluatorIsDeterministic) {

@@ -301,6 +301,32 @@ TEST(ResilientEvaluatorTest, BackoffJitterIsDeterministicAndBounded) {
   }
 }
 
+// The jitter is hashed from the config's key, so these charges pin the key
+// text as well as the backoff schedule (default options: 25% jitter).
+TEST(ResilientEvaluatorTest, JitteredRetryChargesArePinned) {
+  ResilientEvaluator recovers(
+      AttemptEvalFn([](const DesignConfig&, int attempt) {
+        if (attempt < 2) throw Error("boom");
+        return GoodOutcome(10.0, 5.0);
+      }),
+      ResilienceOptions{});
+  const EvalOutcome recovered = recovers.Evaluate(MakeConfig(3));
+  EXPECT_TRUE(recovered.feasible);
+  EXPECT_EQ(recovered.eval_minutes, 0x1.12683a65f578ep+3) << std::hexfloat
+                                            << recovered.eval_minutes;
+
+  ResilientEvaluator exhausts(
+      tuner::EvalFn([](const DesignConfig&) -> EvalOutcome {
+        throw Error("always fails");
+      }),
+      ResilienceOptions{});
+  const EvalOutcome degraded = exhausts.Evaluate(MakeConfig(4));
+  EXPECT_FALSE(degraded.feasible);
+  EXPECT_EQ(degraded.eval_minutes, 0x1.17859e9894241p+2) << std::hexfloat
+                                           << degraded.eval_minutes;
+  EXPECT_EQ(exhausts.stats().exhausted, 1u);
+}
+
 TEST(ResilientEvaluatorTest, CircuitBreakerTripsAndShortCircuits) {
   ResilienceOptions options = NoJitterOptions();
   options.max_retries = 0;
