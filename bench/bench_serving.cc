@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "blaze/chaos.h"
 #include "blaze/service.h"
 #include "merlin/transform.h"
 #include "obs/obs.h"
@@ -109,7 +110,8 @@ Replay Run(const apps::App& app, const Artifact& artifact,
   // ending near invocation 5 on each replica, the burst-phase dispatches
   // fail until the quarantine trips, and the first probe past the window
   // re-enlists.
-  service.SetFaultInjector(blaze::MakeBurstFaultInjector({{4, 3}}));
+  service.SetFaultInjector(
+      blaze::MakeShardFaultInjector(blaze::ParseChaosPlan("burst 4:3"), 0));
 
   Rng rng(2018);
   blaze::Dataset broadcast;

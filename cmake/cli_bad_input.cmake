@@ -36,6 +36,10 @@ expect_rejected(--shards ARGS serve AES --shards)
 # windows; only bare START:LEN windows are accepted, not other statements.
 expect_rejected(--fault-burst ARGS serve AES --fault-burst 2:4,5:2)
 expect_rejected(--fault-burst ARGS serve AES --fault-burst 1:2@0)
+# Accelerator faults come only from the chaos plan: the old runtime flag is
+# gone, and a fault-rate outside [0, 1] is a malformed plan.
+expect_rejected(--accel-fault-rate ARGS run AES --accel-fault-rate 0.1)
+expect_rejected(--chaos-plan ARGS serve AES --chaos-plan "fault-rate 1.5")
 expect_rejected(S2FA_EVAL_TIMEOUT ENV S2FA_EVAL_TIMEOUT=garbage
                 ARGS explore KMeans)
 expect_rejected(S2FA_EVAL_RETRIES ENV S2FA_EVAL_RETRIES=-2

@@ -1,9 +1,9 @@
 // Multi-stage accelerator pipelines: chain several registered accelerators
 // (Map or Reduce, chosen from each design's parallel pattern) over one
 // dataset, the way a Spark job strings transformations together (paper §2,
-// Code 1). The per-stage degradation ledgers aggregate via
-// ExecutionStats::Merge, so a host fallback in any stage is visible in the
-// pipeline total instead of being overwritten by the next stage's stats.
+// Code 1). The per-stage cost ledgers add up via ExecutionStats::Merge.
+// Stages run through BlazeRuntime, which only executes: accelerator faults,
+// retries and host fallback live in the serving layer (BlazeService).
 #pragma once
 
 #include <functional>

@@ -157,7 +157,7 @@ void ValidateLifecycle(const ChaosPlan& plan) {
 void ValidateBursts(const ChaosPlan& plan) {
   // Per-target overlap: an unscoped burst applies to every shard, so it
   // conflicts with any scoped window it overlaps too.
-  auto overlaps = [](const FaultBurst& a, const FaultBurst& b) {
+  auto overlaps = [](const ChaosBurst& a, const ChaosBurst& b) {
     return a.start < b.start + b.length && b.start < a.start + a.length;
   };
   for (std::size_t i = 0; i < plan.bursts.size(); ++i) {
@@ -166,13 +166,11 @@ void ValidateBursts(const ChaosPlan& plan) {
       const ChaosBurst& b = plan.bursts[j];
       const bool same_target =
           !a.shard || !b.shard || *a.shard == *b.shard;
-      if (same_target && overlaps(a.window, b.window)) {
+      if (same_target && overlaps(a, b)) {
         throw MalformedInput(
-            "chaos plan: fault bursts [" + std::to_string(a.window.start) +
-            ":" + std::to_string(a.window.length) + ") and [" +
-            std::to_string(b.window.start) + ":" +
-            std::to_string(b.window.length) +
-            ") overlap on the same target");
+            "chaos plan: fault bursts [" + std::to_string(a.start) + ":" +
+            std::to_string(a.length) + ") and [" + std::to_string(b.start) +
+            ":" + std::to_string(b.length) + ") overlap on the same target");
       }
     }
   }
@@ -199,18 +197,34 @@ void ValidateSpikes(const ChaosPlan& plan) {
   }
 }
 
-void ParseDirective(const std::string& stmt, ChaosPlan& plan) {
+// The once-only directives seen so far in one plan.
+struct SeenDirectives {
+  bool poison_rate = false;
+  bool fault_rate = false;
+};
+
+// `<what>-rate <rate> [/ <seed>]` after the verb: a hash-sampled rate that
+// may appear once per plan, whatever its value.
+void ParseRate(StmtParser& p, const std::string& what, bool& seen,
+               double& rate, std::uint64_t& seed) {
+  const double value = p.ParseNumber();
+  if (value < 0 || value > 1.0) p.Fail(what + " rate must be in [0, 1]");
+  if (seen) p.Fail("duplicate " + what + "-rate directive");
+  seen = true;
+  rate = value;
+  if (p.Consume('/')) seed = static_cast<std::uint64_t>(p.ParseIndex());
+  p.ExpectEnd();
+}
+
+void ParseDirective(const std::string& stmt, ChaosPlan& plan,
+                    SeenDirectives& seen) {
   StmtParser p(stmt);
   // Longest verb first: "poison-rate" shares the "poison" prefix.
   if (p.ConsumePrefix("poison-rate")) {
-    const double rate = p.ParseNumber();
-    if (rate < 0 || rate > 1.0) p.Fail("poison rate must be in [0, 1]");
-    if (plan.poison_rate > 0) p.Fail("duplicate poison-rate directive");
-    plan.poison_rate = rate;
-    if (p.Consume('/')) {
-      plan.poison_seed = static_cast<std::uint64_t>(p.ParseIndex());
-    }
-    p.ExpectEnd();
+    ParseRate(p, "poison", seen.poison_rate, plan.poison_rate,
+              plan.poison_seed);
+  } else if (p.ConsumePrefix("fault-rate")) {
+    ParseRate(p, "fault", seen.fault_rate, plan.fault_rate, plan.fault_seed);
   } else if (p.ConsumePrefix("poison")) {
     do {
       plan.poison_ids.push_back(p.ParseIndex());
@@ -232,10 +246,10 @@ void ParseDirective(const std::string& stmt, ChaosPlan& plan) {
     plan.restarts.push_back(restart);
   } else if (p.ConsumePrefix("burst")) {
     ChaosBurst burst;
-    burst.window.start = p.ParseIndex();
+    burst.start = p.ParseIndex();
     p.Expect(':');
-    burst.window.length = p.ParseIndex();
-    if (burst.window.length == 0) p.Fail("burst length must be >= 1");
+    burst.length = p.ParseIndex();
+    if (burst.length == 0) p.Fail("burst length must be >= 1");
     if (p.Consume('@')) burst.shard = p.ParseIndex();
     p.ExpectEnd();
     plan.bursts.push_back(burst);
@@ -273,10 +287,11 @@ void ParseDirective(const std::string& stmt, ChaosPlan& plan) {
 
 ChaosPlan ParseChaosPlan(const std::string& text) {
   ChaosPlan plan;
+  SeenDirectives seen;
   std::string stmt;
-  auto flush = [&plan, &stmt] {
+  auto flush = [&plan, &seen, &stmt] {
     if (!stmt.empty()) {
-      ParseDirective(stmt, plan);
+      ParseDirective(stmt, plan, seen);
       stmt.clear();
     }
   };
@@ -306,8 +321,12 @@ void ValidateChaosPlan(const ChaosPlan& plan) {
       !std::isfinite(plan.poison_rate)) {
     throw MalformedInput("chaos plan: poison rate must be in [0, 1]");
   }
+  if (plan.fault_rate < 0 || plan.fault_rate > 1.0 ||
+      !std::isfinite(plan.fault_rate)) {
+    throw MalformedInput("chaos plan: fault rate must be in [0, 1]");
+  }
   for (const ChaosBurst& burst : plan.bursts) {
-    if (burst.window.length == 0) {
+    if (burst.length == 0) {
       throw MalformedInput("chaos plan: burst length must be >= 1");
     }
   }
@@ -341,15 +360,27 @@ double SpikeFactorAt(const ChaosPlan& plan, double t_us) {
   return 1.0;
 }
 
-AccelFaultInjector MakeShardBurstInjector(const ChaosPlan& plan,
+AccelFaultInjector MakeShardFaultInjector(const ChaosPlan& plan,
                                           std::size_t shard) {
-  std::vector<FaultBurst> windows;
+  std::vector<ChaosBurst> windows;
   for (const ChaosBurst& burst : plan.bursts) {
-    if (!burst.shard || *burst.shard == shard) {
-      windows.push_back(burst.window);
-    }
+    if (!burst.shard || *burst.shard == shard) windows.push_back(burst);
   }
-  return MakeBurstFaultInjector(std::move(windows));
+  if (windows.empty() && plan.fault_rate <= 0) return nullptr;
+  return [windows = std::move(windows), rate = plan.fault_rate,
+          seed = plan.fault_seed](const std::string& accel_id,
+                                  std::size_t invocation, int attempt) {
+    for (const ChaosBurst& burst : windows) {
+      if (invocation >= burst.start &&
+          invocation < burst.start + burst.length) {
+        return true;
+      }
+    }
+    return rate > 0 &&
+           resilience::detail::HashRoll(
+               seed, "fault#" + accel_id + "#" + std::to_string(invocation),
+               attempt) < rate;
+  };
 }
 
 }  // namespace s2fa::blaze

@@ -1,11 +1,13 @@
 // Deterministic chaos harness for the sharded serving layer (BlazeCluster).
 //
 // A ChaosPlan is a scripted fault schedule on the shared simulated clock:
-// whole-shard kills and restarts, per-replica fault bursts (reusing the
-// service's invocation-window injector), interconnect latency spikes, tenant
-// floods, and poison requests that crash any batch containing them. The plan
-// is parsed fail-fast from a tiny text grammar so the CLI, benches, and
-// tests can all drive the same schedules:
+// whole-shard kills and restarts, accelerator faults (invocation-window
+// bursts and a hash-sampled per-attempt rate), interconnect latency spikes,
+// tenant floods, and poison requests that crash any batch containing them.
+// It is the only source of accelerator faults: MakeShardFaultInjector turns
+// it into the injector each shard's BlazeService retries and falls back
+// around. The plan is parsed fail-fast from a tiny text grammar so the CLI,
+// benches, and tests can all drive the same schedules:
 //
 //   plan      := stmt ((';' | '\n') stmt)*
 //   stmt      := (empty) | directive
@@ -13,6 +15,7 @@
 //     kill <shard> @ <time>            # shard dies; in-flight work is lost
 //     restart <shard> @ <time>         # fresh process: health state resets
 //     burst <start>:<len> [@ <shard>]  # replica-invocation fault window
+//     fault-rate <rate> [/ <seed>]     # every replica: per-attempt fault
 //     spike <factor> @ <time> + <dur>  # latency multiplier on dispatches
 //     flood <tenant> @ <time> + <dur> x <count>   # synthetic request burst
 //     poison <id> [, <id>]*            # these request ids crash their batch
@@ -23,8 +26,9 @@
 // a silent merge — unknown directives, malformed numbers, zero-length
 // windows, overlapping bursts on the same target, kill/restart sequences
 // that do not alternate in time order, overlapping spikes, duplicate poison
-// ids, and rates outside [0, 1]. Shard indices and tenant names are
-// validated against the actual topology by BlazeCluster::SetChaosPlan.
+// ids, a repeated poison-rate or fault-rate directive, and rates outside
+// [0, 1]. Shard indices and tenant names are validated against the actual
+// topology by BlazeCluster::SetChaosPlan.
 #pragma once
 
 #include <cstddef>
@@ -47,10 +51,12 @@ struct ChaosRestart {
   double at_us = 0;
 };
 
-// A replica-invocation fault window, optionally scoped to one shard
-// (nullopt = every shard). Drives MakeBurstFaultInjector.
+// A replica-invocation fault window: every accelerator attempt whose
+// per-replica invocation counter falls in [start, start + length) fails.
+// Optionally scoped to one shard (nullopt = every shard).
 struct ChaosBurst {
-  FaultBurst window;
+  std::size_t start = 0;
+  std::size_t length = 0;
   std::optional<std::size_t> shard;
 };
 
@@ -81,11 +87,15 @@ struct ChaosPlan {
   std::vector<std::size_t> poison_ids;  // sorted, unique
   double poison_rate = 0;               // hash-sampled fraction in [0, 1]
   std::uint64_t poison_seed = 0xC4A05;
+  // Each accelerator attempt of every replica fails with this probability,
+  // rolled statelessly per (replica, invocation, attempt).
+  double fault_rate = 0;
+  std::uint64_t fault_seed = 0xACCE1;
 
   bool Empty() const {
     return kills.empty() && restarts.empty() && bursts.empty() &&
            spikes.empty() && floods.empty() && poison_ids.empty() &&
-           poison_rate <= 0;
+           poison_rate <= 0 && fault_rate <= 0;
   }
 };
 
@@ -96,7 +106,7 @@ ChaosPlan ParseChaosPlan(const std::string& text);
 // Structural validation shared by the parser and programmatically built
 // plans: per-shard kill/restart alternation in time order, burst/spike
 // window overlap, spike factor/duration sanity, sorted-unique poison ids,
-// rate in [0, 1]. Throws MalformedInput. ChaosPlan is a public struct, so
+// rates in [0, 1]. Throws MalformedInput. ChaosPlan is a public struct, so
 // BlazeCluster::SetChaosPlan re-runs this rather than trusting that the
 // plan came from ParseChaosPlan — a hand-built plan with, say, a restart
 // before its kill fails fast instead of installing inverted dead windows.
@@ -110,9 +120,10 @@ bool IsPoisoned(const ChaosPlan& plan, std::size_t request_id);
 // every spike window).
 double SpikeFactorAt(const ChaosPlan& plan, double t_us);
 
-// The fault-burst injector scoped to `shard` (its own windows plus the
-// unscoped ones); nullptr when none apply.
-AccelFaultInjector MakeShardBurstInjector(const ChaosPlan& plan,
+// The accelerator fault injector for `shard`: its own burst windows, the
+// unscoped ones, and `fault_rate`. Stateless, so replays are identical
+// across exec-thread counts. nullptr when no fault applies.
+AccelFaultInjector MakeShardFaultInjector(const ChaosPlan& plan,
                                           std::size_t shard);
 
 }  // namespace s2fa::blaze

@@ -16,6 +16,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNoShard = ClusterRequestOutcome::kNoShard;
+// Failovers per request before the host path finishes it.
+constexpr int kMaxRedirects = 2;
+// Tenants first seen on a request join with this weight and no quota.
+constexpr double kDefaultTenantWeight = 1.0;
 
 double QuantileNearestRank(std::vector<double> samples, double q) {
   if (samples.empty()) return 0;
@@ -127,8 +131,6 @@ BlazeCluster::BlazeCluster(BlazeRuntime& runtime, ClusterOptions options)
   S2FA_REQUIRE(options_.queue_capacity > 0, "queue capacity must be >= 1");
   S2FA_REQUIRE(options_.batch_max_requests > 0, "batch size must be >= 1");
   S2FA_REQUIRE(options_.exec_threads >= 1, "exec_threads must be >= 1");
-  S2FA_REQUIRE(options_.default_tenant_weight > 0,
-               "tenant weight must be > 0");
 }
 
 BlazeCluster::~BlazeCluster() = default;
@@ -146,9 +148,7 @@ std::unique_ptr<BlazeService> BlazeCluster::MakeService(
   for (const auto& [kernel, accel_id] : shards_[shard].replicas) {
     service->AddReplica(kernel, accel_id);
   }
-  if (!plan_.Empty()) {
-    service->SetFaultInjector(MakeShardBurstInjector(plan_, shard));
-  }
+  service->SetFaultInjector(MakeShardFaultInjector(plan_, shard));
   return service;
 }
 
@@ -204,8 +204,7 @@ void BlazeCluster::AddTenant(const std::string& name, double weight,
 BlazeCluster::Tenant& BlazeCluster::TenantFor(const std::string& name) {
   auto it = tenants_.find(name);
   if (it == tenants_.end()) {
-    AddTenant(name, options_.default_tenant_weight,
-              options_.default_tenant_quota);
+    AddTenant(name, kDefaultTenantWeight, /*quota=*/0);
     it = tenants_.find(name);
   }
   return it->second;
@@ -309,7 +308,7 @@ void BlazeCluster::SetChaosPlan(ChaosPlan plan) {
                    });
 
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].service->SetFaultInjector(MakeShardBurstInjector(plan_, s));
+    shards_[s].service->SetFaultInjector(MakeShardFaultInjector(plan_, s));
   }
 }
 
@@ -1004,7 +1003,7 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
       ++slot.redirects;
       ++stats_.redirects;
       S2FA_COUNT("blaze.cluster.redirects", 1);
-      if (slot.redirects > static_cast<int>(options_.max_redirects)) {
+      if (slot.redirects > kMaxRedirects) {
         ++stats_.redirect_exhausted;
         S2FA_COUNT("blaze.cluster.redirect_exhausted", 1);
         const KernelInfo& info = KernelFor(slot.request.kernel);

@@ -7,7 +7,7 @@
 //
 //   * failover with exactly-once commit — a scripted kill (ChaosPlan) or a
 //     fully-quarantined shard re-routes in-flight and queued requests to
-//     sibling shards. Redirects are bounded (`max_redirects`), then the
+//     sibling shards. Redirects are bounded (two per request), then the
 //     host path finishes the job. Every request has an idempotent id and a
 //     single commit slot: the first completion (accelerator, failover
 //     retry, or hedge) wins; later ones are suppressed and counted as
@@ -28,10 +28,10 @@
 //     degraded capacity too, because the stride pick runs at every
 //     dispatch regardless of how many shards survive;
 //   * scripted chaos — kills/restarts (a restart is a fresh process:
-//     replica health resets), per-shard fault bursts forwarded to the
-//     service injectors, latency spikes (dispatch-time dilation, modeling
-//     interconnect congestion), and tenant floods materialized through a
-//     caller-provided generator.
+//     replica health resets), accelerator faults (bursts and `fault-rate`)
+//     forwarded to the service injectors, latency spikes (dispatch-time
+//     dilation, modeling interconnect congestion), and tenant floods
+//     materialized through a caller-provided generator.
 //
 // Determinism: the cluster is a sequential discrete-event simulator (an
 // event heap ordered by (time, seq)); services plan sequentially too. Only
@@ -92,11 +92,8 @@ struct ClusterOptions {
   std::size_t queue_capacity = 1024;    // cluster-wide waiting cap
   std::size_t batch_max_requests = 16;  // micro-batch coalescing bound
   double batch_window_us = 0;   // wait this long to fill a batch; 0 = none
-  std::size_t max_redirects = 2;  // failovers per request before host
   double queue_hedge_us = 0;    // host hedge for requests older than this
   Routing routing = Routing::kHealth;  // shard-selection policy
-  double default_tenant_weight = 1.0;
-  std::size_t default_tenant_quota = 0;  // queued requests per tenant; 0 = off
   int exec_threads = 1;         // functional fan-out (cluster + shards)
   std::uint64_t seed = 1;
   // Template for each shard's service; exec_threads/seed are overridden
@@ -216,13 +213,13 @@ class BlazeCluster {
 
   // Registers a tenant with an explicit weight (relative share; > 0) and
   // queued-request quota (0 = unlimited). Unknown tenants named by a
-  // request are auto-registered with the option defaults. Rejects
+  // request are auto-registered with weight 1 and no quota. Rejects
   // duplicates.
   void AddTenant(const std::string& name, double weight, std::size_t quota);
 
   // Installs the scripted fault schedule. Validates shard indices, flood
-  // tenants, and (at Drain) that floods have a generator. Shard fault
-  // bursts are forwarded to the per-shard service injectors.
+  // tenants, and (at Drain) that floods have a generator. Accelerator
+  // faults reach each shard's service as MakeShardFaultInjector(plan, s).
   void SetChaosPlan(ChaosPlan plan);
   // Supplies synthetic requests for chaos floods: called with the global
   // flood-request ordinal; the returned request's tenant/arrival are

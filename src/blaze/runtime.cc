@@ -1,11 +1,10 @@
 #include "blaze/runtime.h"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 
 #include "obs/obs.h"
 #include "support/error.h"
-#include "support/logging.h"
 #include "support/strings.h"
 
 namespace s2fa::blaze {
@@ -40,27 +39,38 @@ jvm::Value AddPartial(const jvm::Value& sum, const jvm::Value& partial) {
   return jvm::Value::OfDouble(sum.AsDouble() + partial.AsDouble());
 }
 
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
+// Serializes and executes one batch and charges it one invocation.
+void RunBatch(const RegisteredAccelerator& accel, const Dataset& input,
+              const Dataset* broadcast, std::size_t first, std::size_t count,
+              const ExecutionStats& per_invocation, kir::Evaluator& evaluator,
+              kir::BufferMap& buffers, ExecutionStats& total) {
+  SerializeBatch(accel.plan, input, first, count, buffers, broadcast);
+  // The zero-padded tasks past `count` are only host work: the modeled
+  // invocation (InvocationCost) still charges the full batch.
+  evaluator.Run({{"N", jvm::Value::OfInt(static_cast<std::int32_t>(count))}},
+                buffers, static_cast<std::int64_t>(count));
+  total.serialize_us += per_invocation.serialize_us;
+  total.transfer_us += per_invocation.transfer_us;
+  total.compute_us += per_invocation.compute_us;
+  total.overhead_us += per_invocation.overhead_us;
+  ++total.invocations;
+}
+
+// Closes a Map/Reduce call: sums the charges, counts the traffic, and
+// reports `total` through `stats` when non-null.
+void Finish(const RegisteredAccelerator& accel [[maybe_unused]],
+            ExecutionStats& total, ExecutionStats* stats) {
+  total.total_us = total.serialize_us + total.transfer_us +
+                   total.compute_us + total.overhead_us;
+  S2FA_COUNT("blaze.invocations",
+             static_cast<std::int64_t>(total.invocations));
+  S2FA_COUNT("blaze.serialized_bytes",
+             static_cast<std::int64_t>(InterfaceBytes(accel) *
+                                       static_cast<double>(total.invocations)));
+  if (stats != nullptr) *stats = total;
 }
 
 }  // namespace
-
-AccelFaultInjector MakeRandomFaultInjector(double rate, std::uint64_t seed) {
-  S2FA_REQUIRE(rate >= 0 && rate <= 1.0, "fault rate must be in [0, 1]");
-  if (rate == 0) return nullptr;
-  return [rate, seed](const std::string& accel_id, std::size_t invocation,
-                      int attempt) {
-    std::uint64_t h = seed;
-    for (unsigned char c : accel_id) h = SplitMix64(h ^ c);
-    h = SplitMix64(h ^ (invocation * 0x9E3779B97F4A7C15ULL) ^
-                   static_cast<std::uint64_t>(attempt + 1));
-    return static_cast<double>(h >> 11) * 0x1.0p-53 < rate;
-  };
-}
 
 void AcceleratorManager::Register(const std::string& id,
                                   RegisteredAccelerator accelerator) {
@@ -100,78 +110,10 @@ void ExecutionStats::Merge(const ExecutionStats& other) {
   transfer_us += other.transfer_us;
   compute_us += other.compute_us;
   overhead_us += other.overhead_us;
-  host_us += other.host_us;
   total_us += other.total_us;
-  accel_failures += other.accel_failures;
-  accel_retries += other.accel_retries;
-  host_fallbacks += other.host_fallbacks;
-  degraded = degraded || other.degraded;
 }
 
 BlazeRuntime::BlazeRuntime(OffloadCostModel model) : model_(model) {}
-
-void BlazeRuntime::SetFaultInjector(AccelFaultInjector injector) {
-  injector_ = std::move(injector);
-}
-
-void BlazeRuntime::RunBatch(const std::string& accel_id,
-                            const SerializationPlan& plan,
-                            const Dataset& input, const Dataset* broadcast,
-                            std::size_t first, std::size_t count,
-                            const ExecutionStats& per_invocation,
-                            kir::Evaluator& evaluator,
-                            kir::BufferMap& buffers, ExecutionStats& total) {
-  const auto run = [&] {
-    // Re-serialize before every attempt: a failed run may have partially
-    // mutated the output/accumulator buffers, and the JVM side repacks
-    // when it re-submits a batch.
-    buffers.clear();
-    SerializeBatch(plan, input, first, count, buffers, broadcast);
-    total.serialize_us += per_invocation.serialize_us;
-    // The zero-padded tasks past `count` are only host work: the modeled
-    // invocation (InvocationCost) still charges the full batch.
-    evaluator.Run(
-        {{"N", jvm::Value::OfInt(static_cast<std::int32_t>(count))}},
-        buffers, static_cast<std::int64_t>(count));
-  };
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (attempt == 1) {
-      ++total.accel_retries;
-      S2FA_COUNT("blaze.retries", 1);
-    }
-    try {
-      if (injector_ && injector_(accel_id, total.invocations, attempt)) {
-        throw Error("injected accelerator fault");
-      }
-      run();
-      total.transfer_us += per_invocation.transfer_us;
-      total.compute_us += per_invocation.compute_us;
-      total.overhead_us += per_invocation.overhead_us;
-      return;
-    } catch (const Error& e) {
-      // The attempt still burned a driver round-trip and the transfer.
-      ++total.accel_failures;
-      total.transfer_us += per_invocation.transfer_us;
-      total.overhead_us += per_invocation.overhead_us;
-      S2FA_COUNT("blaze.accel_failures", 1);
-      S2FA_LOG_WARN("accelerator " << accel_id << " failed invocation "
-                                   << total.invocations << " attempt "
-                                   << attempt << ": " << e.what());
-    }
-  }
-  // Both attempts failed: degrade to host execution (SparkCL's fallback).
-  // The host path runs the functionally identical kernel program on the
-  // JVM — a genuine kernel bug would still throw here and propagate, so
-  // degradation never masks wrong answers.
-  run();
-  ++total.host_fallbacks;
-  total.degraded = true;
-  total.host_us += per_invocation.compute_us * model_.host_slowdown;
-  S2FA_COUNT("blaze.host_fallbacks", 1);
-  S2FA_LOG_WARN("accelerator " << accel_id << " invocation "
-                               << total.invocations
-                               << " degraded to the host path");
-}
 
 ExecutionStats BlazeRuntime::InvocationCost(
     const RegisteredAccelerator& accel) const {
@@ -209,19 +151,11 @@ Dataset BlazeRuntime::Map(const std::string& accel_id, const Dataset& input,
     const std::size_t count =
         std::min(batch, input.num_records() - first);
     kir::BufferMap buffers;
-    RunBatch(accel_id, plan, input, broadcast, first, count, per_invocation,
+    RunBatch(accel, input, broadcast, first, count, per_invocation,
              evaluator, buffers, total);
     DeserializeBatch(plan, buffers, first, count, out);
-    ++total.invocations;
   }
-  total.total_us = total.serialize_us + total.transfer_us +
-                   total.compute_us + total.overhead_us + total.host_us;
-  S2FA_COUNT("blaze.invocations",
-             static_cast<std::int64_t>(total.invocations));
-  S2FA_COUNT("blaze.serialized_bytes",
-             static_cast<std::int64_t>(InterfaceBytes(accel) *
-                                       static_cast<double>(total.invocations)));
-  if (stats != nullptr) *stats = total;
+  Finish(accel, total, stats);
   return out;
 }
 
@@ -248,7 +182,7 @@ Dataset BlazeRuntime::Reduce(const std::string& accel_id,
   for (std::size_t first = 0; first < input.num_records(); first += batch) {
     const std::size_t count = std::min(batch, input.num_records() - first);
     kir::BufferMap buffers;
-    RunBatch(accel_id, plan, input, broadcast, first, count, per_invocation,
+    RunBatch(accel, input, broadcast, first, count, per_invocation,
              evaluator, buffers, total);
     // Combine invocation partials additively on the host.
     std::size_t cursor = 0;
@@ -268,7 +202,6 @@ Dataset BlazeRuntime::Reduce(const std::string& accel_id,
       }
     }
     first_invocation = false;
-    ++total.invocations;
   }
 
   std::size_t cursor = 0;
@@ -284,14 +217,7 @@ Dataset BlazeRuntime::Reduce(const std::string& accel_id,
                         : v;
     }
   }
-  total.total_us = total.serialize_us + total.transfer_us +
-                   total.compute_us + total.overhead_us + total.host_us;
-  S2FA_COUNT("blaze.invocations",
-             static_cast<std::int64_t>(total.invocations));
-  S2FA_COUNT("blaze.serialized_bytes",
-             static_cast<std::int64_t>(InterfaceBytes(accel) *
-                                       static_cast<double>(total.invocations)));
-  if (stats != nullptr) *stats = total;
+  Finish(accel, total, stats);
   return result;
 }
 

@@ -10,7 +10,6 @@
 // paper's "bounded by external memory bandwidth" behaviour.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -25,21 +24,11 @@ struct OffloadCostModel {
   double pcie_gbps = 8.0;            // effective host->FPGA bandwidth
   double invoke_overhead_us = 30.0;  // DMA setup + driver per invocation
   double jvm_pack_ns_per_byte = 0.30;  // reflection-based (de)serialization
-  // Host-path penalty when a batch falls back to JVM execution after the
-  // accelerator failed twice (SparkCL-style degradation): the batch costs
-  // `host_slowdown` times the accelerator's compute time, with no PCIe
-  // transfer or invocation overhead.
+  // Host-path cost of a batch the serving layer runs on the JVM instead
+  // (SparkCL-style): `host_slowdown` times the accelerator's compute time,
+  // with no PCIe transfer or invocation overhead.
   double host_slowdown = 25.0;
 };
-
-// Test/simulation hook: returns true when accelerator attempt `attempt`
-// (0 = first try, 1 = the retry) of invocation `invocation` should fail.
-using AccelFaultInjector = std::function<bool(
-    const std::string& accel_id, std::size_t invocation, int attempt)>;
-
-// A deterministic injector failing each (invocation, attempt) independently
-// with probability `rate` — hashed, not stateful, so replays are identical.
-AccelFaultInjector MakeRandomFaultInjector(double rate, std::uint64_t seed);
 
 struct RegisteredAccelerator {
   kir::Kernel design;        // Merlin-transformed kernel (best config)
@@ -57,18 +46,10 @@ struct ExecutionStats {
   double transfer_us = 0;   // PCIe both directions
   double compute_us = 0;    // accelerator execution
   double overhead_us = 0;   // per-invocation driver overhead
-  double host_us = 0;       // host-path compute for fallen-back batches
   double total_us = 0;
-  // Degradation ledger: failed accelerator attempts, successful retries,
-  // and batches that ended up on the host path.
-  std::size_t accel_failures = 0;
-  std::size_t accel_retries = 0;
-  std::size_t host_fallbacks = 0;
-  bool degraded = false;  // at least one batch ran on the host
 
-  // Folds `other` into this: counters and charges add up, `degraded` ORs.
-  // Multi-stage pipelines use this so the degradation ledger aggregates
-  // across stages instead of being overwritten per call.
+  // Folds `other` into this: invocations and charges add up. Multi-stage
+  // pipelines sum their stages with it.
   void Merge(const ExecutionStats& other);
 };
 
@@ -97,11 +78,6 @@ class BlazeRuntime {
   // invocations = 1. The serving layer plans dispatch timing from this.
   ExecutionStats PerInvocationCost(const std::string& accel_id) const;
 
-  // Installs (or clears, with nullptr) the accelerator fault injector.
-  // Each batch gets one retry after a failed attempt; a second failure
-  // sends that batch to the host path, recorded in ExecutionStats.
-  void SetFaultInjector(AccelFaultInjector injector);
-
   // Runs a map accelerator over every record. `broadcast` supplies the
   // one-record shared data if the kernel declares broadcast fields.
   // Returns the output dataset; fills `stats` when non-null.
@@ -119,18 +95,8 @@ class BlazeRuntime {
  private:
   ExecutionStats InvocationCost(const RegisteredAccelerator& accel) const;
 
-  // Serializes and executes one batch, retrying the accelerator once and
-  // then degrading to the host path; charges all costs to `total`.
-  void RunBatch(const std::string& accel_id, const SerializationPlan& plan,
-                const Dataset& input, const Dataset* broadcast,
-                std::size_t first, std::size_t count,
-                const ExecutionStats& per_invocation,
-                kir::Evaluator& evaluator, kir::BufferMap& buffers,
-                ExecutionStats& total);
-
   OffloadCostModel model_;
   AcceleratorManager manager_;
-  AccelFaultInjector injector_;
 };
 
 }  // namespace s2fa::blaze

@@ -17,6 +17,15 @@ namespace {
 
 constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 
+// Fixed serving policy (ServiceOptions documents each where it applies).
+constexpr std::size_t kLatencyWindow = 64;      // hedge latency samples
+constexpr std::size_t kHealthMinSamples = 4;    // capped at health_window
+constexpr double kDegradeThreshold = 0.30;      // window failure rate
+constexpr double kQuarantineThreshold = 0.60;   // window failure rate
+constexpr double kLatencyDegradeFactor = 2.5;   // mean vs cost-model latency
+constexpr double kProbeBackoffMultiplier = 2.0;
+constexpr double kTimeoutDetectMultiplier = 4.0;  // x expected latency
+
 // Nearest-rank quantile (the obs histogram convention). q in [0, 1].
 double QuantileNearestRank(std::vector<double> samples, double q) {
   if (samples.empty()) return 0;
@@ -102,8 +111,6 @@ BlazeService::BlazeService(BlazeRuntime& runtime, ServiceOptions options)
   S2FA_REQUIRE(options_.health_window >= 2,
                "health window must hold at least 2 samples");
   S2FA_REQUIRE(options_.exec_threads >= 1, "exec_threads must be >= 1");
-  options_.health_min_samples =
-      std::min(options_.health_min_samples, options_.health_window);
 }
 
 BlazeService::BlazeService(BlazeService&& other) = default;
@@ -235,7 +242,7 @@ void BlazeService::ApplyHealthSample(Replica& replica,
   if (event.kernel_sample && !event.failed) {
     auto& window = kernels_[event.kernel].latency_window_us;
     window.push_back(event.latency_per_invocation_us);
-    while (window.size() > options_.latency_window) window.pop_front();
+    while (window.size() > kLatencyWindow) window.pop_front();
   }
   if (event.is_probe) {
     replica.probe_inflight = false;
@@ -249,7 +256,7 @@ void BlazeService::ApplyHealthSample(Replica& replica,
       if (event.kind == resilience::FailureKind::kTimeout) ++stats_.timeouts;
       S2FA_COUNT("blaze.svc.accel_failures", 1);
       replica.probe_backoff_us =
-          std::min(replica.probe_backoff_us * options_.probe_backoff_multiplier,
+          std::min(replica.probe_backoff_us * kProbeBackoffMultiplier,
                    options_.probe_backoff_max_us);
       replica.probe_eligible_us = t + replica.probe_backoff_us;
       S2FA_LOG_INFO("service: probe of " << replica.accel_id
@@ -296,16 +303,17 @@ void BlazeService::ApplyHealthSample(Replica& replica,
                  true));
   const double rate =
       static_cast<double>(failures) / static_cast<double>(size);
-  const bool enough = size >= options_.health_min_samples;
+  const bool enough =
+      size >= std::min(kHealthMinSamples, options_.health_window);
   double mean_latency = 0;
   for (double sample : replica.window_latency_us) mean_latency += sample;
   mean_latency /= static_cast<double>(size);
   const bool slow =
-      enough && mean_latency > options_.latency_degrade_factor *
-                                   replica.per_invocation.total_us;
+      enough &&
+      mean_latency > kLatencyDegradeFactor * replica.per_invocation.total_us;
 
   if (replica.consecutive_failures >= options_.quarantine_consecutive ||
-      (enough && rate >= options_.quarantine_threshold)) {
+      (enough && rate >= kQuarantineThreshold)) {
     replica.health = AcceleratorHealth::kQuarantined;
     replica.window_failed.clear();
     replica.window_latency_us.clear();
@@ -320,7 +328,7 @@ void BlazeService::ApplyHealthSample(Replica& replica,
     S2FA_LOG_WARN("service: quarantined " << replica.accel_id
                                           << " (window failure rate "
                                           << rate << ")");
-  } else if (enough && (rate >= options_.degrade_threshold || slow)) {
+  } else if (enough && (rate >= kDegradeThreshold || slow)) {
     if (replica.health == AcceleratorHealth::kHealthy) {
       replica.health = AcceleratorHealth::kDegraded;
       ++stats_.degradations;
@@ -328,7 +336,7 @@ void BlazeService::ApplyHealthSample(Replica& replica,
       S2FA_LOG_INFO("service: degraded " << replica.accel_id);
     }
   } else if (replica.health == AcceleratorHealth::kDegraded && enough &&
-             rate <= options_.degrade_threshold / 2 && !slow) {
+             rate <= kDegradeThreshold / 2 && !slow) {
     replica.health = AcceleratorHealth::kHealthy;
     S2FA_LOG_INFO("service: " << replica.accel_id << " recovered to healthy");
   }
@@ -388,7 +396,7 @@ void BlazeService::PlanDispatch(Pending& request, Plan& plan,
       scale * (replica.per_invocation.serialize_us +
                replica.per_invocation.transfer_us +
                replica.per_invocation.overhead_us);
-  const double timeout_detect_us = options_.timeout_detect_multiplier * accel_us;
+  const double timeout_detect_us = kTimeoutDetectMultiplier * accel_us;
   const double host_us = scale * replica.host_us_per_invocation;
   const std::size_t invocation = replica.invocations++;
 
@@ -398,8 +406,8 @@ void BlazeService::PlanDispatch(Pending& request, Plan& plan,
   plan.dispatch_us = t;
 
   // Attempt segments on the simulated clock. A probe gets one attempt; a
-  // regular dispatch retries once, then falls back to the host (the
-  // runtime's SparkCL policy, at service granularity).
+  // regular dispatch retries once, then falls back to the host (SparkCL's
+  // degradation policy; the only place accelerator failures are handled).
   struct Segment {
     double start_us = 0, end_us = 0, cost_us = 0;
     bool failed = false;
@@ -766,24 +774,6 @@ std::vector<RequestOutcome> BlazeService::Drain() {
     (void)group;
   }
   return outcomes;
-}
-
-// ------------------------------------------------------------ fault bursts
-
-AccelFaultInjector MakeBurstFaultInjector(std::vector<FaultBurst> bursts) {
-  bursts.erase(std::remove_if(bursts.begin(), bursts.end(),
-                              [](const FaultBurst& b) { return b.length == 0; }),
-               bursts.end());
-  if (bursts.empty()) return nullptr;
-  return [bursts = std::move(bursts)](const std::string&,
-                                      std::size_t invocation, int) {
-    for (const FaultBurst& burst : bursts) {
-      if (invocation >= burst.start && invocation < burst.start + burst.length) {
-        return true;
-      }
-    }
-    return false;
-  };
 }
 
 }  // namespace s2fa::blaze

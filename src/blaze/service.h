@@ -1,9 +1,9 @@
 // BlazeService: the serving front-end over BlazeRuntime (paper §2 — the
 // accelerator as a shared datacenter service behind Blaze).
 //
-// Where BlazeRuntime executes one request at a time with a fixed
-// retry-once-then-host policy, the service serves *streams* of requests
-// against a deterministic simulated clock and adds everything a shared
+// BlazeRuntime only executes; the service serves *streams* of requests
+// against a deterministic simulated clock and owns the accelerator failure
+// policy (retry once, then the host), plus everything else a shared
 // deployment needs between "works" and "falls over":
 //
 //   * a bounded admission queue with deadline-aware load shedding —
@@ -42,6 +42,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -52,6 +53,13 @@
 #include "resilience/failure.h"
 
 namespace s2fa::blaze {
+
+// The plan-time fault hook: true when accelerator attempt `attempt` (0 =
+// first try, 1 = the retry) of replica `accel_id`'s per-replica dispatch
+// `invocation` fails. Chaos plans build one per shard
+// (MakeShardFaultInjector in blaze/chaos.h); tests may pass lambdas.
+using AccelFaultInjector = std::function<bool(
+    const std::string& accel_id, std::size_t invocation, int attempt)>;
 
 enum class AcceleratorHealth { kHealthy, kDegraded, kQuarantined };
 const char* HealthName(AcceleratorHealth health);
@@ -89,32 +97,27 @@ struct ServiceOptions {
   double default_deadline_us = 0;   // per-request deadline; 0 = none
 
   // Hedging. A hedge arms once `hedge_min_samples` accelerator completions
-  // seed the per-kernel rolling latency window; the hedge delay is that
-  // window's `hedge_quantile` latency. 0 disables hedging.
+  // seed the per-kernel rolling latency window (the last 64); the hedge
+  // delay is that window's `hedge_quantile` latency. 0 disables hedging.
   double hedge_quantile = 0.95;
   std::size_t hedge_min_samples = 8;
-  std::size_t latency_window = 64;
 
   // Health state machine (per replica, over the last `health_window`
-  // finished attempts).
+  // finished attempts, once 4 have landed): a window failure rate of 0.30,
+  // or a mean latency 2.5x the cost model's, degrades; 0.60 or
+  // `quarantine_consecutive` failures in a row quarantine. Failed probes
+  // double the backoff up to `probe_backoff_max_us`.
   std::size_t health_window = 16;
-  std::size_t health_min_samples = 4;
-  double degrade_threshold = 0.30;     // window failure rate
-  double quarantine_threshold = 0.60;  // window failure rate
   int quarantine_consecutive = 3;      // consecutive failures trip at once
-  double latency_degrade_factor = 2.5; // window mean vs cost-model latency
   double probe_backoff_us = 50e3;      // first probe after quarantine
-  double probe_backoff_multiplier = 2.0;
   double probe_backoff_max_us = 1.6e6;
 
-  // Failure manifestation (resilience taxonomy): a failed attempt is
-  // classified kCrash or kTimeout by a deterministic hash. A crash is
-  // detected after the serialize+transfer+driver round trip; a timeout
-  // only after `timeout_detect_multiplier` times the expected latency.
-  double timeout_detect_multiplier = 4.0;
-
   int exec_threads = 1;     // functional execution fan-out (plan-order commit)
-  std::uint64_t seed = 1;   // failure-classification hash stream
+  // Failure manifestation (resilience taxonomy): a failed attempt is
+  // classified kCrash or kTimeout by a hash of this seed. A crash is
+  // detected after the serialize+transfer+driver round trip; a timeout
+  // only after 4x the expected latency.
+  std::uint64_t seed = 1;
 };
 
 struct ServiceRequest {
@@ -184,7 +187,7 @@ class BlazeService {
  public:
   // The runtime supplies registered accelerators and the offload cost
   // model; it must outlive the service. The service never mutates the
-  // runtime (in particular it does not touch its fault injector).
+  // runtime.
   explicit BlazeService(BlazeRuntime& runtime, ServiceOptions options = {});
   // Out-of-line: HealthEvent is incomplete here (vector member).
   BlazeService(BlazeService&& other);
@@ -196,8 +199,8 @@ class BlazeService {
   void AddReplica(const std::string& kernel, const std::string& accel_id);
   std::size_t num_replicas(const std::string& kernel) const;
 
-  // Installs (or clears) the plan-time fault injector. `invocation` is the
-  // per-replica dispatch counter; `attempt` is 0 or 1, as in the runtime.
+  // Installs (or clears) the plan-time fault injector. A failed attempt is
+  // retried once (probes are not), then the request runs on the host.
   void SetFaultInjector(AccelFaultInjector injector);
 
   // Enqueues a request for the next Drain(). Arrival times before the
@@ -299,19 +302,5 @@ class BlazeService {
   // ApplyHealthEventsUpTo, which cannot see the planner's heap directly).
   std::vector<std::pair<double, std::size_t>> probe_timers_pending_;
 };
-
-// ------------------------------------------------------------ fault bursts
-
-// An injected fault burst: every accelerator attempt whose per-replica
-// invocation counter falls in [start, start + length) fails. Written as
-// `burst START:LEN` in the chaos grammar (blaze/chaos.h).
-struct FaultBurst {
-  std::size_t start = 0;
-  std::size_t length = 0;
-};
-
-// Fails an attempt inside any of `bursts` (zero-length windows are
-// dropped); nullptr when none remain.
-AccelFaultInjector MakeBurstFaultInjector(std::vector<FaultBurst> bursts);
 
 }  // namespace s2fa::blaze

