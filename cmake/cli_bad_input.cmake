@@ -42,6 +42,11 @@ expect_rejected(--accel-fault-rate ARGS run AES --accel-fault-rate 0.1)
 expect_rejected(--chaos-plan ARGS serve AES --chaos-plan "fault-rate 1.5")
 expect_rejected(S2FA_EVAL_TIMEOUT ENV S2FA_EVAL_TIMEOUT=garbage
                 ARGS explore KMeans)
+# A capacity past unsigned long long must not saturate silently.
+expect_rejected(--eval-cache
+                ARGS explore LR --eval-cache 99999999999999999999999)
+expect_rejected(S2FA_EVAL_CACHE ENV S2FA_EVAL_CACHE=99999999999999999999999
+                ARGS explore LR)
 expect_rejected(S2FA_EVAL_RETRIES ENV S2FA_EVAL_RETRIES=-2
                 ARGS explore KMeans)
 

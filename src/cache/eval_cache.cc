@@ -1,6 +1,10 @@
 #include "cache/eval_cache.h"
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 
 #include "obs/obs.h"
 #include "support/error.h"
@@ -36,10 +40,45 @@ std::optional<EvalCacheOptions> ParseCacheSpec(const std::string& spec) {
     return std::nullopt;
   }
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value = std::strtoull(spec.c_str(), &end, 10);
-  if (end == spec.c_str() || *end != '\0' || value == 0) return std::nullopt;
+  if (end == spec.c_str() || *end != '\0' || value == 0 || errno == ERANGE ||
+      value > std::numeric_limits<std::size_t>::max()) {
+    return std::nullopt;
+  }
   options.capacity = static_cast<std::size_t>(value);
   return options;
+}
+
+namespace {
+
+template <typename T>
+void AppendBytes(std::string& out, T value) {
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  out.append(bytes, sizeof(T));
+}
+
+}  // namespace
+
+std::string ConfigKey(const merlin::DesignConfig& config) {
+  constexpr std::size_t kLoopBytes = 4 + 8 + 8 + 1;
+  std::size_t size = 4 + config.loops.size() * kLoopBytes;
+  for (const auto& [name, bits] : config.buffer_bits) size += name.size() + 5;
+  std::string key;
+  key.reserve(size);
+  AppendBytes(key, static_cast<std::uint32_t>(config.loops.size()));
+  for (const auto& [id, loop] : config.loops) {
+    AppendBytes(key, static_cast<std::int32_t>(id));
+    AppendBytes(key, static_cast<std::int64_t>(loop.tile));
+    AppendBytes(key, static_cast<std::int64_t>(loop.parallel));
+    AppendBytes(key, static_cast<std::uint8_t>(loop.pipeline));
+  }
+  for (const auto& [name, bits] : config.buffer_bits) {
+    key.append(name.c_str(), name.size() + 1);  // the name and its NUL
+    AppendBytes(key, static_cast<std::int32_t>(bits));
+  }
+  return key;
 }
 
 EvalCache::EvalCache(EvalCacheOptions options) : options_(options) {}
@@ -53,7 +92,7 @@ std::optional<tuner::EvalOutcome> EvalCache::Find(
 }
 
 void EvalCache::TouchLocked(Entry& entry, const std::string& key) {
-  if (entry.lru_it != lru_.begin()) {
+  if (bounded() && entry.lru_it != lru_.begin()) {
     lru_.erase(entry.lru_it);
     lru_.push_front(key);
     entry.lru_it = lru_.begin();
@@ -68,9 +107,13 @@ void EvalCache::InsertLocked(const std::string& key,
     TouchLocked(it->second, key);
     return;
   }
+  if (!bounded()) {
+    entries_.emplace(key, Entry{outcome, {}});
+    return;
+  }
   lru_.push_front(key);
-  entries_[key] = Entry{outcome, lru_.begin()};
-  while (options_.capacity > 0 && entries_.size() > options_.capacity) {
+  entries_.emplace(key, Entry{outcome, lru_.begin()});
+  while (entries_.size() > options_.capacity) {
     entries_.erase(lru_.back());
     lru_.pop_back();
     ++stats_.evictions;
@@ -166,7 +209,7 @@ tuner::EvalFn EvalCache::Wrap(tuner::EvalFn inner) {
   S2FA_REQUIRE(inner != nullptr, "cache needs an inner evaluator");
   if (!options_.enabled) return inner;
   return [this, inner = std::move(inner)](const merlin::DesignConfig& config) {
-    return GetOrCompute(config.ToString(), [&] { return inner(config); });
+    return GetOrCompute(ConfigKey(config), [&] { return inner(config); });
   };
 }
 

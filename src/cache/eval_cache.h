@@ -4,8 +4,9 @@
 // OpenTuner answers re-proposed configurations from its results database
 // and AutoDSE treats the HLS oracle as far too expensive to consult twice
 // for the same point; this cache gives the whole evaluation stack that
-// property. It is content-addressed on the canonical config string
-// (`merlin::DesignConfig::ToString()`), deliberately *unscoped* — the
+// property. It is content-addressed on a compact binary encoding of the
+// config (`ConfigKey`, not the human-readable `DesignConfig::ToString()`,
+// which costs an ostringstream per lookup), deliberately *unscoped* — the
 // training phase, every partition, and a vanilla run all share one cache,
 // so a point the trainer already synthesized is free for whichever
 // partition re-proposes it.
@@ -17,7 +18,9 @@
 //     the same key concurrently, one computes and the others block and
 //     join its result instead of racing duplicate synthesis jobs;
 //   * an optional LRU capacity bound (`capacity` entries; 0 = unbounded)
-//     for explorations too large to memoize wholesale.
+//     for explorations too large to memoize wholesale. The recency list
+//     is kept only when a bound is set; the unbounded default never
+//     touches it.
 //
 // Determinism: a hit replays the stored EvalOutcome bit-for-bit —
 // including its charged `eval_minutes` — so the simulated clock advances
@@ -68,6 +71,14 @@ struct EvalCacheStats {
 // nullopt on anything else.
 std::optional<EvalCacheOptions> ParseCacheSpec(const std::string& spec);
 
+// The cache key of `config`: a compact binary encoding, injective over
+// configs whose buffer names hold no NUL byte (kernel buffer names are C
+// identifiers). Layout, in native byte order: the loop count (4 bytes);
+// per loop in id order its id (4), tile (8), parallel (8) and pipeline
+// mode (1); then per buffer in name order its name, a NUL byte and its
+// bits (4).
+std::string ConfigKey(const merlin::DesignConfig& config);
+
 class EvalCache {
  public:
   explicit EvalCache(EvalCacheOptions options = {});
@@ -91,8 +102,8 @@ class EvalCache {
       const std::string& key,
       const std::function<tuner::EvalOutcome()>& compute);
 
-  // Wraps `inner`, keying on the canonical config string. The cache must
-  // outlive the returned function. Pass-through when disabled.
+  // Wraps `inner`, keying on ConfigKey(config). The cache must outlive
+  // the returned function. Pass-through when disabled.
   tuner::EvalFn Wrap(tuner::EvalFn inner);
 
   EvalCacheStats stats() const;
@@ -110,8 +121,10 @@ class EvalCache {
 
   struct Entry {
     tuner::EvalOutcome outcome;
-    std::list<std::string>::iterator lru_it;
+    std::list<std::string>::iterator lru_it;  // only when bounded()
   };
+
+  bool bounded() const { return options_.capacity > 0; }
 
   void InsertLocked(const std::string& key,
                     const tuner::EvalOutcome& outcome);
@@ -121,7 +134,7 @@ class EvalCache {
 
   mutable std::mutex mutex_;
   std::unordered_map<std::string, Entry> entries_;
-  std::list<std::string> lru_;  // front = most recently used
+  std::list<std::string> lru_;  // front = most recently used; bounded only
   std::unordered_map<std::string, std::shared_ptr<Flight>> inflight_;
   EvalCacheStats stats_;
 };

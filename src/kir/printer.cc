@@ -132,10 +132,7 @@ void EmitStmt(const Stmt& s, int indent, bool comments, std::ostream& os) {
       os << "\n";
       break;
     case StmtKind::kFor: {
-      for (const auto& [key, value] : s.annotations()) {
-        os << pad << "#pragma " << key << (value.empty() ? "" : " " + value)
-           << "\n";
-      }
+      PrintPragmas(s.pragmas(), pad, os);
       os << pad << "for (int " << s.loop_var() << " = 0; " << s.loop_var()
          << " < " << s.trip_count() << "; " << s.loop_var() << "++) {";
       if (comments) os << "  /* L" << s.loop_id() << " */";

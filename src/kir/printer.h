@@ -3,7 +3,7 @@
 // Renders a Kernel as a complete, self-contained C file in the shape of the
 // paper's Code 3: a `<name>_call` worker function is conceptually inlined
 // into a `<name>_kernel` top function whose outermost loop is the RDD
-// transformation template. Merlin pragma annotations attached to loops are
+// transformation template. The typed Merlin pragmas attached to loops are
 // printed as `#pragma ACCEL ...` lines.
 #pragma once
 

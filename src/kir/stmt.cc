@@ -72,6 +72,26 @@ StmtPtr Stmt::Block(std::vector<StmtPtr> stmts) {
   return s;
 }
 
+void PrintPragmas(const LoopPragmas& pragmas, std::string_view pad,
+                  std::ostream& os) {
+  if (pragmas.parallel) {
+    os << pad << "#pragma ACCEL PARALLEL factor=" << *pragmas.parallel
+       << "\n";
+  }
+  if (pragmas.pipeline != LoopPragmas::Pipeline::kAbsent) {
+    os << pad << "#pragma ACCEL PIPELINE"
+       << (pragmas.pipeline == LoopPragmas::Pipeline::kFlatten ? " flatten"
+                                                               : "")
+       << "\n";
+  }
+  if (pragmas.tree_reduction) os << pad << "#pragma ACCEL REDUCTION tree\n";
+  if (pragmas.tile != LoopPragmas::Tile::kAbsent) {
+    os << pad << "#pragma ACCEL TILE "
+       << (pragmas.tile == LoopPragmas::Tile::kPointLoop ? "point " : "")
+       << "factor=" << pragmas.tile_factor << "\n";
+  }
+}
+
 StmtPtr Stmt::Clone() const {
   auto s = New();
   s->kind_ = kind_;
@@ -83,7 +103,7 @@ StmtPtr Stmt::Clone() const {
   s->trip_count_ = trip_count_;
   s->inserted_by_template_ = inserted_by_template_;
   s->is_reduction_ = is_reduction_;
-  s->annotations_ = annotations_;
+  s->pragmas_ = pragmas_;
   if (body_) s->body_ = body_->Clone();
   if (else_) s->else_ = else_->Clone();
   s->stmts_.reserve(stmts_.size());
@@ -110,9 +130,7 @@ std::string Stmt::ToString() const {
       }
       break;
     case StmtKind::kFor: {
-      for (const auto& [key, value] : annotations_) {
-        oss << "#pragma " << key << (value.empty() ? "" : " " + value) << "\n";
-      }
+      PrintPragmas(pragmas_, "", oss);
       oss << "for (int " << name_ << " = 0; " << name_ << " < " << trip_count_
           << "; " << name_ << "++) {  // L" << loop_id_ << "\n"
           << Indent(body_->ToString(), 2) << "\n}";
@@ -133,10 +151,13 @@ std::string Stmt::ToString() const {
 
 void ReplaceStmtExprs(Stmt& stmt,
                       const std::function<ExprPtr(const ExprPtr&)>& fn) {
+  // A statement whose expressions all come back unchanged is left as it
+  // is; the rest are rebuilt through their factories.
   switch (stmt.kind()) {
     case StmtKind::kAssign: {
       ExprPtr lhs = fn(stmt.lhs());
       ExprPtr rhs = fn(stmt.rhs());
+      if (lhs == stmt.lhs() && rhs == stmt.rhs()) break;
       // Rebuild through the factory so lhs lvalue-ness stays checked.
       Stmt rebuilt = *Stmt::Assign(lhs, rhs);
       stmt = rebuilt;
@@ -144,14 +165,18 @@ void ReplaceStmtExprs(Stmt& stmt,
     }
     case StmtKind::kDecl:
       if (stmt.init()) {
-        Stmt rebuilt = *Stmt::Decl(stmt.decl_name(), stmt.decl_type(),
-                                   fn(stmt.init()));
+        ExprPtr init = fn(stmt.init());
+        if (init == stmt.init()) break;
+        Stmt rebuilt =
+            *Stmt::Decl(stmt.decl_name(), stmt.decl_type(), std::move(init));
         stmt = rebuilt;
       }
       break;
     case StmtKind::kIf: {
-      Stmt rebuilt = *Stmt::If(fn(stmt.cond()), stmt.then_stmt(),
-                               stmt.else_stmt());
+      ExprPtr cond = fn(stmt.cond());
+      if (cond == stmt.cond()) break;
+      Stmt rebuilt =
+          *Stmt::If(std::move(cond), stmt.then_stmt(), stmt.else_stmt());
       stmt = rebuilt;
       break;
     }

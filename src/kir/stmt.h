@@ -2,14 +2,17 @@
 // and scalar declarations.
 //
 // Loops carry the metadata the design-space builder needs (trip count,
-// template provenance, reduction flag) plus free-form annotations used by
-// the Merlin pragma layer. Statements are mutable and deep-clonable so
+// template provenance, reduction flag) plus the typed Merlin pragmas the
+// transform layer attaches. Statements are mutable and deep-clonable so
 // transformations can rewrite copies without disturbing the original.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "kir/expr.h"
@@ -17,6 +20,26 @@
 namespace s2fa::kir {
 
 enum class StmtKind { kAssign, kDecl, kIf, kFor, kBlock };
+
+// The Merlin pragmas on one loop. Every field has an explicit absent
+// state, so a default record carries (and prints) nothing.
+struct LoopPragmas {
+  enum class Pipeline : std::uint8_t { kAbsent, kOn, kFlatten };
+  enum class Tile : std::uint8_t { kAbsent, kTileLoop, kPointLoop };
+
+  std::optional<std::int64_t> parallel;   // ACCEL PARALLEL factor=N
+  Pipeline pipeline = Pipeline::kAbsent;  // ACCEL PIPELINE [flatten]
+  bool tree_reduction = false;            // ACCEL REDUCTION tree
+  Tile tile = Tile::kAbsent;              // ACCEL TILE [point ]factor=N
+  std::int64_t tile_factor = 0;           // N of the TILE line
+
+  friend bool operator==(const LoopPragmas&, const LoopPragmas&) = default;
+};
+
+// Writes one `<pad>#pragma ACCEL ...` line per present pragma, in the
+// order PARALLEL, PIPELINE, REDUCTION, TILE.
+void PrintPragmas(const LoopPragmas& pragmas, std::string_view pad,
+                  std::ostream& os);
 
 class Stmt;
 using StmtPtr = std::shared_ptr<Stmt>;
@@ -67,11 +90,9 @@ class Stmt {
   // candidate for Merlin).
   bool is_reduction() const { return is_reduction_; }
   void set_is_reduction(bool v) { is_reduction_ = v; }
-  // Free-form annotations (Merlin pragmas attach here).
-  std::map<std::string, std::string>& annotations() { return annotations_; }
-  const std::map<std::string, std::string>& annotations() const {
-    return annotations_;
-  }
+  // Merlin pragmas (set by merlin::ApplyDesign).
+  LoopPragmas& pragmas() { return pragmas_; }
+  const LoopPragmas& pragmas() const { return pragmas_; }
 
   // kBlock
   std::vector<StmtPtr>& stmts() { return stmts_; }
@@ -107,7 +128,7 @@ class Stmt {
   std::int64_t trip_count_ = 0;
   bool inserted_by_template_ = false;
   bool is_reduction_ = false;
-  std::map<std::string, std::string> annotations_;
+  LoopPragmas pragmas_;
   std::vector<StmtPtr> stmts_;
 };
 

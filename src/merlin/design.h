@@ -35,11 +35,4 @@ struct DesignConfig {
   std::string ToString() const;
 };
 
-// Annotation keys attached to transformed loops (printed as #pragma lines
-// and consumed by the HLS estimator).
-inline constexpr const char* kPragmaParallel = "ACCEL PARALLEL";
-inline constexpr const char* kPragmaPipeline = "ACCEL PIPELINE";
-inline constexpr const char* kPragmaTile = "ACCEL TILE";
-inline constexpr const char* kPragmaReduction = "ACCEL REDUCTION";
-
 }  // namespace s2fa::merlin

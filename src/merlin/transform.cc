@@ -17,57 +17,103 @@ using kir::StmtPtr;
 
 bool IsPowerOfTwo(int v) { return v > 0 && (v & (v - 1)) == 0; }
 
-}  // namespace
+// The loop with `id` among `loops`, or nullptr.
+template <typename LoopStmt>
+LoopStmt* LoopWithId(const std::vector<LoopStmt*>& loops, int id) {
+  for (LoopStmt* loop : loops) {
+    if (loop->loop_id() == id) return loop;
+  }
+  return nullptr;
+}
 
-std::vector<std::string> ValidateConfig(const kir::Kernel& kernel,
-                                        const DesignConfig& config) {
-  std::vector<std::string> errors;
+// The legality rules, once. Walks every rule of `config` against
+// `kernel` and calls `report(message)` for each violation, where
+// `message` is a thunk that renders the violation text; rendering is left
+// to the caller, so the bool form never builds a string. `report` returns
+// whether to go on; the walk returns false if it was stopped.
+template <typename Report>
+bool WalkRules(const kir::Kernel& kernel, const DesignConfig& config,
+               Report&& report) {
+  const std::vector<const Stmt*> loops = kir::CollectLoops(kernel.body.get());
   for (const auto& [id, cfg] : config.loops) {
-    const Stmt* loop = kir::FindLoop(kernel.body, id);
+    const Stmt* loop = LoopWithId(loops, id);
     if (loop == nullptr) {
-      errors.push_back("no loop with id " + std::to_string(id));
+      if (!report([&] { return "no loop with id " + std::to_string(id); }))
+        return false;
       continue;
     }
     const std::int64_t trip = loop->trip_count();
     if (cfg.tile < 1) {
-      errors.push_back("L" + std::to_string(id) + ": tile factor " +
-                       std::to_string(cfg.tile) + " < 1");
-    } else if (cfg.tile > 1 &&
-               (cfg.tile >= trip || trip % cfg.tile != 0)) {
-      errors.push_back("L" + std::to_string(id) + ": tile factor " +
-                       std::to_string(cfg.tile) +
-                       " must divide the trip count " + std::to_string(trip) +
-                       " and be smaller than it");
+      if (!report([&] {
+            return "L" + std::to_string(id) + ": tile factor " +
+                   std::to_string(cfg.tile) + " < 1";
+          }))
+        return false;
+    } else if (cfg.tile > 1 && (cfg.tile >= trip || trip % cfg.tile != 0)) {
+      if (!report([&] {
+            return "L" + std::to_string(id) + ": tile factor " +
+                   std::to_string(cfg.tile) +
+                   " must divide the trip count " + std::to_string(trip) +
+                   " and be smaller than it";
+          }))
+        return false;
     }
     if (cfg.parallel < 1 || cfg.parallel > trip) {
-      errors.push_back("L" + std::to_string(id) + ": parallel factor " +
-                       std::to_string(cfg.parallel) + " outside [1, " +
-                       std::to_string(trip) + "]");
+      if (!report([&] {
+            return "L" + std::to_string(id) + ": parallel factor " +
+                   std::to_string(cfg.parallel) + " outside [1, " +
+                   std::to_string(trip) + "]";
+          }))
+        return false;
     }
     if (cfg.tile > 1 && cfg.parallel > cfg.tile) {
-      errors.push_back("L" + std::to_string(id) +
-                       ": parallel factor exceeds the point-loop trip (tile "
-                       "factor)");
+      if (!report([&] {
+            return "L" + std::to_string(id) +
+                   ": parallel factor exceeds the point-loop trip (tile "
+                   "factor)";
+          }))
+        return false;
     }
   }
   for (const auto& [name, bits] : config.buffer_bits) {
     const kir::Buffer* buf = kernel.FindBuffer(name);
     if (buf == nullptr) {
-      errors.push_back("no buffer named " + name);
+      if (!report([&] { return "no buffer named " + name; })) return false;
       continue;
     }
     if (buf->kind == kir::BufferKind::kLocal) {
-      errors.push_back("buffer " + name +
-                       " is on-chip; bit-width applies to interface buffers");
+      if (!report([&] {
+            return "buffer " + name +
+                   " is on-chip; bit-width applies to interface buffers";
+          }))
+        return false;
       continue;
     }
     if (!IsPowerOfTwo(bits) || bits < buf->element.bit_width() ||
         bits > 512) {
-      errors.push_back("buffer " + name + ": bit-width " +
-                       std::to_string(bits) +
-                       " must be a power of two in [element width, 512]");
+      if (!report([&] {
+            return "buffer " + name + ": bit-width " + std::to_string(bits) +
+                   " must be a power of two in [element width, 512]";
+          }))
+        return false;
     }
   }
+  return true;
+}
+
+}  // namespace
+
+bool IsLegalConfig(const kir::Kernel& kernel, const DesignConfig& config) {
+  return WalkRules(kernel, config, [](auto&&) { return false; });
+}
+
+std::vector<std::string> ValidateConfig(const kir::Kernel& kernel,
+                                        const DesignConfig& config) {
+  std::vector<std::string> errors;
+  WalkRules(kernel, config, [&](auto&& message) {
+    errors.push_back(message());
+    return true;
+  });
   return errors;
 }
 
@@ -78,9 +124,9 @@ TransformResult ApplyDesign(const kir::Kernel& kernel,
   S2FA_COUNT("merlin.factors_applied",
              static_cast<std::int64_t>(config.loops.size() +
                                        config.buffer_bits.size()));
-  std::vector<std::string> violations = ValidateConfig(kernel, config);
-  if (!violations.empty()) S2FA_COUNT("merlin.rejected_configs", 1);
-  if (!violations.empty()) {
+  if (!IsLegalConfig(kernel, config)) {
+    S2FA_COUNT("merlin.rejected_configs", 1);
+    const std::vector<std::string> violations = ValidateConfig(kernel, config);
     throw InvalidArgument("illegal design config: " + violations.front() +
                           (violations.size() > 1
                                ? " (+" + std::to_string(violations.size() - 1) +
@@ -104,9 +150,12 @@ TransformResult ApplyDesign(const kir::Kernel& kernel,
   }
 
   // Loop factors. Tiling first (it creates the point loops the parallel
-  // factors land on), one original loop at a time.
+  // factors land on), one original loop at a time. Tiling morphs a loop in
+  // place and keeps its body's statements, so the original loops found
+  // here stay valid (and keep their ids) throughout.
+  const std::vector<Stmt*> loops = k.Loops();
   for (const auto& [id, cfg] : config.loops) {
-    Stmt* loop = kir::FindLoop(k.body, id);
+    Stmt* loop = LoopWithId(loops, id);
     S2FA_CHECK(loop != nullptr, "validated loop disappeared");
     Stmt* target = loop;  // loop receiving parallel pragma
 
@@ -130,31 +179,29 @@ TransformResult ApplyDesign(const kir::Kernel& kernel,
       StmtPtr point_loop =
           Stmt::For(next_loop_id++, point_var, cfg.tile, body);
       point_loop->set_is_reduction(loop->is_reduction());
-      point_loop->annotations()[kPragmaTile] =
-          "point factor=" + std::to_string(cfg.tile);
+      point_loop->pragmas().tile = kir::LoopPragmas::Tile::kPointLoop;
+      point_loop->pragmas().tile_factor = cfg.tile;
       // The original Stmt object morphs into the tile loop (keeps id).
       Stmt tile_loop = *Stmt::For(loop->loop_id(), tile_var, tiles,
                                   Stmt::Block({point_loop}));
       tile_loop.set_inserted_by_template(loop->inserted_by_template());
-      tile_loop.annotations()[kPragmaTile] =
-          "factor=" + std::to_string(cfg.tile);
+      tile_loop.pragmas().tile = kir::LoopPragmas::Tile::kTileLoop;
+      tile_loop.pragmas().tile_factor = cfg.tile;
       *loop = tile_loop;
       target = point_loop.get();
     }
 
-    if (cfg.parallel > 1) {
-      target->annotations()[kPragmaParallel] =
-          "factor=" + std::to_string(cfg.parallel);
-    }
+    if (cfg.parallel > 1) target->pragmas().parallel = cfg.parallel;
     if (cfg.pipeline != PipelineMode::kOff) {
-      loop->annotations()[kPragmaPipeline] =
-          cfg.pipeline == PipelineMode::kFlatten ? "flatten" : "";
+      loop->pragmas().pipeline = cfg.pipeline == PipelineMode::kFlatten
+                                     ? kir::LoopPragmas::Pipeline::kFlatten
+                                     : kir::LoopPragmas::Pipeline::kOn;
     }
     if (target->is_reduction() &&
         (cfg.parallel > 1 || cfg.pipeline != PipelineMode::kOff)) {
       // Partial-sum tree (rotating accumulators when not unrolled) so the
       // reduction pipelines at II 1 instead of the add-chain latency.
-      target->annotations()[kPragmaReduction] = "tree";
+      target->pragmas().tree_reduction = true;
     }
   }
 
@@ -162,24 +209,13 @@ TransformResult ApplyDesign(const kir::Kernel& kernel,
   // fully unrolled; its own factors are overridden (Impediment 2).
   for (Stmt* loop : k.Loops()) {
     if (PipelineModeOf(*loop) != PipelineMode::kFlatten) continue;
-    std::vector<Stmt*> descendants;
-    kir::VisitStmt(loop->body(), std::function<void(Stmt&)>(
-                                     [&](Stmt& s) {
-                                       if (s.kind() == kir::StmtKind::kFor) {
-                                         descendants.push_back(&s);
-                                       }
-                                     }));
-    for (Stmt* sub : descendants) {
-      const auto before = sub->annotations();
-      sub->annotations()[kPragmaParallel] =
-          "factor=" + std::to_string(sub->trip_count());
-      sub->annotations().erase(kPragmaPipeline);
-      if (sub->is_reduction()) {
-        sub->annotations()[kPragmaReduction] = "tree";
-      }
-      if (before.count(kPragmaParallel) != 0 &&
-          before.at(kPragmaParallel) !=
-              sub->annotations().at(kPragmaParallel)) {
+    for (Stmt* sub : kir::CollectLoops(loop->body())) {
+      kir::LoopPragmas& pragmas = sub->pragmas();
+      const std::optional<std::int64_t> before = pragmas.parallel;
+      pragmas.parallel = sub->trip_count();
+      pragmas.pipeline = kir::LoopPragmas::Pipeline::kAbsent;
+      if (sub->is_reduction()) pragmas.tree_reduction = true;
+      if (before && *before != sub->trip_count()) {
         result.notes.push_back(
             "L" + std::to_string(sub->loop_id()) +
             ": parallel factor overridden by flatten on ancestor L" +
@@ -193,25 +229,20 @@ TransformResult ApplyDesign(const kir::Kernel& kernel,
 }
 
 std::int64_t ParallelFactorOf(const kir::Stmt& loop) {
-  auto it = loop.annotations().find(kPragmaParallel);
-  if (it == loop.annotations().end()) return 1;
-  const std::string& v = it->second;
-  const std::string prefix = "factor=";
-  std::size_t pos = v.find(prefix);
-  S2FA_CHECK(pos != std::string::npos, "malformed parallel pragma: " << v);
-  return std::stoll(v.substr(pos + prefix.size()));
+  return loop.pragmas().parallel.value_or(1);
 }
 
 PipelineMode PipelineModeOf(const kir::Stmt& loop) {
-  auto it = loop.annotations().find(kPragmaPipeline);
-  if (it == loop.annotations().end()) return PipelineMode::kOff;
-  return it->second == "flatten" ? PipelineMode::kFlatten
-                                 : PipelineMode::kOn;
+  switch (loop.pragmas().pipeline) {
+    case kir::LoopPragmas::Pipeline::kAbsent: return PipelineMode::kOff;
+    case kir::LoopPragmas::Pipeline::kOn: return PipelineMode::kOn;
+    case kir::LoopPragmas::Pipeline::kFlatten: return PipelineMode::kFlatten;
+  }
+  S2FA_UNREACHABLE("bad pipeline pragma");
 }
 
 bool HasTreeReduction(const kir::Stmt& loop) {
-  auto it = loop.annotations().find(kPragmaReduction);
-  return it != loop.annotations().end() && it->second == "tree";
+  return loop.pragmas().tree_reduction;
 }
 
 }  // namespace s2fa::merlin

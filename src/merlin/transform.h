@@ -4,9 +4,10 @@
 //   * loop tiling is a structural rewrite (L splits into a tile loop that
 //     keeps L's id and a new point loop; body indices are re-derived), so
 //     downstream consumers see real loops with real trip counts;
-//   * parallel/pipeline/tree-reduction become pragma annotations consumed
-//     by the HLS estimator — mirroring how the real Merlin compiler passes
-//     directives to the vendor HLS;
+//   * parallel/pipeline/tree-reduction become typed pragmas on the loop
+//     (kir::LoopPragmas: integers and enums, not strings) consumed by the
+//     HLS estimator and printed as `#pragma ACCEL ...` lines — mirroring
+//     how the real Merlin compiler passes directives to the vendor HLS;
 //   * `flatten` pipelining marks every nested sub-loop fully unrolled,
 //     which *invalidates* those loops' own factors (the paper's
 //     Impediment 2);
@@ -31,17 +32,23 @@ struct TransformResult {
   std::vector<std::string> notes;
 };
 
-// Validates `config` against `kernel`'s loop/buffer inventory. Returns an
-// empty vector when legal; otherwise one message per violation.
+// Both legality checks walk the same rules (transform.cc) against
+// `kernel`'s loop/buffer inventory.
+//
+// IsLegalConfig stops at the first violation and builds no message: the
+// form for hot paths that only need the verdict.
+bool IsLegalConfig(const kir::Kernel& kernel, const DesignConfig& config);
+// ValidateConfig returns an empty vector when legal; otherwise one message
+// per violation.
 std::vector<std::string> ValidateConfig(const kir::Kernel& kernel,
                                         const DesignConfig& config);
 
-// Applies the config. Throws InvalidArgument if ValidateConfig reports
-// violations.
+// Applies the config. Throws InvalidArgument, naming the first violation,
+// if the config is illegal.
 TransformResult ApplyDesign(const kir::Kernel& kernel,
                             const DesignConfig& config);
 
-// --- annotation readers (used by the HLS estimator) ---
+// --- pragma readers (used by the HLS estimator) ---
 
 // Unroll factor of a transformed loop (1 when absent).
 std::int64_t ParallelFactorOf(const kir::Stmt& loop);

@@ -18,7 +18,7 @@ tuner::EvalFn MakeHlsEvaluator(const kir::Kernel& kernel,
   return [copy, options, frequency](
              const merlin::DesignConfig& config) -> tuner::EvalOutcome {
     tuner::EvalOutcome outcome;
-    if (!merlin::ValidateConfig(copy, config).empty()) {
+    if (!merlin::IsLegalConfig(copy, config)) {
       // Illegal factor combination: the HLS job fails fast. Rejected here,
       // before ApplyDesign would throw, since most uniform draws are
       // illegal and unwinding costs more than the check.

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "apps/app.h"
+#include "b2c/compiler.h"
 #include "dse/explorer.h"
 #include "hls/estimator.h"
 #include "merlin/transform.h"
@@ -787,12 +789,14 @@ TEST(ExplorerTest, TruncatedJournalResumesPartially) {
 
 // ------------------------------------------------------------ eval cache
 
-TEST(ExplorerTest, CacheOnAndOffProduceIdenticalTrajectories) {
-  // The determinism contract of the memoizing cache: a hit replays the
-  // stored outcome (simulated minutes included), so the search trajectory
-  // is bit-identical with the cache on or off — only raw evaluator calls
-  // differ.
-  kir::Kernel k = NestedKernel();
+// The determinism contract of the memoizing cache: a hit replays the
+// stored outcome (simulated minutes included), so the search trajectory is
+// bit-identical with the cache on or off — only raw evaluator calls
+// differ. A key collision would replay another config's outcome and show
+// up here as a trajectory difference.
+void ExpectCacheOnAndOffIdentical(const kir::Kernel& k,
+                                  double time_limit_minutes,
+                                  std::uint64_t seed) {
   DesignSpace space = tuner::BuildDesignSpace(k);
   std::atomic<int> raw_calls{0};
   tuner::EvalFn counting =
@@ -802,8 +806,8 @@ TEST(ExplorerTest, CacheOnAndOffProduceIdenticalTrajectories) {
       };
 
   ExplorerOptions options;
-  options.time_limit_minutes = 120;
-  options.seed = 11;
+  options.time_limit_minutes = time_limit_minutes;
+  options.seed = seed;
   options.cache.enabled = false;
   DseResult off = RunS2faDse(space, k, counting, options);
   const int paid_off = raw_calls.exchange(0);
@@ -812,6 +816,7 @@ TEST(ExplorerTest, CacheOnAndOffProduceIdenticalTrajectories) {
   const int paid_on = raw_calls.load();
 
   EXPECT_EQ(on.best_cost, off.best_cost);
+  EXPECT_EQ(on.best_config, off.best_config);
   EXPECT_EQ(on.found_feasible, off.found_feasible);
   EXPECT_EQ(on.elapsed_minutes, off.elapsed_minutes);
   EXPECT_EQ(on.evaluations, off.evaluations);
@@ -830,6 +835,15 @@ TEST(ExplorerTest, CacheOnAndOffProduceIdenticalTrajectories) {
   // so some evaluations came for free.
   EXPECT_GT(on.cache_stats.hits + on.cache_stats.inflight_joins, 0u);
   EXPECT_GT(on.cache_stats.minutes_saved, 0.0);
+}
+
+TEST(ExplorerTest, CacheOnAndOffProduceIdenticalTrajectories) {
+  ExpectCacheOnAndOffIdentical(NestedKernel(), 120, 11);
+  for (const apps::App& app : apps::AllApps()) {
+    SCOPED_TRACE(app.name);
+    ExpectCacheOnAndOffIdentical(b2c::CompileKernel(*app.pool, app.spec),
+                                 60, 11);
+  }
 }
 
 TEST(ExplorerTest, VanillaRunsFullEvaluationStack) {

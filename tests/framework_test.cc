@@ -6,9 +6,12 @@
 #include <vector>
 
 #include "apps/app.h"
+#include "b2c/compiler.h"
 #include "merlin/transform.h"
 #include "obs/obs.h"
 #include "s2fa/framework.h"
+#include "support/rng.h"
+#include "tuner/space.h"
 
 namespace s2fa {
 namespace {
@@ -108,6 +111,7 @@ TEST(FrameworkTest, EvaluatorTreatsIllegalConfigsAsInfeasible) {
     ASSERT_EQ(violations.size(), 1u);
     EXPECT_NE(violations[0].find(c.rule), std::string::npos)
         << violations[0];
+    EXPECT_FALSE(merlin::IsLegalConfig(kernel, c.config));
     EXPECT_THROW(merlin::ApplyDesign(kernel, c.config), InvalidArgument);
     ++expected_rejections;  // the ApplyDesign call above
 
@@ -128,12 +132,120 @@ TEST(FrameworkTest, EvaluatorTreatsIllegalConfigsAsInfeasible) {
   merlin::DesignConfig legal;
   legal.loops[2] = {4, 2, merlin::PipelineMode::kOn};
   EXPECT_TRUE(merlin::ValidateConfig(kernel, legal).empty());
+  EXPECT_TRUE(merlin::IsLegalConfig(kernel, legal));
   EXPECT_TRUE(eval(legal).feasible);
   if (counting) {
     EXPECT_EQ(rejected(), expected_rejections);
   }
   obs::Registry::Global().Reset();
   obs::SetEnabled(false);
+}
+
+// ApplyDesign's exception names the first violation in rule-walk order
+// (loops by id, then buffers by name) and counts the rest, with the
+// message texts pinned exactly.
+TEST(LegalityTest, ApplyDesignThrowsTheFirstViolation) {
+  apps::App app = apps::FindApp("SVM");
+  kir::Kernel kernel = b2c::CompileKernel(*app.pool, app.spec);
+  const std::vector<std::string> expected = {
+      "no loop with id 99",
+      "L2: tile factor 3 must divide the trip count 1024 and be smaller "
+      "than it",
+      "L1: parallel factor 64 outside [1, 32]",
+      "L2: parallel factor exceeds the point-loop trip (tile factor)",
+      "buffer in_1: bit-width 48 must be a power of two in [element width, "
+      "512]",
+      "buffer bc3 is on-chip; bit-width applies to interface buffers",
+  };
+  const std::vector<IllegalCase> cases = IllegalSvmConfigs();
+  ASSERT_EQ(cases.size(), expected.size());
+  auto thrown = [&](const merlin::DesignConfig& config) -> std::string {
+    try {
+      merlin::ApplyDesign(kernel, config);
+    } catch (const InvalidArgument& e) {
+      return e.what();
+    }
+    return "(no throw)";
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_NE(thrown(cases[i].config).find("illegal design config: " +
+                                           expected[i]),
+              std::string::npos)
+        << thrown(cases[i].config);
+  }
+
+  // Several violations: the first by walk order, plus a count.
+  merlin::DesignConfig many;
+  many.loops[99] = {1, 1, {}};
+  many.loops[1] = {0, 64, {}};
+  many.buffer_bits["in_1"] = 48;
+  many.buffer_bits["bc3"] = 64;
+  EXPECT_EQ(merlin::ValidateConfig(kernel, many).size(), 5u);
+  EXPECT_NE(thrown(many).find("illegal design config: L1: tile factor 0 < 1 "
+                              "(+4 more)"),
+            std::string::npos)
+      << thrown(many);
+}
+
+// The bool form and the message form walk the same rules, so they agree
+// on every config: uniform draws over each app's design space (mostly
+// illegal) and per-loop and per-buffer edge cases.
+TEST(LegalityTest, BoolFormAgreesWithMessagesOnEveryAppSpace) {
+  constexpr int kDraws = 500;
+  for (const apps::App& app : apps::AllApps()) {
+    SCOPED_TRACE(app.name);
+    const kir::Kernel kernel = b2c::CompileKernel(*app.pool, app.spec);
+    const tuner::DesignSpace space = tuner::BuildDesignSpace(kernel);
+    int legal = 0;
+    auto check = [&](const merlin::DesignConfig& config) {
+      const bool is_legal = merlin::IsLegalConfig(kernel, config);
+      EXPECT_EQ(is_legal, merlin::ValidateConfig(kernel, config).empty())
+          << config.ToString();
+      if (is_legal) ++legal;
+      return is_legal;
+    };
+
+    Rng rng(20);
+    for (int draw = 0; draw < kDraws; ++draw) {
+      check(space.ToConfig(space.RandomPoint(rng)));
+    }
+    EXPECT_LT(legal, kDraws) << "uniform draws should include illegal ones";
+
+    auto with_loop = [](int id, merlin::LoopConfig loop) {
+      merlin::DesignConfig config;
+      config.loops[id] = loop;
+      return config;
+    };
+    for (const kir::Stmt* loop : kernel.Loops()) {
+      const int id = loop->loop_id();
+      const std::int64_t trip = loop->trip_count();
+      EXPECT_TRUE(check(with_loop(id, {1, trip, {}})));
+      EXPECT_FALSE(check(with_loop(id, {1, trip + 1, {}})));
+      EXPECT_FALSE(check(with_loop(id, {0, 1, {}})));
+      if (trip > 1) {
+        // Tiling by the whole trip count is no tiling at all.
+        EXPECT_FALSE(check(with_loop(id, {trip, 1, {}})));
+      }
+      if (trip % 2 == 0 && trip > 2) {
+        const std::int64_t tile = trip / 2;
+        EXPECT_TRUE(check(with_loop(id, {tile, tile, {}})));
+        EXPECT_FALSE(check(with_loop(id, {tile, tile + 1, {}})));
+      }
+    }
+    EXPECT_FALSE(check(with_loop(kernel.MaxLoopId() + 1, {1, 1, {}})));
+
+    for (const kir::Buffer& buffer : kernel.buffers) {
+      merlin::DesignConfig config;
+      config.buffer_bits[buffer.name] = 512;
+      const bool local = buffer.kind == kir::BufferKind::kLocal;
+      EXPECT_EQ(check(config), !local) << buffer.name;
+      config.buffer_bits[buffer.name] = 3 * buffer.element.bit_width();
+      EXPECT_FALSE(check(config)) << buffer.name;
+    }
+    merlin::DesignConfig unknown;
+    unknown.buffer_bits["no_such_buffer"] = 64;
+    EXPECT_FALSE(check(unknown));
+  }
 }
 
 TEST(FrameworkTest, EvaluatorIsDeterministic) {

@@ -11,6 +11,7 @@
 #include "b2c/compiler.h"
 #include "hls/estimator.h"
 #include "kir/analysis.h"
+#include "kir/printer.h"
 #include "merlin/transform.h"
 #include "support/rng.h"
 #include "tuner/space.h"
@@ -564,14 +565,18 @@ std::string GoldenLine(const std::string& design, const HlsResult& r) {
   return line;
 }
 
-// Golden lines of the whole design set, in a fixed order. Fails the
-// calling test when a kernel yields fewer than the pinned number of legal
-// designs.
-std::vector<std::string> GoldenLines() {
-  std::vector<std::string> lines;
+struct GoldenDesign {
+  std::string name;
+  kir::Kernel kernel;  // transformed (or the untransformed baseline)
+};
+
+// The whole design set, in a fixed order: each base kernel's baseline,
+// then its seeded legal designs. Fails the calling test when a kernel
+// yields fewer than the pinned number of legal designs.
+std::vector<GoldenDesign> GoldenDesigns() {
+  std::vector<GoldenDesign> designs;
   for (const GoldenBase& base : GoldenBases()) {
-    lines.push_back(
-        GoldenLine(base.name + " baseline", EstimateHls(base.kernel)));
+    designs.push_back({base.name + " baseline", base.kernel.Clone()});
     const tuner::DesignSpace space = tuner::BuildDesignSpace(base.kernel);
     Rng rng(kGoldenSeed);
     int found = 0;
@@ -579,13 +584,34 @@ std::vector<std::string> GoldenLines() {
          ++draw) {
       const DesignConfig cfg = space.ToConfig(space.RandomPoint(rng));
       if (!merlin::ValidateConfig(base.kernel, cfg).empty()) continue;
-      lines.push_back(GoldenLine(base.name + " " + cfg.ToString(),
-                                 EstimateHls(Transformed(base.kernel, cfg))));
+      designs.push_back({base.name + " " + cfg.ToString(),
+                         Transformed(base.kernel, cfg)});
       ++found;
     }
     EXPECT_EQ(found, kGoldenDesignsPerKernel) << base.name;
   }
+  return designs;
+}
+
+std::vector<std::string> GoldenLines() {
+  std::vector<std::string> lines;
+  for (const GoldenDesign& design : GoldenDesigns()) {
+    lines.push_back(GoldenLine(design.name, EstimateHls(design.kernel)));
+  }
   return lines;
+}
+
+void PrintGoldenTable(const char* what, const std::vector<std::string>& lines) {
+  std::printf("// BEGIN golden %s lines (see hls_test.cc)\n", what);
+  for (const std::string& line : lines) {
+    std::string escaped;
+    for (char c : line) {
+      if (c == '"' || c == '\\') escaped += '\\';
+      escaped += c;
+    }
+    std::printf("\"%s\",\n", escaped.c_str());
+  }
+  std::printf("// END golden %s lines\n", what);
 }
 
 TEST(HlsGoldenTest, EveryFieldMatchesTheTable) {
@@ -597,16 +623,52 @@ TEST(HlsGoldenTest, EveryFieldMatchesTheTable) {
 }
 
 TEST(HlsGoldenTest, DISABLED_PrintTable) {
-  std::printf("// BEGIN golden HlsResult lines (see hls_test.cc)\n");
-  for (const std::string& line : GoldenLines()) {
-    std::string escaped;
-    for (char c : line) {
-      if (c == '"' || c == '\\') escaped += '\\';
-      escaped += c;
-    }
-    std::printf("\"%s\",\n", escaped.c_str());
+  PrintGoldenTable("HlsResult", GoldenLines());
+}
+
+// ------------------------------------------------------- golden C source
+//
+// The exact kir::EmitC text of the same design set, pinned as a 64-bit
+// FNV-1a hash per design: the pragma lines Merlin attaches (their keys,
+// values and order) and every rewritten loop must print byte for byte as
+// when the table was made. Regenerate like the HlsResult table, with
+// --gtest_filter=EmitCGoldenTest.DISABLED_PrintTable.
+
+const char* const kEmitCGoldenTable[] = {
+#include "emitc_golden.inc"
+};
+
+std::string Fnv1a(const std::string& text) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001B3ULL;
   }
-  std::printf("// END golden HlsResult lines\n");
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+std::vector<std::string> EmitCGoldenLines() {
+  std::vector<std::string> lines;
+  for (const GoldenDesign& design : GoldenDesigns()) {
+    lines.push_back(design.name + " | emitc_fnv=" +
+                    Fnv1a(kir::EmitC(design.kernel)));
+  }
+  return lines;
+}
+
+TEST(EmitCGoldenTest, EveryDesignPrintsTheSameC) {
+  const std::vector<std::string> lines = EmitCGoldenLines();
+  ASSERT_EQ(lines.size(), std::size(kEmitCGoldenTable));
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i], kEmitCGoldenTable[i]) << "row " << i;
+  }
+}
+
+TEST(EmitCGoldenTest, DISABLED_PrintTable) {
+  PrintGoldenTable("EmitC", EmitCGoldenLines());
 }
 
 }  // namespace

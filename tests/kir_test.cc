@@ -88,15 +88,27 @@ TEST(StmtTest, ForRejectsBadTripCount) {
 TEST(StmtTest, CloneIsDeep) {
   auto inner = Stmt::For(1, "j", 4, Stmt::Block({}));
   auto outer = Stmt::For(0, "i", 8, Stmt::Block({inner}));
-  outer->annotations()["ACCEL"] = "PIPELINE";
+  outer->pragmas().pipeline = LoopPragmas::Pipeline::kOn;
+  inner->pragmas().parallel = 4;
   auto copy = outer->Clone();
+  EXPECT_EQ(copy->pragmas(), outer->pragmas());
+  EXPECT_EQ(FindLoop(copy, 1)->pragmas(), inner->pragmas());
   copy->set_trip_count(99);
-  copy->annotations()["ACCEL"] = "changed";
+  copy->pragmas().pipeline = LoopPragmas::Pipeline::kFlatten;
   FindLoop(copy, 1)->set_trip_count(77);
+  FindLoop(copy, 1)->pragmas().parallel.reset();
   EXPECT_EQ(outer->trip_count(), 8);
-  EXPECT_EQ(outer->annotations().at("ACCEL"), "PIPELINE");
+  EXPECT_EQ(outer->pragmas().pipeline, LoopPragmas::Pipeline::kOn);
+  EXPECT_EQ(inner->pragmas().parallel, std::optional<std::int64_t>(4));
   EXPECT_EQ(FindLoop(outer, 1), inner.get());
   EXPECT_EQ(inner->trip_count(), 4);
+}
+
+TEST(StmtTest, DefaultPragmasAreAbsentAndPrintNothing) {
+  auto loop = Stmt::For(0, "i", 8, Stmt::Block({}));
+  EXPECT_EQ(loop->pragmas(), LoopPragmas{});
+  EXPECT_FALSE(loop->pragmas().parallel.has_value());
+  EXPECT_EQ(loop->ToString(), "for (int i = 0; i < 8; i++) {  // L0\n\n}");
 }
 
 TEST(StmtTest, CollectLoopsPreOrder) {
@@ -186,9 +198,59 @@ TEST(PrinterTest, EmitsCompilableLookingC) {
 
 TEST(PrinterTest, EmitsPragmas) {
   Kernel k = MakeScaleKernel();
-  FindLoop(k.body, 0)->annotations()["ACCEL"] = "PIPELINE flatten";
+  FindLoop(k.body, 0)->pragmas().pipeline = LoopPragmas::Pipeline::kFlatten;
   std::string c = EmitC(k);
   EXPECT_NE(c.find("#pragma ACCEL PIPELINE flatten"), std::string::npos);
+}
+
+TEST(PrinterTest, EmitsEveryPragmaInFixedOrder) {
+  // Fields print as PARALLEL, PIPELINE, REDUCTION, TILE whatever order
+  // they were set in, each indented like its loop, in both printers.
+  Kernel k = MakeScaleKernel();
+  LoopPragmas& p = FindLoop(k.body, 0)->pragmas();
+  p.tile = LoopPragmas::Tile::kPointLoop;
+  p.tile_factor = 4;
+  p.tree_reduction = true;
+  p.pipeline = LoopPragmas::Pipeline::kOn;
+  p.parallel = 1;  // present even at 1
+  const std::string lines =
+      "#pragma ACCEL PARALLEL factor=1\n"
+      "#pragma ACCEL PIPELINE\n"
+      "#pragma ACCEL REDUCTION tree\n"
+      "#pragma ACCEL TILE point factor=4\n";
+  EXPECT_EQ(FindLoop(k.body, 0)->ToString().rfind(lines, 0), 0u);
+  std::string indented;
+  for (const char* line :
+       {"#pragma ACCEL PARALLEL factor=1\n", "#pragma ACCEL PIPELINE\n",
+        "#pragma ACCEL REDUCTION tree\n",
+        "#pragma ACCEL TILE point factor=4\n"}) {
+    indented += std::string("  ") + line;
+  }
+  EXPECT_NE(EmitC(k).find(indented + "  for (int i = 0;"), std::string::npos);
+
+  p.tile = LoopPragmas::Tile::kTileLoop;
+  p.pipeline = LoopPragmas::Pipeline::kFlatten;
+  p.parallel.reset();
+  p.tree_reduction = false;
+  EXPECT_EQ(FindLoop(k.body, 0)->ToString().rfind(
+                "#pragma ACCEL PIPELINE flatten\n"
+                "#pragma ACCEL TILE factor=4\nfor (int i",
+                0),
+            0u);
+}
+
+TEST(PrinterTest, ClonedPragmasPrintTheSame) {
+  Kernel k = MakeScaleKernel();
+  LoopPragmas& p = FindLoop(k.body, 0)->pragmas();
+  p.parallel = 8;
+  p.pipeline = LoopPragmas::Pipeline::kOn;
+  Kernel copy = k.Clone();
+  EXPECT_EQ(EmitC(copy), EmitC(k));
+  FindLoop(copy.body, 0)->pragmas().parallel = 2;
+  EXPECT_NE(EmitC(k).find("#pragma ACCEL PARALLEL factor=8"),
+            std::string::npos);
+  EXPECT_NE(EmitC(copy).find("#pragma ACCEL PARALLEL factor=2"),
+            std::string::npos);
 }
 
 TEST(PrinterTest, LocalBuffersBecomeStaticArrays) {

@@ -247,7 +247,7 @@ TEST(MerlinTransformTest, OriginalKernelUntouched) {
   ApplyDesign(k, cfg);
   EXPECT_EQ(k.Loops().size(), 1u);
   EXPECT_EQ(k.FindBuffer("in")->interface_bits, 0);
-  EXPECT_TRUE(k.Loops()[0]->annotations().empty());
+  EXPECT_EQ(k.Loops()[0]->pragmas(), kir::LoopPragmas{});
 }
 
 TEST(MerlinTransformTest, PragmasAppearInEmittedC) {
