@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <future>
+#include <map>
 #include <memory>
 
 #include "obs/obs.h"
@@ -44,6 +45,69 @@ const char* StopLabel(StopKind stop) {
   S2FA_UNREACHABLE("bad stop kind");
 }
 
+// The evaluation stack every scope ("train", "p<i>", "r<i>", "vanilla")
+// runs on: journal -> cache -> resilience -> fault plan -> raw black box.
+// One journal and one memoizing cache serve the whole run, so a journal
+// hit never touches the cache and a cache hit skips fault injection and
+// retries, replaying the stored outcome with its simulated minutes (the
+// clock stays bit-identical to a cache-off run). Each scope gets its own
+// ResilientEvaluator, so a pathological region trips only its own
+// breaker, and its own journal keys, so a resumed run replays each
+// scope's stream exactly. Every scope evaluates its batches serially, in
+// proposal order: the breaker is stateful, so this is what makes its
+// decisions independent of thread timing.
+class EvalStack {
+ public:
+  EvalStack(const EvalFn& evaluate, const ExplorerOptions& options)
+      : cache_(options.cache) {
+    const resilience::FaultPlan plan(options.faults);
+    inner_ = plan.active() ? plan.Instrument(evaluate)
+                           : resilience::IgnoreAttempt(evaluate);
+    ropt_ = options.resilience;
+    ropt_.seed ^= options.seed;
+    if (!options.journal_path.empty()) journal_.Open(options.journal_path);
+  }
+
+  // The guarded, memoized, journaled evaluator of `scope`. It lives as
+  // long as the stack.
+  EvalFn Scope(const std::string& scope) {
+    auto& guard = guards_[scope];
+    guard = std::make_unique<resilience::ResilientEvaluator>(inner_, ropt_,
+                                                             scope);
+    EvalFn fn = guard->AsEvalFn();
+    if (cache_.enabled()) fn = cache_.Wrap(std::move(fn));
+    return journal_.open() ? journal_.Wrap(scope, std::move(fn))
+                           : std::move(fn);
+  }
+
+  // `scope`'s failure ledger; empty when the scope was never built.
+  resilience::ResilienceStats Stats(const std::string& scope) const {
+    auto it = guards_.find(scope);
+    return it == guards_.end() ? resilience::ResilienceStats{}
+                               : it->second->stats();
+  }
+
+  // The run-wide journal and cache ledgers.
+  void Report(DseResult& result) const {
+    if (journal_.open()) {
+      result.journal_resumed = journal_.resumed();
+      result.journal_hits = journal_.hits();
+      result.journal_entries = journal_.entries();
+      S2FA_COUNT("dse.journal_hits",
+                 static_cast<std::int64_t>(result.journal_hits));
+    }
+    result.cache_stats = cache_.stats();
+  }
+
+ private:
+  resilience::AttemptEvalFn inner_;
+  resilience::ResilienceOptions ropt_;
+  resilience::EvalJournal journal_;
+  cache::EvalCache cache_;
+  std::map<std::string, std::unique_ptr<resilience::ResilientEvaluator>>
+      guards_;
+};
+
 }  // namespace
 
 SpanReport ClipTuneResultToSpan(const tuner::TuneResult& result,
@@ -75,43 +139,14 @@ DseResult RunS2faDse(const DesignSpace& space, const kir::Kernel& kernel,
   DseResult result;
   result.log10_space_size = space.Log10Cardinality();
 
-  // Fault-tolerance plumbing. Each scope ("train", "p0", "p1", ...) gets
-  // its own ResilientEvaluator so breaker state stays per-partition, and
-  // the journal keys evaluations per scope so a resumed run replays each
-  // thread's stream exactly, independent of scheduling. One memoizing
-  // cache is shared by the training phase and every partition — layered
-  // journal -> cache -> resilience, so a journal hit never touches the
-  // cache and a cache hit skips fault injection and retries. A hit
-  // replays the stored outcome, simulated minutes included, keeping the
-  // simulated clock bit-identical to a cache-off run.
-  const resilience::FaultPlan plan(options.faults);
-  resilience::EvalJournal journal;
-  if (!options.journal_path.empty()) journal.Open(options.journal_path);
-  cache::EvalCache eval_cache(options.cache);
-  auto make_guard = [&](const std::string& scope) {
-    resilience::ResilienceOptions ropt = options.resilience;
-    ropt.seed ^= options.seed;
-    return std::make_unique<resilience::ResilientEvaluator>(
-        plan.active() ? plan.Instrument(evaluate)
-                      : resilience::IgnoreAttempt(evaluate),
-        ropt, scope);
-  };
-  auto make_eval = [&](const std::string& scope,
-                       resilience::ResilientEvaluator& guard) -> EvalFn {
-    EvalFn fn = guard.AsEvalFn();
-    if (eval_cache.enabled()) fn = eval_cache.Wrap(std::move(fn));
-    return journal.open() ? journal.Wrap(scope, std::move(fn))
-                          : std::move(fn);
-  };
+  EvalStack stack(evaluate, options);
 
   // --- 1. Partitioning (offline rule training; not charged to the clock).
   std::vector<Partition> partitions;
-  std::unique_ptr<resilience::ResilientEvaluator> train_guard;
   if (options.enable_partitioning) {
     S2FA_SPAN("dse.train");
     auto candidates = RuleCandidateFactors(space, kernel);
-    train_guard = make_guard("train");
-    EvalFn train_fn = make_eval("train", *train_guard);
+    EvalFn train_fn = stack.Scope("train");
     auto train_eval = [&](const Point& p) {
       tuner::EvalOutcome out = train_fn(space.ToConfig(p));
       return out.feasible ? std::log(std::max(1e-9, out.cost))
@@ -132,17 +167,6 @@ DseResult RunS2faDse(const DesignSpace& space, const kir::Kernel& kernel,
   // --- 2. Per-partition tuning (full budget; clipped by the schedule).
   const bool single = partitions.size() == 1;
   std::vector<TuneResult> tune_results(partitions.size());
-  std::vector<std::unique_ptr<resilience::ResilientEvaluator>> guards(
-      partitions.size());
-  // A lone partition proposes `num_cores`-wide batches; give it a
-  // dedicated evaluation pool so those batches really run concurrently.
-  // It must be distinct from the partition pool below — a partition task
-  // blocking on futures scheduled onto its own pool would deadlock.
-  std::unique_ptr<ThreadPool> eval_pool;
-  if (single && options.num_cores > 1) {
-    eval_pool = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(options.num_cores));
-  }
   {
     const std::size_t pool_threads = static_cast<std::size_t>(
         options.exec_threads > 0
@@ -159,7 +183,6 @@ DseResult RunS2faDse(const DesignSpace& space, const kir::Kernel& kernel,
       // One core per partition; a lone partition gets the whole machine
       // (that is the no-partitioning ablation and the vanilla setup).
       topt.parallel = single ? options.num_cores : 1;
-      topt.eval_pool = eval_pool.get();
       topt.seed = options.seed * 1000003ULL + i * 7919ULL + 1;
       topt.techniques = options.techniques;
       if (options.enable_seeds) {
@@ -169,9 +192,7 @@ DseResult RunS2faDse(const DesignSpace& space, const kir::Kernel& kernel,
       }
       topt.should_stop = MakeStop(options, partition.space.num_factors());
       topt.stop_reason_label = StopLabel(options.stop);
-      const std::string scope = "p" + std::to_string(i);
-      guards[i] = make_guard(scope);
-      EvalFn guarded = make_eval(scope, *guards[i]);
+      EvalFn guarded = stack.Scope("p" + std::to_string(i));
       tasks.push_back([&partition, topt, guarded = std::move(guarded)] {
         S2FA_SPAN("dse.partition");
         return tuner::Tune(partition.space, guarded, topt);
@@ -207,7 +228,7 @@ DseResult RunS2faDse(const DesignSpace& space, const kir::Kernel& kernel,
     PartitionOutcome outcome;
     outcome.description = partitions[i].description;
     outcome.result = tune_results[i];
-    outcome.resilience = guards[i]->stats();
+    outcome.resilience = stack.Stats("p" + std::to_string(i));
     result.resilience.Merge(outcome.resilience);
 
     auto core = std::min_element(core_clock.begin(), core_clock.end());
@@ -263,8 +284,6 @@ DseResult RunS2faDse(const DesignSpace& space, const kir::Kernel& kernel,
   // and the two schedules are identical.
   result.scheduler = options.scheduler;
   if (options.scheduler == SchedulerKind::kAdaptive) {
-    std::vector<std::unique_ptr<resilience::ResilientEvaluator>> rguards(
-        partitions.size());
     std::vector<std::unique_ptr<tuner::TuneSession>> sessions(
         partitions.size());
     std::vector<ReclaimJob> jobs;
@@ -290,10 +309,8 @@ DseResult RunS2faDse(const DesignSpace& space, const kir::Kernel& kernel,
       }
       topt.should_stop = MakeStop(options, partitions[i].space.num_factors());
       topt.stop_reason_label = StopLabel(options.stop);
-      const std::string scope = "r" + std::to_string(i);
-      rguards[i] = make_guard(scope);
       sessions[i] = std::make_unique<tuner::TuneSession>(
-          partitions[i].space, make_eval(scope, *rguards[i]), topt);
+          partitions[i].space, stack.Scope("r" + std::to_string(i)), topt);
       ReclaimJob job;
       job.partition = i;
       job.session = sessions[i].get();
@@ -322,9 +339,7 @@ DseResult RunS2faDse(const DesignSpace& space, const kir::Kernel& kernel,
     // global-time picture.
     for (std::size_t i = 0; i < partitions.size(); ++i) {
       if (sessions[i] == nullptr) continue;
-      if (rguards[i] != nullptr) {
-        result.resilience.Merge(rguards[i]->stats());
-      }
+      result.resilience.Merge(stack.Stats("r" + std::to_string(i)));
       if (sessions[i]->evaluations() == 0) continue;
       std::vector<ReclaimGrant> mine;
       for (const ReclaimGrant& grant : sched.grants) {
@@ -388,16 +403,8 @@ DseResult RunS2faDse(const DesignSpace& space, const kir::Kernel& kernel,
         std::max(result.schedule.exploration_end_minutes,
                  result.elapsed_minutes);
   }
-  if (train_guard != nullptr) {
-    result.resilience.Merge(train_guard->stats());
-  }
-  if (journal.open()) {
-    result.journal_resumed = journal.resumed();
-    result.journal_hits = journal.hits();
-    result.journal_entries = journal.entries();
-    S2FA_COUNT("dse.journal_hits",
-               static_cast<std::int64_t>(result.journal_hits));
-  }
+  result.resilience.Merge(stack.Stats("train"));
+  stack.Report(result);
   if (result.resilience.exhausted > 0 || result.resilience.retries > 0) {
     S2FA_LOG_INFO("dse resilience: " << result.resilience.retries
                                      << " retries, "
@@ -406,7 +413,6 @@ DseResult RunS2faDse(const DesignSpace& space, const kir::Kernel& kernel,
                                      << result.resilience.breaker_trips
                                      << " breaker trips");
   }
-  result.cache_stats = eval_cache.stats();
   if (result.cache_stats.hits + result.cache_stats.inflight_joins > 0) {
     S2FA_LOG_INFO("dse cache: "
                   << result.cache_stats.hits << " hits + "
@@ -424,37 +430,14 @@ DseResult RunVanillaOpenTuner(const DesignSpace& space,
   S2FA_REQUIRE(options.num_cores >= 1, "need at least one core");
   S2FA_SPAN("dse.vanilla");
 
-  // The same evaluation stack as the S2FA path — journal -> cache ->
-  // resilience -> raw black box — under a single "vanilla" scope, so
-  // fault injection, checkpoint/resume, and memoization all apply to the
-  // baseline instead of being silently dropped.
-  const resilience::FaultPlan plan(options.faults);
-  resilience::EvalJournal journal;
-  if (!options.journal_path.empty()) journal.Open(options.journal_path);
-  cache::EvalCache eval_cache(options.cache);
-  resilience::ResilienceOptions ropt = options.resilience;
-  ropt.seed ^= options.seed;
-  resilience::ResilientEvaluator guard(
-      plan.active() ? plan.Instrument(evaluate)
-                    : resilience::IgnoreAttempt(evaluate),
-      ropt, "vanilla");
-  EvalFn fn = guard.AsEvalFn();
-  if (eval_cache.enabled()) fn = eval_cache.Wrap(std::move(fn));
-  if (journal.open()) fn = journal.Wrap("vanilla", std::move(fn));
-
-  std::unique_ptr<ThreadPool> eval_pool;
-  if (options.num_cores > 1) {
-    eval_pool = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(options.num_cores));
-  }
+  EvalStack stack(evaluate, options);
   TuneOptions topt;
   topt.time_limit_minutes = options.time_limit_minutes;
   topt.parallel = options.num_cores;
   topt.homogeneous_batches = true;  // footnote 3: one technique's top-8
   topt.seed = options.seed;
   topt.techniques = options.techniques;
-  topt.eval_pool = eval_pool.get();
-  TuneResult tuned = tuner::Tune(space, fn, topt);
+  TuneResult tuned = tuner::Tune(space, stack.Scope("vanilla"), topt);
 
   DseResult result;
   result.log10_space_size = space.Log10Cardinality();
@@ -464,15 +447,8 @@ DseResult RunVanillaOpenTuner(const DesignSpace& space,
   result.elapsed_minutes = tuned.elapsed_minutes;
   result.evaluations = tuned.evaluations;
   result.trace = tuner::DedupTrace(tuned.trace);
-  result.resilience = guard.stats();
-  if (journal.open()) {
-    result.journal_resumed = journal.resumed();
-    result.journal_hits = journal.hits();
-    result.journal_entries = journal.entries();
-    S2FA_COUNT("dse.journal_hits",
-               static_cast<std::int64_t>(result.journal_hits));
-  }
-  result.cache_stats = eval_cache.stats();
+  result.resilience = stack.Stats("vanilla");
+  stack.Report(result);
   PartitionOutcome outcome;
   outcome.description = "full space (vanilla OpenTuner)";
   outcome.start_minutes = 0;
@@ -484,17 +460,6 @@ DseResult RunVanillaOpenTuner(const DesignSpace& space,
   outcome.resilience = result.resilience;
   result.partitions.push_back(std::move(outcome));
   return result;
-}
-
-DseResult RunVanillaOpenTuner(const DesignSpace& space,
-                              const EvalFn& evaluate,
-                              double time_limit_minutes, int num_cores,
-                              std::uint64_t seed) {
-  ExplorerOptions options;
-  options.time_limit_minutes = time_limit_minutes;
-  options.num_cores = num_cores;
-  options.seed = seed;
-  return RunVanillaOpenTuner(space, evaluate, options);
 }
 
 }  // namespace s2fa::dse

@@ -46,9 +46,10 @@ struct ExplorerOptions {
   bool enable_partitioning = true;
   bool enable_seeds = true;
   // Fault tolerance. Every evaluation (training and tuning) runs through a
-  // ResilientEvaluator — one per partition, so a pathological region trips
-  // only its own circuit breaker. With the default options and a healthy
-  // evaluator this is a pass-through and results are unchanged.
+  // ResilientEvaluator — one per scope, so a pathological region trips
+  // only its own circuit breaker — called in proposal order, so breaker
+  // decisions never depend on thread timing. With the default options and
+  // a healthy evaluator this is a pass-through and results are unchanged.
   resilience::ResilienceOptions resilience;
   // Deterministic fault injection (all-zero rates = off). The plan wraps
   // the black box *inside* the resilient layer, so injected failures are
@@ -155,11 +156,5 @@ DseResult RunS2faDse(const tuner::DesignSpace& space,
 DseResult RunVanillaOpenTuner(const tuner::DesignSpace& space,
                               const tuner::EvalFn& evaluate,
                               const ExplorerOptions& options);
-
-// Convenience overload: default resilience/cache, no faults, no journal.
-DseResult RunVanillaOpenTuner(const tuner::DesignSpace& space,
-                              const tuner::EvalFn& evaluate,
-                              double time_limit_minutes, int num_cores,
-                              std::uint64_t seed);
 
 }  // namespace s2fa::dse

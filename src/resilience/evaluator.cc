@@ -1,7 +1,6 @@
 #include "resilience/evaluator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "obs/obs.h"
@@ -24,6 +23,16 @@ void ResilienceStats::Merge(const ResilienceStats& other) {
   backoff_minutes += other.backoff_minutes;
 }
 
+double BackoffMinutes(std::uint64_t seed, const std::string& key,
+                      int retry) {
+  double delay = kBackoffBaseMinutes * std::pow(kBackoffMultiplier, retry - 1);
+  delay = std::min(delay, kBackoffMaxMinutes);
+  // Deterministic jitter in [1-j, 1+j]: hashed, not drawn from shared RNG
+  // state, so concurrent partitions can't perturb each other's schedules.
+  const double u = detail::HashRoll(seed ^ 0xBACC0FFULL, key, retry);
+  return delay * (1.0 + kBackoffJitter * (2.0 * u - 1.0));
+}
+
 ResilientEvaluator::ResilientEvaluator(AttemptEvalFn inner,
                                        ResilienceOptions options,
                                        std::string scope)
@@ -33,27 +42,6 @@ ResilientEvaluator::ResilientEvaluator(AttemptEvalFn inner,
   S2FA_REQUIRE(inner_ != nullptr, "no evaluation function");
   S2FA_REQUIRE(options_.max_retries >= 0, "max_retries must be >= 0");
   S2FA_REQUIRE(options_.deadline_minutes > 0, "deadline must be positive");
-  if (options_.wall_timeout_ms > 0) {
-    watchdog_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(
-        std::max(1, options_.watchdog_threads)));
-  }
-}
-
-ResilientEvaluator::ResilientEvaluator(tuner::EvalFn inner,
-                                       ResilienceOptions options,
-                                       std::string scope)
-    : ResilientEvaluator(IgnoreAttempt(std::move(inner)), options,
-                         std::move(scope)) {}
-
-double ResilientEvaluator::BackoffMinutes(const std::string& key,
-                                          int retry) const {
-  double delay = options_.backoff_base_minutes *
-                 std::pow(options_.backoff_multiplier, retry - 1);
-  delay = std::min(delay, options_.backoff_max_minutes);
-  // Deterministic jitter in [1-j, 1+j]: hashed, not drawn from shared RNG
-  // state, so concurrent partitions can't perturb each other's schedules.
-  const double u = detail::HashRoll(options_.seed ^ 0xBACC0FFULL, key, retry);
-  return delay * (1.0 + options_.backoff_jitter * (2.0 * u - 1.0));
 }
 
 tuner::EvalOutcome ResilientEvaluator::Attempt(
@@ -63,35 +51,17 @@ tuner::EvalOutcome ResilientEvaluator::Attempt(
   *charge = 0;
   tuner::EvalOutcome outcome;
   try {
-    if (watchdog_ != nullptr) {
-      // The watchdog owns the attempt; a copy of the config rides along so
-      // an abandoned task never dangles. The abandoned task keeps a worker
-      // busy until it finishes on its own — bounded hangs only.
-      merlin::DesignConfig copy = config;
-      auto future = watchdog_->Submit(
-          [this, copy = std::move(copy), attempt] {
-            return inner_(copy, attempt);
-          });
-      if (future.wait_for(std::chrono::duration<double, std::milli>(
-              options_.wall_timeout_ms)) != std::future_status::ready) {
-        *failure = FailureKind::kTimeout;
-        *charge = options_.deadline_minutes;
-        return outcome;
-      }
-      outcome = future.get();
-    } else {
-      outcome = inner_(config, attempt);
-    }
+    outcome = inner_(config, attempt);
   } catch (const std::exception& e) {
     *failure = FailureKind::kCrash;
-    *charge = options_.crash_charge_minutes;
+    *charge = kCrashChargeMinutes;
     S2FA_LOG_DEBUG("[" << scope_ << "] evaluator crash on attempt "
                        << attempt << ": " << e.what());
     return outcome;
   }
   if (outcome.eval_minutes > options_.deadline_minutes) {
-    // The job would still be running at the deadline; the watchdog kills
-    // it there, so the clock is charged exactly the deadline.
+    // The job would still be running at the deadline; it is killed there,
+    // so the clock is charged exactly the deadline.
     *failure = FailureKind::kTimeout;
     *charge = options_.deadline_minutes;
     return outcome;
@@ -103,7 +73,7 @@ tuner::EvalOutcome ResilientEvaluator::Attempt(
     *charge = (std::isfinite(outcome.eval_minutes) &&
                outcome.eval_minutes > 0)
                   ? outcome.eval_minutes
-                  : options_.crash_charge_minutes;
+                  : kCrashChargeMinutes;
     return outcome;
   }
   return outcome;
@@ -111,31 +81,18 @@ tuner::EvalOutcome ResilientEvaluator::Attempt(
 
 tuner::EvalOutcome ResilientEvaluator::Evaluate(
     const merlin::DesignConfig& config) {
-  if (!options_.enabled) {
-    tuner::EvalOutcome outcome = inner_(config, 0);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.calls;
-    ++stats_.attempts;
-    ++stats_.successes;
-    return outcome;
-  }
-
-  bool probe = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.calls;
-    if (breaker_remaining_ > 0) {
-      --breaker_remaining_;
-      ++stats_.short_circuits;
-      if (breaker_remaining_ == 0) half_open_ = true;
-      S2FA_COUNT("resilience.short_circuits", 1);
-      tuner::EvalOutcome rejected;
-      rejected.feasible = false;
-      rejected.cost = tuner::kInfeasibleCost;
-      rejected.eval_minutes = options_.short_circuit_minutes;
-      return rejected;
-    }
-    probe = half_open_;
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.calls;
+  if (breaker_remaining_ > 0) {
+    --breaker_remaining_;
+    ++stats_.short_circuits;
+    if (breaker_remaining_ == 0) half_open_ = true;
+    S2FA_COUNT("resilience.short_circuits", 1);
+    tuner::EvalOutcome rejected;
+    rejected.feasible = false;
+    rejected.cost = tuner::kInfeasibleCost;
+    rejected.eval_minutes = kShortCircuitMinutes;
+    return rejected;
   }
 
   // The config's key seeds the backoff jitter and names the exhausted
@@ -149,62 +106,49 @@ tuner::EvalOutcome ResilientEvaluator::Evaluate(
   double charged = 0;
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
-      const double delay = BackoffMinutes(rendered_key(), attempt);
+      const double delay = BackoffMinutes(options_.seed, rendered_key(),
+                                          attempt);
       charged += delay;
-      S2FA_COUNT("resilience.retries", 1);
-      S2FA_OBSERVE("resilience.backoff_minutes", delay);
-      std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.retries;
       stats_.backoff_minutes += delay;
+      S2FA_COUNT("resilience.retries", 1);
+      S2FA_OBSERVE("resilience.backoff_minutes", delay);
     }
     FailureKind failure = FailureKind::kNone;
     double charge = 0;
     tuner::EvalOutcome outcome = Attempt(config, attempt, &failure, &charge);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.attempts;
-    }
+    ++stats_.attempts;
     if (failure == FailureKind::kNone) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.successes;
-        consecutive_exhausted_ = 0;
-        half_open_ = false;
-      }
+      ++stats_.successes;
+      consecutive_exhausted_ = 0;
+      half_open_ = false;
       outcome.eval_minutes += charged;
       return outcome;
     }
     charged += charge;
     S2FA_COUNT(std::string("resilience.failure.") + FailureKindName(failure),
                1);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      switch (failure) {
-        case FailureKind::kCrash: ++stats_.crashes; break;
-        case FailureKind::kTimeout: ++stats_.timeouts; break;
-        case FailureKind::kGarbageResult: ++stats_.garbage; break;
-        case FailureKind::kNone: break;
-      }
+    switch (failure) {
+      case FailureKind::kCrash: ++stats_.crashes; break;
+      case FailureKind::kTimeout: ++stats_.timeouts; break;
+      case FailureKind::kGarbageResult: ++stats_.garbage; break;
+      case FailureKind::kNone: break;
     }
   }
 
-  // Retries exhausted: degrade gracefully and feed the circuit breaker.
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.exhausted;
-    ++consecutive_exhausted_;
-    const bool trip =
-        probe || consecutive_exhausted_ >= options_.breaker_threshold;
-    if (trip && options_.breaker_cooldown > 0) {
-      breaker_remaining_ = options_.breaker_cooldown;
-      consecutive_exhausted_ = 0;
-      half_open_ = false;
-      ++stats_.breaker_trips;
-      S2FA_COUNT("resilience.breaker_trips", 1);
-      S2FA_LOG_WARN("[" << scope_ << "] circuit breaker tripped; "
-                        << "short-circuiting the next "
-                        << options_.breaker_cooldown << " evaluations");
-    }
+  // Retries exhausted: degrade gracefully and feed the circuit breaker. A
+  // failed half-open probe re-trips at once.
+  ++stats_.exhausted;
+  ++consecutive_exhausted_;
+  if (half_open_ || consecutive_exhausted_ >= kBreakerThreshold) {
+    breaker_remaining_ = kBreakerCooldown;
+    consecutive_exhausted_ = 0;
+    half_open_ = false;
+    ++stats_.breaker_trips;
+    S2FA_COUNT("resilience.breaker_trips", 1);
+    S2FA_LOG_WARN("[" << scope_ << "] circuit breaker tripped; "
+                      << "short-circuiting the next " << kBreakerCooldown
+                      << " evaluations");
   }
   S2FA_COUNT("resilience.exhausted", 1);
   S2FA_LOG_DEBUG("[" << scope_ << "] retries exhausted for "

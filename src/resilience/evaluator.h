@@ -1,18 +1,16 @@
-// ResilientEvaluator: wraps a black-box tuner::EvalFn so that one bad
-// design point can never take down a partition thread.
+// ResilientEvaluator: wraps a black-box evaluation so that one bad design
+// point can never take down a partition thread.
 //
 // Per evaluation it enforces:
-//   * a per-point deadline on the simulated clock (an attempt whose
-//     eval_minutes exceeds it is killed and charged exactly the deadline),
-//     plus an optional wall-clock watchdog that runs the attempt on a small
-//     ThreadPool and abandons it when real time runs out;
+//   * a per-point deadline on the simulated clock: an attempt whose
+//     eval_minutes exceeds it is killed and charged exactly the deadline;
 //   * bounded retries with exponential backoff and deterministic jitter
 //     (hashed from seed + config + attempt, so reruns replay identically);
 //   * failure classification (kCrash / kTimeout / kGarbageResult) — a
 //     legitimately infeasible design is a valid answer and is never
 //     retried;
-//   * a circuit breaker: after `breaker_threshold` consecutive points whose
-//     retries all failed, the next `breaker_cooldown` calls short-circuit
+//   * a circuit breaker: after kBreakerThreshold consecutive points whose
+//     retries all failed, the next kBreakerCooldown calls short-circuit
 //     to an infeasible outcome at a token cost, then one half-open probe
 //     decides between closing and re-tripping;
 //   * graceful degradation: when retries are exhausted the caller gets a
@@ -21,40 +19,44 @@
 //
 // All failure handling is charged to the simulated clock, so a
 // fault-injected DSE remains deterministic and comparable to a fault-free
-// one.
+// one. The breaker makes the evaluator stateful, so it evaluates one point
+// at a time: concurrent callers are serialized and its decisions follow
+// call order. A caller that needs a reproducible run calls it in a fixed
+// order; the DSE calls each scope's evaluator from one thread, in proposal
+// order.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <mutex>
 #include <string>
 
 #include "resilience/failure.h"
-#include "support/thread_pool.h"
 
 namespace s2fa::resilience {
 
+// The retry schedule and the breaker. Each has a single value in use, so
+// they are constants, not options. Backoff before retry k (k >= 1) is
+// min(kBackoffBaseMinutes * kBackoffMultiplier^(k-1), kBackoffMaxMinutes),
+// scaled by a deterministic jitter in [1 - kBackoffJitter, 1 + kBackoffJitter].
+inline constexpr double kBackoffBaseMinutes = 0.5;
+inline constexpr double kBackoffMultiplier = 2.0;
+inline constexpr double kBackoffMaxMinutes = 8.0;
+inline constexpr double kBackoffJitter = 0.25;
+inline constexpr double kCrashChargeMinutes = 1.0;  // a crashed attempt
+inline constexpr int kBreakerThreshold = 4;  // consecutive exhausted points
+inline constexpr int kBreakerCooldown = 8;   // calls short-circuited while open
+inline constexpr double kShortCircuitMinutes = 0.05;  // a short-circuited call
+
 struct ResilienceOptions {
-  bool enabled = true;
   int max_retries = 2;             // attempts per point = 1 + max_retries
   double deadline_minutes = 60.0;  // per-point simulated deadline ("minutes
                                    // to an hour", paper §4.3.3)
-  double wall_timeout_ms = 0;      // real watchdog per attempt; 0 = off
-  int watchdog_threads = 2;        // pool size when the watchdog is on
-
-  // Backoff before retry k (k >= 1): min(base * multiplier^(k-1), max),
-  // scaled by a deterministic jitter in [1-jitter, 1+jitter].
-  double backoff_base_minutes = 0.5;
-  double backoff_multiplier = 2.0;
-  double backoff_max_minutes = 8.0;
-  double backoff_jitter = 0.25;
-
-  double crash_charge_minutes = 1.0;  // simulated cost of a crashed attempt
-  std::uint64_t seed = 1;             // jitter stream
-
-  int breaker_threshold = 4;          // consecutive exhausted points to trip
-  int breaker_cooldown = 8;           // calls short-circuited while open
-  double short_circuit_minutes = 0.05;
+  std::uint64_t seed = 1;          // jitter stream
 };
+
+// The jittered backoff before retry `retry` (>= 1) of the config whose
+// ToString() is `key`, for an evaluator seeded with `seed`.
+double BackoffMinutes(std::uint64_t seed, const std::string& key, int retry);
 
 struct ResilienceStats {
   std::size_t calls = 0;       // Evaluate() invocations
@@ -75,9 +77,8 @@ struct ResilienceStats {
 class ResilientEvaluator {
  public:
   // `scope` labels log lines and obs metrics (e.g. the partition name).
+  // A plain tuner::EvalFn is lifted with IgnoreAttempt.
   ResilientEvaluator(AttemptEvalFn inner, ResilienceOptions options,
-                     std::string scope = "eval");
-  ResilientEvaluator(tuner::EvalFn inner, ResilienceOptions options,
                      std::string scope = "eval");
 
   // Never throws for evaluator failures: degraded outcomes are infeasible.
@@ -89,20 +90,18 @@ class ResilientEvaluator {
 
   ResilienceStats stats() const;
   bool breaker_open() const;
-  const ResilienceOptions& options() const { return options_; }
 
  private:
   // One attempt; classifies failures, never throws. Fills `charge` with
   // the simulated minutes the attempt burned when it failed.
   tuner::EvalOutcome Attempt(const merlin::DesignConfig& config, int attempt,
                              FailureKind* failure, double* charge);
-  double BackoffMinutes(const std::string& key, int retry) const;
 
   AttemptEvalFn inner_;
   ResilienceOptions options_;
   std::string scope_;
-  std::unique_ptr<ThreadPool> watchdog_;  // only when wall_timeout_ms > 0
 
+  // Held for a whole Evaluate call: one point at a time.
   mutable std::mutex mutex_;
   ResilienceStats stats_;
   int consecutive_exhausted_ = 0;

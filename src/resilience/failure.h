@@ -7,8 +7,8 @@
 // combination, resource overflow), which is a valid answer and never
 // retried:
 //   * kCrash         — the evaluator threw (the HLS job died);
-//   * kTimeout       — the evaluation blew its per-point deadline, either
-//                      on the simulated clock or the wall-clock watchdog;
+//   * kTimeout       — the evaluation blew its per-point deadline on the
+//                      simulated clock;
 //   * kGarbageResult — the evaluator returned, but the outcome is
 //                      self-contradictory (NaN/negative cost, a "feasible"
 //                      design with infinite cost, a nonsensical synthesis

@@ -1,9 +1,7 @@
 #include "resilience/fault.h"
 
-#include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
 
 namespace s2fa::resilience {
 
@@ -77,11 +75,6 @@ AttemptEvalFn FaultPlan::Instrument(tuner::EvalFn inner) const {
         throw InjectedCrash("injected evaluator crash (attempt " +
                             std::to_string(attempt) + ")");
       case FailureKind::kTimeout: {
-        if (plan.options().wall_hang_ms > 0) {
-          std::this_thread::sleep_for(std::chrono::duration<double,
-                                                            std::milli>(
-              plan.options().wall_hang_ms));
-        }
         tuner::EvalOutcome hung;
         hung.feasible = false;
         hung.cost = tuner::kInfeasibleCost;

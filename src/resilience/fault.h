@@ -29,10 +29,6 @@ struct FaultPlanOptions {
   double timeout_rate = 0;  // P(attempt returns eval_minutes = infinity)
   double garbage_rate = 0;  // P(attempt returns a NaN-cost outcome)
   std::uint64_t seed = 0x5EEDFA17ULL;
-  // When > 0, an injected timeout also sleeps this many wall milliseconds
-  // (to exercise the wall-clock watchdog); 0 keeps timeouts purely
-  // simulated.
-  double wall_hang_ms = 0;
 };
 
 class FaultPlan {
@@ -41,7 +37,6 @@ class FaultPlan {
   explicit FaultPlan(FaultPlanOptions options);
 
   bool active() const;
-  const FaultPlanOptions& options() const { return options_; }
 
   // The fault (or kNone) this plan injects for `key` on `attempt`.
   FailureKind Decide(const std::string& key, int attempt) const;

@@ -1,40 +1,25 @@
 #include "tuner/driver.h"
 
 #include <algorithm>
-#include <future>
 
 #include "obs/obs.h"
 #include "support/error.h"
 #include "support/logging.h"
-#include "support/thread_pool.h"
 
 namespace s2fa::tuner {
 
 namespace {
 
-// Evaluates one batch of configs — concurrently on `pool` when provided,
-// serially otherwise — and returns the outcomes in input order. The
-// evaluator must be pure w.r.t. the config (the Tune contract), so the
-// commit order downstream, not the completion order here, decides every
-// piece of search state.
+// Evaluates one batch of configs in proposal order. The batch models
+// `parallel` concurrent HLS jobs on the simulated clock; on the host its
+// members run one after another, so an evaluator that keeps state across
+// calls (the DSE's circuit breakers) sees the same sequence every run.
 std::vector<EvalOutcome> EvaluateBatch(
-    const EvalFn& evaluate, const std::vector<merlin::DesignConfig>& configs,
-    ThreadPool* pool) {
-  std::vector<EvalOutcome> outcomes(configs.size());
-  if (pool != nullptr && configs.size() > 1) {
-    std::vector<std::future<EvalOutcome>> futures;
-    futures.reserve(configs.size());
-    for (const merlin::DesignConfig& config : configs) {
-      futures.push_back(
-          pool->Submit([&evaluate, &config] { return evaluate(config); }));
-    }
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      outcomes[i] = futures[i].get();
-    }
-  } else {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      outcomes[i] = evaluate(configs[i]);
-    }
+    const EvalFn& evaluate, const std::vector<merlin::DesignConfig>& configs) {
+  std::vector<EvalOutcome> outcomes;
+  outcomes.reserve(configs.size());
+  for (const merlin::DesignConfig& config : configs) {
+    outcomes.push_back(evaluate(config));
   }
   return outcomes;
 }
@@ -62,8 +47,7 @@ void TuneSession::EvaluateSeeds() {
     space_->ValidatePoint(seed.point);
     configs.push_back(space_->ToConfig(seed.point));
   }
-  std::vector<EvalOutcome> outcomes =
-      EvaluateBatch(evaluate_, configs, options_.eval_pool);
+  std::vector<EvalOutcome> outcomes = EvaluateBatch(evaluate_, configs);
   double batch_minutes = 0;
   for (std::size_t s = 0; s < options_.seeds.size(); ++s) {
     const auto& seed = options_.seeds[s];
@@ -117,17 +101,15 @@ bool TuneSession::Iterate() {
     }
     batch.push_back(std::move(pending));
   }
-  // Evaluate the whole batch (on the eval pool when one is wired in);
-  // the simulated clock advances by the slowest member either way.
+  // Evaluate the whole batch; the simulated clock advances by its slowest
+  // member.
   std::vector<merlin::DesignConfig> configs;
   configs.reserve(batch.size());
   for (const auto& pending : batch) {
     configs.push_back(space_->ToConfig(pending.point));
   }
-  std::vector<EvalOutcome> outcomes =
-      EvaluateBatch(evaluate_, configs, options_.eval_pool);
-  // Commit in proposal order: db/bandit/entropy state is bit-identical
-  // to the serial evaluation.
+  std::vector<EvalOutcome> outcomes = EvaluateBatch(evaluate_, configs);
+  // Commit in proposal order.
   double batch_minutes = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Pending& pending = batch[i];

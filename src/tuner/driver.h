@@ -25,10 +25,6 @@
 #include "tuner/result.h"
 #include "tuner/space.h"
 
-namespace s2fa {
-class ThreadPool;
-}
-
 namespace s2fa::tuner {
 
 // One black-box evaluation of a design config (Merlin + HLS downstream).
@@ -66,14 +62,6 @@ struct TuneOptions {
   // Called after every iteration; return true to stop (reason reported).
   std::function<bool(const ResultDatabase&)> should_stop;
   std::string stop_reason_label = "custom criterion";
-  // When set (and parallel > 1), each batch is evaluated concurrently on
-  // this pool and the results are committed back in proposal order, so
-  // the database/bandit/entropy state is bit-identical to a serial run
-  // while wall-clock scales with cores. The pool must NOT be the one the
-  // caller's own task is running on (a worker blocking on its own pool's
-  // futures deadlocks); the DSE keeps a dedicated evaluation pool. Null
-  // keeps the historical serial evaluation.
-  ThreadPool* eval_pool = nullptr;
 };
 
 // One new-global-best commit, with the config that achieved it. Unlike the

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/app.h"
@@ -282,6 +284,85 @@ TEST(PartitionGoldenTest, DISABLED_PrintTable) {
   std::printf("// END golden partition lines\n");
 }
 
+// ------------------------------------------------------ fault-injected DSE
+//
+// The fixed point of a fault-injected exploration: `s2fa explore <app>
+// --fault-rate 0.3` (crash, timeout and garbage at 0.1 each, fault seed
+// 2018 ^ 0xFA17, the CLI's other defaults) for every app, S2FA and vanilla.
+// Each row pins the result (best cost, elapsed minutes, evaluations) and
+// every ResilienceStats field, floats as hexfloat, so retry, backoff and
+// breaker arithmetic cannot drift unnoticed. The table was printed once by
+//
+//   dse_test --gtest_also_run_disabled_tests
+//            --gtest_filter=FaultGoldenTest.DISABLED_PrintTable
+//
+// keeping its output from the BEGIN line to the END line; it is never
+// regenerated to make a change pass.
+
+const char* const kFaultGoldenTable[] = {
+#include "fault_golden.inc"
+};
+
+std::string Hex(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", value);
+  return buf;
+}
+
+std::vector<std::string> FaultGoldenLines() {
+  std::vector<std::string> lines;
+  for (const apps::App& app : apps::AllApps()) {
+    kir::Kernel kernel = b2c::CompileKernel(*app.pool, app.spec);
+    DesignSpace space = tuner::BuildDesignSpace(kernel);
+    tuner::EvalFn eval = MakeHlsEvaluator(kernel);
+    ExplorerOptions options;
+    options.seed = 2018;
+    options.faults.crash_rate = 0.3 / 3;
+    options.faults.timeout_rate = 0.3 / 3;
+    options.faults.garbage_rate = 0.3 / 3;
+    options.faults.seed = 2018 ^ 0xFA17ULL;
+    for (bool vanilla : {false, true}) {
+      const DseResult r =
+          vanilla ? RunVanillaOpenTuner(space, eval, options)
+                  : RunS2faDse(space, kernel, eval, options);
+      const resilience::ResilienceStats& s = r.resilience;
+      lines.push_back(
+          app.name + (vanilla ? " vanilla" : " s2fa") +
+          " best=" + Hex(r.best_cost) +
+          " elapsed=" + Hex(r.elapsed_minutes) +
+          " evals=" + std::to_string(r.evaluations) +
+          " calls=" + std::to_string(s.calls) +
+          " attempts=" + std::to_string(s.attempts) +
+          " successes=" + std::to_string(s.successes) +
+          " crashes=" + std::to_string(s.crashes) +
+          " timeouts=" + std::to_string(s.timeouts) +
+          " garbage=" + std::to_string(s.garbage) +
+          " retries=" + std::to_string(s.retries) +
+          " exhausted=" + std::to_string(s.exhausted) +
+          " trips=" + std::to_string(s.breaker_trips) +
+          " short=" + std::to_string(s.short_circuits) +
+          " backoff=" + Hex(s.backoff_minutes));
+    }
+  }
+  return lines;
+}
+
+TEST(FaultGoldenTest, EveryRowMatchesTheTable) {
+  const std::vector<std::string> lines = FaultGoldenLines();
+  ASSERT_EQ(lines.size(), std::size(kFaultGoldenTable));
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i], kFaultGoldenTable[i]) << "row " << i;
+  }
+}
+
+TEST(FaultGoldenTest, DISABLED_PrintTable) {
+  std::printf("// BEGIN golden fault-injected DSE rows (see dse_test.cc)\n");
+  for (const std::string& line : FaultGoldenLines()) {
+    std::printf("\"%s\",\n", line.c_str());
+  }
+  std::printf("// END golden fault-injected DSE rows\n");
+}
+
 // ----------------------------------------------------------------- seeds
 
 TEST(SeedTest, PerformanceSeedMatchesPaper) {
@@ -519,7 +600,7 @@ TEST(ExplorerTest, S2faCompetitiveWithVanillaAndEntropyStops) {
   options.num_cores = 8;
   options.seed = 7;
   DseResult s2fa = RunS2faDse(space, k, eval, options);
-  DseResult vanilla = RunVanillaOpenTuner(space, eval, 240, 8, 7);
+  DseResult vanilla = RunVanillaOpenTuner(space, eval, options);
 
   ASSERT_TRUE(s2fa.found_feasible);
   ASSERT_TRUE(vanilla.found_feasible);
@@ -890,19 +971,57 @@ TEST(ExplorerTest, VanillaRunsFullEvaluationStack) {
   std::remove(path.c_str());
 }
 
-TEST(ExplorerTest, VanillaLegacyOverloadMatchesDefaultOptions) {
+// A scope's circuit breaker is stateful, so its decisions must follow
+// proposal order, never completion order. A lone partition and the vanilla
+// baseline propose num_cores-wide batches. This evaluator fails every
+// attempt on about half the configs and delays the other class, so a
+// batch's failures would finish first in one run and last in the other if
+// its members ran concurrently. Both runs must trip the breaker at the
+// same points and commit the same search.
+TEST(ExplorerTest, BreakerDecisionsIgnoreCompletionOrder) {
   kir::Kernel k = NestedKernel();
   DesignSpace space = tuner::BuildDesignSpace(k);
-  tuner::EvalFn eval = HlsEval(k);
-  DseResult legacy = RunVanillaOpenTuner(space, eval, 60, 4, 7);
-  ExplorerOptions options;
-  options.time_limit_minutes = 60;
-  options.num_cores = 4;
-  options.seed = 7;
-  DseResult full = RunVanillaOpenTuner(space, eval, options);
-  EXPECT_EQ(legacy.best_cost, full.best_cost);
-  EXPECT_EQ(legacy.elapsed_minutes, full.elapsed_minutes);
-  EXPECT_EQ(legacy.evaluations, full.evaluations);
+  auto run = [&](bool vanilla, bool failures_first) {
+    tuner::EvalFn eval = [hls = HlsEval(k), failures_first](
+                             const merlin::DesignConfig& cfg) {
+      const bool fails =
+          resilience::detail::HashRoll(17, cfg.ToString(), 0) < 0.5;
+      if (fails != failures_first) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      if (fails) throw Error("dead region");
+      return hls(cfg);
+    };
+    ExplorerOptions options;
+    options.time_limit_minutes = 60;
+    options.num_cores = 8;
+    options.seed = 9;
+    options.enable_partitioning = false;
+    return vanilla ? RunVanillaOpenTuner(space, eval, options)
+                   : RunS2faDse(space, k, eval, options);
+  };
+  for (bool vanilla : {false, true}) {
+    SCOPED_TRACE(vanilla ? "vanilla" : "no partitioning");
+    const DseResult a = run(vanilla, true);
+    const DseResult b = run(vanilla, false);
+    EXPECT_GT(a.resilience.breaker_trips, 0u);
+    EXPECT_GT(a.resilience.short_circuits, 0u);
+    EXPECT_EQ(a.resilience.calls, b.resilience.calls);
+    EXPECT_EQ(a.resilience.attempts, b.resilience.attempts);
+    EXPECT_EQ(a.resilience.successes, b.resilience.successes);
+    EXPECT_EQ(a.resilience.crashes, b.resilience.crashes);
+    EXPECT_EQ(a.resilience.exhausted, b.resilience.exhausted);
+    EXPECT_EQ(a.resilience.breaker_trips, b.resilience.breaker_trips);
+    EXPECT_EQ(a.resilience.short_circuits, b.resilience.short_circuits);
+    EXPECT_EQ(a.resilience.backoff_minutes, b.resilience.backoff_minutes);
+    EXPECT_EQ(a.best_cost, b.best_cost);
+    EXPECT_EQ(a.elapsed_minutes, b.elapsed_minutes);
+    EXPECT_EQ(a.evaluations, b.evaluations);
+    ASSERT_EQ(a.partitions.size(), 1u);
+    ASSERT_EQ(b.partitions.size(), 1u);
+    EXPECT_EQ(a.partitions[0].result.eval_times_minutes,
+              b.partitions[0].result.eval_times_minutes);
+  }
 }
 
 TEST(ExplorerTest, TraceIsMonotone) {

@@ -40,12 +40,11 @@ EvalOutcome GoodOutcome(double cost = 100.0, double minutes = 5.0) {
   return out;
 }
 
-ResilienceOptions NoJitterOptions() {
-  ResilienceOptions options;
-  options.backoff_jitter = 0;
-  options.backoff_base_minutes = 0.5;
-  options.backoff_multiplier = 2.0;
-  return options;
+// The jittered backoff an evaluator with default options charges before
+// retry `retry` of MakeConfig(i).
+double Backoff(int i, int retry) {
+  return BackoffMinutes(ResilienceOptions{}.seed, MakeConfig(i).ToString(),
+                        retry);
 }
 
 // ------------------------------------------------------------- taxonomy
@@ -164,8 +163,8 @@ TEST(FaultPlanTest, RejectsBadRates) {
 
 TEST(ResilientEvaluatorTest, SuccessPassesThroughUnchanged) {
   ResilientEvaluator eval(
-      tuner::EvalFn([](const DesignConfig&) { return GoodOutcome(42.0, 7.0); }),
-      NoJitterOptions());
+      IgnoreAttempt([](const DesignConfig&) { return GoodOutcome(42.0, 7.0); }),
+      ResilienceOptions{});
   EvalOutcome out = eval.Evaluate(MakeConfig(0));
   EXPECT_TRUE(out.feasible);
   EXPECT_EQ(out.cost, 42.0);
@@ -179,7 +178,7 @@ TEST(ResilientEvaluatorTest, SuccessPassesThroughUnchanged) {
 
 TEST(ResilientEvaluatorTest, LegitimateInfeasibleIsNotRetried) {
   int calls = 0;
-  ResilientEvaluator eval(tuner::EvalFn([&](const DesignConfig&) {
+  ResilientEvaluator eval(IgnoreAttempt([&](const DesignConfig&) {
                             ++calls;
                             EvalOutcome out;
                             out.feasible = false;
@@ -187,7 +186,7 @@ TEST(ResilientEvaluatorTest, LegitimateInfeasibleIsNotRetried) {
                             out.eval_minutes = 3.0;
                             return out;
                           }),
-                          NoJitterOptions());
+                          ResilienceOptions{});
   EvalOutcome out = eval.Evaluate(MakeConfig(0));
   EXPECT_FALSE(out.feasible);
   EXPECT_EQ(calls, 1);
@@ -196,40 +195,38 @@ TEST(ResilientEvaluatorTest, LegitimateInfeasibleIsNotRetried) {
 }
 
 TEST(ResilientEvaluatorTest, CrashRetriedThenSucceeds) {
-  ResilienceOptions options = NoJitterOptions();
-  options.crash_charge_minutes = 1.0;
   ResilientEvaluator eval(
       AttemptEvalFn([](const DesignConfig&, int attempt) {
         if (attempt == 0) throw Error("boom");
         return GoodOutcome(10.0, 5.0);
       }),
-      options);
+      ResilienceOptions{});
   EvalOutcome out = eval.Evaluate(MakeConfig(0));
   EXPECT_TRUE(out.feasible);
   EXPECT_EQ(out.cost, 10.0);
-  // 1.0 crash charge + 0.5 backoff + 5.0 for the clean attempt.
-  EXPECT_DOUBLE_EQ(out.eval_minutes, 6.5);
+  // The crash charge + one backoff + 5.0 for the clean attempt.
+  EXPECT_DOUBLE_EQ(out.eval_minutes, kCrashChargeMinutes + Backoff(0, 1) + 5.0);
   ResilienceStats stats = eval.stats();
   EXPECT_EQ(stats.crashes, 1u);
   EXPECT_EQ(stats.retries, 1u);
   EXPECT_EQ(stats.successes, 1u);
-  EXPECT_DOUBLE_EQ(stats.backoff_minutes, 0.5);
+  EXPECT_DOUBLE_EQ(stats.backoff_minutes, Backoff(0, 1));
 }
 
 TEST(ResilientEvaluatorTest, SimulatedTimeoutChargesTheDeadline) {
-  ResilienceOptions options = NoJitterOptions();
+  ResilienceOptions options;
   options.deadline_minutes = 60.0;
   options.max_retries = 1;
   ResilientEvaluator eval(
-      tuner::EvalFn([](const DesignConfig&) {
+      IgnoreAttempt([](const DesignConfig&) {
         return GoodOutcome(10.0, 100.0);  // always blows the deadline
       }),
       options);
   EvalOutcome out = eval.Evaluate(MakeConfig(0));
   EXPECT_FALSE(out.feasible);
   EXPECT_EQ(out.cost, tuner::kInfeasibleCost);
-  // deadline + backoff(0.5) + deadline.
-  EXPECT_DOUBLE_EQ(out.eval_minutes, 120.5);
+  // deadline + backoff + deadline.
+  EXPECT_DOUBLE_EQ(out.eval_minutes, 60.0 + Backoff(0, 1) + 60.0);
   ResilienceStats stats = eval.stats();
   EXPECT_EQ(stats.timeouts, 2u);
   EXPECT_EQ(stats.exhausted, 1u);
@@ -247,31 +244,32 @@ TEST(ResilientEvaluatorTest, GarbageRetriedThenSucceeds) {
         }
         return GoodOutcome(20.0, 4.0);
       }),
-      NoJitterOptions());
+      ResilienceOptions{});
   EvalOutcome out = eval.Evaluate(MakeConfig(0));
   EXPECT_TRUE(out.feasible);
   EXPECT_EQ(out.cost, 20.0);
-  // 2.0 wasted on the garbage run + 0.5 backoff + 4.0 clean.
-  EXPECT_DOUBLE_EQ(out.eval_minutes, 6.5);
+  // 2.0 wasted on the garbage run + backoff + 4.0 clean.
+  EXPECT_DOUBLE_EQ(out.eval_minutes, 2.0 + Backoff(0, 1) + 4.0);
   EXPECT_EQ(eval.stats().garbage, 1u);
 }
 
 TEST(ResilientEvaluatorTest, ExhaustionDegradesGracefully) {
-  ResilienceOptions options = NoJitterOptions();
+  ResilienceOptions options;
   options.max_retries = 2;
-  options.crash_charge_minutes = 1.0;
   int calls = 0;
-  ResilientEvaluator eval(tuner::EvalFn([&](const DesignConfig&) -> EvalOutcome {
-                            ++calls;
-                            throw Error("always fails");
-                          }),
-                          options);
+  ResilientEvaluator eval(
+      IgnoreAttempt([&](const DesignConfig&) -> EvalOutcome {
+        ++calls;
+        throw Error("always fails");
+      }),
+      options);
   EvalOutcome out = eval.Evaluate(MakeConfig(0));
   EXPECT_FALSE(out.feasible);
   EXPECT_EQ(out.cost, tuner::kInfeasibleCost);
   EXPECT_EQ(calls, 3);  // 1 + max_retries
-  // 3 crash charges + backoffs 0.5 + 1.0.
-  EXPECT_DOUBLE_EQ(out.eval_minutes, 4.5);
+  // 3 crash charges + two backoffs.
+  EXPECT_DOUBLE_EQ(out.eval_minutes,
+                   3 * kCrashChargeMinutes + Backoff(0, 1) + Backoff(0, 2));
   ResilienceStats stats = eval.stats();
   EXPECT_EQ(stats.exhausted, 1u);
   EXPECT_EQ(stats.crashes, 3u);
@@ -279,25 +277,31 @@ TEST(ResilientEvaluatorTest, ExhaustionDegradesGracefully) {
 
 TEST(ResilientEvaluatorTest, BackoffJitterIsDeterministicAndBounded) {
   ResilienceOptions options;
-  options.backoff_jitter = 0.25;
-  options.backoff_base_minutes = 1.0;
-  options.backoff_multiplier = 2.0;
-  options.backoff_max_minutes = 8.0;
   options.max_retries = 1;
-  options.crash_charge_minutes = 0.0;
   auto run = [&](int i) {
     ResilientEvaluator eval(
-        tuner::EvalFn([](const DesignConfig&) -> EvalOutcome {
+        IgnoreAttempt([](const DesignConfig&) -> EvalOutcome {
           throw Error("nope");
         }),
         options);
-    return eval.Evaluate(MakeConfig(i)).eval_minutes;
+    // Two crashed attempts, then the single backoff between them.
+    return eval.Evaluate(MakeConfig(i)).eval_minutes - 2 * kCrashChargeMinutes;
   };
   for (int i = 0; i < 20; ++i) {
     const double a = run(i), b = run(i);
-    EXPECT_DOUBLE_EQ(a, b);                      // deterministic replay
-    EXPECT_GE(a, 1.0 * 0.75);                    // within jitter bounds
-    EXPECT_LE(a, 1.0 * 1.25);
+    EXPECT_DOUBLE_EQ(a, b);  // deterministic replay
+    EXPECT_GE(a, kBackoffBaseMinutes * (1 - kBackoffJitter));  // in bounds
+    EXPECT_LE(a, kBackoffBaseMinutes * (1 + kBackoffJitter));
+  }
+  // Later retries grow by kBackoffMultiplier until kBackoffMaxMinutes caps
+  // them, always within the jitter band.
+  for (int retry = 1; retry <= 8; ++retry) {
+    const double nominal =
+        std::min(kBackoffBaseMinutes * std::pow(kBackoffMultiplier, retry - 1),
+                 kBackoffMaxMinutes);
+    const double delay = Backoff(3, retry);
+    EXPECT_GE(delay, nominal * (1 - kBackoffJitter)) << retry;
+    EXPECT_LE(delay, nominal * (1 + kBackoffJitter)) << retry;
   }
 }
 
@@ -316,7 +320,7 @@ TEST(ResilientEvaluatorTest, JitteredRetryChargesArePinned) {
                                             << recovered.eval_minutes;
 
   ResilientEvaluator exhausts(
-      tuner::EvalFn([](const DesignConfig&) -> EvalOutcome {
+      IgnoreAttempt([](const DesignConfig&) -> EvalOutcome {
         throw Error("always fails");
       }),
       ResilienceOptions{});
@@ -328,87 +332,104 @@ TEST(ResilientEvaluatorTest, JitteredRetryChargesArePinned) {
 }
 
 TEST(ResilientEvaluatorTest, CircuitBreakerTripsAndShortCircuits) {
-  ResilienceOptions options = NoJitterOptions();
+  ResilienceOptions options;
   options.max_retries = 0;
-  options.breaker_threshold = 2;
-  options.breaker_cooldown = 3;
-  options.short_circuit_minutes = 0.05;
   int calls = 0;
-  ResilientEvaluator eval(tuner::EvalFn([&](const DesignConfig&) -> EvalOutcome {
-                            ++calls;
-                            throw Error("dead region");
-                          }),
-                          options);
-  // Two exhausted points trip the breaker.
-  eval.Evaluate(MakeConfig(0));
-  eval.Evaluate(MakeConfig(1));
+  ResilientEvaluator eval(
+      IgnoreAttempt([&](const DesignConfig&) -> EvalOutcome {
+        ++calls;
+        throw Error("dead region");
+      }),
+      options);
+  // kBreakerThreshold exhausted points trip the breaker.
+  int next = 0;
+  for (; next < kBreakerThreshold; ++next) {
+    EXPECT_FALSE(eval.breaker_open());
+    eval.Evaluate(MakeConfig(next));
+  }
   EXPECT_TRUE(eval.breaker_open());
   EXPECT_EQ(eval.stats().breaker_trips, 1u);
-  // The next three calls are answered without touching the evaluator.
+  // The next kBreakerCooldown calls are answered without touching the
+  // evaluator.
   const int calls_before = calls;
-  for (int i = 2; i < 5; ++i) {
-    EvalOutcome out = eval.Evaluate(MakeConfig(i));
+  for (int i = 0; i < kBreakerCooldown; ++i) {
+    EvalOutcome out = eval.Evaluate(MakeConfig(next++));
     EXPECT_FALSE(out.feasible);
-    EXPECT_DOUBLE_EQ(out.eval_minutes, 0.05);
+    EXPECT_DOUBLE_EQ(out.eval_minutes, kShortCircuitMinutes);
   }
   EXPECT_EQ(calls, calls_before);
-  EXPECT_EQ(eval.stats().short_circuits, 3u);
+  EXPECT_EQ(eval.stats().short_circuits,
+            static_cast<std::size_t>(kBreakerCooldown));
   // Cooldown spent: the next call is a half-open probe; it fails, so the
   // breaker re-trips immediately.
-  eval.Evaluate(MakeConfig(5));
+  EXPECT_FALSE(eval.breaker_open());
+  eval.Evaluate(MakeConfig(next));
   EXPECT_EQ(calls, calls_before + 1);
   EXPECT_TRUE(eval.breaker_open());
   EXPECT_EQ(eval.stats().breaker_trips, 2u);
 }
 
 TEST(ResilientEvaluatorTest, CircuitBreakerClosesOnSuccessfulProbe) {
-  ResilienceOptions options = NoJitterOptions();
+  ResilienceOptions options;
   options.max_retries = 0;
-  options.breaker_threshold = 1;
-  options.breaker_cooldown = 1;
-  int failures_left = 1;
-  ResilientEvaluator eval(tuner::EvalFn([&](const DesignConfig&) {
+  int failures_left = kBreakerThreshold;
+  ResilientEvaluator eval(IgnoreAttempt([&](const DesignConfig&) {
                             if (failures_left-- > 0) throw Error("flaky");
                             return GoodOutcome();
                           }),
                           options);
-  eval.Evaluate(MakeConfig(0));  // trips (threshold 1)
-  EXPECT_TRUE(eval.breaker_open());
-  eval.Evaluate(MakeConfig(1));  // short-circuited; cooldown spent
-  EvalOutcome probe = eval.Evaluate(MakeConfig(2));  // half-open probe: ok
+  int next = 0;
+  for (; next < kBreakerThreshold; ++next) eval.Evaluate(MakeConfig(next));
+  EXPECT_TRUE(eval.breaker_open());  // tripped
+  for (int i = 0; i < kBreakerCooldown; ++i) {
+    eval.Evaluate(MakeConfig(next++));  // short-circuited
+  }
+  EvalOutcome probe = eval.Evaluate(MakeConfig(next++));  // half-open: ok
   EXPECT_TRUE(probe.feasible);
   EXPECT_FALSE(eval.breaker_open());
   // Healthy again: subsequent calls evaluate normally.
-  EXPECT_TRUE(eval.Evaluate(MakeConfig(3)).feasible);
+  EXPECT_TRUE(eval.Evaluate(MakeConfig(next)).feasible);
   EXPECT_EQ(eval.stats().breaker_trips, 1u);
 }
 
-TEST(ResilientEvaluatorTest, WallClockWatchdogTimesOut) {
-  ResilienceOptions options = NoJitterOptions();
-  options.wall_timeout_ms = 40;
-  options.deadline_minutes = 60.0;
-  options.max_retries = 0;
+// The evaluator runs one point at a time: callers on many threads are
+// serialized, never overlap inside the black box, and every call lands in
+// exactly one ledger bucket.
+TEST(ResilientEvaluatorTest, ConcurrentCallersAreSerialized) {
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_in_flight{0};
   ResilientEvaluator eval(
-      AttemptEvalFn([](const DesignConfig&, int) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(250));
+      AttemptEvalFn([&](const DesignConfig& config, int) -> EvalOutcome {
+        const int now = ++in_flight;
+        int seen = max_in_flight.load();
+        while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::yield();
+        --in_flight;
+        if (config.loops.at(0).parallel % 4 == 0) throw Error("dead region");
         return GoodOutcome();
       }),
-      options);
-  EvalOutcome out = eval.Evaluate(MakeConfig(0));
-  EXPECT_FALSE(out.feasible);
-  EXPECT_EQ(eval.stats().timeouts, 1u);
-  EXPECT_DOUBLE_EQ(out.eval_minutes, 60.0);  // charged the deadline
-}
-
-TEST(ResilientEvaluatorTest, DisabledLayerPropagatesExceptions) {
-  ResilienceOptions options;
-  options.enabled = false;
-  ResilientEvaluator eval(
-      tuner::EvalFn([](const DesignConfig&) -> EvalOutcome {
-        throw Error("raw");
-      }),
-      options);
-  EXPECT_THROW(eval.Evaluate(MakeConfig(0)), Error);
+      ResilienceOptions{});
+  constexpr int kThreads = 8;
+  constexpr int kCallsPerThread = 25;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&eval, t] {
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        eval.Evaluate(MakeConfig(t * kCallsPerThread + i));
+        eval.breaker_open();
+        eval.stats();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(max_in_flight.load(), 1);
+  const ResilienceStats stats = eval.stats();
+  EXPECT_EQ(stats.calls, static_cast<std::size_t>(kThreads * kCallsPerThread));
+  EXPECT_EQ(stats.calls,
+            stats.successes + stats.exhausted + stats.short_circuits);
+  EXPECT_EQ(stats.attempts, stats.successes + stats.crashes);
+  EXPECT_GT(stats.exhausted, 0u);
 }
 
 TEST(ResilientEvaluatorTest, InjectedFaultsReplayIdenticallyAcrossReruns) {

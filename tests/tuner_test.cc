@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "kir/kernel.h"
-#include "support/thread_pool.h"
 #include "tuner/bandit.h"
 #include "tuner/driver.h"
 #include "tuner/space.h"
@@ -471,39 +470,6 @@ TEST(DriverTest, DeterministicForSameSeed) {
   EXPECT_EQ(a.best, b.best);
   EXPECT_EQ(a.best_cost, b.best_cost);
   EXPECT_EQ(a.evaluations, b.evaluations);
-}
-
-TEST(DriverTest, ParallelEvalPoolMatchesSerial) {
-  // Batches evaluated on a thread pool commit in proposal order, so the
-  // whole run is bit-identical to the serial evaluation.
-  DesignSpace space = BuildDesignSpace(TwoLoopKernel());
-  auto eval = [](const merlin::DesignConfig& cfg) -> EvalOutcome {
-    double c = 10.0 + static_cast<double>(cfg.loops.at(0).parallel) +
-               static_cast<double>(cfg.buffer_bits.at("in")) / 64.0 +
-               (cfg.loops.at(0).pipeline == merlin::PipelineMode::kOn
-                    ? -0.5
-                    : 0.0);
-    return {true, c, 5.0 + c / 100.0};
-  };
-  TuneOptions options;
-  options.time_limit_minutes = 60;
-  options.parallel = 8;
-  options.seed = 77;
-  TuneResult serial = Tune(space, eval, options);
-
-  ThreadPool pool(4);
-  options.eval_pool = &pool;
-  TuneResult pooled = Tune(space, eval, options);
-
-  EXPECT_EQ(serial.best, pooled.best);
-  EXPECT_EQ(serial.best_cost, pooled.best_cost);
-  EXPECT_EQ(serial.evaluations, pooled.evaluations);
-  EXPECT_EQ(serial.elapsed_minutes, pooled.elapsed_minutes);
-  ASSERT_EQ(serial.trace.size(), pooled.trace.size());
-  for (std::size_t i = 0; i < serial.trace.size(); ++i) {
-    EXPECT_EQ(serial.trace[i].time_minutes, pooled.trace[i].time_minutes);
-    EXPECT_EQ(serial.trace[i].best_cost, pooled.trace[i].best_cost);
-  }
 }
 
 TEST(DriverTest, FinalBatchClampedToTimeLimit) {
