@@ -23,6 +23,7 @@
 #include "dse/partition.h"
 #include "dse/stopping.h"
 #include "hls/estimator.h"
+#include "hls/view.h"
 #include "kir/eval.h"
 #include "merlin/transform.h"
 #include "obs/ledger.h"
@@ -160,6 +161,18 @@ void BM_HlsEstimateSmallKernel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HlsEstimateSmallKernel);
+
+void BM_HlsEstimateView(benchmark::State& state) {
+  // What one DSE evaluation estimates: the same SVM design as an overlay
+  // on the base kernel's shared tables, with no materialized kernel.
+  Fixture& f = Svm();
+  const hls::DesignBase base(f.kernel);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        hls::EstimateHls(hls::DesignView(base, f.mid_config)));
+  }
+}
+BENCHMARK(BM_HlsEstimateView);
 
 void BM_HlsEstimateLargeKernel(benchmark::State& state) {
   Fixture& f = Aes();

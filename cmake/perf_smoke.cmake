@@ -59,6 +59,7 @@ foreach(bm
     BM_BlazeMapPartialBatch     # Blaze map of a short, padded batch
     BM_MerlinTransform          # Merlin transform
     BM_HlsEstimateSmallKernel   # HLS estimator
+    BM_HlsEstimateView          # HLS estimator on a design overlay
     BM_SerializationRoundTrip   # (de)serialization
     BM_FullDesignPointEvaluation)  # tuner round trip
   string(JSON ns ERROR_VARIABLE json_err
@@ -112,6 +113,7 @@ foreach(bm
     BM_BlazeMapPartialBatch
     BM_MerlinTransform
     BM_HlsEstimateSmallKernel
+    BM_HlsEstimateView
     BM_SerializationRoundTrip
     BM_FullDesignPointEvaluation)
   string(JSON ns ERROR_VARIABLE json_err

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <cstdint>
 
-#include "kir/analysis.h"
-#include "merlin/transform.h"
 #include "obs/obs.h"
 #include "support/error.h"
 
@@ -15,131 +13,37 @@ namespace {
 
 using kir::Buffer;
 using kir::BufferKind;
-using kir::Expr;
-using kir::ExprKind;
-using kir::ExprPtr;
-using kir::Stmt;
-using kir::StmtKind;
-using kir::StmtPtr;
+using Node = DesignBase::Node;
+using Pipeline = kir::LoopPragmas::Pipeline;
 
 constexpr double kBramBits = 18432;  // one BRAM18K block
 
 double Log2Ceil(double v) { return v <= 1 ? 0 : std::ceil(std::log2(v)); }
 
-// Latency of `op` without charging resources (for recurrence-cycle math).
-double NodeLatency(const Expr& e) {
-  switch (e.kind()) {
-    case ExprKind::kBinary:
-      return BinaryOpCost(e.binary_op(), e.operands()[0]->type()).latency;
-    case ExprKind::kUnary:
-      return UnaryOpCost(e.unary_op(), e.operands()[0]->type()).latency;
-    case ExprKind::kCall:
-      return IntrinsicCost(e.intrinsic(), e.type()).latency;
-    case ExprKind::kCast:
-      return CastCost(e.operands()[0]->type(), e.type()).latency;
-    case ExprKind::kSelect:
-      return 1;
-    default:
-      return 0;
-  }
-}
-
-// Latency along the path from a carried value (scalar or buffer) to the
-// root of `expr` — the length of the dependence cycle through this
-// expression. Returns -1 when the subtree does not touch a carrier.
-double CarriedPathLatency(const ExprPtr& expr,
-                          const std::vector<std::string>& carriers,
-                          const kir::Kernel& k) {
-  const Expr& e = *expr;
-  if (e.kind() == ExprKind::kVar) {
-    for (const auto& c : carriers) {
-      if (e.name() == c) return 0;
-    }
-    return -1;
-  }
-  if (e.kind() == ExprKind::kArrayRef) {
-    bool carried_buffer = false;
-    for (const auto& c : carriers) {
-      if (e.name() == c) carried_buffer = true;
-    }
-    if (carried_buffer) {
-      const Buffer* buf = k.FindBuffer(e.name());
-      return (buf != nullptr && buf->kind == BufferKind::kLocal)
-                 ? kLocalReadLatency
-                 : kAxiReadLatency;
-    }
-    // An index depending on a carried value would also cycle, but such
-    // indirect recurrences do not occur in the supported kernel forms.
-    return -1;
-  }
-  double path = -1;
-  for (const auto& op : e.operands()) {
-    path = std::max(path, CarriedPathLatency(op, carriers, k));
-  }
-  if (path < 0) return -1;
-  return path + NodeLatency(e);
-}
-
-// Calls `fn` on every buffer read or write under `stmt`, nested loops
-// included.
-void VisitBufferAccesses(const Stmt& stmt,
-                         const std::function<void(const Expr&)>& fn) {
-  const std::function<void(const Expr&)> on_node = [&fn](const Expr& e) {
-    if (e.kind() == ExprKind::kArrayRef) fn(e);
-  };
-  switch (stmt.kind()) {
-    case StmtKind::kAssign:
-      kir::VisitExpr(stmt.lhs(), on_node);
-      kir::VisitExpr(stmt.rhs(), on_node);
-      break;
-    case StmtKind::kDecl:
-      if (stmt.init()) kir::VisitExpr(stmt.init(), on_node);
-      break;
-    case StmtKind::kIf:
-      kir::VisitExpr(stmt.cond(), on_node);
-      VisitBufferAccesses(*stmt.then_stmt(), fn);
-      if (stmt.else_stmt()) VisitBufferAccesses(*stmt.else_stmt(), fn);
-      break;
-    case StmtKind::kFor:
-      VisitBufferAccesses(*stmt.body(), fn);
-      break;
-    case StmtKind::kBlock:
-      for (const auto& st : stmt.stmts()) VisitBufferAccesses(*st, fn);
-      break;
-  }
-}
-
+// Estimates one design, reading the kernel from the view's base tables and
+// every pragma, tile factor and interface width through the view.
 class Estimator {
  public:
-  Estimator(const kir::Kernel& kernel, const EstimatorOptions& options)
-      : k_(kernel), opt_(options) {}
+  Estimator(const DesignView& view, const EstimatorOptions& options)
+      : view_(view),
+        base_(view.base()),
+        opt_(options),
+        partition_(base_.buffers().size(), 0) {}
 
   HlsResult Run();
 
  private:
-  // Effective unroll of a loop, clamped to its trip count.
-  static std::int64_t UnrollOf(const Stmt& loop) {
-    return std::min<std::int64_t>(merlin::ParallelFactorOf(loop),
-                                  loop.trip_count());
-  }
-
-  // Whether the loop is effectively fully unrolled (acts as straight-line).
-  static bool FullyUnrolled(const Stmt& loop) {
-    return UnrollOf(loop) >= loop.trip_count();
-  }
-
-  // Critical-path latency of an expression; charges operator resources
-  // (replicated `repl` times) on first traversal of each instance.
-  double ExprLatency(const ExprPtr& expr, double repl);
-
-  // Latency of one execution of `stmt`; charges resources. `scale` is how
-  // many times this statement executes per invocation (the product of
+  // Latency of one execution of node `i`; charges resources. `scale` is
+  // how many times this node executes per invocation (the product of
   // enclosing sequential iteration counts) — it never affects the latency
   // or the charged resources, only how much weight an II decision taken
   // here carries in the whole-kernel bottleneck attribution.
-  double StmtLatency(const Stmt& stmt, double repl, double scale);
+  double NodeLatency(int i, double repl, double scale);
 
-  double LoopLatency(const Stmt& loop, double repl, double scale);
+  // Latency of dense loop `d` as ApplyDesign would have left it: the loop
+  // itself, or, when tiled, its tile loop (`point` false) whose body is
+  // its point loop (`point` true) over the original body.
+  double LoopLatency(int d, bool point, double repl, double scale);
 
   void Charge(const OpCost& cost, double repl) {
     dsp_ += cost.dsp * repl;
@@ -149,25 +53,30 @@ class Estimator {
 
   // Memory-port initiation interval for a pipelined loop issuing `u`
   // logical iterations per initiation, whose per-iteration body census is
-  // `counts` (inner fully-unrolled loops already weighted). Reports which
-  // bound set the II — local ports or off-chip width — right where the
-  // max is taken (kNone when neither exceeds II 1).
+  // `census` with every count multiplied by `weight` (a tile loop's body is
+  // its point loop: the census of the original body times the tile
+  // factor). Reports which bound set the II — local ports or off-chip
+  // width — right where the max is taken (kNone when neither exceeds II 1).
   struct MemIi {
     double ii = 1;
     BottleneckKind kind = BottleneckKind::kNone;
   };
-  MemIi MemoryII(const kir::OpCounts& counts, double u);
+  MemIi MemoryII(const std::vector<DesignBase::Traffic>& census,
+                 std::int64_t weight, double u) const;
 
-  // Partition factor chosen by Merlin for a local buffer: the largest
+  // Partition factor chosen by Merlin for local buffer `b`: the largest
   // unroll among loops whose bodies access it.
-  std::int64_t PartitionOf(const std::string& buffer) const;
+  std::int64_t PartitionOf(int b) const {
+    return std::max<std::int64_t>(1, partition_[b]);
+  }
 
   void PrecomputePartitions();
 
-  const kir::Kernel& k_;
-  EstimatorOptions opt_;
+  const DesignView& view_;
+  const DesignBase& base_;
+  const EstimatorOptions& opt_;
   double dsp_ = 0, ff_ = 0, lut_ = 0, bram_ = 0;
-  std::map<std::string, std::int64_t> partition_;
+  std::vector<std::int64_t> partition_;  // per buffer; 0 = not partitioned
   double max_parallel_ = 1;
   bool unrolled_wavefront_ = false;
   // Champion II decision across all pipelined loops, weighted by the stall
@@ -177,156 +86,89 @@ class Estimator {
   std::vector<std::string> notes_;
 };
 
-double Estimator::ExprLatency(const ExprPtr& expr, double repl) {
-  const Expr& e = *expr;
-  double operand_lat = 0;
-  for (const auto& op : e.operands()) {
-    operand_lat = std::max(operand_lat, ExprLatency(op, repl));
-  }
-  switch (e.kind()) {
-    case ExprKind::kIntLit:
-    case ExprKind::kFloatLit:
-    case ExprKind::kVar:
-      return operand_lat;
-    case ExprKind::kArrayRef: {
-      const Buffer* buf = k_.FindBuffer(e.name());
-      S2FA_CHECK(buf != nullptr, "unknown buffer " << e.name());
-      const double lat = buf->kind == BufferKind::kLocal ? kLocalReadLatency
-                                                         : kAxiReadLatency;
-      return operand_lat + lat;
-    }
-    case ExprKind::kBinary: {
-      OpCost cost = BinaryOpCost(e.binary_op(), e.operands()[0]->type());
-      // Integer multiplication by a compile-time constant strength-reduces
-      // to shift/add LUT logic -- no DSP block.
-      if (e.binary_op() == kir::BinaryOp::kMul &&
-          !e.operands()[0]->type().is_floating() &&
-          (e.operands()[0]->kind() == ExprKind::kIntLit ||
-           e.operands()[1]->kind() == ExprKind::kIntLit)) {
-        // The shift/add network is sized by the variable operand; the
-        // literal only selects which shifts are wired in.
-        const ExprPtr& variable_side =
-            e.operands()[0]->kind() == ExprKind::kIntLit ? e.operands()[1]
-                                                         : e.operands()[0];
-        double w = variable_side->type().bit_width();
-        cost = OpCost{1, 0, w, 2 * w};
-      }
+double Estimator::NodeLatency(int i, double repl, double scale) {
+  const Node& node = base_.node(i);
+  switch (node.kind) {
+    case Node::Kind::kLeaf: {
+      const OpCost& cost =
+          base_.leaf(node.leaf).variants[view_.VariantOf(node.leaf)];
       Charge(cost, repl);
-      return operand_lat + cost.latency;
+      return cost.latency;
     }
-    case ExprKind::kUnary: {
-      OpCost cost = UnaryOpCost(e.unary_op(), e.operands()[0]->type());
-      Charge(cost, repl);
-      return operand_lat + cost.latency;
-    }
-    case ExprKind::kCall: {
-      OpCost cost = IntrinsicCost(e.intrinsic(), e.type());
-      Charge(cost, repl);
-      return operand_lat + cost.latency;
-    }
-    case ExprKind::kCast: {
-      OpCost cost = CastCost(e.operands()[0]->type(), e.type());
-      Charge(cost, repl);
-      return operand_lat + cost.latency;
-    }
-    case ExprKind::kSelect: {
-      Charge({1, 0, 32, 32}, repl);  // mux
-      return operand_lat + 1;
-    }
-  }
-  S2FA_UNREACHABLE("bad expr kind");
-}
-
-double Estimator::StmtLatency(const Stmt& stmt, double repl, double scale) {
-  switch (stmt.kind()) {
-    case StmtKind::kAssign: {
-      double lat = ExprLatency(stmt.rhs(), repl);
-      if (stmt.lhs()->kind() == ExprKind::kArrayRef) {
-        lat = std::max(lat, ExprLatency(stmt.lhs()->operands()[0], repl));
-        const Buffer* buf = k_.FindBuffer(stmt.lhs()->name());
-        S2FA_CHECK(buf != nullptr, "unknown buffer " << stmt.lhs()->name());
-        lat += buf->kind == BufferKind::kLocal ? kLocalWriteLatency
-                                               : kAxiWriteLatency;
-      }
-      return std::max(1.0, lat);
-    }
-    case StmtKind::kDecl:
-      return stmt.init() ? std::max(1.0, ExprLatency(stmt.init(), repl))
-                         : 0.0;
-    case StmtKind::kIf: {
-      double cond = ExprLatency(stmt.cond(), repl);
-      double then_lat = StmtLatency(*stmt.then_stmt(), repl, scale);
+    case Node::Kind::kIf: {
+      const OpCost& cond =
+          base_.leaf(node.leaf).variants[view_.VariantOf(node.leaf)];
+      Charge(cond, repl);
+      double then_lat = NodeLatency(node.then_node, repl, scale);
       double else_lat =
-          stmt.else_stmt() ? StmtLatency(*stmt.else_stmt(), repl, scale)
-                           : 0.0;
+          node.else_node >= 0 ? NodeLatency(node.else_node, repl, scale)
+                              : 0.0;
       Charge({1, 0, 16, 24}, repl);  // branch select
-      return cond + std::max(then_lat, else_lat) + 1;
+      return cond.latency + std::max(then_lat, else_lat) + 1;
     }
-    case StmtKind::kFor:
-      return LoopLatency(stmt, repl, scale);
-    case StmtKind::kBlock: {
+    case Node::Kind::kLoop:
+      return LoopLatency(node.loop, false, repl, scale);
+    case Node::Kind::kBlock: {
       double total = 0;
-      for (const auto& st : stmt.stmts()) {
-        total += StmtLatency(*st, repl, scale);
+      for (int c = node.first; c < node.first + node.count; ++c) {
+        total += NodeLatency(base_.child(c), repl, scale);
       }
       return total;
     }
   }
-  S2FA_UNREACHABLE("bad stmt kind");
-}
-
-std::int64_t Estimator::PartitionOf(const std::string& buffer) const {
-  auto it = partition_.find(buffer);
-  return it == partition_.end() ? 1 : std::max<std::int64_t>(1, it->second);
+  S2FA_UNREACHABLE("bad node kind");
 }
 
 void Estimator::PrecomputePartitions() {
-  for (const Stmt* loop : k_.Loops()) {
-    const std::int64_t u = UnrollOf(*loop);
+  for (std::size_t d = 0; d < base_.loops().size(); ++d) {
+    const DesignBase::Loop& loop = base_.loops()[d];
+    const DesignView::LoopOverlay& o = view_.loop(static_cast<int>(d));
+    // The tile loop's body is the point loop over the same accesses.
+    std::int64_t u = std::min<std::int64_t>(o.outer.parallel.value_or(1),
+                                            loop.trip / o.tile);
+    if (o.tile > 1) {
+      u = std::max<std::int64_t>(
+          u, std::min<std::int64_t>(o.point.parallel.value_or(1), o.tile));
+    }
     if (u <= 1) continue;
-    VisitBufferAccesses(*loop->body(), [&](const Expr& access) {
-      const Buffer* buf = k_.FindBuffer(access.name());
-      if (buf != nullptr && buf->kind == BufferKind::kLocal) {
-        std::int64_t& part = partition_[access.name()];
-        part = std::max(part, std::min<std::int64_t>(u, buf->length));
+    for (const DesignBase::Traffic& t : loop.census) {
+      const Buffer& buf = base_.buffers()[t.buffer];
+      if (buf.kind == BufferKind::kLocal) {
+        std::int64_t& part = partition_[t.buffer];
+        part = std::max(part, std::min<std::int64_t>(u, buf.length));
       }
-    });
+    }
   }
 }
 
-Estimator::MemIi Estimator::MemoryII(const kir::OpCounts& counts, double u) {
+Estimator::MemIi Estimator::MemoryII(
+    const std::vector<DesignBase::Traffic>& census, std::int64_t weight,
+    double u) const {
+  auto weighted = [weight](int n) {
+    return static_cast<int>(std::min<std::int64_t>(
+        static_cast<std::int64_t>(n) * weight, INT32_MAX));
+  };
   double port_ii = 1, axi_ii = 1;
-  // Local buffers: dual-ported BRAM, one partition set per Merlin config.
-  for (const auto& [name, n] : counts.buffer_reads) {
-    const Buffer* buf = k_.FindBuffer(name);
-    if (buf == nullptr) continue;
-    double writes = 0;
-    auto w = counts.buffer_writes.find(name);
-    if (w != counts.buffer_writes.end()) writes = w->second;
-    if (buf->kind == BufferKind::kLocal) {
-      double ports = 2.0 * static_cast<double>(PartitionOf(name));
-      port_ii = std::max(port_ii, std::ceil(u * (n + writes) / ports));
+  for (const DesignBase::Traffic& t : census) {
+    const Buffer& buf = base_.buffers()[t.buffer];
+    const int reads = weighted(t.reads);
+    const int writes = weighted(t.writes);
+    if (buf.kind == BufferKind::kLocal) {
+      // Dual-ported BRAM, one partition set per Merlin config.
+      const double ports = 2.0 * static_cast<double>(PartitionOf(t.buffer));
+      port_ii = std::max(
+          port_ii, t.read_entry
+                       ? std::ceil(u * (reads + static_cast<double>(writes)) /
+                                   ports)
+                       : std::ceil(u * writes / ports));
     } else {
-      const double bits = u * n * buf->element.bit_width();
-      const double width = buf->interface_bits > 0
-                               ? buf->interface_bits
-                               : buf->element.bit_width();
-      axi_ii = std::max(axi_ii, std::ceil(bits / width));
-    }
-  }
-  // Write-only buffers not covered above.
-  for (const auto& [name, n] : counts.buffer_writes) {
-    if (counts.buffer_reads.count(name) != 0) continue;
-    const Buffer* buf = k_.FindBuffer(name);
-    if (buf == nullptr) continue;
-    if (buf->kind == BufferKind::kLocal) {
-      double ports = 2.0 * static_cast<double>(PartitionOf(name));
-      port_ii = std::max(port_ii, std::ceil(u * n / ports));
-    } else {
-      const double bits = u * n * buf->element.bit_width();
-      const double width = buf->interface_bits > 0
-                               ? buf->interface_bits
-                               : buf->element.bit_width();
+      // Off-chip: the census's reads of a read buffer, the writes of a
+      // write-only one.
+      const double bits =
+          u * (t.read_entry ? reads : writes) * buf.element.bit_width();
+      const int width = view_.interface_bits(t.buffer) > 0
+                            ? view_.interface_bits(t.buffer)
+                            : buf.element.bit_width();
       axi_ii = std::max(axi_ii, std::ceil(bits / width));
     }
   }
@@ -339,57 +181,49 @@ Estimator::MemIi Estimator::MemoryII(const kir::OpCounts& counts, double u) {
   return result;
 }
 
-double Estimator::LoopLatency(const Stmt& loop, double repl, double scale) {
-  const std::int64_t trip = loop.trip_count();
-  const std::int64_t u = UnrollOf(loop);
+double Estimator::LoopLatency(int d, bool point, double repl, double scale) {
+  const DesignBase::Loop& loop = base_.loops()[d];
+  const DesignView::LoopOverlay& o = view_.loop(d);
+  const bool tile_loop = o.tile > 1 && !point;
+  const kir::LoopPragmas& pragmas = point ? o.point : o.outer;
+  const std::int64_t trip = point ? o.tile : loop.trip / o.tile;
+  const std::int64_t u =
+      std::min<std::int64_t>(pragmas.parallel.value_or(1), trip);
   const double iters = std::ceil(static_cast<double>(trip) /
                                  static_cast<double>(u));
   max_parallel_ = std::max(max_parallel_, static_cast<double>(u));
 
-  merlin::PipelineMode pipe = merlin::PipelineModeOf(loop);
-  const bool tree = merlin::HasTreeReduction(loop);
+  const Pipeline pipe = pragmas.pipeline;
+  const bool tree = pragmas.tree_reduction;
 
   // Sub-loops that are not fully unrolled block pipelining of this loop.
-  bool has_live_subloop = false;
-  kir::VisitStmt(loop.body(), std::function<void(const Stmt&)>(
-                                  [&](const Stmt& s) {
-                                    if (s.kind() == StmtKind::kFor &&
-                                        !FullyUnrolled(s)) {
-                                      has_live_subloop = true;
-                                    }
-                                  }));
+  const bool has_live_subloop =
+      o.live_below ||
+      (tile_loop && o.point.parallel.value_or(1) < o.tile);
 
   const double body_lat =
-      StmtLatency(*loop.body(), repl * static_cast<double>(u),
-                  scale * iters);
+      tile_loop ? LoopLatency(d, true, repl * static_cast<double>(u),
+                              scale * iters)
+                : NodeLatency(loop.body, repl * static_cast<double>(u),
+                              scale * iters);
 
-  // The recurrence is read only by the wavefront check of a wide unroll and
-  // by the II of a pipelined loop without a tree reduction; other loops
-  // skip the analysis.
-  const bool pipelined =
-      pipe != merlin::PipelineMode::kOff && !has_live_subloop;
-  kir::LoopRecurrence rec;
-  if (u > 16 || (pipelined && !tree)) rec = kir::AnalyzeRecurrence(loop);
-  if (u > 16) {
-    for (const auto& carrier : rec.carriers) {
-      if (k_.FindBuffer(carrier) != nullptr) unrolled_wavefront_ = true;
-    }
-  }
+  // A wide unroll of a loop carrying a buffer ripples through the chain.
+  if (u > 16 && loop.buffer_carrier) unrolled_wavefront_ = true;
 
+  const bool pipelined = pipe != Pipeline::kAbsent && !has_live_subloop;
   if (pipelined) {
     // Pipelined: II from the carried recurrence and from memory ports.
     double ii_rec = 1;
-    if (rec.carried && !tree) {
-      for (const auto& cycle : rec.cycle_exprs) {
-        ii_rec = std::max(ii_rec,
-                          CarriedPathLatency(cycle, rec.carriers, k_));
+    if (loop.carried && !tree) {
+      for (const DesignBase::Cycle& cycle : loop.cycles) {
+        ii_rec = std::max(ii_rec, cycle.latency[view_.VariantOf(cycle.leaf)]);
       }
       // A serial chain cannot be widened: unrolling packs u dependent
       // updates into each initiation, so the recurrence II scales with u.
       ii_rec *= static_cast<double>(u);
     }
-    kir::OpCounts counts = kir::CountTotalOps(*loop.body());
-    const MemIi mem = MemoryII(counts, static_cast<double>(u));
+    const MemIi mem = MemoryII(loop.census, tile_loop ? o.tile : 1,
+                               static_cast<double>(u));
     const double ii = std::max({1.0, ii_rec, mem.ii});
     // This is where the II decision is taken: remember the binding bound
     // when the stall it costs the whole invocation beats the champion.
@@ -413,8 +247,8 @@ double Estimator::LoopLatency(const Stmt& loop, double repl, double scale) {
     return lat;
   }
 
-  if (pipe != merlin::PipelineMode::kOff && has_live_subloop) {
-    notes_.push_back("L" + std::to_string(loop.loop_id()) +
+  if (pipe != Pipeline::kAbsent && has_live_subloop) {
+    notes_.push_back("L" + std::to_string(loop.id) +
                      ": pipeline ignored (live sub-loops; use flatten)");
   }
   // Sequential execution: per-iteration body + loop control.
@@ -422,7 +256,6 @@ double Estimator::LoopLatency(const Stmt& loop, double repl, double scale) {
 }
 
 HlsResult Estimator::Run() {
-  k_.Validate();
   HlsResult result;
 
   PrecomputePartitions();
@@ -434,17 +267,20 @@ HlsResult Estimator::Run() {
 
   // Interface logic per off-chip buffer: AXI master + burst buffer sized by
   // the interface width.
-  for (const auto& buf : k_.buffers) {
+  for (std::size_t b = 0; b < base_.buffers().size(); ++b) {
+    const Buffer& buf = base_.buffers()[b];
+    const int bi = static_cast<int>(b);
     if (buf.kind == BufferKind::kLocal) {
       const double bits = static_cast<double>(buf.length) *
                           buf.element.bit_width();
-      const double parts = static_cast<double>(PartitionOf(buf.name));
+      const double parts = static_cast<double>(PartitionOf(bi));
       bram_ += parts * std::max(1.0, std::ceil(bits / parts / kBramBits));
       lut_ += 50 + 10 * parts;  // banking mux
       continue;
     }
-    const double width = buf.interface_bits > 0 ? buf.interface_bits
-                                                : buf.element.bit_width();
+    const double width = view_.interface_bits(bi) > 0
+                             ? view_.interface_bits(bi)
+                             : buf.element.bit_width();
     lut_ += 800 + width;
     ff_ += 1000 + 2 * width;
     // Merlin stages each interface buffer on chip and double-buffers it to
@@ -454,7 +290,7 @@ HlsResult Estimator::Run() {
     bram_ += 2.0 * std::max(1.0, std::ceil(stage_bits / kBramBits));
   }
 
-  const double cycles = StmtLatency(*k_.body, 1.0, 1.0);
+  const double cycles = NodeLatency(base_.root(), 1.0, 1.0);
 
   const DeviceModel& dev = opt_.device;
   result.util.bram = bram_;
@@ -615,14 +451,28 @@ bool HlsResult::Plausible() const {
   return true;
 }
 
-HlsResult EstimateHls(const kir::Kernel& kernel,
-                      const EstimatorOptions& options) {
-  S2FA_SPAN("hls.estimate");
-  HlsResult result = Estimator(kernel, options).Run();
+namespace {
+
+HlsResult Counted(HlsResult result) {
   S2FA_COUNT("hls.estimates", 1);
   if (!result.feasible) S2FA_COUNT("hls.infeasible", 1);
   S2FA_OBSERVE("hls.eval_minutes", result.eval_minutes);
   return result;
+}
+
+}  // namespace
+
+HlsResult EstimateHls(const DesignView& view,
+                      const EstimatorOptions& options) {
+  S2FA_SPAN("hls.estimate");
+  return Counted(Estimator(view, options).Run());
+}
+
+HlsResult EstimateHls(const kir::Kernel& kernel,
+                      const EstimatorOptions& options) {
+  S2FA_SPAN("hls.estimate");
+  const DesignBase base(kernel);
+  return Counted(Estimator(DesignView(base), options).Run());
 }
 
 }  // namespace s2fa::hls

@@ -1,7 +1,8 @@
 // The HLS estimator: s2fa's stand-in for Xilinx SDx synthesis (paper §3.2,
 // Impediment 1).
 //
-// Given a Merlin-transformed kernel (loop pragmas + interface bit-widths),
+// Given a design as a view (hls/view.h: a base kernel plus the Merlin loop
+// pragmas, tile factors and interface bit-widths of one design point),
 // produces the quantities the DSE needs from a black-box HLS run:
 //   * execution cycles for one accelerator invocation (whole batch),
 //   * post-synthesis resource utilization (BRAM/DSP/FF/LUT),
@@ -22,6 +23,7 @@
 
 #include "hls/bottleneck.h"
 #include "hls/device.h"
+#include "hls/view.h"
 #include "kir/kernel.h"
 
 namespace s2fa::hls {
@@ -96,7 +98,15 @@ struct EstimatorOptions {
   double synth_max = 45.0;
 };
 
-// Estimates a transformed kernel. The kernel must validate.
+// Estimates one design point. The DSE builds one DesignBase per space and
+// one DesignView per evaluation.
+HlsResult EstimateHls(const DesignView& view,
+                      const EstimatorOptions& options = {});
+
+// Estimates a kernel as it is, pragmas and interface widths included (for
+// instance merlin::ApplyDesign's output): validates it and estimates a
+// view of it with nothing overlaid. Throws MalformedInput if the kernel
+// does not validate.
 HlsResult EstimateHls(const kir::Kernel& kernel,
                       const EstimatorOptions& options = {});
 

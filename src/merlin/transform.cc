@@ -18,31 +18,33 @@ using kir::StmtPtr;
 bool IsPowerOfTwo(int v) { return v > 0 && (v & (v - 1)) == 0; }
 
 // The loop with `id` among `loops`, or nullptr.
-template <typename LoopStmt>
-LoopStmt* LoopWithId(const std::vector<LoopStmt*>& loops, int id) {
-  for (LoopStmt* loop : loops) {
+Stmt* LoopWithId(const std::vector<Stmt*>& loops, int id) {
+  for (Stmt* loop : loops) {
     if (loop->loop_id() == id) return loop;
   }
   return nullptr;
 }
 
-// The legality rules, once. Walks every rule of `config` against
-// `kernel` and calls `report(message)` for each violation, where
-// `message` is a thunk that renders the violation text; rendering is left
-// to the caller, so the bool form never builds a string. `report` returns
-// whether to go on; the walk returns false if it was stopped.
+// The legality rules, once. Walks every rule of `config` against a
+// kernel's loop trip counts and buffers and calls `report(message)` for
+// each violation, where `message` is a thunk that renders the violation
+// text; rendering is left to the caller, so the bool form never builds a
+// string. `report` returns whether to go on; the walk returns false if it
+// was stopped.
 template <typename Report>
-bool WalkRules(const kir::Kernel& kernel, const DesignConfig& config,
-               Report&& report) {
-  const std::vector<const Stmt*> loops = kir::CollectLoops(kernel.body.get());
+bool WalkRules(std::span<const LoopTrip> loops,
+               std::span<const kir::Buffer> buffers,
+               const DesignConfig& config, Report&& report) {
   for (const auto& [id, cfg] : config.loops) {
-    const Stmt* loop = LoopWithId(loops, id);
-    if (loop == nullptr) {
+    const auto loop = std::find_if(
+        loops.begin(), loops.end(),
+        [id](const LoopTrip& l) { return l.id == id; });
+    if (loop == loops.end()) {
       if (!report([&] { return "no loop with id " + std::to_string(id); }))
         return false;
       continue;
     }
-    const std::int64_t trip = loop->trip_count();
+    const std::int64_t trip = loop->trip;
     if (cfg.tile < 1) {
       if (!report([&] {
             return "L" + std::to_string(id) + ": tile factor " +
@@ -76,8 +78,10 @@ bool WalkRules(const kir::Kernel& kernel, const DesignConfig& config,
     }
   }
   for (const auto& [name, bits] : config.buffer_bits) {
-    const kir::Buffer* buf = kernel.FindBuffer(name);
-    if (buf == nullptr) {
+    const auto buf = std::find_if(
+        buffers.begin(), buffers.end(),
+        [&name](const kir::Buffer& b) { return b.name == name; });
+    if (buf == buffers.end()) {
       if (!report([&] { return "no buffer named " + name; })) return false;
       continue;
     }
@@ -101,16 +105,30 @@ bool WalkRules(const kir::Kernel& kernel, const DesignConfig& config,
   return true;
 }
 
+std::vector<LoopTrip> LoopTrips(const kir::Kernel& kernel) {
+  std::vector<LoopTrip> trips;
+  for (const Stmt* loop : kernel.Loops()) {
+    trips.push_back({loop->loop_id(), loop->trip_count()});
+  }
+  return trips;
+}
+
 }  // namespace
 
+bool IsLegalConfig(std::span<const LoopTrip> loops,
+                   std::span<const kir::Buffer> buffers,
+                   const DesignConfig& config) {
+  return WalkRules(loops, buffers, config, [](auto&&) { return false; });
+}
+
 bool IsLegalConfig(const kir::Kernel& kernel, const DesignConfig& config) {
-  return WalkRules(kernel, config, [](auto&&) { return false; });
+  return IsLegalConfig(LoopTrips(kernel), kernel.buffers, config);
 }
 
 std::vector<std::string> ValidateConfig(const kir::Kernel& kernel,
                                         const DesignConfig& config) {
   std::vector<std::string> errors;
-  WalkRules(kernel, config, [&](auto&& message) {
+  WalkRules(LoopTrips(kernel), kernel.buffers, config, [&](auto&& message) {
     errors.push_back(message());
     return true;
   });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 
 #include "kir/printer.h"
 #include "obs/obs.h"
@@ -13,23 +14,24 @@ namespace s2fa {
 tuner::EvalFn MakeHlsEvaluator(const kir::Kernel& kernel,
                                const hls::EstimatorOptions& options,
                                FrequencyModel frequency) {
-  // The kernel is captured by value: evaluations run on worker threads.
-  kir::Kernel copy = kernel.Clone();
-  return [copy, options, frequency](
+  // One base per space, shared by every evaluation on every worker
+  // thread: it is immutable once built. Each evaluation overlays its
+  // design on it; nothing is cloned or rewritten.
+  auto base = std::make_shared<const hls::DesignBase>(kernel);
+  return [base, options, frequency](
              const merlin::DesignConfig& config) -> tuner::EvalOutcome {
     tuner::EvalOutcome outcome;
-    if (!merlin::IsLegalConfig(copy, config)) {
-      // Illegal factor combination: the HLS job fails fast. Rejected here,
-      // before ApplyDesign would throw, since most uniform draws are
-      // illegal and unwinding costs more than the check.
+    if (!base->IsLegal(config)) {
+      // Illegal factor combination: the HLS job fails fast, with no
+      // message rendered (most uniform draws are illegal).
       S2FA_COUNT("merlin.rejected_configs", 1);
       outcome.feasible = false;
       outcome.cost = tuner::kInfeasibleCost;
       outcome.eval_minutes = 3.0;
       return outcome;
     }
-    merlin::TransformResult transformed = merlin::ApplyDesign(copy, config);
-    hls::HlsResult hls_result = hls::EstimateHls(transformed.kernel, options);
+    const hls::HlsResult hls_result =
+        hls::EstimateHls(hls::DesignView(*base, config), options);
     if (!hls_result.Plausible()) {
       // The tool returned, but its numbers can't be trusted. Surface the
       // outcome as garbage (NaN objective) so the resilience layer

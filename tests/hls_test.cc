@@ -10,6 +10,7 @@
 #include "apps/app.h"
 #include "b2c/compiler.h"
 #include "hls/estimator.h"
+#include "hls/view.h"
 #include "kir/analysis.h"
 #include "kir/printer.h"
 #include "merlin/transform.h"
@@ -624,6 +625,92 @@ TEST(HlsGoldenTest, EveryFieldMatchesTheTable) {
 
 TEST(HlsGoldenTest, DISABLED_PrintTable) {
   PrintGoldenTable("HlsResult", GoldenLines());
+}
+
+// ----------------------------------------------- designs as pragma overlays
+//
+// The DSE estimates a DesignView over one shared DesignBase instead of a
+// kernel materialized by merlin::ApplyDesign. The two must agree in every
+// HlsResult field, notes and bottleneck included, for every legal config.
+
+constexpr int kOverlayDesignsPerKernel = 200;
+
+// A random legal config of `kernel`: a uniform point of its design space
+// with illegal tile and parallel factors repaired, half of the repaired
+// parallel factors set to the tile factor (a fully unrolled point loop).
+DesignConfig RandomLegalConfig(const kir::Kernel& kernel,
+                               const tuner::DesignSpace& space, Rng& rng) {
+  DesignConfig cfg = space.ToConfig(space.RandomPoint(rng));
+  for (auto& [id, loop] : cfg.loops) {
+    const std::int64_t trip = kir::FindLoop(kernel.body, id)->trip_count();
+    if (loop.tile >= trip || trip % loop.tile != 0) loop.tile = 1;
+    if (loop.tile > 1 && loop.parallel > loop.tile) {
+      loop.parallel = rng.NextBool() ? loop.tile : rng.NextInt(1, loop.tile);
+    }
+  }
+  return cfg;
+}
+
+void ExpectViewMatchesMaterialized(const GoldenBase& base,
+                                   const DesignBase& design_base,
+                                   const DesignConfig& cfg) {
+  ASSERT_TRUE(merlin::IsLegalConfig(base.kernel, cfg)) << cfg.ToString();
+  ASSERT_TRUE(design_base.IsLegal(cfg)) << cfg.ToString();
+  const std::string name = base.name + " " + cfg.ToString();
+  EXPECT_EQ(GoldenLine(name, EstimateHls(DesignView(design_base, cfg))),
+            GoldenLine(name, EstimateHls(Transformed(base.kernel, cfg))));
+}
+
+TEST(DesignViewTest, EstimateMatchesMaterializedDesign) {
+  for (const GoldenBase& base : GoldenBases()) {
+    const DesignBase design_base(base.kernel);
+    // The base as it is: no config, no overlay.
+    EXPECT_EQ(GoldenLine(base.name, EstimateHls(DesignView(design_base))),
+              GoldenLine(base.name, EstimateHls(base.kernel)));
+    const tuner::DesignSpace space = tuner::BuildDesignSpace(base.kernel);
+    Rng rng(kGoldenSeed);
+    int tiled = 0;
+    for (int i = 0; i < kOverlayDesignsPerKernel; ++i) {
+      const DesignConfig cfg = RandomLegalConfig(base.kernel, space, rng);
+      for (const auto& [id, loop] : cfg.loops) tiled += loop.tile > 1;
+      ExpectViewMatchesMaterialized(base, design_base, cfg);
+    }
+    EXPECT_GT(tiled, 0) << base.name;
+  }
+}
+
+TEST(DesignViewTest, TilingCornersMatchMaterializedDesign) {
+  const GoldenBase nested{"nested", NestedKernel()};
+  const DesignBase nested_base(nested.kernel);
+  DesignConfig both_tiled;  // outer and inner tiled, both pipelined
+  both_tiled.loops[0] = {2, 2, PipelineMode::kOn};
+  both_tiled.loops[1] = {4, 2, PipelineMode::kOn};
+  DesignConfig flatten_over_tiled;  // the inner tile loop is flattened away
+  flatten_over_tiled.loops[0] = {1, 1, PipelineMode::kFlatten};
+  flatten_over_tiled.loops[1] = {2, 2, PipelineMode::kOn};
+  DesignConfig flatten_on_tiled;  // the tile loop itself flattens
+  flatten_on_tiled.loops[0] = {4, 1, PipelineMode::kFlatten};
+  flatten_on_tiled.loops[1] = {2, 1, PipelineMode::kOff};
+  DesignConfig const_multiply;  // in[8*i + j]: the tiled i feeds 8*i
+  const_multiply.loops[0] = {4, 1, PipelineMode::kOff};
+  for (const DesignConfig& cfg : {both_tiled, flatten_over_tiled,
+                                  flatten_on_tiled, const_multiply}) {
+    ExpectViewMatchesMaterialized(nested, nested_base, cfg);
+  }
+
+  // parallel == tile: the point loop is fully unrolled, so the tile loop
+  // pipelines instead of being blocked by a live sub-loop.
+  for (const GoldenBase& base :
+       {GoldenBase{"stream", StreamKernel()},
+        GoldenBase{"reduce", ReduceKernel()},
+        GoldenBase{"wave", WavefrontKernel()}}) {
+    const DesignBase design_base(base.kernel);
+    DesignConfig cfg;
+    cfg.loops[0] = {8, 8, PipelineMode::kOn};
+    ExpectViewMatchesMaterialized(base, design_base, cfg);
+    EXPECT_TRUE(EstimateHls(DesignView(design_base, cfg)).notes.empty())
+        << base.name;
+  }
 }
 
 // ------------------------------------------------------- golden C source
