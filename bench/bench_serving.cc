@@ -151,14 +151,10 @@ Replay Run(const apps::App& app, const Artifact& artifact,
   replay.outcomes = service.Run(std::move(requests));
   replay.stats = service.stats();
   replay.canon = Canon(replay.outcomes);
-  replay.lost = replay.stats.admitted -
-                (replay.stats.completed + replay.stats.shed_expired);
+  replay.lost = replay.stats.admitted - replay.stats.completed;
   for (std::size_t i = 0; i < replay.outcomes.size(); ++i) {
     const blaze::RequestOutcome& o = replay.outcomes[i];
-    if (o.outcome == blaze::ServeOutcome::kRejectedFull ||
-        o.outcome == blaze::ServeOutcome::kShedExpired) {
-      continue;
-    }
+    if (o.outcome == blaze::ServeOutcome::kRejectedFull) continue;
     if (!Matches(o.output, expected[i])) ++replay.mismatches;
   }
   replay.all_recovered = true;
@@ -245,10 +241,7 @@ int main() {
     std::size_t completed = 0;
     for (std::size_t i = phase.first; i < phase.first + phase.count; ++i) {
       const blaze::RequestOutcome& o = hedged.outcomes[i];
-      if (o.outcome == blaze::ServeOutcome::kRejectedFull ||
-          o.outcome == blaze::ServeOutcome::kShedExpired) {
-        continue;
-      }
+      if (o.outcome == blaze::ServeOutcome::kRejectedFull) continue;
       S2FA_OBSERVE("serving." + std::string(phase.name) + ".latency_us",
                    o.latency_us);
       sum_us += o.latency_us;

@@ -40,6 +40,9 @@ expect_rejected(--fault-burst ARGS serve AES --fault-burst 1:2@0)
 # gone, and a fault-rate outside [0, 1] is a malformed plan.
 expect_rejected(--accel-fault-rate ARGS run AES --accel-fault-rate 0.1)
 expect_rejected(--chaos-plan ARGS serve AES --chaos-plan "fault-rate 1.5")
+# Depth routing is the only shard-selection policy: the flag that picked
+# one is gone.
+expect_rejected(--routing ARGS serve AES --routing depth)
 expect_rejected(S2FA_EVAL_TIMEOUT ENV S2FA_EVAL_TIMEOUT=garbage
                 ARGS explore KMeans)
 # A capacity past unsigned long long must not saturate silently.

@@ -1,11 +1,10 @@
 #include "blaze/chaos.h"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cmath>
 #include <map>
 
+#include "blaze/internal.h"
 #include "resilience/fault.h"
 #include "support/error.h"
 
@@ -13,114 +12,7 @@ namespace s2fa::blaze {
 
 namespace {
 
-// Cursor parser over one whitespace-stripped statement. Every helper
-// throws MalformedInput with the offending statement attached, so a typo
-// in a schedule fails the whole plan load instead of silently injecting a
-// different fault mix.
-class StmtParser {
- public:
-  explicit StmtParser(std::string stmt) : stmt_(std::move(stmt)) {}
-
-  bool ConsumePrefix(std::string_view prefix) {
-    if (stmt_.compare(pos_, prefix.size(), prefix) != 0) return false;
-    pos_ += prefix.size();
-    return true;
-  }
-
-  void Expect(char c) {
-    if (pos_ >= stmt_.size() || stmt_[pos_] != c) {
-      Fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool Consume(char c) {
-    if (pos_ < stmt_.size() && stmt_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool AtEnd() const { return pos_ >= stmt_.size(); }
-
-  void ExpectEnd() {
-    if (!AtEnd()) Fail("trailing junk");
-  }
-
-  std::size_t ParseIndex() {
-    const std::size_t begin = pos_;
-    while (pos_ < stmt_.size() && std::isdigit(Char(pos_))) ++pos_;
-    std::size_t value = 0;
-    const char* first = stmt_.data() + begin;
-    const char* last = stmt_.data() + pos_;
-    auto [ptr, ec] = std::from_chars(first, last, value);
-    if (ec != std::errc() || ptr != last || begin == pos_) {
-      Fail("expected a non-negative integer");
-    }
-    return value;
-  }
-
-  double ParseNumber() {
-    const std::size_t begin = pos_;
-    while (pos_ < stmt_.size() &&
-           (std::isdigit(Char(pos_)) || stmt_[pos_] == '.' ||
-            stmt_[pos_] == 'e' || stmt_[pos_] == 'E' ||
-            ((stmt_[pos_] == '+' || stmt_[pos_] == '-') && pos_ > begin &&
-             (stmt_[pos_ - 1] == 'e' || stmt_[pos_ - 1] == 'E')))) {
-      ++pos_;
-    }
-    if (begin == pos_) Fail("expected a number");
-    const std::string digits = stmt_.substr(begin, pos_ - begin);
-    try {
-      std::size_t used = 0;
-      const double value = std::stod(digits, &used);
-      if (used != digits.size()) Fail("bad number '" + digits + "'");
-      return value;
-    } catch (const std::exception&) {
-      Fail("bad number '" + digits + "'");
-    }
-    return 0;  // unreachable
-  }
-
-  // NUMBER ['us' | 'ms' | 's'] -> microseconds.
-  double ParseTimeUs() {
-    double value = ParseNumber();
-    if (ConsumePrefix("us")) {
-      // microseconds: the default
-    } else if (ConsumePrefix("ms")) {
-      value *= 1e3;
-    } else if (Consume('s')) {
-      value *= 1e6;
-    }
-    if (value < 0 || !std::isfinite(value)) Fail("time must be >= 0");
-    return value;
-  }
-
-  // Tenant / identifier: [A-Za-z0-9_-]+ not starting a reserved char.
-  std::string ParseName() {
-    const std::size_t begin = pos_;
-    while (pos_ < stmt_.size() &&
-           (std::isalnum(Char(pos_)) || stmt_[pos_] == '_' ||
-            stmt_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (begin == pos_) Fail("expected a name");
-    return stmt_.substr(begin, pos_ - begin);
-  }
-
-  [[noreturn]] void Fail(const std::string& why) const {
-    throw MalformedInput("chaos plan: " + why + " in '" + stmt_ + "'");
-  }
-
- private:
-  unsigned char Char(std::size_t i) const {
-    return static_cast<unsigned char>(stmt_[i]);
-  }
-
-  std::string stmt_;
-  std::size_t pos_ = 0;
-};
+using detail::StmtParser;
 
 // Kill/restart schedules per shard must alternate kill, restart, kill, ...
 // in strictly increasing time order or "dead at t" is ambiguous.
@@ -218,7 +110,7 @@ void ParseRate(StmtParser& p, const std::string& what, bool& seen,
 
 void ParseDirective(const std::string& stmt, ChaosPlan& plan,
                     SeenDirectives& seen) {
-  StmtParser p(stmt);
+  StmtParser p("chaos plan", stmt);
   // Longest verb first: "poison-rate" shares the "poison" prefix.
   if (p.ConsumePrefix("poison-rate")) {
     ParseRate(p, "poison", seen.poison_rate, plan.poison_rate,
@@ -288,22 +180,9 @@ void ParseDirective(const std::string& stmt, ChaosPlan& plan,
 ChaosPlan ParseChaosPlan(const std::string& text) {
   ChaosPlan plan;
   SeenDirectives seen;
-  std::string stmt;
-  auto flush = [&plan, &seen, &stmt] {
-    if (!stmt.empty()) {
-      ParseDirective(stmt, plan, seen);
-      stmt.clear();
-    }
-  };
-  for (char c : text) {
-    if (c == ';' || c == '\n') {
-      flush();
-    } else if (!std::isspace(static_cast<unsigned char>(c))) {
-      stmt.push_back(c);
-    }
-  }
-  flush();
-
+  detail::ForEachStatement(text, [&plan, &seen](const std::string& stmt) {
+    ParseDirective(stmt, plan, seen);
+  });
   std::sort(plan.poison_ids.begin(), plan.poison_ids.end());
   ValidateChaosPlan(plan);
   return plan;

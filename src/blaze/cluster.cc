@@ -1,10 +1,10 @@
 #include "blaze/cluster.h"
 
 #include <algorithm>
-#include <cmath>
 #include <future>
 #include <limits>
 
+#include "blaze/internal.h"
 #include "obs/obs.h"
 #include "support/error.h"
 #include "support/logging.h"
@@ -14,20 +14,14 @@ namespace s2fa::blaze {
 
 namespace {
 
+using detail::QuantileNearestRank;
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNoShard = ClusterRequestOutcome::kNoShard;
 // Failovers per request before the host path finishes it.
 constexpr int kMaxRedirects = 2;
 // Tenants first seen on a request join with this weight and no quota.
 constexpr double kDefaultTenantWeight = 1.0;
-
-double QuantileNearestRank(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  double rank = std::ceil(q * static_cast<double>(samples.size())) - 1;
-  auto index = static_cast<std::size_t>(std::max(0.0, rank));
-  return samples[std::min(index, samples.size() - 1)];
-}
 
 }  // namespace
 
@@ -40,21 +34,6 @@ const char* ClusterServeName(ClusterServe outcome) {
     case ClusterServe::kHedgedHost: return "hedged-host";
   }
   S2FA_UNREACHABLE("bad cluster outcome");
-}
-
-Routing ParseRouting(const std::string& text) {
-  if (text == "health") return Routing::kHealth;
-  if (text == "depth") return Routing::kDepth;
-  throw MalformedInput("routing policy must be 'health' or 'depth', got '" +
-                       text + "'");
-}
-
-const char* RoutingName(Routing routing) {
-  switch (routing) {
-    case Routing::kHealth: return "health";
-    case Routing::kDepth: return "depth";
-  }
-  S2FA_UNREACHABLE("bad routing policy");
 }
 
 double TenantStats::LatencyQuantile(double q) const {
@@ -539,8 +518,8 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
   auto choose_shard = [&](const std::string& kernel, double t) {
     Route route;
     std::size_t best_live = kNoShard;
-    double best_score = kInf;
-    double best_tiebreak = kInf;
+    double best_backlog = kInf;
+    double best_occupancy = kInf;
     std::size_t best_live_count = 0;
     std::size_t best_probe = kNoShard;
     bool busy_any = false;
@@ -552,39 +531,20 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
           shard.service->CountHealth(kernel, t);
       if (counts.live() > 0) {
         if (shard.busy_until_us <= t) {
-          // kHealth: least cumulative occupancy, index tie-break —
-          // deterministic least-loaded routing. It is blind to work the
-          // shard still owes that never occupied the dispatch lane: on a
-          // host fallback the lane frees as soon as the accel-side failure
-          // is detected, but the shard's service clock runs ahead to the
-          // host completion, so the next batch routed there silently
-          // serializes behind invisible host work.
-          //
-          // kDepth: route by that true outstanding backlog — how far the
-          // shard's service clock is ahead of now. A shard that looks idle
-          // but owes host work stops winning. Ties fall back to occupancy
-          // normalized by live lanes (so a burst-degraded shard whose
-          // surviving replicas are drowning loses), then prefer more live
-          // replicas, then the lower index.
+          // Depth routing (see the header): least outstanding backlog, then
+          // least busy time per live replica, then more live replicas, then
+          // the lower index.
           const double backlog =
               std::max(shard.service->clock_us() - t, 0.0);
-          const double score = options_.routing == Routing::kDepth
-                                   ? backlog
-                                   : stats_.shards[s].busy_us;
-          const double tiebreak =
-              options_.routing == Routing::kDepth
-                  ? stats_.shards[s].busy_us /
-                        static_cast<double>(counts.live())
-                  : 0.0;
-          const bool better =
-              score < best_score ||
-              (options_.routing == Routing::kDepth && score == best_score &&
-               (tiebreak < best_tiebreak ||
-                (tiebreak == best_tiebreak &&
-                 counts.live() > best_live_count)));
-          if (better) {
-            best_score = score;
-            best_tiebreak = tiebreak;
+          const double occupancy = stats_.shards[s].busy_us /
+                                   static_cast<double>(counts.live());
+          if (backlog < best_backlog ||
+              (backlog == best_backlog &&
+               (occupancy < best_occupancy ||
+                (occupancy == best_occupancy &&
+                 counts.live() > best_live_count)))) {
+            best_backlog = backlog;
+            best_occupancy = occupancy;
             best_live = s;
             best_live_count = counts.live();
           }

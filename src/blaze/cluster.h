@@ -13,6 +13,13 @@
 //     retry, or hedge) wins; later ones are suppressed and counted as
 //     commit conflicts, so an outcome is committed exactly once even when
 //     a hedge and a failover race;
+//   * depth routing — each batch goes to the free live shard with the
+//     least outstanding backlog: how far the shard's service clock is
+//     ahead of now. Lane occupancy alone is blind to work a shard owes
+//     that never held its dispatch lane (a host fallback frees the lane at
+//     failure detection while the service clock runs on to the host
+//     completion). Ties go to less busy time per live replica, then more
+//     live replicas, then the lower index;
 //   * dynamic micro-batching with poison isolation — queued requests with
 //     the same (kernel, broadcast) coalesce into one accelerator
 //     invocation, up to `batch_max_requests` (Reduce kernels never batch
@@ -73,32 +80,16 @@ enum class ClusterServe {
 };
 const char* ClusterServeName(ClusterServe outcome);
 
-// Shard-selection policy. kHealth (default, the original behaviour) picks
-// the free live shard with the least cumulative busy time — blind to work
-// the shard still owes that never occupied its dispatch lane (host
-// fallbacks free the lane early while the shard's service clock runs
-// ahead to the host completion). kDepth scores free live shards by that
-// true outstanding backlog — how far the service clock is ahead of now —
-// with capacity-normalized busy time (cumulative busy divided by live
-// replica lanes) as the tie-break, so a shard that looks idle but owes
-// host work, or whose replicas a fault burst degraded, stops attracting
-// traffic it can no longer absorb promptly.
-enum class Routing { kHealth, kDepth };
-// Parses "health" / "depth"; throws MalformedInput otherwise.
-Routing ParseRouting(const std::string& text);
-const char* RoutingName(Routing routing);
-
 struct ClusterOptions {
   std::size_t queue_capacity = 1024;    // cluster-wide waiting cap
   std::size_t batch_max_requests = 16;  // micro-batch coalescing bound
   double batch_window_us = 0;   // wait this long to fill a batch; 0 = none
   double queue_hedge_us = 0;    // host hedge for requests older than this
-  Routing routing = Routing::kHealth;  // shard-selection policy
   int exec_threads = 1;         // functional fan-out (cluster + shards)
-  std::uint64_t seed = 1;
-  // Template for each shard's service; exec_threads/seed are overridden
-  // per shard (seed is offset by the shard index so failure classification
-  // streams differ across fault domains).
+  // Template for each shard's service. The cluster's exec_threads replaces
+  // the template's; each shard's seed is shard_options.seed offset by the
+  // shard index, so failure classification streams differ across fault
+  // domains.
   ServiceOptions shard_options;
 };
 
@@ -256,7 +247,10 @@ class BlazeCluster {
   bool IsReduceKernel(const std::string& kernel) const;
   // The design used for functional execution of `kernel` (first replica).
   const std::string& ExecAccelFor(const std::string& kernel) const;
-  // Replica lanes on shards alive at `t_us` (chaos kills shrink this).
+  // Replicas on shards alive at `t_us` (chaos kills shrink this). This
+  // counts replicas, not dispatch lanes: the cluster dispatches one batch
+  // per shard at a time, so with several replicas per shard it overstates
+  // the lanes that serve at once.
   std::size_t LiveLanesAt(double t_us) const;
   BlazeRuntime& runtime() { return runtime_; }
 

@@ -1,10 +1,10 @@
 #include "blaze/service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <future>
 #include <limits>
 
+#include "blaze/internal.h"
 #include "obs/obs.h"
 #include "resilience/fault.h"
 #include "support/error.h"
@@ -15,25 +15,20 @@ namespace s2fa::blaze {
 
 namespace {
 
-constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+using detail::QuantileNearestRank;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Fixed serving policy (ServiceOptions documents each where it applies).
 constexpr std::size_t kLatencyWindow = 64;      // hedge latency samples
+constexpr std::size_t kHedgeMinSamples = 8;     // before a hedge arms
+constexpr int kQuarantineConsecutive = 3;       // failures in a row
 constexpr std::size_t kHealthMinSamples = 4;    // capped at health_window
 constexpr double kDegradeThreshold = 0.30;      // window failure rate
 constexpr double kQuarantineThreshold = 0.60;   // window failure rate
 constexpr double kLatencyDegradeFactor = 2.5;   // mean vs cost-model latency
 constexpr double kProbeBackoffMultiplier = 2.0;
 constexpr double kTimeoutDetectMultiplier = 4.0;  // x expected latency
-
-// Nearest-rank quantile (the obs histogram convention). q in [0, 1].
-double QuantileNearestRank(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  double rank = std::ceil(q * static_cast<double>(samples.size())) - 1;
-  auto index = static_cast<std::size_t>(std::max(0.0, rank));
-  return samples[std::min(index, samples.size() - 1)];
-}
 
 }  // namespace
 
@@ -49,7 +44,6 @@ const char* HealthName(AcceleratorHealth health) {
 const char* ServeOutcomeName(ServeOutcome outcome) {
   switch (outcome) {
     case ServeOutcome::kRejectedFull: return "rejected-full";
-    case ServeOutcome::kShedExpired: return "shed-expired";
     case ServeOutcome::kAccelerator: return "accelerator";
     case ServeOutcome::kHost: return "host";
     case ServeOutcome::kHedgedHost: return "hedged-host";
@@ -68,7 +62,6 @@ struct BlazeService::Pending {
   std::size_t id = 0;
   std::size_t request_index = 0;  // into the drained backlog
   double arrival_us = 0;
-  double deadline_abs_us = kNoDeadline;
 };
 
 struct BlazeService::Plan {
@@ -80,7 +73,6 @@ struct BlazeService::Plan {
   int attempts = 0;
   bool probe = false;
   bool hedged = false;
-  bool deadline_missed = false;
   double dispatch_us = 0;
   double complete_us = 0;
   double latency_us = 0;
@@ -165,7 +157,7 @@ ReplicaHealthCounts BlazeService::CountHealth(const std::string& kernel,
   S2FA_REQUIRE(it != kernels_.end(),
                "no replicas enlisted for kernel " << kernel);
   ReplicaHealthCounts counts;
-  counts.next_probe_us = kNoDeadline;
+  counts.next_probe_us = kInf;
   for (std::size_t index : it->second.replicas) {
     const Replica& replica = replicas_[index];
     switch (replica.health) {
@@ -190,7 +182,7 @@ std::optional<double> BlazeService::HedgeDelayUs(
   auto it = kernels_.find(kernel);
   if (it == kernels_.end() || options_.hedge_quantile <= 0) return std::nullopt;
   const auto& window = it->second.latency_window_us;
-  if (window.size() < options_.hedge_min_samples) return std::nullopt;
+  if (window.size() < kHedgeMinSamples) return std::nullopt;
   return QuantileNearestRank({window.begin(), window.end()},
                              options_.hedge_quantile);
 }
@@ -312,7 +304,7 @@ void BlazeService::ApplyHealthSample(Replica& replica,
       enough &&
       mean_latency > kLatencyDegradeFactor * replica.per_invocation.total_us;
 
-  if (replica.consecutive_failures >= options_.quarantine_consecutive ||
+  if (replica.consecutive_failures >= kQuarantineConsecutive ||
       (enough && rate >= kQuarantineThreshold)) {
     replica.health = AcceleratorHealth::kQuarantined;
     replica.window_failed.clear();
@@ -463,12 +455,10 @@ void BlazeService::PlanDispatch(Pending& request, Plan& plan,
   double complete = primary_complete;
   ServeOutcome outcome = primary_outcome;
   double charged = primary_charge;
-  double cancel_after = kNoDeadline;  // drop planned samples past this time
+  double cancel_after = kInf;  // drop planned samples past this time
   const auto armed = [&]() -> std::optional<double> {
     if (options_.hedge_quantile <= 0 || probe) return std::nullopt;
-    if (group.latency_window_us.size() < options_.hedge_min_samples) {
-      return std::nullopt;
-    }
+    if (group.latency_window_us.size() < kHedgeMinSamples) return std::nullopt;
     return scale * QuantileNearestRank({group.latency_window_us.begin(),
                                         group.latency_window_us.end()},
                                        options_.hedge_quantile);
@@ -548,7 +538,6 @@ void BlazeService::PlanDispatch(Pending& request, Plan& plan,
   plan.complete_us = complete;
   plan.latency_us = complete - request.arrival_us;
   plan.charged_us = charged;
-  plan.deadline_missed = complete > request.deadline_abs_us;
   plan.needs_exec = true;
 }
 
@@ -589,15 +578,6 @@ void BlazeService::PlanAll(std::vector<Pending>& pending,
       for (std::size_t w = 0; w < waiting.size(); ++w) {
         Pending& request = pending[waiting[w]];
         Plan& plan = plans[waiting[w]];
-        if (request.deadline_abs_us < t) {
-          plan.outcome = ServeOutcome::kShedExpired;
-          plan.complete_us = t;
-          ++stats_.shed_expired;
-          S2FA_COUNT("blaze.svc.shed_expired", 1);
-          waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(w));
-          progress = true;
-          break;
-        }
         KernelGroup& group = kernels_[backlog_[request.request_index].kernel];
         const ReplicaChoice choice = SelectReplica(group, t);
         if (!choice.found && choice.any_live_lane) continue;  // wait
@@ -617,7 +597,6 @@ void BlazeService::PlanAll(std::vector<Pending>& pending,
                       basis.host_us_per_invocation;
           plan.latency_us = plan.complete_us - request.arrival_us;
           plan.charged_us = plan.complete_us - t;
-          plan.deadline_missed = plan.complete_us > request.deadline_abs_us;
           plan.needs_exec = true;
         } else {
           PlanDispatch(request, plan, choice.replica, t, choice.probe, group);
@@ -658,7 +637,7 @@ void BlazeService::PlanAll(std::vector<Pending>& pending,
       try_dispatch(event.time_us);
     }
   }
-  ApplyHealthEventsUpTo(kNoDeadline);  // absorb trailing samples
+  ApplyHealthEventsUpTo(kInf);  // absorb trailing samples
   for (auto [probe_at, replica] : probe_timers_pending_) {
     (void)probe_at;
     (void)replica;  // no traffic left to probe with; timers expire inertly
@@ -683,11 +662,6 @@ std::vector<RequestOutcome> BlazeService::Drain() {
     pending[i].id = next_id_++;
     pending[i].request_index = i;
     pending[i].arrival_us = std::max(backlog_[i].arrival_us, clock_us_);
-    double deadline = backlog_[i].deadline_us > 0
-                          ? backlog_[i].deadline_us
-                          : options_.default_deadline_us;
-    pending[i].deadline_abs_us =
-        deadline > 0 ? pending[i].arrival_us + deadline : kNoDeadline;
     ++stats_.submitted;
     S2FA_COUNT("blaze.svc.submitted", 1);
   }
@@ -744,7 +718,6 @@ std::vector<RequestOutcome> BlazeService::Drain() {
     outcome.attempts = plan.attempts;
     outcome.probe = plan.probe;
     outcome.hedged = plan.hedged;
-    outcome.deadline_missed = plan.deadline_missed;
     outcome.dispatch_us = plan.dispatch_us;
     outcome.complete_us = plan.complete_us;
     outcome.latency_us = plan.latency_us;
@@ -757,10 +730,6 @@ std::vector<RequestOutcome> BlazeService::Drain() {
       default: continue;  // shed: no completion bookkeeping
     }
     ++stats_.completed;
-    if (plan.deadline_missed) {
-      ++stats_.deadline_misses;
-      S2FA_COUNT("blaze.svc.deadline_misses", 1);
-    }
     stats_.latencies_us.push_back(plan.latency_us);
     S2FA_COUNT("blaze.svc.completed", 1);
     S2FA_OBSERVE("blaze.svc.latency_us", plan.latency_us);

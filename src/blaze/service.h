@@ -6,10 +6,10 @@
 // policy (retry once, then the host), plus everything else a shared
 // deployment needs between "works" and "falls over":
 //
-//   * a bounded admission queue with deadline-aware load shedding —
-//     arrivals beyond the queue capacity are rejected, queued requests
-//     whose deadline expires before dispatch are dropped, and both land in
-//     a shed ledger (`ServiceStats`) instead of vanishing;
+//   * a bounded admission queue — arrivals beyond the queue capacity are
+//     rejected into a shed ledger (`ServiceStats`) instead of vanishing.
+//     Deadlines are not the service's: the streaming session above the
+//     cluster owns them (StreamOptions::slo_us);
 //   * a per-replica health state machine (healthy → degraded →
 //     quarantined) driven by a rolling failure-rate / latency window.
 //     Failures reuse the resilience taxonomy: an injected fault manifests
@@ -18,8 +18,8 @@
 //     Quarantined replicas take no traffic until a probe request —
 //     dispatched after an exponentially backed-off eligibility delay —
 //     succeeds and re-enlists them;
-//   * hedged dispatch: once enough completions seed the rolling latency
-//     window, a request whose accelerator path outlives the
+//   * hedged dispatch: once 8 accelerator completions seed the rolling
+//     latency window, a request whose accelerator path outlives the
 //     `hedge_quantile` latency starts a host-path hedge at that delay and
 //     takes whichever finishes first, cancelling the loser's charge;
 //   * replica selection: several accelerators may be registered for one
@@ -85,7 +85,6 @@ struct ReplicaHealthCounts {
 // How one submitted request ended.
 enum class ServeOutcome {
   kRejectedFull,   // shed at admission: queue was full
-  kShedExpired,    // shed in the queue: deadline passed before dispatch
   kAccelerator,    // completed on an accelerator replica
   kHost,           // completed on the host path (direct or after failures)
   kHedgedHost,     // completed on a host hedge that beat the accelerator
@@ -94,21 +93,18 @@ const char* ServeOutcomeName(ServeOutcome outcome);
 
 struct ServiceOptions {
   std::size_t queue_capacity = 64;  // bounded admission queue (waiting)
-  double default_deadline_us = 0;   // per-request deadline; 0 = none
 
-  // Hedging. A hedge arms once `hedge_min_samples` accelerator completions
-  // seed the per-kernel rolling latency window (the last 64); the hedge
-  // delay is that window's `hedge_quantile` latency. 0 disables hedging.
+  // Hedging. A hedge arms once 8 accelerator completions seed the
+  // per-kernel rolling latency window (the last 64); the hedge delay is
+  // that window's `hedge_quantile` latency. 0 disables hedging.
   double hedge_quantile = 0.95;
-  std::size_t hedge_min_samples = 8;
 
   // Health state machine (per replica, over the last `health_window`
   // finished attempts, once 4 have landed): a window failure rate of 0.30,
-  // or a mean latency 2.5x the cost model's, degrades; 0.60 or
-  // `quarantine_consecutive` failures in a row quarantine. Failed probes
-  // double the backoff up to `probe_backoff_max_us`.
+  // or a mean latency 2.5x the cost model's, degrades; 0.60 or 3 failures
+  // in a row quarantine. Failed probes double the backoff up to
+  // `probe_backoff_max_us`.
   std::size_t health_window = 16;
-  int quarantine_consecutive = 3;      // consecutive failures trip at once
   double probe_backoff_us = 50e3;      // first probe after quarantine
   double probe_backoff_max_us = 1.6e6;
 
@@ -126,7 +122,6 @@ struct ServiceRequest {
   // One-record shared data; must outlive the drain that serves the request.
   const Dataset* broadcast = nullptr;
   double arrival_us = 0;  // simulated arrival (clamped to the service clock)
-  double deadline_us = 0; // relative to arrival; 0 = options default
 };
 
 struct RequestOutcome {
@@ -136,7 +131,6 @@ struct RequestOutcome {
   int attempts = 0;         // accelerator attempts planned
   bool probe = false;       // served as a quarantine probe
   bool hedged = false;      // a hedge was launched
-  bool deadline_missed = false;  // completed after its deadline
   double dispatch_us = 0;   // simulated dispatch time
   double complete_us = 0;   // simulated completion time
   double latency_us = 0;    // complete - arrival (0 for shed requests)
@@ -149,12 +143,10 @@ struct ServiceStats {
   std::size_t submitted = 0;
   std::size_t admitted = 0;
   std::size_t rejected_full = 0;   // shed at admission
-  std::size_t shed_expired = 0;    // shed from the queue
   std::size_t completed = 0;
   std::size_t completed_accel = 0;
   std::size_t completed_host = 0;      // host fallback or host-direct
   std::size_t completed_hedge = 0;     // host hedge beat the accelerator
-  std::size_t deadline_misses = 0;     // completed, but late
 
   std::size_t accel_attempts = 0;
   std::size_t accel_failures = 0;

@@ -1,13 +1,12 @@
 #include "blaze/stream.h"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cmath>
 #include <limits>
 #include <queue>
 #include <span>
 
+#include "blaze/internal.h"
 #include "obs/obs.h"
 #include "support/error.h"
 #include "support/logging.h"
@@ -21,114 +20,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // tenancy is accounted per record by the session itself).
 constexpr const char* kClusterTenant = "stream";
 
-double QuantileNearestRank(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  double rank = std::ceil(q * static_cast<double>(samples.size())) - 1;
-  auto index = static_cast<std::size_t>(std::max(0.0, rank));
-  return samples[std::min(index, samples.size() - 1)];
-}
-
-// Cursor parser over one whitespace-stripped statement, the chaos-plan
-// idiom: every helper throws MalformedInput with the offending statement
-// attached.
-class StmtParser {
- public:
-  explicit StmtParser(std::string stmt) : stmt_(std::move(stmt)) {}
-
-  bool ConsumePrefix(std::string_view prefix) {
-    if (stmt_.compare(pos_, prefix.size(), prefix) != 0) return false;
-    pos_ += prefix.size();
-    return true;
-  }
-
-  void Expect(char c) {
-    if (pos_ >= stmt_.size() || stmt_[pos_] != c) {
-      Fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  void ExpectEnd() {
-    if (pos_ < stmt_.size()) Fail("trailing junk");
-  }
-
-  std::size_t ParseIndex() {
-    const std::size_t begin = pos_;
-    while (pos_ < stmt_.size() && std::isdigit(Char(pos_))) ++pos_;
-    std::size_t value = 0;
-    const char* first = stmt_.data() + begin;
-    const char* last = stmt_.data() + pos_;
-    auto [ptr, ec] = std::from_chars(first, last, value);
-    if (ec != std::errc() || ptr != last || begin == pos_) {
-      Fail("expected a non-negative integer");
-    }
-    return value;
-  }
-
-  double ParseNumber() {
-    const std::size_t begin = pos_;
-    while (pos_ < stmt_.size() &&
-           (std::isdigit(Char(pos_)) || stmt_[pos_] == '.' ||
-            stmt_[pos_] == 'e' || stmt_[pos_] == 'E' ||
-            ((stmt_[pos_] == '+' || stmt_[pos_] == '-') && pos_ > begin &&
-             (stmt_[pos_ - 1] == 'e' || stmt_[pos_ - 1] == 'E')))) {
-      ++pos_;
-    }
-    if (begin == pos_) Fail("expected a number");
-    const std::string digits = stmt_.substr(begin, pos_ - begin);
-    try {
-      std::size_t used = 0;
-      const double value = std::stod(digits, &used);
-      if (used != digits.size()) Fail("bad number '" + digits + "'");
-      return value;
-    } catch (const std::exception&) {
-      Fail("bad number '" + digits + "'");
-    }
-    return 0;  // unreachable
-  }
-
-  // NUMBER ['us' | 'ms' | 's'] -> microseconds.
-  double ParseTimeUs() {
-    double value = ParseNumber();
-    if (ConsumePrefix("us")) {
-      // microseconds: the default
-    } else if (ConsumePrefix("ms")) {
-      value *= 1e3;
-    } else if (pos_ < stmt_.size() && stmt_[pos_] == 's') {
-      ++pos_;
-      value *= 1e6;
-    }
-    if (value < 0 || !std::isfinite(value)) Fail("time must be >= 0");
-    return value;
-  }
-
-  std::string ParseName() {
-    const std::size_t begin = pos_;
-    while (pos_ < stmt_.size() &&
-           (std::isalnum(Char(pos_)) || stmt_[pos_] == '_' ||
-            stmt_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (begin == pos_) Fail("expected a name");
-    return stmt_.substr(begin, pos_ - begin);
-  }
-
-  [[noreturn]] void Fail(const std::string& why) const {
-    throw MalformedInput("arrival schedule: " + why + " in '" + stmt_ + "'");
-  }
-
- private:
-  unsigned char Char(std::size_t i) const {
-    return static_cast<unsigned char>(stmt_[i]);
-  }
-
-  std::string stmt_;
-  std::size_t pos_ = 0;
-};
-
 void ParseArrivalDirective(const std::string& stmt, ArrivalSchedule& out) {
-  StmtParser p(stmt);
+  detail::StmtParser p("arrival schedule", stmt);
   if (!p.ConsumePrefix("arrive")) p.Fail("unknown directive");
   ArrivalPhase phase;
   phase.tenant = p.ParseName();
@@ -160,21 +53,9 @@ const char* StreamOutcomeName(StreamOutcome outcome) {
 
 ArrivalSchedule ParseArrivalSchedule(const std::string& text) {
   ArrivalSchedule schedule;
-  std::string stmt;
-  auto flush = [&schedule, &stmt] {
-    if (!stmt.empty()) {
-      ParseArrivalDirective(stmt, schedule);
-      stmt.clear();
-    }
-  };
-  for (char c : text) {
-    if (c == ';' || c == '\n') {
-      flush();
-    } else if (!std::isspace(static_cast<unsigned char>(c))) {
-      stmt.push_back(c);
-    }
-  }
-  flush();
+  detail::ForEachStatement(text, [&schedule](const std::string& stmt) {
+    ParseArrivalDirective(stmt, schedule);
+  });
   ValidateArrivalSchedule(schedule);
   return schedule;
 }
@@ -201,7 +82,7 @@ void ValidateArrivalSchedule(const ArrivalSchedule& schedule) {
 
 double StreamStats::LatencyQuantile(double q) const {
   S2FA_REQUIRE(q >= 0 && q <= 1.0, "quantile must be in [0, 1]");
-  return QuantileNearestRank(latencies_us, q);
+  return detail::QuantileNearestRank(latencies_us, q);
 }
 
 StreamSession::StreamSession(BlazeCluster& cluster, StreamOptions options)

@@ -27,7 +27,10 @@
 //
 //   * a deterministic overload-control ladder, driven by measured queue
 //     delay from a capacity model (modeled accelerator backlog over live
-//     lanes — kills shrink capacity), engaging in threshold order:
+//     lanes — kills shrink capacity; the lanes are BlazeCluster::
+//     LiveLanesAt's replica count, which exceeds the batches the cluster
+//     actually runs at once when a shard has several replicas), engaging
+//     in threshold order:
 //       (1) CoDel-style queue management — when delay has exceeded
 //           `codel_target_us` continuously for `codel_interval_us`,
 //           closing batches shed the members whose SLO deadline is

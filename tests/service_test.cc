@@ -74,13 +74,11 @@ struct Fixture {
   }
 };
 
-ServiceRequest Req(int records, double arrival_us = 0,
-                   double deadline_us = 0) {
+ServiceRequest Req(int records, double arrival_us = 0) {
   ServiceRequest request;
   request.kernel = "doubler";
   request.input = DoublerInput(records);
   request.arrival_us = arrival_us;
-  request.deadline_us = deadline_us;
   return request;
 }
 
@@ -90,8 +88,7 @@ AccelFaultInjector Bursts(const std::string& plan) {
 }
 
 bool IsShed(const RequestOutcome& outcome) {
-  return outcome.outcome == ServeOutcome::kRejectedFull ||
-         outcome.outcome == ServeOutcome::kShedExpired;
+  return outcome.outcome == ServeOutcome::kRejectedFull;
 }
 
 void ExpectDoubled(const RequestOutcome& outcome, int records) {
@@ -108,7 +105,7 @@ std::string Canon(const std::vector<RequestOutcome>& outcomes) {
   os << std::hexfloat;
   for (const auto& o : outcomes) {
     os << o.id << '|' << ServeOutcomeName(o.outcome) << '|' << o.replica
-       << '|' << o.attempts << '|' << o.probe << o.hedged << o.deadline_missed
+       << '|' << o.attempts << '|' << o.probe << o.hedged
        << '|' << o.dispatch_us << '|' << o.complete_us << '|' << o.latency_us
        << '|' << o.charged_us << '|';
     for (std::size_t c = 0; c < o.output.num_columns(); ++c) {
@@ -137,19 +134,6 @@ TEST(ServiceTest, RejectsWhenQueueFull) {
   EXPECT_EQ(service.stats().admitted, 2u);
   EXPECT_EQ(service.stats().max_queue_depth, 1u);
   ExpectDoubled(outcomes[1], 16);
-}
-
-TEST(ServiceTest, ShedsExpiredDeadlineFromQueue) {
-  Fixture fx;
-  BlazeService service = fx.MakeService();
-  // A long request holds the lane; the short-deadline request behind it
-  // expires before the lane frees and is shed, not served late.
-  auto outcomes = service.Run({Req(512), Req(8, 0, /*deadline_us=*/1.0)});
-  EXPECT_EQ(outcomes[0].outcome, ServeOutcome::kAccelerator);
-  EXPECT_EQ(outcomes[1].outcome, ServeOutcome::kShedExpired);
-  EXPECT_EQ(service.stats().shed_expired, 1u);
-  EXPECT_EQ(service.stats().completed, 1u);
-  EXPECT_DOUBLE_EQ(outcomes[1].latency_us, 0.0);
 }
 
 // ---------------------------------------------------------------- health
@@ -353,13 +337,13 @@ TEST(ServiceTest, HedgingReducesTailAndCancelsLoserCharge) {
 
 TEST(ServiceTest, HedgeDelayArmsAfterMinSamples) {
   Fixture fx;
-  ServiceOptions options;
-  options.hedge_min_samples = 4;
-  BlazeService service = fx.MakeService(options);
-  EXPECT_FALSE(service.HedgeDelayUs("doubler").has_value());
+  BlazeService service = fx.MakeService();
+  // The hedge arms at the 8th accelerator completion, not before.
   std::vector<ServiceRequest> requests;
-  for (int i = 0; i < 4; ++i) requests.push_back(Req(8, i * 1e4));
+  for (int i = 0; i < 7; ++i) requests.push_back(Req(8, i * 1e4));
   service.Run(std::move(requests));
+  EXPECT_FALSE(service.HedgeDelayUs("doubler").has_value());
+  service.Run({Req(8, 8e4)});
   ASSERT_TRUE(service.HedgeDelayUs("doubler").has_value());
   EXPECT_GT(*service.HedgeDelayUs("doubler"), 0.0);
 }
@@ -379,8 +363,7 @@ TEST(ServiceTest, NoAdmittedRequestLostUnderFaultBurst) {
   auto outcomes = service.Run(std::move(requests));
   const ServiceStats& stats = service.stats();
   EXPECT_EQ(stats.submitted, 24u);
-  EXPECT_EQ(stats.admitted,
-            stats.completed + stats.shed_expired);
+  EXPECT_EQ(stats.admitted, stats.completed);
   for (const auto& o : outcomes) {
     if (IsShed(o)) continue;
     ExpectDoubled(o, static_cast<int>(o.output.num_records()));
@@ -509,9 +492,7 @@ TEST(ServiceTest, BurstInjectorWindowsAreHalfOpen) {
 
 TEST(ServiceTest, CountHealthTracksReplicaStates) {
   Fixture fx(2);
-  ServiceOptions options;
-  options.quarantine_consecutive = 2;
-  BlazeService service = fx.MakeService(options, 2);
+  BlazeService service = fx.MakeService({}, 2);
   ReplicaHealthCounts counts = service.CountHealth("doubler", 0);
   EXPECT_EQ(counts.healthy, 2u);
   EXPECT_EQ(counts.degraded, 0u);

@@ -295,9 +295,6 @@ const std::vector<Knob>& KnobTable() {
       {"chaos-plan", "PLAN", "S2FA_CHAOS_PLAN", kServe, "",
        Parses(blaze::ParseChaosPlan, "a chaos plan"),
        "scripted fault schedule (grammar in blaze/chaos.h)"},
-      {"routing", "health|depth", "S2FA_ROUTING", kServe,
-       blaze::RoutingName(blaze::ClusterOptions{}.routing),
-       Parses(blaze::ParseRouting, "health|depth"), "shard-selection policy"},
       {"stream", nullptr, "S2FA_STREAM", kServe, "", nullptr,
        "stream records through StreamSession (env: any value but 0)"},
       {"arrival-rate", "R", "S2FA_ARRIVAL_RATE", kServe, "1", Positive(),
@@ -681,10 +678,9 @@ int RunStreamServe(apps::App& app, const Knobs& knobs,
       [](const auto& a, const auto& b) { return a.second < b.second; });
 
   std::printf("stream serving %d records x %zu input records on %zu "
-              "shard%s (%.2fx capacity, slo %.0f us, %s routing)\n",
+              "shard%s (%.2fx capacity, slo %.0f us)\n",
               requests, records, shards, shards == 1 ? "" : "s",
-              arrival_rate, sopts.slo_us,
-              blaze::RoutingName(blaze::ParseRouting(knobs.Str("routing"))));
+              arrival_rate, sopts.slo_us);
   std::printf("arrivals:  %zu; committed %zu cluster + %zu host; shed %zu "
               "(%zu unmeetable, %zu brownout, %zu retry-budget, %zu "
               "queue-full); %zu lost\n",
@@ -739,9 +735,7 @@ int ServeThroughCluster(apps::App& app, const Knobs& knobs,
   blaze::ClusterOptions coptions;
   coptions.shard_options = service;
   coptions.exec_threads = service.exec_threads;
-  coptions.seed = service.seed;
   coptions.queue_capacity = service.queue_capacity;
-  coptions.routing = blaze::ParseRouting(knobs.Str("routing"));
   blaze::BlazeCluster cluster(runtime, coptions);
   for (std::size_t s = 0; s < shards; ++s) cluster.AddShard();
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -821,12 +815,10 @@ int ServeThroughCluster(apps::App& app, const Knobs& knobs,
   const std::size_t lost =
       s.submitted - s.completed - s.rejected_full - s.tenant_throttled;
   std::printf("cluster serving %d requests x %zu records on %zu shard%s "
-              "(%zu replicas, queue %zu, batch <= %zu, %d exec threads, "
-              "%s routing)\n",
+              "(%zu replicas, queue %zu, batch <= %zu, %d exec threads)\n",
               requests, records, shards, shards == 1 ? "" : "s",
               ids.size(), coptions.queue_capacity,
-              coptions.batch_max_requests, coptions.exec_threads,
-              blaze::RoutingName(coptions.routing));
+              coptions.batch_max_requests, coptions.exec_threads);
   std::printf("admitted:  %zu/%zu (%zu rejected at the gate, %zu tenant "
               "throttled), max queue depth %zu\n",
               s.admitted, s.submitted, s.rejected_full, s.tenant_throttled,
@@ -945,28 +937,24 @@ int CmdServe(const Knobs& knobs) {
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const blaze::RequestOutcome& o = outcomes[i];
-    if (o.outcome == blaze::ServeOutcome::kRejectedFull ||
-        o.outcome == blaze::ServeOutcome::kShedExpired) {
-      continue;
-    }
+    if (o.outcome == blaze::ServeOutcome::kRejectedFull) continue;
     mismatches += CountMismatches(expected[i], o.output);
   }
 
   const blaze::ServiceStats& s = service.stats();
-  const std::size_t lost = s.admitted - (s.completed + s.shed_expired);
+  const std::size_t lost = s.admitted - s.completed;
   std::printf("serving %d requests x %zu records on %d replica%s "
               "(queue %zu, hedge q=%.2f, window %zu, %d exec threads)\n",
               requests, records, replicas, replicas == 1 ? "" : "s",
               options.queue_capacity, options.hedge_quantile,
               options.health_window, options.exec_threads);
-  std::printf("admitted:  %zu/%zu (%zu rejected at the gate, %zu shed "
-              "expired), max queue depth %zu\n",
-              s.admitted, s.submitted, s.rejected_full, s.shed_expired,
-              s.max_queue_depth);
+  std::printf("admitted:  %zu/%zu (%zu rejected at the gate), max queue "
+              "depth %zu\n",
+              s.admitted, s.submitted, s.rejected_full, s.max_queue_depth);
   std::printf("completed: %zu (%zu accelerator, %zu host, %zu hedged host), "
-              "%zu lost, %zu deadline misses\n",
+              "%zu lost\n",
               s.completed, s.completed_accel, s.completed_host,
-              s.completed_hedge, lost, s.deadline_misses);
+              s.completed_hedge, lost);
   std::printf("latency:   p50 %.0f / p95 %.0f / p99 %.0f us\n",
               s.LatencyQuantile(0.5), s.LatencyQuantile(0.95),
               s.LatencyQuantile(0.99));
