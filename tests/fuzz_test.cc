@@ -12,7 +12,10 @@
 //
 // All three must agree bit-for-bit on random inputs: the compiler's
 // end-to-end correctness obligation (paper Challenge 1), probed over many
-// random programs instead of hand-picked ones.
+// random programs instead of hand-picked ones. The served path -- columns
+// serialized into device buffers, the registered lane program, results
+// deserialized back into columns -- is held to the same bit-for-bit bar
+// through BlazeRuntime::Map/Reduce.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,6 +24,7 @@
 #include <map>
 
 #include "b2c/compiler.h"
+#include "blaze/runtime.h"
 #include "jvm/assembler.h"
 #include "jvm/interpreter.h"
 #include "jvm/verifier.h"
@@ -605,6 +609,121 @@ void RunLaneDifferential(std::uint64_t seed, FuzzShape shape) {
   Rng trng(seed ^ 0x7117ULL);
   ExpectLanesMatchReference(kernel, in, trng);
 }
+
+// The records [0, rows) of `in` as the runtime's input dataset: one
+// column per input field of FuzzIn.
+blaze::Dataset ToDataset(const Inputs& in, std::size_t rows) {
+  blaze::Dataset data;
+  auto add = [&](const char* field, const std::vector<float>& values,
+                 std::size_t per_record) {
+    blaze::Column column;
+    column.field = field;
+    column.element = Type::Float();
+    column.per_record = static_cast<std::int64_t>(per_record);
+    for (std::size_t e = 0; e < rows * per_record; ++e) {
+      column.data.push_back(Value::OfFloat(values[e]));
+    }
+    data.AddColumn(std::move(column));
+  };
+  add("_1", in.a1, kArrayLen);
+  add("_2", in.a2, kArrayLen);
+  add("_3", in.scalar, 1);
+  return data;
+}
+
+// The served path against the interpreter: the kernel (and, for a map, a
+// task-tiled design of it) is registered with a BlazeRuntime, and Map/Reduce run on
+// 1, 3, batch - 1 and batch rows (maps also on two and a bit batches, so
+// the last invocation is partial). Every output record must equal the
+// interpreter's bit for bit. A reduce runs only the compiled kernel, and
+// within one invocation: a tiled reduce may re-associate its float sum,
+// and across invocations the runtime sums partials in double, neither of
+// which the JVM's sequential fold does.
+void RunServedDifferential(std::uint64_t seed, FuzzShape shape,
+                           std::int64_t batch_size) {
+  SCOPED_TRACE("seed=" + std::to_string(seed) + " shape=" +
+               std::to_string(static_cast<int>(shape)) + " batch=" +
+               std::to_string(batch_size));
+  FuzzCase fc = GenerateKernel(seed, shape, batch_size);
+  jvm::VerifyOrThrow(*fc.pool, fc.pool->Get("FuzzKernel").GetMethod("call"));
+  const kir::Kernel kernel = b2c::CompileKernel(*fc.pool, fc.spec);
+  const bool reduce = shape != FuzzShape::kMap;
+  const auto batch = static_cast<std::size_t>(batch_size);
+  Rng drng(seed ^ 0x5E7EULL);
+  const Inputs in = RandomInputs(3 * batch, drng);
+
+  blaze::BlazeRuntime runtime;
+  Rng crng(seed ^ 0xD351ULL);
+  std::vector<kir::Kernel> designs;
+  designs.push_back(kernel.Clone());
+  if (!reduce) {
+    designs.push_back(
+        merlin::ApplyDesign(kernel, TaskTiledConfig(kernel, crng)).kernel);
+  }
+  for (std::size_t d = 0; d < designs.size(); ++d) {
+    blaze::RegisteredAccelerator accel;
+    accel.design = designs[d].Clone();
+    accel.hls.exec_us = 1.0;
+    accel.plan = blaze::MakeSerializationPlan(accel.design);
+    runtime.manager().Register("d" + std::to_string(d), std::move(accel));
+  }
+
+  std::vector<std::size_t> row_counts = {1, 3, batch - 1, batch};
+  if (!reduce) row_counts.push_back(2 * batch + 5);
+  jvm::Heap heap;
+  jvm::Interpreter interp(*fc.pool, heap);
+  for (std::size_t rows : row_counts) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    const blaze::Dataset input = ToDataset(in, rows);
+    std::vector<Value> want;
+    if (reduce) {
+      Value acc = shape == FuzzShape::kReduceDouble ? Value::OfDouble(0.0)
+                                                    : Value::OfFloat(0.0f);
+      for (std::size_t r = 0; r < rows; ++r) {
+        acc = interp.Invoke("FuzzKernel", "call",
+                            {acc, MakeRecord(heap, in, r)})
+                  .ret;
+      }
+      want.push_back(acc);
+    } else {
+      for (std::size_t r = 0; r < rows; ++r) {
+        want.push_back(
+            interp.Invoke("FuzzKernel", "call", {MakeRecord(heap, in, r)})
+                .ret);
+      }
+    }
+    for (std::size_t d = 0; d < designs.size(); ++d) {
+      SCOPED_TRACE("design " + std::to_string(d));
+      const std::string id = "d" + std::to_string(d);
+      const blaze::Dataset out = reduce ? runtime.Reduce(id, input)
+                                        : runtime.Map(id, input);
+      const blaze::Column& ret = out.ColumnByField("ret");
+      ASSERT_EQ(ret.data.size(), want.size());
+      for (std::size_t r = 0; r < want.size(); ++r) {
+        ASSERT_EQ(ValueKind(ret.data[r]), ValueKind(want[r])) << "record " << r;
+        ASSERT_EQ(ValueBits(ret.data[r]), ValueBits(want[r])) << "record " << r;
+      }
+    }
+  }
+}
+
+class ServedDifferentialFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(ServedDifferentialFuzz, RuntimeMatchesInterpreterPerRecord) {
+  // A small batch, and one spanning two lane chunks.
+  const std::int64_t batches[] = {24, kir::kLaneChunk + 44};
+  for (int k = 0; k < 2; ++k) {
+    const auto seed = static_cast<std::uint64_t>(GetParam()) * 1000 + 900 +
+                      static_cast<std::uint64_t>(k);
+    for (FuzzShape shape : {FuzzShape::kMap, FuzzShape::kReduceFloat,
+                            FuzzShape::kReduceDouble}) {
+      RunServedDifferential(seed, shape, batches[k]);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ServedDifferentialFuzz,
+                         ::testing::Range(0, 8));
 
 class DifferentialFuzz : public ::testing::TestWithParam<int> {};
 
