@@ -87,9 +87,10 @@ BENCHMARK(BM_InterpreterBatch);
 
 void BM_KirEvalBatch(benchmark::State& state) {
   // The accelerator-side half of a Blaze invocation: evaluate the kernel
-  // IR over one already-serialized batch (what RunBatch does per attempt,
-  // minus the packing measured by BM_SerializationRoundTrip). One op is
-  // one batch; items/s counts its records.
+  // IR over one already-serialized batch in typed device buffers (what
+  // RunBatch does per attempt, minus the packing measured by
+  // BM_SerializationRoundTrip). One op is one batch; items/s counts its
+  // records.
   Fixture& f = Svm();
   blaze::SerializationPlan plan = blaze::MakeSerializationPlan(f.kernel);
   const std::size_t records = static_cast<std::size_t>(plan.batch);
@@ -97,15 +98,14 @@ void BM_KirEvalBatch(benchmark::State& state) {
   blaze::Dataset input = f.app.make_input(records, rng);
   Rng brng(10);
   blaze::Dataset broadcast = f.app.make_broadcast(brng);
-  kir::BufferMap buffers;
+  kir::DeviceBuffers buffers;
   blaze::SerializeBatch(plan, input, 0, records, buffers, &broadcast);
   kir::Evaluator evaluator(f.kernel);
   const std::map<std::string, jvm::Value> scalars = {
       {"N", jvm::Value::OfInt(static_cast<std::int32_t>(records))}};
   for (auto _ : state) {
-    kir::BufferMap batch = buffers;
-    evaluator.Run(scalars, batch);
-    benchmark::DoNotOptimize(batch);
+    evaluator.Run(scalars, buffers);
+    benchmark::DoNotOptimize(buffers);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(records));
@@ -113,8 +113,9 @@ void BM_KirEvalBatch(benchmark::State& state) {
 BENCHMARK(BM_KirEvalBatch);
 
 void BM_SerializationRoundTrip(benchmark::State& state) {
-  // Pack one batch into kernel buffers and unpack the results — the JVM
-  // boundary cost the paper's method generator (§3.2) automates away.
+  // Pack one batch into the typed device buffers and unpack the results,
+  // as BlazeRuntime::Map does per batch — the JVM boundary cost the
+  // paper's method generator (§3.2) automates away.
   Fixture& f = Svm();
   blaze::SerializationPlan plan = blaze::MakeSerializationPlan(f.kernel);
   const std::size_t records = static_cast<std::size_t>(plan.batch);
@@ -124,18 +125,14 @@ void BM_SerializationRoundTrip(benchmark::State& state) {
   blaze::Dataset broadcast = f.app.make_broadcast(brng);
   // Output buffers come from one evaluator run; the loop then measures
   // pure (de)serialization against them.
-  kir::BufferMap outputs;
-  blaze::SerializeBatch(plan, input, 0, records, outputs, &broadcast);
+  kir::DeviceBuffers buffers;
+  blaze::SerializeBatch(plan, input, 0, records, buffers, &broadcast);
   kir::Evaluator(f.kernel).Run(
       {{"N", jvm::Value::OfInt(static_cast<std::int32_t>(records))}},
-      outputs);
+      buffers);
   blaze::Dataset out = blaze::MakeOutputShell(plan, records);
   for (auto _ : state) {
-    kir::BufferMap buffers;
     blaze::SerializeBatch(plan, input, 0, records, buffers, &broadcast);
-    for (const auto& [name, values] : outputs) {
-      buffers.emplace(name, values);
-    }
     blaze::DeserializeBatch(plan, buffers, 0, records, out);
     benchmark::DoNotOptimize(out);
   }

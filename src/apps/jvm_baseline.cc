@@ -79,10 +79,10 @@ void StoreResult(Heap& heap, const b2c::IoSpec& out_spec, const Value& ret,
       S2FA_REQUIRE(arr.slots.size() >= stride,
                    "returned array shorter than field " << f.name);
       for (std::size_t e = 0; e < stride; ++e) {
-        col.data[r * stride + e] = arr.slots[e];
+        col.data.Set(r * stride + e, arr.slots[e]);
       }
     } else {
-      col.data[r] = v;
+      col.data.Set(r, v);
     }
   };
   store_any = [&](const b2c::FieldSpec& f, const std::string& path,
@@ -195,7 +195,7 @@ JvmRunResult RunOnJvm(const App& app, const blaze::Dataset& input,
     result.output = MakeOutputShellFromSpec(spec.output, 1);
     for (std::size_t k = 0; k < spec.output.fields.size(); ++k) {
       result.output.MutableColumnByField(spec.output.fields[k].name)
-          .data[0] = acc_values[k];
+          .data.Set(0, acc_values[k]);
     }
     return result;
   }

@@ -7,6 +7,9 @@ namespace s2fa::blaze {
 void Dataset::AddColumn(Column column) {
   S2FA_REQUIRE(!column.field.empty(), "column needs a field name");
   S2FA_REQUIRE(column.per_record >= 1, "per_record must be >= 1");
+  if (column.element.is_primitive()) {
+    column.data.ConvertTo(jvm::StorageOf(column.element));
+  }
   S2FA_REQUIRE(column.data.size() % static_cast<std::size_t>(
                                         column.per_record) ==
                    0,
@@ -70,18 +73,29 @@ Dataset ConcatDatasets(const std::vector<const Dataset*>& inputs) {
   S2FA_CHECK(!inputs.empty(), "empty batch");
   if (inputs.size() == 1) return *inputs.front();
   const Dataset& first = *inputs.front();
+  for (std::size_t i = 1; i < inputs.size(); ++i) {
+    S2FA_CHECK(inputs[i]->num_columns() == first.num_columns(),
+               "batched requests disagree on column count");
+  }
   Dataset out;
   for (std::size_t c = 0; c < first.num_columns(); ++c) {
-    Column column = first.column(c);
-    for (std::size_t i = 1; i < inputs.size(); ++i) {
-      S2FA_CHECK(inputs[i]->num_columns() == first.num_columns(),
-                 "batched requests disagree on column count");
-      const Column& other = inputs[i]->column(c);
-      S2FA_CHECK(other.field == column.field &&
-                     other.per_record == column.per_record,
+    const Column& head = first.column(c);
+    Column column;
+    column.field = head.field;
+    column.element = head.element;
+    column.per_record = head.per_record;
+    column.data = jvm::PrimitiveArray(head.data.storage());
+    std::size_t total = 0;
+    for (const Dataset* input : inputs) {
+      const Column& other = input->column(c);
+      S2FA_CHECK(other.field == head.field &&
+                     other.per_record == head.per_record,
                  "batched requests disagree on schema");
-      column.data.insert(column.data.end(), other.data.begin(),
-                         other.data.end());
+      total += other.data.size();
+    }
+    column.data.reserve(total);
+    for (const Dataset* input : inputs) {
+      column.data.Append(input->column(c).data);
     }
     out.AddColumn(std::move(column));
   }
@@ -103,10 +117,7 @@ Dataset SliceRecords(const Dataset& data, std::size_t begin,
     piece.element = column.element;
     piece.per_record = column.per_record;
     const auto per = static_cast<std::size_t>(column.per_record);
-    piece.data.assign(
-        column.data.begin() + static_cast<std::ptrdiff_t>(begin * per),
-        column.data.begin() +
-            static_cast<std::ptrdiff_t>((begin + count) * per));
+    piece.data = jvm::PrimitiveArray(column.data, begin * per, count * per);
     out.AddColumn(std::move(piece));
   }
   return out;

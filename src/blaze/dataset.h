@@ -5,13 +5,21 @@
 // elements (1 for scalar fields). This mirrors what Blaze ships across the
 // JVM/FPGA boundary after (de)serialization, and lets the runtime slice
 // batches without touching a JVM heap.
+//
+// A column's elements are one typed jvm::PrimitiveArray in the storage
+// class of its element type (a byte column stores sign-extended int32, a
+// float column 4-byte floats), so concatenating and slicing batches are
+// block copies. Once a column is in a Dataset its array holds exactly that
+// class: AddColumn converts data built in another one. The array's
+// Value-level surface (push_back, operator[], range-for) is for the JVM
+// boundary and for building inputs, not for the served path.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "jvm/value.h"
+#include "jvm/primitive_array.h"
 
 namespace s2fa::blaze {
 
@@ -19,14 +27,15 @@ struct Column {
   std::string field;             // source field name, e.g. "_1"
   jvm::Type element;             // primitive element type
   std::int64_t per_record = 1;   // elements per record
-  std::vector<jvm::Value> data;  // num_records * per_record values
+  jvm::PrimitiveArray data;      // num_records * per_record values
 };
 
 class Dataset {
  public:
   Dataset() = default;
 
-  // Adds a column; all columns must agree on the record count.
+  // Adds a column; all columns must agree on the record count. Data held
+  // in another storage class is converted to the element type's.
   void AddColumn(Column column);
 
   std::size_t num_records() const { return num_records_; }
@@ -47,13 +56,14 @@ class Dataset {
   bool has_columns_ = false;
 };
 
-// Concatenates datasets column-wise into one batch. All members must share
-// a schema (the serving layers batch by kernel, so a mismatch is a caller
-// bug worth failing loudly on).
+// Concatenates datasets column-wise into one batch, one block copy per
+// member column. All members must share a schema (the serving layers batch
+// by kernel, so a mismatch is a caller bug worth failing loudly on).
 Dataset ConcatDatasets(const std::vector<const Dataset*>& inputs);
 
-// Slices `count` records starting at `begin` out of a batch result. The
-// range must lie inside `data`; a zero-count slice keeps the schema.
+// Slices `count` records starting at `begin` out of a batch result (one
+// block copy per column). The range must lie inside `data`; a zero-count
+// slice keeps the schema.
 Dataset SliceRecords(const Dataset& data, std::size_t begin,
                      std::size_t count);
 

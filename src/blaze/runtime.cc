@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 
 #include "obs/obs.h"
 #include "support/error.h"
@@ -25,25 +26,21 @@ double InterfaceBytes(const RegisteredAccelerator& accel) {
 // Adds one invocation's partial into the running total of a reduce
 // output element. Floating partials sum in double (narrowed once at the
 // end); integral ones wrap in their own width, like Java's `+`.
-jvm::Value AddPartial(const jvm::Value& sum, const jvm::Value& partial) {
-  if (sum.is_long()) {
-    return jvm::Value::OfLong(static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(sum.AsLong()) +
-        static_cast<std::uint64_t>(partial.AsLong())));
+template <typename T>
+auto AddPartial(T sum, T partial) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return sum + partial;
+  } else {
+    using U = std::make_unsigned_t<T>;
+    return static_cast<T>(static_cast<U>(sum) + static_cast<U>(partial));
   }
-  if (sum.is_int()) {
-    return jvm::Value::OfInt(static_cast<std::int32_t>(
-        static_cast<std::uint32_t>(sum.AsInt()) +
-        static_cast<std::uint32_t>(partial.AsInt())));
-  }
-  return jvm::Value::OfDouble(sum.AsDouble() + partial.AsDouble());
 }
 
 // Serializes and executes one batch and charges it one invocation.
 void RunBatch(const RegisteredAccelerator& accel, const Dataset& input,
               const Dataset* broadcast, std::size_t first, std::size_t count,
               const ExecutionStats& per_invocation, kir::Evaluator& evaluator,
-              kir::BufferMap& buffers, ExecutionStats& total) {
+              kir::DeviceBuffers& buffers, ExecutionStats& total) {
   SerializeBatch(accel.plan, input, first, count, buffers, broadcast);
   // The zero-padded tasks past `count` are only host work: the modeled
   // invocation (InvocationCost) still charges the full batch.
@@ -147,10 +144,12 @@ Dataset BlazeRuntime::Map(const std::string& accel_id, const Dataset& input,
   const ExecutionStats per_invocation = InvocationCost(accel);
 
   const std::size_t batch = static_cast<std::size_t>(plan.batch);
+  // Device buffers live across the call's batches: each batch overwrites
+  // its inputs and the evaluator resets its outputs and locals.
+  kir::DeviceBuffers buffers;
   for (std::size_t first = 0; first < input.num_records(); first += batch) {
     const std::size_t count =
         std::min(batch, input.num_records() - first);
-    kir::BufferMap buffers;
     RunBatch(accel, input, broadcast, first, count, per_invocation,
              evaluator, buffers, total);
     DeserializeBatch(plan, buffers, first, count, out);
@@ -174,48 +173,48 @@ Dataset BlazeRuntime::Reduce(const std::string& accel_id,
   const std::size_t batch = static_cast<std::size_t>(plan.batch);
 
   Dataset result = MakeOutputShell(plan, 1);
-  // Additive accumulators, one per column element; float partials are
-  // carried as doubles.
-  std::vector<jvm::Value> partials;
-  bool first_invocation = true;
+  // Additive accumulators, one per output element, in the element's
+  // storage class except that float partials are carried as doubles.
+  std::vector<jvm::PrimitiveArray> partials;
+  for (const auto& entry : plan.entries) {
+    if (entry.is_input) continue;
+    const jvm::Storage storage = jvm::StorageOf(entry.element);
+    partials.emplace_back(
+        storage == jvm::Storage::kF32 ? jvm::Storage::kF64 : storage,
+        static_cast<std::size_t>(entry.per_task));
+  }
 
+  kir::DeviceBuffers buffers;
   for (std::size_t first = 0; first < input.num_records(); first += batch) {
     const std::size_t count = std::min(batch, input.num_records() - first);
-    kir::BufferMap buffers;
     RunBatch(accel, input, broadcast, first, count, per_invocation,
              evaluator, buffers, total);
     // Combine invocation partials additively on the host.
-    std::size_t cursor = 0;
+    std::size_t k = 0;
     for (const auto& entry : plan.entries) {
       if (entry.is_input) continue;
-      const auto& buf = buffers.at(entry.buffer);
-      for (std::size_t e = 0;
-           e < static_cast<std::size_t>(entry.per_task); ++e, ++cursor) {
-        const jvm::Value value = buf[e].is_float()
-                                     ? jvm::Value::OfDouble(buf[e].AsFloat())
-                                     : buf[e];
-        if (first_invocation) {
-          partials.push_back(value);
-        } else {
-          partials[cursor] = AddPartial(partials[cursor], value);
+      jvm::PrimitiveArray& sums = partials[k++];
+      const jvm::PrimitiveArray& buf = buffers[entry.slot];
+      jvm::WithStorage(buf.storage(), [&](auto tag) {
+        using T = decltype(tag);
+        using Sum = std::conditional_t<std::is_same_v<T, float>, double, T>;
+        const T* got = buf.values<T>().data();
+        const std::span<Sum> sum = sums.values<Sum>();
+        for (std::size_t e = 0; e < sum.size(); ++e) {
+          sum[e] = first == 0 ? static_cast<Sum>(got[e])
+                              : AddPartial(sum[e], static_cast<Sum>(got[e]));
         }
-      }
+      });
     }
-    first_invocation = false;
   }
 
-  std::size_t cursor = 0;
+  // Narrowed once into the result (no input: it stays zero).
+  std::size_t k = 0;
   for (const auto& entry : plan.entries) {
     if (entry.is_input) continue;
     Column& col = result.MutableColumnByField(entry.source_field);
-    for (std::size_t e = 0;
-         e < static_cast<std::size_t>(entry.per_task); ++e, ++cursor) {
-      if (cursor >= partials.size()) continue;  // no input: stays zero
-      const jvm::Value& v = partials[cursor];
-      col.data[e] = entry.element.kind() == jvm::TypeKind::kFloat
-                        ? jvm::Value::OfFloat(static_cast<float>(v.AsDouble()))
-                        : v;
-    }
+    col.data.CopyRange(partials[k], 0, partials[k].size(), 0);
+    ++k;
   }
   Finish(accel, total, stats);
   return result;

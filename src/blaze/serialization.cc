@@ -21,40 +21,6 @@ bool IsBroadcastSource(const std::string& source) {
   return source.rfind("bcast.", 0) == 0;
 }
 
-// Column-to-buffer element conversion for the narrowed-type fallback: a
-// double column feeding a float buffer narrows like the generated C's
-// buffer store would.
-jvm::Value CoerceToElement(const jvm::Type& element, const jvm::Value& v) {
-  auto to_double = [&]() -> double {
-    if (v.is_int()) return v.AsInt();
-    if (v.is_long()) return static_cast<double>(v.AsLong());
-    if (v.is_float()) return v.AsFloat();
-    return v.AsDouble();
-  };
-  auto to_long = [&]() -> std::int64_t {
-    if (v.is_int()) return v.AsInt();
-    if (v.is_long()) return v.AsLong();
-    if (v.is_float()) return static_cast<std::int64_t>(v.AsFloat());
-    return static_cast<std::int64_t>(v.AsDouble());
-  };
-  switch (element.kind()) {
-    case jvm::TypeKind::kFloat:
-      return jvm::Value::OfFloat(static_cast<float>(to_double()));
-    case jvm::TypeKind::kDouble:
-      return jvm::Value::OfDouble(to_double());
-    case jvm::TypeKind::kLong:
-      return jvm::Value::OfLong(to_long());
-    default:
-      return jvm::Value::OfInt(static_cast<std::int32_t>(to_long()));
-  }
-}
-
-// True when `col` values can be block-copied into a buffer of `element`
-// without per-element conversion.
-bool SameElementKind(const jvm::Type& col, const jvm::Type& element) {
-  return col.kind() == element.kind();
-}
-
 }  // namespace
 
 const PlanEntry* SerializationPlan::FindBuffer(
@@ -74,10 +40,13 @@ SerializationPlan MakeSerializationPlan(const kir::Kernel& kernel) {
   S2FA_REQUIRE(task_loop != nullptr,
                "kernel has no task loop; not a template-generated kernel");
   plan.batch = task_loop->trip_count();
-  for (const auto& buf : kernel.buffers) {
+  plan.num_buffers = kernel.buffers.size();
+  for (std::size_t slot = 0; slot < kernel.buffers.size(); ++slot) {
+    const kir::Buffer& buf = kernel.buffers[slot];
     if (buf.kind == kir::BufferKind::kLocal) continue;
     PlanEntry entry;
     entry.buffer = buf.name;
+    entry.slot = slot;
     entry.source_field = FieldOfSource(buf.source_field);
     entry.element = buf.element;
     entry.per_task = buf.per_task > 0 ? buf.per_task : 1;
@@ -98,13 +67,16 @@ SerializationPlan MakeSerializationPlan(const kir::Kernel& kernel) {
 
 void SerializeBatch(const SerializationPlan& plan, const Dataset& dataset,
                     std::size_t first_record, std::size_t count,
-                    kir::BufferMap& buffers, const Dataset* broadcast) {
+                    kir::DeviceBuffers& buffers, const Dataset* broadcast) {
   S2FA_REQUIRE(count <= static_cast<std::size_t>(plan.batch),
                "batch overflow: " << count << " > " << plan.batch);
   S2FA_REQUIRE(first_record + count <= dataset.num_records(),
                "record range out of bounds");
+  buffers.resize(plan.num_buffers);
   for (const auto& entry : plan.entries) {
     if (!entry.is_input) continue;
+    jvm::PrimitiveArray& buf = buffers[entry.slot];
+    const jvm::Storage storage = jvm::StorageOf(entry.element);
     if (entry.broadcast) {
       S2FA_REQUIRE(broadcast != nullptr,
                    "plan needs broadcast data for " << entry.source_field);
@@ -113,7 +85,8 @@ void SerializeBatch(const SerializationPlan& plan, const Dataset& dataset,
                        broadcast->num_records() == 1,
                    "broadcast column " << entry.source_field
                                        << " has wrong shape");
-      buffers[entry.buffer] = bc.data;
+      buf.AssignZero(storage, 0);
+      buf.Append(bc.data);
       continue;
     }
     const Column& col = dataset.ColumnByField(entry.source_field);
@@ -121,26 +94,47 @@ void SerializeBatch(const SerializationPlan& plan, const Dataset& dataset,
                  "column " << entry.source_field << " has per_record "
                            << col.per_record << ", accelerator expects "
                            << entry.per_task);
-    auto& buf = buffers[entry.buffer];
     const std::size_t stride = static_cast<std::size_t>(entry.per_task);
-    const std::size_t total = static_cast<std::size_t>(plan.batch) * stride;
-    const std::size_t used = count * stride;
-    // Short final batches are zero-padded to the full batch size: one pass
-    // writes the default everywhere, then the live prefix is copied over.
-    buf.assign(total, jvm::DefaultValue(entry.element));
-    const jvm::Value* src = col.data.data() + first_record * stride;
-    if (SameElementKind(col.element, entry.element)) {
-      // Zero-copy fast path: the record range is one contiguous slice of
-      // the column (records are `stride` consecutive elements), and Value
-      // is trivially copyable, so the whole batch is a single block copy.
-      std::copy_n(src, used, buf.data());
-    } else {
-      // Narrowed-type fallback: per-element conversion to the buffer's
-      // element kind.
-      for (std::size_t e = 0; e < used; ++e) {
-        buf[e] = CoerceToElement(entry.element, src[e]);
-      }
-    }
+    // Short final batches are zero-padded to the full batch size: the
+    // buffer is zero-filled, then the live prefix -- one contiguous slice
+    // of the column, records being `stride` consecutive elements -- is
+    // copied over (a block copy, cast per element only when the column's
+    // storage class differs from the buffer's).
+    buf.AssignZero(storage, static_cast<std::size_t>(plan.batch) * stride);
+    buf.CopyRange(col.data, first_record * stride, count * stride, 0);
+  }
+}
+
+void SerializeBatch(const SerializationPlan& plan, const Dataset& dataset,
+                    std::size_t first_record, std::size_t count,
+                    kir::BufferMap& buffers, const Dataset* broadcast) {
+  kir::DeviceBuffers typed;
+  SerializeBatch(plan, dataset, first_record, count, typed, broadcast);
+  for (const auto& entry : plan.entries) {
+    if (!entry.is_input) continue;
+    const jvm::PrimitiveArray& buf = typed[entry.slot];
+    buffers[entry.buffer] = jvm::ToValues(buf);
+  }
+}
+
+void DeserializeBatch(const SerializationPlan& plan,
+                      const kir::DeviceBuffers& buffers,
+                      std::size_t first_record, std::size_t count,
+                      Dataset& out) {
+  S2FA_REQUIRE(buffers.size() == plan.num_buffers,
+               "plan has " << plan.num_buffers << " buffers, "
+                           << buffers.size() << " given");
+  for (const auto& entry : plan.entries) {
+    if (entry.is_input) continue;
+    const jvm::PrimitiveArray& buf = buffers[entry.slot];
+    Column& col = out.MutableColumnByField(entry.source_field);
+    const std::size_t stride = static_cast<std::size_t>(entry.per_task);
+    // A reduce result is a single record per invocation, stored at
+    // first_record (the runtime later combines invocation results).
+    const std::size_t used = entry.per_invocation ? stride : count * stride;
+    S2FA_REQUIRE(buf.size() >= used,
+                 "output buffer " << entry.buffer << " too small");
+    col.data.CopyRange(buf, 0, used, first_record * stride);
   }
 }
 
@@ -148,37 +142,16 @@ void DeserializeBatch(const SerializationPlan& plan,
                       const kir::BufferMap& buffers,
                       std::size_t first_record, std::size_t count,
                       Dataset& out) {
+  kir::DeviceBuffers typed(plan.num_buffers);
   for (const auto& entry : plan.entries) {
     if (entry.is_input) continue;
     auto it = buffers.find(entry.buffer);
     S2FA_REQUIRE(it != buffers.end(),
                  "missing output buffer " << entry.buffer);
-    Column& col = out.MutableColumnByField(entry.source_field);
-    const std::size_t stride = static_cast<std::size_t>(entry.per_task);
-    const std::vector<jvm::Value>& buf = it->second;
-    if (entry.per_invocation) {
-      // Reduce result: a single record per invocation; store at
-      // first_record (the runtime later combines invocation results).
-      S2FA_REQUIRE(buf.size() >= stride,
-                   "output buffer " << entry.buffer << " too small");
-      std::copy_n(buf.data(), stride,
-                  col.data.data() + first_record * stride);
-      continue;
-    }
-    const std::size_t used = count * stride;
-    S2FA_REQUIRE(buf.size() >= used,
-                 "output buffer " << entry.buffer << " too small");
-    if (SameElementKind(entry.element, col.element)) {
-      // Zero-copy fast path (mirror of SerializeBatch).
-      std::copy_n(buf.data(), used,
-                  col.data.data() + first_record * stride);
-    } else {
-      jvm::Value* dst = col.data.data() + first_record * stride;
-      for (std::size_t e = 0; e < used; ++e) {
-        dst[e] = CoerceToElement(col.element, buf[e]);
-      }
-    }
+    typed[entry.slot] =
+        jvm::FromValues(jvm::StorageOf(entry.element), it->second);
   }
+  DeserializeBatch(plan, typed, first_record, count, out);
 }
 
 Dataset MakeOutputShell(const SerializationPlan& plan,
@@ -190,8 +163,9 @@ Dataset MakeOutputShell(const SerializationPlan& plan,
     col.field = entry.source_field;
     col.element = entry.element;
     col.per_record = entry.per_task;
-    col.data.assign(num_records * static_cast<std::size_t>(entry.per_task),
-                    jvm::DefaultValue(entry.element));
+    col.data = jvm::PrimitiveArray(
+        jvm::StorageOf(entry.element),
+        num_records * static_cast<std::size_t>(entry.per_task));
     out.AddColumn(std::move(col));
   }
   return out;

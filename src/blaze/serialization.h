@@ -6,6 +6,14 @@
 // also renders the equivalent Scala helper the real S2FA would generate
 // (a template instantiated with reflection-driven field accessors) — kept
 // as a documentation artifact and exercised by examples.
+//
+// SerializeBatch / DeserializeBatch move records between typed columns
+// and the evaluator's typed device buffers (kir::DeviceBuffers, bound by
+// buffer slot): one block copy per interface buffer and batch, with a
+// per-element cast only where a column's storage class differs from the
+// buffer's (a double column feeding a float buffer). The kir::BufferMap
+// forms are thin adapters over the typed ones, boxing each element, for
+// callers at the JVM boundary (reference-evaluator tests, layer probes).
 #pragma once
 
 #include <string>
@@ -19,6 +27,7 @@ namespace s2fa::blaze {
 
 struct PlanEntry {
   std::string buffer;        // kernel buffer name (in_1, out_2, ...)
+  std::size_t slot = 0;      // its index in Kernel::buffers
   std::string source_field;  // dataset column field ("_1", "ret", ...)
   jvm::Type element;
   std::int64_t per_task = 1;
@@ -33,6 +42,7 @@ struct PlanEntry {
 struct SerializationPlan {
   std::string kernel_name;
   std::int64_t batch = 0;  // tasks per accelerator invocation
+  std::size_t num_buffers = 0;  // the kernel's buffers, locals included
   std::vector<PlanEntry> entries;
 
   const PlanEntry* FindBuffer(const std::string& buffer) const;
@@ -43,10 +53,17 @@ struct SerializationPlan {
 SerializationPlan MakeSerializationPlan(const kir::Kernel& kernel);
 
 // Packs records [first_record, first_record + count) of `dataset` into the
-// kernel input buffers. Short final batches are zero-padded to the batch
-// size (the accelerator always processes a full batch). `broadcast` must be
-// a one-record dataset providing every broadcast field the plan names (may
-// be null when the plan has none).
+// kernel's input device buffers (`buffers` is sized to the plan's buffer
+// count; output and local slots are left for Evaluator::Run to reset).
+// Short final batches are zero-padded to the batch size (the accelerator
+// always processes a full batch). `broadcast` must be a one-record dataset
+// providing every broadcast field the plan names (may be null when the plan
+// has none).
+void SerializeBatch(const SerializationPlan& plan, const Dataset& dataset,
+                    std::size_t first_record, std::size_t count,
+                    kir::DeviceBuffers& buffers,
+                    const Dataset* broadcast = nullptr);
+// The same into named buffers: the input entries of `buffers` are replaced.
 void SerializeBatch(const SerializationPlan& plan, const Dataset& dataset,
                     std::size_t first_record, std::size_t count,
                     kir::BufferMap& buffers,
@@ -54,6 +71,10 @@ void SerializeBatch(const SerializationPlan& plan, const Dataset& dataset,
 
 // Unpacks output buffers into `out` columns at the same record range; the
 // columns must exist and be pre-sized.
+void DeserializeBatch(const SerializationPlan& plan,
+                      const kir::DeviceBuffers& buffers,
+                      std::size_t first_record, std::size_t count,
+                      Dataset& out);
 void DeserializeBatch(const SerializationPlan& plan,
                       const kir::BufferMap& buffers,
                       std::size_t first_record, std::size_t count,

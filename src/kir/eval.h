@@ -54,6 +54,12 @@
 //    raised is the one the sequential walk raises first, with the same
 //    type and message.
 //
+//    Buffers are bound by slot (the kernel's buffer order) to typed device
+//    arrays, jvm::PrimitiveArray in the buffer element's storage class, so
+//    a load or store moves a raw int32/int64/float/double: the served path
+//    (Blaze) serializes columns straight into those arrays. Every index is
+//    still bounds-checked against the bound array's size.
+//
 //    Run may be given the batch's live task count. Blaze zero-pads a short
 //    final batch, and on the lane path (lane_width() > 1) the tasks at or
 //    past that count are unobservable padding: their interface writes land
@@ -73,11 +79,13 @@
 //    and equal step counts, so the fast path can never silently diverge.
 //
 // Both keep the map-keyed Run signature, so they are drop-in
-// interchangeable. The lane executor assumes a well-typed kernel: a
-// scalar name has one storage class (int32/int64/float/double) wherever it
-// occurs and both arms of a select agree; CompileLaneProgram throws
-// MalformedInput otherwise. Buffer elements are read as their declared
-// element class.
+// interchangeable; Evaluator's map form is a thin adapter over its typed
+// form that converts each element once on the way in and out (through
+// jvm::FromValue / ToValue, the one Value conversion). The lane executor
+// assumes a well-typed kernel: a scalar name has one storage class
+// (int32/int64/float/double) wherever it occurs and both arms of a select
+// agree; CompileLaneProgram throws MalformedInput otherwise. Buffer
+// elements are read as their declared element class.
 #pragma once
 
 #include <cstdint>
@@ -87,6 +95,7 @@
 #include <string>
 #include <vector>
 
+#include "jvm/primitive_array.h"
 #include "jvm/value.h"
 #include "kir/kernel.h"
 
@@ -98,6 +107,10 @@ using jvm::Value;
 // buffer's declared length times the task count where applicable; outputs
 // and locals are zero-initialized by Run if absent.
 using BufferMap = std::map<std::string, std::vector<Value>>;
+
+// Typed device buffers bound by slot: slot i is Kernel::buffers[i], held in
+// its element type's storage class (jvm::StorageOf).
+using DeviceBuffers = std::vector<jvm::PrimitiveArray>;
 
 // Run's default live task count: the whole batch.
 inline constexpr std::int64_t kAllTasks =
@@ -131,6 +144,14 @@ class Evaluator {
   // `live_tasks` (>= 0) bounds the tasks a lane-path run evaluates; see
   // the file comment for when padding is skipped.
   void Run(const std::map<std::string, Value>& scalars, BufferMap& buffers,
+           std::int64_t live_tasks = kAllTasks);
+
+  // The typed form (the served path). `buffers` holds one array per kernel
+  // buffer. Inputs are read as bound and must be in their storage class;
+  // every output and local is reset to its declared length, zero-filled,
+  // before the kernel runs, as for a fresh invocation. A caller reusing
+  // `buffers` across batches reuses their allocations.
+  void Run(const std::map<std::string, Value>& scalars, DeviceBuffers& buffers,
            std::int64_t live_tasks = kAllTasks);
 
   // Instruction-ish step count of the last Run (sanity/runaway guard).

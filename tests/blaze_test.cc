@@ -127,6 +127,156 @@ TEST(DatasetTest, SliceRecordsRejectsARangePastTheEnd) {
   EXPECT_EQ(SliceRecords(d, 4, 1).num_records(), 1u);
 }
 
+// Raw payload bits of a numeric Value (NaN payloads included).
+std::uint64_t Bits(const Value& v) {
+  std::uint64_t bits = 0;
+  if (v.is_int()) return static_cast<std::uint32_t>(v.AsInt());
+  if (v.is_long()) return static_cast<std::uint64_t>(v.AsLong());
+  if (v.is_float()) {
+    const float f = v.AsFloat();
+    std::memcpy(&bits, &f, sizeof f);
+  } else {
+    const double d = v.AsDouble();
+    std::memcpy(&bits, &d, sizeof d);
+  }
+  return bits;
+}
+
+Column MakeColumn(const std::string& field, const Type& element,
+                  const std::vector<Value>& values,
+                  std::int64_t per_record = 1) {
+  Column c;
+  c.field = field;
+  c.element = element;
+  c.per_record = per_record;
+  for (const Value& v : values) c.data.push_back(v);
+  return c;
+}
+
+TEST(ColumnTest, ValueViewRoundTripsEveryStorageClassBitForBit) {
+  float nan_f = 0;
+  const std::uint32_t nan_f_bits = 0x7fa00001u;  // a signaling NaN payload
+  std::memcpy(&nan_f, &nan_f_bits, sizeof nan_f);
+  double nan_d = 0;
+  const std::uint64_t nan_d_bits = 0xfff8000000abcdefULL;
+  std::memcpy(&nan_d, &nan_d_bits, sizeof nan_d);
+  const std::int64_t past_2_53 = (std::int64_t{1} << 53) + 1;
+  const std::vector<std::pair<Type, std::vector<Value>>> cases = {
+      {Type::Int(),
+       {Value::OfInt(std::numeric_limits<std::int32_t>::min()),
+        Value::OfInt(-1), Value::OfInt(std::numeric_limits<std::int32_t>::max())}},
+      {Type::Long(),
+       {Value::OfLong(std::numeric_limits<std::int64_t>::min()),
+        Value::OfLong(past_2_53), Value::OfLong(-past_2_53)}},
+      {Type::Float(),
+       {Value::OfFloat(-0.0f), Value::OfFloat(nan_f),
+        Value::OfFloat(std::numeric_limits<float>::denorm_min())}},
+      {Type::Double(),
+       {Value::OfDouble(-0.0), Value::OfDouble(nan_d),
+        Value::OfDouble(-std::numeric_limits<double>::infinity())}},
+      // A byte column stores the sign-extended int, as the JVM stack does.
+      {Type::Byte(),
+       {Value::OfInt(static_cast<std::int8_t>(0xff)),
+        Value::OfInt(static_cast<std::int8_t>(0x80)), Value::OfInt(127)}},
+  };
+  for (const auto& [type, values] : cases) {
+    SCOPED_TRACE(type.ToString());
+    Dataset d;
+    d.AddColumn(MakeColumn("c", type, values));
+    const Column& c = d.ColumnByField("c");
+    EXPECT_EQ(c.data.storage(), jvm::StorageOf(type));
+    ASSERT_EQ(c.data.size(), values.size());
+    std::size_t i = 0;
+    for (const Value& v : c.data) {  // range-for yields const Value&
+      EXPECT_EQ(jvm::StorageOf(v), jvm::StorageOf(values[i]));
+      EXPECT_EQ(Bits(v), Bits(values[i])) << i;
+      EXPECT_EQ(Bits(c.data.at(i)), Bits(values[i])) << i;
+      ++i;
+    }
+    // Copies, concatenation and slices carry the bits unchanged.
+    const Dataset both = ConcatDatasets({&d, &d});
+    const Dataset back = SliceRecords(both, values.size(), values.size());
+    for (std::size_t e = 0; e < values.size(); ++e) {
+      EXPECT_EQ(Bits(back.ColumnByField("c").data[e]), Bits(values[e])) << e;
+    }
+  }
+  EXPECT_EQ(Value::OfInt(static_cast<std::int8_t>(0xff)).AsInt(), -1);
+}
+
+TEST(ColumnTest, AddColumnConvertsDataToTheElementStorageClass) {
+  // Data pushed as doubles into a float column is stored as floats, and
+  // int data in a long column as longs.
+  Dataset d;
+  d.AddColumn(MakeColumn("f", Type::Float(),
+                         {Value::OfDouble(0.1), Value::OfDouble(-2.5)}));
+  d.AddColumn(MakeColumn("l", Type::Long(), {Value::OfInt(-7), Value::OfInt(3)}));
+  const Column& f = d.ColumnByField("f");
+  EXPECT_EQ(f.data.storage(), jvm::Storage::kF32);
+  EXPECT_TRUE(f.data[0].is_float());
+  EXPECT_EQ(f.data[0].AsFloat(), static_cast<float>(0.1));
+  const Column& l = d.ColumnByField("l");
+  EXPECT_EQ(l.data.storage(), jvm::Storage::kI64);
+  EXPECT_EQ(l.data[0].AsLong(), -7);
+}
+
+// Three records over a mixed schema: a float pair, a long, a byte triple.
+Dataset MixedRecords(int base) {
+  Dataset d;
+  std::vector<Value> pairs, longs, bytes;
+  for (int r = 0; r < 3; ++r) {
+    pairs.push_back(Value::OfFloat(static_cast<float>(base + r) + 0.5f));
+    pairs.push_back(Value::OfFloat(-static_cast<float>(base + r)));
+    longs.push_back(Value::OfLong((std::int64_t{1} << 60) + base + r));
+    for (int b = 0; b < 3; ++b) {
+      bytes.push_back(Value::OfInt(static_cast<std::int8_t>(base * 40 + r + b)));
+    }
+  }
+  d.AddColumn(MakeColumn("p", Type::Float(), pairs, 2));
+  d.AddColumn(MakeColumn("l", Type::Long(), longs));
+  d.AddColumn(MakeColumn("b", Type::Byte(), bytes, 3));
+  return d;
+}
+
+TEST(ColumnTest, ConcatSliceAndBytesOnMixedSchemas) {
+  const Dataset a = MixedRecords(0);
+  const Dataset b = MixedRecords(3);
+  // Per record: 2 floats (8 bytes) + 1 long (8) + 3 bytes (3).
+  EXPECT_DOUBLE_EQ(a.TotalBytes(), 3 * 19.0);
+  const Dataset both = ConcatDatasets({&a, &b});
+  ASSERT_EQ(both.num_records(), 6u);
+  EXPECT_DOUBLE_EQ(both.TotalBytes(), 6 * 19.0);
+  for (std::size_t c = 0; c < both.num_columns(); ++c) {
+    const Column& got = both.column(c);
+    const Column& head = a.column(c);
+    const Column& tail = b.column(c);
+    SCOPED_TRACE(got.field);
+    EXPECT_EQ(got.data.storage(), head.data.storage());
+    ASSERT_EQ(got.data.size(), head.data.size() + tail.data.size());
+    for (std::size_t e = 0; e < got.data.size(); ++e) {
+      const Value want = e < head.data.size()
+                             ? head.data[e]
+                             : tail.data[e - head.data.size()];
+      EXPECT_EQ(Bits(got.data[e]), Bits(want)) << e;
+    }
+  }
+  // Records 2..4 straddle the two members.
+  const Dataset mid = SliceRecords(both, 2, 3);
+  ASSERT_EQ(mid.num_records(), 3u);
+  EXPECT_DOUBLE_EQ(mid.TotalBytes(), 3 * 19.0);
+  EXPECT_EQ(mid.ColumnByField("p").data[0].AsFloat(), 2.5f);
+  EXPECT_EQ(mid.ColumnByField("p").data[2].AsFloat(), 3.5f);
+  EXPECT_EQ(mid.ColumnByField("l").data[2].AsLong(),
+            (std::int64_t{1} << 60) + 4);
+  EXPECT_EQ(mid.ColumnByField("b").data[8].AsInt(),
+            static_cast<std::int8_t>(3 * 40 + 1 + 2));
+  // Members that disagree on the schema are a caller bug.
+  Dataset other;
+  other.AddColumn(MakeColumn("p", Type::Float(), {Value::OfFloat(1)}, 1));
+  other.AddColumn(MakeColumn("l", Type::Long(), {Value::OfLong(1)}));
+  other.AddColumn(MakeColumn("b", Type::Byte(), {Value::OfInt(1)}, 1));
+  EXPECT_THROW(ConcatDatasets({&a, &other}), InternalError);
+}
+
 // ------------------------------------------------- serialization plan
 
 // Simple map kernel for plan tests: double in, double out.
@@ -278,7 +428,36 @@ TEST(SerializationTest, NarrowedColumnFallsBackToElementConversion) {
                     static_cast<float>(i + 0.25));
   }
 
+  // The typed device buffers see the same narrowing, in the buffer's
+  // storage class.
+  kir::DeviceBuffers device;
+  SerializeBatch(plan, input, 0, 3, device);
+  ASSERT_EQ(device.size(), k.buffers.size());
+  const jvm::PrimitiveArray& in_1 = device[plan.FindBuffer("in_1")->slot];
+  EXPECT_EQ(in_1.storage(), jvm::Storage::kF32);
+  ASSERT_EQ(in_1.size(), 4u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(in_1.values<float>()[static_cast<std::size_t>(i)],
+              static_cast<float>(i + 0.25));
+  }
+  EXPECT_EQ(Bits(in_1[3]), 0u);  // zero padding
+  kir::Evaluator(k).Run({{"N", Value::OfInt(3)}}, device, 3);
+
   // And back out: float kernel results land in a double output column.
+  Dataset typed_out;
+  Column ty;
+  ty.field = "y";
+  ty.element = Type::Double();
+  ty.data.assign(4, Value::OfDouble(-1.0));
+  typed_out.AddColumn(ty);
+  DeserializeBatch(plan, device, 0, 3, typed_out);
+  for (int i = 0; i < 4; ++i) {
+    const Value v = typed_out.ColumnByField("y").data[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(v.is_double());
+    EXPECT_EQ(v.AsDouble(), i < 3 ? static_cast<double>(
+                                        static_cast<float>(i + 0.25) + 1.0f)
+                                  : -1.0);
+  }
   buffers["out_1"].assign(4, Value::OfFloat(2.5f));
   Dataset out_ds;
   Column y;
