@@ -166,13 +166,14 @@ PhaseResult Check(const std::vector<blaze::StreamRecordOutcome>& outs,
   result.accounted =
       stats.arrivals == count &&
       stats.committed + stats.committed_host + stats.shed_total() == count &&
-      stats.watermark_trace.size() == count;
+      outs.size() == count;
   result.watermark_monotone = true;
   double last = 0;
-  for (const auto& [seq, at] : stats.watermark_trace) {
-    (void)seq;
-    if (at < last) result.watermark_monotone = false;
-    last = at;
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    if (outs[i].seq != i || outs[i].external_commit_us < last) {
+      result.watermark_monotone = false;
+    }
+    last = outs[i].external_commit_us;
   }
   if (stats.watermark_us != last) result.watermark_monotone = false;
   return result;

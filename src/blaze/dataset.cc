@@ -19,13 +19,12 @@ void Dataset::AddColumn(Column column) {
                          << column.per_record);
   std::size_t records =
       column.data.size() / static_cast<std::size_t>(column.per_record);
-  if (has_columns_) {
+  if (columns_.empty()) {
+    num_records_ = records;
+  } else {
     S2FA_REQUIRE(records == num_records_,
                  "column " << column.field << " has " << records
                            << " records, dataset has " << num_records_);
-  } else {
-    num_records_ = records;
-    has_columns_ = true;
   }
   for (const auto& existing : columns_) {
     S2FA_REQUIRE(existing.field != column.field,

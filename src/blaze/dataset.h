@@ -13,6 +13,11 @@
 // class: AddColumn converts data built in another one. The array's
 // Value-level surface (push_back, operator[], range-for) is for the JVM
 // boundary and for building inputs, not for the served path.
+//
+// Every streamed record's output is a Dataset, so its footprint is kept
+// small: a Dataset is 32 bytes (the column vector and the record count), a
+// Column 88, and a column of at most 8 bytes of elements keeps them inline
+// (primitive_array.h). A one-row double record is one 96-byte heap chunk.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +58,10 @@ class Dataset {
  private:
   std::vector<Column> columns_;
   std::size_t num_records_ = 0;
-  bool has_columns_ = false;
 };
+
+// Every streamed record's output is one Dataset: growth here is per record.
+static_assert(sizeof(Dataset) <= 32, "blaze::Dataset grew past 32 bytes");
 
 // Concatenates datasets column-wise into one batch, one block copy per
 // member column. All members must share a schema (the serving layers batch

@@ -5,6 +5,7 @@
 #include <limits>
 #include <queue>
 #include <span>
+#include <unordered_map>
 
 #include "blaze/internal.h"
 #include "obs/obs.h"
@@ -129,16 +130,18 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
   // ---- materialize the schedule: seq = global arrival order. Each
   // phase's slot times are non-decreasing, so merging the phases by
   // (time, phase index) yields exactly a stable sort by time. The outcome
-  // table is the record table: the session writes each record's fate into
-  // it in place.
+  // table holds each record's fate, written in place; the record table
+  // holds only what the loop needs per record (16 bytes), as a record's
+  // input lives with its key's open batch (Key::inputs) or, while it waits
+  // to retry, in `parked`.
   struct Rec {
-    Dataset input;  // filled at first arrival, released when it leaves
-    std::size_t rows = 0;
+    std::uint32_t rows = 0;
     std::uint32_t tenant = 0;
     std::uint32_t key = 0;
     bool arrived = false;
     bool terminal = false;
   };
+  static_assert(sizeof(Rec) <= 16, "the per-record table grew");
   std::size_t total = 0;
   for (const ArrivalPhase& phase : schedule.phases) total += phase.count;
   std::vector<StreamRecordOutcome> outs(total);
@@ -207,6 +210,7 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
     bool has_open = false;
     std::size_t generation = 0;
     std::vector<std::size_t> members;  // open batch, arrival order
+    std::vector<Dataset> inputs;       // members' inputs, parallel
     std::size_t records = 0;
     double earliest_close_us = kInf;   // earliest timer pushed so far
   };
@@ -276,33 +280,39 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
   std::vector<PendingBatch> pending;
   std::vector<std::size_t> pending_members;
   std::vector<ClusterRequest> requests;
+  // Inputs of full-shed records that won a retry token, by seq, until they
+  // re-arrive.
+  std::unordered_map<std::size_t, Dataset> parked;
 
-  // A record leaving the session (terminal) no longer needs its input.
   auto terminal = [&](std::size_t seq, StreamOutcome outcome, double t) {
     Rec& rec = recs[seq];
     S2FA_CHECK(!rec.terminal, "record " << seq << " terminated twice");
     rec.terminal = true;
-    rec.input = Dataset();
     outs[seq].outcome = outcome;
     outs[seq].terminal_us = t;
   };
 
-  // One batch input built from (and releasing) its members' inputs.
-  auto take_inputs = [&](std::span<const std::size_t> members) {
-    if (members.size() == 1) return std::move(recs[members.front()].input);
-    std::vector<const Dataset*> inputs;
-    inputs.reserve(members.size());
-    for (std::size_t seq : members) inputs.push_back(&recs[seq].input);
-    Dataset input = ConcatDatasets(inputs);
-    for (std::size_t seq : members) recs[seq].input = Dataset();
+  // One batch input built from (and releasing) the key's member inputs.
+  auto take_inputs = [](Key& key) {
+    Dataset input;
+    if (key.inputs.size() == 1) {
+      input = std::move(key.inputs.front());
+    } else {
+      std::vector<const Dataset*> inputs;
+      inputs.reserve(key.inputs.size());
+      for (const Dataset& in : key.inputs) inputs.push_back(&in);
+      input = ConcatDatasets(inputs);
+    }
+    key.inputs.clear();
     return input;
   };
 
+  // Hands each member its rows of a batch output, consuming the output.
   auto slice_outputs = [&](std::span<const std::size_t> members,
-                           const Dataset& output, bool reduce) {
+                           Dataset&& output, bool reduce) {
     if (reduce) {
       S2FA_CHECK(members.size() == 1, "reduce batches never coalesce");
-      outs[members.front()].output = output;
+      outs[members.front()].output = std::move(output);
       return;
     }
     std::size_t rows = 0;
@@ -315,34 +325,35 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
       outs[seq].output = SliceRecords(output, row, recs[seq].rows);
       row += recs[seq].rows;
     }
+    output = Dataset();
   };
 
   // Executes a batch on the host path (brownout level 3): functionally
   // real through the runtime, completing after the host-path charge. Host
   // work does not occupy modeled accelerator lanes.
-  auto host_route = [&](const Key& key, double t) {
-    const Dataset input = take_inputs(key.members);
+  auto host_route = [&](Key& key, double t) {
+    const Dataset input = take_inputs(key);
     const std::string& accel = cluster_.ExecAccelFor(key.kernel);
-    const Dataset out =
+    Dataset out =
         key.reduce ? cluster_.runtime().Reduce(accel, input, key.broadcast)
                    : cluster_.runtime().Map(accel, input, key.broadcast);
     const double done = std::max(host_finish_us, t) +
                         cluster_.HostUsFor(key.kernel, key.records);
     host_finish_us = done;
-    slice_outputs(key.members, out, key.reduce);
+    slice_outputs(key.members, std::move(out), key.reduce);
     for (std::size_t seq : key.members) {
       terminal(seq, StreamOutcome::kCommittedHost, done);
     }
     ++stats_.batches_host;
   };
 
-  auto dispatch_to_cluster = [&](const Key& key, double t) {
+  auto dispatch_to_cluster = [&](Key& key, double t) {
     const double cost = cluster_.AccelUsFor(key.kernel, key.records) /
                         static_cast<double>(lanes_at(t));
     accel_finish_us = std::max(accel_finish_us, t) + cost;
     ClusterRequest request;
     request.kernel = key.kernel;
-    request.input = take_inputs(key.members);
+    request.input = take_inputs(key);
     request.broadcast = key.broadcast;
     request.arrival_us = t;
     request.tenant = kClusterTenant;
@@ -355,26 +366,30 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
   };
 
   // Full-shed (ladder level 4): each member either retries on a granted
-  // token or lands in a terminal shed state.
-  auto full_shed = [&](const Key& key, double t) {
-    for (std::size_t seq : key.members) {
+  // token, its input parked until it re-arrives, or lands in a terminal
+  // shed state.
+  auto full_shed = [&](Key& key, double t) {
+    for (std::size_t i = 0; i < key.members.size(); ++i) {
+      const std::size_t seq = key.members[i];
       StreamRecordOutcome& out = outs[seq];
       if (out.retries >= options_.max_retries) {
         terminal(seq, StreamOutcome::kShedBrownout, t);
       } else if (budget_.TryAcquire(*tenant_names[recs[seq].tenant], t)) {
         ++out.retries;
         ++stats_.retries_granted;
+        parked.emplace(seq, std::move(key.inputs[i]));
         push_event(t + options_.retry_backoff_us, kArrival, seq);
       } else {
         ++stats_.retries_denied;
         terminal(seq, StreamOutcome::kShedRetryBudget, t);
       }
     }
+    key.inputs.clear();
     ++stats_.batches_shed;
   };
 
   // Closes the key's open batch. Its member list is kept until the key
-  // opens its next batch.
+  // opens its next batch; its inputs leave with the batch.
   auto close_batch = [&](Key& key, double t, CloseTrigger trigger) {
     key.has_open = false;
     ++stats_.batches_closed;
@@ -403,15 +418,22 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
       const double cost = cluster_.AccelUsFor(key.kernel, key.records) /
                           static_cast<double>(lanes_at(t));
       std::size_t kept = 0;
-      for (std::size_t seq : key.members) {
+      for (std::size_t i = 0; i < key.members.size(); ++i) {
+        const std::size_t seq = key.members[i];
         if (outs[seq].arrival_us + options_.slo_us < t + delay + cost) {
           terminal(seq, StreamOutcome::kShedUnmeetable, t);
-        } else {
-          key.members[kept++] = seq;
+          continue;
         }
+        // A self-move would empty the input, so kept members stay put.
+        if (kept != i) {
+          key.members[kept] = seq;
+          key.inputs[kept] = std::move(key.inputs[i]);
+        }
+        ++kept;
       }
       if (kept != key.members.size()) {
         key.members.resize(kept);
+        key.inputs.resize(kept);
         key.records = 0;
         for (std::size_t seq : key.members) key.records += recs[seq].rows;
         if (key.members.empty()) return;
@@ -470,14 +492,25 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
 
   auto on_arrival = [&](std::size_t seq, double t) {
     Rec& rec = recs[seq];
+    Dataset input;
     if (!rec.arrived) {
       rec.arrived = true;
       StreamRecord content = generator(seq);
-      rec.rows = content.input.num_records();
-      S2FA_REQUIRE(rec.rows > 0, "stream record " << seq << " has no records");
-      rec.input = std::move(content.input);
+      const std::size_t rows = content.input.num_records();
+      S2FA_REQUIRE(rows > 0, "stream record " << seq << " has no records");
+      S2FA_REQUIRE(rows <= std::numeric_limits<std::uint32_t>::max(),
+                   "stream record " << seq << " has " << rows
+                                    << " records, more than 2^32 - 1");
+      rec.rows = static_cast<std::uint32_t>(rows);
+      input = std::move(content.input);
       rec.key = intern_key(content.kernel, content.broadcast);
       ++stats_.arrivals;
+    } else {
+      const auto it = parked.find(seq);
+      S2FA_CHECK(it != parked.end(),
+                 "retried record " << seq << " lost its input");
+      input = std::move(it->second);
+      parked.erase(it);
     }
     const double delay = observe_delay(t);
     if (options_.policy == OverloadPolicy::kFifoShed &&
@@ -491,11 +524,13 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
       key.has_open = true;
       key.generation = ++generation_counter;
       key.members.clear();
+      key.inputs.clear();
       key.records = 0;
       key.earliest_close_us = kInf;
       arm_timer(rec.key, t + options_.batch_age_us, CloseTrigger::kAge, t);
     }
     key.members.push_back(seq);
+    key.inputs.push_back(std::move(input));
     key.records += rec.rows;
     arm_timer(rec.key,
               outs[seq].arrival_us + options_.slo_us -
@@ -529,6 +564,7 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
   for (const Key& key : keys) {
     S2FA_CHECK(!key.has_open, "open batches survived the event loop");
   }
+  S2FA_CHECK(parked.empty(), "parked retries survived the event loop");
 
   // ---- one drain: the cluster serves every surviving batch to
   // completion on the shared simulated clock (chaos and all).
@@ -536,12 +572,12 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
     cluster_.Submit(std::move(request));
   }
   requests.clear();
-  const std::vector<ClusterRequestOutcome> drained = cluster_.Drain();
+  std::vector<ClusterRequestOutcome> drained = cluster_.Drain();
   S2FA_CHECK(drained.size() == pending.size(),
              "cluster drain returned " << drained.size() << " outcomes for "
                                        << pending.size() << " batches");
   for (std::size_t b = 0; b < pending.size(); ++b) {
-    const ClusterRequestOutcome& out = drained[b];
+    ClusterRequestOutcome& out = drained[b];
     const std::span<const std::size_t> members(
         pending_members.data() + pending[b].begin,
         pending[b].end - pending[b].begin);
@@ -558,7 +594,7 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
       continue;
     }
     const Key& key = keys[recs[members.front()].key];
-    slice_outputs(members, out.output, key.reduce);
+    slice_outputs(members, std::move(out.output), key.reduce);
     for (std::size_t seq : members) {
       terminal(seq, StreamOutcome::kCommitted, out.complete_us);
     }
@@ -569,13 +605,11 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
   // terminal state (commit or accounted shed), so the watermark never
   // regresses and nothing is lost or double-counted.
   std::vector<StreamTenantStats> tenants(tenant_names.size());
-  stats_.watermark_trace.reserve(outs.size());
   double watermark = 0;
   for (std::size_t seq = 0; seq < outs.size(); ++seq) {
     StreamRecordOutcome& out = outs[seq];
     S2FA_CHECK(recs[seq].terminal, "record " << seq << " never terminated");
     watermark = std::max(watermark, out.terminal_us);
-    stats_.watermark_trace.emplace_back(seq, watermark);
     out.tenant = *tenant_names[recs[seq].tenant];
     out.external_commit_us = watermark;
 

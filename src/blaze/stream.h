@@ -61,6 +61,14 @@
 // surviving batches and performs ONE cluster Drain — the cluster is
 // bit-identical across exec_threads, and everything else here is
 // sequential, so stream outcomes are too.
+//
+// Footprint: the session keeps 16 bytes of bookkeeping per record next to
+// its StreamRecordOutcome. A record's input lives with its key's open batch
+// (parallel to the batch's members) and leaves with it: concatenated into
+// the batch input, dropped on a shed, or parked by seq while a granted
+// retry waits to re-arrive. Each batch output is released as soon as its
+// members have their rows. The watermark is read off the outcomes
+// (external_commit_us, non-decreasing in seq order), not kept twice.
 #pragma once
 
 #include <cstddef>
@@ -205,10 +213,8 @@ struct StreamStats {
   double watermark_us = 0;        // final external watermark
 
   // External (watermark-gated) latency of committed records, seq order.
+  // (The watermark itself is each outcome's external_commit_us.)
   std::vector<double> latencies_us;
-  // (seq, external_commit_us) for every record, seq order — the
-  // monotonicity gate checks this never regresses.
-  std::vector<std::pair<std::size_t, double>> watermark_trace;
   std::map<std::string, StreamTenantStats> tenants;
 
   double LatencyQuantile(double q) const;

@@ -50,22 +50,19 @@ void PrimitiveArray::Reserve(std::size_t capacity) {
              "array of " << capacity << " elements is too large");
   const std::size_t bytes = BytesOf(storage_);
   void* grown = ::operator new(capacity * bytes);
-  if (size_ > 0) std::memcpy(grown, data_, size_ * bytes);
-  Free();
-  data_ = grown;
+  if (size_ > 0) std::memcpy(grown, data(), size_ * bytes);
+  FreeHeap();
+  heap_ = grown;
   capacity_ = static_cast<std::uint32_t>(capacity);
 }
 
 void PrimitiveArray::AssignZero(Storage storage, std::size_t size) {
-  if (storage != storage_) {
-    // A new class gets a new allocation, so one allocation only ever
-    // holds elements of one type.
-    Free();
-    storage_ = storage;
-  }
+  // A new class gets a new allocation, so one allocation only ever holds
+  // elements of one type.
+  if (storage != storage_) Reset(storage);
   size_ = 0;
   Reserve(size);
-  if (size > 0) std::memset(data_, 0, size * BytesOf(storage_));
+  if (size > 0) std::memset(data(), 0, size * BytesOf(storage_));
   size_ = static_cast<std::uint32_t>(size);
 }
 
@@ -91,17 +88,17 @@ void PrimitiveArray::CopyRange(const PrimitiveArray& src, std::size_t begin,
   if (count == 0) return;
   if (src.storage_ == storage_) {
     const std::size_t bytes = BytesOf(storage_);
-    std::memmove(static_cast<std::byte*>(data_) + dst * bytes,
-                 static_cast<const std::byte*>(src.data_) + begin * bytes,
+    std::memmove(static_cast<std::byte*>(data()) + dst * bytes,
+                 static_cast<const std::byte*>(src.data()) + begin * bytes,
                  count * bytes);
     return;
   }
   WithStorage(storage_, [&](auto to_zero) {
     using To = decltype(to_zero);
-    To* to = static_cast<To*>(data_) + dst;
+    To* to = static_cast<To*>(data()) + dst;
     WithStorage(src.storage_, [&](auto from_zero) {
       using From = decltype(from_zero);
-      const From* from = static_cast<const From*>(src.data_) + begin;
+      const From* from = static_cast<const From*>(src.data()) + begin;
       for (std::size_t e = 0; e < count; ++e) {
         to[e] = ConvertStored<To>(from[e]);
       }
@@ -112,7 +109,7 @@ void PrimitiveArray::CopyRange(const PrimitiveArray& src, std::size_t begin,
 const Value PrimitiveArray::operator[](std::size_t i) const {
   return WithStorage(storage_, [&](auto zero) {
     using T = decltype(zero);
-    return ToValue(static_cast<const T*>(data_)[i]);
+    return ToValue(static_cast<const T*>(data())[i]);
   });
 }
 
@@ -125,7 +122,7 @@ void PrimitiveArray::Set(std::size_t i, const Value& value) {
   S2FA_CHECK(i < size(), "array index " << i << " past size " << size());
   WithStorage(storage_, [&](auto zero) {
     using T = decltype(zero);
-    static_cast<T*>(data_)[i] = FromValue<T>(value);
+    static_cast<T*>(data())[i] = FromValue<T>(value);
   });
 }
 
@@ -133,7 +130,7 @@ void PrimitiveArray::assign(std::size_t n, const Value& value) {
   AssignZero(StorageOf(value), n);
   WithStorage(storage_, [&](auto zero) {
     using T = decltype(zero);
-    std::fill_n(static_cast<T*>(data_), n, FromValue<T>(value));
+    std::fill_n(static_cast<T*>(data()), n, FromValue<T>(value));
   });
 }
 

@@ -7,6 +7,13 @@
 // kernel evaluator's device buffers are PrimitiveArrays too, so records
 // move between the two by block copy, 4 or 8 bytes per element.
 //
+// An array is 24 bytes. Up to 8 bytes of elements (two int32 or float,
+// one int64 or double) are stored inline, in the bytes that otherwise
+// hold the heap pointer, so the one-element columns of a streamed record
+// allocate nothing. Inline elements move with the array: a pointer from
+// raw() or values<T>() lasts until the array is moved, not only until it
+// grows.
+//
 // A boxed Value appears only at the JVM boundary (the interpreter, the
 // reference evaluator, test oracles), and only through FromValue / ToValue
 // below. The array's Value-level surface -- push_back, assign, operator[],
@@ -163,31 +170,29 @@ class PrimitiveArray {
       : storage_(src.storage_) {
     S2FA_CHECK(begin <= src.size() && count <= src.size() - begin,
                "copy range past the source array");
-    if (count == 0) return;
     const std::size_t bytes = BytesOf(storage_);
-    data_ = ::operator new(count * bytes);
-    std::memcpy(data_,
-                static_cast<const std::byte*>(src.data_) + begin * bytes,
-                count * bytes);
-    size_ = capacity_ = static_cast<std::uint32_t>(count);
+    capacity_ = InlineCapacity(storage_);
+    void* to = inline_;
+    if (count > capacity_) {
+      to = heap_ = ::operator new(count * bytes);
+      capacity_ = static_cast<std::uint32_t>(count);
+    }
+    if (count > 0) {
+      std::memcpy(to, static_cast<const std::byte*>(src.data()) + begin * bytes,
+                  count * bytes);
+    }
+    size_ = static_cast<std::uint32_t>(count);
   }
-  PrimitiveArray(PrimitiveArray&& other) noexcept
-      : data_(std::exchange(other.data_, nullptr)),
-        size_(std::exchange(other.size_, 0)),
-        capacity_(std::exchange(other.capacity_, 0)),
-        storage_(other.storage_) {}
+  PrimitiveArray(PrimitiveArray&& other) noexcept { Steal(other); }
   PrimitiveArray& operator=(const PrimitiveArray& other);
   PrimitiveArray& operator=(PrimitiveArray&& other) noexcept {
     if (this != &other) {
-      Free();
-      data_ = std::exchange(other.data_, nullptr);
-      size_ = std::exchange(other.size_, 0);
-      capacity_ = std::exchange(other.capacity_, 0);
-      storage_ = other.storage_;
+      FreeHeap();
+      Steal(other);
     }
     return *this;
   }
-  ~PrimitiveArray() { Free(); }
+  ~PrimitiveArray() { FreeHeap(); }
 
   Storage storage() const { return storage_; }
   std::size_t size() const { return size_; }
@@ -196,16 +201,17 @@ class PrimitiveArray {
   template <typename T>
   std::span<T> values() {
     if (storage_ != StorageOfElement<T>()) ClassMismatch(StorageOfElement<T>());
-    return {static_cast<T*>(data_), size_};
+    return {static_cast<T*>(data()), size_};
   }
   template <typename T>
   std::span<const T> values() const {
     if (storage_ != StorageOfElement<T>()) ClassMismatch(StorageOfElement<T>());
-    return {static_cast<const T*>(data_), size_};
+    return {static_cast<const T*>(data()), size_};
   }
-  // The first element's address, untyped (device-buffer binding).
-  void* raw() { return data_; }
-  const void* raw() const { return data_; }
+  // The first element's address, untyped (device-buffer binding); valid
+  // until the array grows or is moved.
+  void* raw() { return data(); }
+  const void* raw() const { return data(); }
 
   // Becomes `size` zeros of class `storage`, keeping the allocation when
   // the class is unchanged and it is large enough.
@@ -229,14 +235,11 @@ class PrimitiveArray {
   void Set(std::size_t i, const Value& v);
   void push_back(const Value& v) {
     const Storage s = StorageOf(v);
-    if (size_ == 0 && storage_ != s) {
-      Free();
-      storage_ = s;
-    }
-    if (size_ == capacity_) Reserve(size_ == 0 ? 1 : 2 * std::size_t{size_});
+    if (size_ == 0 && storage_ != s) Reset(s);
+    if (size_ == capacity_) Reserve(2 * std::size_t{size_});
     WithStorage(storage_, [&](auto zero) {
       using T = decltype(zero);
-      static_cast<T*>(data_)[size_] = FromValue<T>(v);
+      static_cast<T*>(data())[size_] = FromValue<T>(v);
     });
     ++size_;
   }
@@ -261,25 +264,55 @@ class PrimitiveArray {
   }
 
  private:
+  // Bytes of elements stored inline, in place of the heap pointer.
+  static constexpr std::size_t kInlineBytes = 8;
+  static std::uint32_t InlineCapacity(Storage s) {
+    return static_cast<std::uint32_t>(kInlineBytes / BytesOf(s));
+  }
+
   [[noreturn]] void ClassMismatch(Storage wanted) const;
-  // Releases the allocation (size is left to the caller).
-  void Free() {
-    if (data_ != nullptr) ::operator delete(data_);
-    data_ = nullptr;
-    capacity_ = 0;
+  // An array is on the heap exactly when its capacity exceeds the inline
+  // capacity of its class.
+  bool on_heap() const { return capacity_ > InlineCapacity(storage_); }
+  void* data() { return on_heap() ? heap_ : inline_; }
+  const void* data() const { return on_heap() ? heap_ : inline_; }
+  void FreeHeap() {
+    if (on_heap()) ::operator delete(heap_);
+  }
+  // Releases any allocation and becomes inline storage of class `storage`
+  // (size is left to the caller).
+  void Reset(Storage storage) {
+    FreeHeap();
+    storage_ = storage;
+    capacity_ = InlineCapacity(storage);
+  }
+  // Takes other's elements (its pointer or its inline bytes) and leaves it
+  // empty and inline, in its class.
+  void Steal(PrimitiveArray& other) {
+    std::memcpy(inline_, other.inline_, kInlineBytes);
+    size_ = std::exchange(other.size_, 0);
+    capacity_ = std::exchange(other.capacity_, InlineCapacity(other.storage_));
+    storage_ = other.storage_;
   }
   void Convert(Storage storage);
-  // Grows the allocation to at least `capacity` elements, keeping the
+  // Grows the capacity to at least `capacity` elements, keeping the
   // contents.
   void Reserve(std::size_t capacity);
 
   // 24 bytes, as a std::vector: a column stays as small as a boxed one
   // was. `capacity_` counts elements of the current class.
-  void* data_ = nullptr;
+  union {
+    void* heap_ = nullptr;
+    alignas(8) std::byte inline_[kInlineBytes];
+  };
   std::uint32_t size_ = 0;
-  std::uint32_t capacity_ = 0;
+  std::uint32_t capacity_ = kInlineBytes / 4;  // inline int32
   Storage storage_ = Storage::kI32;
 };
+
+// Every column, device buffer and kernel scratch array is one of these:
+// growth here grows every served record.
+static_assert(sizeof(PrimitiveArray) == 24, "PrimitiveArray is not 24 bytes");
 
 // The conversion applied to whole arrays, for the BufferMap adapters:
 // every element boxed as its class, and `values` read into class

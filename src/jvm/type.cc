@@ -2,28 +2,33 @@
 
 namespace s2fa::jvm {
 
+struct Type::Ref {
+  Type element;            // for arrays
+  std::string class_name;  // for classes
+};
+
 Type Type::Array(const Type& element) {
   S2FA_REQUIRE(!element.is_void(), "array of void is not a type");
   Type t(TypeKind::kArray);
-  t.element_ = std::make_shared<Type>(element);
+  t.ref_ = std::make_shared<const Ref>(Ref{element, {}});
   return t;
 }
 
 Type Type::Class(std::string name) {
   S2FA_REQUIRE(!name.empty(), "class type needs a name");
   Type t(TypeKind::kClass);
-  t.class_name_ = std::move(name);
+  t.ref_ = std::make_shared<const Ref>(Ref{Type(), std::move(name)});
   return t;
 }
 
 const Type& Type::element() const {
   S2FA_REQUIRE(is_array(), "element() on non-array type " << ToString());
-  return *element_;
+  return ref_->element;
 }
 
 const std::string& Type::class_name() const {
   S2FA_REQUIRE(is_class(), "class_name() on non-class type " << ToString());
-  return class_name_;
+  return ref_->class_name;
 }
 
 int Type::bit_width() const {
@@ -56,8 +61,8 @@ std::string Type::Descriptor() const {
     case TypeKind::kLong: return "J";
     case TypeKind::kFloat: return "F";
     case TypeKind::kDouble: return "D";
-    case TypeKind::kArray: return "[" + element_->Descriptor();
-    case TypeKind::kClass: return "L" + class_name_ + ";";
+    case TypeKind::kArray: return "[" + ref_->element.Descriptor();
+    case TypeKind::kClass: return "L" + ref_->class_name + ";";
   }
   S2FA_UNREACHABLE("bad type kind");
 }
@@ -73,8 +78,8 @@ std::string Type::ToString() const {
     case TypeKind::kLong: return "long";
     case TypeKind::kFloat: return "float";
     case TypeKind::kDouble: return "double";
-    case TypeKind::kArray: return element_->ToString() + "[]";
-    case TypeKind::kClass: return class_name_;
+    case TypeKind::kArray: return ref_->element.ToString() + "[]";
+    case TypeKind::kClass: return ref_->class_name;
   }
   S2FA_UNREACHABLE("bad type kind");
 }
@@ -82,8 +87,8 @@ std::string Type::ToString() const {
 bool operator==(const Type& a, const Type& b) {
   if (a.kind_ != b.kind_) return false;
   switch (a.kind_) {
-    case TypeKind::kArray: return *a.element_ == *b.element_;
-    case TypeKind::kClass: return a.class_name_ == b.class_name_;
+    case TypeKind::kArray: return a.ref_->element == b.ref_->element;
+    case TypeKind::kClass: return a.ref_->class_name == b.ref_->class_name;
     default: return true;
   }
 }

@@ -3,7 +3,9 @@
 // s2fa consumes kernels at the bytecode level (the layer scalac lowers to),
 // so the type system mirrors JVM descriptors: primitive kinds, reference
 // arrays, and named classes (Tuple2, user kernel classes). Types are small
-// value objects compared structurally.
+// value objects compared structurally: a kind plus, for an array or a
+// class, one shared immutable record of the element type or class name, so
+// a primitive type copies without touching a string or a reference count.
 #pragma once
 
 #include <memory>
@@ -93,12 +95,18 @@ class Type {
   friend bool operator!=(const Type& a, const Type& b) { return !(a == b); }
 
  private:
+  // The element type of an array or the name of a class (never both).
+  struct Ref;
+
   explicit Type(TypeKind kind) : kind_(kind) {}
 
   TypeKind kind_;
-  std::shared_ptr<const Type> element_;  // for arrays
-  std::string class_name_;               // for classes
+  std::shared_ptr<const Ref> ref_;  // null for void and primitives
 };
+
+// Every Column and kernel field carries a Type, so it stays a kind and one
+// pointer pair: growth here grows every served record's column.
+static_assert(sizeof(Type) <= 24, "jvm::Type grew past 24 bytes");
 
 // Parses a JVM descriptor ("I", "[[D", "LTuple2;"); throws MalformedInput.
 Type ParseDescriptor(const std::string& descriptor);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <set>
 
@@ -275,6 +276,181 @@ TEST(ColumnTest, ConcatSliceAndBytesOnMixedSchemas) {
   other.AddColumn(MakeColumn("l", Type::Long(), {Value::OfLong(1)}));
   other.AddColumn(MakeColumn("b", Type::Byte(), {Value::OfInt(1)}, 1));
   EXPECT_THROW(ConcatDatasets({&a, &other}), InternalError);
+}
+
+// ------------------------------------------------- inline array storage
+
+using jvm::PrimitiveArray;
+using jvm::Storage;
+
+constexpr Storage kStorages[] = {Storage::kI32, Storage::kI64, Storage::kF32,
+                                 Storage::kF64};
+
+// True when the array's elements live inside the array object itself.
+bool IsInline(const PrimitiveArray& a) {
+  const auto* self = reinterpret_cast<const std::byte*>(&a);
+  const auto* data = static_cast<const std::byte*>(a.raw());
+  const std::less<const std::byte*> less;
+  return !less(data, self) && less(data, self + sizeof a);
+}
+
+// `n` elements of class `s` valued base, base + 1, ...
+PrimitiveArray Counting(Storage s, std::size_t n, int base) {
+  PrimitiveArray a(s, n);
+  for (std::size_t e = 0; e < n; ++e) {
+    a.Set(e, Value::OfInt(base + static_cast<int>(e)));
+  }
+  return a;
+}
+
+// Checks class, size and values through both typed accessors and raw().
+void ExpectCounting(const PrimitiveArray& a, Storage s, std::size_t n,
+                    int base) {
+  ASSERT_EQ(a.storage(), s);
+  ASSERT_EQ(a.size(), n);
+  jvm::WithStorage(s, [&](auto zero) {
+    using T = decltype(zero);
+    const std::span<const T> typed = a.values<T>();
+    EXPECT_EQ(static_cast<const void*>(typed.data()), a.raw());
+    for (std::size_t e = 0; e < n; ++e) {
+      const T want = jvm::ConvertStored<T>(base + static_cast<int>(e));
+      EXPECT_EQ(typed[e], want) << e;
+      EXPECT_EQ(static_cast<const T*>(a.raw())[e], want) << e;
+    }
+  });
+}
+
+TEST(PrimitiveArrayTest, UpToEightBytesOfElementsLiveInline) {
+  for (Storage s : kStorages) {
+    SCOPED_TRACE(static_cast<int>(s));
+    const std::size_t fit = 8 / jvm::BytesOf(s);
+    EXPECT_TRUE(IsInline(PrimitiveArray(s)));
+    EXPECT_TRUE(IsInline(Counting(s, fit, 1)));
+    EXPECT_FALSE(IsInline(Counting(s, fit + 1, 1)));
+  }
+  // A one-record double column (a streamed record's input and output).
+  Dataset d;
+  d.AddColumn(MakeColumn("x", Type::Double(), {Value::OfDouble(1.5)}));
+  EXPECT_TRUE(IsInline(d.ColumnByField("x").data));
+  const Dataset copy = d;
+  EXPECT_TRUE(IsInline(copy.ColumnByField("x").data));
+  EXPECT_EQ(copy.ColumnByField("x").data[0].AsDouble(), 1.5);
+}
+
+TEST(PrimitiveArrayTest, CopyMoveAndAssignInEveryStorageClass) {
+  for (Storage s : kStorages) {
+    // Sizes on both sides of the inline capacity (0, 1, 2 and 3, 5).
+    for (std::size_t n : {0, 1, 2, 3, 5}) {
+      SCOPED_TRACE(testing::Message() << static_cast<int>(s) << " x " << n);
+      const PrimitiveArray source = Counting(s, n, 10);
+
+      PrimitiveArray copy(source);
+      ExpectCounting(copy, s, n, 10);
+      if (n > 0) {
+        copy.Set(0, Value::OfInt(99));
+        ExpectCounting(source, s, n, 10);  // the copy is independent
+      }
+
+      PrimitiveArray from = Counting(s, n, 30);
+      PrimitiveArray to(std::move(from));
+      ExpectCounting(to, s, n, 30);
+      EXPECT_EQ(from.size(), 0u);  // NOLINT(bugprone-use-after-move)
+      EXPECT_EQ(from.storage(), s);
+      from.Append(source);  // a moved-from array is reusable
+      ExpectCounting(from, s, n, 10);
+
+      // Self-move leaves the array as it was.
+      PrimitiveArray self = Counting(s, n, 40);
+      PrimitiveArray& alias = self;
+      self = std::move(alias);
+      ExpectCounting(self, s, n, 40);
+
+      // Copy- and move-assign over inline and heap targets of every size.
+      for (std::size_t m : {0, 1, 4}) {
+        PrimitiveArray target = Counting(s, m, 50);
+        target = source;
+        ExpectCounting(target, s, n, 10);
+        PrimitiveArray other_class = Counting(Storage::kI64, m, 50);
+        other_class = source;
+        ExpectCounting(other_class, s, n, 10);
+        PrimitiveArray move_target = Counting(Storage::kF32, m, 60);
+        PrimitiveArray donor = Counting(s, n, 70);
+        move_target = std::move(donor);
+        ExpectCounting(move_target, s, n, 70);
+        EXPECT_EQ(donor.size(), 0u);  // NOLINT(bugprone-use-after-move)
+      }
+    }
+  }
+}
+
+TEST(PrimitiveArrayTest, AppendGrowsPastTheInlineBytes) {
+  for (Storage s : kStorages) {
+    SCOPED_TRACE(static_cast<int>(s));
+    PrimitiveArray grown(s);
+    for (int k = 0; k < 6; ++k) {
+      grown.Append(Counting(s, 1, k));
+      ExpectCounting(grown, s, static_cast<std::size_t>(k) + 1, 0);
+    }
+    EXPECT_FALSE(IsInline(grown));
+    // push_back grows the same way, one element at a time.
+    PrimitiveArray pushed(s);
+    for (int k = 0; k < 6; ++k) {
+      pushed.push_back(Counting(s, 1, k)[0]);
+    }
+    ExpectCounting(pushed, s, 6, 0);
+    // An array appended to itself doubles, inline and then on the heap.
+    PrimitiveArray twice = Counting(s, 1, 7);
+    twice.Append(twice);
+    twice.Append(twice);
+    ASSERT_EQ(twice.size(), 4u);
+    for (std::size_t e = 0; e < 4; ++e) {
+      EXPECT_EQ(jvm::FromValue<double>(twice[e]), 7.0) << e;
+    }
+  }
+}
+
+TEST(PrimitiveArrayTest, ConvertToMovesAnInlinePairToTheHeap) {
+  PrimitiveArray pair = {Value::OfInt(-3), Value::OfInt(7)};
+  ASSERT_EQ(pair.storage(), Storage::kI32);
+  EXPECT_TRUE(IsInline(pair));
+  pair.ConvertTo(Storage::kF64);
+  EXPECT_EQ(pair.storage(), Storage::kF64);
+  ASSERT_EQ(pair.size(), 2u);
+  EXPECT_FALSE(IsInline(pair));
+  EXPECT_EQ(pair.values<double>()[0], -3.0);
+  EXPECT_EQ(pair.values<double>()[1], 7.0);
+  // And back: two doubles narrow to two inline floats.
+  PrimitiveArray narrowed = pair;
+  narrowed.ConvertTo(Storage::kF32);
+  EXPECT_EQ(narrowed.values<float>()[1], 7.0f);
+  const PrimitiveArray moved = std::move(pair);
+  EXPECT_EQ(moved.values<double>()[0], -3.0);
+  EXPECT_EQ(moved.values<double>()[1], 7.0);
+}
+
+TEST(PrimitiveArrayTest, AssignZeroToASmallerSize) {
+  for (Storage s : kStorages) {
+    SCOPED_TRACE(static_cast<int>(s));
+    // Heap to fewer elements of the same class keeps the allocation.
+    PrimitiveArray heap = Counting(s, 5, 1);
+    const void* allocation = heap.raw();
+    heap.AssignZero(s, 1);
+    EXPECT_EQ(heap.raw(), allocation);
+    ExpectCounting(heap, s, 1, 0);
+    heap.AssignZero(s, 0);
+    EXPECT_EQ(heap.size(), 0u);
+    // Inline to fewer elements.
+    PrimitiveArray small = Counting(s, 8 / jvm::BytesOf(s), 1);
+    small.AssignZero(s, 1);
+    EXPECT_TRUE(IsInline(small));
+    ExpectCounting(small, s, 1, 0);
+    // A new class starts inline again.
+    PrimitiveArray recast = Counting(s, 5, 1);
+    const Storage other = s == Storage::kF64 ? Storage::kI32 : Storage::kF64;
+    recast.AssignZero(other, 1);
+    EXPECT_TRUE(IsInline(recast));
+    ExpectCounting(recast, other, 1, 0);
+  }
 }
 
 // ------------------------------------------------- serialization plan

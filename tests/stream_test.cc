@@ -130,18 +130,23 @@ void ExpectDoubledRecord(const StreamRecordOutcome& out) {
 }
 
 // Every record accounted exactly once, in every terminal stats bucket.
-void ExpectAccounted(const StreamStats& stats, std::size_t count) {
+void ExpectAccounted(const std::vector<StreamRecordOutcome>& outs,
+                     const StreamStats& stats, std::size_t count) {
   EXPECT_EQ(stats.arrivals, count);
   EXPECT_EQ(stats.committed + stats.committed_host + stats.shed_total(),
             count);
-  EXPECT_EQ(stats.watermark_trace.size(), count);
+  EXPECT_EQ(outs.size(), count);
 }
 
-void ExpectWatermarkMonotone(const StreamStats& stats) {
+// Outcomes come in seq order and their external commits never regress.
+void ExpectWatermarkMonotone(const std::vector<StreamRecordOutcome>& outs,
+                             const StreamStats& stats) {
   double last = 0;
-  for (const auto& [seq, at] : stats.watermark_trace) {
-    EXPECT_GE(at, last) << "watermark regressed at seq " << seq;
-    last = at;
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    EXPECT_EQ(outs[i].seq, i);
+    EXPECT_GE(outs[i].external_commit_us, last)
+        << "watermark regressed at seq " << outs[i].seq;
+    last = outs[i].external_commit_us;
   }
   EXPECT_DOUBLE_EQ(stats.watermark_us, last);
 }
@@ -226,8 +231,8 @@ TEST(StreamTest, SubCapacityStreamsCommitWithinSlo) {
   auto outs = session.Run(hx.At(0.5, kCount), Gen);
   ASSERT_EQ(outs.size(), kCount);
   const StreamStats& stats = session.stats();
-  ExpectAccounted(stats, kCount);
-  ExpectWatermarkMonotone(stats);
+  ExpectAccounted(outs, stats, kCount);
+  ExpectWatermarkMonotone(outs, stats);
   EXPECT_EQ(stats.committed, kCount) << "sub-capacity must not shed";
   EXPECT_EQ(stats.shed_total(), 0u);
   for (const auto& out : outs) {
@@ -288,8 +293,8 @@ TEST(StreamTest, OverloadLadderShedsBoundedAndAccountsEverything) {
   const std::size_t kCount = 3000;
   auto outs = session.Run(hx.At(3.0, kCount), Gen);
   const StreamStats& stats = session.stats();
-  ExpectAccounted(stats, kCount);
-  ExpectWatermarkMonotone(stats);
+  ExpectAccounted(outs, stats, kCount);
+  ExpectWatermarkMonotone(outs, stats);
   EXPECT_GT(stats.shed_total(), 0u) << "3x load must shed";
   EXPECT_GT(stats.committed + stats.committed_host, 0u)
       << "overload control must preserve goodput";
@@ -313,8 +318,8 @@ TEST(StreamTest, BrownoutRoutesAControlledFractionToHost) {
   const std::size_t kCount = 2000;
   auto outs = session.Run(hx.At(1.3, kCount), Gen);
   const StreamStats& stats = session.stats();
-  ExpectAccounted(stats, kCount);
-  ExpectWatermarkMonotone(stats);
+  ExpectAccounted(outs, stats, kCount);
+  ExpectWatermarkMonotone(outs, stats);
   EXPECT_GT(stats.committed_host, 0u) << "brownout must engage above 1x";
   EXPECT_GT(stats.batches_host, 0u);
   EXPECT_LT(stats.batches_host, stats.batches_closed)
@@ -335,9 +340,9 @@ TEST(StreamTest, RetryBudgetBoundsTheRetryStorm) {
   options.max_retries = 3;
   StreamSession session(cluster, options);
   const std::size_t kCount = 3000;
-  session.Run(hx.At(3.0, kCount), Gen);
+  auto outs = session.Run(hx.At(3.0, kCount), Gen);
   const StreamStats& stats = session.stats();
-  ExpectAccounted(stats, kCount);
+  ExpectAccounted(outs, stats, kCount);
   EXPECT_LE(stats.retries_granted, 4u)
       << "a zero-refill bucket grants at most its burst";
   EXPECT_GT(stats.shed_retry_budget, 0u)
@@ -351,10 +356,10 @@ TEST(StreamTest, FifoShedTailDropsInsteadOfChoosing) {
   options.policy = OverloadPolicy::kFifoShed;
   StreamSession session(cluster, options);
   const std::size_t kCount = 2000;
-  session.Run(hx.At(2.5, kCount), Gen);
+  auto outs = session.Run(hx.At(2.5, kCount), Gen);
   const StreamStats& stats = session.stats();
-  ExpectAccounted(stats, kCount);
-  ExpectWatermarkMonotone(stats);
+  ExpectAccounted(outs, stats, kCount);
+  ExpectWatermarkMonotone(outs, stats);
   EXPECT_GT(stats.shed_queue_full, 0u) << "FIFO must tail-drop at 2.5x";
   EXPECT_EQ(stats.shed_unmeetable, 0u);
   EXPECT_EQ(stats.shed_brownout, 0u);
@@ -398,8 +403,8 @@ TEST(StreamTest, ChaosKillMidStreamLosesNothing) {
   const std::size_t kCount = 2000;
   auto outs = session.Run(hx.At(1.0, kCount), Gen);
   const StreamStats& stats = session.stats();
-  ExpectAccounted(stats, kCount);
-  ExpectWatermarkMonotone(stats);
+  ExpectAccounted(outs, stats, kCount);
+  ExpectWatermarkMonotone(outs, stats);
   EXPECT_GT(stats.committed, 0u);
   for (const auto& out : outs) {
     if (!IsStreamShed(out.outcome)) ExpectDoubledRecord(out);
@@ -503,7 +508,7 @@ TEST(StreamTest, ReduceRecordsNeverBatchAcrossEachOther) {
       {"default", 0, inv_us * 2.0 * static_cast<double>(kCount), kCount});
   auto outs = session.Run(schedule, gen);
   const StreamStats& stats = session.stats();
-  ExpectAccounted(stats, kCount);
+  ExpectAccounted(outs, stats, kCount);
   EXPECT_EQ(stats.committed, kCount);
   EXPECT_EQ(stats.close_count, kCount) << "every reduce record closes alone";
   for (const auto& out : outs) {
@@ -552,7 +557,7 @@ std::string RenderGolden(const std::vector<StreamRecordOutcome>& outs,
   os << "latencies";
   for (double l : s.latencies_us) os << ' ' << l;
   os << "\nwatermark";
-  for (const auto& [seq, at] : s.watermark_trace) os << ' ' << seq << ':' << at;
+  for (const auto& o : outs) os << ' ' << o.seq << ':' << o.external_commit_us;
   os << '\n' << Canon(outs);
   return os.str();
 }
@@ -575,6 +580,51 @@ StreamOptions TightLadder(const Harness& hx) {
   options.brownout_onset_us = hx.inv_us;
   options.shed_onset_us = 2 * hx.inv_us;
   return options;
+}
+
+// A record's input travels with its key's open batch and, while it waits
+// to retry, apart from it. Retried records keep their first arrival time,
+// so when one re-joins an open batch behind fresher records CoDel sheds it
+// from the middle of the batch; the kept members must carry their own
+// inputs on. Every served record's rows must be exactly twice its own.
+TEST(StreamTest, InputsStayWithTheirRecordsThroughShedAndRetry) {
+  Harness hx(1);
+  BlazeCluster cluster = hx.MakeCluster();
+  // An SLO of a few batch charges: fresh records meet it, records back
+  // from a retry no longer do.
+  StreamOptions options = TightLadder(hx);
+  options.slo_us = 6 * hx.inv_us;
+  options.deadline_headroom_us = hx.inv_us / 2;
+  options.batch_age_us = hx.inv_us / 2;
+  options.retry_backoff_us = hx.inv_us;
+  options.max_retries = 3;
+  options.retry_budget.burst = 1e6;
+  StreamSession session(cluster, options);
+  const std::size_t kCount = 600;
+  auto outs = session.Run(hx.At(2.0, kCount), GenRows);
+  const StreamStats& stats = session.stats();
+  ExpectAccounted(outs, stats, kCount);
+  ExpectWatermarkMonotone(outs, stats);
+  EXPECT_GT(stats.retries_granted, 0u);
+  std::size_t retried_served = 0;
+  std::size_t retried_unmeetable = 0;
+  for (const auto& out : outs) {
+    if (out.retries > 0 && out.outcome == StreamOutcome::kShedUnmeetable) {
+      ++retried_unmeetable;
+    }
+    if (IsStreamShed(out.outcome)) continue;
+    if (out.retries > 0) ++retried_served;
+    const Dataset want = GenRows(out.seq).input;
+    ASSERT_EQ(out.output.num_records(), want.num_records()) << out.seq;
+    for (std::size_t r = 0; r < want.num_records(); ++r) {
+      EXPECT_EQ(out.output.ColumnByField("y").data[r].AsDouble(),
+                2 * want.ColumnByField("x").data[r].AsDouble())
+          << "seq " << out.seq << " row " << r;
+    }
+  }
+  EXPECT_GT(retried_served, 0u) << "a retried record must be served";
+  EXPECT_GT(retried_unmeetable, 0u)
+      << "CoDel must shed a retried record from an open batch";
 }
 
 struct GoldenRun {

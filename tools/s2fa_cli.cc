@@ -674,8 +674,9 @@ int RunStreamServe(apps::App& app, const Knobs& knobs,
   const std::size_t lost = s.arrivals - s.committed - s.committed_host -
                            s.shed_total();
   const bool watermark_monotone = std::is_sorted(
-      s.watermark_trace.begin(), s.watermark_trace.end(),
-      [](const auto& a, const auto& b) { return a.second < b.second; });
+      outcomes.begin(), outcomes.end(), [](const auto& a, const auto& b) {
+        return a.external_commit_us < b.external_commit_us;
+      });
 
   std::printf("stream serving %d records x %zu input records on %zu "
               "shard%s (%.2fx capacity, slo %.0f us)\n",
