@@ -1,7 +1,6 @@
 #include "blaze/cluster.h"
 
 #include <algorithm>
-#include <future>
 #include <limits>
 
 #include "blaze/internal.h"
@@ -1095,19 +1094,8 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
               : runtime_.Map(info.exec_accel, slot.request.input,
                              slot.request.broadcast);
     };
-    if (options_.exec_threads == 1) {
-      for (std::size_t i : need) execute(slots[i]);
-    } else {
-      ThreadPool pool(static_cast<std::size_t>(options_.exec_threads));
-      std::vector<std::future<void>> done;
-      done.reserve(need.size());
-      for (std::size_t i : need) {
-        done.push_back(pool.Submit([&execute, &slots, i] {
-          execute(slots[i]);
-        }));
-      }
-      for (auto& future : done) future.get();
-    }
+    ForkJoin(need.size(), static_cast<std::size_t>(options_.exec_threads),
+             [&](std::size_t i) { execute(slots[need[i]]); });
   }
 
   // ---- assemble outcomes for the real requests, submission order

@@ -1,7 +1,6 @@
 #include "blaze/service.h"
 
 #include <algorithm>
-#include <future>
 #include <limits>
 
 #include "blaze/internal.h"
@@ -680,9 +679,9 @@ std::vector<RequestOutcome> BlazeService::Drain() {
   PlanAll(pending, plans);
 
   // Functional execution: embarrassingly parallel, one slot per request,
-  // committed in submission order below (plan-order commit). A lone
-  // worker drains the pool FIFO, so exec_threads == 1 can skip the pool —
-  // same order, no thread spawn per drain (BlazeCluster drains per batch).
+  // committed in submission order below (plan-order commit). ForkJoin
+  // reuses its workers, so a drain (BlazeCluster drains per batch) starts
+  // no threads, and exec_threads == 1 runs every plan on this thread.
   {
     auto execute = [this](Plan& plan) {
       S2FA_SPAN("blaze.svc.request");
@@ -694,19 +693,10 @@ std::vector<RequestOutcome> BlazeService::Drain() {
               ? runtime_.Reduce(plan.exec_accel, rq.input, rq.broadcast)
               : runtime_.Map(plan.exec_accel, rq.input, rq.broadcast);
     };
-    if (options_.exec_threads == 1) {
-      for (Plan& plan : plans) {
-        if (plan.needs_exec) execute(plan);
-      }
-    } else {
-      ThreadPool pool(static_cast<std::size_t>(options_.exec_threads));
-      std::vector<std::future<void>> done;
-      for (Plan& plan : plans) {
-        if (!plan.needs_exec) continue;
-        done.push_back(pool.Submit([&execute, &plan] { execute(plan); }));
-      }
-      for (auto& future : done) future.get();  // surface kernel exceptions
-    }
+    ForkJoin(plans.size(), static_cast<std::size_t>(options_.exec_threads),
+             [&](std::size_t i) {
+               if (plans[i].needs_exec) execute(plans[i]);
+             });
   }
 
   std::vector<RequestOutcome> outcomes(plans.size());

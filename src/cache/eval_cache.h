@@ -12,15 +12,16 @@
 // partition re-proposes it.
 //
 // Three properties beyond a plain map:
-//   * thread safety — lookups/inserts take one short lock; the black box
-//     itself is never called under it;
+//   * thread safety — keys spread over lock stripes; a hit takes one
+//     short lock and allocates nothing, a miss two, and the black box
+//     itself is never called under one;
 //   * single-flight in-flight deduplication — when two evaluators request
 //     the same key concurrently, one computes and the others block and
 //     join its result instead of racing duplicate synthesis jobs;
 //   * an optional LRU capacity bound (`capacity` entries; 0 = unbounded)
-//     for explorations too large to memoize wholesale. The recency list
-//     is kept only when a bound is set; the unbounded default never
-//     touches it.
+//     for explorations too large to memoize wholesale. A bounded cache
+//     keeps one stripe, so its recency order is exact; the unbounded
+//     default keeps no recency list.
 //
 // Determinism: a hit replays the stored EvalOutcome bit-for-bit —
 // including its charged `eval_minutes` — so the simulated clock advances
@@ -32,13 +33,15 @@
 #pragma once
 
 #include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "tuner/driver.h"
 
@@ -84,14 +87,14 @@ class EvalCache {
   explicit EvalCache(EvalCacheOptions options = {});
 
   bool enabled() const { return options_.enabled; }
-  const EvalCacheOptions& options() const { return options_; }
 
-  // Peeks without touching single-flight state. Counts nothing; intended
-  // for tests and diagnostics.
-  std::optional<tuner::EvalOutcome> Find(const std::string& key) const;
+  // Peeks at a completed entry without touching single-flight state.
+  // Counts nothing; intended for tests and diagnostics.
+  std::optional<tuner::EvalOutcome> Find(std::string_view key) const;
 
-  // Stores a completed outcome (evicting LRU entries past capacity).
-  void Insert(const std::string& key, const tuner::EvalOutcome& outcome);
+  // Stores a completed outcome (evicting LRU entries past capacity). A key
+  // in flight keeps its flight: its leader's outcome is what is stored.
+  void Insert(std::string_view key, const tuner::EvalOutcome& outcome);
 
   // The heart of the layer: returns the cached outcome for `key`, joins a
   // concurrent in-flight evaluation of it, or runs `compute` (outside the
@@ -99,44 +102,55 @@ class EvalCache {
   // exception propagates to the leader and every waiter retries (one of
   // them becoming the new leader).
   tuner::EvalOutcome GetOrCompute(
-      const std::string& key,
+      std::string_view key,
       const std::function<tuner::EvalOutcome()>& compute);
 
-  // Wraps `inner`, keying on ConfigKey(config). The cache must outlive
-  // the returned function. Pass-through when disabled.
+  // Wraps `inner`, keying on ConfigKey(config), encoded into a per-thread
+  // buffer. The cache must outlive the returned function. Pass-through
+  // when disabled.
   tuner::EvalFn Wrap(tuner::EvalFn inner);
 
   EvalCacheStats stats() const;
   std::size_t size() const;  // completed entries currently held
 
  private:
-  // One in-flight evaluation; waiters block on `cv` until `done`.
-  struct Flight {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    bool failed = false;
-    tuner::EvalOutcome outcome;
-  };
-
+  // A key's entry: in flight until its leader publishes, then done. A
+  // leader whose compute throws erases it.
   struct Entry {
     tuner::EvalOutcome outcome;
-    std::list<std::string>::iterator lru_it;  // only when bounded()
+    std::uint64_t flight = 0;  // which of the stripe's misses created it
+    bool done = false;
+    std::size_t waiters = 0;  // joiners yet to read it: not evicted
+    std::list<const std::string*>::iterator lru_it;  // bounded and done
+  };
+  // Lets the maps look a key up by string_view, without a std::string.
+  struct KeyHash : std::hash<std::string_view> {
+    using is_transparent = void;
+  };
+  using Map = std::unordered_map<std::string, Entry, KeyHash, std::equal_to<>>;
+
+  // One lock's share of the keys, cache-line aligned so stripes share none.
+  struct alignas(64) Stripe {
+    mutable std::mutex mutex;
+    std::condition_variable landed;  // a joined flight landed or failed
+    Map entries;
+    std::list<const std::string*> lru;  // front = most recent; bounded only
+    std::uint64_t flights = 0;
+    EvalCacheStats stats;
   };
 
   bool bounded() const { return options_.capacity > 0; }
-
-  void InsertLocked(const std::string& key,
-                    const tuner::EvalOutcome& outcome);
-  void TouchLocked(Entry& entry, const std::string& key);
+  std::size_t StripeOf(std::string_view key) const;
+  // Marks `node` done with `outcome` as the most recent entry and evicts
+  // past capacity.
+  void StoreLocked(Stripe& stripe, Map::value_type& node,
+                   const tuner::EvalOutcome& outcome);
+  // Evicts least recent first down to capacity, sparing entries whose
+  // joiners have yet to read them.
+  void EvictLocked(Stripe& stripe);
 
   EvalCacheOptions options_;
-
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, Entry> entries_;
-  std::list<std::string> lru_;  // front = most recently used; bounded only
-  std::unordered_map<std::string, std::shared_ptr<Flight>> inflight_;
-  EvalCacheStats stats_;
+  std::vector<Stripe> stripes_;  // 16 lock stripes; 1 when bounded
 };
 
 }  // namespace s2fa::cache

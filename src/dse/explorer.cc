@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <map>
 #include <memory>
 
@@ -34,6 +33,14 @@ std::function<bool(const tuner::ResultDatabase&)> MakeStop(
       return nullptr;
   }
   S2FA_UNREACHABLE("bad stop kind");
+}
+
+// Fork-join threads: `exec_threads` if set, else one per core and task.
+std::size_t ExecThreads(const ExplorerOptions& options, std::size_t tasks) {
+  return static_cast<std::size_t>(
+      options.exec_threads > 0
+          ? options.exec_threads
+          : std::clamp(static_cast<int>(tasks), 1, options.num_cores));
 }
 
 const char* StopLabel(StopKind stop) {
@@ -165,60 +172,35 @@ DseResult RunS2faDse(const DesignSpace& space, const kir::Kernel& kernel,
   S2FA_COUNT("dse.partitions", static_cast<std::int64_t>(partitions.size()));
 
   // --- 2. Per-partition tuning (full budget; clipped by the schedule).
+  // Built serially (each scope registers its guard), tuned in a fork-join.
   const bool single = partitions.size() == 1;
-  std::vector<TuneResult> tune_results(partitions.size());
-  {
-    const std::size_t pool_threads = static_cast<std::size_t>(
-        options.exec_threads > 0
-            ? options.exec_threads
-            : std::max(1, std::min<int>(options.num_cores,
-                                        static_cast<int>(
-                                            partitions.size()))));
-    std::vector<std::function<TuneResult()>> tasks;
-    tasks.reserve(partitions.size());
-    for (std::size_t i = 0; i < partitions.size(); ++i) {
-      const Partition& partition = partitions[i];
-      TuneOptions topt;
-      topt.time_limit_minutes = options.time_limit_minutes;
-      // One core per partition; a lone partition gets the whole machine
-      // (that is the no-partitioning ablation and the vanilla setup).
-      topt.parallel = single ? options.num_cores : 1;
-      topt.seed = options.seed * 1000003ULL + i * 7919ULL + 1;
-      topt.techniques = options.techniques;
-      if (options.enable_seeds) {
-        topt.seeds.push_back(
-            MakePerformanceSeed(partition.space, options.seed_values));
-        topt.seeds.push_back(MakeAreaSeed(partition.space));
-      }
-      topt.should_stop = MakeStop(options, partition.space.num_factors());
-      topt.stop_reason_label = StopLabel(options.stop);
-      EvalFn guarded = stack.Scope("p" + std::to_string(i));
-      tasks.push_back([&partition, topt, guarded = std::move(guarded)] {
-        S2FA_SPAN("dse.partition");
-        return tuner::Tune(partition.space, guarded, topt);
-      });
+  std::vector<TuneOptions> topts(partitions.size());
+  std::vector<EvalFn> guarded(partitions.size());
+  for (std::size_t i = 0; i < partitions.size(); ++i) {
+    const Partition& partition = partitions[i];
+    TuneOptions& topt = topts[i];
+    topt.time_limit_minutes = options.time_limit_minutes;
+    // One core per partition; a lone partition gets the whole machine
+    // (that is the no-partitioning ablation and the vanilla setup).
+    topt.parallel = single ? options.num_cores : 1;
+    topt.seed = options.seed * 1000003ULL + i * 7919ULL + 1;
+    topt.techniques = options.techniques;
+    if (options.enable_seeds) {
+      topt.seeds.push_back(
+          MakePerformanceSeed(partition.space, options.seed_values));
+      topt.seeds.push_back(MakeAreaSeed(partition.space));
     }
-    if (pool_threads == 1) {
-      // A lone worker drains the queue FCFS, which is exactly submission
-      // order — run the tasks inline instead. Same results, and the spans
-      // stay on the calling thread, so single-core profiles keep the
-      // self-time-bounded-by-wall-clock invariant.
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        tune_results[i] = tasks[i]();
-      }
-    } else {
-      ThreadPool pool(pool_threads);
-      std::vector<std::future<TuneResult>> futures;
-      futures.reserve(tasks.size());
-      for (auto& task : tasks) {
-        // Runs on a worker thread; the span lands in that thread's buffer.
-        futures.push_back(pool.Submit(std::move(task)));
-      }
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        tune_results[i] = futures[i].get();
-      }
-    }
+    topt.should_stop = MakeStop(options, partition.space.num_factors());
+    topt.stop_reason_label = StopLabel(options.stop);
+    guarded[i] = stack.Scope("p" + std::to_string(i));
   }
+  std::vector<TuneResult> tune_results(partitions.size());
+  ForkJoin(partitions.size(), ExecThreads(options, partitions.size()),
+           [&](std::size_t i) {
+             S2FA_SPAN("dse.partition");
+             tune_results[i] =
+                 tuner::Tune(partitions[i].space, guarded[i], topts[i]);
+           });
 
   // --- 3. Deterministic FCFS schedule of partitions onto cores.
   std::vector<double> core_clock(
@@ -321,17 +303,10 @@ DseResult RunS2faDse(const DesignSpace& space, const kir::Kernel& kernel,
       jobs.push_back(std::move(job));
     }
 
-    ThreadPool reclaim_pool(static_cast<std::size_t>(
-        options.exec_threads > 0
-            ? options.exec_threads
-            : std::max(1, std::min<int>(options.num_cores,
-                                        std::max<int>(
-                                            1, static_cast<int>(
-                                                   jobs.size()))))));
+    const std::size_t threads = ExecThreads(options, jobs.size());
     ScheduleResult sched =
         RunBudgetReclaim(std::move(jobs), core_clock,
-                         options.time_limit_minutes, options.sched,
-                         reclaim_pool);
+                         options.time_limit_minutes, options.sched, threads);
     result.schedule = sched.stats;
     result.reclaim_grants = sched.grants;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <limits>
 
 #include "obs/obs.h"
@@ -78,7 +77,7 @@ ScheduleResult RunBudgetReclaim(std::vector<ReclaimJob> jobs,
                                 std::vector<double> core_free_minutes,
                                 double time_limit_minutes,
                                 const SchedulerOptions& options,
-                                ThreadPool& pool) {
+                                std::size_t threads) {
   S2FA_REQUIRE(options.slice_minutes > 0, "slice must be positive");
   S2FA_SPAN("dse.schedule");
   ScheduleResult result;
@@ -161,28 +160,12 @@ ScheduleResult RunBudgetReclaim(std::vector<ReclaimJob> jobs,
     }
     if (wave.empty()) break;
 
-    // Execute the wave concurrently; every entry is a distinct session.
-    // A one-thread pool would run it FCFS in plan order anyway, so run
-    // inline there — identical results, and the grant work's spans stay
-    // on the calling thread for single-core profiles.
+    // Execute the wave concurrently (every entry is a distinct session),
+    // the caller running slices alongside the workers.
     std::vector<double> used_minutes(wave.size(), 0.0);
-    if (pool.num_threads() == 1) {
-      for (std::size_t i = 0; i < wave.size(); ++i) {
-        used_minutes[i] = jobs[wave[i].job].session->RunFor(wave[i].slice);
-      }
-    } else {
-      std::vector<std::future<double>> futures;
-      futures.reserve(wave.size());
-      for (const Planned& p : wave) {
-        tuner::TuneSession* session = jobs[p.job].session;
-        const double slice = p.slice;
-        futures.push_back(
-            pool.Submit([session, slice] { return session->RunFor(slice); }));
-      }
-      for (std::size_t i = 0; i < wave.size(); ++i) {
-        used_minutes[i] = futures[i].get();
-      }
-    }
+    ForkJoin(wave.size(), threads, [&](std::size_t i) {
+      used_minutes[i] = jobs[wave[i].job].session->RunFor(wave[i].slice);
+    });
 
     // Commit in plan order so the grant log and all rate updates are
     // deterministic regardless of completion order.

@@ -17,8 +17,8 @@
 // Determinism: every decision depends only on simulated outcomes — core
 // free times, session clocks, improvement rates — never on real thread
 // timing. Slices are planned sequentially in waves, executed concurrently
-// on a ThreadPool, and committed in plan order, so the grant sequence is
-// bit-identical across pool sizes.
+// by one ForkJoin per wave, and committed in plan order, so the grant
+// sequence is bit-identical across thread counts.
 #pragma once
 
 #include <cstddef>
@@ -27,10 +27,6 @@
 #include <vector>
 
 #include "tuner/driver.h"
-
-namespace s2fa {
-class ThreadPool;
-}
 
 namespace s2fa::dse {
 
@@ -116,12 +112,13 @@ std::optional<double> MapSessionTimeToGlobal(
 // hosted work and freed up before the limit contribute to the ledger
 // (untouched cores are idle capacity, not reclaimed budget — this keeps a
 // run with early stopping disabled grant-free and hence FCFS-identical).
-// Jobs' sessions are advanced in place; the grant log and ledger
-// accounting come back in the result. Pool size never changes outcomes.
+// Jobs' sessions are advanced in place, each wave on `threads` threads
+// (ForkJoin); the grant log and ledger accounting come back in the result.
+// The thread count never changes outcomes.
 ScheduleResult RunBudgetReclaim(std::vector<ReclaimJob> jobs,
                                 std::vector<double> core_free_minutes,
                                 double time_limit_minutes,
                                 const SchedulerOptions& options,
-                                ThreadPool& pool);
+                                std::size_t threads);
 
 }  // namespace s2fa::dse

@@ -1,6 +1,8 @@
 #include "jvm/interpreter.h"
 
 #include <cmath>
+#include <functional>
+#include <type_traits>
 
 #include "support/error.h"
 
@@ -15,6 +17,13 @@ std::int32_t CmpResult(double a, double b, bool nan_is_less) {
   if (a < b) return -1;
   if (a > b) return 1;
   return 0;
+}
+
+// Java's wrapping `+ - *`, computed in the unsigned type of T's width.
+template <typename T, typename Op>
+T Wrapping(T x, T y, Op op) {
+  using U = std::make_unsigned_t<T>;
+  return static_cast<T>(op(static_cast<U>(x), static_cast<U>(y)));
 }
 
 bool EvalCond(Cond cond, std::int32_t value) {
@@ -260,9 +269,9 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
             std::int32_t y = b.AsInt();
             std::int32_t r = 0;
             switch (insn.bin_op) {
-              case BinOp::kAdd: r = x + y; break;
-              case BinOp::kSub: r = x - y; break;
-              case BinOp::kMul: r = x * y; break;
+              case BinOp::kAdd: r = Wrapping(x, y, std::plus<>()); break;
+              case BinOp::kSub: r = Wrapping(x, y, std::minus<>()); break;
+              case BinOp::kMul: r = Wrapping(x, y, std::multiplies<>()); break;
               case BinOp::kDiv:
                 S2FA_REQUIRE(y != 0, "ArithmeticException: / by zero");
                 r = (x == INT32_MIN && y == -1) ? INT32_MIN : x / y;
@@ -291,16 +300,16 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
             std::int64_t y = b.AsLong();
             std::int64_t r = 0;
             switch (insn.bin_op) {
-              case BinOp::kAdd: r = x + y; break;
-              case BinOp::kSub: r = x - y; break;
-              case BinOp::kMul: r = x * y; break;
+              case BinOp::kAdd: r = Wrapping(x, y, std::plus<>()); break;
+              case BinOp::kSub: r = Wrapping(x, y, std::minus<>()); break;
+              case BinOp::kMul: r = Wrapping(x, y, std::multiplies<>()); break;
               case BinOp::kDiv:
                 S2FA_REQUIRE(y != 0, "ArithmeticException: / by zero");
-                r = x / y;
+                r = (x == INT64_MIN && y == -1) ? INT64_MIN : x / y;
                 break;
               case BinOp::kRem:
                 S2FA_REQUIRE(y != 0, "ArithmeticException: % by zero");
-                r = x % y;
+                r = (x == INT64_MIN && y == -1) ? 0 : x % y;
                 break;
               case BinOp::kShl: r = x << (b.AsInt() & 63); break;
               case BinOp::kShr: r = x >> (b.AsInt() & 63); break;

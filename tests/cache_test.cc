@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <list>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -249,20 +252,16 @@ TEST(EvalCacheTest, SingleFlightDeduplicatesConcurrentRequests) {
   std::atomic<int> computes{0};
   constexpr int kThreads = 16;
 
-  ThreadPool pool(kThreads);
-  std::vector<std::future<EvalOutcome>> futures;
-  futures.reserve(kThreads);
-  for (int i = 0; i < kThreads; ++i) {
-    futures.push_back(pool.Submit([&] {
-      return cache.GetOrCompute("hot", [&] {
-        // Slow enough that the other requesters pile up behind the leader.
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        ++computes;
-        return Outcome(17.0);
-      });
-    }));
-  }
-  for (auto& f : futures) EXPECT_EQ(f.get().cost, 17.0);
+  std::vector<EvalOutcome> outs(kThreads);
+  ForkJoin(kThreads, kThreads, [&](std::size_t i) {
+    outs[i] = cache.GetOrCompute("hot", [&] {
+      // Slow enough that the other requesters pile up behind the leader.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ++computes;
+      return Outcome(17.0);
+    });
+  });
+  for (const EvalOutcome& out : outs) EXPECT_EQ(out.cost, 17.0);
 
   EXPECT_EQ(computes.load(), 1);
   EvalCacheStats stats = cache.stats();
@@ -279,30 +278,27 @@ TEST(EvalCacheTest, FailedLeaderLetsWaitersRetry) {
   std::atomic<int> attempts{0};
   constexpr int kThreads = 8;
 
-  ThreadPool pool(kThreads);
-  std::vector<std::future<double>> futures;
-  futures.reserve(kThreads);
-  for (int i = 0; i < kThreads; ++i) {
-    futures.push_back(pool.Submit([&]() -> double {
-      try {
-        return cache
-            .GetOrCompute("flaky",
-                          [&] {
-                            int n = ++attempts;
-                            std::this_thread::sleep_for(
-                                std::chrono::milliseconds(10));
-                            if (n == 1) throw std::runtime_error("boom");
-                            return Outcome(5.0);
-                          })
-            .cost;
-      } catch (const std::runtime_error&) {
-        return -1.0;  // the leader that drew the failure
-      }
-    }));
-  }
+  std::vector<double> costs(kThreads);
+  ForkJoin(kThreads, kThreads, [&](std::size_t i) {
+    try {
+      costs[i] = cache
+                     .GetOrCompute("flaky",
+                                   [&] {
+                                     int n = ++attempts;
+                                     std::this_thread::sleep_for(
+                                         std::chrono::milliseconds(10));
+                                     if (n == 1) {
+                                       throw std::runtime_error("boom");
+                                     }
+                                     return Outcome(5.0);
+                                   })
+                     .cost;
+    } catch (const std::runtime_error&) {
+      costs[i] = -1.0;  // the leader that drew the failure
+    }
+  });
   int failures = 0;
-  for (auto& f : futures) {
-    double cost = f.get();
+  for (double cost : costs) {
     if (cost < 0) {
       ++failures;
     } else {
@@ -348,6 +344,129 @@ TEST(EvalCacheTest, ConcurrentMixedWorkloadStaysConsistent) {
   EXPECT_EQ(stats.lookups, static_cast<std::size_t>(kThreads) * kIters);
   EXPECT_EQ(stats.misses, static_cast<std::size_t>(computes.load()));
   EXPECT_EQ(stats.hits + stats.inflight_joins + stats.misses, stats.lookups);
+}
+
+// Many keys spread over the lock stripes, requested by eight threads in
+// rotated orders with a slow compute, so flights overlap: every key is
+// still computed exactly once and every lookup is counted exactly once.
+TEST(EvalCacheTest, StripedKeysAreComputedOnceAcrossThreads) {
+  EvalCache cache;
+  constexpr int kThreads = 8;
+  constexpr int kKeys = 64;
+  std::vector<std::atomic<int>> computes(kKeys);
+
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, &computes, t] {
+      for (int i = 0; i < kKeys; ++i) {
+        const int key = (t * 8 + i) % kKeys;
+        EvalOutcome out = cache.GetOrCompute(
+            ConfigKey(MakeConfig(key)) + std::to_string(key), [&, key] {
+              ++computes[key];
+              std::this_thread::sleep_for(std::chrono::microseconds(200));
+              return Outcome(static_cast<double>(key));
+            });
+        ASSERT_EQ(out.cost, static_cast<double>(key));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  for (int key = 0; key < kKeys; ++key) EXPECT_EQ(computes[key].load(), 1);
+  EXPECT_EQ(cache.size(), static_cast<std::size_t>(kKeys));
+  EvalCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.lookups, static_cast<std::size_t>(kThreads * kKeys));
+  EXPECT_EQ(stats.misses, static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(stats.hits + stats.inflight_joins + stats.misses, stats.lookups);
+  EXPECT_DOUBLE_EQ(stats.minutes_saved,
+                   5.0 * static_cast<double>(stats.lookups - stats.misses));
+}
+
+// Every key's first leader throws while the other threads wait on it:
+// per key exactly one caller sees the failure and one retry computes.
+TEST(EvalCacheTest, FailedLeadersRetryAcrossStripes) {
+  EvalCache cache;
+  constexpr int kThreads = 8;
+  constexpr int kKeys = 16;
+  std::vector<std::atomic<int>> attempts(kKeys);
+  std::atomic<int> failures{0};
+
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kKeys; ++i) {
+        const int key = (t + i) % kKeys;
+        try {
+          EvalOutcome out =
+              cache.GetOrCompute("flaky" + std::to_string(key), [&, key] {
+                const int n = ++attempts[key];
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                if (n == 1) throw std::runtime_error("boom");
+                return Outcome(static_cast<double>(key));
+              });
+          EXPECT_EQ(out.cost, static_cast<double>(key));
+        } catch (const std::runtime_error&) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), kKeys);
+  for (int key = 0; key < kKeys; ++key) {
+    EXPECT_EQ(attempts[key].load(), 2) << key;
+    EXPECT_TRUE(cache.Find("flaky" + std::to_string(key)).has_value());
+  }
+  EvalCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, static_cast<std::size_t>(2 * kKeys));
+  EXPECT_EQ(stats.hits + stats.inflight_joins + stats.misses, stats.lookups);
+}
+
+// A bounded cache keeps one stripe, so its recency order is exact: a
+// random stream of requests and inserts over more keys than fit evicts
+// exactly what a reference LRU list evicts.
+TEST(EvalCacheTest, BoundedCacheEvictsInExactLruOrder) {
+  EvalCacheOptions options;
+  options.capacity = 4;
+  EvalCache cache(options);
+  std::list<int> model;  // front = most recent
+  std::size_t evictions = 0;
+  auto use = [&](int key) {
+    model.remove(key);
+    model.push_front(key);
+    if (model.size() > options.capacity) {
+      model.pop_back();
+      ++evictions;
+    }
+  };
+  std::mt19937_64 rng(11);
+  for (int step = 0; step < 2000; ++step) {
+    const int key = static_cast<int>(rng() % 9);
+    const std::string name = "k" + std::to_string(key);
+    const bool cached =
+        std::find(model.begin(), model.end(), key) != model.end();
+    if (rng() % 4 == 0) {
+      cache.Insert(name, Outcome(key));
+    } else {
+      bool computed = false;
+      cache.GetOrCompute(name, [&] {
+        computed = true;
+        return Outcome(key);
+      });
+      ASSERT_EQ(computed, !cached) << "step " << step;
+    }
+    use(key);
+    ASSERT_EQ(cache.size(), model.size());
+    for (int k = 0; k < 9; ++k) {
+      ASSERT_EQ(cache.Find("k" + std::to_string(k)).has_value(),
+                std::find(model.begin(), model.end(), k) != model.end())
+          << "step " << step << " key " << k;
+    }
+  }
+  EXPECT_EQ(cache.stats().evictions, evictions);
 }
 
 // ----------------------------------------------- journal/cache layering

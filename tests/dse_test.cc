@@ -642,10 +642,20 @@ TEST(ExplorerTest, BottleneckRosterBitIdenticalAcrossExecThreads) {
   options.techniques = {"bandit", "bottleneck"};
   options.exec_threads = 1;
   DseResult one = RunS2faDse(space, k, eval, options);
+  ASSERT_GT(one.cache_stats.lookups, 0u);
   for (int threads : {2, 8}) {
     options.exec_threads = threads;
     DseResult many = RunS2faDse(space, k, eval, options);
     EXPECT_EQ(one.best_cost, many.best_cost) << threads;
+    // The shared cache sees the same proposal stream: which thread leads
+    // a key and which joins may change, never how many lookups there are
+    // or how many distinct points were computed.
+    const cache::EvalCacheStats& a = one.cache_stats;
+    const cache::EvalCacheStats& b = many.cache_stats;
+    EXPECT_EQ(a.lookups, b.lookups) << threads;
+    EXPECT_EQ(a.misses, b.misses) << threads;
+    EXPECT_EQ(a.hits + a.inflight_joins, b.hits + b.inflight_joins)
+        << threads;
     EXPECT_EQ(one.found_feasible, many.found_feasible) << threads;
     EXPECT_EQ(one.evaluations, many.evaluations) << threads;
     ASSERT_EQ(one.trace.size(), many.trace.size()) << threads;

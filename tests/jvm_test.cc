@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "jvm/assembler.h"
 #include "jvm/interpreter.h"
@@ -287,6 +291,58 @@ TEST_F(InterpFixture, IntDivisionSemantics) {
   EXPECT_EQ(call(-7, 2), -3);  // JVM idiv truncates toward zero
   EXPECT_EQ(call(INT32_MIN, -1), INT32_MIN);  // JVM overflow wrap case
   EXPECT_THROW(call(1, 0), InvalidArgument);
+}
+
+// Java defines integer overflow: int and long `+ - *` wrap modulo 2^32
+// and 2^64, and MIN / -1 is MIN with remainder 0.
+TEST_F(InterpFixture, IntegralArithmeticWrapsLikeJava) {
+  Klass& k = pool_.Define("Test");
+  const std::vector<std::pair<std::string, BinOp>> ops = {
+      {"add", BinOp::kAdd}, {"sub", BinOp::kSub}, {"mul", BinOp::kMul},
+      {"div", BinOp::kDiv}, {"rem", BinOp::kRem}};
+  for (const Type& type : {Type::Int(), Type::Long()}) {
+    for (const auto& [name, op] : ops) {
+      Assembler a;
+      a.Load(type, 0).Load(type, type.is_wide() ? 2 : 1).Bin(type, op);
+      a.Ret(type);
+      MethodSignature sig;
+      sig.params = {type, type};
+      sig.ret = type;
+      k.AddMethod(MakeMethod((type.is_wide() ? "l" : "i") + name, sig, true,
+                             4, a.Finish()));
+    }
+  }
+  Interpreter interp(pool_, heap_);
+  auto i32 = [&](const std::string& name, std::int32_t x, std::int32_t y) {
+    return interp
+        .Invoke("Test", "i" + name, {Value::OfInt(x), Value::OfInt(y)})
+        .ret.AsInt();
+  };
+  auto i64 = [&](const std::string& name, std::int64_t x, std::int64_t y) {
+    return interp
+        .Invoke("Test", "l" + name, {Value::OfLong(x), Value::OfLong(y)})
+        .ret.AsLong();
+  };
+  EXPECT_EQ(i32("add", INT32_MAX, 1), INT32_MIN);
+  EXPECT_EQ(i32("add", 1800000003, 600000003), -1894967290);
+  EXPECT_EQ(i32("sub", INT32_MIN, 1), INT32_MAX);
+  EXPECT_EQ(i32("mul", 123456789, 987654321), -67153019);
+  EXPECT_EQ(i32("mul", 65536, 65536), 0);
+  EXPECT_EQ(i32("mul", INT32_MIN, -1), INT32_MIN);
+  EXPECT_EQ(i32("rem", INT32_MIN, -1), 0);
+
+  EXPECT_EQ(i64("add", INT64_MAX, 1), INT64_MIN);
+  EXPECT_EQ(i64("sub", INT64_MIN, 1), INT64_MAX);
+  EXPECT_EQ(i64("mul", 3037000500, 3037000500), -9223372036709301616);
+  EXPECT_EQ(i64("mul", -9876543210123, 1234567890123),
+            -2173396327366242361);
+  EXPECT_EQ(i64("mul", INT64_MIN, -1), INT64_MIN);
+  EXPECT_EQ(i64("div", INT64_MIN, -1), INT64_MIN);
+  EXPECT_EQ(i64("rem", INT64_MIN, -1), 0);
+  EXPECT_EQ(i64("div", -7, 2), -3);
+  EXPECT_EQ(i64("rem", -7, 2), -1);
+  EXPECT_THROW(i64("div", 1, 0), InvalidArgument);
+  EXPECT_THROW(i64("rem", 1, 0), InvalidArgument);
 }
 
 TEST_F(InterpFixture, ArraysAndBoundsChecks) {

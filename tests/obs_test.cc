@@ -62,19 +62,13 @@ TEST_F(ObsTest, CountersGaugesHistogramsBasics) {
 TEST_F(ObsTest, ConcurrentUpdatesFromThreadPool) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 2000;
-  {
-    ThreadPool pool(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      pool.Submit([t] {
-        for (int i = 0; i < kPerThread; ++i) {
-          S2FA_COUNT("concurrent.hits", 1);
-          S2FA_GAUGE_MAX("concurrent.max", static_cast<double>(t));
-          S2FA_OBSERVE("concurrent.samples", 1.0);
-        }
-      });
+  ForkJoin(kThreads, kThreads, [](std::size_t t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      S2FA_COUNT("concurrent.hits", 1);
+      S2FA_GAUGE_MAX("concurrent.max", static_cast<double>(t));
+      S2FA_OBSERVE("concurrent.samples", 1.0);
     }
-    pool.Wait();
-  }
+  });
   MetricsSnapshot snapshot = Registry::Global().Snapshot();
   EXPECT_EQ(snapshot.counters.at("concurrent.hits"), kThreads * kPerThread);
   EXPECT_DOUBLE_EQ(snapshot.gauges.at("concurrent.max"), kThreads - 1);
@@ -107,13 +101,7 @@ TEST_F(ObsTest, SpanNestingDepthsAndOrder) {
 }
 
 TEST_F(ObsTest, SpansFromWorkerThreadsAreCollected) {
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 16; ++i) {
-      pool.Submit([] { S2FA_SPAN("worker.task"); });
-    }
-    pool.Wait();
-  }
+  ForkJoin(16, 4, [](std::size_t) { S2FA_SPAN("worker.task"); });
   std::vector<SpanEvent> events = Tracer::Global().Events();
   ASSERT_EQ(events.size(), 16u);
   for (const SpanEvent& event : events) {

@@ -162,17 +162,10 @@ TEST_F(ProfileTest, RealScopedSpansNestAndBound) {
 }
 
 TEST_F(ProfileTest, PoolSpansKeepInvariantsAcrossThreads) {
-  {
-    ThreadPool pool(4);
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 16; ++i) {
-      futures.push_back(pool.Submit([] {
-        S2FA_SPAN("pool.task");
-        S2FA_SPAN("pool.step");
-      }));
-    }
-    for (auto& f : futures) f.get();
-  }
+  ForkJoin(16, 4, [](std::size_t) {
+    S2FA_SPAN("pool.task");
+    S2FA_SPAN("pool.step");
+  });
   Profile p = BuildProfile(Tracer::Global().Drain());
   EXPECT_EQ(p.events, 32u);
   EXPECT_GE(p.threads, 1u);
@@ -397,10 +390,9 @@ TEST_F(ProfileTest, DrainRacingRecordLosesNothing) {
   std::atomic<int> done{0};
   std::vector<SpanEvent> drained;
   {
-    ThreadPool pool(kThreads);
-    std::vector<std::future<void>> futures;
+    std::vector<std::thread> writers;
     for (int t = 0; t < kThreads; ++t) {
-      futures.push_back(pool.Submit([&done] {
+      writers.emplace_back([&done] {
         for (int i = 0; i < kPerThread; ++i) {
           SpanEvent e;
           e.name = "race.span";
@@ -410,7 +402,7 @@ TEST_F(ProfileTest, DrainRacingRecordLosesNothing) {
           Tracer::Global().Record(std::move(e));
         }
         done.fetch_add(1);
-      }));
+      });
     }
     // Drain concurrently with the writers.
     while (done.load() < kThreads) {
@@ -418,7 +410,7 @@ TEST_F(ProfileTest, DrainRacingRecordLosesNothing) {
       drained.insert(drained.end(), batch.begin(), batch.end());
       std::this_thread::yield();
     }
-    for (auto& f : futures) f.get();
+    for (auto& writer : writers) writer.join();
   }
   std::vector<SpanEvent> rest = Tracer::Global().Drain();
   drained.insert(drained.end(), rest.begin(), rest.end());

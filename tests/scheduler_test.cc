@@ -12,7 +12,6 @@
 #include "dse/explorer.h"
 #include "hls/estimator.h"
 #include "merlin/transform.h"
-#include "support/thread_pool.h"
 
 namespace s2fa::dse {
 namespace {
@@ -221,9 +220,8 @@ TEST(SchedulerTest, ReclaimGrantsOnlyTouchedEarlyCores) {
   std::vector<double> cores{40.0, 0.0, 100.0};
   SchedulerOptions sopt;
   sopt.slice_minutes = 20;
-  ThreadPool pool(2);
   ScheduleResult r = RunBudgetReclaim(std::move(jobs), cores, 100.0, sopt,
-                                      pool);
+                                      /*threads=*/2);
 
   EXPECT_DOUBLE_EQ(r.stats.reclaimed_minutes, 60.0);
   ASSERT_EQ(r.grants.size(), 3u);
@@ -254,9 +252,9 @@ TEST(SchedulerTest, NoUsableCoresMeansNoGrants) {
   jobs[0].session = &session;
 
   // Every core either untouched or exhausted: the ledger stays empty.
-  ThreadPool pool(2);
   ScheduleResult r = RunBudgetReclaim(std::move(jobs), {0.0, 100.0, 100.0},
-                                      100.0, SchedulerOptions{}, pool);
+                                      100.0, SchedulerOptions{},
+                                      /*threads=*/2);
   EXPECT_TRUE(r.grants.empty());
   EXPECT_DOUBLE_EQ(r.stats.reclaimed_minutes, 0.0);
   EXPECT_DOUBLE_EQ(session.clock_minutes(), 0.0);
