@@ -18,11 +18,19 @@
 //                   dispatch lane: depth routing loses nothing and its p99
 //                   stays at or below its pinned value;
 //   5. determinism— the same chaotic workload on 1/2/8 exec threads renders
-//                   bit-identical outcome streams (plan-order commit).
+//                   bit-identical outcome streams (plan-order commit);
+//   6. node       — one node as a 1-shard cluster: AES on two replicas
+//                   through warm / burst / recovery arrivals around an
+//                   accelerator fault burst. Nothing is lost and every
+//                   output matches the reference, the burst quarantines
+//                   every replica and probes re-enlist them all, the age
+//                   hedge lowers p99, and 1/2/8 exec threads agree bit for
+//                   bit.
 //
 // Quick mode (S2FA_BENCH_QUICK=1, used by the cluster_smoke ctest) scales
-// the request counts down ~50x but exercises every gate. Phase latencies
-// land in the serving perf ledger (BENCH_serving.json at the repo root, or
+// the request counts of phases 1-5 down ~50x but exercises every gate; the
+// node phase is small enough to run whole. Phase latencies land in the
+// serving perf ledger (BENCH_serving.json at the repo root, or
 // S2FA_PERF_LEDGER) for the perf-diff trajectory gate.
 #include <algorithm>
 #include <cmath>
@@ -34,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/app.h"
 #include "b2c/compiler.h"
 #include "bench_util.h"
 #include "blaze/cluster.h"
@@ -197,12 +206,149 @@ struct CanonHash {
        << o.redirects << '|' << o.hedged << o.poisoned << '|' << o.dispatch_us
        << '|' << o.complete_us << '|' << o.latency_us << '|';
     for (std::size_t c = 0; c < o.output.num_columns(); ++c) {
-      for (const auto& v : o.output.column(c).data) os << v.AsDouble() << ',';
+      for (const auto& v : o.output.column(c).data) {
+        os << (v.is_double() ? v.AsDouble()
+               : v.is_float() ? v.AsFloat()
+                              : static_cast<double>(v.AsInt()))
+           << ',';
+      }
     }
     os << '\n';
     Mix(os.str());
   }
 };
+
+// ---- the node phase: one node as a 1-shard cluster
+constexpr int kNodeReplicas = 2;
+constexpr int kNodeWarm = 5;       // clean invocations 0-4 of replica 0
+constexpr int kNodeBurst = 16;     // arrivals during the fault burst
+constexpr int kNodeRecovery = 8;   // spaced arrivals: probes re-enlist here
+constexpr std::size_t kNodeRecords = 64;
+
+// AES outputs are integers: a served output must equal the reference.
+bool MatchesReference(const blaze::Dataset& got, const blaze::Dataset& want) {
+  if (got.num_records() != want.num_records()) return false;
+  for (std::size_t c = 0; c < want.num_columns(); ++c) {
+    const blaze::Column& w = want.column(c);
+    if (!got.HasField(w.field)) return false;
+    const blaze::Column& g = got.ColumnByField(w.field);
+    for (std::size_t n = 0; n < w.data.size(); ++n) {
+      if (g.data[n].AsInt() != w.data[n].AsInt()) return false;
+    }
+  }
+  return true;
+}
+
+struct NodeReplay {
+  blaze::ClusterStats stats;
+  blaze::ServiceStats health;        // the shard's service
+  std::vector<double> latencies_us;  // submission order
+  std::uint64_t hash = 0;            // canonical outcome stream
+  std::size_t lost = 0;
+  std::size_t mismatches = 0;        // outputs vs the native reference
+  bool all_recovered = false;        // no replica quarantined at the end
+};
+
+NodeReplay RunNode(const apps::App& app, const Artifact& artifact,
+                   bool hedge, int exec_threads) {
+  blaze::BlazeRuntime runtime;
+  std::vector<std::string> ids;
+  for (int i = 0; i < kNodeReplicas; ++i) {
+    ids.push_back(app.name + "#" + std::to_string(i));
+    RegisterWithBlaze(runtime, ids.back(), artifact);
+  }
+  // One invocation per request.
+  const double req_us = runtime.PerInvocationCost(ids.front()).total_us;
+
+  blaze::ClusterOptions options;
+  options.batch_max_requests = 1;  // one dispatch per request
+  options.exec_threads = exec_threads;
+  // Hedge a request once it is a request's cost past its clean completion:
+  // one that waits behind a host fallback or burns a failed attempt is
+  // already there, a clean dispatch never is.
+  options.queue_hedge_us = hedge ? 2 * req_us : 0;
+  options.shard_options.probe_backoff_us = req_us;
+  options.shard_options.probe_backoff_max_us = 8 * req_us;
+  // Classification seed picked so the burst manifests both failure modes:
+  // crashes detected at the driver round trip, timeouts only after 4x the
+  // expected latency.
+  options.shard_options.seed = 3;
+  blaze::BlazeCluster cluster(runtime, options);
+  cluster.AddShard();
+  for (const std::string& id : ids) cluster.AddReplica(0, app.name, id);
+  // Per-replica invocations 5 and 6 fail every attempt. The shard
+  // dispatches one request at a time, so replica 0 serves the warm phase
+  // alone; five clean samples keep it healthy through the two failed
+  // attempts of invocation 5, and the first attempt of invocation 6 is the
+  // third failure in a row that quarantines it. Replica 1 then takes over
+  // and goes the same way, and each one's first probe (invocation 7)
+  // re-enlists it.
+  cluster.SetChaosPlan(blaze::ParseChaosPlan("burst 5:2"));
+
+  Rng rng(2018);
+  blaze::Dataset broadcast;
+  const blaze::Dataset* bc = nullptr;
+  if (app.make_broadcast) {
+    Rng brng(2018 ^ 0xBCA57ULL);
+    broadcast = app.make_broadcast(brng);
+    bc = &broadcast;
+  }
+  std::vector<blaze::Dataset> expected;
+  auto request_at = [&](double arrival_us) {
+    blaze::ClusterRequest rq;
+    rq.kernel = app.name;
+    rq.input = app.make_input(kNodeRecords, rng);
+    rq.broadcast = bc;
+    rq.arrival_us = arrival_us;
+    expected.push_back(app.reference(rq.input, bc));
+    return rq;
+  };
+  // Warm and burst arrivals near the shard's service rate (it dispatches
+  // one request at a time) ...
+  std::vector<blaze::ClusterRequest> requests;
+  for (int i = 0; i < kNodeWarm + kNodeBurst; ++i) {
+    requests.push_back(request_at(1.1 * req_us * i));
+  }
+  std::vector<blaze::ClusterRequestOutcome> outcomes =
+      cluster.Run(std::move(requests));
+  // ... then recovery arrivals in pairs, past the longest probe backoff
+  // after the shard's service has drained the burst (winning hedges commit
+  // before the accelerator work they beat, so the cluster clock alone can
+  // trail it).
+  const double recovery_start =
+      std::max(cluster.clock_us(), cluster.shard_service(0).clock_us()) +
+      options.shard_options.probe_backoff_max_us;
+  std::vector<blaze::ClusterRequest> recovery;
+  for (int i = 0; i < kNodeRecovery; ++i) {
+    recovery.push_back(request_at(recovery_start + (i / 2) * 2.5 * req_us));
+  }
+  for (auto& o : cluster.Run(std::move(recovery))) {
+    outcomes.push_back(std::move(o));
+  }
+
+  NodeReplay replay;
+  replay.stats = cluster.stats();
+  const blaze::ClusterStats& s = replay.stats;
+  replay.lost =
+      s.submitted - s.completed - s.rejected_full - s.tenant_throttled;
+  CanonHash hash;
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const blaze::ClusterRequestOutcome& o = outcomes[i];
+    hash.Mix(o);
+    replay.latencies_us.push_back(o.latency_us);
+    if (!MatchesReference(o.output, expected[i])) ++replay.mismatches;
+  }
+  replay.hash = hash.state;
+  const blaze::BlazeService& service = cluster.shard_service(0);
+  replay.health = service.stats();
+  replay.all_recovered = true;
+  for (const std::string& id : ids) {
+    if (service.health(id) == blaze::AcceleratorHealth::kQuarantined) {
+      replay.all_recovered = false;
+    }
+  }
+  return replay;
+}
 
 }  // namespace
 
@@ -549,6 +695,69 @@ int main() {
                 deterministic ? "(all equal)" : "(MISMATCH)");
   }
 
+  // ---- phase 6: one node as a 1-shard cluster ----------------------------
+  bool node_ok = false, node_recovers = false, node_hedge_pays = false,
+       node_deterministic = false;
+  {
+    apps::App app = apps::FindApp("AES");
+    const Artifact artifact =
+        BuildWithConfig(*app.pool, app.spec, merlin::DesignConfig{});
+    const NodeReplay plain = RunNode(app, artifact, /*hedge=*/false, 1);
+    const NodeReplay hedged = RunNode(app, artifact, /*hedge=*/true, 1);
+    const NodeReplay hedged2 = RunNode(app, artifact, /*hedge=*/true, 2);
+    const NodeReplay hedged8 = RunNode(app, artifact, /*hedge=*/true, 8);
+    const double p99_plain = Quantile(plain.latencies_us, 0.99);
+    const double p99_hedged = Quantile(hedged.latencies_us, 0.99);
+    node_ok = plain.lost == 0 && hedged.lost == 0 && plain.mismatches == 0 &&
+              hedged.mismatches == 0;
+    // The health cycle is read off the unhedged replay: hedges that win
+    // while a request still queues keep it from the service, so the hedged
+    // replay feeds the state machine fewer dispatches.
+    node_recovers = plain.health.quarantines >= kNodeReplicas &&
+                    plain.health.reenlistments >= kNodeReplicas &&
+                    plain.all_recovered;
+    node_hedge_pays = hedged.stats.hedges_won > 0 && p99_hedged < p99_plain;
+    node_deterministic =
+        hedged.hash == hedged2.hash && hedged.hash == hedged8.hash;
+    for (const auto& [label, r] : {std::pair<const char*, const NodeReplay*>{
+                                       "no hedge", &plain},
+                                   {"age hedge", &hedged}}) {
+      const blaze::ClusterStats& s = r->stats;
+      const blaze::ServiceStats& h = r->health;
+      std::printf("node %-9s: %zu reqs, %zu lost, %zu mismatches, p99 %.0f "
+                  "us; %zu accel / %zu host / %zu hedged; %zu failures (%zu "
+                  "crash, %zu timeout), %zu quarantines, %zu "
+                  "re-enlistments; hedges %zu launched, %zu won\n",
+                  label, s.submitted, r->lost, r->mismatches,
+                  Quantile(r->latencies_us, 0.99), s.completed_accel,
+                  s.completed_host, s.completed_hedge, h.accel_failures,
+                  h.crashes, h.timeouts, h.quarantines, h.reenlistments,
+                  s.hedges_launched, s.hedges_won);
+    }
+    // Phase-attributed latencies of the hedged replay: the warm / burst /
+    // recovery means land as ns-per-request ledger entries, and their
+    // histograms give p50/p95/p99 per phase.
+    const struct {
+      const char* name;
+      std::size_t first, count;
+    } phases[] = {
+        {"warm", 0, kNodeWarm},
+        {"burst", kNodeWarm, kNodeBurst},
+        {"recovery", kNodeWarm + kNodeBurst, kNodeRecovery},
+    };
+    for (const auto& phase : phases) {
+      double sum_us = 0;
+      for (std::size_t i = phase.first; i < phase.first + phase.count; ++i) {
+        S2FA_OBSERVE("serving." + std::string(phase.name) + ".latency_us",
+                     hedged.latencies_us[i]);
+        sum_us += hedged.latencies_us[i];
+      }
+      const double count = static_cast<double>(phase.count);
+      ledger_entry("serving." + std::string(phase.name) + ".request",
+                   sum_us * 1e3 / count, count);
+    }
+  }
+
   std::printf("\nGATE shard-scaling: %s (2 shards %.2fx, 4 shards %.2fx)\n",
               scales ? "PASS" : "FAIL", scale2, scale4);
   std::printf("GATE chaos-zero-lost-and-match: %s\n",
@@ -565,13 +774,22 @@ int main() {
               kRoutingP99BoundUs);
   std::printf("GATE exec-thread-determinism: %s\n",
               deterministic ? "PASS" : "FAIL");
+  std::printf("GATE node-zero-lost-and-match: %s\n",
+              node_ok ? "PASS" : "FAIL");
+  std::printf("GATE node-quarantine-recovers: %s\n",
+              node_recovers ? "PASS" : "FAIL");
+  std::printf("GATE node-hedge-lowers-p99: %s\n",
+              node_hedge_pays ? "PASS" : "FAIL");
+  std::printf("GATE node-exec-thread-determinism: %s\n",
+              node_deterministic ? "PASS" : "FAIL");
 
   const std::string ledger_path =
       UpdatePerfLedger(entries, ServingLedgerPath());
   std::printf("perf ledger: %s\n", ledger_path.c_str());
 
   return (scales && chaos_ok && chaos_p99_ok && rebalance_ok && flood_ok &&
-          flood_p99_ok && routing_ok && routing_tail_ok && deterministic)
+          flood_p99_ok && routing_ok && routing_tail_ok && deterministic &&
+          node_ok && node_recovers && node_hedge_pays && node_deterministic)
              ? 0
              : 1;
 }

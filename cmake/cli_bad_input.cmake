@@ -43,6 +43,9 @@ expect_rejected(--chaos-plan ARGS serve AES --chaos-plan "fault-rate 1.5")
 # Depth routing is the only shard-selection policy: the flag that picked
 # one is gone.
 expect_rejected(--routing ARGS serve AES --routing depth)
+# The cluster's age hedge is the only host hedge, armed by `serve` itself:
+# the service's quantile-hedge flag is gone.
+expect_rejected(--hedge-quantile ARGS serve AES --hedge-quantile 0.9)
 expect_rejected(S2FA_EVAL_TIMEOUT ENV S2FA_EVAL_TIMEOUT=garbage
                 ARGS explore KMeans)
 # A capacity past unsigned long long must not saturate silently.

@@ -120,8 +120,6 @@ std::unique_ptr<BlazeService> BlazeCluster::MakeService(
   so.exec_threads = options_.exec_threads;
   // Distinct failure-classification streams per fault domain.
   so.seed = options_.shard_options.seed + 0x9E37 * (shard + 1);
-  so.queue_capacity =
-      std::max(so.queue_capacity, options_.batch_max_requests);
   auto service = std::make_unique<BlazeService>(runtime_, so);
   for (const auto& [kernel, accel_id] : shards_[shard].replicas) {
     service->AddReplica(kernel, accel_id);
@@ -785,7 +783,7 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
             t + spike * (out.complete_us - t);  // interconnect congestion
         // Lane occupancy: an accelerator completion frees the lane at the
         // completion; a service host fallback frees it when the host takes
-        // over; a winning service hedge frees it at the hedge completion.
+        // over.
         std::size_t node_records = 0;
         for (std::size_t index : node.members) {
           node_records += records_of(index);
@@ -804,12 +802,9 @@ std::vector<ClusterRequestOutcome> BlazeCluster::Drain() {
                              node.members.end());
           continue;
         }
-        ClusterServe mapped = ClusterServe::kAccelerator;
-        if (out.outcome == ServeOutcome::kHost) {
-          mapped = ClusterServe::kHost;
-        } else if (out.outcome == ServeOutcome::kHedgedHost) {
-          mapped = ClusterServe::kHedgedHost;
-        }
+        const ClusterServe mapped = out.outcome == ServeOutcome::kHost
+                                        ? ClusterServe::kHost
+                                        : ClusterServe::kAccelerator;
         std::size_t row = 0;
         for (std::size_t index : node.members) {
           Slot& slot = slots[index];

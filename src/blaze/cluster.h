@@ -2,8 +2,10 @@
 // instances on the shared deterministic simulated clock.
 //
 // Each shard is one BlazeService (its own replicas, health state machine,
-// hedging, and fault injector — one fault domain). The cluster layers on
-// top, planning at micro-batch granularity:
+// and fault injector — one fault domain). The cluster layers on top,
+// planning at micro-batch granularity, and is the serving stack's only
+// admission gate and only host hedge; one node is served as a 1-shard
+// cluster:
 //
 //   * failover with exactly-once commit — a scripted kill (ChaosPlan) or a
 //     fully-quarantined shard re-routes in-flight and queued requests to
@@ -34,6 +36,10 @@
 //     flooding tenant is throttled instead of starving the others — under
 //     degraded capacity too, because the stride pick runs at every
 //     dispatch regardless of how many shards survive;
+//   * age hedging — with `queue_hedge_us` set, a request still uncommitted
+//     that long after it was enqueued starts a host-path hedge, whether it
+//     is still queued or already in flight; the commit slot keeps the first
+//     finisher;
 //   * scripted chaos — kills/restarts (a restart is a fresh process:
 //     replica health resets), accelerator faults (bursts and `fault-rate`)
 //     forwarded to the service injectors, latency spikes (dispatch-time

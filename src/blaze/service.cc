@@ -19,8 +19,6 @@ using detail::QuantileNearestRank;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Fixed serving policy (ServiceOptions documents each where it applies).
-constexpr std::size_t kLatencyWindow = 64;      // hedge latency samples
-constexpr std::size_t kHedgeMinSamples = 8;     // before a hedge arms
 constexpr int kQuarantineConsecutive = 3;       // failures in a row
 constexpr std::size_t kHealthMinSamples = 4;    // capped at health_window
 constexpr double kDegradeThreshold = 0.30;      // window failure rate
@@ -42,10 +40,8 @@ const char* HealthName(AcceleratorHealth health) {
 
 const char* ServeOutcomeName(ServeOutcome outcome) {
   switch (outcome) {
-    case ServeOutcome::kRejectedFull: return "rejected-full";
     case ServeOutcome::kAccelerator: return "accelerator";
     case ServeOutcome::kHost: return "host";
-    case ServeOutcome::kHedgedHost: return "hedged-host";
   }
   S2FA_UNREACHABLE("bad serve outcome");
 }
@@ -66,17 +62,15 @@ struct BlazeService::Pending {
 struct BlazeService::Plan {
   std::size_t id = 0;
   std::size_t request_index = 0;
-  ServeOutcome outcome = ServeOutcome::kRejectedFull;
+  ServeOutcome outcome = ServeOutcome::kHost;
   std::string replica;     // replica that served the accelerator path
   std::string exec_accel;  // design used for functional execution
   int attempts = 0;
   bool probe = false;
-  bool hedged = false;
   double dispatch_us = 0;
   double complete_us = 0;
   double latency_us = 0;
   double charged_us = 0;
-  bool needs_exec = false;
   Dataset output;  // filled by the execution phase
 };
 
@@ -88,17 +82,12 @@ struct BlazeService::HealthEvent {
   resilience::FailureKind kind = resilience::FailureKind::kNone;
   double latency_per_invocation_us = 0;
   bool is_probe = false;
-  bool kernel_sample = false;  // success also feeds the hedge window
-  std::string kernel;
 };
 
 // ----------------------------------------------------------------- service
 
 BlazeService::BlazeService(BlazeRuntime& runtime, ServiceOptions options)
     : runtime_(runtime), options_(options) {
-  S2FA_REQUIRE(options_.queue_capacity > 0, "queue capacity must be >= 1");
-  S2FA_REQUIRE(options_.hedge_quantile >= 0 && options_.hedge_quantile <= 1.0,
-               "hedge quantile must be in [0, 1]");
   S2FA_REQUIRE(options_.health_window >= 2,
                "health window must hold at least 2 samples");
   S2FA_REQUIRE(options_.exec_threads >= 1, "exec_threads must be >= 1");
@@ -176,16 +165,6 @@ ReplicaHealthCounts BlazeService::CountHealth(const std::string& kernel,
   return counts;
 }
 
-std::optional<double> BlazeService::HedgeDelayUs(
-    const std::string& kernel) const {
-  auto it = kernels_.find(kernel);
-  if (it == kernels_.end() || options_.hedge_quantile <= 0) return std::nullopt;
-  const auto& window = it->second.latency_window_us;
-  if (window.size() < kHedgeMinSamples) return std::nullopt;
-  return QuantileNearestRank({window.begin(), window.end()},
-                             options_.hedge_quantile);
-}
-
 void BlazeService::Submit(ServiceRequest request) {
   S2FA_REQUIRE(kernels_.count(request.kernel) != 0,
                "no replicas enlisted for kernel " << request.kernel);
@@ -230,11 +209,6 @@ void BlazeService::ApplyHealthEventsUpTo(double t) {
 void BlazeService::ApplyHealthSample(Replica& replica,
                                      const HealthEvent& event) {
   const double t = event.time_us;
-  if (event.kernel_sample && !event.failed) {
-    auto& window = kernels_[event.kernel].latency_window_us;
-    window.push_back(event.latency_per_invocation_us);
-    while (window.size() > kLatencyWindow) window.pop_front();
-  }
   if (event.is_probe) {
     replica.probe_inflight = false;
     if (event.failed) {
@@ -338,14 +312,15 @@ void BlazeService::ApplyHealthSample(Replica& replica,
 BlazeService::ReplicaChoice BlazeService::SelectReplica(
     const KernelGroup& group, double t) const {
   // Selection: free healthy replicas first (registration order is the
-  // deterministic tie-break), then free degraded ones, then a probe of an
-  // eligible quarantined replica. The caller waits while `any_live_lane`
-  // and nothing was found, and host-directs only when the whole group is
-  // dark.
+  // deterministic tie-break), then a probe of an eligible quarantined
+  // replica, then free degraded ones. Probing before spilling to a degraded
+  // replica lets a quarantined replica rejoin while a re-enlisted sibling
+  // serves: a cluster shard hands its service one batch at a time, so
+  // waiting for every live lane to be busy would never probe. The caller
+  // waits while `any_live_lane` and nothing was found, and host-directs
+  // only when the whole group is dark.
   ReplicaChoice choice;
-  for (int tier = 0; tier < 2 && !choice.found; ++tier) {
-    const auto want = tier == 0 ? AcceleratorHealth::kHealthy
-                                : AcceleratorHealth::kDegraded;
+  auto first_free = [&](AcceleratorHealth want) {
     for (std::size_t index : group.replicas) {
       const Replica& replica = replicas_[index];
       if (replica.health != want) continue;
@@ -353,27 +328,28 @@ BlazeService::ReplicaChoice BlazeService::SelectReplica(
       if (replica.free_us > t) continue;
       choice.found = true;
       choice.replica = index;
-      break;
+      return;
     }
+  };
+  first_free(AcceleratorHealth::kHealthy);
+  if (choice.found) return choice;
+  for (std::size_t index : group.replicas) {
+    const Replica& replica = replicas_[index];
+    if (replica.health != AcceleratorHealth::kQuarantined) continue;
+    if (replica.free_us > t || replica.probe_inflight) continue;
+    if (replica.probe_eligible_us > t) continue;
+    choice.found = true;
+    choice.replica = index;
+    choice.probe = true;
+    return choice;
   }
-  if (!choice.found) {
-    for (std::size_t index : group.replicas) {
-      const Replica& replica = replicas_[index];
-      if (replica.health != AcceleratorHealth::kQuarantined) continue;
-      if (replica.free_us > t || replica.probe_inflight) continue;
-      if (replica.probe_eligible_us > t) continue;
-      choice.found = true;
-      choice.replica = index;
-      choice.probe = true;
-      break;
-    }
-  }
+  first_free(AcceleratorHealth::kDegraded);
   return choice;
 }
 
 void BlazeService::PlanDispatch(Pending& request, Plan& plan,
                                 std::size_t replica_index, double t,
-                                bool probe, KernelGroup& group) {
+                                bool probe) {
   Replica& replica = replicas_[replica_index];
   const ServiceRequest& rq = backlog_[request.request_index];
   const RegisteredAccelerator& accel =
@@ -400,7 +376,7 @@ void BlazeService::PlanDispatch(Pending& request, Plan& plan,
   // regular dispatch retries once, then falls back to the host (SparkCL's
   // degradation policy; the only place accelerator failures are handled).
   struct Segment {
-    double start_us = 0, end_us = 0, cost_us = 0;
+    double end_us = 0, cost_us = 0;
     bool failed = false;
     resilience::FailureKind kind = resilience::FailureKind::kNone;
   };
@@ -410,7 +386,6 @@ void BlazeService::PlanDispatch(Pending& request, Plan& plan,
   bool succeeded = false;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     Segment segment;
-    segment.start_us = cursor;
     const bool failed =
         injector_ && injector_(replica.accel_id, invocation, attempt);
     if (!failed) {
@@ -431,87 +406,28 @@ void BlazeService::PlanDispatch(Pending& request, Plan& plan,
     cursor = segment.end_us;
   }
 
-  double primary_complete;
-  ServeOutcome primary_outcome;
-  double primary_charge = 0;
-  for (const Segment& segment : segments) primary_charge += segment.cost_us;
-  double lane_busy_until;
+  double charged = 0;
+  for (const Segment& segment : segments) charged += segment.cost_us;
+  double complete;
   if (succeeded) {
-    primary_complete = segments.back().end_us;
-    primary_outcome = ServeOutcome::kAccelerator;
-    lane_busy_until = primary_complete;
+    complete = segments.back().end_us;
+    plan.outcome = ServeOutcome::kAccelerator;
+    replica.free_us = complete;
   } else {
     // All accelerator attempts failed: host fallback, which frees the lane
     // the moment the host takes over.
-    primary_complete = cursor + host_us;
-    primary_outcome = ServeOutcome::kHost;
-    primary_charge += host_us;
-    lane_busy_until = cursor;
+    complete = cursor + host_us;
+    plan.outcome = ServeOutcome::kHost;
+    charged += host_us;
+    replica.free_us = cursor;
   }
 
-  // Hedged dispatch. Probes are never hedged: a cancelled probe would
-  // leave the quarantine decision without its outcome.
-  double complete = primary_complete;
-  ServeOutcome outcome = primary_outcome;
-  double charged = primary_charge;
-  double cancel_after = kInf;  // drop planned samples past this time
-  const auto armed = [&]() -> std::optional<double> {
-    if (options_.hedge_quantile <= 0 || probe) return std::nullopt;
-    if (group.latency_window_us.size() < kHedgeMinSamples) return std::nullopt;
-    return scale * QuantileNearestRank({group.latency_window_us.begin(),
-                                        group.latency_window_us.end()},
-                                       options_.hedge_quantile);
-  }();
-  if (armed && primary_complete - t > *armed) {
-    plan.hedged = true;
-    ++stats_.hedges_launched;
-    S2FA_COUNT("blaze.svc.hedges", 1);
-    const double hedge_start = t + *armed;
-    const double hedge_complete = hedge_start + host_us;
-    if (hedge_complete < primary_complete) {
-      // The hedge wins: cancel the in-flight accelerator work. Completed
-      // segments stay billed; the cancelled remainder is not.
-      ++stats_.hedges_won;
-      S2FA_COUNT("blaze.svc.hedge_wins", 1);
-      stats_.hedge_saved_us += primary_complete - hedge_complete;
-      complete = hedge_complete;
-      outcome = ServeOutcome::kHedgedHost;
-      cancel_after = hedge_complete;
-      charged = host_us;
-      for (const Segment& segment : segments) {
-        if (segment.end_us <= hedge_complete) {
-          charged += segment.cost_us;
-        } else {
-          stats_.cancelled_charge_us += segment.cost_us;
-        }
-      }
-      if (!succeeded) stats_.cancelled_charge_us += host_us;  // the fallback
-      lane_busy_until = std::min(lane_busy_until, hedge_complete);
-    } else {
-      // The accelerator wins: the hedge is cancelled and never billed.
-      ++stats_.hedges_cancelled;
-      S2FA_COUNT("blaze.svc.hedge_losses", 1);
-      stats_.cancelled_charge_us +=
-          std::min(host_us, primary_complete - hedge_start);
-    }
-  }
-
-  // Queue the health-window samples at their simulated observation times;
-  // segments cancelled by a winning hedge are never observed.
+  // Queue the health-window samples at their simulated observation times.
   auto later = [](const HealthEvent& a, const HealthEvent& b) {
     if (a.time_us != b.time_us) return a.time_us > b.time_us;
     return a.seq > b.seq;
   };
-  int attempts_started = 0;
   for (const Segment& segment : segments) {
-    if (segment.start_us >= cancel_after) break;
-    ++attempts_started;
-    ++stats_.accel_attempts;
-    if (attempts_started == 2) {
-      ++stats_.retries;
-      S2FA_COUNT("blaze.svc.retries", 1);
-    }
-    if (segment.end_us > cancel_after) break;  // in flight at cancellation
     HealthEvent event;
     event.time_us = segment.end_us;
     event.seq = health_event_seq_++;
@@ -520,10 +436,14 @@ void BlazeService::PlanDispatch(Pending& request, Plan& plan,
     event.kind = segment.kind;
     event.latency_per_invocation_us = segment.cost_us / scale;
     event.is_probe = probe;
-    event.kernel_sample = !segment.failed;
-    event.kernel = rq.kernel;
     health_events_.push_back(std::move(event));
     std::push_heap(health_events_.begin(), health_events_.end(), later);
+  }
+  const int attempts = static_cast<int>(segments.size());
+  stats_.accel_attempts += segments.size();
+  if (attempts == 2) {
+    ++stats_.retries;
+    S2FA_COUNT("blaze.svc.retries", 1);
   }
   if (probe) {
     ++stats_.probes;
@@ -531,13 +451,10 @@ void BlazeService::PlanDispatch(Pending& request, Plan& plan,
     replica.probe_inflight = true;
   }
 
-  replica.free_us = lane_busy_until;
-  plan.outcome = outcome;
-  plan.attempts = attempts_started;
+  plan.attempts = attempts;
   plan.complete_us = complete;
   plan.latency_us = complete - request.arrival_us;
   plan.charged_us = charged;
-  plan.needs_exec = true;
 }
 
 void BlazeService::PlanAll(std::vector<Pending>& pending,
@@ -561,7 +478,7 @@ void BlazeService::PlanAll(std::vector<Pending>& pending,
   for (std::size_t i = 0; i < pending.size(); ++i) {
     push_event(pending[i].arrival_us, SimEvent::kArrival, i);
   }
-  std::vector<std::size_t> waiting;  // admitted pending indices, FIFO
+  std::vector<std::size_t> waiting;  // pending indices, FIFO
 
   // Dispatches every waiting request that can start at `t`. Skip-scans the
   // FIFO so one kernel's busy replicas never block another kernel's queue.
@@ -596,9 +513,8 @@ void BlazeService::PlanAll(std::vector<Pending>& pending,
                       basis.host_us_per_invocation;
           plan.latency_us = plan.complete_us - request.arrival_us;
           plan.charged_us = plan.complete_us - t;
-          plan.needs_exec = true;
         } else {
-          PlanDispatch(request, plan, choice.replica, t, choice.probe, group);
+          PlanDispatch(request, plan, choice.replica, t, choice.probe);
           push_event(replicas_[choice.replica].free_us, SimEvent::kLaneFree,
                      choice.replica);
         }
@@ -614,27 +530,8 @@ void BlazeService::PlanAll(std::vector<Pending>& pending,
     SimEvent event = events.back();
     events.pop_back();
     clock_us_ = std::max(clock_us_, event.time_us);
-    if (event.kind == SimEvent::kArrival) {
-      ApplyHealthEventsUpTo(event.time_us);
-      try_dispatch(event.time_us);
-      Pending& request = pending[event.index];
-      if (waiting.size() >= options_.queue_capacity) {
-        plans[event.index].outcome = ServeOutcome::kRejectedFull;
-        ++stats_.rejected_full;
-        S2FA_COUNT("blaze.svc.rejected_full", 1);
-      } else {
-        ++stats_.admitted;
-        S2FA_COUNT("blaze.svc.admitted", 1);
-        waiting.push_back(event.index);
-        stats_.max_queue_depth =
-            std::max(stats_.max_queue_depth, waiting.size());
-        S2FA_GAUGE_MAX("blaze.svc.max_queue_depth",
-                       static_cast<double>(waiting.size()));
-        try_dispatch(request.arrival_us);
-      }
-    } else {
-      try_dispatch(event.time_us);
-    }
+    if (event.kind == SimEvent::kArrival) waiting.push_back(event.index);
+    try_dispatch(event.time_us);
   }
   ApplyHealthEventsUpTo(kInf);  // absorb trailing samples
   for (auto [probe_at, replica] : probe_timers_pending_) {
@@ -645,7 +542,7 @@ void BlazeService::PlanAll(std::vector<Pending>& pending,
   S2FA_CHECK(waiting.empty(), "drain left requests in the queue");
   // Host-direct and host-fallback completions emit no lane event, so the
   // event loop alone can leave the clock before the last completion; the
-  // drain contract stops the clock only once every admitted request is done.
+  // drain contract stops the clock only once every request is done.
   for (const Plan& plan : plans) {
     clock_us_ = std::max(clock_us_, plan.complete_us);
   }
@@ -694,9 +591,7 @@ std::vector<RequestOutcome> BlazeService::Drain() {
               : runtime_.Map(plan.exec_accel, rq.input, rq.broadcast);
     };
     ForkJoin(plans.size(), static_cast<std::size_t>(options_.exec_threads),
-             [&](std::size_t i) {
-               if (plans[i].needs_exec) execute(plans[i]);
-             });
+             [&](std::size_t i) { execute(plans[i]); });
   }
 
   std::vector<RequestOutcome> outcomes(plans.size());
@@ -707,17 +602,15 @@ std::vector<RequestOutcome> BlazeService::Drain() {
     outcome.replica = plan.replica;
     outcome.attempts = plan.attempts;
     outcome.probe = plan.probe;
-    outcome.hedged = plan.hedged;
     outcome.dispatch_us = plan.dispatch_us;
     outcome.complete_us = plan.complete_us;
     outcome.latency_us = plan.latency_us;
     outcome.charged_us = plan.charged_us;
     outcome.output = std::move(plan.output);
-    switch (plan.outcome) {
-      case ServeOutcome::kAccelerator: ++stats_.completed_accel; break;
-      case ServeOutcome::kHost: ++stats_.completed_host; break;
-      case ServeOutcome::kHedgedHost: ++stats_.completed_hedge; break;
-      default: continue;  // shed: no completion bookkeeping
+    if (plan.outcome == ServeOutcome::kAccelerator) {
+      ++stats_.completed_accel;
+    } else {
+      ++stats_.completed_host;
     }
     ++stats_.completed;
     stats_.latencies_us.push_back(plan.latency_us);
@@ -726,12 +619,6 @@ std::vector<RequestOutcome> BlazeService::Drain() {
     S2FA_OBSERVE("blaze.svc.charged_us", plan.charged_us);
   }
   backlog_.clear();
-  for (const auto& [kernel, group] : kernels_) {
-    if (auto delay = HedgeDelayUs(kernel)) {
-      S2FA_GAUGE("blaze.svc.hedge_delay_us", *delay);
-    }
-    (void)group;
-  }
   return outcomes;
 }
 

@@ -3,13 +3,11 @@
 //
 // BlazeRuntime only executes; the service serves *streams* of requests
 // against a deterministic simulated clock and owns the accelerator failure
-// policy (retry once, then the host), plus everything else a shared
-// deployment needs between "works" and "falls over":
+// policy (retry once, then the host). It is one fault domain of a
+// BlazeCluster, which owns admission, batching and hedging (deadlines
+// belong to the streaming session above the cluster); the service adds
+// what a group of replicas needs between "works" and "falls over":
 //
-//   * a bounded admission queue — arrivals beyond the queue capacity are
-//     rejected into a shed ledger (`ServiceStats`) instead of vanishing.
-//     Deadlines are not the service's: the streaming session above the
-//     cluster owns them (StreamOptions::slo_us);
 //   * a per-replica health state machine (healthy → degraded →
 //     quarantined) driven by a rolling failure-rate / latency window.
 //     Failures reuse the resilience taxonomy: an injected fault manifests
@@ -18,25 +16,21 @@
 //     Quarantined replicas take no traffic until a probe request —
 //     dispatched after an exponentially backed-off eligibility delay —
 //     succeeds and re-enlists them;
-//   * hedged dispatch: once 8 accelerator completions seed the rolling
-//     latency window, a request whose accelerator path outlives the
-//     `hedge_quantile` latency starts a host-path hedge at that delay and
-//     takes whichever finishes first, cancelling the loser's charge;
 //   * replica selection: several accelerators may be registered for one
-//     kernel id; dispatch prefers free healthy replicas, spills to
-//     degraded ones, then probes quarantine, and only then falls back to
-//     the host path — which always succeeds, so no admitted request is
-//     ever lost;
-//   * graceful drain: Drain() stops the clock only after every admitted
+//     kernel id; dispatch prefers free healthy replicas, then probes an
+//     eligible quarantined one, then spills to degraded ones, and only
+//     then falls back to the host path — which always succeeds, so no
+//     submitted request is ever lost;
+//   * graceful drain: Drain() stops the clock only after every submitted
 //     request has completed and returns the per-request outcomes.
 //
-// Determinism: the service plans every admission, dispatch, failure,
-// hedge, and health transition sequentially on the simulated clock (all
-// costs come from the offload cost model and the stateless fault
-// injector). Only the functional kernel execution fans out on a thread
-// pool, and outcomes are committed in submission order — so results are
-// bit-identical across `exec_threads` values, exactly like the DSE
-// scheduler's plan-order commit.
+// Determinism: the service plans every dispatch, failure, and health
+// transition sequentially on the simulated clock (all costs come from the
+// offload cost model and the stateless fault injector). Only the
+// functional kernel execution fans out on a thread pool, and outcomes are
+// committed in submission order — so results are bit-identical across
+// `exec_threads` values, exactly like the DSE scheduler's plan-order
+// commit.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +38,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -84,21 +77,12 @@ struct ReplicaHealthCounts {
 
 // How one submitted request ended.
 enum class ServeOutcome {
-  kRejectedFull,   // shed at admission: queue was full
-  kAccelerator,    // completed on an accelerator replica
-  kHost,           // completed on the host path (direct or after failures)
-  kHedgedHost,     // completed on a host hedge that beat the accelerator
+  kAccelerator,  // completed on an accelerator replica
+  kHost,         // completed on the host path (direct or after failures)
 };
 const char* ServeOutcomeName(ServeOutcome outcome);
 
 struct ServiceOptions {
-  std::size_t queue_capacity = 64;  // bounded admission queue (waiting)
-
-  // Hedging. A hedge arms once 8 accelerator completions seed the
-  // per-kernel rolling latency window (the last 64); the hedge delay is
-  // that window's `hedge_quantile` latency. 0 disables hedging.
-  double hedge_quantile = 0.95;
-
   // Health state machine (per replica, over the last `health_window`
   // finished attempts, once 4 have landed): a window failure rate of 0.30,
   // or a mean latency 2.5x the cost model's, degrades; 0.60 or 3 failures
@@ -126,39 +110,29 @@ struct ServiceRequest {
 
 struct RequestOutcome {
   std::size_t id = 0;  // submission order
-  ServeOutcome outcome = ServeOutcome::kRejectedFull;
+  ServeOutcome outcome = ServeOutcome::kHost;
   std::string replica;      // accelerator that served it ("" = none)
   int attempts = 0;         // accelerator attempts planned
   bool probe = false;       // served as a quarantine probe
-  bool hedged = false;      // a hedge was launched
   double dispatch_us = 0;   // simulated dispatch time
   double complete_us = 0;   // simulated completion time
-  double latency_us = 0;    // complete - arrival (0 for shed requests)
-  double charged_us = 0;    // billed work time (losers' charges cancelled)
-  Dataset output;           // empty for shed requests
+  double latency_us = 0;    // complete - arrival
+  double charged_us = 0;    // billed work time (failed attempts included)
+  Dataset output;
 };
 
-// The shed ledger plus everything else the serving layer counts.
+// Everything the serving layer counts.
 struct ServiceStats {
   std::size_t submitted = 0;
-  std::size_t admitted = 0;
-  std::size_t rejected_full = 0;   // shed at admission
   std::size_t completed = 0;
   std::size_t completed_accel = 0;
   std::size_t completed_host = 0;      // host fallback or host-direct
-  std::size_t completed_hedge = 0;     // host hedge beat the accelerator
 
   std::size_t accel_attempts = 0;
   std::size_t accel_failures = 0;
   std::size_t crashes = 0;   // failures manifesting as kCrash
   std::size_t timeouts = 0;  // failures manifesting as kTimeout
   std::size_t retries = 0;
-
-  std::size_t hedges_launched = 0;
-  std::size_t hedges_won = 0;        // hedge finished first
-  std::size_t hedges_cancelled = 0;  // accelerator finished first
-  double hedge_saved_us = 0;         // primary-minus-hedged completion time
-  double cancelled_charge_us = 0;    // losers' charges not billed
 
   std::size_t probes = 0;
   std::size_t probe_successes = 0;
@@ -167,7 +141,6 @@ struct ServiceStats {
   std::size_t quarantines = 0;     // -> quarantined transitions
   std::size_t reenlistments = 0;   // quarantined -> degraded via probe
 
-  std::size_t max_queue_depth = 0;
   std::vector<double> latencies_us;  // completed requests, submission order
 
   // Nearest-rank quantile over the completed-request latencies (obs-style);
@@ -215,8 +188,6 @@ class BlazeService {
   // (probe readiness is time-dependent); throws on unknown kernels.
   ReplicaHealthCounts CountHealth(const std::string& kernel,
                                   double now_us) const;
-  // The armed hedge delay for `kernel`, or nullopt while unarmed/disabled.
-  std::optional<double> HedgeDelayUs(const std::string& kernel) const;
 
  private:
   struct Replica {
@@ -235,11 +206,10 @@ class BlazeService {
   };
 
   struct KernelGroup {
-    std::vector<std::size_t> replicas;     // indices into replicas_
-    std::deque<double> latency_window_us;  // successful accel completions
+    std::vector<std::size_t> replicas;  // indices into replicas_
   };
 
-  // One queued (admitted) request while planning.
+  // One queued request while planning.
   struct Pending;
   // The fully planned fate of one request.
   struct Plan;
@@ -250,7 +220,7 @@ class BlazeService {
   const Replica& ReplicaFor(const std::string& accel_id) const;
 
   // The replica-selection policy, extracted so the tier ordering (free
-  // healthy -> free degraded -> probe-ready quarantined -> wait -> host)
+  // healthy -> probe-ready quarantined -> free degraded -> wait -> host)
   // is named and testable in one place. `replica` is an index into
   // `replicas_` when `found`; `any_live_lane` reports whether some
   // healthy/degraded lane exists at all (busy lanes included), which is
@@ -267,7 +237,7 @@ class BlazeService {
   void PlanAll(std::vector<Pending>& pending, std::vector<Plan>& plans);
   // Plans the dispatch of one request starting at `t`; returns its plan.
   void PlanDispatch(Pending& request, Plan& plan, std::size_t replica_index,
-                    double t, bool probe, KernelGroup& group);
+                    double t, bool probe);
   // Applies queued health-window samples with time <= t, in time order.
   void ApplyHealthEventsUpTo(double t);
   void ApplyHealthSample(Replica& replica, const HealthEvent& event);

@@ -125,18 +125,41 @@ T ApplyFloatBin(BinaryOp op, T x, T y) {
   }
 }
 
+// Java long arithmetic (JLS 15.17-15.18): + - * wrap modulo 2^64, and
+// Long.MIN_VALUE / -1 is Long.MIN_VALUE with remainder 0, where the plain
+// C++ operators overflow. Sign-extended int operands never reach the wrap;
+// the caller's narrowing gives Java's int results.
+std::int64_t WrapAdd(std::int64_t x, std::int64_t y) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) +
+                                   static_cast<std::uint64_t>(y));
+}
+std::int64_t WrapSub(std::int64_t x, std::int64_t y) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) -
+                                   static_cast<std::uint64_t>(y));
+}
+std::int64_t WrapMul(std::int64_t x, std::int64_t y) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) *
+                                   static_cast<std::uint64_t>(y));
+}
+std::int64_t JavaDiv(std::int64_t x, std::int64_t y) {
+  return y == -1 ? WrapSub(0, x) : x / y;
+}
+std::int64_t JavaRem(std::int64_t x, std::int64_t y) {
+  return y == -1 ? 0 : x % y;
+}
+
 std::int64_t ApplyIntBin(BinaryOp op, bool wide, std::int64_t x,
                          std::int64_t y) {
   switch (op) {
-    case BinaryOp::kAdd: return x + y;
-    case BinaryOp::kSub: return x - y;
-    case BinaryOp::kMul: return x * y;
+    case BinaryOp::kAdd: return WrapAdd(x, y);
+    case BinaryOp::kSub: return WrapSub(x, y);
+    case BinaryOp::kMul: return WrapMul(x, y);
     case BinaryOp::kDiv:
       S2FA_REQUIRE(y != 0, "division by zero in kernel");
-      return x / y;
+      return JavaDiv(x, y);
     case BinaryOp::kRem:
       S2FA_REQUIRE(y != 0, "remainder by zero in kernel");
-      return x % y;
+      return JavaRem(x, y);
     case BinaryOp::kShl: return x << (y & (wide ? 63 : 31));
     case BinaryOp::kShr: return x >> (y & (wide ? 63 : 31));
     case BinaryOp::kUShr:
@@ -1913,17 +1936,17 @@ void Evaluator::Scratch::IntArith(const Node& n, const Lanes& ln) {
   constexpr I kShift = kWide ? 63 : 31;
   switch (n.bop) {
     case BinaryOp::kAdd:
-      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(I(x) + I(y)); });
+      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(WrapAdd(x, y)); });
     case BinaryOp::kSub:
-      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(I(x) - I(y)); });
+      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(WrapSub(x, y)); });
     case BinaryOp::kMul:
-      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(I(x) * I(y)); });
+      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(WrapMul(x, y)); });
     case BinaryOp::kDiv:
     case BinaryOp::kRem: {
       const BinaryOp op = n.bop;
       return Map2<D, X, Y>(n, ln, [&ln, op](X x, Y y) {
         if (y == 0) DivisionFault(ln, op, kWide);
-        return D(op == BinaryOp::kDiv ? I(x) / I(y) : I(x) % I(y));
+        return D(op == BinaryOp::kDiv ? JavaDiv(x, y) : JavaRem(x, y));
       });
     }
     case BinaryOp::kShl:

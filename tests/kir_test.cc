@@ -515,6 +515,70 @@ BufferMap FloatInputs(std::int64_t tasks) {
   return b;
 }
 
+TEST(LaneEvalTest, LongArithmeticWrapsLikeJava) {
+  // Java long + - * wrap modulo 2^64, and Long.MIN_VALUE / -1 is
+  // Long.MIN_VALUE with remainder 0; in C++ each of these overflows.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  struct Case {
+    std::int64_t a, b, add, sub, mul, div, rem;
+  };
+  const std::vector<Case> cases = {
+      {kMax, 1, kMin, kMax - 1, kMax, kMax, 0},
+      {kMin, -1, kMax, kMin + 1, kMin, kMin, 0},
+      {kMin, kMin, 0, 0, 0, 1, 0},
+      {kMax, kMax, -2, 0, 1, 1, 0},
+      {3037000500, 3037000500, 6074001000, 0, -9223372036709301616, 1, 0},
+      {-7, 2, -5, -9, -14, -3, -1},
+      {7, -1, 6, 8, -7, -7, 0},
+  };
+  const std::vector<std::pair<std::string, BinaryOp>> ops = {
+      {"add", BinaryOp::kAdd}, {"sub", BinaryOp::kSub},
+      {"mul", BinaryOp::kMul}, {"div", BinaryOp::kDiv},
+      {"rem", BinaryOp::kRem}};
+  const std::int64_t tasks = 280;  // 40 rounds of the seven cases
+  const auto i = Expr::Var("i", Type::Int());
+  std::vector<Buffer> buffers = {
+      Interface("a", Type::Long(), tasks, BufferKind::kInput),
+      Interface("b", Type::Long(), tasks, BufferKind::kInput)};
+  std::vector<StmtPtr> body;
+  for (const auto& [name, op] : ops) {
+    buffers.push_back(Interface(name, Type::Long(), tasks, BufferKind::kOutput));
+    body.push_back(Stmt::Assign(
+        Expr::ArrayRef(name, Type::Long(), i),
+        Expr::Binary(op, Expr::ArrayRef("a", Type::Long(), i),
+                     Expr::ArrayRef("b", Type::Long(), i))));
+  }
+  const Kernel k = TaskKernel(buffers, tasks, std::move(body));
+  BufferMap inputs;
+  for (std::int64_t t = 0; t < tasks; ++t) {
+    const Case& c = cases[static_cast<std::size_t>(t) % cases.size()];
+    inputs["a"].push_back(Value::OfLong(c.a));
+    inputs["b"].push_back(Value::OfLong(c.b));
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "Evaluator" : "ReferenceEvaluator");
+    BufferMap b = inputs;
+    if (pass == 0) {
+      Evaluator fast(k);
+      fast.Run({{"N", Value::OfInt(static_cast<std::int32_t>(tasks))}}, b);
+      EXPECT_EQ(fast.lane_width(), kLaneChunk);
+    } else {
+      ReferenceEvaluator(k).Run(
+          {{"N", Value::OfInt(static_cast<std::int32_t>(tasks))}}, b);
+    }
+    for (std::int64_t t = 0; t < tasks; ++t) {
+      const Case& c = cases[static_cast<std::size_t>(t) % cases.size()];
+      const auto at = static_cast<std::size_t>(t);
+      EXPECT_EQ(b["add"][at], Value::OfLong(c.add)) << "task " << t;
+      EXPECT_EQ(b["sub"][at], Value::OfLong(c.sub)) << "task " << t;
+      EXPECT_EQ(b["mul"][at], Value::OfLong(c.mul)) << "task " << t;
+      EXPECT_EQ(b["div"][at], Value::OfLong(c.div)) << "task " << t;
+      EXPECT_EQ(b["rem"][at], Value::OfLong(c.rem)) << "task " << t;
+    }
+  }
+}
+
 TEST(LaneEvalTest, CrossTaskReadModifyWriteFallsBackToWidthOne) {
   // out[0] = out[0] + in[i]: every task reads what the previous one wrote.
   const auto i = Expr::Var("i", Type::Int());

@@ -87,10 +87,6 @@ AccelFaultInjector Bursts(const std::string& plan) {
   return MakeShardFaultInjector(ParseChaosPlan(plan), 0);
 }
 
-bool IsShed(const RequestOutcome& outcome) {
-  return outcome.outcome == ServeOutcome::kRejectedFull;
-}
-
 void ExpectDoubled(const RequestOutcome& outcome, int records) {
   ASSERT_EQ(outcome.output.num_records(), static_cast<std::size_t>(records));
   const Column& y = outcome.output.ColumnByField("y");
@@ -105,7 +101,7 @@ std::string Canon(const std::vector<RequestOutcome>& outcomes) {
   os << std::hexfloat;
   for (const auto& o : outcomes) {
     os << o.id << '|' << ServeOutcomeName(o.outcome) << '|' << o.replica
-       << '|' << o.attempts << '|' << o.probe << o.hedged
+       << '|' << o.attempts << '|' << o.probe
        << '|' << o.dispatch_us << '|' << o.complete_us << '|' << o.latency_us
        << '|' << o.charged_us << '|';
     for (std::size_t c = 0; c < o.output.num_columns(); ++c) {
@@ -114,26 +110,6 @@ std::string Canon(const std::vector<RequestOutcome>& outcomes) {
     os << '\n';
   }
   return os.str();
-}
-
-// ------------------------------------------------------------- admission
-
-TEST(ServiceTest, RejectsWhenQueueFull) {
-  Fixture fx;
-  ServiceOptions options;
-  options.queue_capacity = 1;
-  BlazeService service = fx.MakeService(options);
-  // Three simultaneous arrivals, one replica: the first dispatches, the
-  // second waits (fills the queue), the third is rejected.
-  auto outcomes = service.Run({Req(16), Req(16), Req(16)});
-  EXPECT_EQ(outcomes[0].outcome, ServeOutcome::kAccelerator);
-  EXPECT_EQ(outcomes[1].outcome, ServeOutcome::kAccelerator);
-  EXPECT_EQ(outcomes[2].outcome, ServeOutcome::kRejectedFull);
-  EXPECT_EQ(outcomes[2].output.num_records(), 0u);
-  EXPECT_EQ(service.stats().rejected_full, 1u);
-  EXPECT_EQ(service.stats().admitted, 2u);
-  EXPECT_EQ(service.stats().max_queue_depth, 1u);
-  ExpectDoubled(outcomes[1], 16);
 }
 
 // ---------------------------------------------------------------- health
@@ -145,7 +121,7 @@ TEST(ServiceTest, ConsecutiveFailuresQuarantineTheReplica) {
       [](const std::string&, std::size_t, int) { return true; });
   auto outcomes = service.Run({Req(8), Req(8), Req(8), Req(8)});
   // Every request still completes (host fallback / host-direct): the
-  // serving layer never loses an admitted request.
+  // serving layer never loses a request.
   for (const auto& o : outcomes) {
     EXPECT_EQ(o.outcome, ServeOutcome::kHost);
     ExpectDoubled(o, 8);
@@ -159,9 +135,7 @@ TEST(ServiceTest, ConsecutiveFailuresQuarantineTheReplica) {
 
 TEST(ServiceTest, FailedFirstAttemptIsRetriedOnTheAccelerator) {
   Fixture fx;
-  ServiceOptions options;
-  options.hedge_quantile = 0;
-  BlazeService service = fx.MakeService(options);
+  BlazeService service = fx.MakeService();
   // Only attempt 0 of invocation 0 fails: the retry succeeds in place.
   service.SetFaultInjector([](const std::string&, std::size_t invocation,
                               int attempt) {
@@ -181,9 +155,7 @@ TEST(ServiceTest, FailedFirstAttemptIsRetriedOnTheAccelerator) {
 TEST(ServiceTest, TwiceFailedDispatchRunsOnTheHostWithTheSameOutput) {
   auto run = [](bool faulty) {
     Fixture fx;
-    ServiceOptions options;
-    options.hedge_quantile = 0;
-    BlazeService service = fx.MakeService(options);
+    BlazeService service = fx.MakeService();
     if (faulty) {
       // Both attempts of invocation 0 fail: the request degrades to the
       // host path. Later invocations are clean.
@@ -263,9 +235,7 @@ TEST(ServiceTest, FailedProbeBacksOffExponentially) {
 
 TEST(ServiceTest, SelectionPrefersHealthyAndSpillsToDegraded) {
   Fixture fx(2);
-  ServiceOptions options;
-  options.hedge_quantile = 0;  // keep the dispatch paths plain
-  BlazeService service = fx.MakeService(options, 2);
+  BlazeService service = fx.MakeService({}, 2);
   // Fail r0 on attempt 0 of invocations 0 and 2 (retry succeeds): window
   // rate 2/5 = 0.4 lands in [degrade, quarantine).
   service.SetFaultInjector([](const std::string& id, std::size_t invocation,
@@ -293,68 +263,39 @@ TEST(ServiceTest, SelectionPrefersHealthyAndSpillsToDegraded) {
   EXPECT_EQ(pair[1].outcome, ServeOutcome::kAccelerator);
 }
 
-// --------------------------------------------------------------- hedging
-
-TEST(ServiceTest, HedgingReducesTailAndCancelsLoserCharge) {
-  auto run = [](double quantile) {
-    Fixture fx;
-    ServiceOptions options;
-    options.hedge_quantile = quantile;
-    BlazeService service = fx.MakeService(options);
-    std::vector<ServiceRequest> requests;
-    // Clean warm-up arms the latency window, then a fault burst.
-    for (int i = 0; i < 10; ++i) {
-      requests.push_back(Req(64, i * 1e5));
+TEST(ServiceTest, QuarantinedReplicaIsProbedBeforeTheDegradedSpill) {
+  Fixture fx(2);
+  BlazeService service = fx.MakeService({}, 2);
+  // r0 degrades as in SelectionPrefersHealthyAndSpillsToDegraded; r1 then
+  // takes the healthy lane and fails invocations 0 and 1 outright, the
+  // third failure in a row quarantining it.
+  service.SetFaultInjector([](const std::string& id, std::size_t invocation,
+                              int attempt) {
+    if (id == "r0") {
+      return attempt == 0 && (invocation == 0 || invocation == 2);
     }
-    for (int i = 0; i < 10; ++i) {
-      requests.push_back(Req(64, 1e6 + i * 1e5));
-    }
-    service.SetFaultInjector(Bursts("burst 10:6"));
-    auto outcomes = service.Run(std::move(requests));
-    struct Out {
-      ServiceStats stats;
-      double p99;
-      std::vector<RequestOutcome> outcomes;
-    };
-    return Out{service.stats(), service.stats().LatencyQuantile(0.99),
-               std::move(outcomes)};
-  };
-  auto unhedged = run(0);
-  auto hedged = run(0.95);
-  EXPECT_EQ(hedged.stats.hedges_launched,
-            hedged.stats.hedges_won + hedged.stats.hedges_cancelled);
-  EXPECT_GT(hedged.stats.hedges_launched, 0u);
-  EXPECT_GT(hedged.stats.hedges_won, 0u);
-  EXPECT_GT(hedged.stats.cancelled_charge_us, 0.0);
-  EXPECT_GT(hedged.stats.hedge_saved_us, 0.0);
-  EXPECT_LT(hedged.p99, unhedged.p99);
-  // The hedge changes timing, never results.
-  for (std::size_t i = 0; i < hedged.outcomes.size(); ++i) {
-    if (IsShed(hedged.outcomes[i])) continue;
-    ExpectDoubled(hedged.outcomes[i], 64);
+    return invocation < 2;
+  });
+  for (int i = 0; i < 5; ++i) {
+    service.Run({Req(8, service.clock_us() + 1e5)});
   }
-}
+  ASSERT_EQ(service.health("r0"), AcceleratorHealth::kDegraded);
+  ASSERT_EQ(service.health("r1"), AcceleratorHealth::kQuarantined);
 
-TEST(ServiceTest, HedgeDelayArmsAfterMinSamples) {
-  Fixture fx;
-  BlazeService service = fx.MakeService();
-  // The hedge arms at the 8th accelerator completion, not before.
-  std::vector<ServiceRequest> requests;
-  for (int i = 0; i < 7; ++i) requests.push_back(Req(8, i * 1e4));
-  service.Run(std::move(requests));
-  EXPECT_FALSE(service.HedgeDelayUs("doubler").has_value());
-  service.Run({Req(8, 8e4)});
-  ASSERT_TRUE(service.HedgeDelayUs("doubler").has_value());
-  EXPECT_GT(*service.HedgeDelayUs("doubler"), 0.0);
+  // Both lanes are free and r1 is due a probe: the probe goes first, so a
+  // quarantined replica rejoins while its degraded sibling could serve.
+  auto next = service.Run({Req(8, service.clock_us() + 1e6)});
+  EXPECT_EQ(next[0].replica, "r1");
+  EXPECT_TRUE(next[0].probe);
+  EXPECT_EQ(next[0].outcome, ServeOutcome::kAccelerator);
+  EXPECT_EQ(service.health("r1"), AcceleratorHealth::kDegraded);
 }
 
 // ----------------------------------------------------------- robustness
 
 TEST(ServiceTest, NoAdmittedRequestLostUnderFaultBurst) {
   Fixture fx(2);
-  ServiceOptions options;
-  options.queue_capacity = 4;
-  BlazeService service = fx.MakeService(options, 2);
+  BlazeService service = fx.MakeService({}, 2);
   service.SetFaultInjector(Bursts("burst 2:8"));
   std::vector<ServiceRequest> requests;
   for (int i = 0; i < 24; ++i) {
@@ -363,9 +304,8 @@ TEST(ServiceTest, NoAdmittedRequestLostUnderFaultBurst) {
   auto outcomes = service.Run(std::move(requests));
   const ServiceStats& stats = service.stats();
   EXPECT_EQ(stats.submitted, 24u);
-  EXPECT_EQ(stats.admitted, stats.completed);
+  EXPECT_EQ(stats.completed, 24u);
   for (const auto& o : outcomes) {
-    if (IsShed(o)) continue;
     ExpectDoubled(o, static_cast<int>(o.output.num_records()));
     EXPECT_GT(o.latency_us, 0.0);
     EXPECT_GT(o.charged_us, 0.0);
@@ -377,7 +317,6 @@ TEST(ServiceTest, OutcomesBitIdenticalAcrossExecThreads) {
     Fixture fx(3);
     ServiceOptions options;
     options.exec_threads = exec_threads;
-    options.queue_capacity = 8;
     BlazeService service = fx.MakeService(options, 3);
     service.SetFaultInjector(Bursts("burst 1:6"));
     std::vector<ServiceRequest> requests;
@@ -450,7 +389,7 @@ TEST(ServiceTest, ValidatesConfigurationAndIds) {
   EXPECT_THROW(
       { BlazeService bad(fx.runtime, [] {
           ServiceOptions o;
-          o.queue_capacity = 0;
+          o.health_window = 1;
           return o;
         }()); },
       Error);

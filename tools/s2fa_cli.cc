@@ -272,12 +272,8 @@ const std::vector<Knob>& KnobTable() {
        "requests (records in --stream mode) replayed"},
       {"records", "N", nullptr, kServe, "256", Int(1),
        "input records per request"},
-      {"serve-queue", "N", "S2FA_SERVE_QUEUE", kServe,
-       std::to_string(service.queue_capacity), Int(1),
-       "admission queue capacity"},
-      {"hedge-quantile", "Q", "S2FA_HEDGE_QUANTILE", kServe,
-       Num(service.hedge_quantile), Real(0, 1),
-       "hedge to the host past this latency quantile (0 = off)"},
+      {"serve-queue", "N", "S2FA_SERVE_QUEUE", kServe, "64", Int(1),
+       "cluster admission queue capacity"},
       {"quarantine-window", "N", "S2FA_QUARANTINE_WINDOW", kServe,
        std::to_string(service.health_window), Int(2),
        "per-replica health sample window"},
@@ -287,8 +283,8 @@ const std::vector<Knob>& KnobTable() {
       {"exec-threads", "N", nullptr, kServe,
        std::to_string(service.exec_threads), Int(1, kIntMax),
        "functional execution threads (outcomes do not depend on it)"},
-      {"shards", "N", "S2FA_SHARDS", kServe, "", Int(1),
-       "serve through BlazeCluster over N fault domains"},
+      {"shards", "N", "S2FA_SHARDS", kServe, "1", Int(1),
+       "cluster fault domains the replicas spread over"},
       {"tenants", "NAME:WEIGHT[:QUOTA],..", "S2FA_TENANTS", kServe, "",
        Parses(ParseTenants, "unique NAME:WEIGHT[:QUOTA] with WEIGHT > 0"),
        "weighted-fair tenants, assigned requests round-robin"},
@@ -718,25 +714,44 @@ int RunStreamServe(apps::App& app, const Knobs& knobs,
   return (lost == 0 && mismatches == 0 && watermark_monotone) ? 0 : 1;
 }
 
+// The age hedge's delay in modeled request costs: a request still
+// uncommitted this long after it entered the cluster queue starts a host
+// hedge. An accelerator timeout is detected only after 4x the expected
+// latency, so a request that hits one is at least this late before its
+// retry even starts. Fault-free requests that wait this long are queued
+// behind an overloaded shard, and the host path shortens their wait too.
+constexpr double kHedgeDelayRequests = 4.0;
+
 // Serves the request stream through BlazeCluster: replicas spread
 // round-robin over --shards fault domains (one by default), requests
 // assigned to the declared tenants round-robin, optional scripted chaos
-// plus the --fault-burst windows on every shard. Prints the cluster ledger
-// plus a per-tenant fairness table; exit 0 only when nothing was lost and
-// every served output matches the native reference.
-int ServeThroughCluster(apps::App& app, const Knobs& knobs,
-                        const blaze::ServiceOptions& service,
-                        const blaze::ChaosPlan& bursts,
-                        blaze::BlazeRuntime& runtime,
-                        const std::vector<std::string>& ids) {
+// plus the --fault-burst windows on every shard. Prints the cluster ledger,
+// each shard's replica health once a failure or probe touched it, and a
+// per-tenant fairness table; exit 0 only when nothing was lost and every
+// served output matches the native reference.
+int CmdServe(const Knobs& knobs) {
+  apps::App app = apps::FindApp(knobs.positional[1]);
+  const int replicas = knobs.Int("replicas");
   const int requests = knobs.Int("requests");
   const std::size_t records = knobs.Uint("records");
   const std::uint64_t seed = knobs.Uint("seed");
-  const std::size_t shards = knobs.Has("shards") ? knobs.Uint("shards") : 1;
+  const std::size_t shards = knobs.Uint("shards");
+  Artifact artifact = BuildReported(app, knobs);
+
+  blaze::BlazeRuntime runtime;
+  std::vector<std::string> ids;
+  for (int i = 0; i < replicas; ++i) {
+    ids.push_back(app.name + "#" + std::to_string(i));
+    RegisterWithBlaze(runtime, ids.back(), artifact);
+  }
+  const double request_us = RequestUs(runtime, ids.front(), records);
+
   blaze::ClusterOptions coptions;
-  coptions.shard_options = service;
-  coptions.exec_threads = service.exec_threads;
-  coptions.queue_capacity = service.queue_capacity;
+  coptions.shard_options.health_window = knobs.Uint("quarantine-window");
+  coptions.shard_options.seed = seed;
+  coptions.exec_threads = knobs.Int("exec-threads");
+  coptions.queue_capacity = knobs.Uint("serve-queue");
+  coptions.queue_hedge_us = kHedgeDelayRequests * request_us;
   blaze::BlazeCluster cluster(runtime, coptions);
   for (std::size_t s = 0; s < shards; ++s) cluster.AddShard();
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -753,6 +768,7 @@ int ServeThroughCluster(apps::App& app, const Knobs& knobs,
   Rng rng(seed);
   const auto broadcast = MakeBroadcast(app, seed);
   const blaze::Dataset* bc = broadcast.get();
+  const blaze::ChaosPlan bursts = FaultBurstPlan(knobs.Str("fault-burst"));
   blaze::ChaosPlan chaos = blaze::ParseChaosPlan(knobs.Str("chaos-plan"));
   chaos.bursts.insert(chaos.bursts.end(), bursts.bursts.begin(),
                       bursts.bursts.end());
@@ -776,7 +792,6 @@ int ServeThroughCluster(apps::App& app, const Knobs& knobs,
         });
   }
 
-  const double request_us = RequestUs(runtime, ids.front(), records);
   if (knobs.Has("stream")) {
     return RunStreamServe(app, knobs, cluster, shards, tenant_names,
                           request_us, bc);
@@ -841,12 +856,33 @@ int ServeThroughCluster(apps::App& app, const Knobs& knobs,
                 s.bisect_attempts, s.poison_isolated, s.flood_injected,
                 s.commit_conflicts);
   }
+  if (s.hedges_launched > 0) {
+    std::printf("hedging:   %zu launched after %.0f us, %zu won, %zu "
+                "cancelled\n",
+                s.hedges_launched, coptions.queue_hedge_us, s.hedges_won,
+                s.hedges_cancelled);
+  }
   for (std::size_t i = 0; i < s.shards.size(); ++i) {
     const blaze::ShardStats& shard = s.shards[i];
     std::printf("shard %zu:   %zu batches, %zu requests, %zu kills, %zu "
                 "restarts, %.1f ms busy (%.1f ms wasted)\n",
                 i, shard.batches, shard.requests, shard.kills,
                 shard.restarts, shard.busy_us / 1e3, shard.wasted_us / 1e3);
+    // Replica health since the shard's last (re)start.
+    const blaze::BlazeService& service = cluster.shard_service(i);
+    const blaze::ServiceStats& h = service.stats();
+    if (h.accel_failures == 0 && h.probes == 0) continue;
+    std::printf("  health:  %zu failed attempts (%zu crash, %zu timeout), "
+                "%zu degradations, %zu quarantines, %zu probes (%zu ok / "
+                "%zu failed), %zu re-enlistments;",
+                h.accel_failures, h.crashes, h.timeouts, h.degradations,
+                h.quarantines, h.probes, h.probe_successes, h.probe_failures,
+                h.reenlistments);
+    for (std::size_t r = i; r < ids.size(); r += shards) {
+      std::printf(" %s=%s", ids[r].c_str(),
+                  blaze::HealthName(service.health(ids[r])));
+    }
+    std::printf("\n");
   }
   // Shed columns split by reason (queue-full vs quota throttle) and
   // completions by serving path, so fairness regressions show *why* a
@@ -869,116 +905,6 @@ int ServeThroughCluster(apps::App& app, const Knobs& knobs,
   }
   std::printf("%s", table.Render().c_str());
   std::printf("mismatches vs reference: %zu\n", mismatches);
-  return (lost == 0 && mismatches == 0) ? 0 : 1;
-}
-
-int CmdServe(const Knobs& knobs) {
-  apps::App app = apps::FindApp(knobs.positional[1]);
-  const int replicas = knobs.Int("replicas");
-  const int requests = knobs.Int("requests");
-  const std::size_t records = knobs.Uint("records");
-  const std::uint64_t seed = knobs.Uint("seed");
-  blaze::ServiceOptions options;
-  options.queue_capacity = knobs.Uint("serve-queue");
-  options.hedge_quantile = knobs.Real("hedge-quantile");
-  options.health_window = knobs.Uint("quarantine-window");
-  options.exec_threads = knobs.Int("exec-threads");
-  options.seed = seed;
-  const blaze::ChaosPlan bursts = FaultBurstPlan(knobs.Str("fault-burst"));
-  Artifact artifact = BuildReported(app, knobs);
-
-  blaze::BlazeRuntime runtime;
-  std::vector<std::string> ids;
-  for (int i = 0; i < replicas; ++i) {
-    ids.push_back(app.name + "#" + std::to_string(i));
-    RegisterWithBlaze(runtime, ids.back(), artifact);
-  }
-  // Chaos schedules, tenancy, and streaming are cluster features: without
-  // --shards they run on one fault domain rather than being ignored.
-  if (knobs.Has("shards") || knobs.Has("chaos-plan") ||
-      knobs.Has("tenants") || knobs.Has("stream")) {
-    return ServeThroughCluster(app, knobs, options, bursts, runtime, ids);
-  }
-  blaze::BlazeService service(runtime, options);
-  for (const std::string& id : ids) service.AddReplica(app.name, id);
-  if (!bursts.bursts.empty()) {
-    service.SetFaultInjector(blaze::MakeShardFaultInjector(bursts, 0));
-    for (const blaze::ChaosBurst& burst : bursts.bursts) {
-      std::printf("fault burst: per-replica invocations [%zu, %zu) fail\n",
-                  burst.start, burst.start + burst.length);
-    }
-  }
-
-  Rng rng(seed);
-  const auto broadcast = MakeBroadcast(app, seed);
-  const blaze::Dataset* bc = broadcast.get();
-
-  // Open-loop arrivals near the group's service rate, with deterministic
-  // jitter: enough pressure to queue without drowning the admission gate.
-  const double spacing_us =
-      0.8 * RequestUs(runtime, ids.front(), records) / replicas;
-  std::vector<blaze::ServiceRequest> stream;
-  std::vector<blaze::Dataset> expected;
-  double arrival = 0;
-  for (int i = 0; i < requests; ++i) {
-    blaze::ServiceRequest rq;
-    rq.kernel = app.name;
-    rq.input = app.make_input(records, rng);
-    rq.broadcast = bc;
-    rq.arrival_us = arrival;
-    arrival += spacing_us * rng.NextDouble(0.5, 1.5);
-    expected.push_back(app.reference(rq.input, bc));
-    stream.push_back(std::move(rq));
-  }
-  std::vector<blaze::RequestOutcome> outcomes =
-      service.Run(std::move(stream));
-
-  // Functional cross-check of every completed request against the native
-  // reference.
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const blaze::RequestOutcome& o = outcomes[i];
-    if (o.outcome == blaze::ServeOutcome::kRejectedFull) continue;
-    mismatches += CountMismatches(expected[i], o.output);
-  }
-
-  const blaze::ServiceStats& s = service.stats();
-  const std::size_t lost = s.admitted - s.completed;
-  std::printf("serving %d requests x %zu records on %d replica%s "
-              "(queue %zu, hedge q=%.2f, window %zu, %d exec threads)\n",
-              requests, records, replicas, replicas == 1 ? "" : "s",
-              options.queue_capacity, options.hedge_quantile,
-              options.health_window, options.exec_threads);
-  std::printf("admitted:  %zu/%zu (%zu rejected at the gate), max queue "
-              "depth %zu\n",
-              s.admitted, s.submitted, s.rejected_full, s.max_queue_depth);
-  std::printf("completed: %zu (%zu accelerator, %zu host, %zu hedged host), "
-              "%zu lost\n",
-              s.completed, s.completed_accel, s.completed_host,
-              s.completed_hedge, lost);
-  std::printf("latency:   p50 %.0f / p95 %.0f / p99 %.0f us\n",
-              s.LatencyQuantile(0.5), s.LatencyQuantile(0.95),
-              s.LatencyQuantile(0.99));
-  if (s.accel_failures > 0 || s.probes > 0) {
-    std::printf("health:    %zu failed attempts (%zu crash, %zu timeout), "
-                "%zu degradations, %zu quarantines, %zu probes "
-                "(%zu ok / %zu failed), %zu re-enlistments\n",
-                s.accel_failures, s.crashes, s.timeouts, s.degradations,
-                s.quarantines, s.probes, s.probe_successes, s.probe_failures,
-                s.reenlistments);
-  }
-  if (s.hedges_launched > 0) {
-    std::printf("hedging:   %zu launched, %zu won (%.3f ms saved), %zu "
-                "cancelled, %.3f ms of losers' charges not billed\n",
-                s.hedges_launched, s.hedges_won, s.hedge_saved_us / 1e3,
-                s.hedges_cancelled, s.cancelled_charge_us / 1e3);
-  }
-  std::printf("replicas:  ");
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    std::printf("%s%s=%s", i == 0 ? "" : ", ", ids[i].c_str(),
-                blaze::HealthName(service.health(ids[i])));
-  }
-  std::printf("\nmismatches vs reference: %zu\n", mismatches);
   return (lost == 0 && mismatches == 0) ? 0 : 1;
 }
 
