@@ -134,8 +134,8 @@ std::string OutPath(const std::string& filename);
 // or BENCH_micro.json in the working directory.
 std::string PerfLedgerPath();
 
-// Ledger path for the serving-layer harnesses (bench_serving /
-// bench_cluster): the S2FA_PERF_LEDGER environment variable, or
+// Ledger path for the serving-layer harnesses (bench_cluster /
+// bench_stream): the S2FA_PERF_LEDGER environment variable, or
 // BENCH_serving.json in the working directory — so serving and micro
 // trajectories live in separate repo-root snapshots by default.
 std::string ServingLedgerPath();
