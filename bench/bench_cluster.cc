@@ -241,7 +241,6 @@ bool MatchesReference(const blaze::Dataset& got, const blaze::Dataset& want) {
 
 struct NodeReplay {
   blaze::ClusterStats stats;
-  blaze::ServiceStats health;        // the shard's service
   std::vector<double> latencies_us;  // submission order
   std::uint64_t hash = 0;            // canonical outcome stream
   std::size_t lost = 0;
@@ -267,12 +266,12 @@ NodeReplay RunNode(const apps::App& app, const Artifact& artifact,
   // one that waits behind a host fallback or burns a failed attempt is
   // already there, a clean dispatch never is.
   options.queue_hedge_us = hedge ? 2 * req_us : 0;
-  options.shard_options.probe_backoff_us = req_us;
-  options.shard_options.probe_backoff_max_us = 8 * req_us;
+  options.probe_backoff_us = req_us;
+  options.probe_backoff_max_us = 8 * req_us;
   // Classification seed picked so the burst manifests both failure modes:
   // crashes detected at the driver round trip, timeouts only after 4x the
   // expected latency.
-  options.shard_options.seed = 3;
+  options.seed = 3;
   blaze::BlazeCluster cluster(runtime, options);
   cluster.AddShard();
   for (const std::string& id : ids) cluster.AddReplica(0, app.name, id);
@@ -312,12 +311,9 @@ NodeReplay RunNode(const apps::App& app, const Artifact& artifact,
   std::vector<blaze::ClusterRequestOutcome> outcomes =
       cluster.Run(std::move(requests));
   // ... then recovery arrivals in pairs, past the longest probe backoff
-  // after the shard's service has drained the burst (winning hedges commit
-  // before the accelerator work they beat, so the cluster clock alone can
-  // trail it).
+  // after the shard has drained the burst.
   const double recovery_start =
-      std::max(cluster.clock_us(), cluster.shard_service(0).clock_us()) +
-      options.shard_options.probe_backoff_max_us;
+      cluster.clock_us() + options.probe_backoff_max_us;
   std::vector<blaze::ClusterRequest> recovery;
   for (int i = 0; i < kNodeRecovery; ++i) {
     recovery.push_back(request_at(recovery_start + (i / 2) * 2.5 * req_us));
@@ -339,11 +335,9 @@ NodeReplay RunNode(const apps::App& app, const Artifact& artifact,
     if (!MatchesReference(o.output, expected[i])) ++replay.mismatches;
   }
   replay.hash = hash.state;
-  const blaze::BlazeService& service = cluster.shard_service(0);
-  replay.health = service.stats();
   replay.all_recovered = true;
   for (const std::string& id : ids) {
-    if (service.health(id) == blaze::AcceleratorHealth::kQuarantined) {
+    if (cluster.ReplicaHealth(id) == blaze::AcceleratorHealth::kQuarantined) {
       replay.all_recovered = false;
     }
   }
@@ -559,7 +553,7 @@ int main() {
 
   // ---- phase 4: routing under hidden host backlog -----------------------
   // A host fallback frees the shard's dispatch lane at failure detection,
-  // but the shard's service clock runs ahead to the host completion. With
+  // but the shard's planning clock runs ahead to the host completion. With
   // the host path made genuinely painful, a router scoring lane occupancy
   // alone keeps feeding the shard that looks idle while it owes invisible
   // host work; depth routing scores that backlog directly. Episodes replay a
@@ -711,10 +705,10 @@ int main() {
     node_ok = plain.lost == 0 && hedged.lost == 0 && plain.mismatches == 0 &&
               hedged.mismatches == 0;
     // The health cycle is read off the unhedged replay: hedges that win
-    // while a request still queues keep it from the service, so the hedged
+    // while a request still queues keep it from the replicas, so the hedged
     // replay feeds the state machine fewer dispatches.
-    node_recovers = plain.health.quarantines >= kNodeReplicas &&
-                    plain.health.reenlistments >= kNodeReplicas &&
+    node_recovers = plain.stats.shards[0].quarantines >= kNodeReplicas &&
+                    plain.stats.shards[0].reenlistments >= kNodeReplicas &&
                     plain.all_recovered;
     node_hedge_pays = hedged.stats.hedges_won > 0 && p99_hedged < p99_plain;
     node_deterministic =
@@ -723,7 +717,7 @@ int main() {
                                        "no hedge", &plain},
                                    {"age hedge", &hedged}}) {
       const blaze::ClusterStats& s = r->stats;
-      const blaze::ServiceStats& h = r->health;
+      const blaze::ShardStats& h = r->stats.shards[0];
       std::printf("node %-9s: %zu reqs, %zu lost, %zu mismatches, p99 %.0f "
                   "us; %zu accel / %zu host / %zu hedged; %zu failures (%zu "
                   "crash, %zu timeout), %zu quarantines, %zu "

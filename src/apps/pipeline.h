@@ -3,7 +3,8 @@
 // dataset, the way a Spark job strings transformations together (paper §2,
 // Code 1). The per-stage cost ledgers add up via ExecutionStats::Merge.
 // Stages run through BlazeRuntime, which only executes: accelerator faults,
-// retries and host fallback live in the serving layer (BlazeService).
+// retries and host fallback live in the serving layer (each BlazeCluster
+// shard's replica health).
 #pragma once
 
 #include <functional>

@@ -5,8 +5,7 @@
 // bursts and a hash-sampled per-attempt rate), interconnect latency spikes,
 // tenant floods, and poison requests that crash any batch containing them.
 // It is the only source of accelerator faults: MakeShardFaultInjector turns
-// it into the injector each shard's BlazeService retries and falls back
-// around. The plan is parsed fail-fast from a tiny text grammar so the CLI,
+// it into the injector each cluster shard retries and falls back around. The plan is parsed fail-fast from a tiny text grammar so the CLI,
 // benches, and tests can all drive the same schedules:
 //
 //   plan      := stmt ((';' | '\n') stmt)*
@@ -33,11 +32,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
-
-#include "blaze/service.h"
 
 namespace s2fa::blaze {
 
@@ -119,6 +117,12 @@ bool IsPoisoned(const ChaosPlan& plan, std::size_t request_id);
 // The latency multiplier for a dispatch starting at `t_us` (1.0 outside
 // every spike window).
 double SpikeFactorAt(const ChaosPlan& plan, double t_us);
+
+// The plan-time fault hook: true when accelerator attempt `attempt` (0 =
+// first try, 1 = the retry) of replica `accel_id`'s per-replica dispatch
+// `invocation` fails.
+using AccelFaultInjector = std::function<bool(
+    const std::string& accel_id, std::size_t invocation, int attempt)>;
 
 // The accelerator fault injector for `shard`: its own burst windows, the
 // unscoped ones, and `fault_rate`. Stateless, so replays are identical

@@ -1,12 +1,22 @@
-// BlazeCluster: fault-domain-aware sharded serving over N BlazeService
-// instances on the shared deterministic simulated clock.
+// BlazeCluster: fault-domain-aware sharded serving on one deterministic
+// simulated clock (paper §2: the accelerator as a shared datacenter
+// service behind Blaze). One node is served as a 1-shard cluster.
 //
-// Each shard is one BlazeService (its own replicas, health state machine,
-// and fault injector — one fault domain). The cluster layers on top,
-// planning at micro-batch granularity, and is the serving stack's only
-// admission gate and only host hedge; one node is served as a 1-shard
-// cluster:
+// Each shard is one fault domain: its own replicas, their health, and its
+// fault injector. The cluster plans at micro-batch granularity and is the
+// serving stack's only admission gate and only host hedge:
 //
+//   * replica health, per shard — a per-replica state machine (healthy →
+//     degraded → quarantined) driven by a rolling failure-rate / latency
+//     window. An injected fault manifests as a kCrash (detected at the
+//     driver round trip) or a kTimeout (detected after 4x the expected
+//     latency), by a stateless hash of the shard's seed. A failed attempt
+//     is retried once, then the host path finishes the node. Quarantined
+//     replicas take no traffic until a probe, dispatched after an
+//     exponentially backed-off delay, succeeds and re-enlists them.
+//     Selection prefers free healthy replicas, then a probe-ready
+//     quarantined one, then free degraded ones; a shard whose replicas of
+//     the kernel all go dark mid-batch serves the rest of it host-direct;
 //   * failover with exactly-once commit — a scripted kill (ChaosPlan) or a
 //     fully-quarantined shard re-routes in-flight and queued requests to
 //     sibling shards. Redirects are bounded (two per request), then the
@@ -16,10 +26,10 @@
 //     commit conflicts, so an outcome is committed exactly once even when
 //     a hedge and a failover race;
 //   * depth routing — each batch goes to the free live shard with the
-//     least outstanding backlog: how far the shard's service clock is
+//     least outstanding backlog: how far the shard's planning clock is
 //     ahead of now. Lane occupancy alone is blind to work a shard owes
 //     that never held its dispatch lane (a host fallback frees the lane at
-//     failure detection while the service clock runs on to the host
+//     failure detection while the planning clock runs on to the host
 //     completion). Ties go to less busy time per live replica, then more
 //     live replicas, then the lower index;
 //   * dynamic micro-batching with poison isolation — queued requests with
@@ -41,16 +51,17 @@
 //     is still queued or already in flight; the commit slot keeps the first
 //     finisher;
 //   * scripted chaos — kills/restarts (a restart is a fresh process:
-//     replica health resets), accelerator faults (bursts and `fault-rate`)
-//     forwarded to the service injectors, latency spikes (dispatch-time
-//     dilation, modeling interconnect congestion), and tenant floods
-//     materialized through a caller-provided generator.
+//     replica health, invocation counters and the planning clock reset),
+//     accelerator faults (bursts and `fault-rate`) through each shard's
+//     injector, latency spikes (dispatch-time dilation, modeling
+//     interconnect congestion), and tenant floods materialized through a
+//     caller-provided generator.
 //
 // Determinism: the cluster is a sequential discrete-event simulator (an
-// event heap ordered by (time, seq)); services plan sequentially too. Only
-// functional kernel execution fans out on thread pools, and outputs are
-// committed into per-request slots — so outcomes are bit-identical across
-// `exec_threads`, like the service's plan-order commit.
+// event heap ordered by (time, seq)), and each batch is planned on its
+// shard sequentially too. Only functional kernel execution fans out, once
+// per drain, and each output lands in its request's slot — so outcomes
+// are bit-identical across `exec_threads`.
 //
 // Conservative timing approximations (documented, deterministic): the
 // kill-interruption pre-check uses a single-lane fault-free estimate of
@@ -65,14 +76,13 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "blaze/chaos.h"
-#include "blaze/service.h"
+#include "blaze/runtime.h"
 
 namespace s2fa::blaze {
 
@@ -86,17 +96,26 @@ enum class ClusterServe {
 };
 const char* ClusterServeName(ClusterServe outcome);
 
+enum class AcceleratorHealth { kHealthy, kDegraded, kQuarantined };
+const char* HealthName(AcceleratorHealth health);
+
 struct ClusterOptions {
   std::size_t queue_capacity = 1024;    // cluster-wide waiting cap
   std::size_t batch_max_requests = 16;  // micro-batch coalescing bound
   double batch_window_us = 0;   // wait this long to fill a batch; 0 = none
   double queue_hedge_us = 0;    // host hedge for requests older than this
-  int exec_threads = 1;         // functional fan-out (cluster + shards)
-  // Template for each shard's service. The cluster's exec_threads replaces
-  // the template's; each shard's seed is shard_options.seed offset by the
-  // shard index, so failure classification streams differ across fault
-  // domains.
-  ServiceOptions shard_options;
+  int exec_threads = 1;         // functional execution fan-out
+  // Replica health (per replica, over the last `health_window` finished
+  // attempts, once 4 have landed): a window failure rate of 0.30, or a
+  // mean latency 2.5x the cost model's, degrades; 0.60 or 3 failures in a
+  // row quarantine. Failed probes double the backoff up to
+  // `probe_backoff_max_us`.
+  std::size_t health_window = 16;
+  double probe_backoff_us = 50e3;  // first probe after quarantine
+  double probe_backoff_max_us = 1.6e6;
+  // Crash-or-timeout classification of failed attempts; each shard offsets
+  // it by its index, so the streams differ across fault domains.
+  std::uint64_t seed = 1;
 };
 
 struct ClusterRequest {
@@ -113,7 +132,7 @@ struct ClusterRequestOutcome {
   std::size_t id = 0;  // submission order, idempotent commit key
   ClusterServe outcome = ClusterServe::kRejectedFull;
   std::size_t shard = kNoShard;  // shard that committed it
-  std::string replica;           // service replica ("" = host path)
+  std::string replica;           // serving replica ("" = host path)
   std::string tenant;
   std::size_t batch_size = 1;    // members of its final dispatch batch
   int redirects = 0;             // failover re-dispatches
@@ -146,6 +165,7 @@ struct TenantStats {
   double LatencyQuantile(double q) const;
 };
 
+// Cumulative across restarts, health counters included.
 struct ShardStats {
   std::size_t batches = 0;
   std::size_t requests = 0;  // committed members served on this shard
@@ -153,6 +173,17 @@ struct ShardStats {
   std::size_t restarts = 0;
   double busy_us = 0;        // cumulative lane occupancy
   double wasted_us = 0;      // occupancy lost to kill-interrupted batches
+
+  std::size_t accel_failures = 0;  // failed attempts, probes included
+  std::size_t crashes = 0;         // failures manifesting as kCrash
+  std::size_t timeouts = 0;        // failures manifesting as kTimeout
+  std::size_t retries = 0;
+  std::size_t degradations = 0;    // healthy -> degraded transitions
+  std::size_t quarantines = 0;     // -> quarantined transitions
+  std::size_t probes = 0;
+  std::size_t probe_successes = 0;
+  std::size_t probe_failures = 0;
+  std::size_t reenlistments = 0;   // quarantined -> degraded via probe
 };
 
 struct ClusterStats {
@@ -216,7 +247,7 @@ class BlazeCluster {
 
   // Installs the scripted fault schedule. Validates shard indices, flood
   // tenants, and (at Drain) that floods have a generator. Accelerator
-  // faults reach each shard's service as MakeShardFaultInjector(plan, s).
+  // faults reach each shard as MakeShardFaultInjector(plan, s).
   void SetChaosPlan(ChaosPlan plan);
   // Supplies synthetic requests for chaos floods: called with the global
   // flood-request ordinal; the returned request's tenant/arrival are
@@ -238,7 +269,9 @@ class BlazeCluster {
   double clock_us() const { return clock_us_; }
   // Whether `shard` is alive (not inside a kill..restart window) at `t_us`.
   bool ShardAliveAt(std::size_t shard, double t_us) const;
-  const BlazeService& shard_service(std::size_t shard) const;
+  // Health of replica `accel_id` since its shard's last (re)start; throws
+  // on unknown ids.
+  AcceleratorHealth ReplicaHealth(const std::string& accel_id) const;
 
   // Capacity/cost introspection for layers planning above the cluster
   // (the streaming session's backlog model). All are derived from the
@@ -270,11 +303,30 @@ class BlazeCluster {
     double host_us_per_invocation = 0;
   };
 
+  // One accelerator enlisted on a shard, with its health state machine.
+  struct Replica {
+    std::string kernel;
+    std::string accel_id;
+    ExecutionStats per_invocation;  // cost model for one batch
+    std::size_t batch = 1;          // serialization batch per invocation
+    double host_us_per_invocation = 0;
+    AcceleratorHealth health = AcceleratorHealth::kHealthy;
+    std::deque<bool> window_failed;
+    std::deque<double> window_latency_us;
+    int consecutive_failures = 0;
+    double free_us = 0;  // lane busy until this time
+    double probe_eligible_us = 0;
+    double probe_backoff_us = 0;
+    bool probe_inflight = false;
+    std::size_t invocations = 0;  // per-replica dispatch counter (faults)
+  };
+
   struct Shard {
-    std::unique_ptr<BlazeService> service;
-    // (kernel, accel_id) registrations, replayed on restart (a restart is
-    // a fresh process: replica health and latency windows reset).
-    std::vector<std::pair<std::string, std::string>> replicas;
+    std::vector<Replica> replicas;  // registration order: the tie-break
+    AccelFaultInjector injector;
+    std::uint64_t seed = 0;  // failure-classification stream
+    // Where batch planning has reached; a restart resets it to 0.
+    double clock_us = 0;
     double busy_until_us = 0;
   };
 
@@ -294,12 +346,31 @@ class BlazeCluster {
   struct RequeueRec;
   struct LifecycleEvent;
   struct DrainState;
+  struct HealthSample;
+  // The planned fate of one clean bisect node on its shard.
+  struct NodePlan {
+    bool accel = false;        // served on `replica` (else the host path)
+    std::string replica;       // "" when the group was dark: host-direct
+    std::string exec_accel;    // design that computes its output
+    double dispatch_us = 0;
+    double complete_us = 0;
+  };
 
   const KernelInfo& KernelFor(const std::string& kernel) const;
   Tenant& TenantFor(const std::string& name);
-  std::unique_ptr<BlazeService> MakeService(std::size_t shard) const;
-  std::size_t InvocationsFor(const KernelInfo& info,
-                             std::size_t records) const;
+  // A healthy replica as a fresh process enlists it.
+  Replica MakeReplica(const std::string& kernel,
+                      const std::string& accel_id) const;
+  // Plans clean nodes, given as (arrival, records) in arrival order, onto
+  // `shard`'s replicas of `kernel` against their health, and advances the
+  // shard clock past them.
+  std::vector<NodePlan> PlanNodes(
+      std::size_t shard, const std::string& kernel,
+      const std::vector<std::pair<double, std::size_t>>& nodes);
+  // Feeds one finished attempt to its replica's health state machine;
+  // true when it quarantined the replica.
+  bool ApplyHealthSample(ShardStats& stats, Replica& replica,
+                         const HealthSample& sample) const;
   double HostUs(const KernelInfo& info, std::size_t records) const;
   double DetectUs(const KernelInfo& info, std::size_t records) const;
   double NextKillAfter(std::size_t shard, double t_us) const;

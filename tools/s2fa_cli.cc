@@ -27,7 +27,6 @@
 #include "cache/eval_cache.h"
 #include "blaze/cluster.h"
 #include "blaze/runtime.h"
-#include "blaze/service.h"
 #include "blaze/stream.h"
 #include "kir/printer.h"
 #include "obs/export.h"
@@ -218,7 +217,7 @@ struct Knob {
 
 const std::vector<Knob>& KnobTable() {
   const resilience::ResilienceOptions eval{};
-  const blaze::ServiceOptions service{};
+  const blaze::ClusterOptions cluster{};
   static const std::vector<Knob> table = {
       {"trace-out", "FILE", nullptr, kAnyCmd, "", Writable,
        "write the span trace as JSONL (enables the obs layer)"},
@@ -275,13 +274,13 @@ const std::vector<Knob>& KnobTable() {
       {"serve-queue", "N", "S2FA_SERVE_QUEUE", kServe, "64", Int(1),
        "cluster admission queue capacity"},
       {"quarantine-window", "N", "S2FA_QUARANTINE_WINDOW", kServe,
-       std::to_string(service.health_window), Int(2),
+       std::to_string(cluster.health_window), Int(2),
        "per-replica health sample window"},
       {"fault-burst", "START:LEN[,..]", "S2FA_FAULT_BURST", kServe, "",
        Parses(FaultBurstPlan, "non-overlapping START:LEN windows"),
        "fail per-replica invocations in [START, START+LEN)"},
       {"exec-threads", "N", nullptr, kServe,
-       std::to_string(service.exec_threads), Int(1, kIntMax),
+       std::to_string(cluster.exec_threads), Int(1, kIntMax),
        "functional execution threads (outcomes do not depend on it)"},
       {"shards", "N", "S2FA_SHARDS", kServe, "1", Int(1),
        "cluster fault domains the replicas spread over"},
@@ -747,8 +746,8 @@ int CmdServe(const Knobs& knobs) {
   const double request_us = RequestUs(runtime, ids.front(), records);
 
   blaze::ClusterOptions coptions;
-  coptions.shard_options.health_window = knobs.Uint("quarantine-window");
-  coptions.shard_options.seed = seed;
+  coptions.health_window = knobs.Uint("quarantine-window");
+  coptions.seed = seed;
   coptions.exec_threads = knobs.Int("exec-threads");
   coptions.queue_capacity = knobs.Uint("serve-queue");
   coptions.queue_hedge_us = kHedgeDelayRequests * request_us;
@@ -868,19 +867,19 @@ int CmdServe(const Knobs& knobs) {
                 "restarts, %.1f ms busy (%.1f ms wasted)\n",
                 i, shard.batches, shard.requests, shard.kills,
                 shard.restarts, shard.busy_us / 1e3, shard.wasted_us / 1e3);
-    // Replica health since the shard's last (re)start.
-    const blaze::BlazeService& service = cluster.shard_service(i);
-    const blaze::ServiceStats& h = service.stats();
-    if (h.accel_failures == 0 && h.probes == 0) continue;
+    // Health counters since the replay began; states since the shard's
+    // last (re)start.
+    if (shard.accel_failures == 0 && shard.probes == 0) continue;
     std::printf("  health:  %zu failed attempts (%zu crash, %zu timeout), "
                 "%zu degradations, %zu quarantines, %zu probes (%zu ok / "
                 "%zu failed), %zu re-enlistments;",
-                h.accel_failures, h.crashes, h.timeouts, h.degradations,
-                h.quarantines, h.probes, h.probe_successes, h.probe_failures,
-                h.reenlistments);
+                shard.accel_failures, shard.crashes, shard.timeouts,
+                shard.degradations, shard.quarantines, shard.probes,
+                shard.probe_successes, shard.probe_failures,
+                shard.reenlistments);
     for (std::size_t r = i; r < ids.size(); r += shards) {
       std::printf(" %s=%s", ids[r].c_str(),
-                  blaze::HealthName(service.health(ids[r])));
+                  blaze::HealthName(cluster.ReplicaHealth(ids[r])));
     }
     std::printf("\n");
   }
@@ -1004,7 +1003,7 @@ const Command kCommands[] = {
     {"run", kRun, CmdRun, 1, "<app>",
      "build, run a workload through Blaze, cross-check against the JVM"},
     {"serve", kServe, CmdServe, 1, "<app>",
-     "replay requests through BlazeService, or BlazeCluster with --shards"},
+     "replay requests through BlazeCluster (one shard unless --shards)"},
     {"report", kReport, CmdReport, 1, "<metrics.json>",
      "render a --metrics-out summary as tables"},
     {"profile", kProfile, CmdProfile, 1, "<app>",
