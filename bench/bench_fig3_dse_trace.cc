@@ -212,7 +212,7 @@ int main() {
         "%.0f ms -> %.0f ms, trajectories %s\n",
         static_cast<unsigned long long>(seeds.front()),
         100.0 * ablation.stats.DuplicateRate(),
-        ablation.stats.hits + ablation.stats.inflight_joins,
+        ablation.stats.hits,
         ablation.stats.lookups, ablation.stats.minutes_saved,
         ablation.wall_ms_cache_off, ablation.wall_ms_cache_on,
         ablation.identical_trajectory ? "identical" : "DIVERGED (bug!)");

@@ -93,12 +93,12 @@ CacheAblation RunCacheAblation(const PreparedApp& prepared,
   };
 
   CacheAblation ablation;
-  options.cache.enabled = false;
+  options.eval_cache = false;
   const auto t0 = std::chrono::steady_clock::now();
   dse::DseResult off = dse::RunS2faDse(prepared.space, prepared.generated,
                                        delayed, options);
   const auto t1 = std::chrono::steady_clock::now();
-  options.cache.enabled = true;
+  options.eval_cache = true;
   dse::DseResult on = dse::RunS2faDse(prepared.space, prepared.generated,
                                       delayed, options);
   const auto t2 = std::chrono::steady_clock::now();

@@ -55,7 +55,7 @@ struct CacheAblation {
   double wall_ms_cache_on = 0;
   double wall_ms_cache_off = 0;
   bool identical_trajectory = false;  // trace + best cost bit-identical
-  cache::EvalCacheStats stats;        // from the cache-on run
+  dse::EvalCacheStats stats;          // from the cache-on run
 };
 
 CacheAblation RunCacheAblation(const PreparedApp& prepared,

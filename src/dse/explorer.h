@@ -19,7 +19,6 @@
 // §5.2 analyses.
 #pragma once
 
-#include "cache/eval_cache.h"
 #include "dse/partition.h"
 #include "dse/scheduler.h"
 #include "dse/seeds.h"
@@ -59,13 +58,13 @@ struct ExplorerOptions {
   // pre-existing journal is replayed: a killed run resumed with the same
   // options re-pays zero already-journaled synthesis jobs.
   std::string journal_path;
-  // Memoizing evaluation cache, shared by the training phase and every
-  // partition (and the whole run in the vanilla baseline). Sits between
-  // the journal and the resilience layer: a hit replays the stored
-  // outcome (simulated minutes included) and skips fault injection and
-  // retries, so duplicate design points are paid for exactly once per
-  // run. On by default; see cache::EvalCacheOptions for the LRU bound.
-  cache::EvalCacheOptions cache;
+  // The evaluation memo: one map from merlin::ConfigKey to outcome,
+  // shared by the training phase and every partition (and the whole run in
+  // the vanilla baseline). Sits between the journal and the resilience
+  // layer: a hit replays the stored outcome (simulated minutes included)
+  // and skips fault injection and retries, so duplicate design points are
+  // paid for exactly once per run. Off makes it a pass-through.
+  bool eval_cache = true;
   // Partition scheduler. kAdaptive reinvests budget freed by entropy
   // stops (never changes the FCFS-phase trajectories, so its best is
   // always <= the FCFS best); kFcfs is the historical schedule alone.
@@ -80,6 +79,21 @@ struct ExplorerOptions {
   // bandit, bit-identical to before the knob existed. See
   // tuner::MakeTechniques for the accepted names.
   std::vector<std::string> techniques;
+};
+
+// The evaluation memo's run-wide ledger; all zero with the memo off.
+struct EvalCacheStats {
+  std::size_t lookups = 0;   // memo lookups
+  std::size_t hits = 0;      // answered from a stored outcome
+  std::size_t misses = 0;    // had to run the evaluator
+  double minutes_saved = 0;  // simulated eval_minutes not re-paid
+
+  // hits over lookups: the duplicate-point rate of the proposal stream.
+  double DuplicateRate() const {
+    return lookups == 0 ? 0
+                        : static_cast<double>(hits) /
+                              static_cast<double>(lookups);
+  }
 };
 
 struct PartitionOutcome {
@@ -116,7 +130,7 @@ struct DseResult {
   std::size_t journal_resumed = 0;  // evaluations replayed from the journal
   std::size_t journal_hits = 0;     // lookups it answered this run
   std::size_t journal_entries = 0;  // total entries after the run
-  cache::EvalCacheStats cache_stats;  // run-wide memoization ledger
+  EvalCacheStats cache_stats;       // run-wide memoization ledger
   SchedulerKind scheduler = SchedulerKind::kFcfs;  // the schedule that ran
   ScheduleStats schedule;              // budget-ledger accounting
   std::vector<ReclaimGrant> reclaim_grants;  // grant log, in commit order
@@ -150,7 +164,7 @@ DseResult RunS2faDse(const tuner::DesignSpace& space,
 // The vanilla-OpenTuner baseline on the same clock (footnote 3: eight
 // cores evaluate the top-8 candidates per iteration; no partitioning, no
 // seeds, stop on the time limit only). Runs the same evaluation stack as
-// the S2FA path — journal -> cache -> resilience -> raw evaluator — so
+// the S2FA path — journal -> memo -> resilience -> raw evaluator — so
 // --fault-rate / --resume-journal / --eval-timeout / --eval-cache apply
 // to --vanilla runs too; partitioning/seed/stop options are ignored.
 DseResult RunVanillaOpenTuner(const tuner::DesignSpace& space,

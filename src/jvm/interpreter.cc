@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <type_traits>
 
 #include "support/error.h"
@@ -24,6 +25,17 @@ template <typename T, typename Op>
 T Wrapping(T x, T y, Op op) {
   using U = std::make_unsigned_t<T>;
   return static_cast<T>(op(static_cast<U>(x), static_cast<U>(y)));
+}
+
+// Java's float-to-integer conversion (JLS 5.1.3): NaN gives 0, values
+// beyond T's range give its MIN or MAX, the rest truncate toward zero.
+template <typename T>
+T SaturatingCast(double d) {
+  constexpr double kMin = static_cast<double>(std::numeric_limits<T>::min());
+  if (std::isnan(d)) return 0;
+  if (d <= kMin) return std::numeric_limits<T>::min();
+  if (d >= -kMin) return std::numeric_limits<T>::max();
+  return static_cast<T>(d);
 }
 
 bool EvalCond(Cond cond, std::int32_t value) {
@@ -370,9 +382,13 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
       case Opcode::kNeg: {
         Value a = pop();
         switch (insn.type.kind()) {
-          case TypeKind::kInt: stack.push_back(Value::OfInt(-a.AsInt())); break;
+          case TypeKind::kInt:
+            stack.push_back(Value::OfInt(
+                Wrapping(std::int32_t{0}, a.AsInt(), std::minus<>())));
+            break;
           case TypeKind::kLong:
-            stack.push_back(Value::OfLong(-a.AsLong()));
+            stack.push_back(Value::OfLong(
+                Wrapping(std::int64_t{0}, a.AsLong(), std::minus<>())));
             break;
           case TypeKind::kFloat:
             stack.push_back(Value::OfFloat(-a.AsFloat()));
@@ -387,41 +403,45 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
       }
       case Opcode::kConvert: {
         Value a = pop();
-        auto as_double = [&]() -> double {
-          switch (insn.type.kind()) {
-            case TypeKind::kInt: return a.AsInt();
-            case TypeKind::kLong: return static_cast<double>(a.AsLong());
-            case TypeKind::kFloat: return a.AsFloat();
-            case TypeKind::kDouble: return a.AsDouble();
-            default:
-              throw MalformedInput("convert from " + insn.type.ToString());
-          }
-        };
-        double d = as_double();
+        // Integral sources stay integral (l2i keeps the low 32 bits, l2f
+        // rounds once); floating sources saturate into integral targets.
+        std::int64_t x = 0;
+        double d = 0;
+        bool integral = true;
+        switch (insn.type.kind()) {
+          case TypeKind::kInt: x = a.AsInt(); break;
+          case TypeKind::kLong: x = a.AsLong(); break;
+          case TypeKind::kFloat: d = a.AsFloat(); integral = false; break;
+          case TypeKind::kDouble: d = a.AsDouble(); integral = false; break;
+          default:
+            throw MalformedInput("convert from " + insn.type.ToString());
+        }
+        const std::int32_t i32 = integral ? static_cast<std::int32_t>(x)
+                                          : SaturatingCast<std::int32_t>(d);
         switch (insn.type2.kind()) {
           case TypeKind::kInt:
-            stack.push_back(Value::OfInt(static_cast<std::int32_t>(d)));
+            stack.push_back(Value::OfInt(i32));
             break;
           case TypeKind::kLong:
-            stack.push_back(Value::OfLong(static_cast<std::int64_t>(d)));
+            stack.push_back(Value::OfLong(
+                integral ? x : SaturatingCast<std::int64_t>(d)));
             break;
           case TypeKind::kFloat:
-            stack.push_back(Value::OfFloat(static_cast<float>(d)));
+            stack.push_back(Value::OfFloat(
+                integral ? static_cast<float>(x) : static_cast<float>(d)));
             break;
           case TypeKind::kDouble:
-            stack.push_back(Value::OfDouble(d));
+            stack.push_back(
+                Value::OfDouble(integral ? static_cast<double>(x) : d));
             break;
           case TypeKind::kByte:
-            stack.push_back(Value::OfInt(static_cast<std::int8_t>(
-                static_cast<std::int32_t>(d))));
+            stack.push_back(Value::OfInt(static_cast<std::int8_t>(i32)));
             break;
           case TypeKind::kChar:
-            stack.push_back(Value::OfInt(static_cast<std::uint16_t>(
-                static_cast<std::int32_t>(d))));
+            stack.push_back(Value::OfInt(static_cast<std::uint16_t>(i32)));
             break;
           case TypeKind::kShort:
-            stack.push_back(Value::OfInt(static_cast<std::int16_t>(
-                static_cast<std::int32_t>(d))));
+            stack.push_back(Value::OfInt(static_cast<std::int16_t>(i32)));
             break;
           default:
             throw MalformedInput("convert to " + insn.type2.ToString());

@@ -4,13 +4,12 @@
 #include <memory>
 #include <sstream>
 
-#include "kir/arena.h"
 #include "support/error.h"
 
 namespace s2fa::kir {
 
 std::shared_ptr<Expr> Expr::New() {
-  return std::allocate_shared<Expr>(arena::PoolAllocator<Expr>(), Token{});
+  return std::make_shared<Expr>(Token{});
 }
 
 ExprPtr Expr::IntLit(std::int64_t v, Type type) {

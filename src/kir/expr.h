@@ -89,14 +89,12 @@ class Expr {
   };
 
  public:
-  // Public only so allocate_shared can construct nodes; Token is private,
+  // Public only so make_shared can construct nodes; Token is private,
   // so the factories remain the sole way to make an Expr.
   explicit Expr(Token) {}
 
  private:
-  // Pool-backed node allocation (kir/arena.h): one pooled chunk holds the
-  // control block and the node, so DSE's clone/rewrite churn reuses memory
-  // instead of hammering malloc.
+  // One allocation holds the control block and the node.
   static std::shared_ptr<Expr> New();
 
   ExprKind kind_ = ExprKind::kIntLit;

@@ -3,14 +3,13 @@
 #include <memory>
 #include <sstream>
 
-#include "kir/arena.h"
 #include "support/error.h"
 #include "support/strings.h"
 
 namespace s2fa::kir {
 
 StmtPtr Stmt::New() {
-  return std::allocate_shared<Stmt>(arena::PoolAllocator<Stmt>(), Token{});
+  return std::make_shared<Stmt>(Token{});
 }
 
 StmtPtr Stmt::Assign(ExprPtr lhs, ExprPtr rhs) {

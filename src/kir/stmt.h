@@ -109,12 +109,12 @@ class Stmt {
   };
 
  public:
-  // Public only so allocate_shared can construct nodes; Token is private,
+  // Public only so make_shared can construct nodes; Token is private,
   // so the factories remain the sole way to make a Stmt.
   explicit Stmt(Token) {}
 
  private:
-  // Pool-backed node allocation (kir/arena.h), shared with Expr.
+  // One allocation holds the control block and the node, as for Expr.
   static StmtPtr New();
 
   StmtKind kind_ = StmtKind::kBlock;

@@ -1,542 +1,289 @@
+// The evaluation memo of dse::EvalStack, driven through RunS2faDse and
+// RunVanillaOpenTuner with a counting evaluator: what a hit replays, what
+// it skips, where it sits beside the journal, and that partitions running
+// on several exec threads share it without changing a count.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdint>
 #include <cstdio>
-#include <limits>
-#include <list>
-#include <random>
-#include <stdexcept>
+#include <mutex>
+#include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "cache/eval_cache.h"
-#include "resilience/journal.h"
-#include "support/thread_pool.h"
+#include "dse/explorer.h"
 
-namespace s2fa::cache {
+namespace s2fa::dse {
 namespace {
 
-using merlin::DesignConfig;
+using kir::BinaryOp;
+using kir::Expr;
+using kir::Stmt;
+using kir::Type;
+using tuner::DesignSpace;
 using tuner::EvalOutcome;
+using tuner::FactorKind;
 
-// A distinct config per index (the cache only looks at the key string).
-DesignConfig MakeConfig(int i) {
-  DesignConfig config;
-  config.loops[0].tile = 1;
-  config.loops[0].parallel = 1 << (i % 5);
-  config.buffer_bits["in"] = 32 << (i % 3);
-  return config;
+// Two nested loops: out[i] = sum_j in[i*8+j]. Only its loop tree matters
+// here (the partition trainer ranks rule factors by loop depth).
+kir::Kernel TwoLoopKernel() {
+  kir::Kernel k;
+  k.name = "two_loops";
+  k.buffers.push_back(
+      {"in", Type::Float(), 64, kir::BufferKind::kInput, ""});
+  k.buffers.push_back(
+      {"out", Type::Float(), 8, kir::BufferKind::kOutput, ""});
+  auto i = Expr::Var("i", Type::Int());
+  auto j = Expr::Var("j", Type::Int());
+  auto acc = Expr::Var("acc", Type::Float());
+  auto index = Expr::Binary(
+      BinaryOp::kAdd, Expr::Binary(BinaryOp::kMul, i, Expr::IntLit(8)), j);
+  auto inner = Stmt::For(
+      1, "j", 8,
+      Stmt::Block({Stmt::Assign(
+          acc, Expr::Binary(BinaryOp::kAdd, acc,
+                            Expr::ArrayRef("in", Type::Float(), index)))}));
+  inner->set_is_reduction(true);
+  auto outer = Stmt::For(
+      0, "i", 8,
+      Stmt::Block({Stmt::Decl("acc", Type::Float(), Expr::FloatLit(0.0f)),
+                   inner,
+                   Stmt::Assign(Expr::ArrayRef("out", Type::Float(), i),
+                                acc)}));
+  outer->set_inserted_by_template(true);
+  k.body = Stmt::Block({outer});
+  k.task_loop_id = 0;
+  return k;
 }
 
-EvalOutcome Outcome(double cost, double minutes = 5.0) {
-  EvalOutcome out;
-  out.feasible = true;
-  out.cost = cost;
-  out.eval_minutes = minutes;
-  return out;
-}
-
-// ---------------------------------------------------------- spec parsing
-
-TEST(CacheSpecTest, ParsesOnOffAndCapacity) {
-  auto on = ParseCacheSpec("on");
-  ASSERT_TRUE(on.has_value());
-  EXPECT_TRUE(on->enabled);
-  EXPECT_EQ(on->capacity, 0u);
-
-  auto one = ParseCacheSpec("1");
-  ASSERT_TRUE(one.has_value());
-  EXPECT_TRUE(one->enabled);
-
-  auto off = ParseCacheSpec("off");
-  ASSERT_TRUE(off.has_value());
-  EXPECT_FALSE(off->enabled);
-
-  auto zero = ParseCacheSpec("0");
-  ASSERT_TRUE(zero.has_value());
-  EXPECT_FALSE(zero->enabled);
-
-  auto bounded = ParseCacheSpec("64");
-  ASSERT_TRUE(bounded.has_value());
-  EXPECT_TRUE(bounded->enabled);
-  EXPECT_EQ(bounded->capacity, 64u);
-}
-
-TEST(CacheSpecTest, RejectsGarbage) {
-  EXPECT_FALSE(ParseCacheSpec("").has_value());
-  EXPECT_FALSE(ParseCacheSpec("bogus").has_value());
-  EXPECT_FALSE(ParseCacheSpec("-3").has_value());
-  EXPECT_FALSE(ParseCacheSpec("12abc").has_value());
-  // Past unsigned long long: strtoull saturates and sets ERANGE.
-  EXPECT_FALSE(ParseCacheSpec("99999999999999999999999").has_value());
-  EXPECT_FALSE(ParseCacheSpec("18446744073709551616").has_value());
-  ASSERT_TRUE(ParseCacheSpec("18446744073709551615").has_value());
-}
-
-// ------------------------------------------------------------ basic API
-
-TEST(EvalCacheTest, MissThenHitReplaysStoredOutcome) {
-  EvalCache cache;
-  int calls = 0;
-  auto compute = [&] {
-    ++calls;
-    return Outcome(42.0, 7.5);
-  };
-
-  EvalOutcome first = cache.GetOrCompute("k", compute);
-  EvalOutcome second = cache.GetOrCompute("k", compute);
-
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(first.cost, 42.0);
-  EXPECT_EQ(second.cost, 42.0);
-  // The hit replays the charged synthesis time, so the simulated clock is
-  // bit-identical with the cache on or off.
-  EXPECT_EQ(second.eval_minutes, 7.5);
-
-  EvalCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.lookups, 2u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.inflight_joins, 0u);
-  EXPECT_EQ(stats.minutes_saved, 7.5);
-  EXPECT_DOUBLE_EQ(stats.DuplicateRate(), 0.5);
-}
-
-TEST(EvalCacheTest, FindAndInsert) {
-  EvalCache cache;
-  EXPECT_FALSE(cache.Find("k").has_value());
-  cache.Insert("k", Outcome(9.0));
-  auto found = cache.Find("k");
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(found->cost, 9.0);
-  EXPECT_EQ(cache.size(), 1u);
-  // Find is a diagnostic peek: no lookups/hits counted.
-  EXPECT_EQ(cache.stats().lookups, 0u);
-}
-
-TEST(EvalCacheTest, DisabledCacheIsPassThrough) {
-  EvalCacheOptions options;
-  options.enabled = false;
-  EvalCache cache(options);
-  int calls = 0;
-  tuner::EvalFn wrapped = cache.Wrap([&](const DesignConfig&) {
-    ++calls;
-    return Outcome(1.0);
-  });
-  wrapped(MakeConfig(0));
-  wrapped(MakeConfig(0));
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(cache.stats().lookups, 0u);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(EvalCacheTest, WrapKeysOnCompactConfigKey) {
-  EvalCache cache;
-  int calls = 0;
-  tuner::EvalFn wrapped = cache.Wrap([&](const DesignConfig&) {
-    ++calls;
-    return Outcome(static_cast<double>(calls));
-  });
-
-  EvalOutcome a = wrapped(MakeConfig(0));
-  EvalOutcome b = wrapped(MakeConfig(0));  // same key
-  EvalOutcome c = wrapped(MakeConfig(1));  // different point
-
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(a.cost, b.cost);
-  EXPECT_NE(a.cost, c.cost);
-  EXPECT_TRUE(cache.Find(ConfigKey(MakeConfig(0))).has_value());
-  EXPECT_FALSE(cache.Find(MakeConfig(0).ToString()).has_value());
-}
-
-// Keys are equal exactly when configs are: random pairs drawn from a small
-// alphabet (so many pairs collide on purpose), with buffer names that are
-// prefixes of each other, factors past 32 bits, and loop ids that could
-// be mistaken for buffer bytes if the layout were ambiguous.
-TEST(ConfigKeyTest, EqualExactlyWhenConfigsAreEqual) {
-  const std::vector<std::string> names = {"a", "ab", "b", "ba", "aab", "in"};
-  const std::vector<std::int64_t> factors = {
-      1, 2, 256, std::int64_t{1} << 32, (std::int64_t{1} << 32) + 1,
-      std::numeric_limits<std::int64_t>::max()};
-  std::mt19937_64 rng(7);
-  auto pick = [&](std::size_t n) {
-    return static_cast<std::size_t>(rng() % n);
-  };
-  auto random_config = [&] {
-    DesignConfig config;
-    const std::size_t loops = pick(3);
-    for (std::size_t i = 0; i < loops; ++i) {
-      merlin::LoopConfig& loop = config.loops[static_cast<int>(pick(3))];
-      loop.tile = factors[pick(factors.size())];
-      loop.parallel = factors[pick(factors.size())];
-      loop.pipeline = static_cast<merlin::PipelineMode>(pick(3));
-    }
-    const std::size_t buffers = pick(3);
-    for (std::size_t i = 0; i < buffers; ++i) {
-      config.buffer_bits[names[pick(names.size())]] = 16 << pick(4);
-    }
-    return config;
-  };
-  int equal_pairs = 0;
-  for (int i = 0; i < 20000; ++i) {
-    const DesignConfig x = random_config();
-    const DesignConfig y = random_config();
-    const bool same = x == y;
-    ASSERT_EQ(ConfigKey(x) == ConfigKey(y), same)
-        << x.ToString() << " vs " << y.ToString();
-    if (same) ++equal_pairs;
+// The outer loop's pipeline mode x the inner loop's parallel factor (12
+// points); `wide` adds the inner tile and the input width (144 points).
+DesignSpace SmallSpace(bool wide = false) {
+  DesignSpace space;
+  space.factors.push_back(
+      {"L0.pipeline", FactorKind::kLoopPipeline, 0, "", {0, 1, 2}});
+  space.factors.push_back(
+      {"L1.parallel", FactorKind::kLoopParallel, 1, "", {1, 2, 4, 8}});
+  if (wide) {
+    space.factors.push_back(
+        {"L1.tile", FactorKind::kLoopTile, 1, "", {1, 2, 4, 8}});
+    space.factors.push_back(
+        {"in.bits", FactorKind::kBufferBits, -1, "in", {32, 64, 128}});
   }
-  EXPECT_GT(equal_pairs, 0);
+  return space;
+}
 
-  // Hand-picked near misses.
-  DesignConfig a;
-  a.buffer_bits["a"] = 16;
-  DesignConfig ab;
-  ab.buffer_bits["ab"] = 16;
-  DesignConfig a_and_b;
-  a_and_b.buffer_bits["a"] = 16;
-  a_and_b.buffer_bits["b"] = 16;
-  DesignConfig loop_only;
-  loop_only.loops[0] = {};
-  DesignConfig big;
-  big.loops[0].parallel = std::int64_t{1} << 32;
-  DesignConfig small;
-  small.loops[0].parallel = 2;
-  const std::vector<DesignConfig> distinct = {DesignConfig{}, a, ab,
-                                              a_and_b, loop_only, big, small};
-  for (std::size_t i = 0; i < distinct.size(); ++i) {
-    for (std::size_t j = 0; j < distinct.size(); ++j) {
-      EXPECT_EQ(ConfigKey(distinct[i]) == ConfigKey(distinct[j]), i == j)
-          << i << " vs " << j;
-    }
+// A deterministic black box that counts its calls, the distinct configs
+// it was asked for and the minutes it charged. Each point charges its own
+// synthesis minutes, so a replayed outcome shows on the simulated clock.
+class CountingEval {
+ public:
+  tuner::EvalFn Fn() {
+    return [this](const merlin::DesignConfig& config) {
+      ++calls_;
+      const merlin::LoopConfig& outer = config.loops.at(0);
+      const merlin::LoopConfig& inner = config.loops.at(1);
+      const auto bits = config.buffer_bits.find("in");
+      const double width =
+          bits == config.buffer_bits.end() ? 1.0 : bits->second / 32.0;
+      EvalOutcome out;
+      out.feasible = true;
+      out.cost = 1000.0 / static_cast<double>(inner.parallel) /
+                     (1.0 + static_cast<int>(outer.pipeline)) /
+                     (width * static_cast<double>(inner.tile)) +
+                 static_cast<double>(inner.parallel * inner.tile);
+      out.eval_minutes = 3.0 + static_cast<double>(inner.parallel) +
+                         0.5 * static_cast<int>(outer.pipeline);
+      std::lock_guard<std::mutex> lock(mutex_);
+      seen_.insert(config.ToString());
+      minutes_ += out.eval_minutes;
+      return out;
+    };
+  }
+
+  int calls() const { return calls_.load(); }
+  std::size_t distinct() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return seen_.size();
+  }
+  // Synthesis minutes charged over all calls (multiples of 0.5, so any
+  // summation order is exact).
+  double minutes() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return minutes_;
+  }
+
+ private:
+  std::atomic<int> calls_{0};
+  mutable std::mutex mutex_;
+  std::set<std::string> seen_;
+  double minutes_ = 0;
+};
+
+void ExpectSameTrajectory(const DseResult& a, const DseResult& b) {
+  EXPECT_EQ(a.best_cost, b.best_cost);
+  EXPECT_EQ(a.best_config, b.best_config);
+  EXPECT_EQ(a.elapsed_minutes, b.elapsed_minutes);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  ASSERT_EQ(a.trace.size(), b.trace.size());
+  for (std::size_t i = 0; i < a.trace.size(); ++i) {
+    EXPECT_EQ(a.trace[i].time_minutes, b.trace[i].time_minutes);
+    EXPECT_EQ(a.trace[i].best_cost, b.trace[i].best_cost);
   }
 }
 
-// ------------------------------------------------------------------ LRU
-
-TEST(EvalCacheTest, LruEvictionRespectsCapacityAndRecency) {
-  EvalCacheOptions options;
-  options.capacity = 2;
-  EvalCache cache(options);
-  auto compute_for = [](double cost) { return [cost] { return Outcome(cost); }; };
-
-  cache.GetOrCompute("a", compute_for(1));
-  cache.GetOrCompute("b", compute_for(2));
-  cache.GetOrCompute("a", compute_for(1));  // touch: "b" is now LRU
-  cache.GetOrCompute("c", compute_for(3));  // evicts "b"
-
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.Find("a").has_value());
-  EXPECT_FALSE(cache.Find("b").has_value());
-  EXPECT_TRUE(cache.Find("c").has_value());
-  EXPECT_EQ(cache.stats().evictions, 1u);
-
-  // The evicted key is recomputed on the next request.
-  int recomputed = 0;
-  cache.GetOrCompute("b", [&] {
-    ++recomputed;
-    return Outcome(2);
-  });
-  EXPECT_EQ(recomputed, 1);
+ExplorerOptions VanillaOptions() {
+  ExplorerOptions options;
+  options.time_limit_minutes = 200;
+  options.num_cores = 4;
+  options.seed = 5;
+  return options;
 }
 
-// --------------------------------------------------------- single-flight
+// A vanilla run over 12 points proposes far more than 12: every repeat is
+// a hit that replays the stored outcome, minutes included, so the clock
+// and the trajectory match a memo-off run, and never reaches the guard or
+// the fault plan behind it.
+TEST(MemoTest, HitReplaysOutcomeAndMinutesWithoutReachingTheGuard) {
+  const DesignSpace space = SmallSpace();
+  ExplorerOptions options = VanillaOptions();
+  CountingEval on_eval;
+  const DseResult on = RunVanillaOpenTuner(space, on_eval.Fn(), options);
+  options.eval_cache = false;
+  CountingEval off_eval;
+  const DseResult off = RunVanillaOpenTuner(space, off_eval.Fn(), options);
 
-TEST(EvalCacheTest, SingleFlightDeduplicatesConcurrentRequests) {
-  EvalCache cache;
-  std::atomic<int> computes{0};
-  constexpr int kThreads = 16;
+  ExpectSameTrajectory(on, off);
+  const EvalCacheStats& memo = on.cache_stats;
+  EXPECT_EQ(memo.lookups, memo.hits + memo.misses);
+  EXPECT_EQ(memo.misses, on_eval.distinct());
+  EXPECT_EQ(static_cast<std::size_t>(on_eval.calls()), memo.misses);
+  EXPECT_GT(memo.hits, memo.misses);
+  EXPECT_EQ(static_cast<std::size_t>(off_eval.calls()), memo.lookups);
+  // The memo-off run paid again exactly the minutes the hits replayed.
+  EXPECT_GT(memo.minutes_saved, 0.0);
+  EXPECT_EQ(memo.minutes_saved, off_eval.minutes() - on_eval.minutes());
+  // Only misses reach the guard; the memo-off run's guard sees every
+  // lookup.
+  EXPECT_EQ(on.resilience.calls, memo.misses);
+  EXPECT_EQ(off.resilience.calls, memo.lookups);
 
-  std::vector<EvalOutcome> outs(kThreads);
-  ForkJoin(kThreads, kThreads, [&](std::size_t i) {
-    outs[i] = cache.GetOrCompute("hot", [&] {
-      // Slow enough that the other requesters pile up behind the leader.
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      ++computes;
-      return Outcome(17.0);
-    });
-  });
-  for (const EvalOutcome& out : outs) EXPECT_EQ(out.cost, 17.0);
-
-  EXPECT_EQ(computes.load(), 1);
-  EvalCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.lookups, static_cast<std::size_t>(kThreads));
-  EXPECT_EQ(stats.misses, 1u);
-  // Everyone else either joined the flight or (if it finished first) hit
-  // the completed entry; either way nobody re-paid the evaluation.
-  EXPECT_EQ(stats.hits + stats.inflight_joins,
-            static_cast<std::size_t>(kThreads) - 1u);
+  // With injected crashes the guard still sees misses alone: hits skip
+  // the fault plan as well.
+  options.eval_cache = true;
+  options.faults.crash_rate = 0.2;
+  options.faults.seed = 17;
+  CountingEval faulty_eval;
+  const DseResult faulty =
+      RunVanillaOpenTuner(space, faulty_eval.Fn(), options);
+  EXPECT_GT(faulty.cache_stats.hits, 0u);
+  EXPECT_GT(faulty.resilience.crashes, 0u);
+  EXPECT_EQ(faulty.resilience.calls, faulty.cache_stats.misses);
 }
 
-TEST(EvalCacheTest, FailedLeaderLetsWaitersRetry) {
-  EvalCache cache;
-  std::atomic<int> attempts{0};
-  constexpr int kThreads = 8;
+TEST(MemoTest, OffIsAPassThrough) {
+  const DesignSpace space = SmallSpace();
+  ExplorerOptions options = VanillaOptions();
+  options.eval_cache = false;
+  CountingEval eval;
+  const DseResult result = RunVanillaOpenTuner(space, eval.Fn(), options);
 
-  std::vector<double> costs(kThreads);
-  ForkJoin(kThreads, kThreads, [&](std::size_t i) {
-    try {
-      costs[i] = cache
-                     .GetOrCompute("flaky",
-                                   [&] {
-                                     int n = ++attempts;
-                                     std::this_thread::sleep_for(
-                                         std::chrono::milliseconds(10));
-                                     if (n == 1) {
-                                       throw std::runtime_error("boom");
-                                     }
-                                     return Outcome(5.0);
-                                   })
-                     .cost;
-    } catch (const std::runtime_error&) {
-      costs[i] = -1.0;  // the leader that drew the failure
-    }
-  });
-  int failures = 0;
-  for (double cost : costs) {
-    if (cost < 0) {
-      ++failures;
-    } else {
-      EXPECT_EQ(cost, 5.0);
-    }
-  }
-  // Exactly one caller (the first leader) observes the exception; every
-  // waiter retries and one of them becomes the new leader.
-  EXPECT_EQ(failures, 1);
-  EXPECT_EQ(attempts.load(), 2);
-  ASSERT_TRUE(cache.Find("flaky").has_value());
+  const EvalCacheStats& memo = result.cache_stats;
+  EXPECT_EQ(memo.lookups, 0u);
+  EXPECT_EQ(memo.hits, 0u);
+  EXPECT_EQ(memo.misses, 0u);
+  EXPECT_EQ(memo.minutes_saved, 0.0);
+  EXPECT_EQ(static_cast<std::size_t>(eval.calls()), result.resilience.calls);
+  EXPECT_GT(static_cast<std::size_t>(eval.calls()), eval.distinct());
 }
 
-// Hammer many distinct keys from many threads with a bounded capacity —
-// primarily an ASan/TSan target via the sanitized duplicate.
-TEST(EvalCacheTest, ConcurrentMixedWorkloadStaysConsistent) {
-  EvalCacheOptions options;
-  options.capacity = 8;
-  EvalCache cache(options);
-  std::atomic<int> computes{0};
-  constexpr int kThreads = 8;
-  constexpr int kIters = 200;
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, &computes, t] {
-      for (int i = 0; i < kIters; ++i) {
-        const int key = (t + i) % 24;
-        EvalOutcome out = cache.GetOrCompute(
-            "k" + std::to_string(key), [&computes, key] {
-              ++computes;
-              return Outcome(static_cast<double>(key));
-            });
-        ASSERT_EQ(out.cost, static_cast<double>(key));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  EXPECT_LE(cache.size(), 8u);
-  EvalCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.lookups, static_cast<std::size_t>(kThreads) * kIters);
-  EXPECT_EQ(stats.misses, static_cast<std::size_t>(computes.load()));
-  EXPECT_EQ(stats.hits + stats.inflight_joins + stats.misses, stats.lookups);
-}
-
-// Many keys spread over the lock stripes, requested by eight threads in
-// rotated orders with a slow compute, so flights overlap: every key is
-// still computed exactly once and every lookup is counted exactly once.
-TEST(EvalCacheTest, StripedKeysAreComputedOnceAcrossThreads) {
-  EvalCache cache;
-  constexpr int kThreads = 8;
-  constexpr int kKeys = 64;
-  std::vector<std::atomic<int>> computes(kKeys);
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, &computes, t] {
-      for (int i = 0; i < kKeys; ++i) {
-        const int key = (t * 8 + i) % kKeys;
-        EvalOutcome out = cache.GetOrCompute(
-            ConfigKey(MakeConfig(key)) + std::to_string(key), [&, key] {
-              ++computes[key];
-              std::this_thread::sleep_for(std::chrono::microseconds(200));
-              return Outcome(static_cast<double>(key));
-            });
-        ASSERT_EQ(out.cost, static_cast<double>(key));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  for (int key = 0; key < kKeys; ++key) EXPECT_EQ(computes[key].load(), 1);
-  EXPECT_EQ(cache.size(), static_cast<std::size_t>(kKeys));
-  EvalCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.lookups, static_cast<std::size_t>(kThreads * kKeys));
-  EXPECT_EQ(stats.misses, static_cast<std::size_t>(kKeys));
-  EXPECT_EQ(stats.hits + stats.inflight_joins + stats.misses, stats.lookups);
-  EXPECT_DOUBLE_EQ(stats.minutes_saved,
-                   5.0 * static_cast<double>(stats.lookups - stats.misses));
-}
-
-// Every key's first leader throws while the other threads wait on it:
-// per key exactly one caller sees the failure and one retry computes.
-TEST(EvalCacheTest, FailedLeadersRetryAcrossStripes) {
-  EvalCache cache;
-  constexpr int kThreads = 8;
-  constexpr int kKeys = 16;
-  std::vector<std::atomic<int>> attempts(kKeys);
-  std::atomic<int> failures{0};
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kKeys; ++i) {
-        const int key = (t + i) % kKeys;
-        try {
-          EvalOutcome out =
-              cache.GetOrCompute("flaky" + std::to_string(key), [&, key] {
-                const int n = ++attempts[key];
-                std::this_thread::sleep_for(std::chrono::milliseconds(1));
-                if (n == 1) throw std::runtime_error("boom");
-                return Outcome(static_cast<double>(key));
-              });
-          EXPECT_EQ(out.cost, static_cast<double>(key));
-        } catch (const std::runtime_error&) {
-          ++failures;
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(failures.load(), kKeys);
-  for (int key = 0; key < kKeys; ++key) {
-    EXPECT_EQ(attempts[key].load(), 2) << key;
-    EXPECT_TRUE(cache.Find("flaky" + std::to_string(key)).has_value());
-  }
-  EvalCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.misses, static_cast<std::size_t>(2 * kKeys));
-  EXPECT_EQ(stats.hits + stats.inflight_joins + stats.misses, stats.lookups);
-}
-
-// A bounded cache keeps one stripe, so its recency order is exact: a
-// random stream of requests and inserts over more keys than fit evicts
-// exactly what a reference LRU list evicts.
-TEST(EvalCacheTest, BoundedCacheEvictsInExactLruOrder) {
-  EvalCacheOptions options;
-  options.capacity = 4;
-  EvalCache cache(options);
-  std::list<int> model;  // front = most recent
-  std::size_t evictions = 0;
-  auto use = [&](int key) {
-    model.remove(key);
-    model.push_front(key);
-    if (model.size() > options.capacity) {
-      model.pop_back();
-      ++evictions;
-    }
-  };
-  std::mt19937_64 rng(11);
-  for (int step = 0; step < 2000; ++step) {
-    const int key = static_cast<int>(rng() % 9);
-    const std::string name = "k" + std::to_string(key);
-    const bool cached =
-        std::find(model.begin(), model.end(), key) != model.end();
-    if (rng() % 4 == 0) {
-      cache.Insert(name, Outcome(key));
-    } else {
-      bool computed = false;
-      cache.GetOrCompute(name, [&] {
-        computed = true;
-        return Outcome(key);
-      });
-      ASSERT_EQ(computed, !cached) << "step " << step;
-    }
-    use(key);
-    ASSERT_EQ(cache.size(), model.size());
-    for (int k = 0; k < 9; ++k) {
-      ASSERT_EQ(cache.Find("k" + std::to_string(k)).has_value(),
-                std::find(model.begin(), model.end(), k) != model.end())
-          << "step " << step << " key " << k;
-    }
-  }
-  EXPECT_EQ(cache.stats().evictions, evictions);
-}
-
-// ----------------------------------------------- journal/cache layering
-
-TEST(EvalCacheTest, JournalHitNeverTouchesTheCache) {
-  const std::string path =
-      ::testing::TempDir() + "/cache_precedence_journal." +
-      std::to_string(::getpid()) + ".jsonl";
+// Journal -> memo: a resumed run is answered by the journal alone, and a
+// fresh memo behind it sees no lookup.
+TEST(MemoTest, JournalHitNeverTouchesTheMemo) {
+  const std::string path = ::testing::TempDir() + "/memo_journal." +
+                           std::to_string(::getpid()) + ".jsonl";
   std::remove(path.c_str());
+  const DesignSpace space = SmallSpace();
+  ExplorerOptions options = VanillaOptions();
+  options.journal_path = path;
 
-  int raw_calls = 0;
-  tuner::EvalFn raw = [&](const DesignConfig&) {
-    ++raw_calls;
-    return Outcome(3.0);
-  };
+  CountingEval first_eval;
+  const DseResult first =
+      RunVanillaOpenTuner(space, first_eval.Fn(), options);
+  EXPECT_GT(first.cache_stats.misses, 0u);
+  EXPECT_GT(first.journal_entries, 0u);
 
-  {
-    // First run: journal miss -> cache miss -> raw evaluator; the journal
-    // records what the cache returned.
-    resilience::EvalJournal journal;
-    journal.Open(path);
-    EvalCache cache;
-    tuner::EvalFn fn = journal.Wrap("p0", cache.Wrap(raw));
-    fn(MakeConfig(0));
-    EXPECT_EQ(raw_calls, 1);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(journal.entries(), 1u);
-  }
-  {
-    // Resumed run: the journal answers first; the fresh cache is never
-    // consulted (journal -> cache -> evaluator layering).
-    resilience::EvalJournal journal;
-    journal.Open(path);
-    EXPECT_EQ(journal.resumed(), 1u);
-    EvalCache cache;
-    tuner::EvalFn fn = journal.Wrap("p0", cache.Wrap(raw));
-    EvalOutcome out = fn(MakeConfig(0));
-    EXPECT_EQ(out.cost, 3.0);
-    EXPECT_EQ(raw_calls, 1);
-    EXPECT_EQ(journal.hits(), 1u);
-    EXPECT_EQ(cache.stats().lookups, 0u);
-    // A key the journal does not know falls through to the cache.
-    fn(MakeConfig(1));
-    EXPECT_EQ(raw_calls, 2);
-    EXPECT_EQ(cache.stats().misses, 1u);
-  }
+  CountingEval resumed_eval;
+  const DseResult resumed =
+      RunVanillaOpenTuner(space, resumed_eval.Fn(), options);
+  ExpectSameTrajectory(first, resumed);
+  EXPECT_EQ(resumed.journal_resumed, first.journal_entries);
+  EXPECT_GT(resumed.journal_hits, 0u);
+  EXPECT_EQ(resumed.cache_stats.lookups, 0u);
+  EXPECT_EQ(resumed_eval.calls(), 0);
   std::remove(path.c_str());
 }
 
-TEST(EvalCacheTest, StatsMergeAccumulates) {
-  EvalCacheStats a;
-  a.lookups = 10;
-  a.hits = 4;
-  a.misses = 6;
-  a.minutes_saved = 20;
-  EvalCacheStats b;
-  b.lookups = 5;
-  b.hits = 1;
-  b.misses = 4;
-  b.inflight_joins = 2;
-  b.evictions = 3;
-  b.minutes_saved = 5;
-  a.Merge(b);
-  EXPECT_EQ(a.lookups, 15u);
-  EXPECT_EQ(a.hits, 5u);
-  EXPECT_EQ(a.misses, 10u);
-  EXPECT_EQ(a.inflight_joins, 2u);
-  EXPECT_EQ(a.evictions, 3u);
-  EXPECT_EQ(a.minutes_saved, 25.0);
+// 320 training samples cover all 12 points, so every point a partition
+// proposes was trained on: each partition's lookups all hit, and its guard
+// is never called.
+TEST(MemoTest, TrainingSampleReProposedByAPartitionHits) {
+  const kir::Kernel kernel = TwoLoopKernel();
+  const DesignSpace space = SmallSpace();
+  ExplorerOptions options;
+  options.time_limit_minutes = 120;
+  options.num_cores = 4;
+  options.exec_threads = 4;
+  options.seed = 9;
+  CountingEval eval;
+  const DseResult result = RunS2faDse(space, kernel, eval.Fn(), options);
+
+  ASSERT_GT(result.partitions.size(), 1u);
+  EXPECT_EQ(eval.distinct(), 12u);
+  EXPECT_EQ(static_cast<std::size_t>(eval.calls()), 12u);
+  EXPECT_EQ(result.cache_stats.misses, 12u);
+  EXPECT_EQ(result.resilience.calls, 12u);  // the training scope's misses
+  std::size_t tuned = 0;
+  for (const PartitionOutcome& partition : result.partitions) {
+    EXPECT_EQ(partition.resilience.calls, 0u) << partition.description;
+    tuned += partition.result.evaluations;
+  }
+  EXPECT_GT(tuned, 0u);
+  EXPECT_EQ(result.cache_stats.hits,
+            result.cache_stats.lookups - result.cache_stats.misses);
+  EXPECT_GE(result.cache_stats.hits,
+            static_cast<std::size_t>(options.training_samples) - 12u + tuned);
+}
+
+// Partitions tuned on 4 exec threads miss and store concurrently (the
+// sanitized twins instrument exactly this); the counts and the trajectory
+// match a one-thread run, and every distinct point is paid once.
+TEST(MemoTest, MultiPartitionExploreMatchesAcrossExecThreads) {
+  const kir::Kernel kernel = TwoLoopKernel();
+  const DesignSpace space = SmallSpace(/*wide=*/true);
+  ExplorerOptions options;
+  options.time_limit_minutes = 240;
+  options.num_cores = 4;
+  options.seed = 3;
+  options.training_samples = 40;
+
+  options.exec_threads = 1;
+  CountingEval one_eval;
+  const DseResult one = RunS2faDse(space, kernel, one_eval.Fn(), options);
+  options.exec_threads = 4;
+  CountingEval four_eval;
+  const DseResult four = RunS2faDse(space, kernel, four_eval.Fn(), options);
+
+  ASSERT_GT(four.partitions.size(), 1u);
+  ExpectSameTrajectory(one, four);
+  EXPECT_EQ(one.cache_stats.lookups, four.cache_stats.lookups);
+  EXPECT_EQ(one.cache_stats.hits, four.cache_stats.hits);
+  EXPECT_EQ(one.cache_stats.misses, four.cache_stats.misses);
+  EXPECT_GT(four.cache_stats.hits, 0u);
+  EXPECT_EQ(static_cast<std::size_t>(four_eval.calls()),
+            four.cache_stats.misses);
+  EXPECT_EQ(four_eval.distinct(), four.cache_stats.misses);
 }
 
 }  // namespace
-}  // namespace s2fa::cache
+}  // namespace s2fa::dse

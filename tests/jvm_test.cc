@@ -345,6 +345,100 @@ TEST_F(InterpFixture, IntegralArithmeticWrapsLikeJava) {
   EXPECT_THROW(i64("rem", 1, 0), InvalidArgument);
 }
 
+// Conversions follow JLS 5.1.2-5.1.3 rather than a detour through double:
+// integral narrowing keeps the low bits, long -> float rounds once, and
+// float -> integral saturates with NaN -> 0. Negating MIN wraps.
+TEST_F(InterpFixture, ConversionsAndNegationFollowJava) {
+  Klass& k = pool_.Define("Test");
+  const std::vector<std::pair<std::string, Type>> types = {
+      {"i", Type::Int()},   {"l", Type::Long()},  {"f", Type::Float()},
+      {"d", Type::Double()}, {"b", Type::Byte()}, {"c", Type::Char()},
+      {"s", Type::Short()}};
+  auto define = [&](const std::string& name, const Type& from,
+                    const Type& to, bool negate) {
+    Assembler a;
+    a.Load(from, 0);
+    if (negate) {
+      a.Neg(from);
+    } else {
+      a.Convert(from, to);
+    }
+    const Type ret = to.is_integral() && !to.is_wide() ? Type::Int() : to;
+    a.Ret(ret);
+    MethodSignature sig;
+    sig.params = {from};
+    sig.ret = ret;
+    k.AddMethod(MakeMethod(name, sig, true, 2, a.Finish()));
+  };
+  for (const auto& [f, from] : types) {
+    if (f == "b" || f == "c" || f == "s") continue;
+    for (const auto& [t, to] : types) {
+      if (f != t) define(f + "2" + t, from, to, false);
+    }
+  }
+  define("ineg", Type::Int(), Type::Int(), true);
+  define("lneg", Type::Long(), Type::Long(), true);
+  Interpreter interp(pool_, heap_);
+  auto call = [&](const std::string& name, Value x) {
+    return interp.Invoke("Test", name, {x}).ret;
+  };
+  const float nan_f = std::numeric_limits<float>::quiet_NaN();
+  const double nan_d = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+
+  // Integral narrowing keeps the low bits.
+  EXPECT_EQ(call("l2i", Value::OfLong((std::int64_t{1} << 40) | 5)).AsInt(),
+            5);
+  EXPECT_EQ(call("l2i", Value::OfLong(0x1'8000'0000LL)).AsInt(), INT32_MIN);
+  EXPECT_EQ(call("l2i", Value::OfLong(-1)).AsInt(), -1);
+  EXPECT_EQ(call("l2b", Value::OfLong(0x1'0000'0180LL)).AsInt(), -128);
+  EXPECT_EQ(call("l2c", Value::OfLong(-1)).AsInt(), 0xFFFF);
+  EXPECT_EQ(call("i2s", Value::OfInt(0x18000)).AsInt(), -32768);
+  EXPECT_EQ(call("i2l", Value::OfInt(INT32_MIN)).AsLong(), INT32_MIN);
+  // long -> float rounds once: 2^60 + 2^36 + 1 lies just above the
+  // midpoint between two floats, which a detour through double rounds
+  // onto, and then down.
+  const std::int64_t above_tie = (std::int64_t{1} << 60) +
+                                 (std::int64_t{1} << 36) + 1;
+  EXPECT_EQ(call("l2f", Value::OfLong(above_tie)).AsFloat(),
+            static_cast<float>(above_tie));
+  EXPECT_EQ(call("l2f", Value::OfLong(above_tie)).AsFloat(),
+            0x1.000002p60f);
+  EXPECT_EQ(call("l2d", Value::OfLong(INT64_MAX)).AsDouble(), 0x1p63);
+
+  // float -> integral saturates, NaN -> 0, the rest truncates.
+  EXPECT_EQ(call("f2i", Value::OfFloat(nan_f)).AsInt(), 0);
+  EXPECT_EQ(call("f2l", Value::OfFloat(nan_f)).AsLong(), 0);
+  EXPECT_EQ(call("d2i", Value::OfDouble(nan_d)).AsInt(), 0);
+  EXPECT_EQ(call("d2l", Value::OfDouble(nan_d)).AsLong(), 0);
+  EXPECT_EQ(call("f2i", Value::OfFloat(3e9f)).AsInt(), INT32_MAX);
+  EXPECT_EQ(call("f2i", Value::OfFloat(-3e9f)).AsInt(), INT32_MIN);
+  EXPECT_EQ(call("d2i", Value::OfDouble(inf)).AsInt(), INT32_MAX);
+  EXPECT_EQ(call("d2i", Value::OfDouble(-inf)).AsInt(), INT32_MIN);
+  EXPECT_EQ(call("d2i", Value::OfDouble(-2147483648.9)).AsInt(), INT32_MIN);
+  EXPECT_EQ(call("d2i", Value::OfDouble(-7.9)).AsInt(), -7);
+  EXPECT_EQ(call("f2l", Value::OfFloat(1e19f)).AsLong(), INT64_MAX);
+  EXPECT_EQ(call("d2l", Value::OfDouble(-1e19)).AsLong(), INT64_MIN);
+  EXPECT_EQ(call("d2l", Value::OfDouble(0x1p63)).AsLong(), INT64_MAX);
+  EXPECT_EQ(call("d2l", Value::OfDouble(-0x1p63)).AsLong(), INT64_MIN);
+  EXPECT_EQ(call("d2l", Value::OfDouble(123456789012.7)).AsLong(),
+            123456789012);
+  // Sub-int targets narrow the saturated int.
+  EXPECT_EQ(call("d2b", Value::OfDouble(nan_d)).AsInt(), 0);
+  EXPECT_EQ(call("d2s", Value::OfDouble(1e10)).AsInt(), -1);  // 0x7fffffff
+  EXPECT_EQ(call("f2c", Value::OfFloat(65.7f)).AsInt(), 65);
+  // Floating <-> floating.
+  EXPECT_EQ(call("d2f", Value::OfDouble(0.1)).AsFloat(), 0.1f);
+  EXPECT_EQ(call("f2d", Value::OfFloat(0.1f)).AsDouble(),
+            static_cast<double>(0.1f));
+
+  // Negating MIN wraps to MIN.
+  EXPECT_EQ(call("ineg", Value::OfInt(INT32_MIN)).AsInt(), INT32_MIN);
+  EXPECT_EQ(call("ineg", Value::OfInt(5)).AsInt(), -5);
+  EXPECT_EQ(call("lneg", Value::OfLong(INT64_MIN)).AsLong(), INT64_MIN);
+  EXPECT_EQ(call("lneg", Value::OfLong(-9)).AsLong(), 9);
+}
+
 TEST_F(InterpFixture, ArraysAndBoundsChecks) {
   Klass& k = pool_.Define("Test");
   Assembler a;

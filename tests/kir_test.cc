@@ -7,7 +7,6 @@
 #include <typeinfo>
 
 #include "kir/analysis.h"
-#include "kir/arena.h"
 #include "kir/eval.h"
 #include "kir/kernel.h"
 #include "kir/printer.h"
@@ -912,30 +911,6 @@ TEST(LaneEvalTest, AccumulatorsSkipPaddingOnlyUnderTheLiveGuard) {
   ASSERT_EQ(Evaluator(shifted).lane_width(), kLaneChunk);
   got = inputs;
   EXPECT_THROW(Evaluator(shifted).Run(n270, got, 270), InvalidArgument);
-}
-
-// --------------------------------------------------------------- arena
-
-TEST(ArenaTest, FreedNodesAreReused) {
-  // Warm the literal node's size class so a slab exists and the freelist
-  // holds at least one chunk.
-  { auto warm = Expr::IntLit(1); }
-  const arena::Stats before = arena::GetStats();
-  { auto e = Expr::IntLit(2); }
-  const arena::Stats after = arena::GetStats();
-  EXPECT_EQ(after.allocations, before.allocations + 1);
-  EXPECT_EQ(after.frees, before.frees + 1);
-  // Served from the freelist: no new slab memory was carved.
-  EXPECT_EQ(after.slab_bytes, before.slab_bytes);
-}
-
-TEST(ArenaTest, LargeAllocationsBypassThePool) {
-  const arena::Stats before = arena::GetStats();
-  void* p = arena::Allocate(1 << 20);
-  arena::Deallocate(p, 1 << 20);
-  const arena::Stats after = arena::GetStats();
-  EXPECT_EQ(after.allocations, before.allocations);
-  EXPECT_EQ(after.slab_bytes, before.slab_bytes);
 }
 
 // ------------------------------------------------------------- analysis

@@ -24,7 +24,6 @@
 
 #include "apps/app.h"
 #include "apps/jvm_baseline.h"
-#include "cache/eval_cache.h"
 #include "blaze/cluster.h"
 #include "blaze/runtime.h"
 #include "blaze/stream.h"
@@ -253,9 +252,11 @@ const std::vector<Knob>& KnobTable() {
        Writable, "journal every evaluation; a rerun resumes from it"},
       {"fault-rate", "P", "S2FA_FAULT_RATE", kExplore, "0", Real(0, 1),
        "injected evaluator failure rate (crash/timeout/garbage)"},
-      {"eval-cache", "on|off|N", "S2FA_EVAL_CACHE", kExplore, "on",
-       Parses(cache::ParseCacheSpec, "on|off|N with N >= 1"),
-       "memoizing evaluation cache; N bounds it to an N-entry LRU"},
+      {"eval-cache", "on|off", "S2FA_EVAL_CACHE", kExplore, "on",
+       [](const std::string& text) -> std::string {
+         return text == "on" || text == "off" ? "" : "on|off";
+       },
+       "memoize evaluations: a repeated design point is paid once"},
       {"scheduler", "adaptive|fcfs", "S2FA_SCHEDULER", kExplore,
        dse::SchedulerKindName(dse::ExplorerOptions{}.scheduler),
        Parses(dse::ParseSchedulerKind, "adaptive|fcfs"),
@@ -419,7 +420,7 @@ int CmdExplore(const Knobs& knobs) {
   options.resilience.deadline_minutes = knobs.Real("eval-timeout");
   options.resilience.max_retries = knobs.Int("eval-retries");
   options.journal_path = knobs.Str("resume-journal");
-  options.cache = cache::ParseCacheSpec(knobs.Str("eval-cache")).value();
+  options.eval_cache = knobs.Str("eval-cache") == "on";
   options.scheduler =
       dse::ParseSchedulerKind(knobs.Str("scheduler")).value();
   options.techniques = tuner::ParseTechniqueList(knobs.Str("techniques"));
@@ -451,13 +452,11 @@ int CmdExplore(const Knobs& knobs) {
                 result.journal_entries, result.journal_resumed,
                 result.journal_hits);
   }
-  const cache::EvalCacheStats& cs = result.cache_stats;
+  const dse::EvalCacheStats& cs = result.cache_stats;
   if (cs.lookups > 0) {
     std::printf("cache: %zu/%zu duplicate lookups answered (%.0f%% of the "
-                "proposal stream), %zu joined in flight, %.0f simulated "
-                "minutes not re-paid\n",
-                cs.hits + cs.inflight_joins, cs.lookups,
-                100.0 * cs.DuplicateRate(), cs.inflight_joins,
+                "proposal stream), %.0f simulated minutes not re-paid\n",
+                cs.hits, cs.lookups, 100.0 * cs.DuplicateRate(),
                 cs.minutes_saved);
   }
 
