@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <type_traits>
 
+#include "jvm/java_numeric.h"
 #include "obs/obs.h"
 #include "support/error.h"
 #include "support/strings.h"
@@ -31,8 +32,7 @@ auto AddPartial(T sum, T partial) {
   if constexpr (std::is_floating_point_v<T>) {
     return sum + partial;
   } else {
-    using U = std::make_unsigned_t<T>;
-    return static_cast<T>(static_cast<U>(sum) + static_cast<U>(partial));
+    return jvm::java::Add(sum, partial);
   }
 }
 

@@ -1,10 +1,9 @@
 #include "jvm/interpreter.h"
 
 #include <cmath>
-#include <functional>
-#include <limits>
 #include <type_traits>
 
+#include "jvm/java_numeric.h"
 #include "support/error.h"
 
 namespace s2fa::jvm {
@@ -20,24 +19,6 @@ std::int32_t CmpResult(double a, double b, bool nan_is_less) {
   return 0;
 }
 
-// Java's wrapping `+ - *`, computed in the unsigned type of T's width.
-template <typename T, typename Op>
-T Wrapping(T x, T y, Op op) {
-  using U = std::make_unsigned_t<T>;
-  return static_cast<T>(op(static_cast<U>(x), static_cast<U>(y)));
-}
-
-// Java's float-to-integer conversion (JLS 5.1.3): NaN gives 0, values
-// beyond T's range give its MIN or MAX, the rest truncate toward zero.
-template <typename T>
-T SaturatingCast(double d) {
-  constexpr double kMin = static_cast<double>(std::numeric_limits<T>::min());
-  if (std::isnan(d)) return 0;
-  if (d <= kMin) return std::numeric_limits<T>::min();
-  if (d >= -kMin) return std::numeric_limits<T>::max();
-  return static_cast<T>(d);
-}
-
 bool EvalCond(Cond cond, std::int32_t value) {
   switch (cond) {
     case Cond::kEq: return value == 0;
@@ -50,19 +31,50 @@ bool EvalCond(Cond cond, std::int32_t value) {
   S2FA_UNREACHABLE("bad cond");
 }
 
-// Truncates an int stack value to the in-memory width of small integrals.
-Value NarrowForStore(const Type& type, const Value& v) {
-  switch (type.kind()) {
-    case TypeKind::kBoolean:
-      return Value::OfInt(v.AsInt() != 0 ? 1 : 0);
-    case TypeKind::kByte:
-      return Value::OfInt(static_cast<std::int8_t>(v.AsInt()));
-    case TypeKind::kChar:
-      return Value::OfInt(static_cast<std::uint16_t>(v.AsInt()));
-    case TypeKind::kShort:
-      return Value::OfInt(static_cast<std::int16_t>(v.AsInt()));
+// An int or long binary op. `b` is an int for the shifts, as on the JVM
+// operand stack, and of x's class otherwise.
+template <typename T>
+T IntegralOp(BinOp op, T x, const Value& b) {
+  switch (op) {
+    case BinOp::kShl: return java::Shl(x, b.AsInt());
+    case BinOp::kShr: return java::Shr(x, b.AsInt());
+    case BinOp::kUShr: return java::UShr(x, b.AsInt());
+    default: break;
+  }
+  const T y = static_cast<T>(std::is_same_v<T, std::int64_t> ? b.AsLong()
+                                                              : b.AsInt());
+  switch (op) {
+    case BinOp::kAdd: return java::Add(x, y);
+    case BinOp::kSub: return java::Sub(x, y);
+    case BinOp::kMul: return java::Mul(x, y);
+    case BinOp::kDiv:
+      S2FA_REQUIRE(y != 0, "ArithmeticException: / by zero");
+      return java::Div(x, y);
+    case BinOp::kRem:
+      S2FA_REQUIRE(y != 0, "ArithmeticException: % by zero");
+      return java::Rem(x, y);
+    case BinOp::kAnd: return x & y;
+    case BinOp::kOr: return x | y;
+    case BinOp::kXor: return x ^ y;
+    case BinOp::kMin: return java::Min(x, y);
+    case BinOp::kMax: return java::Max(x, y);
+    default: S2FA_UNREACHABLE("bad integral binop");
+  }
+}
+
+// A float or double binary op.
+template <typename T>
+T FloatingOp(BinOp op, T x, T y, const Type& type) {
+  switch (op) {
+    case BinOp::kAdd: return x + y;
+    case BinOp::kSub: return x - y;
+    case BinOp::kMul: return x * y;
+    case BinOp::kDiv: return x / y;
+    case BinOp::kRem: return std::fmod(x, y);
+    case BinOp::kMin: return java::Min(x, y);
+    case BinOp::kMax: return java::Max(x, y);
     default:
-      return v;
+      throw MalformedInput("bitwise op on " + type.ToString());
   }
 }
 
@@ -225,7 +237,8 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
         break;
       case Opcode::kIInc: {
         Value& v = locals.at(static_cast<std::size_t>(insn.slot));
-        v = Value::OfInt(v.AsInt() + static_cast<std::int32_t>(insn.const_i));
+        v = Value::OfInt(
+            java::Add(v.AsInt(), static_cast<std::int32_t>(insn.const_i)));
         break;
       }
       case Opcode::kArrayLoad: {
@@ -252,8 +265,11 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
                          static_cast<std::size_t>(index) < obj.slots.size(),
                      "ArrayIndexOutOfBounds: " << index << " of "
                                                << obj.slots.size());
+        // boolean, byte, char and short elements keep their width.
+        const bool narrow =
+            insn.type.is_integral() && insn.type.bit_width() < 32;
         obj.slots[static_cast<std::size_t>(index)] =
-            NarrowForStore(insn.type, value);
+            narrow ? java::Convert(insn.type.kind(), value) : value;
         break;
       }
       case Opcode::kNewArray: {
@@ -276,104 +292,22 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
         Value b = pop();
         Value a = pop();
         switch (insn.type.kind()) {
-          case TypeKind::kInt: {
-            std::int32_t x = a.AsInt();
-            std::int32_t y = b.AsInt();
-            std::int32_t r = 0;
-            switch (insn.bin_op) {
-              case BinOp::kAdd: r = Wrapping(x, y, std::plus<>()); break;
-              case BinOp::kSub: r = Wrapping(x, y, std::minus<>()); break;
-              case BinOp::kMul: r = Wrapping(x, y, std::multiplies<>()); break;
-              case BinOp::kDiv:
-                S2FA_REQUIRE(y != 0, "ArithmeticException: / by zero");
-                r = (x == INT32_MIN && y == -1) ? INT32_MIN : x / y;
-                break;
-              case BinOp::kRem:
-                S2FA_REQUIRE(y != 0, "ArithmeticException: % by zero");
-                r = (x == INT32_MIN && y == -1) ? 0 : x % y;
-                break;
-              case BinOp::kShl: r = x << (y & 31); break;
-              case BinOp::kShr: r = x >> (y & 31); break;
-              case BinOp::kUShr:
-                r = static_cast<std::int32_t>(
-                    static_cast<std::uint32_t>(x) >> (y & 31));
-                break;
-              case BinOp::kAnd: r = x & y; break;
-              case BinOp::kOr: r = x | y; break;
-              case BinOp::kXor: r = x ^ y; break;
-              case BinOp::kMin: r = x < y ? x : y; break;
-              case BinOp::kMax: r = x > y ? x : y; break;
-            }
-            stack.push_back(Value::OfInt(r));
+          case TypeKind::kInt:
+            stack.push_back(
+                Value::OfInt(IntegralOp(insn.bin_op, a.AsInt(), b)));
             break;
-          }
-          case TypeKind::kLong: {
-            std::int64_t x = a.AsLong();
-            std::int64_t y = b.AsLong();
-            std::int64_t r = 0;
-            switch (insn.bin_op) {
-              case BinOp::kAdd: r = Wrapping(x, y, std::plus<>()); break;
-              case BinOp::kSub: r = Wrapping(x, y, std::minus<>()); break;
-              case BinOp::kMul: r = Wrapping(x, y, std::multiplies<>()); break;
-              case BinOp::kDiv:
-                S2FA_REQUIRE(y != 0, "ArithmeticException: / by zero");
-                r = (x == INT64_MIN && y == -1) ? INT64_MIN : x / y;
-                break;
-              case BinOp::kRem:
-                S2FA_REQUIRE(y != 0, "ArithmeticException: % by zero");
-                r = (x == INT64_MIN && y == -1) ? 0 : x % y;
-                break;
-              case BinOp::kShl: r = x << (b.AsInt() & 63); break;
-              case BinOp::kShr: r = x >> (b.AsInt() & 63); break;
-              case BinOp::kUShr:
-                r = static_cast<std::int64_t>(
-                    static_cast<std::uint64_t>(x) >> (b.AsInt() & 63));
-                break;
-              case BinOp::kAnd: r = x & y; break;
-              case BinOp::kOr: r = x | y; break;
-              case BinOp::kXor: r = x ^ y; break;
-              case BinOp::kMin: r = x < y ? x : y; break;
-              case BinOp::kMax: r = x > y ? x : y; break;
-            }
-            stack.push_back(Value::OfLong(r));
+          case TypeKind::kLong:
+            stack.push_back(
+                Value::OfLong(IntegralOp(insn.bin_op, a.AsLong(), b)));
             break;
-          }
-          case TypeKind::kFloat: {
-            float x = a.AsFloat();
-            float y = b.AsFloat();
-            float r = 0.0f;
-            switch (insn.bin_op) {
-              case BinOp::kAdd: r = x + y; break;
-              case BinOp::kSub: r = x - y; break;
-              case BinOp::kMul: r = x * y; break;
-              case BinOp::kDiv: r = x / y; break;
-              case BinOp::kRem: r = std::fmod(x, y); break;
-              case BinOp::kMin: r = JavaFMin(x, y); break;
-              case BinOp::kMax: r = JavaFMax(x, y); break;
-              default:
-                throw MalformedInput("bitwise op on float");
-            }
-            stack.push_back(Value::OfFloat(r));
+          case TypeKind::kFloat:
+            stack.push_back(Value::OfFloat(FloatingOp(
+                insn.bin_op, a.AsFloat(), b.AsFloat(), insn.type)));
             break;
-          }
-          case TypeKind::kDouble: {
-            double x = a.AsDouble();
-            double y = b.AsDouble();
-            double r = 0.0;
-            switch (insn.bin_op) {
-              case BinOp::kAdd: r = x + y; break;
-              case BinOp::kSub: r = x - y; break;
-              case BinOp::kMul: r = x * y; break;
-              case BinOp::kDiv: r = x / y; break;
-              case BinOp::kRem: r = std::fmod(x, y); break;
-              case BinOp::kMin: r = JavaFMin(x, y); break;
-              case BinOp::kMax: r = JavaFMax(x, y); break;
-              default:
-                throw MalformedInput("bitwise op on double");
-            }
-            stack.push_back(Value::OfDouble(r));
+          case TypeKind::kDouble:
+            stack.push_back(Value::OfDouble(FloatingOp(
+                insn.bin_op, a.AsDouble(), b.AsDouble(), insn.type)));
             break;
-          }
           default:
             throw MalformedInput("binop on type " + insn.type.ToString());
         }
@@ -383,12 +317,10 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
         Value a = pop();
         switch (insn.type.kind()) {
           case TypeKind::kInt:
-            stack.push_back(Value::OfInt(
-                Wrapping(std::int32_t{0}, a.AsInt(), std::minus<>())));
+            stack.push_back(Value::OfInt(java::Neg(a.AsInt())));
             break;
           case TypeKind::kLong:
-            stack.push_back(Value::OfLong(
-                Wrapping(std::int64_t{0}, a.AsLong(), std::minus<>())));
+            stack.push_back(Value::OfLong(java::Neg(a.AsLong())));
             break;
           case TypeKind::kFloat:
             stack.push_back(Value::OfFloat(-a.AsFloat()));
@@ -401,53 +333,10 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
         }
         break;
       }
-      case Opcode::kConvert: {
-        Value a = pop();
-        // Integral sources stay integral (l2i keeps the low 32 bits, l2f
-        // rounds once); floating sources saturate into integral targets.
-        std::int64_t x = 0;
-        double d = 0;
-        bool integral = true;
-        switch (insn.type.kind()) {
-          case TypeKind::kInt: x = a.AsInt(); break;
-          case TypeKind::kLong: x = a.AsLong(); break;
-          case TypeKind::kFloat: d = a.AsFloat(); integral = false; break;
-          case TypeKind::kDouble: d = a.AsDouble(); integral = false; break;
-          default:
-            throw MalformedInput("convert from " + insn.type.ToString());
-        }
-        const std::int32_t i32 = integral ? static_cast<std::int32_t>(x)
-                                          : SaturatingCast<std::int32_t>(d);
-        switch (insn.type2.kind()) {
-          case TypeKind::kInt:
-            stack.push_back(Value::OfInt(i32));
-            break;
-          case TypeKind::kLong:
-            stack.push_back(Value::OfLong(
-                integral ? x : SaturatingCast<std::int64_t>(d)));
-            break;
-          case TypeKind::kFloat:
-            stack.push_back(Value::OfFloat(
-                integral ? static_cast<float>(x) : static_cast<float>(d)));
-            break;
-          case TypeKind::kDouble:
-            stack.push_back(
-                Value::OfDouble(integral ? static_cast<double>(x) : d));
-            break;
-          case TypeKind::kByte:
-            stack.push_back(Value::OfInt(static_cast<std::int8_t>(i32)));
-            break;
-          case TypeKind::kChar:
-            stack.push_back(Value::OfInt(static_cast<std::uint16_t>(i32)));
-            break;
-          case TypeKind::kShort:
-            stack.push_back(Value::OfInt(static_cast<std::int16_t>(i32)));
-            break;
-          default:
-            throw MalformedInput("convert to " + insn.type2.ToString());
-        }
+      case Opcode::kConvert:
+        // The verifier typed the operand as insn.type.
+        stack.push_back(java::Convert(insn.type2.kind(), pop()));
         break;
-      }
       case Opcode::kCmp: {
         Value b = pop();
         Value a = pop();
@@ -527,10 +416,8 @@ Interpreter::CallOutcome Interpreter::Execute(const Method& method,
             case MathFn::kSqrt: r = std::sqrt(x); break;
             case MathFn::kAbs: r = std::fabs(x); break;
             case MathFn::kPow: r = std::pow(x, y); break;
-            // Java semantics: NaN propagates, -0.0 < +0.0 (fmax/fmin would
-            // drop NaN).
-            case MathFn::kMax: r = JavaFMax(x, y); break;
-            case MathFn::kMin: r = JavaFMin(x, y); break;
+            case MathFn::kMax: r = java::Max(x, y); break;
+            case MathFn::kMin: r = java::Min(x, y); break;
           }
           stack.push_back(Value::OfDouble(r));
           break;

@@ -100,7 +100,7 @@ void PrimitiveArray::CopyRange(const PrimitiveArray& src, std::size_t begin,
       using From = decltype(from_zero);
       const From* from = static_cast<const From*>(src.data()) + begin;
       for (std::size_t e = 0; e < count; ++e) {
-        to[e] = ConvertStored<To>(from[e]);
+        to[e] = java::Cast<To>(from[e]);
       }
     });
   });

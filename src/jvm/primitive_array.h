@@ -15,8 +15,8 @@
 // grows.
 //
 // A boxed Value appears only at the JVM boundary (the interpreter, the
-// reference evaluator, test oracles), and only through FromValue / ToValue
-// below. The array's Value-level surface -- push_back, assign, operator[],
+// reference evaluator, test oracles), and only through FromValue below and
+// ToValue (value.h). The array's Value-level surface -- push_back, assign, operator[],
 // at, range-for -- is that boundary: it converts per element, so hot code
 // uses the typed accessors (values<T>(), Append, CopyRange) instead.
 #pragma once
@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "jvm/java_numeric.h"
 #include "jvm/type.h"
 #include "jvm/value.h"
 #include "support/error.h"
@@ -90,39 +91,16 @@ decltype(auto) WithStorage(Storage s, F&& f) {
   return f(double{});
 }
 
-
-// Converts a stored element to another class: exact within a class,
-// integral -> integral by two's-complement truncation, floating ->
-// integral through int64, and anything -> floating through double. These
-// are the casts the generated C performs at a narrowed buffer store.
-template <typename To, typename From>
-To ConvertStored(From x) {
-  if constexpr (std::is_same_v<To, From>) {
-    return x;
-  } else if constexpr (std::is_floating_point_v<To>) {
-    return static_cast<To>(static_cast<double>(x));
-  } else if constexpr (std::is_floating_point_v<From>) {
-    return static_cast<To>(static_cast<std::int64_t>(x));
-  } else {
-    return static_cast<To>(x);
-  }
-}
-
 // The conversion between boxed and stored values. FromValue reads `v` as
-// T, converting a value of another class with ConvertStored; ToValue boxes
-// a stored element as its own class.
+// T, converting a value of another class as Java does (java::Cast);
+// ToValue (value.h) boxes a stored element as its own class.
 template <typename T>
 T FromValue(const Value& v) {
-  if (v.is_int()) return ConvertStored<T>(v.AsInt());
-  if (v.is_long()) return ConvertStored<T>(v.AsLong());
-  if (v.is_float()) return ConvertStored<T>(v.AsFloat());
-  return ConvertStored<T>(v.AsDouble());
+  if (v.is_int()) return java::Cast<T>(v.AsInt());
+  if (v.is_long()) return java::Cast<T>(v.AsLong());
+  if (v.is_float()) return java::Cast<T>(v.AsFloat());
+  return java::Cast<T>(v.AsDouble());
 }
-
-inline Value ToValue(std::int32_t v) { return Value::OfInt(v); }
-inline Value ToValue(std::int64_t v) { return Value::OfLong(v); }
-inline Value ToValue(float v) { return Value::OfFloat(v); }
-inline Value ToValue(double v) { return Value::OfDouble(v); }
 
 class PrimitiveArray {
  public:

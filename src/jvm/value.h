@@ -6,9 +6,7 @@
 // instances) addressed by index; handle 0 is null.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <variant>
 #include <vector>
@@ -101,27 +99,10 @@ class Heap {
 // Default (zero) value of a given element type.
 Value DefaultValue(const Type& type);
 
-// Java semantics for Math.min/Math.max on floating types (JLS 15.25.1 /
-// java.lang.Math): NaN propagates — std::fmin/fmax would drop it — and
-// -0.0 orders strictly below +0.0, so min(0.0, -0.0) == -0.0 and
-// max(0.0, -0.0) == +0.0. Shared by the bytecode interpreter and the KIR
-// evaluator so both executable semantics stay bit-identical.
-template <typename T>
-T JavaFMin(T x, T y) {
-  if (std::isnan(x) || std::isnan(y)) {
-    return std::numeric_limits<T>::quiet_NaN();
-  }
-  if (x == y) return std::signbit(x) ? x : y;  // prefer -0.0
-  return x < y ? x : y;
-}
-
-template <typename T>
-T JavaFMax(T x, T y) {
-  if (std::isnan(x) || std::isnan(y)) {
-    return std::numeric_limits<T>::quiet_NaN();
-  }
-  if (x == y) return std::signbit(x) ? y : x;  // prefer +0.0
-  return x > y ? x : y;
-}
+// A number boxed as its own class.
+inline Value ToValue(std::int32_t v) { return Value::OfInt(v); }
+inline Value ToValue(std::int64_t v) { return Value::OfLong(v); }
+inline Value ToValue(float v) { return Value::OfFloat(v); }
+inline Value ToValue(double v) { return Value::OfDouble(v); }
 
 }  // namespace s2fa::jvm

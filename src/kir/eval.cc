@@ -8,9 +8,12 @@
 #include <type_traits>
 #include <utility>
 
+#include "jvm/java_numeric.h"
 #include "support/error.h"
 
 namespace s2fa::kir {
+
+namespace java = jvm::java;
 
 namespace {
 
@@ -20,60 +23,15 @@ constexpr std::uint64_t kMaxSteps = 2'000'000'000ULL;
 // stays small; a kernel needing more runs its task loop at width 1.
 constexpr std::int64_t kMaxPrivateBytes = std::int64_t{1} << 20;
 
-// Coerces a Value to the numeric domain of `type` (the IR is typed, so this
-// only bridges int-width families, matching C implicit conversion).
-double ToDouble(const Value& v) {
-  if (v.is_int()) return v.AsInt();
-  if (v.is_long()) return static_cast<double>(v.AsLong());
-  if (v.is_float()) return v.AsFloat();
-  return v.AsDouble();
-}
+// A boxed number read as int64 or double, converted as Java does.
+double ToDouble(const Value& v) { return jvm::FromValue<double>(v); }
+std::int64_t ToInt64(const Value& v) { return jvm::FromValue<std::int64_t>(v); }
 
-std::int64_t ToInt64(const Value& v) {
-  if (v.is_int()) return v.AsInt();
-  if (v.is_long()) return v.AsLong();
-  if (v.is_float()) return static_cast<std::int64_t>(v.AsFloat());
-  return static_cast<std::int64_t>(v.AsDouble());
-}
-
+// `d` in the storage class of `kind` (a literal or an intrinsic's result).
 Value FromDouble(TypeKind kind, double d) {
-  switch (kind) {
-    case TypeKind::kFloat:
-      return Value::OfFloat(static_cast<float>(d));
-    case TypeKind::kDouble:
-      return Value::OfDouble(d);
-    case TypeKind::kLong:
-      return Value::OfLong(static_cast<std::int64_t>(d));
-    default:
-      return Value::OfInt(static_cast<std::int32_t>(d));
-  }
-}
-
-Value NarrowToKind(TypeKind kind, const Value& v) {
-  switch (kind) {
-    case TypeKind::kBoolean:
-      return Value::OfInt(ToInt64(v) != 0 ? 1 : 0);
-    case TypeKind::kByte:
-      return Value::OfInt(static_cast<std::int8_t>(ToInt64(v)));
-    case TypeKind::kChar:
-      return Value::OfInt(static_cast<std::uint16_t>(ToInt64(v)));
-    case TypeKind::kShort:
-      return Value::OfInt(static_cast<std::int16_t>(ToInt64(v)));
-    case TypeKind::kInt:
-      return Value::OfInt(static_cast<std::int32_t>(ToInt64(v)));
-    case TypeKind::kLong:
-      return Value::OfLong(ToInt64(v));
-    case TypeKind::kFloat:
-      return Value::OfFloat(static_cast<float>(ToDouble(v)));
-    case TypeKind::kDouble:
-      return Value::OfDouble(ToDouble(v));
-    default:
-      throw InternalError("bad element type in evaluator");
-  }
-}
-
-Value NarrowToElement(const Type& type, const Value& v) {
-  return NarrowToKind(type.kind(), v);
+  return jvm::WithStorage(jvm::StorageOf(kind), [d](auto zero) {
+    return jvm::ToValue(java::Cast<decltype(zero)>(d));
+  });
 }
 
 // Comparison with exact integral semantics: two longs must compare by
@@ -107,9 +65,8 @@ bool CompareValues(BinaryOp op, bool integral, const Value& a,
   }
 }
 
-// Floating binary arithmetic in the operand precision. min/max follow Java
-// semantics (jvm::JavaFMin/JavaFMax): NaN propagates and -0.0 < +0.0,
-// matching the Math.min/max bytecode these ops were compiled from.
+// Floating binary arithmetic in the operand precision; min/max are Java's
+// (java::Min/Max), matching the Math.min/max bytecode they came from.
 template <typename T>
 T ApplyFloatBin(BinaryOp op, T x, T y) {
   switch (op) {
@@ -118,63 +75,38 @@ T ApplyFloatBin(BinaryOp op, T x, T y) {
     case BinaryOp::kMul: return x * y;
     case BinaryOp::kDiv: return x / y;
     case BinaryOp::kRem: return std::fmod(x, y);
-    case BinaryOp::kMin: return jvm::JavaFMin(x, y);
-    case BinaryOp::kMax: return jvm::JavaFMax(x, y);
+    case BinaryOp::kMin: return java::Min(x, y);
+    case BinaryOp::kMax: return java::Max(x, y);
     default:
       throw InternalError("bitwise op on float in evaluator");
   }
 }
 
-// Java long arithmetic (JLS 15.17-15.18): + - * wrap modulo 2^64, and
-// Long.MIN_VALUE / -1 is Long.MIN_VALUE with remainder 0, where the plain
-// C++ operators overflow. Sign-extended int operands never reach the wrap;
-// the caller's narrowing gives Java's int results.
-std::int64_t WrapAdd(std::int64_t x, std::int64_t y) {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) +
-                                   static_cast<std::uint64_t>(y));
-}
-std::int64_t WrapSub(std::int64_t x, std::int64_t y) {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) -
-                                   static_cast<std::uint64_t>(y));
-}
-std::int64_t WrapMul(std::int64_t x, std::int64_t y) {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) *
-                                   static_cast<std::uint64_t>(y));
-}
-std::int64_t JavaDiv(std::int64_t x, std::int64_t y) {
-  return y == -1 ? WrapSub(0, x) : x / y;
-}
-std::int64_t JavaRem(std::int64_t x, std::int64_t y) {
-  return y == -1 ? 0 : x % y;
-}
-
+// Integral arithmetic in int64: int operands arrive sign-extended and the
+// caller narrows the result, which gives Java's int result for every op;
+// the shifts take an int's count mask when `wide` is false.
 std::int64_t ApplyIntBin(BinaryOp op, bool wide, std::int64_t x,
                          std::int64_t y) {
+  const auto narrow = static_cast<std::int32_t>(x);
   switch (op) {
-    case BinaryOp::kAdd: return WrapAdd(x, y);
-    case BinaryOp::kSub: return WrapSub(x, y);
-    case BinaryOp::kMul: return WrapMul(x, y);
+    case BinaryOp::kAdd: return java::Add(x, y);
+    case BinaryOp::kSub: return java::Sub(x, y);
+    case BinaryOp::kMul: return java::Mul(x, y);
     case BinaryOp::kDiv:
       S2FA_REQUIRE(y != 0, "division by zero in kernel");
-      return JavaDiv(x, y);
+      return java::Div(x, y);
     case BinaryOp::kRem:
       S2FA_REQUIRE(y != 0, "remainder by zero in kernel");
-      return JavaRem(x, y);
-    case BinaryOp::kShl: return x << (y & (wide ? 63 : 31));
-    case BinaryOp::kShr: return x >> (y & (wide ? 63 : 31));
+      return java::Rem(x, y);
+    case BinaryOp::kShl: return wide ? java::Shl(x, y) : java::Shl(narrow, y);
+    case BinaryOp::kShr: return wide ? java::Shr(x, y) : java::Shr(narrow, y);
     case BinaryOp::kUShr:
-      if (wide) {
-        return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) >>
-                                         (y & 63));
-      }
-      return static_cast<std::int32_t>(
-          static_cast<std::uint32_t>(static_cast<std::int32_t>(x)) >>
-          (y & 31));
+      return wide ? java::UShr(x, y) : java::UShr(narrow, y);
     case BinaryOp::kAnd: return x & y;
     case BinaryOp::kOr: return x | y;
     case BinaryOp::kXor: return x ^ y;
-    case BinaryOp::kMin: return std::min(x, y);
-    case BinaryOp::kMax: return std::max(x, y);
+    case BinaryOp::kMin: return java::Min(x, y);
+    case BinaryOp::kMax: return java::Max(x, y);
     default:
       throw InternalError("unhandled int binop");
   }
@@ -210,14 +142,9 @@ Value ApplyIntrinsic(Intrinsic fn, TypeKind result, double x, double y) {
 Value ApplyUnary(UnaryOp op, TypeKind operand, const Value& a) {
   switch (op) {
     case UnaryOp::kNeg:
-      if (operand == TypeKind::kFloat) {
-        return Value::OfFloat(-static_cast<float>(ToDouble(a)));
-      }
-      if (operand == TypeKind::kDouble) {
-        return Value::OfDouble(-ToDouble(a));
-      }
-      if (operand == TypeKind::kLong) return Value::OfLong(-ToInt64(a));
-      return Value::OfInt(static_cast<std::int32_t>(-ToInt64(a)));
+      return jvm::WithStorage(jvm::StorageOf(operand), [&a](auto zero) {
+        return jvm::ToValue(java::Neg(jvm::FromValue<decltype(zero)>(a)));
+      });
     case UnaryOp::kBitNot:
       if (operand == TypeKind::kLong) return Value::OfLong(~ToInt64(a));
       return Value::OfInt(static_cast<std::int32_t>(~ToInt64(a)));
@@ -464,62 +391,6 @@ void WithIntKind(Kind k, F&& f) {
   if (k == Kind::kI64) return f(Tag<std::int64_t>{});
   S2FA_CHECK(k == Kind::kI32, "integral operand expected");
   return f(Tag<std::int32_t>{});
-}
-
-template <TypeKind S>
-using Stored = std::conditional_t<
-    S == TypeKind::kLong, std::int64_t,
-    std::conditional_t<S == TypeKind::kFloat, float,
-                       std::conditional_t<S == TypeKind::kDouble, double,
-                                          std::int32_t>>>;
-
-template <typename F>
-void WithStore(TypeKind s, F&& f) {
-  using TK = TypeKind;
-  switch (s) {
-    case TK::kBoolean: return f(std::integral_constant<TK, TK::kBoolean>{});
-    case TK::kByte: return f(std::integral_constant<TK, TK::kByte>{});
-    case TK::kChar: return f(std::integral_constant<TK, TK::kChar>{});
-    case TK::kShort: return f(std::integral_constant<TK, TK::kShort>{});
-    case TK::kInt: return f(std::integral_constant<TK, TK::kInt>{});
-    case TK::kLong: return f(std::integral_constant<TK, TK::kLong>{});
-    case TK::kFloat: return f(std::integral_constant<TK, TK::kFloat>{});
-    case TK::kDouble: return f(std::integral_constant<TK, TK::kDouble>{});
-    default:
-      throw InternalError("bad element type in evaluator");
-  }
-}
-
-// ToInt64 / ToDouble / NarrowToKind on unboxed values.
-template <typename T>
-std::int64_t I64(T v) {
-  return static_cast<std::int64_t>(v);
-}
-
-template <typename T>
-double F64(T v) {
-  return static_cast<double>(v);
-}
-
-template <TypeKind S, typename T>
-Stored<S> NarrowTo(T v) {
-  if constexpr (S == TypeKind::kBoolean) {
-    return I64(v) != 0 ? 1 : 0;
-  } else if constexpr (S == TypeKind::kByte) {
-    return static_cast<std::int8_t>(I64(v));
-  } else if constexpr (S == TypeKind::kChar) {
-    return static_cast<std::uint16_t>(I64(v));
-  } else if constexpr (S == TypeKind::kShort) {
-    return static_cast<std::int16_t>(I64(v));
-  } else if constexpr (S == TypeKind::kInt) {
-    return static_cast<std::int32_t>(I64(v));
-  } else if constexpr (S == TypeKind::kLong) {
-    return I64(v);
-  } else if constexpr (S == TypeKind::kFloat) {
-    return static_cast<float>(F64(v));
-  } else {
-    return F64(v);
-  }
 }
 
 }  // namespace lane
@@ -1231,7 +1102,7 @@ std::int32_t Compiler::Coerce(std::int32_t node, TypeKind to) {
   return Push(n);
 }
 
-// The value an assignment stores: NarrowToKind(store, v), made explicit
+// The value an assignment stores: java::Convert(store, v), made explicit
 // unless it is the identity.
 std::int32_t Compiler::Narrow(std::int32_t node, TypeKind store) {
   const bool whole_class = store == TypeKind::kInt ||
@@ -1879,7 +1750,7 @@ void Evaluator::Scratch::Load(const Node& n, const Lanes& ln) {
         const D* copy = Priv<D>(n.id);
         const std::size_t size = priv_size[static_cast<std::size_t>(n.id)];
         ForLanes(ln, [&](int l) {
-          const std::int64_t i = lane::I64(ix[oi.varying ? l : 0]);
+          const std::int64_t i = ix[oi.varying ? l : 0];
           if (i < 0 || static_cast<std::size_t>(i) >= size) {
             IndexFault(ln, false, i, size,
                        prog.privates[static_cast<std::size_t>(n.id)].buffer);
@@ -1892,7 +1763,7 @@ void Evaluator::Scratch::Load(const Node& n, const Lanes& ln) {
       const D* buf = Buf<D>(n.id);
       const std::size_t size = BufSize(n.id);
       auto load = [&](int l) {
-        const std::int64_t i = lane::I64(ix[l]);
+        const std::int64_t i = ix[l];
         if (i < 0 || static_cast<std::size_t>(i) >= size) {
           IndexFault(ln, false, i, size, n.id);
         }
@@ -1929,53 +1800,43 @@ void Evaluator::Scratch::Compare(const Node& n, const Lanes& ln) {
   }
 }
 
+// Computes in the operands' class X and narrows to D; a shift narrows its
+// operand first, so an int shift takes an int's count mask.
 template <typename D, typename X, typename Y>
 void Evaluator::Scratch::IntArith(const Node& n, const Lanes& ln) {
-  using I = std::int64_t;
   constexpr bool kWide = std::is_same_v<D, std::int64_t>;
-  constexpr I kShift = kWide ? 63 : 31;
   switch (n.bop) {
     case BinaryOp::kAdd:
-      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(WrapAdd(x, y)); });
+      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(java::Add(x, y)); });
     case BinaryOp::kSub:
-      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(WrapSub(x, y)); });
+      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(java::Sub(x, y)); });
     case BinaryOp::kMul:
-      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(WrapMul(x, y)); });
+      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(java::Mul(x, y)); });
     case BinaryOp::kDiv:
     case BinaryOp::kRem: {
       const BinaryOp op = n.bop;
       return Map2<D, X, Y>(n, ln, [&ln, op](X x, Y y) {
         if (y == 0) DivisionFault(ln, op, kWide);
-        return D(op == BinaryOp::kDiv ? JavaDiv(x, y) : JavaRem(x, y));
+        return D(op == BinaryOp::kDiv ? java::Div(x, y) : java::Rem(x, y));
       });
     }
     case BinaryOp::kShl:
-      return Map2<D, X, Y>(n, ln,
-                           [](X x, Y y) { return D(I(x) << (I(y) & kShift)); });
+      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return java::Shl(D(x), y); });
     case BinaryOp::kShr:
-      return Map2<D, X, Y>(n, ln,
-                           [](X x, Y y) { return D(I(x) >> (I(y) & kShift)); });
+      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return java::Shr(D(x), y); });
     case BinaryOp::kUShr:
-      return Map2<D, X, Y>(n, ln, [](X x, Y y) {
-        if constexpr (kWide) {
-          return D(static_cast<std::uint64_t>(I(x)) >> (I(y) & 63));
-        } else {
-          return D(static_cast<std::uint32_t>(static_cast<std::int32_t>(x)) >>
-                   (I(y) & 31));
-        }
-      });
+      return Map2<D, X, Y>(n, ln,
+                           [](X x, Y y) { return java::UShr(D(x), y); });
     case BinaryOp::kAnd:
-      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(I(x) & I(y)); });
+      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(x & y); });
     case BinaryOp::kOr:
-      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(I(x) | I(y)); });
+      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(x | y); });
     case BinaryOp::kXor:
-      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(I(x) ^ I(y)); });
+      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(x ^ y); });
     case BinaryOp::kMin:
-      return Map2<D, X, Y>(n, ln,
-                           [](X x, Y y) { return D(std::min(I(x), I(y))); });
+      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(java::Min(x, y)); });
     case BinaryOp::kMax:
-      return Map2<D, X, Y>(n, ln,
-                           [](X x, Y y) { return D(std::max(I(x), I(y))); });
+      return Map2<D, X, Y>(n, ln, [](X x, Y y) { return D(java::Max(x, y)); });
     default:
       Fault(ln);
       ApplyIntBin(n.bop, kWide, 0, 1);
@@ -1998,11 +1859,9 @@ void Evaluator::Scratch::FloatArith(const Node& n, const Lanes& ln) {
       return Map2<T, T, T>(n, ln,
                            [](T x, T y) -> T { return std::fmod(x, y); });
     case BinaryOp::kMin:
-      return Map2<T, T, T>(n, ln,
-                           [](T x, T y) { return jvm::JavaFMin(x, y); });
+      return Map2<T, T, T>(n, ln, [](T x, T y) { return java::Min(x, y); });
     case BinaryOp::kMax:
-      return Map2<T, T, T>(n, ln,
-                           [](T x, T y) { return jvm::JavaFMax(x, y); });
+      return Map2<T, T, T>(n, ln, [](T x, T y) { return java::Max(x, y); });
     default:
       Fault(ln);
       ApplyFloatBin<T>(n.bop, T{}, T{});
@@ -2049,27 +1908,24 @@ void Evaluator::Scratch::Unary(const Node& n, const Lanes& ln) {
     case UnaryOp::kNeg:
       return lane::WithKind(ka, [&](auto tag) {
         using X = typename decltype(tag)::type;
-        if constexpr (std::is_same_v<X, std::int32_t>) {
-          Map1<X, X>(n, ln, [](X x) { return X(-lane::I64(x)); });
-        } else {
-          Map1<X, X>(n, ln, [](X x) -> X { return -x; });
-        }
+        Map1<X, X>(n, ln, [](X x) { return java::Neg(x); });
       });
     case UnaryOp::kBitNot:
       return lane::WithIntKind(ka, [&](auto tag) {
         using X = typename decltype(tag)::type;
         if (n.type == TypeKind::kLong) {
-          Map1<std::int64_t, X>(n, ln, [](X x) { return ~lane::I64(x); });
+          Map1<std::int64_t, X>(n, ln, [](X x) { return ~std::int64_t{x}; });
         } else {
-          Map1<std::int32_t, X>(
-              n, ln, [](X x) { return std::int32_t(~lane::I64(x)); });
+          Map1<std::int32_t, X>(n, ln,
+                                [](X x) { return std::int32_t(~x); });
         }
       });
     case UnaryOp::kLogicalNot:
       return lane::WithKind(ka, [&](auto tag) {
         using X = typename decltype(tag)::type;
-        Map1<std::int32_t, X>(
-            n, ln, [](X x) -> std::int32_t { return lane::I64(x) == 0; });
+        Map1<std::int32_t, X>(n, ln, [](X x) -> std::int32_t {
+          return java::Cast<std::int64_t>(x) == 0;
+        });
       });
   }
 }
@@ -2112,7 +1968,7 @@ void Evaluator::Scratch::Call(const Node& n, const Lanes& ln) {
         return FloatIntrinsic(fn, static_cast<float>(x),
                               static_cast<float>(y));
       } else {
-        return static_cast<D>(DoubleIntrinsic(fn, x, y));
+        return java::Cast<D>(DoubleIntrinsic(fn, x, y));
       }
     };
     if (n.b < 0) {
@@ -2126,10 +1982,9 @@ void Evaluator::Scratch::Call(const Node& n, const Lanes& ln) {
 void Evaluator::Scratch::Convert(const Node& n, const Lanes& ln) {
   lane::WithKind(Out(n.a).kind, [&](auto xt) {
     using X = typename decltype(xt)::type;
-    lane::WithStore(n.type, [&](auto st) {
-      constexpr TypeKind S = decltype(st)::value;
-      Map1<lane::Stored<S>, X>(n, ln,
-                               [](X x) { return lane::NarrowTo<S>(x); });
+    java::WithPrimitive(n.type, [&](auto k) {
+      constexpr TypeKind K = decltype(k)::value;
+      Map1<java::Stored<K>, X>(n, ln, [](X x) { return java::To<K>(x); });
     });
   });
 }
@@ -2155,7 +2010,7 @@ bool Evaluator::Scratch::Truth0(const Operand& cond) {
   bool t = false;
   lane::WithKind(cond.kind, [&](auto tag) {
     using T = typename decltype(tag)::type;
-    t = lane::I64(In<T>(cond)[0]) != 0;
+    t = java::Cast<std::int64_t>(In<T>(cond)[0]) != 0;
   });
   return t;
 }
@@ -2171,7 +2026,7 @@ int Evaluator::Scratch::Split(const Operand& cond, const Lanes& ln,
     using T = typename decltype(tag)::type;
     const T* c = In<T>(cond);
     ForLanes(ln, [&](int l) {
-      if (lane::I64(c[l]) != 0) {
+      if (java::Cast<std::int64_t>(c[l]) != 0) {
         on_true[tc++] = static_cast<std::uint16_t>(l);
       } else {
         on_false[fc++] = static_cast<std::uint16_t>(l);
@@ -2259,7 +2114,7 @@ void Evaluator::Scratch::Store(const SNode& s, const Lanes& ln) {
         V* copy = Priv<V>(s.id);
         const std::size_t size = priv_size[static_cast<std::size_t>(s.id)];
         ForLanes(ln, [&](int l) {
-          const std::int64_t i = lane::I64(ix[l * si]);
+          const std::int64_t i = ix[l * si];
           if (i < 0 || static_cast<std::size_t>(i) >= size) {
             IndexFault(ln, true, i, size,
                        prog.privates[static_cast<std::size_t>(s.id)].buffer);
@@ -2273,7 +2128,7 @@ void Evaluator::Scratch::Store(const SNode& s, const Lanes& ln) {
       V* buf = Buf<V>(s.id);
       const std::size_t size = BufSize(s.id);
       ForLanes(ln, [&](int l) {
-        const std::int64_t i = lane::I64(ix[l * si]);
+        const std::int64_t i = ix[l * si];
         if (i < 0 || static_cast<std::size_t>(i) >= size) {
           IndexFault(ln, true, i, size, s.id);
         }
@@ -2418,8 +2273,8 @@ void Evaluator::Scratch::FoldAccumulators(int chunk) {
       const T* x = Col<T>(acc.pending.index);
       for (int l = 0; l < chunk; ++l) {
         if (pend[l] == 0) continue;
-        sum = NarrowToKind(acc.store, lane::ApplyBinary(acc.form, acc.bop, sum,
-                                                        jvm::ToValue(x[l])));
+        sum = java::Convert(acc.store, lane::ApplyBinary(acc.form, acc.bop, sum,
+                                                         jvm::ToValue(x[l])));
       }
     });
     SetVarValue(acc.var, sum);
@@ -2706,7 +2561,7 @@ Value ReferenceEvaluator::Eval(const ExprPtr& expr, Env& env) {
     }
     case ExprKind::kCast: {
       Value a = Eval(e.operands()[0], env);
-      return NarrowToElement(e.type(), a);
+      return java::Convert(e.type().kind(), a);
     }
     case ExprKind::kSelect: {
       Value c = Eval(e.operands()[0], env);
@@ -2726,21 +2581,22 @@ void ReferenceEvaluator::Exec(const Stmt& stmt, Env& env) {
       Value v = Eval(stmt.rhs(), env);
       const Expr& lhs = *stmt.lhs();
       if (lhs.kind() == ExprKind::kVar) {
-        env.vars[lhs.name()] = NarrowToElement(lhs.type(), v);
+        env.vars[lhs.name()] = java::Convert(lhs.type().kind(), v);
       } else {
         std::int64_t index = ToInt64(Eval(lhs.operands()[0], env));
         auto it = env.buffers->find(lhs.name());
         S2FA_CHECK(it != env.buffers->end(), "unbound buffer " << lhs.name());
         CheckWriteIndex(index, it->second.size(), lhs.name());
         it->second[static_cast<std::size_t>(index)] =
-            NarrowToElement(lhs.type(), v);
+            java::Convert(lhs.type().kind(), v);
       }
       break;
     }
     case StmtKind::kDecl: {
       Value v = stmt.init() ? Eval(stmt.init(), env)
                             : jvm::DefaultValue(stmt.decl_type());
-      env.vars[stmt.decl_name()] = NarrowToElement(stmt.decl_type(), v);
+      env.vars[stmt.decl_name()] =
+          java::Convert(stmt.decl_type().kind(), v);
       break;
     }
     case StmtKind::kIf: {

@@ -4,14 +4,22 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
+#include <type_traits>
 
 #include "support/error.h"
 
 namespace s2fa::obs::json {
 
 double JsonValue::number() const {
+  if (is_bool()) return std::get<bool>(data) ? 1.0 : 0.0;
   if (!is_number()) throw MalformedInput("obs: JSON value is not a number");
   return std::get<double>(data);
+}
+
+bool JsonValue::boolean() const {
+  if (!is_bool()) throw MalformedInput("obs: JSON value is not a boolean");
+  return std::get<bool>(data);
 }
 
 const std::string& JsonValue::string() const {
@@ -81,14 +89,12 @@ class JsonParser {
       return JsonValue{std::numeric_limits<double>::quiet_NaN()};
     }
     if (c == 't' || c == 'f') {
-      // Booleans map onto 0/1 numbers; nothing here emits them but a
-      // hand-edited ledger should still read back.
       const std::string_view word = c == 't' ? "true" : "false";
       if (text_.substr(pos_, word.size()) != word) {
         throw MalformedInput("obs: bad JSON literal");
       }
       pos_ += word.size();
-      return JsonValue{c == 't' ? 1.0 : 0.0};
+      return JsonValue{c == 't'};
     }
     return JsonValue{ParseNumber()};
   }
@@ -148,8 +154,9 @@ class JsonParser {
             if (pos_ + 4 > text_.size()) {
               throw MalformedInput("obs: truncated \\u escape");
             }
-            int code = std::stoi(std::string(text_.substr(pos_, 4)), nullptr,
-                                 16);
+            const int code = Convert(
+                [&] { return std::stoi(std::string(text_.substr(pos_, 4)),
+                                       nullptr, 16); });
             pos_ += 4;
             out += static_cast<char>(code);
             break;
@@ -178,9 +185,23 @@ class JsonParser {
       throw MalformedInput("obs: expected JSON number at offset " +
                            std::to_string(pos_));
     }
-    double value = std::stod(std::string(text_.substr(pos_, end - pos_)));
+    const double value = Convert(
+        [&] { return std::stod(std::string(text_.substr(pos_, end - pos_))); });
     pos_ = end;
     return value;
+  }
+
+  // std::stoi and std::stod report bad text (a line torn after a '-', say)
+  // as std::invalid_argument or std::out_of_range; readers that skip a
+  // malformed document catch MalformedInput.
+  template <typename F>
+  std::invoke_result_t<F> Convert(F convert) {
+    try {
+      return convert();
+    } catch (const std::logic_error&) {
+      throw MalformedInput("obs: bad JSON number or escape at offset " +
+                           std::to_string(pos_));
+    }
   }
 
   std::string_view text_;

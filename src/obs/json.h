@@ -1,6 +1,6 @@
-// Minimal JSON reader/writer shared by the obs exporters and the perf
-// ledger: objects, arrays, strings, numbers, and null — exactly the subset
-// the exporters emit. Writing helpers render numbers in the shortest form
+// Minimal JSON reader/writer shared by the obs exporters, the perf ledger
+// and the DSE evaluation journal: objects, arrays, strings, numbers,
+// booleans and null. Writing helpers render numbers in the shortest form
 // that round-trips a double and escape strings; parsing throws
 // MalformedInput with an offset so a truncated or hand-edited file fails
 // loudly instead of silently dropping fields.
@@ -21,17 +21,20 @@ using JsonArray = std::vector<JsonValue>;
 struct JsonValue {
   // null is represented as a quiet NaN number, matching what the writers
   // emit for non-finite values.
-  std::variant<double, std::string, JsonObject, JsonArray> data;
+  std::variant<double, bool, std::string, JsonObject, JsonArray> data;
 
   bool is_number() const { return std::holds_alternative<double>(data); }
+  bool is_bool() const { return std::holds_alternative<bool>(data); }
   bool is_string() const {
     return std::holds_alternative<std::string>(data);
   }
   bool is_object() const { return std::holds_alternative<JsonObject>(data); }
   bool is_array() const { return std::holds_alternative<JsonArray>(data); }
 
-  // Accessors throw MalformedInput on kind mismatch.
+  // Accessors throw MalformedInput on kind mismatch, except that number()
+  // reads a boolean as 0 or 1.
   double number() const;
+  bool boolean() const;
   const std::string& string() const;
   const JsonObject& object() const;
   const JsonArray& array() const;

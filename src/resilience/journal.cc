@@ -1,9 +1,8 @@
 #include "resilience/journal.h"
 
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
+#include "obs/json.h"
 #include "obs/obs.h"
 #include "support/error.h"
 #include "support/logging.h"
@@ -12,205 +11,70 @@ namespace s2fa::resilience {
 
 namespace {
 
-std::string JsonString(const std::string& text) {
-  std::string out = "\"";
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += "\"";
-  return out;
-}
+namespace json = obs::json;
 
-// A pocket parser for exactly the lines RenderJournalEntry emits: one flat
-// object of string / number / null / bool fields.
-class LineParser {
- public:
-  explicit LineParser(const std::string& line) : text_(line) {}
-
-  JournalEntry Parse() {
-    JournalEntry entry;
-    bool have_key = false, have_feasible = false, have_minutes = false;
-    bool have_cost = false;
-    Expect('{');
-    while (true) {
-      std::string field = ParseString();
-      Expect(':');
-      if (field == "key") {
-        entry.key = ParseString();
-        have_key = true;
-      } else if (field == "feasible") {
-        entry.outcome.feasible = ParseBool();
-        have_feasible = true;
-      } else if (field == "cost") {
-        entry.outcome.cost = ParseNumberOrNull(tuner::kInfeasibleCost);
-        have_cost = true;
-      } else if (field == "eval_minutes") {
-        entry.outcome.eval_minutes = ParseNumberOrNull(0.0);
-        have_minutes = true;
-      } else if (field == "bottleneck") {
-        // Optional (absent on pre-attribution journals and kNone results).
-        const std::string name = ParseString();
-        auto kind = hls::BottleneckKindFromName(name);
-        if (!kind) {
-          throw MalformedInput("journal: unknown bottleneck '" + name + "'");
-        }
-        entry.outcome.bottleneck.kind = *kind;
-      } else if (field == "bneck_quantity") {
-        entry.outcome.bottleneck.quantity = ParseNumberOrNull(0.0);
-      } else if (field == "bneck_margin") {
-        entry.outcome.bottleneck.margin = ParseNumberOrNull(0.0);
-      } else {
-        throw MalformedInput("journal: unknown field '" + field + "'");
-      }
-      char c = Next();
-      if (c == '}') break;
-      if (c != ',') throw MalformedInput("journal: expected ',' or '}'");
-    }
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      throw MalformedInput("journal: trailing content");
-    }
-    if (!have_key || !have_feasible || !have_cost || !have_minutes) {
-      throw MalformedInput("journal: incomplete entry");
-    }
-    return entry;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char Next() {
-    SkipSpace();
-    if (pos_ >= text_.size()) throw MalformedInput("journal: truncated line");
-    return text_[pos_++];
-  }
-
-  void Expect(char c) {
-    if (Next() != c) {
-      throw MalformedInput(std::string("journal: expected '") + c + "'");
-    }
-  }
-
-  std::string ParseString() {
-    Expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              throw MalformedInput("journal: truncated \\u escape");
-            }
-            int code =
-                std::stoi(text_.substr(pos_, 4), nullptr, 16);
-            pos_ += 4;
-            out += static_cast<char>(code);
-            break;
-          }
-          default: out += esc;
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (pos_ >= text_.size()) {
-      throw MalformedInput("journal: unterminated string");
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  bool ParseBool() {
-    SkipSpace();
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    throw MalformedInput("journal: expected boolean");
-  }
-
-  double ParseNumberOrNull(double null_value) {
-    SkipSpace();
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return null_value;
-    }
-    std::size_t end = pos_;
-    while (end < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[end])) ||
-            text_[end] == '-' || text_[end] == '+' || text_[end] == '.' ||
-            text_[end] == 'e' || text_[end] == 'E')) {
-      ++end;
-    }
-    if (end == pos_) throw MalformedInput("journal: expected number");
-    double value = std::stod(text_.substr(pos_, end - pos_));
-    pos_ = end;
-    return value;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-std::string JsonNumberOrNull(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+// A number field; null reads as `null_value`.
+double NumberOrNull(const json::JsonValue& value, double null_value) {
+  if (!value.is_number()) throw MalformedInput("journal: expected number");
+  return std::isnan(value.number()) ? null_value : value.number();
 }
 
 }  // namespace
 
 std::string RenderJournalEntry(const JournalEntry& entry) {
-  std::ostringstream oss;
-  oss << "{\"key\":" << JsonString(entry.key)
-      << ",\"feasible\":" << (entry.outcome.feasible ? "true" : "false")
-      << ",\"cost\":" << JsonNumberOrNull(entry.outcome.cost)
-      << ",\"eval_minutes\":" << JsonNumberOrNull(entry.outcome.eval_minutes);
-  if (entry.outcome.bottleneck.kind != hls::BottleneckKind::kNone) {
+  const tuner::EvalOutcome& outcome = entry.outcome;
+  std::string line =
+      "{\"key\":" + json::JsonString(entry.key) +
+      ",\"feasible\":" + (outcome.feasible ? "true" : "false") +
+      ",\"cost\":" + json::JsonNumber(outcome.cost) +
+      ",\"eval_minutes\":" + json::JsonNumber(outcome.eval_minutes);
+  if (outcome.bottleneck.kind != hls::BottleneckKind::kNone) {
     // kNone renders as the bare legacy line, so old and new journals
     // interleave and a no-attribution entry round-trips byte-identically.
-    oss << ",\"bottleneck\":"
-        << JsonString(hls::BottleneckKindName(entry.outcome.bottleneck.kind))
-        << ",\"bneck_quantity\":"
-        << JsonNumberOrNull(entry.outcome.bottleneck.quantity)
-        << ",\"bneck_margin\":"
-        << JsonNumberOrNull(entry.outcome.bottleneck.margin);
+    line += ",\"bottleneck\":" +
+            json::JsonString(hls::BottleneckKindName(outcome.bottleneck.kind)) +
+            ",\"bneck_quantity\":" +
+            json::JsonNumber(outcome.bottleneck.quantity) +
+            ",\"bneck_margin\":" + json::JsonNumber(outcome.bottleneck.margin);
   }
-  oss << "}";
-  return oss.str();
+  return line + "}";
 }
 
 JournalEntry ParseJournalEntry(const std::string& line) {
-  return LineParser(line).Parse();
+  const json::JsonValue root = json::Parse(line);
+  JournalEntry entry;
+  int required = 0;  // key, feasible, cost and eval_minutes seen
+  for (const auto& [field, value] : root.object()) {
+    if (field == "key") {
+      entry.key = value.string();
+      ++required;
+    } else if (field == "feasible") {
+      entry.outcome.feasible = value.boolean();
+      ++required;
+    } else if (field == "cost") {
+      entry.outcome.cost = NumberOrNull(value, tuner::kInfeasibleCost);
+      ++required;
+    } else if (field == "eval_minutes") {
+      entry.outcome.eval_minutes = NumberOrNull(value, 0.0);
+      ++required;
+    } else if (field == "bottleneck") {
+      // Optional (absent on pre-attribution journals and kNone results).
+      auto kind = hls::BottleneckKindFromName(value.string());
+      if (!kind) {
+        throw MalformedInput("journal: unknown bottleneck '" +
+                             value.string() + "'");
+      }
+      entry.outcome.bottleneck.kind = *kind;
+    } else if (field == "bneck_quantity") {
+      entry.outcome.bottleneck.quantity = NumberOrNull(value, 0.0);
+    } else if (field == "bneck_margin") {
+      entry.outcome.bottleneck.margin = NumberOrNull(value, 0.0);
+    } else {
+      throw MalformedInput("journal: unknown field '" + field + "'");
+    }
+  }
+  if (required != 4) throw MalformedInput("journal: incomplete entry");
+  return entry;
 }
 
 void EvalJournal::Open(const std::string& path) {

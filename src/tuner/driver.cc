@@ -109,12 +109,17 @@ bool TuneSession::Iterate() {
     configs.push_back(space_->ToConfig(pending.point));
   }
   std::vector<EvalOutcome> outcomes = EvaluateBatch(evaluate_, configs);
-  // Commit in proposal order.
   double batch_minutes = 0;
+  for (const EvalOutcome& outcome : outcomes) {
+    batch_minutes = std::max(batch_minutes, outcome.eval_minutes);
+  }
+  // A batch that charges no time would leave RunFor's clock where it is.
+  S2FA_REQUIRE(batch_minutes > 0,
+               "evaluation batch charged " << batch_minutes << " minutes");
+  // Commit in proposal order.
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Pending& pending = batch[i];
     const EvalOutcome& outcome = outcomes[i];
-    batch_minutes = std::max(batch_minutes, outcome.eval_minutes);
     bool new_best = db_.Add(pending.point, outcome.cost, outcome.feasible,
                             clock_ + outcome.eval_minutes, pending.technique,
                             pending.has_parent ? &pending.parent : nullptr);

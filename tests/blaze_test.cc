@@ -313,7 +313,7 @@ void ExpectCounting(const PrimitiveArray& a, Storage s, std::size_t n,
     const std::span<const T> typed = a.values<T>();
     EXPECT_EQ(static_cast<const void*>(typed.data()), a.raw());
     for (std::size_t e = 0; e < n; ++e) {
-      const T want = jvm::ConvertStored<T>(base + static_cast<int>(e));
+      const T want = jvm::java::Cast<T>(base + static_cast<int>(e));
       EXPECT_EQ(typed[e], want) << e;
       EXPECT_EQ(static_cast<const T*>(a.raw())[e], want) << e;
     }

@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 
 #include "b2c/compiler.h"
@@ -810,6 +811,312 @@ TEST(FuzzGeneratorTest, KernelsAreDeterministicPerSeed) {
   ASSERT_EQ(ca.size(), cb.size());
   for (std::size_t i = 0; i < ca.size(); ++i) {
     EXPECT_EQ(ca[i].ToString(), cb[i].ToString()) << i;
+  }
+}
+
+
+// --------------------------------------------------- Java edge values
+//
+// One JVM instruction per row, on the values where C++ and Java part:
+// NaN, signed zeros, infinities, values past the target's range, MIN / -1,
+// and shift counts outside [0, width). Each row runs through the
+// interpreter, ReferenceEvaluator and the lane Evaluator at lane width and
+// at width 1, and each result is checked against the value Java gives.
+
+struct EdgeCase {
+  Value a;
+  Value b;  // the divisor or shift count of a binary row
+  Value want;
+};
+
+struct EdgeRow {
+  std::string name;
+  Type from;
+  Type to;
+  enum class Form { kConvert, kNeg, kBinary } form = Form::kConvert;
+  jvm::BinOp jvm_op = jvm::BinOp::kAdd;
+  kir::BinaryOp kir_op = kir::BinaryOp::kAdd;
+  std::vector<EdgeCase> cases = {};
+
+  bool shift() const {
+    return jvm_op == jvm::BinOp::kShl || jvm_op == jvm::BinOp::kShr ||
+           jvm_op == jvm::BinOp::kUShr;
+  }
+  // The type of the second operand: an int shift count, else `from`.
+  Type rhs() const { return shift() ? Type::Int() : from; }
+};
+
+Value RunInterpreter(const EdgeRow& row, const EdgeCase& c) {
+  jvm::ClassPool pool;
+  jvm::Heap heap;
+  Assembler a;
+  MethodSignature sig;
+  sig.params = {row.from};
+  a.Load(row.from, 0);
+  switch (row.form) {
+    case EdgeRow::Form::kConvert: a.Convert(row.from, row.to); break;
+    case EdgeRow::Form::kNeg: a.Neg(row.from); break;
+    case EdgeRow::Form::kBinary:
+      a.Load(row.rhs(), row.from.is_wide() ? 2 : 1).Bin(row.from, row.jvm_op);
+      sig.params.push_back(row.rhs());
+      break;
+  }
+  // byte, char and short results travel as an int, as on the JVM stack.
+  sig.ret = row.to.is_integral() && !row.to.is_wide() ? Type::Int() : row.to;
+  a.Ret(sig.ret);
+  pool.Define("Edge").AddMethod(
+      jvm::MakeMethod("op", sig, true, 4, a.Finish()));
+  std::vector<Value> args = {c.a};
+  if (row.form == EdgeRow::Form::kBinary) args.push_back(c.b);
+  return jvm::Interpreter(pool, heap).Invoke("Edge", "op", args).ret;
+}
+
+// out[i] = op(a[i], b[i]) over one task per case. `width_one` adds
+// `pin[0] = pin[0]`, a read of a buffer the body writes, which keeps the
+// lane executor's task loop at width 1.
+kir::Kernel EdgeKernel(const EdgeRow& row, bool width_one) {
+  const std::int64_t tasks = static_cast<std::int64_t>(row.cases.size());
+  auto buffer = [tasks](std::string name, Type element, kir::BufferKind kind,
+                        std::int64_t length) {
+    kir::Buffer b;
+    b.name = std::move(name);
+    b.element = element;
+    b.length = length;
+    b.kind = kind;
+    b.per_task = length == tasks ? 1 : 0;
+    return b;
+  };
+  using kir::Expr;
+  const auto i = Expr::Var("i", Type::Int());
+  const auto a = Expr::ArrayRef("a", row.from, i);
+  kir::Kernel k;
+  k.name = "edge_" + row.name;
+  k.scalars.push_back({"N", Type::Int()});
+  k.buffers = {buffer("a", row.from, kir::BufferKind::kInput, tasks),
+               buffer("out", row.to, kir::BufferKind::kOutput, tasks)};
+  kir::ExprPtr value;
+  switch (row.form) {
+    case EdgeRow::Form::kConvert: value = Expr::Cast(row.to, a); break;
+    case EdgeRow::Form::kNeg: value = Expr::Unary(kir::UnaryOp::kNeg, a); break;
+    case EdgeRow::Form::kBinary:
+      k.buffers.push_back(
+          buffer("b", row.rhs(), kir::BufferKind::kInput, tasks));
+      value = Expr::Binary(row.kir_op, a, Expr::ArrayRef("b", row.rhs(), i));
+      break;
+  }
+  std::vector<kir::StmtPtr> body = {
+      kir::Stmt::Assign(Expr::ArrayRef("out", row.to, i), value)};
+  if (width_one) {
+    k.buffers.push_back(
+        buffer("pin", Type::Int(), kir::BufferKind::kOutput, 1));
+    const auto pin = Expr::ArrayRef("pin", Type::Int(), Expr::IntLit(0));
+    body.push_back(kir::Stmt::Assign(pin, pin));
+  }
+  auto loop = kir::Stmt::For(0, "i", tasks, kir::Stmt::Block(std::move(body)));
+  loop->set_inserted_by_template(true);
+  k.body = kir::Stmt::Block({loop});
+  k.task_loop_id = 0;
+  return k;
+}
+
+void ExpectJava(const EdgeRow& row, const std::string& oracle,
+                const std::vector<Value>& got) {
+  ASSERT_EQ(got.size(), row.cases.size()) << oracle;
+  for (std::size_t c = 0; c < row.cases.size(); ++c) {
+    const Value& want = row.cases[c].want;
+    EXPECT_TRUE(ValueKind(got[c]) == ValueKind(want) &&
+                ValueBits(got[c]) == ValueBits(want))
+        << oracle << " " << row.name << "(" << row.cases[c].a.ToString()
+        << (row.form == EdgeRow::Form::kBinary
+                ? ", " + row.cases[c].b.ToString()
+                : std::string())
+        << ") = " << got[c].ToString() << ", Java gives "
+        << want.ToString();
+  }
+}
+
+std::vector<EdgeRow> EdgeTable() {
+  using L = std::numeric_limits<std::int64_t>;
+  using I = std::numeric_limits<std::int32_t>;
+  const float nan_f = std::numeric_limits<float>::quiet_NaN();
+  const float inf_f = std::numeric_limits<float>::infinity();
+  const double nan_d = std::numeric_limits<double>::quiet_NaN();
+  const double inf_d = std::numeric_limits<double>::infinity();
+  const auto F = [](float v) { return Value::OfFloat(v); };
+  const auto D = [](double v) { return Value::OfDouble(v); };
+  const auto Int = [](std::int32_t v) { return Value::OfInt(v); };
+  const auto Long = [](std::int64_t v) { return Value::OfLong(v); };
+
+  // Floating -> int and long: the same inputs as float and as double,
+  // with Java's int and long results.
+  struct FloatingCase {
+    double x;
+    std::int32_t i;
+    std::int64_t l;
+  };
+  const std::vector<FloatingCase> floating = {
+      {nan_d, 0, 0},
+      {0.0, 0, 0},
+      {-0.0, 0, 0},
+      {inf_d, I::max(), L::max()},
+      {-inf_d, I::min(), L::min()},
+      {1e10, I::max(), 10000000000},
+      {-1e10, I::min(), -10000000000},
+      {0x1p31, I::max(), 2147483648},
+      {-0x1p31, I::min(), -2147483648},
+      {0x1p63, I::max(), L::max()},
+      {-0x1p63, I::min(), L::min()},
+      {-7.9, -7, -7},
+  };
+  EdgeRow f2i{"f2i", Type::Float(), Type::Int()};
+  EdgeRow f2l{"f2l", Type::Float(), Type::Long()};
+  EdgeRow d2i{"d2i", Type::Double(), Type::Int()};
+  EdgeRow d2l{"d2l", Type::Double(), Type::Long()};
+  for (const FloatingCase& c : floating) {
+    const float x = std::isnan(c.x) ? nan_f
+                    : std::isinf(c.x) ? std::copysign(inf_f, c.x)
+                                      : static_cast<float>(c.x);
+    f2i.cases.push_back({F(x), {}, Int(c.i)});
+    f2l.cases.push_back({F(x), {}, Long(c.l)});
+    d2i.cases.push_back({D(c.x), {}, Int(c.i)});
+    d2l.cases.push_back({D(c.x), {}, Long(c.l)});
+  }
+  // The smallest subnormals truncate to 0.
+  for (EdgeRow* row : {&f2i, &f2l}) {
+    row->cases.push_back({F(0x1p-149f), {}, row == &f2i ? Int(0) : Long(0)});
+  }
+  for (EdgeRow* row : {&d2i, &d2l}) {
+    row->cases.push_back({D(0x1p-1074), {}, row == &d2i ? Int(0) : Long(0)});
+  }
+
+  EdgeRow l2i{"l2i", Type::Long(), Type::Int(), EdgeRow::Form::kConvert, {}, {},
+              {{Long(10000000000), {}, Int(1410065408)},
+               {Long(-10000000000), {}, Int(-1410065408)},
+               {Long(2147483648), {}, Int(I::min())},
+               {Long(-2147483649), {}, Int(I::max())},
+               {Long(L::max()), {}, Int(-1)},
+               {Long(L::min()), {}, Int(0)}}};
+  // 2^60 + 2^36 + 1 lies just above the midpoint of two floats; a detour
+  // through double rounds it onto the midpoint, and then down.
+  EdgeRow l2f{"l2f", Type::Long(), Type::Float(), EdgeRow::Form::kConvert,
+              {}, {},
+              {{Long((std::int64_t{1} << 60) + (std::int64_t{1} << 36) + 1),
+                {}, F(0x1.000002p60f)},
+               {Long(L::max()), {}, F(0x1p63f)},
+               {Long(L::min()), {}, F(-0x1p63f)}}};
+  // int -> byte, char and short keep the low bits.
+  const std::vector<std::int32_t> ints = {0,     -1,    128,      32768,
+                                          65535, I::max(), I::min()};
+  const std::vector<std::int32_t> as_b = {0, -1, -128, 0, -1, -1, 0};
+  const std::vector<std::int32_t> as_c = {0, 65535, 128, 32768, 65535,
+                                          65535, 0};
+  const std::vector<std::int32_t> as_s = {0, -1, 128, -32768, -1, -1, 0};
+  EdgeRow i2b{"i2b", Type::Int(), Type::Byte()};
+  EdgeRow i2c{"i2c", Type::Int(), Type::Char()};
+  EdgeRow i2s{"i2s", Type::Int(), Type::Short()};
+  for (std::size_t c = 0; c < ints.size(); ++c) {
+    i2b.cases.push_back({Int(ints[c]), {}, Int(as_b[c])});
+    i2c.cases.push_back({Int(ints[c]), {}, Int(as_c[c])});
+    i2s.cases.push_back({Int(ints[c]), {}, Int(as_s[c])});
+  }
+
+  EdgeRow ineg{"ineg", Type::Int(), Type::Int(), EdgeRow::Form::kNeg, {}, {},
+               {{Int(1), {}, Int(-1)},
+                {Int(I::max()), {}, Int(-I::max())},
+                {Int(I::min()), {}, Int(I::min())}}};
+  EdgeRow lneg{"lneg", Type::Long(), Type::Long(), EdgeRow::Form::kNeg, {},
+               {},
+               {{Long(1), {}, Long(-1)},
+                {Long(L::max()), {}, Long(-L::max())},
+                {Long(L::min()), {}, Long(L::min())}}};
+
+  const auto binary = [](std::string name, Type type, jvm::BinOp jop,
+                         kir::BinaryOp kop, std::vector<EdgeCase> cases) {
+    return EdgeRow{std::move(name), type, type, EdgeRow::Form::kBinary,
+                   jop, kop, std::move(cases)};
+  };
+  using JB = jvm::BinOp;
+  using KB = kir::BinaryOp;
+  std::vector<EdgeRow> rows = {f2i, f2l, d2i, d2l, l2i, l2f, i2b, i2c, i2s,
+                               ineg, lneg};
+  rows.push_back(binary("idiv", Type::Int(), JB::kDiv, KB::kDiv,
+                        {{Int(I::min()), Int(-1), Int(I::min())},
+                         {Int(-7), Int(2), Int(-3)}}));
+  rows.push_back(binary("irem", Type::Int(), JB::kRem, KB::kRem,
+                        {{Int(I::min()), Int(-1), Int(0)},
+                         {Int(-7), Int(2), Int(-1)}}));
+  rows.push_back(binary("ldiv", Type::Long(), JB::kDiv, KB::kDiv,
+                        {{Long(L::min()), Long(-1), Long(L::min())},
+                         {Long(-7), Long(2), Long(-3)}}));
+  rows.push_back(binary("lrem", Type::Long(), JB::kRem, KB::kRem,
+                        {{Long(L::min()), Long(-1), Long(0)},
+                         {Long(-7), Long(2), Long(-1)}}));
+  // -15 shifted by -1, 32, 33, 64 and 65: an int keeps the count's low 5
+  // bits (31, 0, 1, 0, 1), a long its low 6 (63, 32, 33, 0, 1).
+  const std::vector<std::int32_t> counts = {-1, 32, 33, 64, 65};
+  const std::vector<std::int32_t> ishl = {I::min(), -15, -30, -15, -30};
+  const std::vector<std::int32_t> ishr = {-1, -15, -8, -15, -8};
+  const std::vector<std::int32_t> iushr = {1, -15, 2147483640, -15,
+                                           2147483640};
+  const std::vector<std::int64_t> lshl = {L::min(), -64424509440,
+                                          -128849018880, -15, -30};
+  const std::vector<std::int64_t> lshr = {-1, -1, -1, -15, -8};
+  const std::vector<std::int64_t> lushr = {1, 4294967295, 2147483647, -15,
+                                           9223372036854775800};
+  const auto int_shift = [&](std::string name, JB jop, KB kop,
+                             const std::vector<std::int32_t>& want) {
+    std::vector<EdgeCase> cases;
+    for (std::size_t c = 0; c < counts.size(); ++c) {
+      cases.push_back({Int(-15), Int(counts[c]), Int(want[c])});
+    }
+    return binary(std::move(name), Type::Int(), jop, kop, std::move(cases));
+  };
+  const auto long_shift = [&](std::string name, JB jop, KB kop,
+                              const std::vector<std::int64_t>& want) {
+    std::vector<EdgeCase> cases;
+    for (std::size_t c = 0; c < counts.size(); ++c) {
+      cases.push_back({Long(-15), Int(counts[c]), Long(want[c])});
+    }
+    return binary(std::move(name), Type::Long(), jop, kop, std::move(cases));
+  };
+  rows.push_back(int_shift("ishl", JB::kShl, KB::kShl, ishl));
+  rows.push_back(int_shift("ishr", JB::kShr, KB::kShr, ishr));
+  rows.push_back(int_shift("iushr", JB::kUShr, KB::kUShr, iushr));
+  rows.push_back(long_shift("lshl", JB::kShl, KB::kShl, lshl));
+  rows.push_back(long_shift("lshr", JB::kShr, KB::kShr, lshr));
+  rows.push_back(long_shift("lushr", JB::kUShr, KB::kUShr, lushr));
+  return rows;
+}
+
+TEST(JavaEdgeValuesTest, EveryOracleGivesJavasResult) {
+  for (const EdgeRow& row : EdgeTable()) {
+    SCOPED_TRACE(row.name);
+    std::vector<Value> interpreted;
+    for (const EdgeCase& c : row.cases) {
+      interpreted.push_back(RunInterpreter(row, c));
+    }
+    ExpectJava(row, "interpreter", interpreted);
+
+    kir::BufferMap inputs;
+    for (const EdgeCase& c : row.cases) {
+      inputs["a"].push_back(c.a);
+      if (row.form == EdgeRow::Form::kBinary) inputs["b"].push_back(c.b);
+    }
+    const auto n = static_cast<std::int32_t>(row.cases.size());
+    const std::map<std::string, Value> scalars = {{"N", Value::OfInt(n)}};
+    {
+      kir::BufferMap b = inputs;
+      kir::ReferenceEvaluator(EdgeKernel(row, false)).Run(scalars, b);
+      ExpectJava(row, "ReferenceEvaluator", b["out"]);
+    }
+    for (const bool width_one : {false, true}) {
+      kir::BufferMap b = inputs;
+      kir::Evaluator lanes(EdgeKernel(row, width_one));
+      lanes.Run(scalars, b);
+      EXPECT_EQ(lanes.lane_width(), width_one ? 1 : n);
+      ExpectJava(row, width_one ? "Evaluator at width 1" : "Evaluator",
+                 b["out"]);
+    }
   }
 }
 

@@ -521,9 +521,56 @@ TEST(JournalTest, BottleneckAttributionRoundTrips) {
                MalformedInput);
 }
 
+TEST(JournalTest, LinesOfTheEarlierWriterLoad) {
+  // Journals written before the shared JSON writer: every number as
+  // %.17g, a null cost, with and without the bottleneck fields.
+  const JournalEntry plain = ParseJournalEntry(
+      "{\"key\":\"p0|{L0: tile=1 par=8 pipe=on, in: 512b}\","
+      "\"feasible\":true,\"cost\":0.10000000000000001,"
+      "\"eval_minutes\":9.9999999999999995e-08}");
+  EXPECT_EQ(plain.key, "p0|{L0: tile=1 par=8 pipe=on, in: 512b}");
+  EXPECT_TRUE(plain.outcome.feasible);
+  EXPECT_EQ(plain.outcome.cost, 0.1);
+  EXPECT_EQ(plain.outcome.eval_minutes, 1e-7);
+  EXPECT_EQ(plain.outcome.bottleneck.kind, hls::BottleneckKind::kNone);
+
+  const JournalEntry infeasible = ParseJournalEntry(
+      "{\"key\":\"train|{}\",\"feasible\":false,\"cost\":null,"
+      "\"eval_minutes\":3}");
+  EXPECT_FALSE(infeasible.outcome.feasible);
+  EXPECT_EQ(infeasible.outcome.cost, tuner::kInfeasibleCost);
+  EXPECT_EQ(infeasible.outcome.eval_minutes, 3.0);
+
+  const JournalEntry attributed = ParseJournalEntry(
+      "{\"key\":\"p1|{L0: par=16}\",\"feasible\":true,"
+      "\"cost\":12345678901234568,\"eval_minutes\":6,"
+      "\"bottleneck\":\"memory_port_ii\",\"bneck_quantity\":4,"
+      "\"bneck_margin\":0.66666666666666663}");
+  EXPECT_EQ(attributed.outcome.cost, 12345678901234568.0);
+  EXPECT_EQ(attributed.outcome.bottleneck.kind,
+            hls::BottleneckKind::kMemoryPortII);
+  EXPECT_EQ(attributed.outcome.bottleneck.quantity, 4.0);
+  EXPECT_EQ(attributed.outcome.bottleneck.margin, 2.0 / 3);
+  // Re-rendered, each line is byte-identical to what was read.
+  EXPECT_EQ(RenderJournalEntry(infeasible),
+            "{\"key\":\"train|{}\",\"feasible\":false,\"cost\":null,"
+            "\"eval_minutes\":3}");
+  EXPECT_EQ(RenderJournalEntry(attributed),
+            "{\"key\":\"p1|{L0: par=16}\",\"feasible\":true,"
+            "\"cost\":12345678901234568,\"eval_minutes\":6,"
+            "\"bottleneck\":\"memory_port_ii\",\"bneck_quantity\":4,"
+            "\"bneck_margin\":0.66666666666666663}");
+}
+
 TEST(JournalTest, ParseRejectsMalformedLines) {
   EXPECT_THROW(ParseJournalEntry("not json"), MalformedInput);
   EXPECT_THROW(ParseJournalEntry("{\"key\":\"a\"}"), MalformedInput);
+  // Torn inside a number or an escape: still MalformedInput, so a resume
+  // skips the line.
+  EXPECT_THROW(ParseJournalEntry(
+                   "{\"key\":\"a\",\"feasible\":true,\"cost\":-"),
+               MalformedInput);
+  EXPECT_THROW(ParseJournalEntry("{\"key\":\"a\\uzzzz\"}"), MalformedInput);
   EXPECT_THROW(ParseJournalEntry(
                    "{\"key\":\"a\",\"feasible\":true,\"cost\":1,"
                    "\"eval_minutes\":1,\"extra\":2}"),

@@ -416,6 +416,18 @@ TEST(DriverTest, ClockAdvancesByBatchMax) {
   EXPECT_EQ(result.evaluations, 80u);
 }
 
+TEST(DriverTest, ZeroMinuteBatchThrowsInsteadOfSpinning) {
+  // An evaluation that charges no simulated time would never move the
+  // clock toward the limit.
+  DesignSpace space = BuildDesignSpace(TwoLoopKernel());
+  auto eval = [](const merlin::DesignConfig&) -> EvalOutcome {
+    return {true, 100.0, 0.0};
+  };
+  TuneOptions options;
+  options.time_limit_minutes = 60;
+  EXPECT_THROW(Tune(space, eval, options), InvalidArgument);
+}
+
 TEST(DriverTest, SeedsEvaluatedFirstAndUsed) {
   DesignSpace space = BuildDesignSpace(TwoLoopKernel());
   Point magic(space.num_factors(), 0);
