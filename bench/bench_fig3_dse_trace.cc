@@ -13,9 +13,10 @@
 // be not-worse than the default set (min over the seeds), strictly better
 // on at least two apps, and bit-identical across exec_threads 1/2/8.
 //
-// Quick mode (S2FA_BENCH_QUICK=1, used by the fig3_smoke ctest) runs one
-// seed on a shortened budget and keeps only the technique-ablation gate,
-// so the smoke test finishes in CI time.
+// Full mode also gates on the scheduler ablation (adaptive vs FCFS).
+// Quick mode (S2FA_BENCH_QUICK=1, used by the fig3_smoke ctest) runs two
+// of the ten seeds and keeps only the technique-ablation gate, so the
+// smoke test finishes in CI time.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -70,9 +71,6 @@ int main() {
   double sum_log_qor = 0;
   double sum_s2fa_stop = 0;
   double sum_vanilla_stop = 0;
-  double sum_dup_rate = 0;
-  double sum_wall_saved_ms = 0;
-  bool all_trajectories_identical = true;
   double total_reclaimed_minutes = 0;
   int apps_with_reclaim = 0;
   bool all_adaptive_not_worse = true;
@@ -187,62 +185,36 @@ int main() {
     all_bneck_thread_invariant &= bneck_thread_invariant;
     if (bneck_strictly) ++apps_bneck_strictly_better;
 
-    if (quick) {
-      // Quick mode keeps the smoke test inside CI time: the cache and
-      // scheduler ablations (5 ms-per-eval delays, four extra full DSE
-      // runs) are full-mode only, as are their exit-code gates.
-      std::printf("\n");
-      sum_time_saving += app_saving / k;
-      sum_log_qor += app_log_qor / k;
-      sum_s2fa_stop += app_s2fa_stop / k;
-      sum_vanilla_stop += app_vanilla_stop / k;
-      ++n;
-      continue;
+    // The scheduler ablation (four extra full DSE runs) and its exit-code
+    // gate are full-mode only, so the smoke test stays inside CI time.
+    if (!quick) {
+      // Scheduler ablation on the first seed: with the entropy stop the
+      // adaptive scheduler reinvests freed budget and must never end up
+      // worse; with stopping disabled it must match FCFS bit-for-bit.
+      EvalSetup ablation_setup;
+      ablation_setup.seed = seeds.front();
+      ablation_setup.time_limit_minutes = budget_minutes;
+      SchedulerAblation sched = RunSchedulerAblation(prepared, ablation_setup);
+      std::printf(
+          "scheduler ablation (seed %llu): best@%.0fm adaptive %.4g us vs "
+          "fcfs %.4g us (%s), %.0f min reclaimed / %.0f re-granted in %zu "
+          "slices (%zu preemptions, %zu extra evals); no-early-stop "
+          "trajectories %s\n",
+          static_cast<unsigned long long>(seeds.front()),
+          ablation_setup.time_limit_minutes, sched.adaptive.best_cost,
+          sched.fcfs.best_cost,
+          sched.adaptive_not_worse ? "not worse" : "WORSE (bug!)",
+          sched.adaptive.schedule.reclaimed_minutes,
+          sched.adaptive.schedule.regranted_minutes,
+          sched.adaptive.schedule.grants, sched.adaptive.schedule.preemptions,
+          sched.adaptive.schedule.reclaim_evaluations,
+          sched.identical_without_stopping ? "identical" : "DIVERGED (bug!)");
+      total_reclaimed_minutes += sched.adaptive.schedule.reclaimed_minutes;
+      if (sched.adaptive.schedule.reclaimed_minutes > 0) ++apps_with_reclaim;
+      all_adaptive_not_worse &= sched.adaptive_not_worse;
+      all_sched_identical_without_stop &= sched.identical_without_stopping;
     }
-
-    // Memoizing-cache ablation on the first seed: same trajectory, fewer
-    // synthesis jobs paid, lower real wall-clock.
-    EvalSetup ablation_setup;
-    ablation_setup.seed = seeds.front();
-    ablation_setup.time_limit_minutes = budget_minutes;
-    CacheAblation ablation = RunCacheAblation(prepared, ablation_setup);
-    std::printf(
-        "cache ablation (seed %llu): duplicate-point rate %.1f%% "
-        "(%zu of %zu lookups), %.0f simulated min not re-paid, wall-clock "
-        "%.0f ms -> %.0f ms, trajectories %s\n",
-        static_cast<unsigned long long>(seeds.front()),
-        100.0 * ablation.stats.DuplicateRate(),
-        ablation.stats.hits,
-        ablation.stats.lookups, ablation.stats.minutes_saved,
-        ablation.wall_ms_cache_off, ablation.wall_ms_cache_on,
-        ablation.identical_trajectory ? "identical" : "DIVERGED (bug!)");
-    sum_dup_rate += ablation.stats.DuplicateRate();
-    sum_wall_saved_ms +=
-        ablation.wall_ms_cache_off - ablation.wall_ms_cache_on;
-    all_trajectories_identical &= ablation.identical_trajectory;
-
-    // Scheduler ablation on the first seed: with the entropy stop the
-    // adaptive scheduler reinvests freed budget and must never end up
-    // worse; with stopping disabled it must match FCFS bit-for-bit.
-    SchedulerAblation sched = RunSchedulerAblation(prepared, ablation_setup);
-    std::printf(
-        "scheduler ablation (seed %llu): best@%.0fm adaptive %.4g us vs "
-        "fcfs %.4g us (%s), %.0f min reclaimed / %.0f re-granted in %zu "
-        "slices (%zu preemptions, %zu extra evals); no-early-stop "
-        "trajectories %s\n\n",
-        static_cast<unsigned long long>(seeds.front()),
-        ablation_setup.time_limit_minutes, sched.adaptive.best_cost,
-        sched.fcfs.best_cost,
-        sched.adaptive_not_worse ? "not worse" : "WORSE (bug!)",
-        sched.adaptive.schedule.reclaimed_minutes,
-        sched.adaptive.schedule.regranted_minutes,
-        sched.adaptive.schedule.grants, sched.adaptive.schedule.preemptions,
-        sched.adaptive.schedule.reclaim_evaluations,
-        sched.identical_without_stopping ? "identical" : "DIVERGED (bug!)");
-    total_reclaimed_minutes += sched.adaptive.schedule.reclaimed_minutes;
-    if (sched.adaptive.schedule.reclaimed_minutes > 0) ++apps_with_reclaim;
-    all_adaptive_not_worse &= sched.adaptive_not_worse;
-    all_sched_identical_without_stop &= sched.identical_without_stopping;
+    std::printf("\n");
 
     sum_time_saving += app_saving / k;
     sum_log_qor += app_log_qor / k;
@@ -260,12 +232,6 @@ int main() {
   std::printf("mean termination: S2FA %.2f h, OpenTuner %.2f h\n",
               sum_s2fa_stop / n / 60.0, sum_vanilla_stop / n / 60.0);
   if (!quick) {
-    std::printf("eval cache: mean duplicate-point rate %.1f%%, total "
-                "wall-clock saved %.0f ms, trajectories cache-on vs "
-                "cache-off %s\n",
-                100.0 * sum_dup_rate / n, sum_wall_saved_ms,
-                all_trajectories_identical ? "identical everywhere"
-                                           : "DIVERGED (bug!)");
     std::printf("adaptive scheduler: %s vs fcfs on every app; %.0f min of "
                 "early-stop budget reclaimed across apps (%d of %d apps "
                 "reclaimed > 0); no-early-stop trajectories %s\n",
@@ -289,6 +255,5 @@ int main() {
   const bool scheduler_ok = all_adaptive_not_worse &&
                             all_sched_identical_without_stop &&
                             apps_with_reclaim > 0;
-  return (all_trajectories_identical && scheduler_ok && technique_ok) ? 0
-                                                                      : 1;
+  return (scheduler_ok && technique_ok) ? 0 : 1;
 }

@@ -1,12 +1,10 @@
 #include "bench_util.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <thread>
 
 #include "b2c/compiler.h"
 #include "obs/export.h"
@@ -40,8 +38,8 @@ DseComparison RunComparison(const PreparedApp& prepared,
   options.num_cores = setup.num_cores;
   options.seed = setup.seed;
   options.stop = stop;
-  // The baseline gets the identical evaluation stack (cache included) so
-  // the Fig. 3 comparison is tuner-vs-tuner, not stack-vs-stack.
+  // The baseline gets the identical evaluation stack so the Fig. 3
+  // comparison is tuner-vs-tuner, not stack-vs-stack.
   cmp.vanilla =
       dse::RunVanillaOpenTuner(prepared.space, prepared.evaluate, options);
   cmp.s2fa = dse::RunS2faDse(prepared.space, prepared.generated,
@@ -69,48 +67,6 @@ bool SameTrajectory(const dse::DseResult& a, const dse::DseResult& b) {
 }
 
 }  // namespace
-
-CacheAblation RunCacheAblation(const PreparedApp& prepared,
-                               const EvalSetup& setup) {
-  dse::ExplorerOptions options;
-  options.time_limit_minutes = setup.time_limit_minutes;
-  // One core so every raw evaluation sits on the critical path: with the
-  // parallel partition schedule a skipped duplicate usually hides behind a
-  // concurrently-running partition and the wall-clock delta drowns in
-  // scheduling noise. Both arms of the ablation use the same setting, so
-  // the trajectory comparison is unaffected.
-  options.num_cores = 1;
-  options.seed = setup.seed;
-
-  // The bundled HLS estimator answers in microseconds, so the real cost a
-  // deployed cache avoids — submitting a synthesis job to an external
-  // toolchain — would vanish into lock noise. Model it with a small fixed
-  // per-raw-evaluation delay; every cache hit skips it, exactly as a hit
-  // skips the real job submission.
-  tuner::EvalFn delayed = [&prepared](const merlin::DesignConfig& config) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    return prepared.evaluate(config);
-  };
-
-  CacheAblation ablation;
-  options.eval_cache = false;
-  const auto t0 = std::chrono::steady_clock::now();
-  dse::DseResult off = dse::RunS2faDse(prepared.space, prepared.generated,
-                                       delayed, options);
-  const auto t1 = std::chrono::steady_clock::now();
-  options.eval_cache = true;
-  dse::DseResult on = dse::RunS2faDse(prepared.space, prepared.generated,
-                                      delayed, options);
-  const auto t2 = std::chrono::steady_clock::now();
-
-  ablation.wall_ms_cache_off =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  ablation.wall_ms_cache_on =
-      std::chrono::duration<double, std::milli>(t2 - t1).count();
-  ablation.identical_trajectory = SameTrajectory(on, off);
-  ablation.stats = on.cache_stats;
-  return ablation;
-}
 
 SchedulerAblation RunSchedulerAblation(const PreparedApp& prepared,
                                        const EvalSetup& setup) {

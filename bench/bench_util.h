@@ -47,20 +47,6 @@ DseComparison RunComparison(const PreparedApp& prepared,
                             const EvalSetup& setup,
                             dse::StopKind stop = dse::StopKind::kEntropy);
 
-// Same-seed S2FA run with the memoizing evaluation cache on vs off: the
-// determinism contract says the best-cost trajectories must be identical
-// while the cache-on run re-pays no duplicate synthesis jobs (so its real
-// wall-clock drops with the duplicate-point rate).
-struct CacheAblation {
-  double wall_ms_cache_on = 0;
-  double wall_ms_cache_off = 0;
-  bool identical_trajectory = false;  // trace + best cost bit-identical
-  dse::EvalCacheStats stats;          // from the cache-on run
-};
-
-CacheAblation RunCacheAblation(const PreparedApp& prepared,
-                               const EvalSetup& setup);
-
 // Same-seed S2FA run under the adaptive vs the FCFS partition scheduler.
 // The contract (dse/scheduler.h): with the entropy stop the adaptive
 // run's best at the budget is never worse — its FCFS phase is unchanged

@@ -48,12 +48,9 @@ expect_rejected(--routing ARGS serve AES --routing depth)
 expect_rejected(--hedge-quantile ARGS serve AES --hedge-quantile 0.9)
 expect_rejected(S2FA_EVAL_TIMEOUT ENV S2FA_EVAL_TIMEOUT=garbage
                 ARGS explore KMeans)
-# The memo is on or off: a capacity, however large, is rejected.
-expect_rejected(--eval-cache ARGS explore LR --eval-cache 64)
-expect_rejected(--eval-cache
-                ARGS explore LR --eval-cache 99999999999999999999999)
-expect_rejected(S2FA_EVAL_CACHE ENV S2FA_EVAL_CACHE=99999999999999999999999
-                ARGS explore LR)
+# Every proposal is evaluated: the flag that switched the evaluation memo
+# is gone.
+expect_rejected(--eval-cache ARGS explore LR --eval-cache on)
 expect_rejected(S2FA_EVAL_RETRIES ENV S2FA_EVAL_RETRIES=-2
                 ARGS explore KMeans)
 

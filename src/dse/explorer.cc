@@ -4,11 +4,8 @@
 #include <cmath>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
-#include "merlin/design.h"
 #include "obs/obs.h"
 #include "resilience/journal.h"
 #include "support/error.h"
@@ -57,11 +54,8 @@ const char* StopLabel(StopKind stop) {
 }
 
 // The evaluation stack every scope ("train", "p<i>", "r<i>", "vanilla")
-// runs on: journal -> memo -> resilience -> fault plan -> raw black box.
-// One journal and one memo serve the whole run, so a journal hit never
-// touches the memo and a memo hit skips fault injection and retries,
-// replaying the stored outcome with its simulated minutes (the clock stays
-// bit-identical to a memo-off run). Each scope gets its own
+// runs on: journal -> resilience -> fault plan -> raw black box. One
+// journal serves the whole run. Each scope gets its own
 // ResilientEvaluator, so a pathological region trips only its own
 // breaker, and its own journal keys, so a resumed run replays each
 // scope's stream exactly. Every scope evaluates its batches serially, in
@@ -69,8 +63,7 @@ const char* StopLabel(StopKind stop) {
 // decisions independent of thread timing.
 class EvalStack {
  public:
-  EvalStack(const EvalFn& evaluate, const ExplorerOptions& options)
-      : memo_on_(options.eval_cache) {
+  EvalStack(const EvalFn& evaluate, const ExplorerOptions& options) {
     const resilience::FaultPlan plan(options.faults);
     inner_ = plan.active() ? plan.Instrument(evaluate)
                            : resilience::IgnoreAttempt(evaluate);
@@ -79,14 +72,13 @@ class EvalStack {
     if (!options.journal_path.empty()) journal_.Open(options.journal_path);
   }
 
-  // The guarded, memoized, journaled evaluator of `scope`. It lives as
-  // long as the stack.
+  // The guarded, journaled evaluator of `scope`. It lives as long as the
+  // stack.
   EvalFn Scope(const std::string& scope) {
     auto& guard = guards_[scope];
     guard = std::make_unique<resilience::ResilientEvaluator>(inner_, ropt_,
                                                              scope);
     EvalFn fn = guard->AsEvalFn();
-    if (memo_on_) fn = Memoize(std::move(fn));
     return journal_.open() ? journal_.Wrap(scope, std::move(fn))
                            : std::move(fn);
   }
@@ -98,59 +90,20 @@ class EvalStack {
                                : it->second->stats();
   }
 
-  // The run-wide journal and memo ledgers.
+  // The run-wide journal ledger.
   void Report(DseResult& result) const {
-    if (journal_.open()) {
-      result.journal_resumed = journal_.resumed();
-      result.journal_hits = journal_.hits();
-      result.journal_entries = journal_.entries();
-      S2FA_COUNT("dse.journal_hits",
-                 static_cast<std::int64_t>(result.journal_hits));
-    }
-    std::lock_guard<std::mutex> lock(memo_mutex_);
-    result.cache_stats = memo_stats_;
+    if (!journal_.open()) return;
+    result.journal_resumed = journal_.resumed();
+    result.journal_hits = journal_.hits();
+    result.journal_entries = journal_.entries();
+    S2FA_COUNT("dse.journal_hits",
+               static_cast<std::int64_t>(result.journal_hits));
   }
 
  private:
-  // `inner` behind the run-wide memo, keyed on merlin::ConfigKey. A miss
-  // evaluates outside the lock.
-  EvalFn Memoize(EvalFn inner) {
-    return [this,
-            inner = std::move(inner)](const merlin::DesignConfig& config) {
-      std::string key = merlin::ConfigKey(config);
-      {
-        std::lock_guard<std::mutex> lock(memo_mutex_);
-        ++memo_stats_.lookups;
-        auto it = memo_.find(key);
-        if (it != memo_.end()) {
-          ++memo_stats_.hits;
-          memo_stats_.minutes_saved += it->second.eval_minutes;
-          S2FA_COUNT("cache.hits", 1);
-          return it->second;
-        }
-        ++memo_stats_.misses;
-        S2FA_COUNT("cache.misses", 1);
-      }
-      tuner::EvalOutcome outcome = inner(config);
-      std::lock_guard<std::mutex> lock(memo_mutex_);
-      // Only scopes that run at once could have stored this key since the
-      // miss, and those explore disjoint sub-spaces: the partitions, then
-      // each wave's reclaim sessions (one per partition). Each scope
-      // evaluates serially, so its own repeats hit. An overlap would make
-      // the counts depend on thread timing.
-      S2FA_CHECK(memo_.emplace(std::move(key), outcome).second,
-                 "two scopes evaluated " << config.ToString() << " at once");
-      return outcome;
-    };
-  }
-
   resilience::AttemptEvalFn inner_;
   resilience::ResilienceOptions ropt_;
   resilience::EvalJournal journal_;
-  const bool memo_on_;
-  mutable std::mutex memo_mutex_;
-  std::unordered_map<std::string, tuner::EvalOutcome> memo_;
-  EvalCacheStats memo_stats_;
   std::map<std::string, std::unique_ptr<resilience::ResilientEvaluator>>
       guards_;
 };
@@ -299,7 +252,7 @@ DseResult RunS2faDse(const DesignSpace& space, const kir::Kernel& kernel,
   // re-granted, in preemptible slices, to the partition with the best
   // recent improvement rate. Each recipient continues exploring its
   // sub-space in a resumable TuneSession under a fresh stream seed,
-  // warm-started from its main-run best, journaled/memoized/guarded under
+  // warm-started from its main-run best, journaled and guarded under
   // its own "r<i>" scope. The FCFS-phase trajectories above are never
   // touched, so the adaptive result can only match or beat FCFS; with
   // early stopping disabled no core frees early, the ledger stays empty,
@@ -427,13 +380,6 @@ DseResult RunS2faDse(const DesignSpace& space, const kir::Kernel& kernel,
                                      << " points degraded, "
                                      << result.resilience.breaker_trips
                                      << " breaker trips");
-  }
-  if (result.cache_stats.hits > 0) {
-    S2FA_LOG_INFO("dse cache: "
-                  << result.cache_stats.hits << " hits / "
-                  << result.cache_stats.lookups << " lookups, "
-                  << result.cache_stats.minutes_saved
-                  << " simulated minutes not re-paid");
   }
   return result;
 }

@@ -58,13 +58,6 @@ struct ExplorerOptions {
   // pre-existing journal is replayed: a killed run resumed with the same
   // options re-pays zero already-journaled synthesis jobs.
   std::string journal_path;
-  // The evaluation memo: one map from merlin::ConfigKey to outcome,
-  // shared by the training phase and every partition (and the whole run in
-  // the vanilla baseline). Sits between the journal and the resilience
-  // layer: a hit replays the stored outcome (simulated minutes included)
-  // and skips fault injection and retries, so duplicate design points are
-  // paid for exactly once per run. Off makes it a pass-through.
-  bool eval_cache = true;
   // Partition scheduler. kAdaptive reinvests budget freed by entropy
   // stops (never changes the FCFS-phase trajectories, so its best is
   // always <= the FCFS best); kFcfs is the historical schedule alone.
@@ -79,21 +72,6 @@ struct ExplorerOptions {
   // bandit, bit-identical to before the knob existed. See
   // tuner::MakeTechniques for the accepted names.
   std::vector<std::string> techniques;
-};
-
-// The evaluation memo's run-wide ledger; all zero with the memo off.
-struct EvalCacheStats {
-  std::size_t lookups = 0;   // memo lookups
-  std::size_t hits = 0;      // answered from a stored outcome
-  std::size_t misses = 0;    // had to run the evaluator
-  double minutes_saved = 0;  // simulated eval_minutes not re-paid
-
-  // hits over lookups: the duplicate-point rate of the proposal stream.
-  double DuplicateRate() const {
-    return lookups == 0 ? 0
-                        : static_cast<double>(hits) /
-                              static_cast<double>(lookups);
-  }
 };
 
 struct PartitionOutcome {
@@ -130,7 +108,6 @@ struct DseResult {
   std::size_t journal_resumed = 0;  // evaluations replayed from the journal
   std::size_t journal_hits = 0;     // lookups it answered this run
   std::size_t journal_entries = 0;  // total entries after the run
-  EvalCacheStats cache_stats;       // run-wide memoization ledger
   SchedulerKind scheduler = SchedulerKind::kFcfs;  // the schedule that ran
   ScheduleStats schedule;              // budget-ledger accounting
   std::vector<ReclaimGrant> reclaim_grants;  // grant log, in commit order
@@ -164,9 +141,9 @@ DseResult RunS2faDse(const tuner::DesignSpace& space,
 // The vanilla-OpenTuner baseline on the same clock (footnote 3: eight
 // cores evaluate the top-8 candidates per iteration; no partitioning, no
 // seeds, stop on the time limit only). Runs the same evaluation stack as
-// the S2FA path — journal -> memo -> resilience -> raw evaluator — so
-// --fault-rate / --resume-journal / --eval-timeout / --eval-cache apply
-// to --vanilla runs too; partitioning/seed/stop options are ignored.
+// the S2FA path — journal -> resilience -> fault plan -> raw evaluator —
+// so --fault-rate / --resume-journal / --eval-timeout apply to --vanilla
+// runs too; partitioning/seed/stop options are ignored.
 DseResult RunVanillaOpenTuner(const tuner::DesignSpace& space,
                               const tuner::EvalFn& evaluate,
                               const ExplorerOptions& options);

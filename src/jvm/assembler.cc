@@ -21,14 +21,6 @@ Assembler& Assembler::IConst(std::int32_t v) {
   return Emit(i);
 }
 
-Assembler& Assembler::LConst(std::int64_t v) {
-  Insn i{};
-  i.op = Opcode::kConst;
-  i.type = Type::Long();
-  i.const_i = v;
-  return Emit(i);
-}
-
 Assembler& Assembler::FConst(float v) {
   Insn i{};
   i.op = Opcode::kConst;
@@ -90,12 +82,6 @@ Assembler& Assembler::NewArray(const Type& element) {
   Insn i{};
   i.op = Opcode::kNewArray;
   i.type = element;
-  return Emit(i);
-}
-
-Assembler& Assembler::ArrayLength() {
-  Insn i{};
-  i.op = Opcode::kArrayLength;
   return Emit(i);
 }
 
@@ -214,31 +200,9 @@ Assembler& Assembler::InvokeStatic(const std::string& owner,
   return Emit(i);
 }
 
-Assembler& Assembler::InvokeSpecial(const std::string& owner,
-                                    const std::string& member) {
-  Insn i{};
-  i.op = Opcode::kInvoke;
-  i.invoke_kind = InvokeKind::kSpecial;
-  i.owner = owner;
-  i.member = member;
-  return Emit(i);
-}
-
-Assembler& Assembler::Dup() {
-  Insn i{};
-  i.op = Opcode::kDup;
-  return Emit(i);
-}
-
 Assembler& Assembler::Pop() {
   Insn i{};
   i.op = Opcode::kPop;
-  return Emit(i);
-}
-
-Assembler& Assembler::Swap() {
-  Insn i{};
-  i.op = Opcode::kSwap;
   return Emit(i);
 }
 

@@ -25,7 +25,6 @@ class Assembler {
 
   // --- constants ---
   Assembler& IConst(std::int32_t v);
-  Assembler& LConst(std::int64_t v);
   Assembler& FConst(float v);
   Assembler& DConst(double v);
 
@@ -38,7 +37,6 @@ class Assembler {
   Assembler& ALoadElem(const Type& element);
   Assembler& AStoreElem(const Type& element);
   Assembler& NewArray(const Type& element);
-  Assembler& ArrayLength();
 
   // --- arithmetic ---
   Assembler& Bin(const Type& type, BinOp op);
@@ -71,12 +69,9 @@ class Assembler {
   Assembler& New(const std::string& owner);
   Assembler& InvokeVirtual(const std::string& owner, const std::string& member);
   Assembler& InvokeStatic(const std::string& owner, const std::string& member);
-  Assembler& InvokeSpecial(const std::string& owner, const std::string& member);
 
   // --- stack / return ---
-  Assembler& Dup();
   Assembler& Pop();
-  Assembler& Swap();
   Assembler& Ret(const Type& type);
   Assembler& RetVoid() { return Ret(Type::Void()); }
 

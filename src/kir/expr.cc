@@ -155,25 +155,6 @@ bool IsComparison(BinaryOp op) {
   }
 }
 
-bool IsCommutative(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kAdd:
-    case BinaryOp::kMul:
-    case BinaryOp::kAnd:
-    case BinaryOp::kOr:
-    case BinaryOp::kXor:
-    case BinaryOp::kMin:
-    case BinaryOp::kMax:
-    case BinaryOp::kEq:
-    case BinaryOp::kNe:
-    case BinaryOp::kLAnd:
-    case BinaryOp::kLOr:
-      return true;
-    default:
-      return false;
-  }
-}
-
 Type BinaryResultType(BinaryOp op, const Type& t) {
   if (IsComparison(op) || op == BinaryOp::kLAnd || op == BinaryOp::kLOr) {
     return Type::Int();

@@ -111,7 +111,6 @@ class Expr {
 const char* BinaryOpName(BinaryOp op);    // C spelling, e.g. "+", "<="
 const char* IntrinsicName(Intrinsic fn);  // C spelling, e.g. "exp"
 bool IsComparison(BinaryOp op);
-bool IsCommutative(BinaryOp op);
 
 // The result type of `op` applied to operands of type `t` (comparisons and
 // logical ops yield int; min/max/arith yield t).

@@ -1,7 +1,5 @@
 #include "merlin/design.h"
 
-#include <algorithm>
-#include <cstring>
 #include <sstream>
 
 #include "support/error.h"
@@ -34,34 +32,6 @@ std::string DesignConfig::ToString() const {
   }
   oss << "}";
   return oss.str();
-}
-
-namespace {
-
-template <typename T>
-char* Put(char* out, T value) {
-  std::memcpy(out, &value, sizeof(T));
-  return out + sizeof(T);
-}
-
-}  // namespace
-
-std::string ConfigKey(const DesignConfig& config) {
-  std::size_t size = 4 + config.loops.size() * (4 + 8 + 8 + 1);
-  for (const auto& [name, bits] : config.buffer_bits) size += name.size() + 5;
-  std::string key(size, '\0');
-  char* out = Put(key.data(), static_cast<std::uint32_t>(config.loops.size()));
-  for (const auto& [id, loop] : config.loops) {
-    out = Put(out, static_cast<std::int32_t>(id));
-    out = Put(out, static_cast<std::int64_t>(loop.tile));
-    out = Put(out, static_cast<std::int64_t>(loop.parallel));
-    out = Put(out, static_cast<std::uint8_t>(loop.pipeline));
-  }
-  for (const auto& [name, bits] : config.buffer_bits) {
-    out = std::copy_n(name.c_str(), name.size() + 1, out);  // and its NUL
-    out = Put(out, static_cast<std::int32_t>(bits));
-  }
-  return key;
 }
 
 }  // namespace s2fa::merlin

@@ -35,12 +35,4 @@ struct DesignConfig {
   std::string ToString() const;
 };
 
-// The evaluation memo's key for `config`: a compact binary encoding
-// (cheaper than ToString's ostringstream), injective over configs whose
-// buffer names hold no NUL byte (kernel buffer names are C identifiers).
-// Layout, in native byte order: the loop count (4 bytes); per loop in id
-// order its id (4), tile (8), parallel (8) and pipeline mode (1); then per
-// buffer in name order its name, a NUL byte and its bits (4).
-std::string ConfigKey(const DesignConfig& config);
-
 }  // namespace s2fa::merlin

@@ -61,15 +61,6 @@ Point DesignSpace::Mutate(const Point& point, Rng& rng,
   return p;
 }
 
-void DesignSpace::Clamp(Point& point) const {
-  point.resize(factors.size());
-  for (std::size_t i = 0; i < factors.size(); ++i) {
-    if (point[i] >= factors[i].values.size()) {
-      point[i] = factors[i].values.size() - 1;
-    }
-  }
-}
-
 std::size_t DesignSpace::FactorIndex(const std::string& name) const {
   for (std::size_t i = 0; i < factors.size(); ++i) {
     if (factors[i].name == name) return i;

@@ -59,9 +59,6 @@ class DesignSpace {
   // Returns a copy of `point` with `num_mutations` factors re-rolled.
   Point Mutate(const Point& point, Rng& rng, int num_mutations = 1) const;
 
-  // Clamps every index into range (for arithmetic techniques).
-  void Clamp(Point& point) const;
-
   // Index of the factor named `name`; throws if absent.
   std::size_t FactorIndex(const std::string& name) const;
 

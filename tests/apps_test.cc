@@ -4,7 +4,7 @@
 
 #include "apps/app.h"
 #include "apps/jvm_baseline.h"
-#include "apps/pipeline.h"
+#include "apps_pipeline.h"
 #include "b2c/compiler.h"
 #include "blaze/runtime.h"
 #include "hls/estimator.h"

@@ -642,19 +642,14 @@ TEST(ExplorerTest, BottleneckRosterBitIdenticalAcrossExecThreads) {
   options.techniques = {"bandit", "bottleneck"};
   options.exec_threads = 1;
   DseResult one = RunS2faDse(space, k, eval, options);
-  ASSERT_GT(one.cache_stats.lookups, 0u);
+  ASSERT_GT(one.resilience.calls, 0u);
   for (int threads : {2, 8}) {
     options.exec_threads = threads;
     DseResult many = RunS2faDse(space, k, eval, options);
     EXPECT_EQ(one.best_cost, many.best_cost) << threads;
-    // The shared memo sees the same proposal stream: the threads never
-    // change how many lookups there are, how many hit, or how many
-    // distinct points were computed.
-    const EvalCacheStats& a = one.cache_stats;
-    const EvalCacheStats& b = many.cache_stats;
-    EXPECT_EQ(a.lookups, b.lookups) << threads;
-    EXPECT_EQ(a.hits, b.hits) << threads;
-    EXPECT_EQ(a.misses, b.misses) << threads;
+    // The guards see the same proposal stream: the threads never change
+    // how many evaluations reach them.
+    EXPECT_EQ(one.resilience.calls, many.resilience.calls) << threads;
     EXPECT_EQ(one.found_feasible, many.found_feasible) << threads;
     EXPECT_EQ(one.evaluations, many.evaluations) << threads;
     ASSERT_EQ(one.trace.size(), many.trace.size()) << threads;
@@ -845,12 +840,6 @@ TEST(ExplorerTest, TruncatedJournalResumesPartially) {
   options.time_limit_minutes = 120;
   options.seed = 3;
   options.journal_path = path;
-  // Exact repaid-evaluation accounting needs the FCFS schedule: the
-  // adaptive scheduler's reclaim streams warm-start from main-run points,
-  // and those cache duplicates collapse raw calls depending on which half
-  // of the journal survives. (Adaptive resume-equality is covered in
-  // scheduler_test.)
-  options.scheduler = SchedulerKind::kFcfs;
   DseResult first = RunS2faDse(space, k, counting, options);
   inner_calls.store(0);
 
@@ -877,68 +866,9 @@ TEST(ExplorerTest, TruncatedJournalResumesPartially) {
   std::remove(path.c_str());
 }
 
-// ------------------------------------------------------------ eval cache
-
-// The determinism contract of the memoizing cache: a hit replays the
-// stored outcome (simulated minutes included), so the search trajectory is
-// bit-identical with the cache on or off — only raw evaluator calls
-// differ. A key collision would replay another config's outcome and show
-// up here as a trajectory difference.
-void ExpectCacheOnAndOffIdentical(const kir::Kernel& k,
-                                  double time_limit_minutes,
-                                  std::uint64_t seed) {
-  DesignSpace space = tuner::BuildDesignSpace(k);
-  std::atomic<int> raw_calls{0};
-  tuner::EvalFn counting =
-      [&raw_calls, eval = HlsEval(k)](const merlin::DesignConfig& cfg) {
-        ++raw_calls;
-        return eval(cfg);
-      };
-
-  ExplorerOptions options;
-  options.time_limit_minutes = time_limit_minutes;
-  options.seed = seed;
-  options.eval_cache = false;
-  DseResult off = RunS2faDse(space, k, counting, options);
-  const int paid_off = raw_calls.exchange(0);
-  options.eval_cache = true;
-  DseResult on = RunS2faDse(space, k, counting, options);
-  const int paid_on = raw_calls.load();
-
-  EXPECT_EQ(on.best_cost, off.best_cost);
-  EXPECT_EQ(on.best_config, off.best_config);
-  EXPECT_EQ(on.found_feasible, off.found_feasible);
-  EXPECT_EQ(on.elapsed_minutes, off.elapsed_minutes);
-  EXPECT_EQ(on.evaluations, off.evaluations);
-  ASSERT_EQ(on.trace.size(), off.trace.size());
-  for (std::size_t i = 0; i < on.trace.size(); ++i) {
-    EXPECT_EQ(on.trace[i].time_minutes, off.trace[i].time_minutes);
-    EXPECT_EQ(on.trace[i].best_cost, off.trace[i].best_cost);
-  }
-  // The cache-off run saw no cache at all; the cache-on run paid the black
-  // box exactly once per unique design point.
-  EXPECT_EQ(off.cache_stats.lookups, 0u);
-  EXPECT_GT(on.cache_stats.lookups, 0u);
-  EXPECT_EQ(static_cast<std::size_t>(paid_on), on.cache_stats.misses);
-  EXPECT_LE(paid_on, paid_off);
-  // The run proposes duplicates (training + partitions share the cache),
-  // so some evaluations came for free.
-  EXPECT_GT(on.cache_stats.hits, 0u);
-  EXPECT_GT(on.cache_stats.minutes_saved, 0.0);
-}
-
-TEST(ExplorerTest, CacheOnAndOffProduceIdenticalTrajectories) {
-  ExpectCacheOnAndOffIdentical(NestedKernel(), 120, 11);
-  for (const apps::App& app : apps::AllApps()) {
-    SCOPED_TRACE(app.name);
-    ExpectCacheOnAndOffIdentical(b2c::CompileKernel(*app.pool, app.spec),
-                                 60, 11);
-  }
-}
-
 TEST(ExplorerTest, VanillaRunsFullEvaluationStack) {
-  // The baseline used to silently drop every resilience/journal/cache
-  // option; now --vanilla runs the identical stack.
+  // The baseline used to silently drop every resilience/journal option;
+  // now --vanilla runs the identical stack.
   kir::Kernel k = NestedKernel();
   DesignSpace space = tuner::BuildDesignSpace(k);
   std::atomic<int> raw_calls{0};
@@ -968,7 +898,6 @@ TEST(ExplorerTest, VanillaRunsFullEvaluationStack) {
             0u);
   EXPECT_GT(first.resilience.retries, 0u);
   EXPECT_GT(first.journal_entries, 0u);
-  EXPECT_GT(first.cache_stats.lookups, 0u);
 
   // Resume from the journal: zero evaluations re-paid, identical result.
   raw_calls.store(0);

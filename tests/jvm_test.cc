@@ -10,7 +10,7 @@
 #include "jvm/assembler.h"
 #include "jvm/interpreter.h"
 #include "jvm/klass.h"
-#include "jvm/text.h"
+#include "jvm_text.h"
 #include "jvm/type.h"
 #include "jvm/verifier.h"
 #include "support/rng.h"

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -298,71 +296,6 @@ TEST_P(RandomConfigSweep, TransformedKernelEquivalent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomConfigSweep, ::testing::Range(0, 16));
-
-// ------------------------------------------------------------ config key
-
-// Keys are equal exactly when configs are: random pairs drawn from a small
-// alphabet (so many pairs collide on purpose), with buffer names that are
-// prefixes of each other, factors past 32 bits, and loop ids that could
-// be mistaken for buffer bytes if the layout were ambiguous.
-TEST(ConfigKeyTest, EqualExactlyWhenConfigsAreEqual) {
-  const std::vector<std::string> names = {"a", "ab", "b", "ba", "aab", "in"};
-  const std::vector<std::int64_t> factors = {
-      1, 2, 256, std::int64_t{1} << 32, (std::int64_t{1} << 32) + 1,
-      std::numeric_limits<std::int64_t>::max()};
-  std::mt19937_64 rng(7);
-  auto pick = [&](std::size_t n) {
-    return static_cast<std::size_t>(rng() % n);
-  };
-  auto random_config = [&] {
-    DesignConfig config;
-    const std::size_t loops = pick(3);
-    for (std::size_t i = 0; i < loops; ++i) {
-      merlin::LoopConfig& loop = config.loops[static_cast<int>(pick(3))];
-      loop.tile = factors[pick(factors.size())];
-      loop.parallel = factors[pick(factors.size())];
-      loop.pipeline = static_cast<merlin::PipelineMode>(pick(3));
-    }
-    const std::size_t buffers = pick(3);
-    for (std::size_t i = 0; i < buffers; ++i) {
-      config.buffer_bits[names[pick(names.size())]] = 16 << pick(4);
-    }
-    return config;
-  };
-  int equal_pairs = 0;
-  for (int i = 0; i < 20000; ++i) {
-    const DesignConfig x = random_config();
-    const DesignConfig y = random_config();
-    const bool same = x == y;
-    ASSERT_EQ(ConfigKey(x) == ConfigKey(y), same)
-        << x.ToString() << " vs " << y.ToString();
-    if (same) ++equal_pairs;
-  }
-  EXPECT_GT(equal_pairs, 0);
-
-  // Hand-picked near misses.
-  DesignConfig a;
-  a.buffer_bits["a"] = 16;
-  DesignConfig ab;
-  ab.buffer_bits["ab"] = 16;
-  DesignConfig a_and_b;
-  a_and_b.buffer_bits["a"] = 16;
-  a_and_b.buffer_bits["b"] = 16;
-  DesignConfig loop_only;
-  loop_only.loops[0] = {};
-  DesignConfig big;
-  big.loops[0].parallel = std::int64_t{1} << 32;
-  DesignConfig small;
-  small.loops[0].parallel = 2;
-  const std::vector<DesignConfig> distinct = {DesignConfig{}, a, ab,
-                                              a_and_b, loop_only, big, small};
-  for (std::size_t i = 0; i < distinct.size(); ++i) {
-    for (std::size_t j = 0; j < distinct.size(); ++j) {
-      EXPECT_EQ(ConfigKey(distinct[i]) == ConfigKey(distinct[j]), i == j)
-          << i << " vs " << j;
-    }
-  }
-}
 
 }  // namespace
 }  // namespace s2fa::merlin

@@ -252,11 +252,6 @@ const std::vector<Knob>& KnobTable() {
        Writable, "journal every evaluation; a rerun resumes from it"},
       {"fault-rate", "P", "S2FA_FAULT_RATE", kExplore, "0", Real(0, 1),
        "injected evaluator failure rate (crash/timeout/garbage)"},
-      {"eval-cache", "on|off", "S2FA_EVAL_CACHE", kExplore, "on",
-       [](const std::string& text) -> std::string {
-         return text == "on" || text == "off" ? "" : "on|off";
-       },
-       "memoize evaluations: a repeated design point is paid once"},
       {"scheduler", "adaptive|fcfs", "S2FA_SCHEDULER", kExplore,
        dse::SchedulerKindName(dse::ExplorerOptions{}.scheduler),
        Parses(dse::ParseSchedulerKind, "adaptive|fcfs"),
@@ -409,8 +404,8 @@ int CmdExplore(const Knobs& knobs) {
   tuner::EvalFn eval = MakeHlsEvaluator(k);
   const std::uint64_t seed = knobs.Uint("seed");
 
-  // Evaluation-stack knobs (resilience, journal, faults, cache) apply to
-  // the vanilla baseline and the S2FA pipeline alike.
+  // Evaluation-stack knobs (resilience, journal, faults) apply to the
+  // vanilla baseline and the S2FA pipeline alike.
   dse::ExplorerOptions options;
   options.time_limit_minutes = knobs.Real("minutes");
   options.num_cores = knobs.Int("cores");
@@ -420,7 +415,6 @@ int CmdExplore(const Knobs& knobs) {
   options.resilience.deadline_minutes = knobs.Real("eval-timeout");
   options.resilience.max_retries = knobs.Int("eval-retries");
   options.journal_path = knobs.Str("resume-journal");
-  options.eval_cache = knobs.Str("eval-cache") == "on";
   options.scheduler =
       dse::ParseSchedulerKind(knobs.Str("scheduler")).value();
   options.techniques = tuner::ParseTechniqueList(knobs.Str("techniques"));
@@ -451,13 +445,6 @@ int CmdExplore(const Knobs& knobs) {
                 "run)\n",
                 result.journal_entries, result.journal_resumed,
                 result.journal_hits);
-  }
-  const dse::EvalCacheStats& cs = result.cache_stats;
-  if (cs.lookups > 0) {
-    std::printf("cache: %zu/%zu duplicate lookups answered (%.0f%% of the "
-                "proposal stream), %.0f simulated minutes not re-paid\n",
-                cs.hits, cs.lookups, 100.0 * cs.DuplicateRate(),
-                cs.minutes_saved);
   }
 
   if (!knobs.Has("vanilla")) {
