@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <mutex>
 #include <queue>
+#include <set>
 #include <span>
 #include <unordered_map>
 
@@ -20,6 +22,22 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // The cluster tenant every stream batch is submitted under (stream-level
 // tenancy is accounted per record by the session itself).
 constexpr const char* kClusterTenant = "stream";
+
+// The process-wide tenant name table outcomes point into. Entries are
+// never erased and the table is never destroyed, so an interned name
+// outlives every schedule, session and cluster.
+const std::string& InternTenant(const std::string& name) {
+  static std::mutex mu;
+  static auto* const names = new std::set<std::string, std::less<>>;
+  const std::lock_guard<std::mutex> lock(mu);
+  return *names->insert(name).first;
+}
+
+// Frees a container's storage, not just its elements.
+template <typename Container>
+void Release(Container& container) {
+  Container().swap(container);
+}
 
 void ParseArrivalDirective(const std::string& stmt, ArrivalSchedule& out) {
   detail::StmtParser p("arrival schedule", stmt);
@@ -107,6 +125,9 @@ StreamSession::StreamSession(BlazeCluster& cluster, StreamOptions options)
                "brownout_max_fraction must be in (0, 1]");
   S2FA_REQUIRE(options_.retry_backoff_us > 0,
                "retry_backoff_us must be > 0");
+  S2FA_REQUIRE(
+      options_.max_retries <= std::numeric_limits<std::uint32_t>::max(),
+      "max_retries must be <= 2^32 - 1");
 }
 
 std::vector<StreamRecordOutcome> StreamSession::Run(
@@ -117,23 +138,26 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
   ValidateArrivalSchedule(schedule);
   S2FA_SPAN("blaze.stream.run");
 
-  // ---- dense tenant ids: one per distinct tenant name, by phase.
+  // ---- dense tenant ids: one per distinct tenant name, by phase, each
+  // naming its entry in the process-wide table.
   std::vector<const std::string*> tenant_names;
   std::vector<std::uint32_t> phase_tenant;
   for (const ArrivalPhase& phase : schedule.phases) {
     std::uint32_t id = 0;
     while (id < tenant_names.size() && *tenant_names[id] != phase.tenant) ++id;
-    if (id == tenant_names.size()) tenant_names.push_back(&phase.tenant);
+    if (id == tenant_names.size()) {
+      tenant_names.push_back(&InternTenant(phase.tenant));
+    }
     phase_tenant.push_back(id);
   }
 
   // ---- materialize the schedule: seq = global arrival order. Each
   // phase's slot times are non-decreasing, so merging the phases by
   // (time, phase index) yields exactly a stable sort by time. The outcome
-  // table holds each record's fate, written in place; the record table
-  // holds only what the loop needs per record (16 bytes), as a record's
-  // input lives with its key's open batch (Key::inputs) or, while it waits
-  // to retry, in `parked`.
+  // table holds each record's fate (96 bytes), written in place; the
+  // record table holds only what the loop needs per record (16 bytes), as
+  // a record's input lives with its key's open batch (Key::inputs) or,
+  // while it waits to retry, in `parked`.
   struct Rec {
     std::uint32_t rows = 0;
     std::uint32_t tenant = 0;
@@ -142,6 +166,8 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
     bool terminal = false;
   };
   static_assert(sizeof(Rec) <= 16, "the per-record table grew");
+  static_assert(sizeof(StreamRecordOutcome) <= 96,
+                "the per-record outcome grew");
   std::size_t total = 0;
   for (const ArrivalPhase& phase : schedule.phases) total += phase.count;
   std::vector<StreamRecordOutcome> outs(total);
@@ -284,10 +310,12 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
   // re-arrive.
   std::unordered_map<std::size_t, Dataset> parked;
 
+  std::size_t served = 0;  // committed records: the latency count
   auto terminal = [&](std::size_t seq, StreamOutcome outcome, double t) {
     Rec& rec = recs[seq];
     S2FA_CHECK(!rec.terminal, "record " << seq << " terminated twice");
     rec.terminal = true;
+    if (!IsStreamShed(outcome)) ++served;
     outs[seq].outcome = outcome;
     outs[seq].terminal_us = t;
   };
@@ -571,7 +599,7 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
   for (ClusterRequest& request : requests) {
     cluster_.Submit(std::move(request));
   }
-  requests.clear();
+  Release(requests);
   std::vector<ClusterRequestOutcome> drained = cluster_.Drain();
   S2FA_CHECK(drained.size() == pending.size(),
              "cluster drain returned " << drained.size() << " outcomes for "
@@ -599,12 +627,16 @@ std::vector<StreamRecordOutcome> StreamSession::Run(
       terminal(seq, StreamOutcome::kCommitted, out.complete_us);
     }
   }
+  Release(drained);
+  Release(pending);
+  Release(pending_members);
 
   // ---- watermark accounting: external commit order is arrival order.
   // A record's visible commit waits for every earlier record to reach a
   // terminal state (commit or accounted shed), so the watermark never
   // regresses and nothing is lost or double-counted.
   std::vector<StreamTenantStats> tenants(tenant_names.size());
+  stats_.latencies_us.reserve(served);
   double watermark = 0;
   for (std::size_t seq = 0; seq < outs.size(); ++seq) {
     StreamRecordOutcome& out = outs[seq];

@@ -63,11 +63,17 @@
 // sequential, so stream outcomes are too.
 //
 // Footprint: the session keeps 16 bytes of bookkeeping per record next to
-// its StreamRecordOutcome. A record's input lives with its key's open batch
-// (parallel to the batch's members) and leaves with it: concatenated into
-// the batch input, dropped on a shed, or parked by seq while a granted
-// retry waits to re-arrive. Each batch output is released as soon as its
-// members have their rows. The watermark is read off the outcomes
+// its 96-byte StreamRecordOutcome. An outcome's `tenant` points into a
+// process-wide name table that is never freed (one entry per distinct
+// tenant name ever streamed, interned once per phase tenant when Run
+// starts), so it stays valid after the schedule, session and cluster are
+// gone. A record's input lives with its key's open batch (parallel to the
+// batch's members) and leaves with it: concatenated into the batch input,
+// dropped on a shed, or parked by seq while a granted retry waits to
+// re-arrive. Each batch output is released as soon as its members have
+// their rows, and the run's scratch as soon as it is consumed: the
+// cluster requests after Submit, the drained outcomes and pending-batch
+// lists after slicing. The watermark is read off the outcomes
 // (external_commit_us, non-decreasing in seq order), not kept twice.
 #pragma once
 
@@ -76,6 +82,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "blaze/cluster.h"
@@ -84,7 +91,7 @@
 namespace s2fa::blaze {
 
 // How one streamed record ended. Exactly one of these per record.
-enum class StreamOutcome {
+enum class StreamOutcome : std::uint8_t {
   kCommitted,        // served through the cluster (any cluster path)
   kCommittedHost,    // brownout: session routed its batch to the host path
   kShedUnmeetable,   // CoDel: SLO deadline already unmeetable at close
@@ -145,7 +152,7 @@ struct StreamOptions {
   double brownout_max_fraction = 0.5;
 
   // Retry policy for full-shed records.
-  std::size_t max_retries = 1;      // re-enqueues per record
+  std::size_t max_retries = 1;      // re-enqueues per record (< 2^32)
   double retry_backoff_us = 200;    // re-arrival delay
   resilience::RetryBudgetOptions retry_budget;  // per-tenant token bucket
 
@@ -166,16 +173,17 @@ struct StreamRecord {
 // idiom): deterministic, so the whole run replays bit-identically.
 using StreamGenerator = std::function<StreamRecord(std::size_t ordinal)>;
 
+// Narrow fields last, so the only padding is at the tail.
 struct StreamRecordOutcome {
-  std::size_t seq = 0;  // global arrival order
-  std::string tenant;
-  StreamOutcome outcome = StreamOutcome::kShedQueueFull;
-  std::size_t retries = 0;        // re-enqueues this record consumed
+  std::size_t seq = 0;      // global arrival order
+  std::string_view tenant;  // interned: valid for the process lifetime
   double arrival_us = 0;          // first (original) arrival
   double terminal_us = 0;         // own completion or shed time
   double external_commit_us = 0;  // watermark-gated visible commit/shed
   double latency_us = 0;          // external - arrival (0 for shed)
   Dataset output;                 // empty for shed records
+  std::uint32_t retries = 0;      // re-enqueues this record consumed
+  StreamOutcome outcome = StreamOutcome::kShedQueueFull;
 };
 
 struct StreamTenantStats {

@@ -1,16 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "b2c/compiler.h"
 #include "blaze/stream.h"
 #include "jvm/assembler.h"
 #include "s2fa/framework.h"
+#include "support/rng.h"
 
 namespace s2fa::blaze {
 namespace {
@@ -439,6 +443,75 @@ TEST(StreamTest, SessionIsSingleShot) {
   EXPECT_THROW(session.Run(one, Gen), Error);
 }
 
+// An outcome counts its retries in 32 bits, so the limit must fit.
+TEST(StreamTest, MaxRetriesMustFitTheOutcomeCounter) {
+  Harness hx(1);
+  BlazeCluster cluster = hx.MakeCluster();
+  StreamOptions options = hx.Opts();
+  options.max_retries = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_NO_THROW({ StreamSession session(cluster, options); });
+  ++options.max_retries;
+  EXPECT_THROW({ StreamSession session(cluster, options); }, Error);
+}
+
+// A tenant name longer than any small-string buffer, so each copy of it
+// is a heap block of its own.
+std::string LongTenant(const std::string& prefix, const char* tier) {
+  return prefix + "-" + tier + "-tenant-with-a-heap-allocated-name";
+}
+
+// Streams `count` records for a gold tenant, then `count` for a bronze
+// one. The names, schedule, cluster and session all die with the call,
+// so the outcomes it returns can only name their tenants through the
+// session's process-wide table.
+std::vector<StreamRecordOutcome> StreamTwoTenantsInScope(
+    Harness& hx, const std::string& prefix, std::size_t count) {
+  const std::string gold = LongTenant(prefix, "gold");
+  const std::string bronze = LongTenant(prefix, "bronze");
+  ArrivalSchedule schedule = hx.At(0.5, count, gold);
+  ArrivalPhase second = schedule.phases.front();
+  second.tenant = bronze;
+  second.start_us = schedule.phases.front().duration_us;
+  schedule.phases.push_back(std::move(second));
+  BlazeCluster cluster = hx.MakeCluster();
+  StreamSession session(cluster, hx.Opts());
+  return session.Run(schedule, Gen);
+}
+
+void ExpectTwoTenants(const std::vector<StreamRecordOutcome>& outs,
+                      const std::string& prefix, std::size_t count) {
+  ASSERT_EQ(outs.size(), 2 * count);
+  const std::string gold = LongTenant(prefix, "gold");
+  const std::string bronze = LongTenant(prefix, "bronze");
+  for (const StreamRecordOutcome& out : outs) {
+    EXPECT_EQ(out.tenant, out.seq < count ? gold : bronze)
+        << "seq " << out.seq;
+  }
+}
+
+TEST(StreamTest, OutcomeTenantsOutliveSessionClusterAndSchedule) {
+  const std::size_t kCount = 40;
+  {
+    Harness hx(2);
+    const auto outs = StreamTwoTenantsInScope(hx, "solo", kCount);
+    ExpectTwoTenants(outs, "solo", kCount);
+  }
+  // Two sessions intern distinct names at the same time (the TSan twin
+  // instruments the name table).
+  Harness left_hx(2);
+  Harness right_hx(2);
+  std::vector<StreamRecordOutcome> left;
+  std::vector<StreamRecordOutcome> right;
+  std::thread left_thread(
+      [&] { left = StreamTwoTenantsInScope(left_hx, "left", kCount); });
+  std::thread right_thread(
+      [&] { right = StreamTwoTenantsInScope(right_hx, "right", kCount); });
+  left_thread.join();
+  right_thread.join();
+  ExpectTwoTenants(left, "left", kCount);
+  ExpectTwoTenants(right, "right", kCount);
+}
+
 // -------------------------------------------------------------- reduce
 
 // SumSq reduce kernel (the cluster_test reduce kernel): reduce records
@@ -572,6 +645,17 @@ StreamRecord GenRows(std::size_t ordinal) {
   return record;
 }
 
+// A served GenRows record's rows are exactly twice its own input's.
+void ExpectTwiceItsRows(const StreamRecordOutcome& out) {
+  const Dataset want = GenRows(out.seq).input;
+  ASSERT_EQ(out.output.num_records(), want.num_records()) << out.seq;
+  for (std::size_t r = 0; r < want.num_records(); ++r) {
+    EXPECT_EQ(out.output.ColumnByField("y").data[r].AsDouble(),
+              2 * want.ColumnByField("x").data[r].AsDouble())
+        << "seq " << out.seq << " row " << r;
+  }
+}
+
 // A tight ladder: each rung engages within a few dozen records.
 StreamOptions TightLadder(const Harness& hx) {
   StreamOptions options = hx.Opts();
@@ -614,17 +698,126 @@ TEST(StreamTest, InputsStayWithTheirRecordsThroughShedAndRetry) {
     }
     if (IsStreamShed(out.outcome)) continue;
     if (out.retries > 0) ++retried_served;
-    const Dataset want = GenRows(out.seq).input;
-    ASSERT_EQ(out.output.num_records(), want.num_records()) << out.seq;
-    for (std::size_t r = 0; r < want.num_records(); ++r) {
-      EXPECT_EQ(out.output.ColumnByField("y").data[r].AsDouble(),
-                2 * want.ColumnByField("x").data[r].AsDouble())
-          << "seq " << out.seq << " row " << r;
-    }
+    ExpectTwiceItsRows(out);
   }
   EXPECT_GT(retried_served, 0u) << "a retried record must be served";
   EXPECT_GT(retried_unmeetable, 0u)
       << "CoDel must shed a retried record from an open batch";
+}
+
+// -------------------------------------------------------------- property
+
+// Property: over random arrival schedules (1-3 tenants' `arrive` phases,
+// each at 0.3x-3x capacity) and random `kill`/`restart`/`spike` chaos
+// plans, both drawn as grammar text, every record ends in exactly one
+// terminal state, outcomes come in seq order with a watermark that never
+// regresses, every served record is twice its input, and the outcomes
+// are bit-identical at 1 and 3 exec threads. A failing trial's
+// SCOPED_TRACE is its schedule and plan, ready to save as a regression.
+TEST(StreamPropertyTest, RandomSchedulesAndChaosPlansKeepInvariants) {
+  Harness hx(4);  // two shards of two replicas
+  const double capacity_inter_us =
+      hx.inv_us / 8.0 / static_cast<double>(hx.lanes);
+  Rng rng(2018);
+  std::size_t committed = 0;
+  std::size_t shed = 0;
+  std::size_t retried = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    std::ostringstream schedule_text;
+    std::map<std::string, std::size_t> per_tenant;
+    std::size_t total = 0;
+    double horizon = 0;
+    const std::int64_t tenants = rng.NextInt(1, 3);
+    for (std::int64_t t = 0; t < tenants; ++t) {
+      const std::string name = "t" + std::to_string(t);
+      const auto count = static_cast<std::size_t>(rng.NextInt(60, 160));
+      const double start = rng.NextDouble(0, 0.5) * capacity_inter_us * 200;
+      const double duration = capacity_inter_us *
+                              static_cast<double>(count) /
+                              rng.NextDouble(0.3, 3.0);
+      schedule_text << "arrive " << name << " @ " << start << "us + "
+                    << duration << "us x " << count << "; ";
+      per_tenant[name] += count;
+      total += count;
+      horizon = std::max(horizon, start + duration);
+    }
+    std::ostringstream plan_text;
+    for (int shard = 0; shard < 2; ++shard) {
+      if (!rng.NextBool(0.4)) continue;
+      const double kill = rng.NextDouble(0, 0.8) * horizon;
+      plan_text << "kill " << shard << " @ " << kill << "us; ";
+      if (rng.NextBool(0.6)) {
+        plan_text << "restart " << shard << " @ "
+                  << kill + rng.NextDouble(0.05, 0.5) * horizon << "us; ";
+      }
+    }
+    if (rng.NextBool()) {
+      plan_text << "spike " << rng.NextDouble(1.5, 4.0) << " @ "
+                << rng.NextDouble(0, 0.8) * horizon << "us + "
+                << rng.NextDouble(0.1, 0.4) * horizon << "us; ";
+    }
+    StreamOptions options = hx.Opts();
+    options.batch_max_records = static_cast<std::size_t>(rng.NextInt(1, 8));
+    options.max_retries = static_cast<std::size_t>(rng.NextInt(0, 2));
+    if (rng.NextBool(0.25)) options.policy = OverloadPolicy::kFifoShed;
+    SCOPED_TRACE("schedule '" + schedule_text.str() + "' plan '" +
+                 plan_text.str() + "' batch_max_records " +
+                 std::to_string(options.batch_max_records) +
+                 " max_retries " + std::to_string(options.max_retries) +
+                 (options.policy == OverloadPolicy::kFifoShed ? " fifo"
+                                                              : " ladder"));
+    const ArrivalSchedule schedule =
+        ParseArrivalSchedule(schedule_text.str());
+    const ChaosPlan plan = ParseChaosPlan(plan_text.str());
+
+    std::string reference;
+    for (int threads : {1, 3}) {
+      ClusterOptions coptions;
+      coptions.exec_threads = threads;
+      BlazeCluster cluster = hx.MakeCluster(coptions);
+      cluster.SetChaosPlan(plan);
+      StreamSession session(cluster, options);
+      const auto outs = session.Run(schedule, GenRows);
+      const StreamStats& stats = session.stats();
+      ExpectAccounted(outs, stats, total);
+      ExpectWatermarkMonotone(outs, stats);
+      // One terminal state per record: the outcomes' states and tenants
+      // add up to exactly the session's buckets.
+      std::map<StreamOutcome, std::size_t> states;
+      std::map<std::string, std::size_t> tenant_arrivals;
+      for (const StreamRecordOutcome& out : outs) {
+        ++states[out.outcome];
+        ++tenant_arrivals[std::string(out.tenant)];
+        if (IsStreamShed(out.outcome)) {
+          EXPECT_EQ(out.output.num_records(), 0u) << "seq " << out.seq;
+        } else {
+          ExpectTwiceItsRows(out);
+        }
+        if (out.retries > 0) ++retried;
+      }
+      EXPECT_EQ(states[StreamOutcome::kCommitted], stats.committed);
+      EXPECT_EQ(states[StreamOutcome::kCommittedHost], stats.committed_host);
+      EXPECT_EQ(states[StreamOutcome::kShedUnmeetable],
+                stats.shed_unmeetable);
+      EXPECT_EQ(states[StreamOutcome::kShedBrownout], stats.shed_brownout);
+      EXPECT_EQ(states[StreamOutcome::kShedRetryBudget],
+                stats.shed_retry_budget);
+      EXPECT_EQ(states[StreamOutcome::kShedQueueFull], stats.shed_queue_full);
+      EXPECT_EQ(tenant_arrivals, per_tenant);
+      const std::string canon = Canon(outs);
+      if (reference.empty()) {
+        reference = canon;
+        committed += stats.committed + stats.committed_host;
+        shed += stats.shed_total();
+      } else {
+        EXPECT_EQ(canon, reference) << "exec_threads=" << threads;
+      }
+    }
+  }
+  // The draws reach both sides of the ladder.
+  EXPECT_GT(committed, 0u);
+  EXPECT_GT(shed, 0u);
+  EXPECT_GT(retried, 0u);
 }
 
 struct GoldenRun {
