@@ -29,9 +29,9 @@
 //
 // Quick mode (S2FA_BENCH_QUICK=1, used by the cluster_smoke ctest) scales
 // the request counts of phases 1-5 down ~50x but exercises every gate; the
-// node phase is small enough to run whole. Phase latencies land in the
-// serving perf ledger (BENCH_serving.json at the repo root, or
-// S2FA_PERF_LEDGER) for the perf-diff trajectory gate.
+// node phase is small enough to run whole. Every latency above is
+// simulated time; the gates and the determinism hash pin those values,
+// and the host time of a serving replay is measured by e2e_bench.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -354,15 +354,6 @@ int main() {
               quick ? " [quick]" : "");
 
   Harness hx;
-  std::map<std::string, obs::LedgerEntry> entries;
-  auto ledger_entry = [&entries](const std::string& name, double ns_per_op,
-                                 double ops) {
-    obs::LedgerEntry entry;
-    entry.ns_per_op = ns_per_op;
-    entry.ops = ops;
-    entry.wall_ms = ns_per_op * ops / 1e6;
-    entries[name] = entry;
-  };
 
   // ---- phase 1: capacity scaling, saturating waves -----------------------
   const std::size_t scale_reqs = 120000 / scale_div;
@@ -388,9 +379,6 @@ int main() {
                 "%.0f records/s, %zu mismatches\n",
                 shards, shards == 1 ? " " : "s", scale_reqs,
                 makespan_us / 1e3, tput[shards], mismatches);
-    ledger_entry("cluster.scale.shard" + std::to_string(shards) + ".request",
-                 makespan_us * 1e3 / static_cast<double>(scale_reqs),
-                 static_cast<double>(scale_reqs));
     if (mismatches > 0) {
       std::printf("GATE scale-reference-match: FAIL\n");
       return 1;
@@ -426,8 +414,6 @@ int main() {
     std::printf("clean baseline: %zu reqs, p50 %.0f / p99 %.0f us, "
                 "%zu mismatches\n",
                 base_reqs, clean_p50, clean_p99, mismatches);
-    ledger_entry("cluster.clean.request", clean_p50 * 1e3,
-                 static_cast<double>(base_reqs));
     if (mismatches > 0) {
       std::printf("GATE clean-reference-match: FAIL\n");
       return 1;
@@ -491,8 +477,6 @@ int main() {
                 s.failovers, s.redirects, s.bisect_attempts,
                 s.poison_isolated, shard0_before_kill, shard0_while_dead,
                 shard0_after_restart);
-    ledger_entry("cluster.chaos.request", Quantile(latencies, 0.5) * 1e3,
-                 static_cast<double>(chaos_reqs));
   }
 
   // ---- phase 3: tenant flood under weighted-fair admission --------------
@@ -546,9 +530,6 @@ int main() {
                 "%zu\n",
                 flood_reqs, s.flood_injected, lost, mismatches, payer_p99,
                 noisy.throttled, noisy.submitted);
-    ledger_entry("cluster.flood.payer.request",
-                 Quantile(payer_latencies, 0.5) * 1e3,
-                 static_cast<double>(flood_reqs));
   }
 
   // ---- phase 4: routing under hidden host backlog -----------------------
@@ -647,9 +628,6 @@ int main() {
     std::printf("routing: %zu episodes x 25 reqs, depth p99 %.0f us, lost "
                 "%zu, mismatches %zu\n",
                 routing_episodes, routing_p99, lost, mismatches);
-    ledger_entry("cluster.routing.depth.request",
-                 Quantile(latencies, 0.5) * 1e3,
-                 static_cast<double>(routing_episodes * 25));
   }
 
   // ---- phase 5: exec-thread bit-identity --------------------------------
@@ -729,8 +707,8 @@ int main() {
                   s.hedges_launched, s.hedges_won);
     }
     // Phase-attributed latencies of the hedged replay: the warm / burst /
-    // recovery means land as ns-per-request ledger entries, and their
-    // histograms give p50/p95/p99 per phase.
+    // recovery histograms in the metrics snapshot give p50/p95/p99 per
+    // phase.
     const struct {
       const char* name;
       std::size_t first, count;
@@ -740,15 +718,10 @@ int main() {
         {"recovery", kNodeWarm + kNodeBurst, kNodeRecovery},
     };
     for (const auto& phase : phases) {
-      double sum_us = 0;
       for (std::size_t i = phase.first; i < phase.first + phase.count; ++i) {
         S2FA_OBSERVE("serving." + std::string(phase.name) + ".latency_us",
                      hedged.latencies_us[i]);
-        sum_us += hedged.latencies_us[i];
       }
-      const double count = static_cast<double>(phase.count);
-      ledger_entry("serving." + std::string(phase.name) + ".request",
-                   sum_us * 1e3 / count, count);
     }
   }
 
@@ -776,10 +749,6 @@ int main() {
               node_hedge_pays ? "PASS" : "FAIL");
   std::printf("GATE node-exec-thread-determinism: %s\n",
               node_deterministic ? "PASS" : "FAIL");
-
-  const std::string ledger_path =
-      UpdatePerfLedger(entries, ServingLedgerPath());
-  std::printf("perf ledger: %s\n", ledger_path.c_str());
 
   return (scales && chaos_ok && chaos_p99_ok && rebalance_ok && flood_ok &&
           flood_p99_ok && routing_ok && routing_tail_ok && deterministic &&

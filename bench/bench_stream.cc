@@ -19,13 +19,12 @@
 //                     threads renders bit-identical outcome streams.
 //
 // Quick mode (S2FA_BENCH_QUICK=1, used by the stream_smoke ctest) scales
-// the record counts down ~50x but exercises every gate. Phase latencies
-// land in the serving perf ledger (BENCH_serving.json at the repo root, or
-// S2FA_PERF_LEDGER) for the perf-diff trajectory gate.
+// the record counts down ~50x but exercises every gate. Every latency
+// above is simulated time; the gates and the determinism hash pin those
+// values, and the host time of a stream replay is measured by e2e_bench.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,7 +34,6 @@
 #include "blaze/stream.h"
 #include "jvm/assembler.h"
 #include "merlin/transform.h"
-#include "obs/obs.h"
 #include "s2fa/framework.h"
 
 using namespace s2fa;
@@ -211,16 +209,6 @@ int main() {
               "%s ===\n",
               quick ? " [quick]" : "");
 
-  std::map<std::string, obs::LedgerEntry> entries;
-  auto ledger_entry = [&entries](const std::string& name, double ns_per_op,
-                                 double ops) {
-    obs::LedgerEntry entry;
-    entry.ns_per_op = ns_per_op;
-    entry.ops = ops;
-    entry.wall_ms = ns_per_op * ops / 1e6;
-    entries[name] = entry;
-  };
-
   // ---- phase 1: sub-capacity stream, everything within SLO ---------------
   const std::size_t sub_records = 200000 / scale_div;
   bool sub_ok = false, sub_slo_ok = false;
@@ -241,8 +229,6 @@ int main() {
                 "%zu mismatches, p50 %.0f / p99 %.0f us (slo %.0f)\n",
                 sub_records, stats.committed, stats.shed_total(),
                 r.mismatches, p50, p99, options.slo_us);
-    ledger_entry("stream.sub.record", p50 * 1e3,
-                 static_cast<double>(sub_records));
   }
 
   // ---- phase 2: chaos mid-stream at capacity -----------------------------
@@ -272,8 +258,6 @@ int main() {
                 chaos_records, stats.committed, stats.committed_host,
                 stats.shed_total(), r.mismatches, stats.max_queue_delay_us,
                 r.watermark_monotone ? "monotone" : "REGRESSED");
-    ledger_entry("stream.chaos.record", stats.LatencyQuantile(0.5) * 1e3,
-                 static_cast<double>(chaos_records));
   }
 
   // ---- phase 3: 2x overload, ladder vs FIFO tail-drop --------------------
@@ -311,9 +295,6 @@ int main() {
                 ladder.stats.committed_host, ladder.stats.shed_total(),
                 ladder.stats.codel_engagements, ladder.stats.retries_granted,
                 good_fifo, fifo.stats.shed_queue_full);
-    ledger_entry("stream.overload.ladder.record",
-                 ladder.stats.LatencyQuantile(0.5) * 1e3,
-                 static_cast<double>(over_records));
   }
 
   // ---- phase 4: exec-thread bit-identity ---------------------------------
@@ -353,10 +334,6 @@ int main() {
               goodput_ok ? "PASS" : "FAIL", good_ladder, good_fifo);
   std::printf("GATE stream-determinism: %s\n",
               deterministic ? "PASS" : "FAIL");
-
-  const std::string ledger_path =
-      UpdatePerfLedger(entries, ServingLedgerPath());
-  std::printf("perf ledger: %s\n", ledger_path.c_str());
 
   return (sub_ok && sub_slo_ok && chaos_ok && over_ok && goodput_ok &&
           deterministic)

@@ -151,7 +151,6 @@ double CostAt(const std::vector<tuner::TracePoint>& trace, double minutes,
 double AcceleratorMicros(const kir::Kernel& design,
                          const hls::HlsResult& hls_result,
                          std::size_t records) {
-  blaze::OffloadCostModel model;
   double bytes = 0;
   std::int64_t batch = 1;
   for (const auto& buf : design.buffers) {
@@ -163,10 +162,10 @@ double AcceleratorMicros(const kir::Kernel& design,
   const double invocations =
       std::ceil(static_cast<double>(records) / static_cast<double>(batch));
   const double per_invocation =
-      bytes * model.jvm_pack_ns_per_byte / 1000.0 +   // (de)serialization
-      bytes / (model.pcie_gbps * 1e3) +               // PCIe
-      hls_result.exec_us +                            // accelerator
-      model.invoke_overhead_us;                       // driver
+      bytes * blaze::kJvmPackNsPerByte / 1000.0 +  // (de)serialization
+      bytes / (blaze::kPcieGbps * 1e3) +           // PCIe
+      hls_result.exec_us +                         // accelerator
+      blaze::kInvokeOverheadUs;                    // driver
   return invocations * per_invocation;
 }
 
@@ -212,25 +211,12 @@ std::string OutPath(const std::string& filename) {
   return (dir / filename).string();
 }
 
-std::string PerfLedgerPath() {
-  if (const char* env = std::getenv("S2FA_PERF_LEDGER")) return env;
-  return "BENCH_micro.json";
-}
-
-std::string ServingLedgerPath() {
-  if (const char* env = std::getenv("S2FA_PERF_LEDGER")) return env;
-  return "BENCH_serving.json";
-}
-
 std::string UpdatePerfLedger(
-    const std::map<std::string, obs::LedgerEntry>& benchmarks,
-    const std::string& path) {
-  const std::string resolved = path.empty() ? PerfLedgerPath() : path;
+    const std::map<std::string, obs::LedgerEntry>& benchmarks) {
+  const char* env = std::getenv("S2FA_PERF_LEDGER");
+  const std::string resolved = env != nullptr ? env : "BENCH_micro.json";
   obs::PerfLedger update;
   update.benchmarks = benchmarks;
-  obs::MetricsSnapshot snapshot = obs::Registry::Global().Snapshot();
-  update.counters = snapshot.counters;
-  update.histograms = snapshot.histograms;
   obs::StampLedgerFromEnv(update);
   // A corrupt existing ledger throws (loudly) rather than being clobbered.
   obs::PerfLedger merged = update;

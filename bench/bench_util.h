@@ -116,24 +116,13 @@ std::string RenderTraceRow(const std::string& label,
 // *_metrics.json files ended up committed at the repo root).
 std::string OutPath(const std::string& filename);
 
-// Resolved perf-ledger path: the S2FA_PERF_LEDGER environment variable,
-// or BENCH_micro.json in the working directory.
-std::string PerfLedgerPath();
-
-// Ledger path for the serving-layer harnesses (bench_cluster /
-// bench_stream): the S2FA_PERF_LEDGER environment variable, or
-// BENCH_serving.json in the working directory — so serving and micro
-// trajectories live in separate repo-root snapshots by default.
-std::string ServingLedgerPath();
-
-// Merges `benchmarks` plus the current obs registry counters/histograms
-// into the perf ledger at `path` (PerfLedgerPath() when empty), stamping
-// git_rev/timestamp from S2FA_GIT_REV / S2FA_BENCH_TIMESTAMP. Existing
-// entries under other names survive, so the micro and serving harnesses
-// can share one ledger file. Returns the path written.
+// Merges `benchmarks` into the perf ledger at the S2FA_PERF_LEDGER
+// environment variable's path, or BENCH_micro.json in the working
+// directory, stamping git_rev/timestamp from S2FA_GIT_REV /
+// S2FA_BENCH_TIMESTAMP. Existing entries under other names survive.
+// Returns the path written.
 std::string UpdatePerfLedger(
-    const std::map<std::string, obs::LedgerEntry>& benchmarks,
-    const std::string& path = "");
+    const std::map<std::string, obs::LedgerEntry>& benchmarks);
 
 // Enables the obs layer for the lifetime of a harness main() and writes
 // OutPath("<name>_metrics.json") on destruction — next to the harness's

@@ -1,34 +1,23 @@
 # Cluster-smoke gate (ctest `cluster_smoke`): runs the sharded-serving
 # replay (bench_cluster) in quick mode — every chaos/fairness/determinism
-# gate still fires, at ~1/50th the request count — validates the serving
-# perf ledger it emits, and exercises the `s2fa perf-diff` regression gate
-# against the checked-in serving snapshots. As in perf_smoke.cmake, the
-# golden-vs-fresh comparison uses an enormous threshold so only schema
-# breakage — never timing noise — can fail the smoke test; the regression
-# path is proven with a synthetic snapshot whose chaos entry is doubled.
+# gate still fires, at ~1/50th the request count — and pins the
+# determinism phase's canonical outcome hash. Every latency the replay
+# reports is simulated time, so the gates and the hash pin those values
+# exactly; the replay's host time is measured by e2e_bench.
 #
-# Inputs (all -D): BENCH_BIN CLI_BIN GOLDEN REGRESSED WORK_DIR
+# Inputs (all -D): BENCH_BIN WORK_DIR
 cmake_minimum_required(VERSION 3.20)
 
-foreach(var BENCH_BIN CLI_BIN GOLDEN REGRESSED WORK_DIR)
+foreach(var BENCH_BIN WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "cluster_smoke: missing -D${var}=...")
   endif()
 endforeach()
 
-set(LEDGER "${WORK_DIR}/BENCH_serving_smoke.json")
-file(REMOVE "${LEDGER}")
-
-# --- 1. A quick-mode replay must pass its own exit-code gates (zero lost,
-# reference match under chaos, scaling, fairness, determinism) and emit the
-# serving ledger.
+# A quick-mode replay must pass its own exit-code gates (zero lost,
+# reference match under chaos, scaling, fairness, determinism).
 execute_process(
-  COMMAND ${CMAKE_COMMAND} -E env
-          "S2FA_BENCH_QUICK=1"
-          "S2FA_PERF_LEDGER=${LEDGER}"
-          "S2FA_GIT_REV=cluster-smoke"
-          "S2FA_BENCH_TIMESTAMP=cluster-smoke"
-          "${BENCH_BIN}"
+  COMMAND ${CMAKE_COMMAND} -E env "S2FA_BENCH_QUICK=1" "${BENCH_BIN}"
   WORKING_DIRECTORY "${WORK_DIR}"
   RESULT_VARIABLE bench_rc
   OUTPUT_VARIABLE bench_out ERROR_VARIABLE bench_out)
@@ -37,68 +26,15 @@ if(NOT bench_rc EQUAL 0)
           "cluster_smoke: bench_cluster gates failed (${bench_rc}):\n"
           "${bench_out}")
 endif()
-if(NOT EXISTS "${LEDGER}")
-  message(FATAL_ERROR "cluster_smoke: no ledger written to ${LEDGER}")
-endif()
 
-# --- 2. Schema + coverage: version marker, env stamping, and a ns/op entry
-# for every replay phase the serving trajectory tracks.
-file(READ "${LEDGER}" content)
-string(JSON schema GET "${content}" schema)
-if(NOT schema STREQUAL "s2fa-perf-ledger")
-  message(FATAL_ERROR "cluster_smoke: bad schema marker '${schema}'")
-endif()
-string(JSON version GET "${content}" version)
-if(NOT version EQUAL 1)
-  message(FATAL_ERROR "cluster_smoke: unexpected ledger version '${version}'")
-endif()
-string(JSON rev GET "${content}" git_rev)
-if(NOT rev STREQUAL "cluster-smoke")
-  message(FATAL_ERROR "cluster_smoke: S2FA_GIT_REV not stamped (got '${rev}')")
-endif()
-foreach(bm
-    cluster.scale.shard1.request   # capacity probe, 1 fault domain
-    cluster.scale.shard2.request
-    cluster.scale.shard4.request
-    cluster.clean.request          # paced baseline p50
-    cluster.chaos.request          # kill/restart/burst/spike/poison phase
-    cluster.flood.payer.request)   # paying tenant under the flood
-  string(JSON ns ERROR_VARIABLE json_err
-         GET "${content}" benchmarks ${bm} ns_per_op)
-  if(json_err)
-    message(FATAL_ERROR "cluster_smoke: ledger is missing ${bm}: ${json_err}")
-  endif()
-  if(NOT ns GREATER 0)
-    message(FATAL_ERROR "cluster_smoke: ${bm} ns_per_op '${ns}' is not > 0")
-  endif()
-endforeach()
-
-# --- 3. The fresh ledger must be comparable against the golden snapshot
-# (schema compatibility; the huge threshold keeps timing out of the gate).
-execute_process(
-  COMMAND "${CLI_BIN}" perf-diff "${GOLDEN}" "${LEDGER}"
-          --threshold 1000000
-  RESULT_VARIABLE diff_rc OUTPUT_QUIET ERROR_QUIET)
-if(NOT diff_rc EQUAL 0)
+# The determinism phase's canonical outcome hash is pinned: equal across
+# exec threads is not enough, the replay itself must not drift.
+set(CLUSTER_CANON_HASH "23319ade623e3ae3")
+string(REGEX MATCH "canonical hash ([0-9a-f]+)" hash_line "${bench_out}")
+if(NOT CMAKE_MATCH_1 STREQUAL CLUSTER_CANON_HASH)
   message(FATAL_ERROR
-          "cluster_smoke: perf-diff golden-vs-fresh failed (${diff_rc})")
+          "cluster_smoke: quick replay canonical hash '${CMAKE_MATCH_1}', "
+          "pinned ${CLUSTER_CANON_HASH}:\n${bench_out}")
 endif()
 
-# --- 4. Identical ledgers: exit 0. A >=threshold regression: exit 1.
-execute_process(
-  COMMAND "${CLI_BIN}" perf-diff "${GOLDEN}" "${GOLDEN}"
-  RESULT_VARIABLE same_rc OUTPUT_QUIET ERROR_QUIET)
-if(NOT same_rc EQUAL 0)
-  message(FATAL_ERROR
-          "cluster_smoke: perf-diff on identical ledgers exited ${same_rc}")
-endif()
-execute_process(
-  COMMAND "${CLI_BIN}" perf-diff "${GOLDEN}" "${REGRESSED}"
-  RESULT_VARIABLE reg_rc OUTPUT_QUIET ERROR_QUIET)
-if(NOT reg_rc EQUAL 1)
-  message(FATAL_ERROR
-          "cluster_smoke: perf-diff missed the synthetic regression "
-          "(exited ${reg_rc}, wanted 1)")
-endif()
-
-message(STATUS "cluster_smoke: gates pass, ledger valid, diff catches regressions")
+message(STATUS "cluster_smoke: gates pass, canonical hash pinned")

@@ -116,10 +116,10 @@ ExecutionStats BlazeRuntime::InvocationCost(
     const RegisteredAccelerator& accel) const {
   ExecutionStats stats;
   const double bytes = InterfaceBytes(accel);
-  stats.serialize_us = bytes * model_.jvm_pack_ns_per_byte / 1000.0;
-  stats.transfer_us = bytes / (model_.pcie_gbps * 1e3);  // GB/s -> B/us
+  stats.serialize_us = bytes * kJvmPackNsPerByte / 1000.0;
+  stats.transfer_us = bytes / (kPcieGbps * 1e3);  // GB/s -> B/us
   stats.compute_us = accel.hls.exec_us;
-  stats.overhead_us = model_.invoke_overhead_us;
+  stats.overhead_us = kInvokeOverheadUs;
   stats.total_us = stats.serialize_us + stats.transfer_us +
                    stats.compute_us + stats.overhead_us;
   stats.invocations = 1;

@@ -20,10 +20,13 @@
 
 namespace s2fa::blaze {
 
+// The accelerator offload path's fixed costs.
+inline constexpr double kPcieGbps = 8.0;  // effective host->FPGA bandwidth
+inline constexpr double kInvokeOverheadUs = 30.0;  // DMA setup + driver
+// Reflection-based (de)serialization on the JVM side.
+inline constexpr double kJvmPackNsPerByte = 0.30;
+
 struct OffloadCostModel {
-  double pcie_gbps = 8.0;            // effective host->FPGA bandwidth
-  double invoke_overhead_us = 30.0;  // DMA setup + driver per invocation
-  double jvm_pack_ns_per_byte = 0.30;  // reflection-based (de)serialization
   // Host-path cost of a batch the serving layer runs on the JVM instead
   // (SparkCL-style): `host_slowdown` times the accelerator's compute time,
   // with no PCIe transfer or invocation overhead.

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 
+#include "dse/seeds.h"
 #include "obs/obs.h"
 #include "resilience/journal.h"
 #include "support/error.h"
@@ -29,7 +30,7 @@ std::function<bool(const tuner::ResultDatabase&)> MakeStop(
     case StopKind::kEntropy:
       return MakeEntropyStop(num_factors, options.entropy);
     case StopKind::kNoImprovement:
-      return MakeNoImprovementStop(options.no_improvement_stale);
+      return MakeNoImprovementStop(kNoImprovementStale);
     case StopKind::kTimeOnly:
       return nullptr;
   }
@@ -180,7 +181,7 @@ DseResult RunS2faDse(const DesignSpace& space, const kir::Kernel& kernel,
     topt.techniques = options.techniques;
     if (options.enable_seeds) {
       topt.seeds.push_back(
-          MakePerformanceSeed(partition.space, options.seed_values));
+          MakePerformanceSeed(partition.space));
       topt.seeds.push_back(MakeAreaSeed(partition.space));
     }
     topt.should_stop = MakeStop(options, partition.space.num_factors());
@@ -279,7 +280,7 @@ DseResult RunS2faDse(const DesignSpace& space, const kir::Kernel& kernel,
       } else if (options.enable_seeds) {
         // Never-admitted partitions start like a late FCFS admission.
         topt.seeds.push_back(
-            MakePerformanceSeed(partitions[i].space, options.seed_values));
+            MakePerformanceSeed(partitions[i].space));
         topt.seeds.push_back(MakeAreaSeed(partitions[i].space));
       }
       topt.should_stop = MakeStop(options, partitions[i].space.num_factors());

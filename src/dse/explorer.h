@@ -21,7 +21,6 @@
 
 #include "dse/partition.h"
 #include "dse/scheduler.h"
-#include "dse/seeds.h"
 #include "dse/stopping.h"
 #include "resilience/evaluator.h"
 #include "resilience/fault.h"
@@ -37,10 +36,9 @@ struct ExplorerOptions {
   std::uint64_t seed = 1;
   int training_samples = 320;
   PartitionOptions partition;
-  SeedOptions seed_values;
   EntropyStopOptions entropy;
+  // kNoImprovement stops after kNoImprovementStale stale iterations.
   StopKind stop = StopKind::kEntropy;
-  std::size_t no_improvement_stale = 10;
   // Ablation switches.
   bool enable_partitioning = true;
   bool enable_seeds = true;

@@ -36,8 +36,7 @@ std::size_t NearestIndex(const Factor& factor, std::int64_t desired) {
 
 }  // namespace
 
-tuner::SeedPoint MakePerformanceSeed(const DesignSpace& space,
-                                     const SeedOptions& options) {
+tuner::SeedPoint MakePerformanceSeed(const DesignSpace& space) {
   Point p(space.num_factors(), 0);
   for (std::size_t i = 0; i < space.num_factors(); ++i) {
     const Factor& f = space.factors[i];
@@ -46,14 +45,14 @@ tuner::SeedPoint MakePerformanceSeed(const DesignSpace& space,
         p[i] = NearestIndex(f, 1);  // no tiling; parallelism does the work
         break;
       case FactorKind::kLoopParallel:
-        p[i] = NearestIndex(f, options.performance_parallel);
+        p[i] = NearestIndex(f, kPerformanceParallel);
         break;
       case FactorKind::kLoopPipeline:
         p[i] = NearestIndex(
             f, static_cast<std::int64_t>(merlin::PipelineMode::kOn));
         break;
       case FactorKind::kBufferBits:
-        p[i] = NearestIndex(f, options.performance_bits);
+        p[i] = NearestIndex(f, kPerformanceBits);
         break;
     }
   }

@@ -15,14 +15,12 @@
 
 namespace s2fa::dse {
 
-struct SeedOptions {
-  std::int64_t performance_parallel = 32;
-  int performance_bits = 512;
-};
+// The performance-driven seed's desired parallel factor and bit-width.
+inline constexpr std::int64_t kPerformanceParallel = 32;
+inline constexpr std::int64_t kPerformanceBits = 512;
 
 // Builds the seed within `space` (which may be a partition sub-space).
-tuner::SeedPoint MakePerformanceSeed(const tuner::DesignSpace& space,
-                                     const SeedOptions& options = {});
+tuner::SeedPoint MakePerformanceSeed(const tuner::DesignSpace& space);
 tuner::SeedPoint MakeAreaSeed(const tuner::DesignSpace& space);
 
 }  // namespace s2fa::dse

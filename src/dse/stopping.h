@@ -50,7 +50,9 @@ std::function<bool(const tuner::ResultDatabase&)> MakeEntropyStop(
     std::size_t num_factors, const EntropyStopOptions& options = {});
 
 // Trivial criterion: stop after `max_stale` iterations without a new best.
+// The explorer's kNoImprovement stop uses kNoImprovementStale.
+inline constexpr std::size_t kNoImprovementStale = 10;
 std::function<bool(const tuner::ResultDatabase&)> MakeNoImprovementStop(
-    std::size_t max_stale = 10);
+    std::size_t max_stale = kNoImprovementStale);
 
 }  // namespace s2fa::dse

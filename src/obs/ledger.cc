@@ -36,30 +36,6 @@ std::string RenderLedgerJson(const PerfLedger& ledger) {
            ", \"wall_ms\": " + JsonNumber(entry.wall_ms) + "}";
     first = false;
   }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"counters\": {";
-  first = true;
-  for (const auto& [name, value] : ledger.counters) {
-    out += first ? "\n" : ",\n";
-    out += "    " + JsonString(name) + ": " + std::to_string(value);
-    first = false;
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : ledger.histograms) {
-    out += first ? "\n" : ",\n";
-    out += "    " + JsonString(name) + ": {\"count\": " +
-           std::to_string(h.count) + ", \"min\": " + JsonNumber(h.min) +
-           ", \"max\": " + JsonNumber(h.max) +
-           ", \"mean\": " + JsonNumber(h.mean) +
-           ", \"p50\": " + JsonNumber(h.p50) +
-           ", \"p95\": " + JsonNumber(h.p95) +
-           ", \"p99\": " + JsonNumber(h.p99) + "}";
-    first = false;
-  }
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";
   return out;
@@ -109,25 +85,6 @@ PerfLedger ParseLedgerJson(const std::string& text) {
     }
     ledger.benchmarks[name] = entry;
   }
-  if (auto it = object.find("counters"); it != object.end()) {
-    for (const auto& [name, value] : it->second.object()) {
-      ledger.counters[name] = static_cast<std::int64_t>(value.number());
-    }
-  }
-  if (auto it = object.find("histograms"); it != object.end()) {
-    for (const auto& [name, value] : it->second.object()) {
-      const JsonObject& h = value.object();
-      HistogramStats stats;
-      stats.count = static_cast<std::size_t>(h.at("count").number());
-      stats.min = h.at("min").number();
-      stats.max = h.at("max").number();
-      stats.mean = h.at("mean").number();
-      stats.p50 = h.at("p50").number();
-      stats.p95 = h.at("p95").number();
-      stats.p99 = h.at("p99").number();
-      ledger.histograms[name] = stats;
-    }
-  }
   return ledger;
 }
 
@@ -168,12 +125,6 @@ PerfLedger MergeLedgers(PerfLedger base, const PerfLedger& update) {
   base.timestamp = update.timestamp;
   for (const auto& [name, entry] : update.benchmarks) {
     base.benchmarks[name] = entry;
-  }
-  for (const auto& [name, value] : update.counters) {
-    base.counters[name] = value;
-  }
-  for (const auto& [name, stats] : update.histograms) {
-    base.histograms[name] = stats;
   }
   return base;
 }

@@ -1,11 +1,12 @@
 // Persistent perf ledger: the repo's perf trajectory lives in versioned
 // `BENCH_micro.json` snapshots (schema "s2fa-perf-ledger", version 1) that
-// the bench harnesses emit every run — benchmark name -> ns/op plus
-// wall-clock context, obs counter snapshots, and obs histogram percentile
-// snapshots (the serving p50/p95/p99 phases land here). Git revision and
-// timestamp are passed in by the harness (S2FA_GIT_REV /
-// S2FA_BENCH_TIMESTAMP environment, "unknown" otherwise) — the ledger
-// itself never reaches for the clock so golden snapshots stay comparable.
+// the component microbenchmarks emit every run — benchmark name -> host
+// ns/op plus wall-clock context. Git revision and timestamp are passed in
+// by the harness (S2FA_GIT_REV / S2FA_BENCH_TIMESTAMP environment,
+// "unknown" otherwise) — the ledger itself never reaches for the clock so
+// golden snapshots stay comparable. The parser ignores keys it does not
+// know, so v1 files that still carry the retired `counters`/`histograms`
+// sections load unchanged.
 //
 // The comparator diffs a current run against a previous snapshot and
 // classifies each benchmark entry as improved / flat / regressed against a
@@ -15,13 +16,10 @@
 // measured against.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
-
-#include "obs/obs.h"
 
 namespace s2fa::obs {
 
@@ -41,8 +39,6 @@ struct PerfLedger {
   std::string git_rev = "unknown";
   std::string timestamp = "unknown";
   std::map<std::string, LedgerEntry> benchmarks;
-  std::map<std::string, std::int64_t> counters;
-  std::map<std::string, HistogramStats> histograms;
 };
 
 // Rendering / parsing. ParseLedgerJson validates the schema marker and
@@ -58,8 +54,8 @@ PerfLedger LoadLedgerFile(const std::string& path);
 std::optional<PerfLedger> TryLoadLedgerFile(const std::string& path);
 void WriteLedgerFile(const std::string& path, const PerfLedger& ledger);
 
-// Merge for incremental updates: `update`'s benchmarks/counters/histograms
-// overwrite same-named entries in `base`, everything else carries over, and
+// Merge for incremental updates: `update`'s benchmarks overwrite
+// same-named entries in `base`, everything else carries over, and
 // the metadata (rev, timestamp) comes from `update`. This is how several
 // bench binaries share one BENCH_micro.json.
 PerfLedger MergeLedgers(PerfLedger base, const PerfLedger& update);

@@ -89,8 +89,8 @@ void EvalJournal::Open(const std::string& path) {
       if (line.empty()) continue;
       try {
         JournalEntry entry = ParseJournalEntry(line);
-        entries_[entry.key] = entry.outcome;
-        ++resumed_;
+        keys_.insert(entry.key);
+        loaded_[entry.key] = entry.outcome;
       } catch (const MalformedInput&) {
         // A torn trailing line means the previous run died mid-append; the
         // evaluation it described simply gets re-done.
@@ -126,25 +126,26 @@ void EvalJournal::Open(const std::string& path) {
     out_ << '\n';
     out_.flush();
   }
-  S2FA_LOG_INFO("journal " << path << ": resumed " << resumed_
+  S2FA_LOG_INFO("journal " << path << ": resumed " << loaded_.size()
                            << " evaluation(s)");
 }
 
 std::optional<tuner::EvalOutcome> EvalJournal::Find(
     const std::string& key) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return std::nullopt;
+  auto it = loaded_.find(key);
+  if (it == loaded_.end()) return std::nullopt;
   return it->second;
 }
 
 void EvalJournal::Record(const std::string& key,
                          const tuner::EvalOutcome& outcome) {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Threads that miss on one key at the same time each evaluate it. Only
-  // the first outcome is kept and written, so the file holds one line per
-  // key and a resume loads exactly the entries this run knew.
-  if (!entries_.emplace(key, outcome).second) return;
+  // A repeat proposal evaluates again, and threads that miss on one key at
+  // the same time each evaluate it. Only the first outcome is written, so
+  // the file holds one line per key and a resume loads exactly the entries
+  // this run knew.
+  if (!keys_.insert(key).second) return;
   if (out_.is_open()) {
     // One write() of the full line (newline included) per record: the
     // stream never holds a half-rendered entry in its buffer, so a crash
@@ -158,7 +159,7 @@ void EvalJournal::Record(const std::string& key,
 
 std::size_t EvalJournal::entries() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
+  return keys_.size();
 }
 
 std::size_t EvalJournal::hits() const {
@@ -168,7 +169,7 @@ std::size_t EvalJournal::hits() const {
 
 std::size_t EvalJournal::resumed() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return resumed_;
+  return loaded_.size();
 }
 
 tuner::EvalFn EvalJournal::Wrap(const std::string& scope,

@@ -119,8 +119,8 @@ TEST(ChaosPlanTest, RejectsMalformedSchedules) {
   EXPECT_NO_THROW(ParseChaosPlan("burst 0:4 @ 0; burst 0:4 @ 1"));
 }
 
-// The fault-burst windows that `serve --fault-burst` passes through the
-// chaos grammar: windows that touch are not an overlap, and the injected
+// Fault-burst windows in the chaos grammar (`serve --chaos-plan 'burst
+// START:LEN; ...'`): windows that touch are not an overlap, and the injected
 // faults do not depend on the order the windows are written in.
 TEST(ChaosPlanTest, BurstWindowsMayTouchAndOrderDoesNotMatter) {
   ChaosPlan adjacent;

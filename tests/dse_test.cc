@@ -14,6 +14,7 @@
 #include "apps/app.h"
 #include "b2c/compiler.h"
 #include "dse/explorer.h"
+#include "dse/seeds.h"
 #include "hls/estimator.h"
 #include "merlin/transform.h"
 #include "s2fa/framework.h"
@@ -822,8 +823,9 @@ TEST(ExplorerTest, JournalResumeRepaysZero) {
 
 TEST(ExplorerTest, TruncatedJournalResumesPartially) {
   // Simulate a mid-run kill: keep only a prefix of the journal. The rerun
-  // must reproduce the uninterrupted result while re-paying exactly the
-  // evaluations the prefix is missing.
+  // must reproduce the uninterrupted result. The prefix answers every
+  // proposal of its keys; every other proposal, a repeat included, is
+  // re-paid, as the uninterrupted run paid it.
   kir::Kernel k = NestedKernel();
   DesignSpace space = tuner::BuildDesignSpace(k);
   std::atomic<int> inner_calls{0};
@@ -841,7 +843,9 @@ TEST(ExplorerTest, TruncatedJournalResumesPartially) {
   options.seed = 3;
   options.journal_path = path;
   DseResult first = RunS2faDse(space, k, counting, options);
-  inner_calls.store(0);
+  const std::size_t first_calls =
+      static_cast<std::size_t>(inner_calls.exchange(0));
+  EXPECT_EQ(first.journal_hits, 0u);  // a fresh journal answers nothing
 
   std::vector<std::string> lines;
   {
@@ -858,8 +862,9 @@ TEST(ExplorerTest, TruncatedJournalResumesPartially) {
 
   DseResult resumed = RunS2faDse(space, k, counting, options);
   EXPECT_EQ(resumed.journal_resumed, kept);
+  EXPECT_GE(resumed.journal_hits, kept);
   EXPECT_EQ(static_cast<std::size_t>(inner_calls.load()),
-            lines.size() - kept);
+            first_calls - resumed.journal_hits);
   EXPECT_EQ(resumed.best_cost, first.best_cost);
   EXPECT_EQ(resumed.elapsed_minutes, first.elapsed_minutes);
   EXPECT_EQ(resumed.evaluations, first.evaluations);

@@ -1,9 +1,10 @@
 // The evaluation stack of dse::EvalStack (journal -> resilience -> fault
 // plan -> raw evaluator), driven through RunS2faDse and
 // RunVanillaOpenTuner with a counting evaluator: without a journal every
-// proposal reaches its scope's guard and the black box once, a resumed
-// run is answered by the journal alone, and partitions on several exec
-// threads make the same calls as on one.
+// proposal reaches its scope's guard and the black box once, a fresh
+// journal changes none of that, a resumed run is answered by the journal
+// alone, and partitions on several exec threads make the same calls as on
+// one.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -173,6 +174,48 @@ TEST(EvalStackTest, EveryProposalReachesTheGuardOnce) {
   EXPECT_EQ(vanilla_eval.calls(), vanilla.resilience.calls);
   EXPECT_EQ(vanilla.resilience.calls, vanilla.evaluations);
   EXPECT_GT(vanilla_eval.calls(), vanilla_eval.distinct());
+}
+
+// A fresh journal only records: under injected faults, a journaled run
+// makes the same guard calls, retries and raw calls as an unjournaled one
+// and reaches the same result. (A journal that answered repeat proposals
+// from this run's own records would skip their guard calls.)
+TEST(EvalStackTest, FreshJournalChangesNoGuardCall) {
+  const std::string path = ::testing::TempDir() + "/evalstack_fresh." +
+                           std::to_string(::getpid()) + ".jsonl";
+  std::remove(path.c_str());
+  const kir::Kernel kernel = TwoLoopKernel();
+  const DesignSpace space = SmallSpace(/*wide=*/true);
+  ExplorerOptions options = PartitionedOptions();
+  options.faults.crash_rate = 0.1;
+  options.faults.timeout_rate = 0.1;
+  options.faults.garbage_rate = 0.1;
+
+  CountingEval plain_eval;
+  const DseResult plain = RunS2faDse(space, kernel, plain_eval.Fn(), options);
+  options.journal_path = path;
+  CountingEval journaled_eval;
+  const DseResult journaled =
+      RunS2faDse(space, kernel, journaled_eval.Fn(), options);
+
+  ExpectSameTrajectory(plain, journaled);
+  EXPECT_EQ(journaled.journal_hits, 0u);
+  EXPECT_EQ(plain_eval.calls(), journaled_eval.calls());
+  const resilience::ResilienceStats& a = plain.resilience;
+  const resilience::ResilienceStats& b = journaled.resilience;
+  EXPECT_GT(a.retries, 0u);
+  EXPECT_EQ(a.calls, b.calls);
+  EXPECT_EQ(a.attempts, b.attempts);
+  EXPECT_EQ(a.successes, b.successes);
+  EXPECT_EQ(a.crashes, b.crashes);
+  EXPECT_EQ(a.timeouts, b.timeouts);
+  EXPECT_EQ(a.garbage, b.garbage);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.exhausted, b.exhausted);
+  EXPECT_EQ(a.breaker_trips, b.breaker_trips);
+  EXPECT_EQ(a.short_circuits, b.short_circuits);
+  EXPECT_EQ(a.backoff_minutes, b.backoff_minutes);
+  std::remove(path.c_str());
 }
 
 // A run resumed from a complete journal is answered by the journal alone:

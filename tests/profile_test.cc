@@ -222,16 +222,6 @@ PerfLedger SampleLedger() {
   ledger.timestamp = "2026-08-08T00:00:00";
   ledger.benchmarks["BM_Alpha"] = {120.5, 1000, 0.12};
   ledger.benchmarks["BM_Beta"] = {98000.25, 64, 6.3};
-  ledger.counters["blaze.batches"] = 42;
-  HistogramStats h;
-  h.count = 7;
-  h.min = 1;
-  h.max = 9;
-  h.mean = 4.5;
-  h.p50 = 4;
-  h.p95 = 8;
-  h.p99 = 9;
-  ledger.histograms["svc.latency_us"] = h;
   return ledger;
 }
 
@@ -245,11 +235,36 @@ TEST(LedgerTest, JsonRoundTripPreservesEverything) {
   EXPECT_DOUBLE_EQ(out.benchmarks.at("BM_Alpha").ns_per_op, 120.5);
   EXPECT_DOUBLE_EQ(out.benchmarks.at("BM_Alpha").ops, 1000);
   EXPECT_DOUBLE_EQ(out.benchmarks.at("BM_Beta").wall_ms, 6.3);
-  EXPECT_EQ(out.counters.at("blaze.batches"), 42);
-  const HistogramStats& h = out.histograms.at("svc.latency_us");
-  EXPECT_EQ(h.count, 7u);
-  EXPECT_DOUBLE_EQ(h.mean, 4.5);
-  EXPECT_DOUBLE_EQ(h.p99, 9);
+}
+
+// Ledgers written before the counter and histogram sections were retired
+// still load: the parser skips both keys, and a re-render drops them.
+TEST(LedgerTest, LoadsV1LedgerWithRetiredSections) {
+  const std::string v1 = R"({
+  "schema": "s2fa-perf-ledger",
+  "version": 1,
+  "git_rev": "old",
+  "timestamp": "then",
+  "benchmarks": {
+    "BM_Alpha": {"ns_per_op": 120.5, "ops": 1000, "wall_ms": 0.12}
+  },
+  "counters": {
+    "blaze.batches": 42
+  },
+  "histograms": {
+    "svc.latency_us": {"count": 7, "min": 1, "max": 9, "mean": 4.5, "p50": 4, "p95": 8, "p99": 9}
+  }
+})";
+  PerfLedger in = ParseLedgerJson(v1);
+  EXPECT_EQ(in.git_rev, "old");
+  ASSERT_EQ(in.benchmarks.size(), 1u);
+  EXPECT_DOUBLE_EQ(in.benchmarks.at("BM_Alpha").ns_per_op, 120.5);
+  const std::string rendered = RenderLedgerJson(in);
+  EXPECT_EQ(rendered.find("counters"), std::string::npos);
+  EXPECT_EQ(rendered.find("histograms"), std::string::npos);
+  EXPECT_EQ(rendered.find("blaze.batches"), std::string::npos);
+  EXPECT_DOUBLE_EQ(
+      ParseLedgerJson(rendered).benchmarks.at("BM_Alpha").ns_per_op, 120.5);
 }
 
 TEST(LedgerTest, FileRoundTripAndTryLoad) {
@@ -293,14 +308,12 @@ TEST(LedgerTest, MergeOverwritesAndCarriesOver) {
   update.timestamp = "later";
   update.benchmarks["BM_Beta"] = {50, 10, 1};
   update.benchmarks["BM_Gamma"] = {7, 1, 0.1};
-  update.counters["svc.requests"] = 9;
   PerfLedger merged = MergeLedgers(base, update);
   EXPECT_EQ(merged.git_rev, "def456");
   EXPECT_EQ(merged.timestamp, "later");
   EXPECT_EQ(merged.benchmarks.size(), 3u);
   EXPECT_DOUBLE_EQ(merged.benchmarks.at("BM_Alpha").ns_per_op, 120.5);
   EXPECT_DOUBLE_EQ(merged.benchmarks.at("BM_Beta").ns_per_op, 50);
-  EXPECT_EQ(merged.counters.size(), 2u);
 }
 
 TEST(LedgerTest, ComparatorClassifiesAgainstThreshold) {

@@ -577,7 +577,9 @@ TEST(JournalTest, ParseRejectsMalformedLines) {
                MalformedInput);
 }
 
-TEST(JournalTest, WrapCachesAndCounts) {
+// A fresh journal records but never answers: a repeat proposal is
+// evaluated again, as it would be without a journal, and written once.
+TEST(JournalTest, WrapAnswersNothingRecordedThisRun) {
   EvalJournal journal;  // in-memory (no file)
   int calls = 0;
   tuner::EvalFn fn = journal.Wrap("p0", [&](const DesignConfig&) {
@@ -587,13 +589,26 @@ TEST(JournalTest, WrapCachesAndCounts) {
   fn(MakeConfig(0));
   fn(MakeConfig(0));
   fn(MakeConfig(1));
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(journal.hits(), 1u);
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(journal.hits(), 0u);
   EXPECT_EQ(journal.entries(), 2u);
 }
 
-TEST(JournalTest, ScopesIsolateIdenticalConfigs) {
+// Loaded entries answer their own scope's proposals, every time, and
+// never another scope's proposal of the same config.
+TEST(JournalTest, LoadedEntriesAnswerOnlyTheirScope) {
+  const std::string path =
+      testing::TempDir() + "s2fa_journal_scope_test." +
+      std::to_string(::getpid()) + ".jsonl";
+  std::remove(path.c_str());
+  {
+    EvalJournal journal;
+    journal.Open(path);
+    journal.Wrap("p0", [](const DesignConfig&) { return GoodOutcome(); })(
+        MakeConfig(0));
+  }
   EvalJournal journal;
+  journal.Open(path);
   int calls = 0;
   tuner::EvalFn p0 = journal.Wrap("p0", [&](const DesignConfig&) {
     ++calls;
@@ -604,8 +619,12 @@ TEST(JournalTest, ScopesIsolateIdenticalConfigs) {
     return GoodOutcome();
   });
   p0(MakeConfig(0));
+  p0(MakeConfig(0));
   p1(MakeConfig(0));
-  EXPECT_EQ(calls, 2);  // same config, different scope: no false sharing
+  EXPECT_EQ(calls, 1);  // same config, different scope: no false sharing
+  EXPECT_EQ(journal.hits(), 2u);
+  EXPECT_EQ(journal.entries(), 2u);
+  std::remove(path.c_str());
 }
 
 TEST(JournalTest, PersistsAndResumes) {

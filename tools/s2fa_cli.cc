@@ -111,26 +111,6 @@ std::optional<std::vector<double>> ParseBrownout(const std::string& text) {
   return ok ? std::optional(values) : std::nullopt;
 }
 
-// --fault-burst START:LEN[,START:LEN...] read as the chaos statements
-// `burst START:LEN; ...`, so the chaos grammar's zero-length and overlap
-// checks apply. Windows come back sorted by start.
-blaze::ChaosPlan FaultBurstPlan(const std::string& text) {
-  if (text.find_first_not_of("0123456789:, \t") != std::string::npos) {
-    throw MalformedInput("fault bursts are START:LEN windows only");
-  }
-  if (Trim(text).empty()) return {};
-  std::string statements;
-  for (const std::string& window : Split(text, ',')) {
-    statements += "burst " + window + ";";
-  }
-  blaze::ChaosPlan plan = blaze::ParseChaosPlan(statements);
-  std::sort(plan.bursts.begin(), plan.bursts.end(),
-            [](const blaze::ChaosBurst& a, const blaze::ChaosBurst& b) {
-              return a.start < b.start;
-            });
-  return plan;
-}
-
 // A technique roster is valid independent of the design space it is built
 // for, so a one-factor space checks the names.
 void CheckTechniques(const std::string& text) {
@@ -272,9 +252,6 @@ const std::vector<Knob>& KnobTable() {
       {"quarantine-window", "N", "S2FA_QUARANTINE_WINDOW", kServe,
        std::to_string(cluster.health_window), Int(2),
        "per-replica health sample window"},
-      {"fault-burst", "START:LEN[,..]", "S2FA_FAULT_BURST", kServe, "",
-       Parses(FaultBurstPlan, "non-overlapping START:LEN windows"),
-       "fail per-replica invocations in [START, START+LEN)"},
       {"exec-threads", "N", nullptr, kServe,
        std::to_string(cluster.exec_threads), Int(1, kIntMax),
        "functional execution threads (outcomes do not depend on it)"},
@@ -710,7 +687,7 @@ constexpr double kHedgeDelayRequests = 4.0;
 // Serves the request stream through BlazeCluster: replicas spread
 // round-robin over --shards fault domains (one by default), requests
 // assigned to the declared tenants round-robin, optional scripted chaos
-// plus the --fault-burst windows on every shard. Prints the cluster ledger,
+// (its `burst` windows fail replica invocations). Prints the cluster ledger,
 // each shard's replica health once a failure or probe touched it, and a
 // per-tenant fairness table; exit 0 only when nothing was lost and every
 // served output matches the native reference.
@@ -753,13 +730,9 @@ int CmdServe(const Knobs& knobs) {
   Rng rng(seed);
   const auto broadcast = MakeBroadcast(app, seed);
   const blaze::Dataset* bc = broadcast.get();
-  const blaze::ChaosPlan bursts = FaultBurstPlan(knobs.Str("fault-burst"));
-  blaze::ChaosPlan chaos = blaze::ParseChaosPlan(knobs.Str("chaos-plan"));
-  chaos.bursts.insert(chaos.bursts.end(), bursts.bursts.begin(),
-                      bursts.bursts.end());
-  if (knobs.Has("chaos-plan") || !bursts.bursts.empty()) {
+  if (knobs.Has("chaos-plan")) {
     try {
-      cluster.SetChaosPlan(chaos);
+      cluster.SetChaosPlan(blaze::ParseChaosPlan(knobs.Str("chaos-plan")));
     } catch (const Error& e) {
       std::fprintf(stderr, "error: --chaos-plan/S2FA_CHAOS_PLAN: %s\n",
                    e.what());
